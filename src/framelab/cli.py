@@ -64,6 +64,15 @@ def _parse_region(text):
     return out
 
 
+def _basepoint(args, m):
+    """The --at point; a coordinate count other than m.dim is a config error."""
+    p = np.array(_parse_floats(args.at))
+    if p.shape != (m.dim,):
+        raise ValueError(f"--at gives {p.size} coordinates; the chart "
+                         f"({', '.join(m.coords)}) has {m.dim}")
+    return p
+
+
 def _region_for(m, spec_text):
     named = _parse_region(spec_text)
     by_name = {name: (lo, hi) for name, lo, hi in named}
@@ -120,7 +129,11 @@ def _load_metric(uri):
 
 def cmd_parse_check(args):
     m = _load_metric(args.metric)
-    m.validate_spd_on_grid(per_axis=args.grid)
+    try:
+        m.validate_spd_on_grid(per_axis=args.grid)
+    except NotSPDError as err:
+        # here the definition itself is at fault, not a point asked about
+        raise MetricError(str(err)) from None
     text = mt.print_metric(m)
     round_trip = mt.parse_metric(text)
     rng = np.random.default_rng(args.seed)
@@ -135,7 +148,7 @@ def cmd_parse_check(args):
 
 def cmd_curvature(args):
     m = _load_metric(args.metric)
-    p = np.array(_parse_floats(args.at))
+    p = _basepoint(args, m)
     ric = ricci(m, p)
     payload = {
         "point": p.tolist(),
@@ -152,7 +165,7 @@ def cmd_curvature(args):
 def cmd_lift(args):
     g = _load_metric(args.metric)
     gp = _load_metric(args.metric2) if args.metric2 else g
-    p = np.array(_parse_floats(args.at))
+    p = _basepoint(args, g)
     fp = bd.FramePoint.anchor(p, g.dim)
     chart = bd.lifted_metric(g, gp, fp)
     y = chart.chart_point()
@@ -206,14 +219,18 @@ def cmd_oneill_check(args):
 def cmd_holonomy(args):
     g = _load_metric(args.metric)
     gp = _load_metric(args.metric2) if args.metric2 else g
-    p = np.array(_parse_floats(args.at))
+    p = _basepoint(args, g)
+    if args.resume:
+        try:
+            saved = Path(args.resume).read_text(encoding="utf-8")
+        except OSError as err:
+            raise ValueError(f"cannot read --resume file: {err}") from None
+        previous = hl.samples_from_jsonl(saved, g.dim)
     rng = np.random.default_rng(args.seed)
     loops = hl.plaquette_loops(p, args.delta, g.dim)
     loops += hl.coordinate_triangle_loops(p, args.delta, args.loops, rng, g.dim)
     samples = hl.holonomy_samples(gp, loops, g, word_length=args.word_length)
     if args.resume:
-        previous = hl.samples_from_jsonl(
-            Path(args.resume).read_text(encoding="utf-8"), g.dim)
         samples = hl._dedup(previous + samples)
     est = ortho.classify_subgroup([(s.element, s.loop_length) for s in samples])
     payload = {"samples": [s.to_json_obj() for s in samples],
@@ -229,7 +246,7 @@ def cmd_holonomy(args):
 def cmd_fiber_dist(args):
     g = _load_metric(args.metric)
     gp = _load_metric(args.metric2) if args.metric2 else g
-    p = np.array(_parse_floats(args.at))
+    p = _basepoint(args, g)
     if g.dim != 2:
         raise ValueError("fiber-dist demo is defined for surfaces")
     samples = hl.circle_power_samples(gp, p, axis=1, period=2 * math.pi,
@@ -455,12 +472,13 @@ def main(argv=None):
     except InvariantViolation as err:
         print(f"invariant violation: {err}", file=sys.stderr)
         return EXIT_INVARIANT
+    except (DomainExitError, NotSPDError) as err:
+        # NotSPDError is a MetricError, so it is caught first
+        print(f"domain error: {err}", file=sys.stderr)
+        return EXIT_DOMAIN
     except (ParseError, MetricError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DomainExitError, NotSPDError) as err:
-        print(f"domain error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -261,10 +261,21 @@ class HolonomySample:
 
 
 def _dedup(samples, tol=1e-6):
+    """Greedy by loop length: a sample is dropped when d_b < tol to an
+    earlier kept one.  Only the kept samples that the Frobenius lower bound
+    cannot rule out are compared with the exact group_distance."""
+    ordered = sorted(samples, key=lambda s: s.loop_length)
+    if not ordered:
+        return []
+    stack = np.empty((len(ordered),) + np.shape(ordered[0].element))   # kept elements
     kept = []
-    for s in sorted(samples, key=lambda s: s.loop_length):
-        if any(ortho.group_distance(s.element, k.element) < tol for k in kept):
+    for s in ordered:
+        x = ortho.check_orthogonal(s.element)
+        lower = ortho.frobenius_lower_bound(stack[:len(kept)], x)
+        if any(ortho.group_distance(s.element, kept[i].element) < tol
+               for i in np.flatnonzero(lower < tol)):
             continue
+        stack[len(kept)] = x
         kept.append(s)
     return kept
 
@@ -276,6 +287,8 @@ def holonomy_samples(conn: MetricSpec, loops, length_metric: MetricSpec = None,
     exact additive length accounting.  Deduplicated with d_b < dedup_tol,
     keeping the smaller length.
     """
+    if word_length < 1:
+        raise ValueError(f"word length must be at least 1, got {word_length}")
     g = length_metric or conn
     base = [HolonomySample(np.eye(conn.dim), 0.0, "constant")]
     for loop in loops:
@@ -285,9 +298,11 @@ def holonomy_samples(conn: MetricSpec, loops, length_metric: MetricSpec = None,
         base.append(HolonomySample(h, loop.length, loop.descriptor))
         if include_inverses:
             base.append(HolonomySample(h.T, loop.length, loop.descriptor + "^-1"))
+    if word_length == 1:
+        return _dedup(base, dedup_tol)
     words = list(base)
     frontier = list(base)
-    for _ in range(1, max(1, word_length)):
+    for _ in range(1, word_length):
         nxt = []
         for w in frontier:
             for s in base[1:]:
@@ -297,8 +312,10 @@ def holonomy_samples(conn: MetricSpec, loops, length_metric: MetricSpec = None,
                                           f"{w.descriptor}*{s.descriptor}"))
         words.extend(nxt)
         frontier = _dedup(nxt, dedup_tol)
+        # a greedy pass over its own output keeps every element, so the
+        # final `words` needs no further pass
         words = _dedup(words, dedup_tol)
-    return _dedup(words, dedup_tol)
+    return words
 
 
 def circle_power_samples(conn: MetricSpec, basepoint, axis, period,
@@ -321,9 +338,13 @@ def circle_power_samples(conn: MetricSpec, basepoint, axis, period,
 def min_loop_length(samples, target, tol=1e-6):
     """Smallest sampled loop length realizing `target` within d_b <= tol;
     an upper bound for the true L(target), +inf when unseen."""
+    target = ortho.check_orthogonal(np.asarray(target, dtype=float))
+    n = target.shape[0]
+    elements = np.reshape([s.element for s in samples], (-1, n, n))
+    lower = ortho.frobenius_lower_bound(ortho.check_orthogonal(elements), target)
     best = math.inf
-    for s in samples:
-        if ortho.group_distance(s.element, target) <= tol:
+    for s, lo in zip(samples, lower):
+        if lo <= tol and ortho.group_distance(s.element, target) <= tol:
             best = min(best, s.loop_length)
     return best
 
@@ -331,14 +352,28 @@ def min_loop_length(samples, target, tol=1e-6):
 def fiber_distance(samples, e, e_prime):
     """min over samples a of sqrt(L(a)^2 + d_b(a e, e')^2): the restricted
     distance on a fiber, certified as an upper bound.  The constant loop is
-    always included, so the value never exceeds d_b(e, e')."""
+    always included, so the value never exceeds d_b(e, e').
+
+    Samples are visited by loop length; the search stops at the first one
+    with L(a) >= best and skips those whose Frobenius lower bound on
+    d_b(a e, e') already puts them at or above the best, so the exact
+    group_distance decides every candidate that can lower the minimum."""
     e = ortho.check_orthogonal(np.asarray(e, dtype=float))
     e_prime = ortho.check_orthogonal(np.asarray(e_prime, dtype=float))
     best = ortho.group_distance(e, e_prime)
-    for s in samples:
-        d = ortho.group_distance(s.element @ e, e_prime)
+    moved = [s.element @ e for s in samples]
+    n = e.shape[0]
+    lower = ortho.frobenius_lower_bound(
+        ortho.check_orthogonal(np.reshape(moved, (-1, n, n))), e_prime)
+    for i in sorted(range(len(samples)), key=lambda i: samples[i].loop_length):
+        length = samples[i].loop_length
+        if length >= best:
+            break
+        if math.hypot(length, lower[i]) >= best:
+            continue
+        d = ortho.group_distance(moved[i], e_prime)
         if math.isfinite(d):
-            best = min(best, math.hypot(s.loop_length, d))
+            best = min(best, math.hypot(length, d))
     return best
 
 
@@ -476,10 +511,14 @@ def samples_to_jsonl(samples):
 
 
 def samples_from_jsonl(text, n):
+    """Samples written by samples_to_jsonl; a malformed line raises ValueError."""
     import json
     out = []
-    for line in text.strip().splitlines():
-        obj = json.loads(line)
-        mat = np.array(obj["matrix"], dtype=float).reshape(n, n)
-        out.append(HolonomySample(mat, float(obj["length"]), obj.get("loop", "")))
+    for k, line in enumerate(text.strip().splitlines(), 1):
+        try:
+            obj = json.loads(line)
+            mat = np.array(obj["matrix"], dtype=float).reshape(n, n)
+            out.append(HolonomySample(mat, float(obj["length"]), obj.get("loop", "")))
+        except (KeyError, TypeError, AttributeError, ValueError) as err:
+            raise ValueError(f"bad holonomy sample on line {k}: {err!r}") from None
     return out

@@ -15,6 +15,11 @@ from scipy.linalg import expm, schur
 
 SKEW_TOL = 1e-10
 ORTH_TOL = 1e-10
+#: subdiagonal size below which `_schur_blocks` reads a 2x2 block of the
+#: real Schur form as two real eigenvalues, dropping its rotation angle
+SCHUR_BLOCK_TOL = 1e-9
+#: relative slack of `frobenius_lower_bound`; it absorbs rounding
+FROBENIUS_SLACK = 1e-6
 
 
 class NotSkewError(ValueError):
@@ -54,9 +59,10 @@ def check_skew(a, tol=SKEW_TOL):
 
 
 def check_orthogonal(A, tol=ORTH_TOL):
+    """A, an (n, n) matrix or a stack (..., n, n), if orthogonal to `tol`."""
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    r = float(np.abs(A.T @ A - np.eye(n)).max())
+    n = A.shape[-2]
+    r = float(np.abs(np.swapaxes(A, -1, -2) @ A - np.eye(n)).max(initial=0.0))
     if r > tol:
         raise NotOrthogonalError(f"matrix is not orthogonal (residual {r:.3e})")
     return A
@@ -94,7 +100,7 @@ def group_exp(a):
     return expm(a)
 
 
-def _schur_blocks(A, tol=1e-9):
+def _schur_blocks(A, tol=SCHUR_BLOCK_TOL):
     """Real Schur form of an orthogonal matrix: rotation angles and the
     number of -1 eigenvalues, plus the transform Q with A = Q T Q^T."""
     T, Q = schur(np.asarray(A, dtype=float), output="real")
@@ -149,6 +155,30 @@ def group_distance(u, v):
         return math.inf
     angles = orthogonal_angles(v @ u.T)
     return math.sqrt(2.0 * sum(t * t for t in angles))
+
+
+def frobenius_lower_bound(A, B):
+    """A lower bound on `group_distance(A, B)` from ||A - B||_F, for A, B in
+    O(n); broadcasts over stacks (..., n, n).
+
+    If B A^T has rotation angles t_i in [0, pi], then ||A - B||_F^2 =
+    sum 8 sin^2(t_i / 2) and d_b(A, B)^2 = sum 2 t_i^2, so for A and B in
+    one component of O(n)
+
+        ||A - B||_F <= d_b(A, B) <= (pi / 2) ||A - B||_F,
+
+    and across the components d_b = +inf.  The bound returned sits below
+    ||A - B||_F by the relative FROBENIUS_SLACK and by an absolute
+    n * (SCHUR_BLOCK_TOL + 10 ORTH_TOL): group_distance drops angles under
+    SCHUR_BLOCK_TOL and accepts matrices orthogonal to ORTH_TOL.  So a test
+    `group_distance(A, B) < tol` can hold only where this bound is below
+    tol, and a search may skip the exact distance elsewhere without
+    changing its result.
+    """
+    diff = np.asarray(A, dtype=float) - np.asarray(B, dtype=float)
+    slack = diff.shape[-1] * (SCHUR_BLOCK_TOL + 10.0 * ORTH_TOL)
+    frob = np.linalg.norm(diff, axis=(-2, -1))
+    return np.maximum(frob / (1.0 + FROBENIUS_SLACK) - slack, 0.0)
 
 
 def rotation2(theta):
@@ -317,7 +347,8 @@ def _classify_finite(n, nontrivial, tol, residuals):
     order = None
     P = gen.copy()
     for k in range(1, 1001):
-        if group_distance(P, ident) <= 10 * tol:
+        near = frobenius_lower_bound(check_orthogonal(P), ident) <= 10 * tol
+        if near and group_distance(P, ident) <= 10 * tol:
             order = k
             break
         P = P @ gen

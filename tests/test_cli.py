@@ -61,6 +61,13 @@ def test_bad_gmet_exit_code(tmp_path):
     assert code == 2
 
 
+def test_non_spd_gmet_exit_code(tmp_path):
+    path = tmp_path / "neg.gmet"
+    path.write_text("dim 2; coords x y; g = [[1,0],[0,-1]];", encoding="utf-8")
+    code, _ = run(tmp_path, "parse-check", "--metric", str(path))
+    assert code == 2
+
+
 def test_oneill_check_sphere(tmp_path):
     code, out = run(tmp_path, "oneill-check", "--metric", "builtin:round-sphere",
                     "--pairs", "3")
@@ -201,3 +208,38 @@ def test_experiment_eguchi_hanson_smoke(tmp_path):
     assert payload["quotient_diameters"]["gap"] > 0
     assert payload["gh_table"][0]["gh_upper"] <= 0.05
     assert (out / "eguchi-hanson.dat").exists()
+
+
+def test_non_spd_point_is_a_domain_error(tmp_path):
+    code, _ = run(tmp_path, "holonomy", "--metric", "builtin:eguchi-hanson",
+                  "--at", "0.9,1.3,0.8,1.1")
+    assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--metric", "builtin:round-sphere", "--at", "1"],
+    ["lift", "--metric", "builtin:round-sphere", "--at", "1.1,0.3,0.2"],
+    ["holonomy", "--metric", "builtin:eguchi-hanson", "--at", "2.2,1.3"],
+    ["fiber-dist", "--metric", "builtin:smoothed-cone:a=0.7,eps=0.05", "--at", "0.125"],
+])
+def test_basepoint_dimension_mismatch_is_a_config_error(tmp_path, argv):
+    code, _ = run(tmp_path, *argv)
+    assert code == 2
+
+
+@pytest.mark.parametrize("content", [None, '{"length": 1.0}\n'])
+def test_holonomy_bad_resume_file(tmp_path, capsys, content):
+    # a missing file, then a line without a matrix
+    saved = tmp_path / "samples.jsonl"
+    if content is not None:
+        saved.write_text(content, encoding="utf-8")
+    code, _ = run(tmp_path, "holonomy", "--metric", "builtin:smoothed-cone:a=0.7,eps=0.1",
+                  "--at", "0.8,1.0", "--resume", str(saved))
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_holonomy_word_length_zero(tmp_path):
+    code, _ = run(tmp_path, "holonomy", "--metric", "builtin:smoothed-cone:a=0.7,eps=0.1",
+                  "--at", "0.8,1.0", "--loops", "0", "--word-length", "0")
+    assert code == 2

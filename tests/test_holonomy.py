@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framelab import holonomy as hl
 from framelab import metric as mt
@@ -285,3 +287,111 @@ def test_samples_jsonl_round_trip():
     for s, b in zip(samples, back):
         assert np.abs(s.element - b.element).max() == 0.0
         assert s.loop_length == b.loop_length
+
+
+# ---------------------------------------------------------------------------
+# the Frobenius-prefiltered searches against their quadratic references
+
+def reference_dedup(samples, tol=1e-6):
+    kept = []
+    for s in sorted(samples, key=lambda s: s.loop_length):
+        if any(ot.group_distance(s.element, k.element) < tol for k in kept):
+            continue
+        kept.append(s)
+    return kept
+
+
+def reference_fiber_distance(samples, e, e_prime):
+    best = ot.group_distance(e, e_prime)
+    for s in samples:
+        d = ot.group_distance(s.element @ e, e_prime)
+        if math.isfinite(d):
+            best = min(best, math.hypot(s.loop_length, d))
+    return best
+
+
+def random_orthogonal(rng, n):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return q
+
+
+def nudge(rng, A, dist):
+    """A exp(a) with |a|_b = dist, so d_b(A, A exp(a)) = dist."""
+    n = A.shape[0]
+    a = ot.unvec_skew(rng.normal(size=n * (n - 1) // 2), n)
+    return A @ ot.group_exp(a * (dist / ot.b_norm(a)))
+
+
+def cloud(rng, n, size, near_exponents, ties):
+    """Random elements of both components of O(n), then near-duplicates of
+    earlier ones at d_b = 10**exponent; lengths repeat when `ties`."""
+    def length():
+        return 0.5 * int(rng.integers(4)) if ties else float(rng.uniform(0, 2))
+
+    out = [hl.HolonomySample(random_orthogonal(rng, n), length(), f"r{k}")
+           for k in range(size)]
+    for k, x in enumerate(near_exponents):
+        src = out[int(rng.integers(len(out)))]
+        out.append(hl.HolonomySample(nudge(rng, src.element, 10.0 ** x), length(),
+                                     f"near{k}"))
+    rng.shuffle(out)
+    return out
+
+
+CLOUDS = dict(n=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1),
+              size=st.integers(1, 12), ties=st.booleans(),
+              near_exponents=st.lists(st.floats(-7.0, -5.0), max_size=16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**CLOUDS)
+def test_dedup_matches_quadratic_reference(n, seed, size, ties, near_exponents):
+    samples = cloud(np.random.default_rng(seed), n, size, near_exponents, ties)
+    got = hl._dedup(samples)
+    assert [id(s) for s in got] == [id(s) for s in reference_dedup(samples)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(hit=st.booleans(), flip=st.booleans(), **CLOUDS)
+def test_fiber_distance_matches_brute_force(n, seed, size, ties, near_exponents,
+                                            hit, flip):
+    rng = np.random.default_rng(seed)
+    samples = cloud(rng, n, size, near_exponents, ties)
+    e = random_orthogonal(rng, n)
+    # e' near a moved frame a e, or anywhere, in either component of e
+    src = samples[int(rng.integers(len(samples)))].element @ e if hit else e
+    e_prime = nudge(rng, src, float(rng.uniform(0, 0.5)))
+    if flip:
+        e_prime = e_prime @ np.diag([-1.0] + [1.0] * (n - 1))
+    got = hl.fiber_distance(samples, e, e_prime)
+    assert got == reference_fiber_distance(samples, e, e_prime)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**CLOUDS)
+def test_min_loop_length_matches_brute_force(n, seed, size, ties, near_exponents):
+    rng = np.random.default_rng(seed)
+    samples = cloud(rng, n, size, near_exponents, ties)
+    target = samples[int(rng.integers(len(samples)))].element
+    want = min((s.loop_length for s in samples
+                if ot.group_distance(s.element, target) <= 1e-6), default=math.inf)
+    assert hl.min_loop_length(samples, target) == want
+
+
+def test_dedup_validates_every_sample():
+    bad = hl.HolonomySample(2.0 * np.eye(2), 1.0, "not orthogonal")
+    with pytest.raises(ot.NotOrthogonalError):
+        hl._dedup([bad])
+
+
+def test_fiber_distance_validates_pruned_samples():
+    # the second sample cannot lower the minimum but is still checked
+    good = hl.HolonomySample(np.eye(2), 0.0, "constant")
+    bad = hl.HolonomySample(2.0 * np.eye(2), 50.0, "not orthogonal")
+    with pytest.raises(ot.NotOrthogonalError):
+        hl.fiber_distance([good, bad], np.eye(2), ot.rotation2(0.1))
+
+
+def test_holonomy_samples_rejects_empty_words():
+    with pytest.raises(ValueError):
+        hl.holonomy_samples(mt.flat_euclidean(2), [], word_length=0)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framelab import ortho as ot
 
@@ -96,6 +98,49 @@ def test_group_distance_biinvariant(rng):
         d = ot.group_distance(u, v)
         assert ot.group_distance(w @ u, w @ v) == pytest.approx(d, abs=1e-10)
         assert ot.group_distance(u @ w, v @ w) == pytest.approx(d, abs=1e-10)
+
+
+def rotation_with_angles(rng, n, angles):
+    """Q diag(R(t_1), R(t_2), ..., 1) Q^T for a random orthogonal Q."""
+    D = np.eye(n)
+    for k, t in enumerate(angles):
+        D[2 * k:2 * k + 2, 2 * k:2 * k + 2] = ot.rotation2(t)
+    Q = random_orthogonal(rng, n, reflect=bool(rng.integers(2)))
+    return Q @ D @ Q.T
+
+
+#: rotation angles from below the Schur block cut-off up to pi
+ANGLES = st.one_of(st.floats(1e-13, 1e-8), st.floats(1e-8, 1e-4),
+                   st.floats(1e-4, 3.0), st.floats(math.pi - 1e-6, math.pi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       noise=st.sampled_from([0.0, 1e-13, 1e-11]))
+def test_frobenius_bound_below_group_distance(data, n, seed, noise):
+    # same component, nearly orthogonal inputs included: the bound never
+    # exceeds the distance group_distance computes
+    rng = np.random.default_rng(seed)
+    angles = data.draw(st.lists(ANGLES, max_size=n // 2))
+    u = random_orthogonal(rng, n, reflect=bool(rng.integers(2)))
+    v = rotation_with_angles(rng, n, angles) @ u + noise * rng.uniform(-1, 1, (n, n))
+    d = ot.group_distance(u, v)
+    assert ot.frobenius_lower_bound(u, v) <= d
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_frobenius_sandwich(data, n, seed):
+    # ||A - B||_F <= d_b(A, B) <= (pi/2) ||A - B||_F in one component, with
+    # angles above the Schur block cut-off
+    rng = np.random.default_rng(seed)
+    angles = data.draw(st.lists(st.floats(1e-6, math.pi), max_size=n // 2))
+    u = random_orthogonal(rng, n, reflect=bool(rng.integers(2)))
+    v = rotation_with_angles(rng, n, angles) @ u
+    frob = float(np.linalg.norm(u - v))
+    d = ot.group_distance(u, v)
+    assert frob <= d * (1 + 1e-9) + 1e-14
+    assert d <= 0.5 * math.pi * frob * (1 + 1e-9) + 1e-14
 
 
 def test_sectional_biinvariant_nonnegative(rng):
