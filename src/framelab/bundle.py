@@ -34,8 +34,8 @@ import numpy as np
 from scipy.linalg import expm, expm_frechet
 
 from . import ortho
-from .curvature import NumericMetric, assemble_gamma, geodesic_between, geodesic_ivp
-from .holonomy import transport_matrix
+from .curvature import NumericMetric, assemble_gamma_jet, geodesic_between
+from .holonomy import _geodesic_segment, cholesky_section, section_frame, transport_matrix
 from .metric import MetricSpec
 
 CHART_RADIUS = math.pi / 2
@@ -60,17 +60,13 @@ class FramePoint:
         return FramePoint(np.asarray(base, dtype=float), np.eye(n))
 
 
-def section_with_derivative(gp: MetricSpec, x):
-    """Reference section S(x) = chol(G')^-T and its exact partials dS[i]."""
-    x = np.asarray(x, dtype=float)
-    G = gp.check_spd(x)
-    dG = gp.derivative_fn(1)(x)
-    L = np.linalg.cholesky(G)
-    Linv = np.linalg.inv(L)
-    S = Linv.T
-    n = gp.dim
-    dS = np.empty((n, n, n))
-    for i in range(n):
+def section_with_derivative(G, dG):
+    """Reference section S = chol(G')^-T and its exact partials dS[i], from
+    G' and its partials dG[i] at one point."""
+    S = cholesky_section(G)
+    Linv = S.T
+    dS = np.empty_like(dG)
+    for i in range(len(dG)):
         M = Linv @ dG[i] @ Linv.T
         Phi = np.tril(M, -1) + 0.5 * np.diag(np.diag(M))
         dS[i] = -S @ Phi.T
@@ -80,14 +76,13 @@ def section_with_derivative(gp: MetricSpec, x):
 def section_connection_coeffs(gp: MetricSpec, x):
     """C_i = S^-1 (d_i S + Gamma'[e_i] S), skew matrices, one per direction."""
     x = np.asarray(x, dtype=float)
-    S, dS = section_with_derivative(gp, x)
-    G = gp.evaluate(x)
+    G = gp.check_spd(x)
     dG = gp.derivative_fn(1)(x)
-    gamma = assemble_gamma(G, dG)
+    S, dS = section_with_derivative(G, dG)
+    gamma = assemble_gamma_jet(G, dG)[0]
     Sinv = np.linalg.inv(S)
-    n = gp.dim
-    C = np.empty((n, n, n))
-    for i in range(n):
+    C = np.empty_like(dS)
+    for i in range(len(dS)):
         C[i] = Sinv @ (dS[i] + gamma[:, i, :] @ S)
     return S, C
 
@@ -151,7 +146,7 @@ class LiftedMetricChart:
     def frame_matrix(self, y):
         """Columns are the frame vectors in coordinate components."""
         x, t = self.split(y)
-        S, _ = section_with_derivative(self.gp, x)
+        S = section_frame(self.gp, x)
         return S @ expm(self.skew_from_t(t)) @ self.anchor.frame
 
     def check_chart_radius(self, y):
@@ -207,11 +202,8 @@ class LiftedMetricChart:
         out[n:, n:] = vt @ vt.T
         return out
 
-    def metric_fun(self):
-        return lambda y: self.metric_matrix(y)
-
     def numeric(self):
-        return NumericMetric(self.metric_fun(), self.dim)
+        return NumericMetric(self.metric_matrix, self.dim)
 
     # -- lifts, fundamental fields, adapted frame -----------------------------
 
@@ -238,8 +230,7 @@ class LiftedMetricChart:
         """Columns: lifts of the g-orthonormalized coordinate basis, then the
         b-orthonormal fundamental fields T_lm / sqrt(2)."""
         x, _ = self.split(y)
-        G = self.g.check_spd(x)
-        F = np.linalg.inv(np.linalg.cholesky(G)).T    # g-ON base frame
+        F = section_frame(self.g, x)    # g-ON base frame
         cols = [self.horizontal_lift(y, F[:, i]) for i in range(self.n)]
         for B in self.basis:
             cols.append(self.fundamental_vector(y, B / math.sqrt(2.0)))
@@ -277,17 +268,6 @@ class LiftedMetricChart:
 
 def lifted_metric(g: MetricSpec, gp: MetricSpec, anchor: FramePoint) -> LiftedMetricChart:
     return LiftedMetricChart(g, gp, anchor)
-
-
-def connection_form(gp: MetricSpec, fp: FramePoint, tangent):
-    """omega of a chart tangent vector at the frame point (anchor gauge)."""
-    chart = LiftedMetricChart(gp, gp, fp)
-    return chart.omega(chart.chart_point(), tangent)
-
-
-def horizontal_lift(gp: MetricSpec, fp: FramePoint, v):
-    chart = LiftedMetricChart(gp, gp, fp)
-    return chart.horizontal_lift(chart.chart_point(), v)
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +326,7 @@ def sasaki_distance(spec: SasakiSpec, pv, qu, loops=None, budget=200):
     else:
         try:
             vel, geo_len = geodesic_between(spec.g, p, q)
-            sol = geodesic_ivp(spec.g, p, vel, 1.0)
-            n = spec.g.dim
-            from .holonomy import Segment
-            geo_segments = [Segment(lambda t: sol.sol(t)[:n], lambda t: sol.sol(t)[n:])]
+            geo_segments = [_geodesic_segment(spec.g, p, vel)]
             have_geo = True
         except Exception:
             geo_segments, geo_len, have_geo = [], 0.0, False

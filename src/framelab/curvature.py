@@ -72,38 +72,33 @@ def _ginv(G):
     return np.linalg.solve(G, np.eye(n))
 
 
-def assemble_gamma(G, dG):
-    # A[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    A = np.einsum("ijl->lij", dG) + np.einsum("jil->lij", dG) - dG
-    return 0.5 * np.einsum("kl,lij->kij", _ginv(G), A)
-
-
-def assemble_dgamma(G, dG, d2G):
-    """dgamma[m, k, i, j] = d_m Gamma^k_ij."""
+def assemble_gamma_jet(G, *dG):
+    """Christoffel symbols and their partials from G and its first k
+    partials dG = (dG, d2G, d3G)[:k], k = 1, 2 or 3.  Returns the list
+    [gamma, dgamma, d2gamma][:k] with dgamma[m, k, i, j] = d_m Gamma^k_ij
+    and d2gamma[m, n, k, i, j] = d_m d_n Gamma^k_ij; g^-1, A and d(g^-1)
+    are computed once for all orders.
+    """
     ginv = _ginv(G)
-    A = np.einsum("ijl->lij", dG) + np.einsum("jil->lij", dG) - dG
-    # dA[m, l, i, j] = d_m A[l, i, j]
-    dA = (np.einsum("mijl->mlij", d2G) + np.einsum("mjil->mlij", d2G)
-          - np.einsum("mlij->mlij", d2G))
-    dginv = -np.einsum("ka,mab,bl->mkl", ginv, dG, ginv)
-    return 0.5 * (np.einsum("mkl,lij->mkij", dginv, A)
-                  + np.einsum("kl,mlij->mkij", ginv, dA))
-
-
-def assemble_d2gamma(G, dG, d2G, d3G):
-    """d2gamma[m, n, k, i, j] = d_m d_n Gamma^k_ij."""
-    ginv = _ginv(G)
-    A = np.einsum("ijl->lij", dG) + np.einsum("jil->lij", dG) - dG
-    dA = (np.einsum("mijl->mlij", d2G) + np.einsum("mjil->mlij", d2G) - d2G)
-    d2A = (np.einsum("mnijl->mnlij", d3G) + np.einsum("mnjil->mnlij", d3G) - d3G)
-    dginv = -np.einsum("ka,mab,bl->mkl", ginv, dG, ginv)
-    d2ginv = -(np.einsum("nka,mab,bl->mnkl", dginv, dG, ginv)
-               + np.einsum("ka,mnab,bl->mnkl", ginv, d2G, ginv)
-               + np.einsum("ka,mab,nbl->mnkl", ginv, dG, dginv))
-    return 0.5 * (np.einsum("mnkl,lij->mnkij", d2ginv, A)
-                  + np.einsum("mkl,nlij->mnkij", dginv, dA)
-                  + np.einsum("nkl,mlij->mnkij", dginv, dA)
-                  + np.einsum("kl,mnlij->mnkij", ginv, d2A))
+    # A[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij and its partials
+    A = []
+    for d in dG:
+        t = np.swapaxes(d, -1, -3)      # t[..., l, i, j] = d_j g_il
+        A.append(np.swapaxes(t, -1, -2) + t - d)
+    out = [0.5 * np.einsum("kl,lij->kij", ginv, A[0])]
+    if len(dG) > 1:
+        dginv = -np.einsum("ka,mab,bl->mkl", ginv, dG[0], ginv)
+        out.append(0.5 * (np.einsum("mkl,lij->mkij", dginv, A[0])
+                          + np.einsum("kl,mlij->mkij", ginv, A[1])))
+    if len(dG) > 2:
+        d2ginv = -(np.einsum("nka,mab,bl->mnkl", dginv, dG[0], ginv)
+                   + np.einsum("ka,mnab,bl->mnkl", ginv, dG[1], ginv)
+                   + np.einsum("ka,mab,nbl->mnkl", ginv, dG[0], dginv))
+        out.append(0.5 * (np.einsum("mnkl,lij->mnkij", d2ginv, A[0])
+                          + np.einsum("mkl,nlij->mnkij", dginv, A[1])
+                          + np.einsum("nkl,mlij->mnkij", dginv, A[1])
+                          + np.einsum("kl,mnlij->mnkij", ginv, A[2])))
+    return out
 
 
 def assemble_rup(gamma, dgamma):
@@ -129,11 +124,19 @@ def assemble_drup(gamma, dgamma, d2gamma):
 # symbolic-derivative entry points
 
 def _derivs(m, p, order):
+    """[G, dG, ..., d^order G] at p; m is a derivative source, a MetricSpec
+    or a NumericMetric."""
     p = np.asarray(p, dtype=float)
     out = [m.evaluate(p)]
     for k in range(1, order + 1):
         out.append(m.derivative_fn(k)(p))
     return out
+
+
+def _curvature_tensor(p, G, dG, d2G):
+    gamma, dgamma = assemble_gamma_jet(G, dG, d2G)
+    rup = assemble_rup(gamma, dgamma)
+    return CurvatureTensor(p, rup, assemble_rlow(G, rup))
 
 
 def christoffel(m: MetricSpec, p) -> ConnectionCoeffs:
@@ -142,7 +145,7 @@ def christoffel(m: MetricSpec, p) -> ConnectionCoeffs:
         raise DomainExitError(0.0, p)
     G = m.check_spd(p)
     dG = m.derivative_fn(1)(p)
-    return ConnectionCoeffs(p, assemble_gamma(G, dG))
+    return ConnectionCoeffs(p, assemble_gamma_jet(G, dG)[0])
 
 
 def riemann(m: MetricSpec, p) -> CurvatureTensor:
@@ -150,11 +153,7 @@ def riemann(m: MetricSpec, p) -> CurvatureTensor:
     if not m.in_domain(p):
         raise DomainExitError(0.0, p)
     G = m.check_spd(p)
-    G, dG, d2G = _derivs(m, p, 2)
-    gamma = assemble_gamma(G, dG)
-    dgamma = assemble_dgamma(G, dG, d2G)
-    rup = assemble_rup(gamma, dgamma)
-    return CurvatureTensor(p, rup, assemble_rlow(G, rup))
+    return _curvature_tensor(p, G, m.derivative_fn(1)(p), m.derivative_fn(2)(p))
 
 
 def ricci(m: MetricSpec, p) -> np.ndarray:
@@ -191,9 +190,7 @@ def curvature_gradient(m: MetricSpec, p, connection: MetricSpec = None) -> Curva
     """
     p = np.asarray(p, dtype=float)
     G, dG, d2G, d3G = _derivs(m, p, 3)
-    gamma_m = assemble_gamma(G, dG)
-    dgamma = assemble_dgamma(G, dG, d2G)
-    d2gamma = assemble_d2gamma(G, dG, d2G, d3G)
+    gamma_m, dgamma, d2gamma = assemble_gamma_jet(G, dG, d2G, d3G)
     rup = assemble_rup(gamma_m, dgamma)
     rlow = assemble_rlow(G, rup)
     drup = assemble_drup(gamma_m, dgamma, d2gamma)
@@ -264,23 +261,25 @@ DOMAIN_TOL = 1e-9
 
 
 class _GammaCache:
-    """Fast Christoffel evaluation for ODE right-hand sides."""
+    """Christoffel evaluation for ODE right-hand sides, without the domain
+    and SPD checks of `christoffel`; m is either derivative source."""
 
     def __init__(self, m):
-        self.m = m
-        self.gfn = m._compiled()
         self.dfn = m.derivative_fn(1)
-        self.n = m.dim
+        if isinstance(m, MetricSpec):
+            # the compiled components, without evaluate's argument conversion
+            fn, n = m._compiled(), m.dim
+            self.gfn = lambda x: np.array(fn(x), dtype=float).reshape(n, n)
+        else:
+            self.gfn = m.evaluate
 
     def gamma(self, x):
-        n = self.n
-        G = np.array(self.gfn(x), dtype=float).reshape(n, n)
-        dG = self.dfn(x)
-        return assemble_gamma(G, dG)
+        return assemble_gamma_jet(self.gfn(x), self.dfn(x))[0]
 
 
 def geodesic_ivp(m: MetricSpec, p, v, t_final, dense=True, rtol=ODE_RTOL, atol=ODE_ATOL):
-    """Integrate x'' + Gamma(x)(x', x') = 0; returns the scipy solution."""
+    """Integrate x'' + Gamma(x)(x', x') = 0; returns the scipy solution.
+    m is a MetricSpec or a NumericMetric."""
     cache = _GammaCache(m)
     n = m.dim
 
@@ -367,11 +366,14 @@ def geodesic_between(m: MetricSpec, p, q, v0=None, tol=1e-10, max_iter=12,
     return v, length
 
 
+#: 8-point Gauss-Legendre rule on [-1, 1], the panel rule of curve_length
+GL8_NODES, GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
 def curve_length(m: MetricSpec, curve, t0=0.0, t1=1.0, samples=256, velocity=None):
     """Length of a parametric curve t -> coordinates under m (composite
     Gauss-Legendre quadrature of |c'|_g; velocity falls back to central
     differences when no exact velocity callable is supplied)."""
-    nodes, weights = np.polynomial.legendre.leggauss(8)
     total = 0.0
     edges = np.linspace(t0, t1, samples // 8 + 1)
     h = 1e-6 * max(1.0, abs(t1 - t0))
@@ -384,7 +386,7 @@ def curve_length(m: MetricSpec, curve, t0=0.0, t1=1.0, samples=256, velocity=Non
     for a, b in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        for x, w in zip(nodes, weights):
+        for x, w in zip(GL8_NODES, GL8_WEIGHTS):
             t = mid + half * x
             c = np.asarray(curve(t), dtype=float)
             vel = vel_at(t)
@@ -456,7 +458,8 @@ def fd_hessian(fun, p, h1=FD_H1_SECOND, h2=FD_H2_SECOND):
 
 
 class NumericMetric:
-    """Curvature of a metric given only as a pointwise matrix evaluator."""
+    """A metric given only as a pointwise matrix evaluator: a derivative
+    source whose partials are Richardson central differences."""
 
     def __init__(self, fun, dim):
         self.fun = fun
@@ -465,39 +468,17 @@ class NumericMetric:
     def evaluate(self, p):
         return self.fun(np.asarray(p, dtype=float))
 
-    def derivs(self, p):
-        G = self.fun(p)
-        dG = fd_gradient(self.fun, p)
-        d2G = fd_hessian(self.fun, p)
-        return G, dG, d2G
+    def derivative_fn(self, order):
+        """p -> the order-th partials (order 1 or 2), leading axes the directions."""
+        fd = {1: fd_gradient, 2: fd_hessian}[order]
+        return lambda p: fd(self.fun, p)
 
     def christoffel(self, p):
-        G = self.fun(np.asarray(p, dtype=float))
-        dG = fd_gradient(self.fun, p)
-        return assemble_gamma(G, dG)
+        return assemble_gamma_jet(*_derivs(self, p, 1))[0]
 
     def riemann(self, p):
-        G, dG, d2G = self.derivs(np.asarray(p, dtype=float))
-        gamma = assemble_gamma(G, dG)
-        dgamma = assemble_dgamma(G, dG, d2G)
-        rup = assemble_rup(gamma, dgamma)
-        return CurvatureTensor(np.asarray(p, dtype=float), rup, assemble_rlow(G, rup))
+        p = np.asarray(p, dtype=float)
+        return _curvature_tensor(p, *_derivs(self, p, 2))
 
     def ricci(self, p):
         return np.einsum("mmab->ab", self.riemann(p).rup)
-
-    def geodesic_ivp(self, p, v, t_final, rtol=1e-9, atol=1e-9):
-        n = self.dim
-
-        def rhs(t, y):
-            x, vel = y[:n], y[n:]
-            gamma = self.christoffel(x)
-            acc = -np.einsum("kij,i,j->k", gamma, vel, vel)
-            return np.concatenate([vel, acc])
-
-        y0 = np.concatenate([np.asarray(p, dtype=float), np.asarray(v, dtype=float)])
-        sol = solve_ivp(rhs, (0.0, float(t_final)), y0, method="RK45",
-                        rtol=rtol, atol=atol, dense_output=True)
-        if not sol.success:
-            raise RuntimeError(f"geodesic integration failed: {sol.message}")
-        return sol

@@ -265,6 +265,8 @@ def _tokenize(source):
                 else:
                     break
             text = source[i:j]
+            if not math.isfinite(float(text)):
+                raise ParseError(f"number {text} does not fit a float", line, start_col)
             tokens.append(_Token("number", text, line, start_col))
             col += j - i
             i = j

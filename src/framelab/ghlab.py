@@ -25,7 +25,7 @@ from scipy.spatial import cKDTree
 from . import holonomy as hl
 from . import ortho
 from .curvature import curve_length, geodesic_between
-from .metric import MetricSpec
+from .metric import MetricSpec, smoothed_cone
 
 TRIANGLE_TOL = 1e-9
 
@@ -142,27 +142,13 @@ class SampleResult:
     fill_radius: float
 
 
-def _segment_length(m, a, b, panels=2):
-    nodes, weights = np.polynomial.legendre.leggauss(8)
-    vel = b - a
-    total = 0.0
-    for p0 in range(panels):
-        lo = p0 / panels
-        hi = (p0 + 1) / panels
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        for x, w in zip(nodes, weights):
-            t = mid + half * x
-            c = a + t * vel
-            total += w * half * math.sqrt(max(float(vel @ m.evaluate(c) @ vel), 0.0))
-    return total
-
-
 def _edge_weights(m, points, edges, shifts, refine=False):
     w = np.empty(len(edges))
     for idx, (i, j) in enumerate(edges):
         a = points[i]
         b = points[j] + (shifts[idx] if shifts is not None else 0.0)
-        length = _segment_length(m, a, b)
+        seg = hl.line_segment(a, b)
+        length = curve_length(m, seg.point, velocity=seg.velocity, samples=16)
         if refine:
             try:
                 _, length_ref = geodesic_between(m, a, b, rtol=1e-9, atol=1e-9)
@@ -334,7 +320,9 @@ def _refine_pair_distances(m, pts, d_graph, rng=None, shoot=True, chord_slack=1e
                     best_gap, best_q = gap, q
             rep[(i, j)] = best_q
             if _chord_admissible(m, pts[i], best_q):
-                chord[i, j] = chord[j, i] = _segment_length(m, pts[i], best_q, panels=4)
+                seg = hl.line_segment(pts[i], best_q)
+                chord[i, j] = chord[j, i] = curve_length(m, seg.point, velocity=seg.velocity,
+                                                         samples=32)
     improved = np.minimum(d, chord)
     if shoot and not _is_flat_on(m, pts, rng):
         for i in range(n):
@@ -594,7 +582,7 @@ def fiber_collapse_experiment(a, caps, max_power=60, theta_grid=48,
     ladder = []
     refl_disconnected = True
     for eps in caps:
-        m = mt_smoothed_cone_cached(a, eps)
+        m = smoothed_cone(a, eps)
         rho = radius_factor * eps
         basepoint = np.array([rho, 0.0])
         samples = hl.circle_power_samples(m, basepoint, axis=1, period=2 * math.pi,
@@ -615,17 +603,6 @@ def fiber_collapse_experiment(a, caps, max_power=60, theta_grid=48,
     else:
         slope = float("nan")
     return CollapseReport(float(a), ladder, refl_disconnected, monotone, float(slope))
-
-
-_CONE_CACHE = {}
-
-
-def mt_smoothed_cone_cached(a, eps):
-    from .metric import smoothed_cone
-    key = (round(float(a), 12), round(float(eps), 12))
-    if key not in _CONE_CACHE:
-        _CONE_CACHE[key] = smoothed_cone(a, eps)
-    return _CONE_CACHE[key]
 
 
 @dataclass

@@ -19,7 +19,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import ortho
-from .curvature import _GammaCache, curve_length, exp_map, geodesic_between
+from .curvature import (DomainExitError, _GammaCache, curve_length, exp_map,
+                        geodesic_between, geodesic_ivp)
 from .metric import MetricSpec
 
 CLOSURE_TOL = 1e-10
@@ -170,11 +171,14 @@ def coordinate_circle_loop(basepoint, axis, period, orientation=1, turns=1,
 # sections and transport
 
 def section_frame(m: MetricSpec, p):
-    """Gram-Schmidt of the coordinate basis at p: S with S^T G S = I,
-    upper triangular with positive diagonal (equals chol(G)^-T)."""
-    G = m.check_spd(np.asarray(p, dtype=float))
-    L = np.linalg.cholesky(G)
-    return np.linalg.inv(L).T
+    """Gram-Schmidt of the coordinate basis at p (see `cholesky_section`)."""
+    return cholesky_section(m.check_spd(np.asarray(p, dtype=float)))
+
+
+def cholesky_section(G):
+    """Gram-Schmidt of the coordinate basis under the SPD matrix G: S with
+    S^T G S = I, upper triangular with positive diagonal (equals chol(G)^-T)."""
+    return np.linalg.inv(np.linalg.cholesky(G)).T
 
 
 def _verify_shift_invariance(m: MetricSpec, p, shift, tol=1e-9):
@@ -209,7 +213,8 @@ def transport_matrix(conn: MetricSpec, segments, frame0, rtol=TRANSPORT_RTOL,
         sol = solve_ivp(rhs, (0.0, 1.0), E.ravel(), method="RK45",
                         rtol=rtol, atol=atol)
         if not sol.success:
-            raise RuntimeError(f"transport integration failed: {sol.message}")
+            # the step size collapses where the curve meets a chart singularity
+            raise DomainExitError(sol.t[-1], seg.point(sol.t[-1]))
         E = sol.y[:, -1].reshape(n, k)
     return E
 
@@ -414,7 +419,6 @@ def geodesic_triangle_loops(m: MetricSpec, basepoint, scale, count, rng,
 
 
 def _geodesic_segment(m: MetricSpec, p, v):
-    from .curvature import geodesic_ivp
     sol = geodesic_ivp(m, p, v, 1.0)
     n = m.dim
     return Segment(lambda t: sol.sol(t)[:n], lambda t: sol.sol(t)[n:])

@@ -38,6 +38,11 @@ SPD_EIG_TOL = 1e-12
 SPD_COND_LIMIT = 1e12
 
 
+def _plain(point):
+    """A point as a list of Python floats, for messages."""
+    return [float(x) for x in point]
+
+
 @dataclass(eq=False)
 class MetricSpec:
     dim: int
@@ -179,14 +184,14 @@ class MetricSpec:
         """Raise NotSPDError unless the metric is usably SPD at the point."""
         g = self.evaluate(point)
         if not np.allclose(g, g.T, atol=1e-12 * max(1.0, float(np.abs(g).max()))):
-            raise NotSPDError(f"metric not symmetric at {list(point)}")
+            raise NotSPDError(f"metric not symmetric at {_plain(point)}")
         w = np.linalg.eigvalsh(0.5 * (g + g.T))
         if w[0] <= SPD_EIG_TOL * max(abs(w[-1]), 1e-300):
             raise NotSPDError(
-                f"metric not positive definite at {list(point)}: eigenvalues {w}")
+                f"metric not positive definite at {_plain(point)}: eigenvalues {w}")
         if w[-1] / w[0] > SPD_COND_LIMIT:
             raise NotSPDError(
-                f"metric too ill-conditioned at {list(point)}: cond {w[-1] / w[0]:.3e}")
+                f"metric too ill-conditioned at {_plain(point)}: cond {w[-1] / w[0]:.3e}")
         return g
 
     def _sample_points(self, rng, count, margin=0.05):
@@ -368,16 +373,6 @@ def print_metric(m):
 # ---------------------------------------------------------------------------
 # built-in families
 
-@dataclass(eq=False)
-class BuiltinFamily:
-    family: str
-    params: dict = field(default_factory=dict)
-    base: "BuiltinFamily" = None     # for rescaled
-
-    def instantiate(self):
-        return builtin(self.family, base=self.base, **self.params)
-
-
 def _positive(value, name):
     v = float(value)
     if not v > 0:
@@ -385,14 +380,24 @@ def _positive(value, name):
     return v
 
 
+def _integral_dim(dim):
+    """dim as an int; URI parameters arrive as floats."""
+    d = float(dim)
+    if not d.is_integer():
+        raise MetricError(f"dim must be an integer, got {dim}")
+    return int(d)
+
+
 def flat_euclidean(dim=2):
-    names = tuple(f"x{i + 1}" for i in range(int(dim)))
+    dim = _integral_dim(dim)
+    names = tuple(f"x{i + 1}" for i in range(dim))
     comps = [[ex.Num(Fraction(1 if i == j else 0)) for j in range(dim)] for i in range(dim)]
     return MetricSpec(dim, names, comps, None, {}, {}, "flat-euclidean")
 
 
 def flat_torus(dim=2, side=2 * math.pi):
-    names = tuple(f"x{i + 1}" for i in range(int(dim)))
+    dim = _integral_dim(dim)
+    names = tuple(f"x{i + 1}" for i in range(dim))
     comps = [[ex.Num(Fraction(1 if i == j else 0)) for j in range(dim)] for i in range(dim)]
     dom = tuple((0.0, float(side)) for _ in range(dim))
     periods = {n: float(side) for n in names}
@@ -537,12 +542,8 @@ def builtin(family, base=None, **params):
             base_family = params.pop("family", None)
             if base_family is None:
                 raise MetricError("rescaled needs a base family")
-            base_metric = builtin(base_family, **params)
-        elif isinstance(base, MetricSpec):
-            base_metric = base
-        else:
-            base_metric = base.instantiate()
-        return rescaled(base_metric, lam)
+            base = builtin(base_family, **params)
+        return rescaled(base, lam)
     try:
         fn = _BUILTINS[family]
     except KeyError:

@@ -28,6 +28,7 @@ from .bundle import FramePoint, LiftedMetricChart
 from .curvature import (connection_difference, curvature_gradient, pairing,
                         ricci, riemann, sup_sectional_coordinate_planes,
                         tensor_norm)
+from .holonomy import cholesky_section
 from .metric import MetricSpec
 
 #: sign pinned by the direct/formula agreement on the round sphere and the
@@ -57,7 +58,7 @@ class ONeillContext:
         self.G = self.g.check_spd(p)
         self.Gp = self.gp.check_spd(p)
         # g-orthonormal horizontal projections f_i and the g'-orthonormal frame e
-        self.f = np.linalg.inv(np.linalg.cholesky(self.G)).T
+        self.f = cholesky_section(self.G)
         self.e = self.chart.frame_matrix(self.chart.chart_point())
         self.ric_g = ricci(self.g, p)
         self.rlow_eps = riemann(self.gp, p).rlow

@@ -290,13 +290,13 @@ def classify_subgroup(samples, near_identity=1.5, svd_tol=1e-6,
     m_dim = n * (n - 1) // 2
     ident = np.eye(n)
 
-    nontrivial = [A for A in mats if group_distance(A, ident) > 1e-8]
+    dists = [(group_distance(A, ident), A) for A in mats]
+    nontrivial = [(d, A) for d, A in dists if d > 1e-8]
     if not nontrivial:
         return SubgroupEstimate.trivial(n)
 
     logs = []
-    for A in nontrivial:
-        d = group_distance(A, ident)
+    for d, A in nontrivial:
         if d is not math.inf and d <= near_identity:
             try:
                 logs.append(vec_skew(group_log(A)))
@@ -336,12 +336,12 @@ def classify_subgroup(samples, near_identity=1.5, svd_tol=1e-6,
 
 
 def _classify_finite(n, nontrivial, tol, residuals):
+    """nontrivial: (d_b(A, I), A) pairs."""
     ident = np.eye(n)
-    dists = [(group_distance(A, ident), A) for A in nontrivial]
-    finite_d = [(d, A) for d, A in dists if d is not math.inf]
+    finite_d = [(d, A) for d, A in nontrivial if d is not math.inf]
     if not finite_d:
         # all samples in the far component: report as other with generators
-        return SubgroupEstimate("other", n, 0, [], [A for _, A in dists[:4]], residuals)
+        return SubgroupEstimate("other", n, 0, [], [A for _, A in nontrivial[:4]], residuals)
     d0, gen = min(finite_d, key=lambda t: t[0])
     # order of the candidate generator
     order = None
@@ -356,7 +356,7 @@ def _classify_finite(n, nontrivial, tol, residuals):
         return SubgroupEstimate("other", n, 0, [], [gen], residuals)
     powers = [np.linalg.matrix_power(gen, j) for j in range(order)]
     worst = 0.0
-    for A in nontrivial:
+    for _, A in nontrivial:
         best = min(group_distance(A, Pj) for Pj in powers)
         worst = max(worst, best)
     residuals["power_match"] = worst

@@ -91,7 +91,7 @@ def test_acceptance_03_fiber_total_geodesy():
         y0 = chart.chart_point()
         for amp in (0.6, -0.9):
             v0 = chart.fundamental_vector(y0, amp * ot.skew_basis_element(2, 0, 1))
-            sol = chart.numeric().geodesic_ivp(y0, v0, 1.0, rtol=1e-9, atol=1e-9)
+            sol = cv.geodesic_ivp(chart.numeric(), y0, v0, 1.0, rtol=1e-9, atol=1e-9)
             for t in np.linspace(0.0, 1.0, 30):
                 worst = max(worst, float(np.abs(sol.sol(t)[:2] - y0[:2]).max()))
     ok = worst <= 1e-7 and budget.done() < budget.limit

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framelab import bundle as bd
+from framelab import curvature as cv
 from framelab import expr as ex
 from framelab import holonomy as hl
 from framelab import metric as mt
@@ -82,14 +85,14 @@ def test_connection_form_fundamental_and_horizontal(sphere, rng):
 
 def test_connection_form_flat_fiber_coordinate(flat2):
     # flat connection: the fiber coordinate direction is the fundamental field
-    fp = bd.FramePoint.anchor([0.2, 0.4], 2)
-    om = bd.connection_form(flat2, fp, np.array([0.0, 0.0, 1.0]))
+    chart = bd.LiftedMetricChart(flat2, flat2, bd.FramePoint.anchor([0.2, 0.4], 2))
+    om = chart.omega(chart.chart_point(), np.array([0.0, 0.0, 1.0]))
     assert np.abs(om - ot.skew_basis_element(2, 0, 1)).max() <= 1e-12
 
 
 def test_horizontal_lift_flat_has_no_fiber_motion(flat2):
-    fp = bd.FramePoint.anchor([0.0, 0.0], 2)
-    lift = bd.horizontal_lift(flat2, fp, np.array([1.0, 0.0]))
+    chart = bd.LiftedMetricChart(flat2, flat2, bd.FramePoint.anchor([0.0, 0.0], 2))
+    lift = chart.horizontal_lift(chart.chart_point(), np.array([1.0, 0.0]))
     assert np.abs(lift[2:]).max() <= 1e-14
 
 
@@ -213,8 +216,7 @@ def test_fibers_totally_geodesic(sphere, cone_pair):
         chart = bd.lifted_metric(gg, gpp, bd.FramePoint.anchor(p, 2))
         y0 = chart.chart_point()
         v0 = chart.fundamental_vector(y0, 0.8 * ot.skew_basis_element(2, 0, 1))
-        num = chart.numeric()
-        sol = num.geodesic_ivp(y0, v0, 1.0, rtol=1e-9, atol=1e-9)
+        sol = cv.geodesic_ivp(chart.numeric(), y0, v0, 1.0, rtol=1e-9, atol=1e-9)
         drift = 0.0
         for t in np.linspace(0, 1.0, 40):
             drift = max(drift, np.abs(sol.sol(t)[:2] - y0[:2]).max())
@@ -266,3 +268,32 @@ def test_sasaki_sphere_loop_beats_fiber_gap(sphere):
     assert best.value <= L + 1e-9
     gap = math.sqrt(float((v - u) @ sphere.evaluate(p) @ (v - u)))
     assert best.value <= gap + 1e-9
+
+
+def _section_reference(G, dG):
+    """S = chol(G)^-T and its partials, as computed from one Cholesky factor."""
+    L = np.linalg.cholesky(G)
+    Linv = np.linalg.inv(L)
+    S = Linv.T
+    n = G.shape[0]
+    dS = np.empty((n, n, n))
+    for i in range(n):
+        M = Linv @ dG[i] @ Linv.T
+        Phi = np.tril(M, -1) + 0.5 * np.diag(np.diag(M))
+        dS[i] = -S @ Phi.T
+    return S, dS
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_section_equals_cholesky_reference(n, seed):
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(n, n))
+    G = B @ B.T + n * np.eye(n)
+    dG = rng.normal(size=(n, n, n))
+    dG = dG + dG.transpose(0, 2, 1)
+    S_ref, dS_ref = _section_reference(G, dG)
+    S, dS = bd.section_with_derivative(G, dG)
+    assert np.array_equal(S, S_ref) and np.array_equal(dS, dS_ref)
+    assert np.array_equal(hl.cholesky_section(G), S_ref)
+

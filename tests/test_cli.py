@@ -61,11 +61,42 @@ def test_bad_gmet_exit_code(tmp_path):
     assert code == 2
 
 
-def test_non_spd_gmet_exit_code(tmp_path):
+def test_non_spd_gmet_exit_code(tmp_path, capsys):
     path = tmp_path / "neg.gmet"
     path.write_text("dim 2; coords x y; g = [[1,0],[0,-1]];", encoding="utf-8")
     code, _ = run(tmp_path, "parse-check", "--metric", str(path))
     assert code == 2
+    err = capsys.readouterr().err
+    assert "not positive definite at [" in err
+    assert "np.float64" not in err
+
+
+def test_huge_literal_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "huge.gmet"
+    path.write_text("dim 1; coords x;\ng = [[1e400]];", encoding="utf-8")
+    code, _ = run(tmp_path, "parse-check", "--metric", str(path))
+    assert code == 2
+    assert "(line 2, column 7)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("uri, code", [
+    ("builtin:flat-euclidean:dim=5", 0),
+    ("builtin:flat-torus:dim=3", 0),
+    ("builtin:flat-euclidean:dim=2.5", 2),
+])
+def test_builtin_integer_parameters(tmp_path, uri, code):
+    got, out = run(tmp_path, "parse-check", "--metric", uri, "--grid", "3")
+    assert got == code
+    if code == 0:
+        assert load(out, "parse-check")["result"]["dim"] == int(uri[-1])
+
+
+def test_transport_through_the_pole_is_a_domain_error(tmp_path, capsys):
+    # a triangle loop crosses th = 0, where the sphere chart is singular
+    code, _ = run(tmp_path, "holonomy", "--metric", "builtin:round-sphere",
+                  "--at", "0.02,0.5", "--loops", "2")
+    assert code == 3
+    assert "domain error" in capsys.readouterr().err
 
 
 def test_oneill_check_sphere(tmp_path):

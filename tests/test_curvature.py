@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framelab import curvature as cv
 from framelab import metric as mt
@@ -222,3 +224,75 @@ def test_fd_machinery_matches_symbolic(sphere):
     ric_fd = num.ricci(p)
     ric = cv.ricci(sphere, p)
     assert np.abs(ric_fd - ric).max() <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# the Christoffel jet against the three separate assemblies it replaced
+
+def _ref_ginv(G):
+    return np.linalg.solve(G, np.eye(G.shape[0]))
+
+
+def _ref_gamma(G, dG):
+    A = np.einsum("ijl->lij", dG) + np.einsum("jil->lij", dG) - dG
+    return 0.5 * np.einsum("kl,lij->kij", _ref_ginv(G), A)
+
+
+def _ref_dgamma(G, dG, d2G):
+    ginv = _ref_ginv(G)
+    A = np.einsum("ijl->lij", dG) + np.einsum("jil->lij", dG) - dG
+    dA = (np.einsum("mijl->mlij", d2G) + np.einsum("mjil->mlij", d2G)
+          - np.einsum("mlij->mlij", d2G))
+    dginv = -np.einsum("ka,mab,bl->mkl", ginv, dG, ginv)
+    return 0.5 * (np.einsum("mkl,lij->mkij", dginv, A)
+                  + np.einsum("kl,mlij->mkij", ginv, dA))
+
+
+def _ref_d2gamma(G, dG, d2G, d3G):
+    ginv = _ref_ginv(G)
+    A = np.einsum("ijl->lij", dG) + np.einsum("jil->lij", dG) - dG
+    dA = (np.einsum("mijl->mlij", d2G) + np.einsum("mjil->mlij", d2G) - d2G)
+    d2A = (np.einsum("mnijl->mnlij", d3G) + np.einsum("mnjil->mnlij", d3G) - d3G)
+    dginv = -np.einsum("ka,mab,bl->mkl", ginv, dG, ginv)
+    d2ginv = -(np.einsum("nka,mab,bl->mnkl", dginv, dG, ginv)
+               + np.einsum("ka,mnab,bl->mnkl", ginv, d2G, ginv)
+               + np.einsum("ka,mab,nbl->mnkl", ginv, dG, dginv))
+    return 0.5 * (np.einsum("mnkl,lij->mnkij", d2ginv, A)
+                  + np.einsum("mkl,nlij->mnkij", dginv, dA)
+                  + np.einsum("nkl,mlij->mnkij", dginv, dA)
+                  + np.einsum("kl,mnlij->mnkij", ginv, d2A))
+
+
+def _symmetric_jet(rng, n):
+    """An SPD G and partials symmetric in the matrix and direction axes."""
+    B = rng.normal(size=(n, n))
+    G = B @ B.T + n * np.eye(n)
+    dG = rng.normal(size=(n, n, n))
+    dG = dG + dG.transpose(0, 2, 1)
+    d2G = rng.normal(size=(n, n, n, n))
+    d2G = d2G + d2G.transpose(1, 0, 2, 3)
+    d2G = d2G + d2G.transpose(0, 1, 3, 2)
+    d3G = rng.normal(size=(n,) * 5)
+    d3G = d3G + d3G.transpose(0, 1, 2, 4, 3)
+    return G, dG, d2G, d3G
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_gamma_jet_equals_separate_assemblies(n, seed):
+    G, dG, d2G, d3G = _symmetric_jet(np.random.default_rng(seed), n)
+    want = [_ref_gamma(G, dG), _ref_dgamma(G, dG, d2G), _ref_d2gamma(G, dG, d2G, d3G)]
+    for k in (1, 2, 3):
+        got = cv.assemble_gamma_jet(G, *(dG, d2G, d3G)[:k])
+        assert len(got) == k
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+def test_numeric_metric_geodesic_matches_symbolic(sphere):
+    # geodesic_ivp takes the finite-difference source as well
+    num = cv.NumericMetric(sphere.evaluate, 2)
+    p, v = [1.2, 0.3], [0.4, 0.7]
+    got = cv.geodesic_ivp(num, p, v, 1.0, rtol=1e-9, atol=1e-9).y[:, -1]
+    want = cv.geodesic_ivp(sphere, p, v, 1.0, rtol=1e-9, atol=1e-9).y[:, -1]
+    assert np.abs(got - want).max() <= 1e-7

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from framelab import curvature as cv
 from framelab import ghlab as gh
 from framelab import holonomy as hl
 from framelab import metric as mt
@@ -236,3 +239,37 @@ def test_eguchi_hanson_gh_small():
     assert val <= 0.05
     A.validate(tol=1e-6)
     B.validate(tol=1e-9)
+
+
+def _chord_reference(m, a, b, panels):
+    """Length of the straight chord a -> b: `panels` equal Gauss-Legendre
+    panels of 8 nodes on [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    vel = b - a
+    total = 0.0
+    for p0 in range(panels):
+        lo = p0 / panels
+        hi = (p0 + 1) / panels
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        for x, w in zip(nodes, weights):
+            t = mid + half * x
+            c = a + t * vel
+            total += w * half * math.sqrt(max(float(vel @ m.evaluate(c) @ vel), 0.0))
+    return total
+
+
+CHORD_CONE = mt.smoothed_cone(0.7, 0.1)
+CHORD_END = st.tuples(st.floats(0.01, 3.9), st.floats(-7.0, 14.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=CHORD_END, b=CHORD_END)
+def test_chord_lengths_equal_panel_quadrature(a, b):
+    a, b = np.array(a), np.array(b)
+    # graph edges: 2 panels
+    w = gh._edge_weights(CHORD_CONE, np.array([a, b]), np.array([[0, 1]]), None)
+    assert w[0] == _chord_reference(CHORD_CONE, a, b, 2)
+    # pair refinement: 4 panels
+    seg = hl.line_segment(a, b)
+    got = cv.curve_length(CHORD_CONE, seg.point, velocity=seg.velocity, samples=32)
+    assert got == _chord_reference(CHORD_CONE, a, b, 4)

@@ -157,9 +157,7 @@ def test_builtin_uri_parsing():
 
 
 def test_builtin_family_dataclass():
-    fam = mt.BuiltinFamily("rescaled", {"lam": 2.0},
-                           base=mt.BuiltinFamily("flat-torus"))
-    m = fam.instantiate()
+    m = mt.builtin("rescaled", lam=2.0, base=mt.flat_torus())
     assert m.evaluate([0.1, 0.1])[0, 0] == 4.0
 
 

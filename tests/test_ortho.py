@@ -275,3 +275,23 @@ def test_quotient_monotone_below_group_distance(rng):
         v = random_orthogonal(rng, 2)
         q = ot.quotient_distance(u, v, H)
         assert q <= ot.group_distance(u, v) + 1e-12
+
+
+def test_classify_measures_each_sample_against_identity_once(monkeypatch):
+    calls = []
+    group_distance = ot.group_distance
+
+    def counting(u, v):
+        calls.append(1)
+        return group_distance(u, v)
+
+    monkeypatch.setattr(ot, "group_distance", counting)
+    circle = [(ot.rotation2(0.1 * k), 1.0) for k in range(1, 6)]
+    assert ot.classify_subgroup(circle).label == "SO(2)-circle"
+    assert len(calls) == len(circle)
+    calls.clear()
+    quarter = [(ot.rotation2(0.5 * math.pi * k), 1.0) for k in range(1, 4)]
+    assert ot.classify_subgroup(quarter).label == "finite-cyclic(4)"
+    # one per sample, one for the order search at the fourth power, and one
+    # per (sample, power) in the power match
+    assert len(calls) == 3 + 1 + 3 * 4
