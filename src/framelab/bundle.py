@@ -38,7 +38,6 @@ from .curvature import NumericMetric, assemble_gamma_jet, geodesic_between
 from .holonomy import _geodesic_segment, cholesky_section, section_frame, transport_matrix
 from .metric import MetricSpec
 
-CHART_RADIUS = math.pi / 2
 DIMENSION_BUDGET = 10
 
 
@@ -149,12 +148,6 @@ class LiftedMetricChart:
         S = section_frame(self.gp, x)
         return S @ expm(self.skew_from_t(t)) @ self.anchor.frame
 
-    def check_chart_radius(self, y):
-        _, t = self.split(y)
-        norm = ortho.b_norm(self.skew_from_t(t))
-        if norm >= CHART_RADIUS:
-            raise ValueError(f"fiber coordinate |t|_b = {norm:.4f} outside the chart")
-
     # -- connection form -----------------------------------------------------
 
     def omega_basis(self, y):
@@ -264,10 +257,6 @@ class LiftedMetricChart:
                 vals = [Gt[a, b] for a in range(self.dim) for b in range(a, self.dim)]
                 row = list(p) + vals
                 fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def lifted_metric(g: MetricSpec, gp: MetricSpec, anchor: FramePoint) -> LiftedMetricChart:
-    return LiftedMetricChart(g, gp, anchor)
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,7 @@ def cmd_lift(args):
     gp = _load_metric(args.metric2) if args.metric2 else g
     p = _basepoint(args, g)
     fp = bd.FramePoint.anchor(p, g.dim)
-    chart = bd.lifted_metric(g, gp, fp)
+    chart = bd.LiftedMetricChart(g, gp, fp)
     y = chart.chart_point()
     adapted = chart.metric_in_adapted_frame(y)
     vertical = chart.vertical_block_fundamental(y)
@@ -272,7 +272,7 @@ def cmd_bound_report(args):
     pts = []
     for _ in range(args.samples):
         pts.append(np.array([rng.uniform(lo, hi) for lo, hi in region]))
-    rep = on.ricci_bound_report(g, gp, pts, rng, directions=args.directions)
+    rep = on.ricci_bound_report(g, gp, pts)
     _write_artifact(args, "bound-report", rep.to_json_obj())
     if args.format == "csv":
         path = Path(args.out) / "bound-report.csv"
@@ -357,7 +357,7 @@ def canonical_recovery_report(samples, seed):
         t = rng.uniform(-0.6, 0.6)
         A0 = ortho.rotation2(rng.uniform(0.0, 2 * math.pi))
         fp = bd.FramePoint([th, ph], A0)
-        chart = bd.lifted_metric(sph, sph, fp)
+        chart = bd.LiftedMetricChart(sph, sph, fp)
         got = chart.metric_matrix(chart.chart_point(t=[t]))
         c = math.cos(th)
         want = np.array([
@@ -438,7 +438,6 @@ def build_parser():
     common(p)
     p.add_argument("--region", default=None, help="name:lo:hi,...")
     p.add_argument("--samples", type=int, default=12)
-    p.add_argument("--directions", type=int, default=4)
     p.set_defaults(func=cmd_bound_report)
 
     p = sub.add_parser("gh", help="GH bounds between two metrics on one chart")

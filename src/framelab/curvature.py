@@ -237,18 +237,22 @@ def norm_riemann(m: MetricSpec, p) -> float:
     return tensor_norm(riemann(m, p).rlow, m, p, "llll")
 
 
-def sup_sectional_coordinate_planes(m: MetricSpec, p) -> float:
-    """max |sec| over coordinate 2-planes at p."""
-    n = m.dim
+def coordinate_plane_sup(G, rlow) -> float:
+    """max |sec| over coordinate 2-planes, read from the metric G and the
+    rlow array at one point."""
+    n = len(G)
     best = 0.0
     for i in range(n):
         for j in range(i + 1, n):
-            u = np.zeros(n)
-            v = np.zeros(n)
-            u[i] = 1.0
-            v[j] = 1.0
-            best = max(best, abs(sectional(m, p, u, v)))
+            den = G[i, i] * G[j, j] - G[i, j] * G[i, j]
+            best = max(best, abs(float(rlow[i, j, i, j]) / den))
     return best
+
+
+def sup_sectional_coordinate_planes(m: MetricSpec, p) -> float:
+    """max |sec| over coordinate 2-planes at p."""
+    R = riemann(m, p)
+    return coordinate_plane_sup(m.evaluate(R.point), R.rlow)
 
 
 # ---------------------------------------------------------------------------

@@ -462,22 +462,6 @@ def free_symbols(e):
     return out
 
 
-def substitute(e, bindings):
-    """Replace symbols by expressions/numbers per dict name -> Expr|number."""
-    t = type(e)
-    if t is Num:
-        return e
-    if t is Sym:
-        if e.name in bindings:
-            return _coerce(bindings[e.name])
-        return e
-    if t is Neg:
-        return Neg(substitute(e.a, bindings))
-    if t is Call:
-        return Call(e.fn, substitute(e.a, bindings))
-    return t(substitute(e.a, bindings), substitute(e.b, bindings))
-
-
 # ---------------------------------------------------------------------------
 # differentiation
 
@@ -690,6 +674,11 @@ def _emit(e, names):
     raise TypeError(f"not an Expr: {e!r}")
 
 
+def _plain(point):
+    """A point as a list of Python floats, for messages."""
+    return [float(x) for x in point]
+
+
 def compile_exprs(exprs, coords, params=None):
     """Compile a flat list of Exprs into one callable point -> list of floats.
 
@@ -718,10 +707,10 @@ def compile_exprs(exprs, coords, params=None):
         try:
             out = fn(point)
         except (ValueError, ZeroDivisionError, OverflowError) as err:
-            raise ExprEvalError(f"expression undefined at {list(point)}: {err}") from None
+            raise ExprEvalError(f"expression undefined at {_plain(point)}: {err}") from None
         for v in out:
             if not math.isfinite(v):
-                raise ExprEvalError(f"expression not finite at {list(point)}")
+                raise ExprEvalError(f"expression not finite at {_plain(point)}")
         return out
 
     return evaluate

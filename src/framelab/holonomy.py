@@ -57,28 +57,6 @@ def line_segment(a, b):
     return Segment(lambda t: a + t * (b - a), lambda t: b - a)
 
 
-def circle_segment(center_coords, plane, radius, angle0, angle1):
-    """Coordinate circle in the (i, j)-coordinate plane around fixed values."""
-    c = np.asarray(center_coords, dtype=float)
-    i, j = plane
-
-    def point(t):
-        ang = angle0 + t * (angle1 - angle0)
-        p = c.copy()
-        p[i] += radius * math.cos(ang)
-        p[j] += radius * math.sin(ang)
-        return p
-
-    def velocity(t):
-        ang = angle0 + t * (angle1 - angle0)
-        v = np.zeros(len(c))
-        v[i] = -radius * math.sin(ang) * (angle1 - angle0)
-        v[j] = radius * math.cos(ang) * (angle1 - angle0)
-        return v
-
-    return Segment(point, velocity)
-
-
 def angular_segment(base, axis, angle0, angle1):
     """Sweep one coordinate (e.g. the phi of a cone) holding the rest fixed."""
     base = np.asarray(base, dtype=float)
@@ -217,23 +195,6 @@ def transport_matrix(conn: MetricSpec, segments, frame0, rtol=TRANSPORT_RTOL,
             raise DomainExitError(sol.t[-1], seg.point(sol.t[-1]))
         E = sol.y[:, -1].reshape(n, k)
     return E
-
-
-def parallel_transport(conn: MetricSpec, loop_or_segments, frame0=None,
-                       basepoint=None):
-    """Transport a frame along a curve with the Levi-Civita connection of
-    `conn`; for a LoopSpec returns the coordinate transport matrix.
-    """
-    if isinstance(loop_or_segments, LoopSpec):
-        loop = loop_or_segments
-        basepoint = loop.basepoint
-        segments = loop.segments
-        _verify_shift_invariance(conn, basepoint, loop.closure_shift)
-    else:
-        segments = loop_or_segments
-    if frame0 is None:
-        frame0 = np.eye(conn.dim)
-    return transport_matrix(conn, segments, frame0)
 
 
 def holonomy_element(conn: MetricSpec, loop: LoopSpec):

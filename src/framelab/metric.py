@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import expr as ex
-from .expr import Expr, ParseError
+from .expr import Expr, ParseError, _plain
 
 
 class MetricError(ValueError):
@@ -36,11 +36,6 @@ class NotSPDError(MetricError):
 SPD_EIG_TOL = 1e-12
 #: condition numbers beyond this are treated as a degenerate chart point
 SPD_COND_LIMIT = 1e12
-
-
-def _plain(point):
-    """A point as a list of Python floats, for messages."""
-    return [float(x) for x in point]
 
 
 @dataclass(eq=False)

@@ -25,9 +25,8 @@ import numpy as np
 
 from . import ortho
 from .bundle import FramePoint, LiftedMetricChart
-from .curvature import (connection_difference, curvature_gradient, pairing,
-                        ricci, riemann, sup_sectional_coordinate_planes,
-                        tensor_norm)
+from .curvature import (connection_difference, coordinate_plane_sup,
+                        curvature_gradient, pairing, ricci, riemann, tensor_norm)
 from .holonomy import cholesky_section
 from .metric import MetricSpec
 
@@ -196,6 +195,30 @@ def ricci_oneill(ctx: ONeillContext, v_base=None, xi=None, with_hypothesis=True)
     return report
 
 
+def ricci_matrix(ctx: ONeillContext) -> np.ndarray:
+    """Symmetric matrix of Ric~ in the gt-orthonormal frame: horizontal
+    (f_i, 0), then vertical (0, E_lm / sqrt 2) in `skew_pairs` order.
+
+    Ric~ is a quadratic form in the direction, so the matrix follows from
+    `ricci_oneill` by polarization, Q_aa = r(e_a) and Q_ab = (r(e_a + e_b)
+    - r(e_a - e_b)) / 2, with r the Ricci of the normalized direction.
+    """
+    n, N = ctx.n, ctx.n + ctx.m
+
+    def r(c):
+        rep = ricci_oneill(ctx, ctx.f @ c[:n], ortho.unvec_skew(c[n:], n),
+                           with_hypothesis=False)
+        return rep.ricci_formula
+
+    basis = np.eye(N)
+    Q = np.empty((N, N))
+    for a in range(N):
+        Q[a, a] = r(basis[a])
+        for b in range(a):
+            Q[a, b] = Q[b, a] = 0.5 * (r(basis[a] + basis[b]) - r(basis[a] - basis[b]))
+    return Q
+
+
 def chart_direction(ctx: ONeillContext, v_base, xi):
     """Chart components of the tangent with pi_* = v and omega = xi."""
     y = ctx.chart.chart_point()
@@ -207,15 +230,21 @@ def chart_direction(ctx: ONeillContext, v_base, xi):
     return out
 
 
-def ricci_direct(ctx: ONeillContext, v_base=None, xi=None) -> float:
-    """Ricci of the lifted coordinate metric by finite differences,
-    contracted against the same direction (total dimension <= 6)."""
+def _direct_oracle(ctx: ONeillContext):
+    """The finite-difference source of the lifted coordinate metric and the
+    chart point of the frame (total dimension <= 6)."""
     if ctx.chart.dim > DIRECT_DIM_BUDGET:
         raise DirectBudgetError(
             f"direct curvature limited to total dimension {DIRECT_DIM_BUDGET}")
+    return ctx.chart.numeric(), ctx.chart.chart_point()
+
+
+def ricci_direct(ctx: ONeillContext, v_base=None, xi=None) -> float:
+    """Ricci of the lifted coordinate metric by finite differences,
+    contracted against the same direction (total dimension <= 6)."""
+    num, y = _direct_oracle(ctx)
     x, xi, _ = normalize_direction(ctx, v_base, xi)
-    num = ctx.chart.numeric()
-    ric = num.ricci(ctx.chart.chart_point())
+    ric = num.ricci(y)
     c = chart_direction(ctx, x, xi)
     return float(c @ ric @ c)
 
@@ -223,11 +252,8 @@ def ricci_direct(ctx: ONeillContext, v_base=None, xi=None) -> float:
 def riemann_direct_4(ctx: ONeillContext, dir_tuples):
     """<R~(U1, U2) U3, U4> by finite differences for chart directions given
     as (v_base, xi) pairs (not normalized)."""
-    if ctx.chart.dim > DIRECT_DIM_BUDGET:
-        raise DirectBudgetError(
-            f"direct curvature limited to total dimension {DIRECT_DIM_BUDGET}")
-    num = ctx.chart.numeric()
-    rlow = num.riemann(ctx.chart.chart_point()).rlow
+    num, y = _direct_oracle(ctx)
+    rlow = num.riemann(y).rlow
     vecs = [chart_direction(ctx, v, xi) for v, xi in dir_tuples]
     return pairing(rlow, *vecs)
 
@@ -268,12 +294,14 @@ def covariant_a_vertical_residual(ctx: ONeillContext, xi, x, xi2=None):
 def hypothesis_measurements(g: MetricSpec, gp: MetricSpec, p):
     """Pointwise versions of the four hypothesis quantities."""
     p = np.asarray(p, dtype=float)
-    diff = g.evaluate(p) - gp.evaluate(p)
+    Gp = gp.evaluate(p)
+    diff = g.evaluate(p) - Gp
     eps_hat = tensor_norm(diff, g, p, "ll")
     delta_hat = tensor_norm(connection_difference(g, gp, p), g, p, "ull")
-    k_hat = sup_sectional_coordinate_planes(gp, p)
+    rlow_eps = riemann(gp, p).rlow
+    k_hat = coordinate_plane_sup(Gp, rlow_eps)
     K_hat = tensor_norm(curvature_gradient(gp, p).nabla_r, gp, p, "lllll")
-    r_eps_norm = tensor_norm(riemann(gp, p).rlow, gp, p, "llll")
+    r_eps_norm = tensor_norm(rlow_eps, gp, p, "llll")
     return {"eps_hat": eps_hat, "delta_hat": delta_hat, "k_hat": k_hat,
             "K_hat": K_hat, "riemann_norm": r_eps_norm}
 
@@ -283,14 +311,12 @@ class BoundReport:
     hypothesis_sup: dict
     sup_ricci: float
     samples: int
-    directions: int
     per_sample: list
     flags: list = field(default_factory=list)
 
     def to_json_obj(self):
         return {"hypothesis_sup": self.hypothesis_sup, "sup_ricci": self.sup_ricci,
-                "samples": self.samples, "directions": self.directions,
-                "flags": self.flags}
+                "samples": self.samples, "flags": self.flags}
 
     def to_csv(self):
         lines = ["point,sup_ricci"]
@@ -300,42 +326,24 @@ class BoundReport:
         return "\n".join(lines) + "\n"
 
 
-def _point_rng(p):
-    import hashlib
-    digest = hashlib.blake2b(np.asarray(p, dtype=float).tobytes(),
-                             digest_size=8).digest()
-    return np.random.default_rng(int.from_bytes(digest, "little"))
-
-
-def ricci_bound_report(g: MetricSpec, gp: MetricSpec, points, rng=None,
-                       directions=6, blowup=1e6) -> BoundReport:
+def ricci_bound_report(g: MetricSpec, gp: MetricSpec, points, blowup=1e6) -> BoundReport:
     """Measure the hypothesis numbers and sup |Ric~| over sample frame
-    points and random unit directions.  Directions are derived from each
-    point (not a shared stream), so enlarging the sample set only grows the
-    measured supremum and results merge associatively."""
+    points.  At each point sup |Ric~| over gt-unit directions is the
+    spectral radius of `ricci_matrix`, so it is exact per point, and
+    enlarging the sample set only grows the measured supremum."""
     sup = {"eps_hat": 0.0, "delta_hat": 0.0, "k_hat": 0.0, "K_hat": 0.0,
            "riemann_norm": 0.0}
     sup_ric = 0.0
     per_sample = []
     flags = []
-    n = g.dim
     for p in points:
         h = hypothesis_measurements(g, gp, p)
         for k in sup:
             sup[k] = max(sup[k], h[k])
-        ctx = ONeillContext(g, gp, FramePoint.anchor(p, n))
-        prng = _point_rng(p)
-        worst = 0.0
-        for _ in range(directions):
-            v = prng.normal(size=n)
-            xi = ortho.unvec_skew(prng.normal(size=n * (n - 1) // 2), n)
-            rep = ricci_oneill(ctx, v, xi, with_hypothesis=False)
-            worst = max(worst, abs(rep.ricci_formula))
-            # pure horizontal and pure vertical directions too
-            rep_h = ricci_oneill(ctx, v, None, with_hypothesis=False)
-            worst = max(worst, abs(rep_h.ricci_formula))
+        ctx = ONeillContext(g, gp, FramePoint.anchor(p, g.dim))
+        worst = float(np.abs(np.linalg.eigvalsh(ricci_matrix(ctx))).max())
         sup_ric = max(sup_ric, worst)
         per_sample.append({"point": list(map(float, p)), "sup_ricci": worst})
     if sup["k_hat"] > blowup or sup["K_hat"] > blowup:
         flags.append("hypothesis blow-up: k_hat or K_hat exceeds 1e6")
-    return BoundReport(sup, sup_ric, len(per_sample), directions, per_sample, flags)
+    return BoundReport(sup, sup_ric, len(per_sample), per_sample, flags)

@@ -87,7 +87,7 @@ def test_acceptance_03_fiber_total_geodesy():
     pair = (mt.smoothed_cone(0.7, 0.15), mt.smoothed_cone(0.7, 0.30))
     worst = 0.0
     for g, gp, p in ((sphere, sphere, [1.0, 0.5]), (pair[0], pair[1], [0.5, 1.0])):
-        chart = bd.lifted_metric(g, gp, bd.FramePoint.anchor(p, 2))
+        chart = bd.LiftedMetricChart(g, gp, bd.FramePoint.anchor(p, 2))
         y0 = chart.chart_point()
         for amp in (0.6, -0.9):
             v0 = chart.fundamental_vector(y0, amp * ot.skew_basis_element(2, 0, 1))
@@ -199,8 +199,8 @@ def test_acceptance_08_theorem_4_2_boundedness_shadow():
     grid = np.geomspace(0.05, 3.0, 48)
     pts_fine = [np.array([r, 1.0]) for r in grid]
     pts_coarse = pts_fine[::2]
-    rep1 = on.ricci_bound_report(g, gp, pts_coarse, directions=4)
-    rep2 = on.ricci_bound_report(g, gp, pts_fine, directions=4)
+    rep1 = on.ricci_bound_report(g, gp, pts_coarse)
+    rep2 = on.ricci_bound_report(g, gp, pts_fine)
     stable = (rep2.sup_ricci >= rep1.sup_ricci - 1e-12
               and (rep2.sup_ricci - rep1.sup_ricci) < 0.05 * rep1.sup_ricci)
 

@@ -39,7 +39,7 @@ def test_frame_columns_orthonormal(sphere, rng):
     for _ in range(5):
         p = [rng.uniform(0.3, 2.8), rng.uniform(0, 6.0)]
         A0 = ot.rotation2(rng.uniform(0, 2 * math.pi))
-        chart = bd.lifted_metric(sphere, sphere, bd.FramePoint(p, A0))
+        chart = bd.LiftedMetricChart(sphere, sphere, bd.FramePoint(p, A0))
         E = chart.frame_matrix(chart.chart_point(t=[rng.uniform(-0.5, 0.5)]))
         G = sphere.evaluate(p)
         assert np.abs(E.T @ G @ E - np.eye(2)).max() <= 1e-10
@@ -72,7 +72,7 @@ def test_transfer_map_random_pair(rng):
 def test_connection_form_fundamental_and_horizontal(sphere, rng):
     p = [1.1, 0.4]
     fp = bd.FramePoint.anchor(p, 2)
-    chart = bd.lifted_metric(sphere, sphere, fp)
+    chart = bd.LiftedMetricChart(sphere, sphere, fp)
     y = chart.chart_point()
     e12 = ot.skew_basis_element(2, 0, 1)
     fund = chart.fundamental_vector(y, e12)
@@ -101,7 +101,7 @@ def test_lift_transport_consistency_on_latitude(sphere):
     parallel-transport ODE (cross-oracle between bundle and holonomy)."""
     th0 = 1.0
     fp = bd.FramePoint.anchor([th0, 0.0], 2)
-    chart = bd.lifted_metric(sphere, sphere, fp)
+    chart = bd.LiftedMetricChart(sphere, sphere, fp)
     seg = hl.angular_segment([th0, 0.0], 1, 0.0, 2 * math.pi)
 
     from scipy.integrate import solve_ivp
@@ -119,7 +119,7 @@ def test_lift_transport_consistency_on_latitude(sphere):
 
 
 def test_lifted_metric_flat_product(flat2):
-    chart = bd.lifted_metric(flat2, flat2, bd.FramePoint.anchor([0.1, 0.2], 2))
+    chart = bd.LiftedMetricChart(flat2, flat2, bd.FramePoint.anchor([0.1, 0.2], 2))
     got = chart.metric_matrix(chart.chart_point(t=[0.3]))
     assert np.allclose(got, np.diag([1.0, 1.0, 2.0]), atol=1e-14)
     # all Christoffels vanish
@@ -134,7 +134,7 @@ def test_lifted_metric_recovers_canonical_sphere(sphere, rng):
         ph = rng.uniform(0, 2 * math.pi)
         t = rng.uniform(-0.6, 0.6)
         A0 = ot.rotation2(rng.uniform(0, 2 * math.pi))
-        chart = bd.lifted_metric(sphere, sphere, bd.FramePoint([th, ph], A0))
+        chart = bd.LiftedMetricChart(sphere, sphere, bd.FramePoint([th, ph], A0))
         got = chart.metric_matrix(chart.chart_point(t=[t]))
         assert np.abs(got - sphere_canonical(th)).max() <= 1e-9
 
@@ -143,7 +143,7 @@ def test_vertical_block_is_twice_identity(sphere, cone_pair, rng):
     g, gp = cone_pair
     cases = [(sphere, sphere, [1.0, 0.5]), (g, gp, [0.5, 1.0])]
     for gg, gpp, p in cases:
-        chart = bd.lifted_metric(gg, gpp, bd.FramePoint.anchor(p, 2))
+        chart = bd.LiftedMetricChart(gg, gpp, bd.FramePoint.anchor(p, 2))
         for _ in range(3):
             y = chart.chart_point(t=rng.uniform(-0.5, 0.5, size=1))
             blk = chart.vertical_block_fundamental(y)
@@ -151,7 +151,7 @@ def test_vertical_block_is_twice_identity(sphere, cone_pair, rng):
 
 
 def test_submersion_and_adapted_frame(sphere, rng):
-    chart = bd.lifted_metric(sphere, sphere, bd.FramePoint.anchor([0.9, 0.2], 2))
+    chart = bd.LiftedMetricChart(sphere, sphere, bd.FramePoint.anchor([0.9, 0.2], 2))
     y = chart.chart_point(t=[0.2])
     Gt = chart.metric_matrix(y)
     G = sphere.evaluate([0.9, 0.2])
@@ -169,7 +169,7 @@ def test_submersion_and_adapted_frame(sphere, rng):
 def test_dimension_budget_rejected():
     m5 = mt.flat_euclidean(5)
     with pytest.raises(bd.ChartBudgetError):
-        bd.lifted_metric(m5, m5, bd.FramePoint.anchor(np.zeros(5), 5))
+        bd.LiftedMetricChart(m5, m5, bd.FramePoint.anchor(np.zeros(5), 5))
 
 
 def test_on_invariance_of_scalars(sphere, rng):
@@ -181,7 +181,7 @@ def test_on_invariance_of_scalars(sphere, rng):
     vals = []
     for _ in range(3):
         A0 = ot.rotation2(rng.uniform(0, 2 * math.pi))
-        chart = bd.lifted_metric(sphere, sphere, bd.FramePoint(p, A0))
+        chart = bd.LiftedMetricChart(sphere, sphere, bd.FramePoint(p, A0))
         y = chart.chart_point()
         Gt = chart.metric_matrix(y)
         lift = chart.horizontal_lift(y, v)
@@ -195,7 +195,7 @@ def test_c0_continuity_in_the_connection_metric(sphere):
     """Perturbing g' by delta h moves evaluated components by O(delta)."""
     th = ex.Sym("th")
     h = [[ex.Num(0), ex.Num(0)], [ex.Num(0), ex.cos(th)]]
-    base_chart = bd.lifted_metric(sphere, sphere, bd.FramePoint.anchor([1.0, 0.4], 2))
+    base_chart = bd.LiftedMetricChart(sphere, sphere, bd.FramePoint.anchor([1.0, 0.4], 2))
     y = base_chart.chart_point(t=[0.2])
     base_val = base_chart.metric_matrix(y)
     gaps = []
@@ -204,7 +204,7 @@ def test_c0_continuity_in_the_connection_metric(sphere):
         comps = [[ex.Add(sphere.components[i][j], ex.Mul(ex.Num(d), h[i][j]))
                   for j in range(2)] for i in range(2)]
         gp = sphere.with_components(comps, name=f"perturbed-{d}")
-        chart = bd.lifted_metric(sphere, gp, bd.FramePoint.anchor([1.0, 0.4], 2))
+        chart = bd.LiftedMetricChart(sphere, gp, bd.FramePoint.anchor([1.0, 0.4], 2))
         gaps.append(np.abs(chart.metric_matrix(y) - base_val).max())
     slopes = np.diff(np.log(gaps)) / np.diff(np.log(deltas))
     assert np.all(np.abs(slopes - 1.0) < 0.2)
@@ -213,7 +213,7 @@ def test_c0_continuity_in_the_connection_metric(sphere):
 def test_fibers_totally_geodesic(sphere, cone_pair):
     g, gp = cone_pair
     for gg, gpp, p in ((sphere, sphere, [1.0, 0.5]), (g, gp, [0.5, 1.0])):
-        chart = bd.lifted_metric(gg, gpp, bd.FramePoint.anchor(p, 2))
+        chart = bd.LiftedMetricChart(gg, gpp, bd.FramePoint.anchor(p, 2))
         y0 = chart.chart_point()
         v0 = chart.fundamental_vector(y0, 0.8 * ot.skew_basis_element(2, 0, 1))
         sol = cv.geodesic_ivp(chart.numeric(), y0, v0, 1.0, rtol=1e-9, atol=1e-9)

@@ -213,7 +213,7 @@ def test_lift_grid_export(tmp_path):
 
 def test_bound_report_csv_format(tmp_path):
     code, out = run(tmp_path, "bound-report", "--metric", "builtin:round-sphere",
-                    "--samples", "3", "--directions", "2", "--format", "csv")
+                    "--samples", "3", "--format", "csv")
     assert code == 0
     assert (out / "bound-report.csv").read_text().startswith("point,sup_ricci")
 

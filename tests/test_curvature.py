@@ -296,3 +296,17 @@ def test_numeric_metric_geodesic_matches_symbolic(sphere):
     got = cv.geodesic_ivp(num, p, v, 1.0, rtol=1e-9, atol=1e-9).y[:, -1]
     want = cv.geodesic_ivp(sphere, p, v, 1.0, rtol=1e-9, atol=1e-9).y[:, -1]
     assert np.abs(got - want).max() <= 1e-7
+
+
+def test_coordinate_plane_sup_equals_sectional_loop(sphere, eh, s3_quarter, cone_smooth):
+    """The coordinate-plane supremum read from one Riemann tensor equals,
+    bit for bit, the maximum of `sectional` over the coordinate planes."""
+    cases = [(sphere, [1.0, 0.5]), (cone_smooth, [0.15, 1.0]),
+             (s3_quarter, [1.3, 0.8, 1.1]), (eh, [1.8, 1.2, 0.7, 1.0])]
+    for m, p in cases:
+        n = m.dim
+        eye = np.eye(n)
+        want = max(abs(cv.sectional(m, p, eye[i], eye[j]))
+                   for i in range(n) for j in range(i + 1, n))
+        assert cv.sup_sectional_coordinate_planes(m, p) == want
+        assert cv.coordinate_plane_sup(m.evaluate(p), cv.riemann(m, p).rlow) == want

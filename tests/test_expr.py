@@ -133,6 +133,21 @@ def test_evaluation_outside_real_domain_raises():
         fn([0.0])
 
 
+def test_evaluation_error_prints_plain_floats():
+    # numpy scalars divide to inf (the "not finite" message); math.log
+    # raises on them (the "undefined" message)
+    reciprocal = ex.compile_exprs([ex.parse_expr("1/x")], ["x"])
+    with pytest.raises(ex.ExprEvalError) as err, np.errstate(divide="ignore"):
+        reciprocal(np.array([0.0]))
+    assert "not finite at [0.0]" in str(err.value)
+    assert "np.float64" not in str(err.value)
+    log = ex.compile_exprs([ex.parse_expr("log(x)")], ["x"])
+    with pytest.raises(ex.ExprEvalError) as err:
+        log(np.array([-1.0]))
+    assert "undefined at [-1.0]" in str(err.value)
+    assert "np.float64" not in str(err.value)
+
+
 def test_rational_constants_exact():
     e = ex.parse_expr("1/3 + 1/6")
     assert ex.simplify(e) == ex.Num(Fraction(1, 2))
