@@ -317,7 +317,7 @@ def sasaki_distance(spec: SasakiSpec, pv, qu, loops=None, budget=200):
             vel, geo_len = geodesic_between(spec.g, p, q)
             geo_segments = [_geodesic_segment(spec.g, p, vel)]
             have_geo = True
-        except Exception:
+        except RuntimeError:
             geo_segments, geo_len, have_geo = [], 0.0, False
 
     if have_geo and not same_point:

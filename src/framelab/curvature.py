@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .expr import ExprEvalError
 from .metric import MetricSpec
 
 
@@ -268,8 +269,9 @@ class _GammaCache:
     """Christoffel evaluation for ODE right-hand sides, without the domain
     and SPD checks of `christoffel`; m is either derivative source."""
 
-    def __init__(self, m):
+    def __init__(self, m, variational=False):
         self.dfn = m.derivative_fn(1)
+        self.d2fn = m.derivative_fn(2) if variational else None
         if isinstance(m, MetricSpec):
             # the compiled components, without evaluate's argument conversion
             fn, n = m._compiled(), m.dim
@@ -280,11 +282,23 @@ class _GammaCache:
     def gamma(self, x):
         return assemble_gamma_jet(self.gfn(x), self.dfn(x))[0]
 
+    def gamma_jet(self, x):
+        """[Gamma, dGamma] at x, for the variational equations."""
+        return assemble_gamma_jet(self.gfn(x), self.dfn(x), self.d2fn(x))
 
-def geodesic_ivp(m: MetricSpec, p, v, t_final, dense=True, rtol=ODE_RTOL, atol=ODE_ATOL):
+
+def geodesic_ivp(m: MetricSpec, p, v, t_final, dense=True, rtol=ODE_RTOL, atol=ODE_ATOL,
+                 variational=False):
     """Integrate x'' + Gamma(x)(x', x') = 0; returns the scipy solution.
-    m is a MetricSpec or a NumericMetric."""
-    cache = _GammaCache(m)
+    m is a MetricSpec or a NumericMetric.
+
+    With variational=True the state also carries J = dx/dv0 and K = dv/dv0
+    (n x n each, row-major after x and v), started at J = 0, K = I and
+    driven by the linearized equations J' = K,
+    K' = -dGamma(x)[J](v, v) - 2 Gamma(x)(v, K); rtol and atol apply to
+    every component.
+    """
+    cache = _GammaCache(m, variational)
     n = m.dim
 
     def rhs(t, y):
@@ -293,7 +307,20 @@ def geodesic_ivp(m: MetricSpec, p, v, t_final, dense=True, rtol=ODE_RTOL, atol=O
         acc = -np.einsum("kij,i,j->k", gamma, vel, vel)
         return np.concatenate([vel, acc])
 
+    def rhs_variational(t, y):
+        x, vel = y[:n], y[n:2 * n]
+        J = y[2 * n:2 * n + n * n].reshape(n, n)
+        K = y[2 * n + n * n:].reshape(n, n)
+        gamma, dgamma = cache.gamma_jet(x)
+        gv = gamma @ vel                    # gv[k, i] = Gamma^k_ij v^j
+        dgvv = (dgamma @ vel) @ vel         # dgvv[m, k] = d_m Gamma^k_ij v^i v^j
+        dK = -(dgvv.T @ J) - 2.0 * (gv @ K)
+        return np.concatenate([vel, -(gv @ vel), K.ravel(), dK.ravel()])
+
     y0 = np.concatenate([np.asarray(p, dtype=float), np.asarray(v, dtype=float)])
+    if variational:
+        y0 = np.concatenate([y0, np.zeros(n * n), np.eye(n).ravel()])
+        rhs = rhs_variational
     sol = solve_ivp(rhs, (0.0, float(t_final)), y0, method="RK45",
                     rtol=rtol, atol=atol, dense_output=dense)
     if not sol.success:
@@ -337,28 +364,29 @@ def geodesic_between(m: MetricSpec, p, q, v0=None, tol=1e-10, max_iter=12,
                      rtol=1e-10, atol=1e-10):
     """Two-point geodesic by shooting.  Returns (v, length) with exp_p(v) = q.
 
-    v0 seeds the Newton iteration; the default straight-line velocity works
-    whenever the chart is close to flat on the segment.
+    Newton's method on v -> exp_p(v) - q; each step takes one integration
+    of the geodesic with its variational equations, whose J(1) is the exact
+    Jacobian of the endpoint map.  A shot that fails to converge, or whose
+    integration fails or leaves the metric's domain of evaluation, raises
+    RuntimeError.  v0 seeds the Newton iteration; the default straight-line
+    velocity works whenever the chart is close to flat on the segment.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     n = m.dim
     v = np.array(v0, dtype=float) if v0 is not None else (q - p)
 
-    def endpoint(vel):
-        sol = geodesic_ivp(m, p, vel, 1.0, dense=False, rtol=rtol, atol=atol)
-        return sol.y[:n, -1]
-
     for _ in range(max_iter):
-        err = endpoint(v) - q
+        try:
+            sol = geodesic_ivp(m, p, v, 1.0, dense=False, rtol=rtol, atol=atol,
+                               variational=True)
+        except (ExprEvalError, np.linalg.LinAlgError) as exc:
+            raise RuntimeError(f"shooting integration failed: {exc}") from exc
+        end = sol.y[:, -1]
+        err = end[:n] - q
         if np.linalg.norm(err) < tol:
             break
-        J = np.empty((n, n))
-        h = max(1e-7, 1e-7 * np.linalg.norm(v))
-        for a in range(n):
-            dv = np.zeros(n)
-            dv[a] = h
-            J[:, a] = (endpoint(v + dv) - endpoint(v - dv)) / (2 * h)
+        J = end[2 * n:2 * n + n * n].reshape(n, n)
         try:
             step = np.linalg.solve(J, err)
         except np.linalg.LinAlgError:

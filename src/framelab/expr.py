@@ -1,9 +1,10 @@
 """Small symbolic expression engine for metric coefficient functions.
 
 Expressions are immutable trees over symbols, exact rational constants and
-the operators + - * / ^ sqrt sin cos tan exp log.  Differentiation is
-symbolic (closed under the node set), so higher metric derivatives needed
-by curvature gradients stay exact.  Simplification is deliberately limited
+the operators + - * / ^ sqrt sin cos tan exp log abs sign.  Differentiation
+is symbolic (closed under the node set), so higher metric derivatives needed
+by curvature gradients stay exact; d abs(u) = sign(u) u' with sign(0) = 0,
+and sign has derivative 0.  Simplification is deliberately limited
 to constant folding and a few identities (x*1, x+0, sin^2+cos^2); we never
 attempt aggressive rewriting.
 """
@@ -29,7 +30,7 @@ class ParseError(ExprError):
         self.col = col
 
 
-_FUNCTIONS = ("sqrt", "sin", "cos", "tan", "exp", "log")
+_FUNCTIONS = ("sqrt", "sin", "cos", "tan", "exp", "log", "abs", "sign")
 
 
 class Expr:
@@ -514,6 +515,10 @@ def _diff(e, var):
             outer = Div(Num(Fraction(1)), e.a)
         elif fn == "sqrt":
             outer = Div(Num(Fraction(1)), Mul(Num(Fraction(2)), e))
+        elif fn == "abs":
+            outer = Call("sign", e.a)
+        elif fn == "sign":
+            outer = Num(Fraction(0))
         else:  # pragma: no cover
             raise ExprError(f"no derivative rule for {fn}")
         return Mul(outer, inner)
@@ -643,6 +648,8 @@ _MATH_ENV = {
     "tan": math.tan,
     "exp": math.exp,
     "log": math.log,
+    "abs": abs,
+    "sign": lambda x: math.copysign(1.0, x) if x else 0.0,
 }
 
 

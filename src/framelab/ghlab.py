@@ -153,7 +153,7 @@ def _edge_weights(m, points, edges, shifts, refine=False):
             try:
                 _, length_ref = geodesic_between(m, a, b, rtol=1e-9, atol=1e-9)
                 length = min(length, length_ref)
-            except Exception:
+            except RuntimeError:
                 pass
         w[idx] = length
     return w
@@ -335,7 +335,7 @@ def _refine_pair_distances(m, pts, d_graph, rng=None, shoot=True, chord_slack=1e
                     v, length = geodesic_between(m, pts[i], rep[(i, j)],
                                                  rtol=1e-7, atol=1e-9, tol=1e-7,
                                                  max_iter=8)
-                except Exception:
+                except RuntimeError:
                     continue
                 if length < improved[i, j] - chord_slack and _geodesic_stays_inside(m, pts[i], v):
                     improved[i, j] = improved[j, i] = length

@@ -409,9 +409,10 @@ def round_sphere():
 
 
 def _relu_expr(e):
-    # max(e, 0) built from sqrt: (e + sqrt(e^2)) / 2; C^0, used only inside
-    # cubic-and-higher powers so the assembled profile is C^2.
-    return ex.Div(ex.Add(e, ex.sqrt(ex.Pow(e, ex.Num(Fraction(2))))), ex.Num(Fraction(2)))
+    # max(e, 0) as (e + abs(e)) / 2; C^0, used only inside cubic-and-higher
+    # powers so the assembled profile is C^2, and every partial stays defined
+    # at e = 0 because d abs(e) = sign(e) e'.
+    return ex.Div(ex.Add(e, ex.Call("abs", e)), ex.Num(Fraction(2)))
 
 
 def smoothed_cone(a, eps, r_max=4.0):

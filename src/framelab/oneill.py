@@ -294,11 +294,17 @@ def covariant_a_vertical_residual(ctx: ONeillContext, xi, x, xi2=None):
 def hypothesis_measurements(g: MetricSpec, gp: MetricSpec, p):
     """Pointwise versions of the four hypothesis quantities."""
     p = np.asarray(p, dtype=float)
+    return _hypothesis_from_jets(g, gp, p, riemann(gp, p).rlow,
+                                 connection_difference(g, gp, p))
+
+
+def _hypothesis_from_jets(g, gp, p, rlow_eps, D):
+    """`hypothesis_measurements` given the Riemann tensor of gp and the
+    connection difference D at p, as an ONeillContext holds them."""
     Gp = gp.evaluate(p)
     diff = g.evaluate(p) - Gp
     eps_hat = tensor_norm(diff, g, p, "ll")
-    delta_hat = tensor_norm(connection_difference(g, gp, p), g, p, "ull")
-    rlow_eps = riemann(gp, p).rlow
+    delta_hat = tensor_norm(D, g, p, "ull")
     k_hat = coordinate_plane_sup(Gp, rlow_eps)
     K_hat = tensor_norm(curvature_gradient(gp, p).nabla_r, gp, p, "lllll")
     r_eps_norm = tensor_norm(rlow_eps, gp, p, "llll")
@@ -337,10 +343,10 @@ def ricci_bound_report(g: MetricSpec, gp: MetricSpec, points, blowup=1e6) -> Bou
     per_sample = []
     flags = []
     for p in points:
-        h = hypothesis_measurements(g, gp, p)
+        ctx = ONeillContext(g, gp, FramePoint.anchor(p, g.dim))
+        h = _hypothesis_from_jets(g, gp, ctx.fp.base, ctx.rlow_eps, ctx.D)
         for k in sup:
             sup[k] = max(sup[k], h[k])
-        ctx = ONeillContext(g, gp, FramePoint.anchor(p, g.dim))
         worst = float(np.abs(np.linalg.eigvalsh(ricci_matrix(ctx))).max())
         sup_ric = max(sup_ric, worst)
         per_sample.append({"point": list(map(float, p)), "sup_ricci": worst})

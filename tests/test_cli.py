@@ -107,6 +107,15 @@ def test_oneill_check_sphere(tmp_path):
     assert payload["worst_rel_err"] <= 1e-5
 
 
+def test_curvature_at_smoothed_cone_seam(tmp_path):
+    # r = 2*eps, where the cap meets the cone: the metric is C^2 there
+    code, out = run(tmp_path, "curvature", "--metric",
+                    "builtin:smoothed-cone:a=0.7,eps=0.3", "--at", "0.6,1.0")
+    assert code == 0
+    import numpy as np
+    assert np.abs(np.array(load(out, "curvature")["result"]["ricci"])).max() <= 1e-12
+
+
 def test_lift_command(tmp_path):
     code, out = run(tmp_path, "lift", "--metric", "builtin:round-sphere",
                     "--at", "1.1,0.3")

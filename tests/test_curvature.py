@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framelab import curvature as cv
+from framelab import expr as ex
 from framelab import metric as mt
 
 
@@ -196,6 +197,68 @@ def test_geodesic_between_shooting(sphere):
     # length equals |v|_g
     G = sphere.evaluate(p)
     assert length == pytest.approx(math.sqrt(v @ G @ v), rel=1e-12)
+
+
+def _endpoint_jacobian_fd(m, p, v, h=1e-6):
+    """Central differences of v -> exp_p(v), integrated tightly."""
+    n = m.dim
+    J = np.empty((n, n))
+    for a in range(n):
+        dv = np.zeros(n)
+        dv[a] = h
+        ends = [cv.geodesic_ivp(m, p, w, 1.0, dense=False, rtol=1e-12, atol=1e-12).y[:n, -1]
+                for w in (v + dv, v - dv)]
+        J[:, a] = (ends[0] - ends[1]) / (2 * h)
+    return J
+
+
+@pytest.mark.parametrize("name, p, v", [
+    ("sphere", [1.0, 0.5], [0.3, 0.4]),
+    ("cone", [1.0, 0.2], [0.4, 1.1]),
+    ("eh", [2.2, 1.3, 0.8, 1.1], [0.3, -0.1, 0.2, 0.15]),
+])
+def test_variational_jacobian_matches_finite_differences(name, p, v, sphere, eh):
+    m = {"sphere": sphere, "cone": mt.exact_cone(0.7), "eh": eh}[name]
+    p, v = np.array(p), np.array(v)
+    n = m.dim
+    sol = cv.geodesic_ivp(m, p, v, 1.0, dense=False, rtol=1e-12, atol=1e-12,
+                          variational=True)
+    J = sol.y[2 * n:2 * n + n * n, -1].reshape(n, n)
+    fd = _endpoint_jacobian_fd(m, p, v)
+    assert np.abs(J - fd).max() <= 1e-6 * np.abs(fd).max()
+    # the geodesic part of the state is the plain geodesic
+    plain = cv.geodesic_ivp(m, p, v, 1.0, dense=False, rtol=1e-12, atol=1e-12)
+    assert np.abs(sol.y[:2 * n, -1] - plain.y[:, -1]).max() <= 1e-9
+
+
+def test_geodesic_between_one_integration_per_newton_step(eh, monkeypatch):
+    calls = []
+    original = cv.geodesic_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("variational", False))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cv, "geodesic_ivp", counted)
+    p = np.array([2.2, 1.3, 0.8, 1.1])
+    q = np.array([2.5, 1.1, 1.0, 1.4])
+    cv.geodesic_between(eh, p, q)
+    k = len(calls)
+    assert k >= 3 and all(calls)
+    # one call per loop pass: k - 1 passes are too few, each with one call
+    calls.clear()
+    with pytest.raises(RuntimeError, match="failed to converge"):
+        cv.geodesic_between(eh, p, q, max_iter=k - 1)
+    assert len(calls) == k - 1
+
+
+def test_geodesic_between_reraises_evaluation_errors(sphere, monkeypatch):
+    def undefined(*args, **kwargs):
+        raise ex.ExprEvalError("expression undefined")
+
+    monkeypatch.setattr(cv, "geodesic_ivp", undefined)
+    with pytest.raises(RuntimeError, match="shooting integration failed"):
+        cv.geodesic_between(sphere, [1.2, 0.4], [1.0, 1.1])
 
 
 def test_scaling_laws(eh, rng):

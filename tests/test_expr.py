@@ -125,6 +125,19 @@ def test_unknown_function_rejected():
         ex.parse_expr("sinh(x)")
 
 
+def test_abs_derivative_is_sign_and_defined_at_zero():
+    e = ex.parse_expr("abs(x - 1)^3")
+    d1 = ex.differentiate(e, "x")
+    d2 = ex.differentiate(d1, "x")
+    assert ex.differentiate(ex.parse_expr("sign(x)"), "x") == ex.Num(Fraction(0))
+    fn = ex.compile_exprs([e, d1, d2], ["x"])
+    assert fn([1.0]) == (0.0, 0.0, 0.0)
+    for x in (-0.5, 0.25, 2.0):
+        u = x - 1
+        want = (abs(u) ** 3, 3 * u * abs(u), 6 * abs(u))
+        assert fn([x]) == pytest.approx(want, rel=1e-14)
+
+
 def test_evaluation_outside_real_domain_raises():
     fn = ex.compile_exprs([ex.parse_expr("log(x)")], ["x"])
     with pytest.raises(ex.ExprEvalError):

@@ -80,6 +80,18 @@ def test_cone_antipodal_distances_match_closed_form():
     assert checked >= 5
 
 
+@pytest.mark.parametrize("refine", ["refine_pairs", "refine_edges"])
+def test_programming_errors_in_shots_propagate(refine, monkeypatch):
+    # only a failed shot (RuntimeError) falls back to graph or chord lengths
+    def broken(*args, **kwargs):
+        raise TypeError("broken shot")
+
+    monkeypatch.setattr(gh, "geodesic_between", broken)
+    with pytest.raises(TypeError, match="broken shot"):
+        gh.sample_space(mt.exact_cone(0.7), [(0.3, 1.6), (0.0, 2 * math.pi)], 6,
+                        rng=np.random.default_rng(2), **{refine: True})
+
+
 def test_gh_upper_identity():
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
     A = gh.FiniteMetricSpace(["a", "b"], d)

@@ -366,6 +366,25 @@ def test_hypothesis_measurements_one_riemann_per_point(eh, monkeypatch):
     assert len(calls) <= 1
 
 
+def test_bound_report_shares_the_context_jets(eh, monkeypatch):
+    calls = {"riemann": 0, "christoffel": 0}
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    riemann = counting("riemann", cv.riemann)
+    monkeypatch.setattr(cv, "riemann", riemann)
+    monkeypatch.setattr(on, "riemann", riemann)
+    monkeypatch.setattr(cv, "christoffel", counting("christoffel", cv.christoffel))
+    on.ricci_bound_report(eh, mt.eguchi_hanson(1.2), [[1.8, 1.2, 0.7, 1.0]])
+    # riemann of g' and g (Ricci); christoffel of g and g' (D) and of g
+    # (the connection of the curvature gradient); 3 and 5 before sharing
+    assert calls == {"riemann": 2, "christoffel": 3}
+
+
 def test_bound_report_flat_pair(flat2, rng):
     pts = [np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)]) for _ in range(4)]
     rep = on.ricci_bound_report(flat2, flat2, pts)
