@@ -34,8 +34,8 @@ import numpy as np
 from scipy.linalg import expm, expm_frechet
 
 from . import ortho
-from .curvature import NumericMetric, assemble_gamma_jet, geodesic_between
-from .holonomy import _geodesic_segment, cholesky_section, section_frame, transport_matrix
+from .curvature import NumericMetric, assemble_gamma_jet
+from .holonomy import cholesky_section, section_frame
 from .metric import MetricSpec
 
 DIMENSION_BUDGET = 10
@@ -84,22 +84,6 @@ def section_connection_coeffs(gp: MetricSpec, x):
     for i in range(len(dS)):
         C[i] = Sinv @ (dS[i] + gamma[:, i, :] @ S)
     return S, C
-
-
-def transfer_map(g: MetricSpec, gp: MetricSpec, p):
-    """alpha^{1/2} with alpha = g^-1 g': the g-self-adjoint square root
-    satisfying g'(v, w) = g(alpha^{1/2} v, alpha^{1/2} w)."""
-    p = np.asarray(p, dtype=float)
-    G = g.check_spd(p)
-    Gp = gp.check_spd(p)
-    L = np.linalg.cholesky(G)
-    Linv = np.linalg.inv(L)
-    B = Linv @ Gp @ Linv.T
-    w, V = np.linalg.eigh(0.5 * (B + B.T))
-    if w[0] <= 0:
-        raise ValueError("transfer map undefined: non-SPD input")
-    Bhalf = V @ np.diag(np.sqrt(w)) @ V.T
-    return Linv.T @ Bhalf @ L.T
 
 
 class LiftedMetricChart:
@@ -258,90 +242,3 @@ class LiftedMetricChart:
                 row = list(p) + vals
                 fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
-
-# ---------------------------------------------------------------------------
-# Sasaki-type distance on the tangent bundle
-
-@dataclass
-class SasakiSpec:
-    g: MetricSpec           # base lengths
-    h: MetricSpec           # fiber inner product
-    conn: MetricSpec        # metric whose Levi-Civita connection transports
-
-    def compatibility_residual(self, p, directions=None):
-        """|nabla^conn h| at p: zero when conn and h share Levi-Civita."""
-        from .curvature import christoffel
-        p = np.asarray(p, dtype=float)
-        H = self.h.evaluate(p)
-        dH = self.h.derivative_fn(1)(p)
-        gamma = christoffel(self.conn, p).gamma
-        # (nabla_k h)_ij = d_k h_ij - Gamma^l_ki h_lj - Gamma^l_kj h_il
-        nh = (dH
-              - np.einsum("lki,lj->kij", gamma, H)
-              - np.einsum("lkj,il->kij", gamma, H))
-        return float(np.abs(nh).max())
-
-
-@dataclass
-class SasakiPath:
-    value: float
-    length: float
-    fiber_gap: float
-    descriptor: str
-
-
-def sasaki_distance(spec: SasakiSpec, pv, qu, loops=None, budget=200):
-    """Upper bound for the Sasaki-type distance between (p, v) and (q, u):
-    minimizes sqrt(l(gamma)^2 + |P_1^gamma(v) - u|_h^2) over candidate paths
-    (two-point geodesics, optionally prefixed by holonomy loops at p)."""
-    (p, v), (q, u) = pv, qu
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    u = np.asarray(u, dtype=float)
-    H_q = spec.h.evaluate(q)
-
-    def fiber_gap(w):
-        d = w - u
-        return math.sqrt(max(float(d @ H_q @ d), 0.0))
-
-    candidates = []
-    same_point = bool(np.abs(p - q).max() < 1e-12)
-    if same_point:
-        candidates.append(SasakiPath(fiber_gap(v), 0.0, fiber_gap(v), "constant"))
-        geo_segments = []
-        geo_len = 0.0
-        have_geo = True
-    else:
-        try:
-            vel, geo_len = geodesic_between(spec.g, p, q)
-            geo_segments = [_geodesic_segment(spec.g, p, vel)]
-            have_geo = True
-        except RuntimeError:
-            geo_segments, geo_len, have_geo = [], 0.0, False
-
-    if have_geo and not same_point:
-        Pv = transport_matrix(spec.conn, geo_segments, v.reshape(-1, 1))[:, 0]
-        gap = fiber_gap(Pv)
-        candidates.append(SasakiPath(math.hypot(geo_len, gap), geo_len, gap, "geodesic"))
-
-    for loop in (loops or [])[:budget]:
-        if loop.length is None:
-            loop.compute_length(spec.g)
-        try:
-            w = transport_matrix(spec.conn, loop.segments, v.reshape(-1, 1))[:, 0]
-            total_len = loop.length
-            if have_geo and not same_point:
-                w = transport_matrix(spec.conn, geo_segments, w.reshape(-1, 1))[:, 0]
-                total_len += geo_len
-            elif not same_point:
-                continue
-            gap = fiber_gap(w)
-            candidates.append(SasakiPath(math.hypot(total_len, gap), total_len, gap,
-                                         f"loop[{loop.descriptor}]+geodesic"))
-        except Exception:
-            continue
-
-    if not candidates:
-        raise RuntimeError("no candidate path stayed inside the chart")
-    return min(candidates, key=lambda c: c.value)

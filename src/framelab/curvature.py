@@ -39,6 +39,10 @@ class DomainExitError(RuntimeError):
         self.point = np.asarray(point)
 
 
+#: how an integration or a jet evaluation fails off the chart
+_OFF_CHART_ERRORS = (RuntimeError, ExprEvalError, np.linalg.LinAlgError)
+
+
 class ValenceError(ValueError):
     pass
 
@@ -232,10 +236,6 @@ def tensor_norm(T, m: MetricSpec, p, signature) -> float:
     slots = [G if s == "u" else Ginv for s in signature]
     val = np.einsum(sub, T, T, *slots)
     return math.sqrt(max(val, 0.0))
-
-
-def norm_riemann(m: MetricSpec, p) -> float:
-    return tensor_norm(riemann(m, p).rlow, m, p, "llll")
 
 
 def coordinate_plane_sup(G, rlow) -> float:

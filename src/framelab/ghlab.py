@@ -3,9 +3,10 @@ experiments: cone fiber collapse across a cap ladder, the rescaled
 Eguchi-Hanson study, and upper/lower GH estimates between finite metric
 spaces.
 
-GH estimation only ever certifies upper bounds through explicit
-correspondences (natural chart identifications) plus crude lower bounds
-(diameter gap and packing-vs-covering counts); no optimal-matching search.
+Sampled distances are genuine path lengths, so upper bounds on the true
+ones; GH values are estimates from them: upper through explicit
+correspondences (natural chart identifications), lower from diameter gap
+and packing-vs-covering counts; no optimal-matching search.
 Limit spaces (exact cones, the asymptotic cone of Eguchi-Hanson) are
 closed-form distance evaluators rather than sampled manifolds.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import io
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +24,7 @@ from scipy.spatial import cKDTree
 
 from . import holonomy as hl
 from . import ortho
-from .curvature import curve_length, geodesic_between
+from .curvature import _OFF_CHART_ERRORS, curve_length, geodesic_between
 from .metric import MetricSpec, smoothed_cone
 
 TRIANGLE_TOL = 1e-9
@@ -93,34 +93,6 @@ class FiniteMetricSpace:
         rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
         return FiniteMetricSpace(labels, np.array(rows))
 
-    def to_binary(self):
-        """Magic 'FMS1', uint32 count, strict upper triangle little-endian
-        float64 row-major, then newline-joined labels (utf-8)."""
-        n = self.size
-        out = bytearray(b"FMS1")
-        out += struct.pack("<I", n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                out += struct.pack("<d", float(self.d[i, j]))
-        out += "\n".join(str(l) for l in self.labels).encode("utf-8")
-        return bytes(out)
-
-    @staticmethod
-    def from_binary(blob):
-        if blob[:4] != b"FMS1":
-            raise ValueError("bad magic")
-        n = struct.unpack("<I", blob[4:8])[0]
-        k = n * (n - 1) // 2
-        vals = struct.unpack(f"<{k}d", blob[8:8 + 8 * k])
-        d = np.zeros((n, n))
-        idx = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                d[i, j] = d[j, i] = vals[idx]
-                idx += 1
-        rest = blob[8 + 8 * k:]
-        labels = rest.decode("utf-8").split("\n") if rest else [str(i) for i in range(n)]
-        return FiniteMetricSpace(labels, d)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +160,8 @@ def sample_space(m: MetricSpec, region, count, rng=None, mode="geodesic-graph",
 
     With refine_pairs=True every chosen pair is additionally attempted by
     two-point geodesic shooting; a shot geodesic that stays in the chart
-    and beats the graph value replaces it (still a genuine path length, so
-    the result remains a certified upper bound).
+    and beats the graph value replaces it.  Graph, chord and shot values
+    are genuine path lengths, so each distance bounds its true one above.
     """
     if mode != "geodesic-graph":
         raise ValueError(f"unknown sampling mode {mode!r}")
@@ -273,7 +245,7 @@ def _geodesic_stays_inside(m, p, v, samples=24):
     from .curvature import geodesic_ivp
     try:
         sol = geodesic_ivp(m, p, v, 1.0, rtol=1e-8, atol=1e-8)
-    except Exception:
+    except _OFF_CHART_ERRORS:
         return False
     for t in np.linspace(0.0, 1.0, samples):
         if not m.in_domain(sol.sol(t)[: m.dim], tol=1e-9, wrap=True):
@@ -295,7 +267,7 @@ def _is_flat_on(m, pts, rng, probes=5):
         try:
             if np.abs(christoffel(m, pts[i]).gamma).max() > 1e-12:
                 return False
-        except Exception:
+        except _OFF_CHART_ERRORS:
             return False
     return True
 
@@ -395,9 +367,10 @@ def _greedy_covering(space, eps):
 
 
 def gh_lower(A: FiniteMetricSpace, B: FiniteMetricSpace, grid=24) -> float:
-    """Certified lower bound: max of half the diameter gap and the
-    packing-vs-covering obstruction (an eps-separated set larger than an
-    exhibited covering of the other side forces distortion)."""
+    """Lower bound on GH of the finite spaces as given (an estimate for
+    sampled spaces): max of half the diameter gap and the packing-vs-
+    covering obstruction (an eps-separated set larger than an exhibited
+    covering of the other side forces distortion)."""
     best = 0.5 * abs(A.diam() - B.diam())
     for X, Y in ((A, B), (B, A)):
         diam = X.diam()

@@ -19,8 +19,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import ortho
-from .curvature import (DomainExitError, _GammaCache, curve_length, exp_map,
-                        geodesic_between, geodesic_ivp)
+from .curvature import (_OFF_CHART_ERRORS, DomainExitError, _GammaCache, curve_length,
+                        exp_map, geodesic_between, geodesic_ivp)
 from .metric import MetricSpec
 
 CLOSURE_TOL = 1e-10
@@ -374,7 +374,7 @@ def geodesic_triangle_loops(m: MetricSpec, basepoint, scale, count, rng,
             loop = LoopSpec(p, segs, None, f"geo-triangle#{len(loops)}")
             loop.length = lengths
             loops.append(loop)
-        except Exception:
+        except _OFF_CHART_ERRORS:
             continue
     return loops
 

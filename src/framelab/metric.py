@@ -219,10 +219,6 @@ class MetricSpec:
         for p in self.grid_interior(per_axis=per_axis):
             self.check_spd(p)
 
-    def with_components(self, components, name=None):
-        return MetricSpec(self.dim, self.coords, components, self.domain,
-                          dict(self.params), dict(self.periods),
-                          name if name is not None else self.name)
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,9 @@ from .curvature import (connection_difference, coordinate_plane_sup,
 from .holonomy import cholesky_section
 from .metric import MetricSpec
 
-#: sign pinned by the direct/formula agreement on the round sphere and the
-#: smoothed-cone pair (see report metadata)
+#: sign of the HHHV cross term, pinned by the direct/formula agreement on
+#: the smoothed-cone pair (n = 2) and by the whole-matrix finite-difference
+#: checks of n = 3 pairs with g != g' (test_ricci_matrix_matches_fd_oracle_n3)
 CROSS_TERM_SIGN = -1.0
 DIRECT_DIM_BUDGET = 6
 
@@ -68,10 +69,6 @@ class ONeillContext:
                                   self.rlow_eps, self.f, self.f, self.e, self.e)
 
     # -- pairings -------------------------------------------------------------
-
-    def r4(self, a, b, c, d):
-        """<R_eps(a, b) c, d> for coordinate vectors."""
-        return pairing(self.rlow_eps, a, b, c, d)
 
     def r4_op_frame(self, a, b):
         """Matrix of <R_eps(a, b) e_lam, e_mu> over (lam, mu)."""
@@ -156,39 +153,55 @@ def normalize_direction(ctx: ONeillContext, v_base, xi):
     return v * s, xi * s, math.sqrt(norm2)
 
 
+def _ricci_blocks(ctx: ONeillContext) -> dict:
+    """The four submersion terms of Ric~ as symmetric (n+m) x (n+m) matrices
+    in the gt-orthonormal frame: horizontal (f_i, 0), then vertical
+    (0, E_lm / sqrt 2) in `skew_pairs` order.
+
+    With R = r4_frame and K_ik = sum R_ijvu R_kjvu, HH is f^T Ric_g f - 3K/4;
+    HV_mixed is K/4 on the horizontal block and P^T P / 4 on the vertical
+    one, P[ij, lm] = (R_ijlm - R_ijml) / sqrt 2; VV is (n - 2)/4 I, the
+    Ricci of (O(n), b); the HHHV cross term pairs the horizontal and
+    vertical blocks through sum_i (nabla~_{f_i} A)_{f_k} f_i.
+    """
+    n, m = ctx.n, ctx.m
+    lam, mu = np.array(ctx.pairs, dtype=int).reshape(-1, 2).T
+    R = ctx.r4_frame
+    Rh = R.reshape(n, -1)
+    K = Rh @ Rh.T
+    P = (R[:, :, lam, mu] - R[:, :, mu, lam]).reshape(n * n, m) / math.sqrt(2.0)
+    X = np.empty((n, m))
+    for k in range(n):
+        V = sum(covariant_a_horizontal(ctx, ctx.f[:, i], ctx.f[:, k], ctx.f[:, i])
+                for i in range(n))
+        X[k] = CROSS_TERM_SIGN * (V[lam, mu] - V[mu, lam])
+
+    def block(hh=0.0, hv=0.0, vv=0.0):
+        Q = np.zeros((n + m, n + m))
+        Q[:n, :n] = hh
+        Q[:n, n:] = hv
+        Q[n:, n:] = vv
+        return 0.5 * (Q + Q.T)
+
+    return {"HH": block(hh=ctx.f.T @ ctx.ric_g @ ctx.f - 0.75 * K),
+            "HV_mixed": block(hh=0.25 * K, vv=0.25 * (P.T @ P)),
+            "VV": block(vv=0.25 * (n - 2) * np.eye(m)),
+            "HHHV_cross": block(hv=X)}
+
+
 def ricci_oneill(ctx: ONeillContext, v_base=None, xi=None, with_hypothesis=True) -> RicciReport:
     """Ricci of the lifted metric in the direction with horizontal part
-    pi_* = v_base and connection form xi, assembled from the submersion
-    formula blocks (HH, HV, VV, and the HHHV cross term)."""
+    pi_* = v_base and connection form xi: each submersion term is c^T Q c
+    for the block Q of `_ricci_blocks` and the frame components c of the
+    normalized direction."""
     x, xi, _ = normalize_direction(ctx, v_base, xi)
-    n, m = ctx.n, ctx.m
-
-    # operators M_j = <R_eps(x, f_j) e_., e_.>
-    Mx = np.einsum("abkl,a,bj,ku,lv->jvu", ctx.rlow_eps, x, ctx.f, ctx.e, ctx.e)
-
-    hh = float(x @ ctx.ric_g @ x) - 0.75 * float(np.sum(Mx * Mx))
-    hv_h = 0.25 * float(np.sum(Mx * Mx))          # X^H against the vertical frame
-
-    # X^V against the horizontal frame: (1/4) sum_ij <M_ij, xi>_F^2
-    inner = np.einsum("ijvu,vu->ij", ctx.r4_frame, xi)
-    hv_v = 0.25 * float(np.sum(inner * inner))
-
-    vv = ortho.ricci_biinvariant(xi) if np.abs(xi).max() > 0 else 0.0
-
-    cross = 0.0
-    if np.abs(xi).max() > 0 and np.abs(x).max() > 0:
-        acc = 0.0
-        for i in range(n):
-            V = covariant_a_horizontal(ctx, ctx.f[:, i], x, ctx.f[:, i])
-            acc += float(np.sum(V * xi))
-        cross = CROSS_TERM_SIGN * math.sqrt(2.0) * acc
-
-    total = hh + hv_h + hv_v + vv + cross
+    c = np.concatenate([np.linalg.solve(ctx.f, x), ortho.vec_skew(xi)])
+    terms = {name: float(c @ Q @ c) for name, Q in _ricci_blocks(ctx).items()}
     report = RicciReport(
         point=list(map(float, ctx.fp.base)),
         direction={"base": list(map(float, x)), "omega": xi.ravel().tolist()},
-        ricci_formula=total,
-        terms={"HH": hh, "HV_mixed": hv_h + hv_v, "VV": vv, "HHHV_cross": cross},
+        ricci_formula=sum(terms.values()),
+        terms=terms,
     )
     if with_hypothesis:
         report.hypothesis = hypothesis_measurements(ctx.g, ctx.gp, ctx.fp.base)
@@ -196,27 +209,9 @@ def ricci_oneill(ctx: ONeillContext, v_base=None, xi=None, with_hypothesis=True)
 
 
 def ricci_matrix(ctx: ONeillContext) -> np.ndarray:
-    """Symmetric matrix of Ric~ in the gt-orthonormal frame: horizontal
-    (f_i, 0), then vertical (0, E_lm / sqrt 2) in `skew_pairs` order.
-
-    Ric~ is a quadratic form in the direction, so the matrix follows from
-    `ricci_oneill` by polarization, Q_aa = r(e_a) and Q_ab = (r(e_a + e_b)
-    - r(e_a - e_b)) / 2, with r the Ricci of the normalized direction.
-    """
-    n, N = ctx.n, ctx.n + ctx.m
-
-    def r(c):
-        rep = ricci_oneill(ctx, ctx.f @ c[:n], ortho.unvec_skew(c[n:], n),
-                           with_hypothesis=False)
-        return rep.ricci_formula
-
-    basis = np.eye(N)
-    Q = np.empty((N, N))
-    for a in range(N):
-        Q[a, a] = r(basis[a])
-        for b in range(a):
-            Q[a, b] = Q[b, a] = 0.5 * (r(basis[a] + basis[b]) - r(basis[a] - basis[b]))
-    return Q
+    """Symmetric matrix of Ric~ in the gt-orthonormal frame, the sum of the
+    submersion blocks of `_ricci_blocks`."""
+    return sum(_ricci_blocks(ctx).values())
 
 
 def chart_direction(ctx: ONeillContext, v_base, xi):
@@ -256,17 +251,6 @@ def riemann_direct_4(ctx: ONeillContext, dir_tuples):
     rlow = num.riemann(y).rlow
     vecs = [chart_direction(ctx, v, xi) for v, xi in dir_tuples]
     return pairing(rlow, *vecs)
-
-
-def sectional_oneill(ctx: ONeillContext, x, y):
-    """Horizontal sectional numerator <R~(X, Y) Y, X> from the formula:
-    base curvature minus 3 |A_X Y|^2 (X, Y horizontal lifts of x, y)."""
-    x = _check_horizontal("x", x, ctx.n)
-    y = _check_horizontal("y", y, ctx.n)
-    base = pairing(riemann(ctx.g, ctx.fp.base).rlow, x, y, y, x)
-    W = a_tensor_vertical(ctx, x, y)
-    a2 = float(np.sum(W * W)) / 2.0   # sum over lam<mu of That-components^2
-    return base - 3.0 * a2
 
 
 def covariant_a_vertical_residual(ctx: ONeillContext, xi, x, xi2=None):

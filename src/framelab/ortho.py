@@ -426,31 +426,3 @@ def quotient_distance(u, v, H: SubgroupEstimate, rng=None, coarse=200, polish=Tr
         return best
     return base
 
-
-# ---------------------------------------------------------------------------
-# curvature of (O(n), b)
-
-def sectional_biinvariant(a1, a2):
-    """Sectional curvature of (O(n), b) on the plane spanned by a1, a2."""
-    a1 = check_skew(a1)
-    a2 = check_skew(a2)
-    br = a1 @ a2 - a2 @ a1
-    num = 0.25 * biinvariant_inner(br, br)
-    den = (biinvariant_inner(a1, a1) * biinvariant_inner(a2, a2)
-           - biinvariant_inner(a1, a2) ** 2)
-    if den <= 0:
-        raise ValueError("a1, a2 do not span a 2-plane")
-    return num / den
-
-
-def ricci_biinvariant(xi):
-    """Ricci of (O(n), b) in direction xi: (1/4) sum_a |[xi, u_a]|_b^2 over a
-    b-orthonormal basis; equals (n-2)/4 * b(xi, xi)."""
-    xi = check_skew(xi)
-    n = xi.shape[0]
-    total = 0.0
-    for a in skew_basis(n):
-        a = a / b_norm(a)
-        br = xi @ a - a @ xi
-        total += biinvariant_inner(br, br)
-    return 0.25 * total

@@ -6,6 +6,38 @@ import pytest
 
 from framelab import expr as ex
 from framelab import metric as mt
+from framelab import ortho as ot
+
+
+def with_components(m, components, name=None):
+    """A copy of metric m with other component expressions."""
+    return mt.MetricSpec(m.dim, m.coords, components, m.domain, dict(m.params),
+                         dict(m.periods), name if name is not None else m.name)
+
+
+# references for the curvature of (O(n), b)
+
+def sectional_biinvariant(a1, a2):
+    """Sectional curvature of (O(n), b) on the plane spanned by a1, a2."""
+    br = a1 @ a2 - a2 @ a1
+    num = 0.25 * ot.biinvariant_inner(br, br)
+    den = (ot.biinvariant_inner(a1, a1) * ot.biinvariant_inner(a2, a2)
+           - ot.biinvariant_inner(a1, a2) ** 2)
+    if den <= 0:
+        raise ValueError("a1, a2 do not span a 2-plane")
+    return num / den
+
+
+def ricci_biinvariant(xi):
+    """Ricci of (O(n), b) in direction xi: (1/4) sum_a |[xi, u_a]|_b^2 over a
+    b-orthonormal basis u_a."""
+    xi = ot.check_skew(xi)
+    total = 0.0
+    for a in ot.skew_basis(xi.shape[0]):
+        a = a / ot.b_norm(a)
+        br = xi @ a - a @ xi
+        total += ot.biinvariant_inner(br, br)
+    return 0.25 * total
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,8 @@ from framelab import holonomy as hl
 from framelab import metric as mt
 from framelab import ortho as ot
 
+from conftest import with_components
+
 
 def sphere_canonical(th):
     """Hand-derived canonical lifting metric of the unit sphere in the
@@ -22,12 +24,6 @@ def sphere_canonical(th):
         [0.0, math.sin(th) ** 2 + 2 * c * c, -2.0 * c],
         [0.0, -2.0 * c, 2.0],
     ])
-
-
-def const_metric(M, names=("x", "y", "z")):
-    n = M.shape[0]
-    comps = [[ex.Num(float(M[i, j])) for j in range(n)] for i in range(n)]
-    return mt.MetricSpec(n, names[:n], comps)
 
 
 def test_frame_point_validates_orthogonality():
@@ -43,30 +39,6 @@ def test_frame_columns_orthonormal(sphere, rng):
         E = chart.frame_matrix(chart.chart_point(t=[rng.uniform(-0.5, 0.5)]))
         G = sphere.evaluate(p)
         assert np.abs(E.T @ G @ E - np.eye(2)).max() <= 1e-10
-
-
-def test_transfer_map_identity(sphere):
-    al = bd.transfer_map(sphere, sphere, [1.0, 0.5])
-    assert np.allclose(al, np.eye(2), atol=1e-12)
-
-
-def test_transfer_map_conformal(flat2):
-    gp = mt.rescaled(flat2, 3.0)
-    al = bd.transfer_map(flat2, gp, [0.1, 0.2])
-    assert np.allclose(al, 3.0 * np.eye(2), atol=1e-12)
-
-
-def test_transfer_map_random_pair(rng):
-    A = rng.normal(size=(3, 3))
-    B = rng.normal(size=(3, 3))
-    G1 = A @ A.T + 3 * np.eye(3)
-    G2 = B @ B.T + 3 * np.eye(3)
-    mg, mgp = const_metric(G1), const_metric(G2)
-    al = bd.transfer_map(mg, mgp, [0, 0, 0])
-    for _ in range(5):
-        v = rng.normal(size=3)
-        w = rng.normal(size=3)
-        assert (al @ v) @ G1 @ (al @ w) == pytest.approx(v @ G2 @ w, rel=1e-10, abs=1e-10)
 
 
 def test_connection_form_fundamental_and_horizontal(sphere, rng):
@@ -203,7 +175,7 @@ def test_c0_continuity_in_the_connection_metric(sphere):
     for d in deltas:
         comps = [[ex.Add(sphere.components[i][j], ex.Mul(ex.Num(d), h[i][j]))
                   for j in range(2)] for i in range(2)]
-        gp = sphere.with_components(comps, name=f"perturbed-{d}")
+        gp = with_components(sphere, comps, name=f"perturbed-{d}")
         chart = bd.LiftedMetricChart(sphere, gp, bd.FramePoint.anchor([1.0, 0.4], 2))
         gaps.append(np.abs(chart.metric_matrix(y) - base_val).max())
     slopes = np.diff(np.log(gaps)) / np.diff(np.log(deltas))
@@ -221,53 +193,6 @@ def test_fibers_totally_geodesic(sphere, cone_pair):
         for t in np.linspace(0, 1.0, 40):
             drift = max(drift, np.abs(sol.sol(t)[:2] - y0[:2]).max())
         assert drift <= 1e-7
-
-
-# ---------------------------------------------------------------------------
-# Sasaki-type distance
-
-def test_sasaki_compatibility(sphere):
-    spec = bd.SasakiSpec(sphere, sphere, sphere)
-    assert spec.compatibility_residual([1.1, 0.4]) <= 1e-9
-
-
-def test_sasaki_same_point_same_vector(sphere):
-    spec = bd.SasakiSpec(sphere, sphere, sphere)
-    p = np.array([1.0, 0.3])
-    v = np.array([0.5, 0.1])
-    best = bd.sasaki_distance(spec, (p, v), (p, v))
-    assert best.value == 0.0
-    assert best.descriptor == "constant"
-
-
-def test_sasaki_flat_pythagoras(flat2):
-    spec = bd.SasakiSpec(flat2, flat2, flat2)
-    p = np.array([0.0, 0.0])
-    q = np.array([1.0, 0.5])
-    v = np.array([0.2, 0.0])
-    u = np.array([0.0, 0.4])
-    best = bd.sasaki_distance(spec, (p, v), (q, u))
-    want = math.hypot(np.linalg.norm(q - p), np.linalg.norm(v - u))
-    assert best.value == pytest.approx(want, rel=1e-9)
-
-
-def test_sasaki_sphere_loop_beats_fiber_gap(sphere):
-    """At the same base point, a latitude loop whose holonomy rotates v
-    toward u can beat the trivial bound sqrt(0 + |v-u|^2)."""
-    spec = bd.SasakiSpec(sphere, sphere, sphere)
-    th0 = math.acos(0.25)   # holonomy angle 2 pi (1 - cos) = 1.5 pi
-    p = np.array([th0, 0.0])
-    v = np.array([1.0, 0.0])
-    hol = hl.holonomy_element(sphere, hl.coordinate_circle_loop(p, 1, 2 * math.pi))
-    S = hl.section_frame(sphere, p)
-    u = S @ hol @ np.linalg.solve(S, v)     # exactly the transported vector
-    loops = [hl.coordinate_circle_loop(p, 1, 2 * math.pi)]
-    best = bd.sasaki_distance(spec, (p, v), (p, u), loops=loops)
-    L = loops[0].compute_length(sphere)
-    # the loop transports v exactly onto u, so sqrt(L^2 + 0) caps the value
-    assert best.value <= L + 1e-9
-    gap = math.sqrt(float((v - u) @ sphere.evaluate(p) @ (v - u)))
-    assert best.value <= gap + 1e-9
 
 
 def _section_reference(G, dG):

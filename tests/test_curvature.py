@@ -107,7 +107,8 @@ def test_eguchi_hanson_ricci_flat(eh, rng):
     # the radii called out for the Einstein check, with nonflat curvature
     for r in (1.5, 2.0, 5.0):
         assert np.abs(cv.ricci(eh, [r, 1.1, 0.6, 0.8])).max() <= 1e-8
-    assert cv.norm_riemann(eh, [1.5, 1.2, 0.7, 0.9]) > 0.1
+    p = [1.5, 1.2, 0.7, 0.9]
+    assert cv.tensor_norm(cv.riemann(eh, p).rlow, eh, p, "llll") > 0.1
 
 
 def test_ricci_symmetric(eh, rng):
@@ -152,7 +153,9 @@ def test_tensor_norm_identity(flat2):
 
 def test_tensor_norm_riemann_sphere(sphere):
     # |R| = 2 for the unit 2-sphere
-    assert cv.norm_riemann(sphere, [1.1, 0.3]) == pytest.approx(2.0, abs=1e-9)
+    p = [1.1, 0.3]
+    assert cv.tensor_norm(cv.riemann(sphere, p).rlow, sphere, p, "llll") == pytest.approx(
+        2.0, abs=1e-9)
 
 
 def test_tensor_norm_valence_mismatch(flat2):

@@ -30,16 +30,6 @@ def test_fms_csv_round_trip():
     assert np.abs(back.d - d).max() == 0.0
 
 
-def test_fms_binary_round_trip():
-    d = np.array([[0.0, 1.5, 2.0], [1.5, 0.0, 1.1], [2.0, 1.1, 0.0]])
-    A = gh.FiniteMetricSpace(["x", "y", "z"], d)
-    blob = A.to_binary()
-    assert blob[:4] == b"FMS1"
-    back = gh.FiniteMetricSpace.from_binary(blob)
-    assert back.labels == ["x", "y", "z"]
-    assert np.abs(back.d - d).max() == 0.0
-
-
 def test_sample_flat_square_three_percent(rng):
     flat = mt.flat_euclidean(2)
     res = gh.sample_space(flat, [(0, 1), (0, 1)], 100, rng=rng, refine_pairs=True)
@@ -90,6 +80,36 @@ def test_programming_errors_in_shots_propagate(refine, monkeypatch):
     with pytest.raises(TypeError, match="broken shot"):
         gh.sample_space(mt.exact_cone(0.7), [(0.3, 1.6), (0.0, 2 * math.pi)], 6,
                         rng=np.random.default_rng(2), **{refine: True})
+
+
+def test_errors_in_the_inside_check_propagate(monkeypatch):
+    """A fault in the re-integration of an accepted shot propagates; before
+    the check caught every exception, which read as "leaves the chart" and
+    left distances up to 17% long."""
+    original = cv.geodesic_ivp
+
+    def broken(*args, **kwargs):
+        if not kwargs.get("variational"):
+            raise TypeError("broken integration")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cv, "geodesic_ivp", broken)
+    with pytest.raises(TypeError, match="broken integration"):
+        gh.sample_space(mt.exact_cone(0.7), [(0.3, 1.6), (0.0, 2 * math.pi)], 10,
+                        rng=np.random.default_rng(2), refine_pairs=True)
+
+
+def test_errors_in_the_flatness_probe_propagate(monkeypatch):
+    cone = mt.exact_cone(0.7)
+    # a point off the chart reads as "not flat"
+    assert not gh._is_flat_on(cone, np.array([[0.0, 1.0]]), np.random.default_rng(0))
+
+    def broken(*args, **kwargs):
+        raise TypeError("broken christoffel")
+
+    monkeypatch.setattr(cv, "christoffel", broken)
+    with pytest.raises(TypeError, match="broken christoffel"):
+        gh._is_flat_on(cone, np.array([[0.5, 1.0]]), np.random.default_rng(0))
 
 
 def test_gh_upper_identity():

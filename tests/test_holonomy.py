@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framelab import curvature as cv
 from framelab import holonomy as hl
 from framelab import metric as mt
 from framelab import ortho as ot
@@ -234,6 +235,20 @@ def test_eh_triangle_holonomy_single_chirality(eh, rng):
         assert min(p, m_) <= 1e-5   # one chirality factor carries nothing
 
 
+def test_triangle_loops_skip_only_failed_curves(sphere, monkeypatch):
+    def raising(exc):
+        def exp_map(*args, **kwargs):
+            raise exc
+        return exp_map
+
+    monkeypatch.setattr(hl, "exp_map", raising(cv.DomainExitError(0.5, [0.0, 0.0])))
+    assert hl.geodesic_triangle_loops(sphere, [1.0, 0.5], 0.2, 2,
+                                      np.random.default_rng(0)) == []
+    monkeypatch.setattr(hl, "exp_map", raising(TypeError("broken exp_map")))
+    with pytest.raises(TypeError, match="broken exp_map"):
+        hl.geodesic_triangle_loops(sphere, [1.0, 0.5], 0.2, 2, np.random.default_rng(0))
+
+
 def test_lemma_3_4_consistency():
     """Wherever the sampled fiber distance nearly vanishes, the estimated
     infinitesimal-holonomy group contains an element moving e to e'."""
@@ -252,29 +267,6 @@ def test_lemma_3_4_consistency():
             # H0 estimate contains a with d_b(a e, e') small; SO(2) acts
             # transitively, so the quotient distance must vanish
             assert ot.quotient_distance(e, e2, est) <= 1e-2
-
-
-def test_sasaki_consistency_with_fiber_samples(sphere):
-    """The Sasaki fiber formula sqrt(L^2 + |a v - u|_h^2) assembled from the
-    same holonomy samples agrees with sasaki_distance at p = q."""
-    from framelab import bundle as bd
-    spec = bd.SasakiSpec(sphere, sphere, sphere)
-    p = np.array([1.1, 0.0])
-    loop = hl.coordinate_circle_loop(p, 1, 2 * math.pi)
-    L = loop.compute_length(sphere)
-    S = hl.section_frame(sphere, p)
-    hol = hl.holonomy_element(sphere, loop)
-    v = np.array([0.7, 0.2])
-    u = np.array([-0.1, 0.5])
-    # transport acts on coordinate vectors as S hol S^-1
-    av = S @ hol @ np.linalg.solve(S, v)
-    G = sphere.evaluate(p)
-    manual = min(
-        math.sqrt(float((v - u) @ G @ (v - u))),
-        math.hypot(L, math.sqrt(float((av - u) @ G @ (av - u)))),
-    )
-    best = bd.sasaki_distance(spec, (p, v), (p, u), loops=[loop])
-    assert best.value == pytest.approx(manual, abs=1e-6)
 
 
 def test_samples_jsonl_round_trip():

@@ -13,6 +13,8 @@ from framelab import oneill as on
 from framelab import ortho as ot
 from framelab.curvature import fd_gradient
 
+from conftest import ricci_biinvariant
+
 
 def ctx_at(g, gp, p):
     return on.ONeillContext(g, gp, bd.FramePoint.anchor(p, g.dim))
@@ -210,7 +212,10 @@ def test_oneill_hhhh_sectional_consistency(sphere, s3_quarter, rng):
         for _ in range(3):
             x = rng.normal(size=g.dim)
             y = rng.normal(size=g.dim)
-            formula = on.sectional_oneill(ctx, x, y)
+            # base curvature minus 3 |A_X Y|^2, summed over lam < mu
+            W = on.a_tensor_vertical(ctx, x, y)
+            formula = (cv.pairing(cv.riemann(g, p).rlow, x, y, y, x)
+                       - 1.5 * float(np.sum(W * W)))
             direct = on.riemann_direct_4(ctx, [(x, None), (y, None),
                                                (y, None), (x, None)])
             assert abs(formula - direct) <= 1e-5 * (1 + abs(direct))
@@ -332,6 +337,65 @@ def test_ricci_matrix_is_the_quadratic_form(n, k, seed):
                                                 abs=1e-12 * np.abs(Q).max())
 
 
+def reference_ricci_terms(ctx, v_base, xi):
+    """The four submersion terms in one direction, assembled term by term
+    from the direction itself (the per-direction reference of the blocks)."""
+    x, xi, _ = on.normalize_direction(ctx, v_base, xi)
+    Mx = np.einsum("abkl,a,bj,ku,lv->jvu", ctx.rlow_eps, x, ctx.f, ctx.e, ctx.e)
+    hh = float(x @ ctx.ric_g @ x) - 0.75 * float(np.sum(Mx * Mx))
+    hv_h = 0.25 * float(np.sum(Mx * Mx))
+    inner = np.einsum("ijvu,vu->ij", ctx.r4_frame, xi)
+    hv_v = 0.25 * float(np.sum(inner * inner))
+    vv = ricci_biinvariant(xi) if np.abs(xi).max() > 0 else 0.0
+    cross = 0.0
+    if np.abs(xi).max() > 0 and np.abs(x).max() > 0:
+        acc = 0.0
+        for i in range(ctx.n):
+            V = on.covariant_a_horizontal(ctx, ctx.f[:, i], x, ctx.f[:, i])
+            acc += float(np.sum(V * xi))
+        cross = on.CROSS_TERM_SIGN * math.sqrt(2.0) * acc
+    return {"HH": hh, "HV_mixed": hv_h + hv_v, "VV": vv, "HHHV_cross": cross}
+
+
+@functools.lru_cache(maxsize=None)
+def _polarized_ricci_matrix(n, k):
+    """The Ricci matrix of `_ricci_matrix_case(n, k)` by polarizing the
+    reference, Q_aa = r(e_a) and Q_ab = (r(e_a + e_b) - r(e_a - e_b)) / 2."""
+    ctx, _ = _ricci_matrix_case(n, k)
+    N = ctx.n + ctx.m
+
+    def r(c):
+        return sum(reference_ricci_terms(ctx, ctx.f @ c[:n], ot.unvec_skew(c[n:], n)).values())
+
+    basis = np.eye(N)
+    Q = np.empty((N, N))
+    for a in range(N):
+        Q[a, a] = r(basis[a])
+        for b in range(a):
+            Q[a, b] = Q[b, a] = 0.5 * (r(basis[a] + basis[b]) - r(basis[a] - basis[b]))
+    return Q
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([2, 3, 4]), k=st.integers(0, 1),
+       seed=st.integers(0, 2**32 - 1))
+def test_ricci_blocks_match_the_references(n, k, seed):
+    """The block-assembled matrix equals the polarized reference, and every
+    `terms` entry equals the per-direction reference (g != g')."""
+    ctx, Q = _ricci_matrix_case(n, k)
+    ref = _polarized_ricci_matrix(n, k)
+    assert np.abs(Q - ref).max() <= 1e-13 * np.abs(ref).max()
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=n)
+    xi = ot.unvec_skew(rng.normal(size=ctx.m), n)
+    for vv, xx in ((v, xi), (v, None), (None, xi)):
+        terms = on.ricci_oneill(ctx, vv, xx, with_hypothesis=False).terms
+        want = reference_ricci_terms(ctx, vv, xx)
+        assert terms.keys() == want.keys()
+        for name, value in want.items():
+            assert abs(terms[name] - value) <= 1e-12 * (1 + abs(value)), name
+
+
 # ---------------------------------------------------------------------------
 # bound reports
 
@@ -385,6 +449,24 @@ def test_bound_report_shares_the_context_jets(eh, monkeypatch):
     assert calls == {"riemann": 2, "christoffel": 3}
 
 
+def test_bound_report_assembles_the_blocks_once(eh, monkeypatch):
+    """One EH point: no per-direction Ricci and at most n^2 covariant A
+    evaluations (the polarized matrix took 100 and 192)."""
+    calls = {"ricci_oneill": 0, "covariant_a_horizontal": 0}
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(on, name, counting(name, getattr(on, name)))
+    on.ricci_bound_report(eh, mt.eguchi_hanson(1.2), [[1.8, 1.2, 0.7, 1.0]])
+    assert calls["ricci_oneill"] == 0
+    assert 0 < calls["covariant_a_horizontal"] <= 16
+
+
 def test_bound_report_flat_pair(flat2, rng):
     pts = [np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)]) for _ in range(4)]
     rep = on.ricci_bound_report(flat2, flat2, pts)
@@ -393,6 +475,12 @@ def test_bound_report_flat_pair(flat2, rng):
     assert rep.hypothesis_sup["k_hat"] == 0.0
     assert rep.sup_ricci <= 1e-7
     assert not rep.flags
+
+
+def test_bound_report_one_dimensional_base():
+    # n = 1: a zero-dimensional fiber, so the blocks are 1 x 1
+    flat1 = mt.flat_euclidean(1)
+    assert on.ricci_bound_report(flat1, flat1, [np.array([0.3])]).sup_ricci == 0.0
 
 
 def test_bound_report_cone_stable_under_refinement():

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from framelab import ortho as ot
 
+from conftest import ricci_biinvariant, sectional_biinvariant
+
 
 def random_skew(rng, n):
     return ot.unvec_skew(rng.normal(size=n * (n - 1) // 2), n)
@@ -144,26 +146,26 @@ def test_frobenius_sandwich(data, n, seed):
 
 
 def test_sectional_biinvariant_nonnegative(rng):
+    """The sectional reference is nonnegative, and its numerators over a
+    b-orthonormal basis sum to the bracket form of the Ricci reference."""
     for _ in range(10):
         a = random_skew(rng, 4)
-        b = random_skew(rng, 4)
-        try:
-            k = ot.sectional_biinvariant(a, b)
-        except ValueError:
-            continue
-        assert k >= -1e-15
-        br = a @ b - b @ a
-        want = 0.25 * ot.biinvariant_inner(br, br) / (
-            ot.biinvariant_inner(a, a) * ot.biinvariant_inner(b, b)
-            - ot.biinvariant_inner(a, b) ** 2)
-        assert k == pytest.approx(want, rel=1e-12)
+        ric = 0.0
+        for u in ot.skew_basis(4):
+            u = u / ot.b_norm(u)
+            k = sectional_biinvariant(a, u)
+            assert k >= -1e-15
+            ric += k * (ot.biinvariant_inner(a, a) - ot.biinvariant_inner(a, u) ** 2)
+        assert ric == pytest.approx(ricci_biinvariant(a), rel=1e-12)
 
 
 def test_ricci_biinvariant_closed_form(rng):
+    """The bracket sum equals (n - 2)/4 b(xi, xi), the closed form of the
+    VV block of `oneill._ricci_blocks`."""
     for n in (2, 3, 4):
         xi = random_skew(rng, n)
         want = 0.25 * (n - 2) * ot.biinvariant_inner(xi, xi)
-        assert ot.ricci_biinvariant(xi) == pytest.approx(want, rel=1e-10, abs=1e-12)
+        assert ricci_biinvariant(xi) == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
