@@ -22,6 +22,16 @@ exponential.  The metric is then
 
     gt(U, V) = g(pi_* U, pi_* V) + b(omega(U), omega(V)).
 
+The chart evaluates a stack of chart points (B, N) at once, in two halves
+that meet per row.  The base half (the SPD check of g', the section and its
+partials, Gamma', C_i and g) runs once per distinct base row x; the fiber
+half runs once per distinct fiber row t, and takes exp(T) and every
+Dexp_T[B_a] from one stacked matrix exponential: the upper-right block of
+exp([[T, B], [0, T]]) is Dexp_T[B] (Mathias 1996; Higham, Functions of
+Matrices, 2008, sec. 3.2).  A finite-difference stencil shares most of
+its base and fiber rows, so each half runs far fewer times than there are
+rows, and a row's value does not depend on the other rows of its stack.
+
 Valid for |t|_b < pi/2; curvature evaluations should stay within pi/4.
 """
 
@@ -31,12 +41,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet
+from scipy.linalg import expm
 
 from . import ortho
 from .curvature import NumericMetric, assemble_gamma_jet
 from .holonomy import cholesky_section, section_frame
-from .metric import MetricSpec
+from .metric import MetricSpec, require_spd
 
 DIMENSION_BUDGET = 10
 
@@ -60,30 +70,35 @@ class FramePoint:
 
 
 def section_with_derivative(G, dG):
-    """Reference section S = chol(G')^-T and its exact partials dS[i], from
-    G' and its partials dG[i] at one point."""
+    """Reference section S = chol(G')^-T and its exact partials dS[..., i],
+    from G' (..., n, n) and its partials dG (..., n, n, n), direction axis
+    first after any stack axes."""
     S = cholesky_section(G)
-    Linv = S.T
-    dS = np.empty_like(dG)
-    for i in range(len(dG)):
-        M = Linv @ dG[i] @ Linv.T
-        Phi = np.tril(M, -1) + 0.5 * np.diag(np.diag(M))
-        dS[i] = -S @ Phi.T
-    return S, dS
+    Linv = np.swapaxes(S, -1, -2)
+    M = Linv[..., None, :, :] @ dG @ S[..., None, :, :]
+    Phi = np.tril(M, -1)
+    diag = np.arange(G.shape[-1])
+    Phi[..., diag, diag] = 0.5 * M[..., diag, diag]
+    return S, -S[..., None, :, :] @ np.swapaxes(Phi, -1, -2)
 
 
-def section_connection_coeffs(gp: MetricSpec, x):
-    """C_i = S^-1 (d_i S + Gamma'[e_i] S), skew matrices, one per direction."""
-    x = np.asarray(x, dtype=float)
-    G = gp.check_spd(x)
-    dG = gp.derivative_fn(1)(x)
+def section_connection_coeffs(G, dG):
+    """C_i = S^-1 (d_i S + Gamma'[e_i] S), skew matrices (..., n, n, n), one
+    per direction, from G' and its partials as in `section_with_derivative`."""
     S, dS = section_with_derivative(G, dG)
     gamma = assemble_gamma_jet(G, dG)[0]
-    Sinv = np.linalg.inv(S)
-    C = np.empty_like(dS)
-    for i in range(len(dS)):
-        C[i] = Sinv @ (dS[i] + gamma[:, i, :] @ S)
-    return S, C
+    Sinv = np.linalg.inv(S)[..., None, :, :]
+    return Sinv @ (dS + np.swapaxes(gamma, -3, -2) @ S[..., None, :, :])
+
+
+def _distinct_rows(A):
+    """The distinct rows of the 2-D array A, in order of first appearance,
+    and for each row of A the index of its distinct row."""
+    _, first, inverse = np.unique(A, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return A[first[order]], rank[inverse.ravel()]
 
 
 class LiftedMetricChart:
@@ -106,7 +121,7 @@ class LiftedMetricChart:
         self.m = m
         self.dim = n + m
         self.pairs = ortho.skew_pairs(n)
-        self.basis = ortho.skew_basis(n)
+        self.basis = np.array(ortho.skew_basis(n)).reshape(m, n, n)
 
     # -- chart bookkeeping ---------------------------------------------------
 
@@ -120,10 +135,12 @@ class LiftedMetricChart:
         return np.concatenate([base, t])
 
     def skew_from_t(self, t):
-        T = np.zeros((self.n, self.n))
-        for a, (i, j) in enumerate(self.pairs):
-            T[i, j] += t[a]
-            T[j, i] -= t[a]
+        """T(t) for t (m,), or one T per row of a stack (..., m)."""
+        t = np.asarray(t, dtype=float)
+        lam, mu = ortho.skew_index(self.n)
+        T = np.zeros(t.shape[:-1] + (self.n, self.n))
+        T[..., lam, mu] += t
+        T[..., mu, lam] -= t
         return T
 
     def frame_matrix(self, y):
@@ -134,27 +151,46 @@ class LiftedMetricChart:
 
     # -- connection form -----------------------------------------------------
 
-    def omega_basis(self, y):
-        """omega on each chart basis vector: arrays (n, n, n) and (m, n, n)."""
-        x, t = self.split(y)
-        S, C = section_connection_coeffs(self.gp, x)
-        A0 = self.anchor.frame
+    def _base_half(self, X):
+        """The connection coefficients C_i (k, n, n, n) of the reference
+        section at the distinct base rows X (k, n)."""
+        G = np.stack([self.gp.evaluate(x) for x in X])
+        require_spd(G, X)
+        dfn = self.gp.derivative_fn(1)
+        return section_connection_coeffs(G, np.stack([dfn(x) for x in X]))
+
+    def _fiber_half(self, t):
+        """exp(T) (k, n, n) and the Frechet derivatives Dexp_T[B_a]
+        (k, m, n, n) at the distinct fiber rows t (k, m), the latter read off
+        one stacked exponential of the block matrices [[T, B_a], [0, T]]."""
+        n = self.n
         T = self.skew_from_t(t)
-        n, m = self.n, self.m
-        if np.abs(T).max() == 0.0:
-            E0 = np.eye(n)
-            phis = self.basis
-        else:
-            E0 = expm(T)
-            E0inv = E0.T
-            phis = []
-            for B in self.basis:
-                _, Lf = expm_frechet(T, B)
-                phis.append(E0inv @ Lf)
-        Q = E0 @ A0
-        om_x = np.einsum("ab,iac,cd->ibd", Q, C, Q)
-        om_t = np.stack([A0.T @ ph @ A0 for ph in phis], axis=0)
-        return om_x, om_t
+        blocks = np.zeros((len(t), self.m, 2 * n, 2 * n))
+        blocks[..., :n, :n] = blocks[..., n:, n:] = T[:, None]
+        blocks[..., :n, n:] = self.basis
+        return expm(T), expm(blocks)[..., :n, n:]
+
+    def _omega_rows(self, Y):
+        """omega on each chart basis vector at each row of the stack Y (B, N),
+        (B, n, n, n) and (B, m, n, n), with the distinct base rows X and the
+        index of each row's one."""
+        X, xi = _distinct_rows(Y[:, :self.n])
+        t, ti = _distinct_rows(Y[:, self.n:])
+        C = self._base_half(X)
+        E0, frechet = self._fiber_half(t)
+        A0 = self.anchor.frame
+        Q = E0[ti] @ A0
+        om_x = np.swapaxes(Q, -1, -2)[:, None] @ C[xi] @ Q[:, None]
+        om_t = (A0.T @ (np.swapaxes(E0, -1, -2)[:, None] @ frechet) @ A0)[ti]
+        return om_x, om_t, X, xi
+
+    def omega_basis(self, y):
+        """omega on each chart basis vector at the chart point y (N,), or at
+        each row of a stack (B, N): arrays (..., n, n, n) and (..., m, n, n)."""
+        y = np.asarray(y, dtype=float)
+        om_x, om_t, _, _ = self._omega_rows(y.reshape(-1, self.dim))
+        lead = y.shape[:-1]
+        return om_x.reshape(lead + om_x.shape[1:]), om_t.reshape(lead + om_t.shape[1:])
 
     def omega(self, y, chart_vec):
         om_x, om_t = self.omega_basis(y)
@@ -165,42 +201,38 @@ class LiftedMetricChart:
     # -- the metric ----------------------------------------------------------
 
     def metric_matrix(self, y):
-        """Coordinate components of the lifting metric at the chart point."""
-        x, _ = self.split(y)
-        om_x, om_t = self.omega_basis(y)
-        n, m = self.n, self.m
-        G = self.g.evaluate(x)
-        vx = np.stack([ortho.vec_skew(om_x[i]) for i in range(n)], axis=0)
-        vt = np.stack([ortho.vec_skew(om_t[a]) for a in range(m)], axis=0)
-        out = np.empty((n + m, n + m))
-        out[:n, :n] = G + vx @ vx.T
-        out[:n, n:] = vx @ vt.T
-        out[n:, :n] = out[:n, n:].T
-        out[n:, n:] = vt @ vt.T
-        return out
+        """Coordinate components of the lifting metric at the chart point y
+        (N,), or at each row of a stack (B, N): (N, N) or (B, N, N)."""
+        y = np.asarray(y, dtype=float)
+        om_x, om_t, X, xi = self._omega_rows(y.reshape(-1, self.dim))
+        n = self.n
+        G = np.stack([self.g.evaluate(x) for x in X])[xi]
+        vx = ortho.vec_skew(om_x)
+        vt = ortho.vec_skew(om_t)
+        out = np.empty((len(G), self.dim, self.dim))
+        out[:, :n, :n] = G + vx @ np.swapaxes(vx, -1, -2)
+        out[:, :n, n:] = vx @ np.swapaxes(vt, -1, -2)
+        out[:, n:, :n] = np.swapaxes(out[:, :n, n:], -1, -2)
+        out[:, n:, n:] = vt @ np.swapaxes(vt, -1, -2)
+        return out.reshape(y.shape[:-1] + out.shape[1:])
 
     def numeric(self):
         return NumericMetric(self.metric_matrix, self.dim)
 
     # -- lifts, fundamental fields, adapted frame -----------------------------
 
-    def _omega_t_matrix(self, y):
-        _, om_t = self.omega_basis(y)
-        return np.stack([ortho.vec_skew(om_t[a]) for a in range(self.m)], axis=1)
-
     def horizontal_lift(self, y, v):
         """Chart components of the horizontal lift of base vector v at y."""
         om_x, om_t = self.omega_basis(y)
         v = np.asarray(v, dtype=float)
-        W = np.stack([ortho.vec_skew(om_t[a]) for a in range(self.m)], axis=1)
         rhs = -ortho.vec_skew(np.einsum("i,iab->ab", v, om_x))
-        tau = np.linalg.solve(W, rhs)
+        tau = np.linalg.solve(ortho.vec_skew(om_t).T, rhs)
         return np.concatenate([v, tau])
 
     def fundamental_vector(self, y, a):
         """Chart components of the fundamental field of a in o(n) at y."""
-        W = self._omega_t_matrix(y)
-        tau = np.linalg.solve(W, ortho.vec_skew(a))
+        _, om_t = self.omega_basis(y)
+        tau = np.linalg.solve(ortho.vec_skew(om_t).T, ortho.vec_skew(a))
         return np.concatenate([np.zeros(self.n), tau])
 
     def adapted_frame(self, y):
@@ -236,9 +268,7 @@ class LiftedMetricChart:
             fh.write("# coords " + " ".join(names) + "\n")
             comp_names = [f"g_{a}_{b}" for a in range(self.dim) for b in range(a, self.dim)]
             fh.write("# columns: " + " ".join(names + comp_names) + "\n")
-            for p in points:
-                Gt = self.metric_matrix(p)
-                vals = [Gt[a, b] for a in range(self.dim) for b in range(a, self.dim)]
-                row = list(p) + vals
-                fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+            upper = np.triu_indices(self.dim)
+            for p, vals in zip(points, self.metric_matrix(points)[:, upper[0], upper[1]]):
+                fh.write(" ".join(repr(float(v)) for v in [*p, *vals]) + "\n")
 

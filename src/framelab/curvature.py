@@ -73,8 +73,7 @@ class CurvatureGradient:
 # assembly from (G, dG, d2G, d3G) arrays; dG[m] is the partial in direction m
 
 def _ginv(G):
-    n = G.shape[0]
-    return np.linalg.solve(G, np.eye(n))
+    return np.linalg.solve(G, np.eye(G.shape[-1]))
 
 
 def assemble_gamma_jet(G, *dG):
@@ -82,7 +81,8 @@ def assemble_gamma_jet(G, *dG):
     partials dG = (dG, d2G, d3G)[:k], k = 1, 2 or 3.  Returns the list
     [gamma, dgamma, d2gamma][:k] with dgamma[m, k, i, j] = d_m Gamma^k_ij
     and d2gamma[m, n, k, i, j] = d_m d_n Gamma^k_ij; g^-1, A and d(g^-1)
-    are computed once for all orders.
+    are computed once for all orders.  For k = 1, G and dG may carry
+    leading stack axes, (..., n, n) and (..., n, n, n).
     """
     ginv = _ginv(G)
     # A[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij and its partials
@@ -90,7 +90,7 @@ def assemble_gamma_jet(G, *dG):
     for d in dG:
         t = np.swapaxes(d, -1, -3)      # t[..., l, i, j] = d_j g_il
         A.append(np.swapaxes(t, -1, -2) + t - d)
-    out = [0.5 * np.einsum("kl,lij->kij", ginv, A[0])]
+    out = [0.5 * np.einsum("...kl,...lij->...kij", ginv, A[0])]
     if len(dG) > 1:
         dginv = -np.einsum("ka,mab,bl->mkl", ginv, dG[0], ginv)
         out.append(0.5 * (np.einsum("mkl,lij->mkij", dginv, A[0])
@@ -436,69 +436,67 @@ FD_H1_SECOND = 2e-3
 FD_H2_SECOND = 2e-4
 
 
-def _central(fun, p, axis, h):
-    e = np.zeros(len(p))
-    e[axis] = h
-    return (fun(p + e) - fun(p - e)) / (2 * h)
+def _richardson(d1, d2, h1, h2):
+    """Combine difference quotients at steps h1 and h2, cancelling the h^2 term."""
+    w = h1 * h1 / (h1 * h1 - h2 * h2)
+    return w * d2 + (1 - w) * d1
 
 
 def fd_gradient(fun, p, h1=FD_H1, h2=FD_H2):
     """Richardson-extrapolated first partials of an array-valued function.
 
-    Returns shape (n,) + fun(p).shape.
+    `fun` maps a stack of points (k, n) to the stack of its values; it is
+    called once, on the whole stencil p +- h e_a for h = h1, h2.  Returns
+    shape (n,) + value shape.
     """
     p = np.asarray(p, dtype=float)
     n = len(p)
-    rows = []
-    w = h1 * h1 / (h1 * h1 - h2 * h2)
-    for a in range(n):
-        d1 = _central(fun, p, a, h1)
-        d2 = _central(fun, p, a, h2)
-        rows.append(w * d2 + (1 - w) * d1)
-    return np.stack(rows, axis=0)
-
-
-def _second_once(fun, p, a, b, h, f0):
-    n = len(p)
-    ea = np.zeros(n)
-    eb = np.zeros(n)
-    ea[a] = h
-    eb[b] = h
-    if a == b:
-        return (fun(p + ea) - 2.0 * f0 + fun(p - ea)) / (h * h)
-    return (fun(p + ea + eb) - fun(p + ea - eb) - fun(p - ea + eb)
-            + fun(p - ea - eb)) / (4 * h * h)
+    rows = [p + s * h * np.eye(n) for h in (h1, h2) for s in (1.0, -1.0)]
+    F = fun(np.concatenate(rows))
+    F = F.reshape((4, n) + F.shape[1:])
+    return _richardson((F[0] - F[1]) / (2 * h1), (F[2] - F[3]) / (2 * h2), h1, h2)
 
 
 def fd_hessian(fun, p, h1=FD_H1_SECOND, h2=FD_H2_SECOND):
-    """Richardson-extrapolated second partials; shape (n, n) + value shape."""
+    """Richardson-extrapolated second partials; shape (n, n) + value shape.
+
+    `fun` maps a stack of points to the stack of its values; it is called
+    once, on p itself and the stencils of both steps: p +- h e_a for the
+    diagonal and the four corners p +- h e_a +- h e_b for each a < b.
+    """
     p = np.asarray(p, dtype=float)
     n = len(p)
-    f0 = fun(p)
-    w = h1 * h1 / (h1 * h1 - h2 * h2)
-    out = None
-    for a in range(n):
-        for b in range(a, n):
-            d1 = _second_once(fun, p, a, b, h1, f0)
-            d2 = _second_once(fun, p, a, b, h2, f0)
-            val = w * d2 + (1 - w) * d1
-            if out is None:
-                out = np.zeros((n, n) + val.shape)
-            out[a, b] = val
-            out[b, a] = val
+    ia, ib = np.triu_indices(n, 1)
+    rows = [p[None]]
+    for h in (h1, h2):
+        E = h * np.eye(n)
+        rows += [p + E, p - E]
+        rows += [p + s * E[ia] + t * E[ib] for s in (1.0, -1.0) for t in (1.0, -1.0)]
+    F = fun(np.concatenate(rows))
+    f0, F = F[0], F[1:].reshape((2, -1) + F.shape[1:])
+    diag, off = [], []
+    for Fh, h in zip(F, (h1, h2)):
+        diag.append((Fh[:n] - 2.0 * f0 + Fh[n:2 * n]) / (h * h))
+        c = Fh[2 * n:].reshape((4, len(ia)) + F.shape[2:])
+        off.append((c[0] - c[1] - c[2] + c[3]) / (4 * h * h))
+    out = np.empty((n, n) + f0.shape)
+    out[np.arange(n), np.arange(n)] = _richardson(*diag, h1, h2)
+    out[ia, ib] = out[ib, ia] = _richardson(*off, h1, h2)
     return out
 
 
 class NumericMetric:
-    """A metric given only as a pointwise matrix evaluator: a derivative
-    source whose partials are Richardson central differences."""
+    """A metric given only as a matrix evaluator: a derivative source whose
+    partials are Richardson central differences.  `fun` maps a stack of
+    points (k, dim) to the stack of metric matrices (k, dim, dim), so each
+    difference stencil is one call."""
 
     def __init__(self, fun, dim):
         self.fun = fun
         self.dim = dim
 
     def evaluate(self, p):
-        return self.fun(np.asarray(p, dtype=float))
+        return self.fun(np.asarray(p, dtype=float)[None])[0]
 
     def derivative_fn(self, order):
         """p -> the order-th partials (order 1 or 2), leading axes the directions."""

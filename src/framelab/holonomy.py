@@ -155,8 +155,9 @@ def section_frame(m: MetricSpec, p):
 
 def cholesky_section(G):
     """Gram-Schmidt of the coordinate basis under the SPD matrix G: S with
-    S^T G S = I, upper triangular with positive diagonal (equals chol(G)^-T)."""
-    return np.linalg.inv(np.linalg.cholesky(G)).T
+    S^T G S = I, upper triangular with positive diagonal (equals chol(G)^-T).
+    G may be a stack (..., n, n)."""
+    return np.swapaxes(np.linalg.inv(np.linalg.cholesky(G)), -1, -2)
 
 
 def _verify_shift_invariance(m: MetricSpec, p, shift, tol=1e-9):

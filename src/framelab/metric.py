@@ -38,6 +38,34 @@ SPD_EIG_TOL = 1e-12
 SPD_COND_LIMIT = 1e12
 
 
+def require_spd(G, points):
+    """Raise NotSPDError unless every matrix of the stack G (k, n, n) is
+    usably SPD; points[i] names G[i] in the message.  The first failing
+    matrix in stack order is reported, with the first test it fails:
+    symmetry (`np.allclose` at absolute 1e-12 of the largest entry, at
+    least 1e-12), then positivity, then conditioning."""
+    GT = np.swapaxes(G, -1, -2)
+    atol = 1e-12 * np.fmax(1.0, np.abs(G).max(axis=(-2, -1)))
+    asym = ~np.isclose(G, GT, atol=atol[:, None, None]).all(axis=(-2, -1))
+    H = 0.5 * (G + GT)
+    H[asym] = np.eye(G.shape[-1])   # eigenvalues only of the symmetric ones
+    w = np.linalg.eigvalsh(H)
+    lo, hi = w[:, 0], w[:, -1]
+    indefinite = lo <= SPD_EIG_TOL * np.maximum(np.abs(hi), 1e-300)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = hi / lo
+    bad = asym | indefinite | (cond > SPD_COND_LIMIT)
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    at = _plain(points[k])
+    if asym[k]:
+        raise NotSPDError(f"metric not symmetric at {at}")
+    if indefinite[k]:
+        raise NotSPDError(f"metric not positive definite at {at}: eigenvalues {w[k]}")
+    raise NotSPDError(f"metric too ill-conditioned at {at}: cond {cond[k]:.3e}")
+
+
 @dataclass(eq=False)
 class MetricSpec:
     dim: int
@@ -178,15 +206,7 @@ class MetricSpec:
     def check_spd(self, point):
         """Raise NotSPDError unless the metric is usably SPD at the point."""
         g = self.evaluate(point)
-        if not np.allclose(g, g.T, atol=1e-12 * max(1.0, float(np.abs(g).max()))):
-            raise NotSPDError(f"metric not symmetric at {_plain(point)}")
-        w = np.linalg.eigvalsh(0.5 * (g + g.T))
-        if w[0] <= SPD_EIG_TOL * max(abs(w[-1]), 1e-300):
-            raise NotSPDError(
-                f"metric not positive definite at {_plain(point)}: eigenvalues {w}")
-        if w[-1] / w[0] > SPD_COND_LIMIT:
-            raise NotSPDError(
-                f"metric too ill-conditioned at {_plain(point)}: cond {w[-1] / w[0]:.3e}")
+        require_spd(g[None], [point])
         return g
 
     def _sample_points(self, rng, count, margin=0.05):

@@ -4,8 +4,9 @@ Everything here is assembled at a frame point from exact base-level data:
 the curvature and curvature gradient of the connection metric, the Ricci
 tensor of the base metric, and the difference of the two Levi-Civita
 connections.  The independent cross-check (`ricci_direct`) computes the
-same numbers by finite-differencing the lifted coordinate metric, and is
-restricted to total dimension <= 6.
+same numbers by finite-differencing the lifted coordinate metric, within
+the chart's total dimension budget (`bundle.DIMENSION_BUDGET` = 10, so
+n <= 4).
 
 Four-index curvature values follow the pairing R4(a, b, c, d) =
 <R(a, b) c, d>, under which the A-tensor of the submersion has vertical
@@ -32,13 +33,8 @@ from .metric import MetricSpec
 
 #: sign of the HHHV cross term, pinned by the direct/formula agreement on
 #: the smoothed-cone pair (n = 2) and by the whole-matrix finite-difference
-#: checks of n = 3 pairs with g != g' (test_ricci_matrix_matches_fd_oracle_n3)
+#: checks of n = 3 and n = 4 pairs with g != g' (test_ricci_matrix_matches_fd_oracle)
 CROSS_TERM_SIGN = -1.0
-DIRECT_DIM_BUDGET = 6
-
-
-class DirectBudgetError(ValueError):
-    pass
 
 
 @dataclass
@@ -52,7 +48,6 @@ class ONeillContext:
         p = self.fp.base
         self.n = self.g.dim
         self.m = self.n * (self.n - 1) // 2
-        self.pairs = ortho.skew_pairs(self.n)
         if self.chart is None:
             self.chart = LiftedMetricChart(self.g, self.gp, self.fp)
         self.G = self.g.check_spd(p)
@@ -71,29 +66,24 @@ class ONeillContext:
     # -- pairings -------------------------------------------------------------
 
     def r4_op_frame(self, a, b):
-        """Matrix of <R_eps(a, b) e_lam, e_mu> over (lam, mu)."""
-        return np.einsum("abkl,a,b,ku,lv->vu", self.rlow_eps, a, b, self.e, self.e)
-
-    def nabla_r4_frame(self, z, a, b):
-        """Matrix of (nabla_z R_eps)(a, b, e_lam, e_mu) over (lam, mu)."""
-        return np.einsum("mabkl,m,a,b,ku,lv->vu",
-                         self.nabla_r_eps, z, a, b, self.e, self.e)
-
-    def d_of(self, z, w):
-        """(nabla - nabla_eps)(z, w) as a coordinate vector."""
-        return np.einsum("kij,i,j->k", self.D, z, w)
+        """Matrix of <R_eps(a, b) e_lam, e_mu> over (lam, mu); a and b may be
+        stacks (k, n), giving (k, n, n)."""
+        return np.einsum("abkl,...a,...b,ku,lv->...vu", self.rlow_eps, a, b, self.e, self.e)
 
 
 def _check_horizontal(name, vec, n):
+    """A base tangent vector (n,) or a stack of them (k, n)."""
     vec = np.asarray(vec, dtype=float)
-    if vec.shape != (n,):
-        raise ValueError(f"{name} must be a base tangent vector of dimension {n}")
+    if vec.ndim not in (1, 2) or vec.shape[-1] != n:
+        raise ValueError(
+            f"{name} must be a base tangent vector of dimension {n} or a stack of them")
     return vec
 
 
 def a_tensor_vertical(ctx: ONeillContext, x, y):
     """That-components of (nabla~_X Y)^V for horizontal lifts of x, y:
-    the skew matrix W with W[lam, mu] = (1/sqrt2) R4_eps(x, y, e_lam, e_mu)."""
+    the skew matrix W with W[lam, mu] = (1/sqrt2) R4_eps(x, y, e_lam, e_mu).
+    x and y may be stacks (k, n) of pairs, giving one W per pair."""
     x = _check_horizontal("x", x, ctx.n)
     y = _check_horizontal("y", y, ctx.n)
     M = ctx.r4_op_frame(x, y)
@@ -104,16 +94,21 @@ def covariant_a_horizontal(ctx: ONeillContext, z, x, y):
     """That-components of (nabla~_Z A)_X Y for horizontal lifts: the skew
     matrix with entries (1/sqrt2) [ (nabla R_eps)(z, x, y, e_l, e_m)
     + R_eps(x, y, (nabla - nabla_eps)(z, e_l), e_m)
-    + R_eps(x, y, e_l, (nabla - nabla_eps)(z, e_m)) ]."""
+    + R_eps(x, y, e_l, (nabla - nabla_eps)(z, e_m)) ].  z, x and y may be
+    stacks (k, n) of triples, giving one (k, n, n) stack in one evaluation."""
     z = _check_horizontal("z", z, ctx.n)
     x = _check_horizontal("x", x, ctx.n)
     y = _check_horizontal("y", y, ctx.n)
-    out = ctx.nabla_r4_frame(z, x, y)
-    De = np.stack([ctx.d_of(z, ctx.e[:, lam]) for lam in range(ctx.n)], axis=1)
-    # corr[lam, mu] = R4(x, y, De_lam, e_mu) + R4(x, y, e_lam, De_mu)
-    corr = (np.einsum("abkl,a,b,ku,lv->vu", ctx.rlow_eps, x, y, ctx.e, De)
-            + np.einsum("abkl,a,b,ku,lv->vu", ctx.rlow_eps, x, y, De, ctx.e))
-    return (out + corr) / math.sqrt(2.0)
+    e = ctx.e
+    # the coordinate components of (nabla_z R_eps)(x, y, ., .) and R_eps(x, y, ., .)
+    nab = np.einsum("mabkl,...m,...a,...b->...kl", ctx.nabla_r_eps, z, x, y)
+    rxy = np.einsum("abkl,...a,...b->...kl", ctx.rlow_eps, x, y)
+    # De[..., :, lam] = (nabla - nabla_eps)(z, e_lam)
+    De = np.einsum("kij,...i,jl->...kl", ctx.D, z, e)
+    # M[mu, lam] = R4'(x, y, e_lam, e_mu) + R4(x, y, De_lam, e_mu) + R4(x, y, e_lam, De_mu),
+    # with R4' the pairing of nabla_z R_eps
+    M = e.T @ nab @ e + e.T @ rxy @ De + np.swapaxes(De, -1, -2) @ rxy @ e
+    return np.swapaxes(M, -1, -2) / math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +160,16 @@ def _ricci_blocks(ctx: ONeillContext) -> dict:
     vertical blocks through sum_i (nabla~_{f_i} A)_{f_k} f_i.
     """
     n, m = ctx.n, ctx.m
-    lam, mu = np.array(ctx.pairs, dtype=int).reshape(-1, 2).T
+    lam, mu = ortho.skew_index(n)
     R = ctx.r4_frame
     Rh = R.reshape(n, -1)
     K = Rh @ Rh.T
     P = (R[:, :, lam, mu] - R[:, :, mu, lam]).reshape(n * n, m) / math.sqrt(2.0)
-    X = np.empty((n, m))
-    for k in range(n):
-        V = sum(covariant_a_horizontal(ctx, ctx.f[:, i], ctx.f[:, k], ctx.f[:, i])
-                for i in range(n))
-        X[k] = CROSS_TERM_SIGN * (V[lam, mu] - V[mu, lam])
+    # V[k] = sum_i (nabla~_{f_i} A)_{f_k} f_i, all n^2 triples (i, k) at once
+    i, k = np.divmod(np.arange(n * n), n)
+    F = ctx.f.T
+    V = covariant_a_horizontal(ctx, F[i], F[k], F[i]).reshape(n, n, n, n).sum(axis=0)
+    X = CROSS_TERM_SIGN * (V[:, lam, mu] - V[:, mu, lam])
 
     def block(hh=0.0, hv=0.0, vv=0.0):
         Q = np.zeros((n + m, n + m))
@@ -225,21 +220,12 @@ def chart_direction(ctx: ONeillContext, v_base, xi):
     return out
 
 
-def _direct_oracle(ctx: ONeillContext):
-    """The finite-difference source of the lifted coordinate metric and the
-    chart point of the frame (total dimension <= 6)."""
-    if ctx.chart.dim > DIRECT_DIM_BUDGET:
-        raise DirectBudgetError(
-            f"direct curvature limited to total dimension {DIRECT_DIM_BUDGET}")
-    return ctx.chart.numeric(), ctx.chart.chart_point()
-
-
 def ricci_direct(ctx: ONeillContext, v_base=None, xi=None) -> float:
     """Ricci of the lifted coordinate metric by finite differences,
-    contracted against the same direction (total dimension <= 6)."""
-    num, y = _direct_oracle(ctx)
+    contracted against the same direction; each difference stencil is one
+    stacked `metric_matrix` call."""
     x, xi, _ = normalize_direction(ctx, v_base, xi)
-    ric = num.ricci(y)
+    ric = ctx.chart.numeric().ricci(ctx.chart.chart_point())
     c = chart_direction(ctx, x, xi)
     return float(c @ ric @ c)
 
@@ -247,8 +233,7 @@ def ricci_direct(ctx: ONeillContext, v_base=None, xi=None) -> float:
 def riemann_direct_4(ctx: ONeillContext, dir_tuples):
     """<R~(U1, U2) U3, U4> by finite differences for chart directions given
     as (v_base, xi) pairs (not normalized)."""
-    num, y = _direct_oracle(ctx)
-    rlow = num.riemann(y).rlow
+    rlow = ctx.chart.numeric().riemann(ctx.chart.chart_point()).rlow
     vecs = [chart_direction(ctx, v, xi) for v, xi in dir_tuples]
     return pairing(rlow, *vecs)
 

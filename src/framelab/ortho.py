@@ -79,11 +79,17 @@ def b_norm(a):
     return math.sqrt(max(biinvariant_inner(a, a), 0.0))
 
 
+def skew_index(n):
+    """`skew_pairs(n)` as two index arrays (lam, mu)."""
+    return np.array(skew_pairs(n), dtype=int).reshape(-1, 2).T
+
+
 def vec_skew(a):
-    """b-isometric coordinates: Euclidean norm of vec equals the b-norm."""
+    """b-isometric coordinates: Euclidean norm of vec equals the b-norm.
+    Acts on the last two axes, so a may be a stack (..., n, n)."""
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    return np.array([math.sqrt(2.0) * a[i, j] for i, j in skew_pairs(n)])
+    lam, mu = skew_index(a.shape[-1])
+    return math.sqrt(2.0) * a[..., lam, mu]
 
 
 def unvec_skew(v, n):

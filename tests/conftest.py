@@ -3,16 +3,88 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import expm, expm_frechet
 
+from framelab import curvature as cv
 from framelab import expr as ex
 from framelab import metric as mt
 from framelab import ortho as ot
+
+
+#: a generic non-diagonal pair: every component depends on a coordinate
+GMET_N3 = ("""dim 3; coords x y z;
+domain x in [0.0, 1.5]; domain y in [0.0, 1.5]; domain z in [0.0, 1.5];
+g = [[1.294724 + 0.180127*sin(1.082162*z + 0.282386), -0.123784*cos(1.456267*z + 0.852603),
+      -0.119622*cos(0.792721*y + 0.004470)],
+     [-0.123784*cos(1.456267*z + 0.852603), 1.373251 + 0.147905*sin(0.659739*z + 2.203731),
+      0.147346*cos(0.798401*x + 0.941958)],
+     [-0.119622*cos(0.792721*y + 0.004470), 0.147346*cos(0.798401*x + 0.941958),
+      1.356491 + 0.151674*sin(0.930628*x + 1.760396)]];
+""", """dim 3; coords x y z;
+domain x in [0.0, 1.5]; domain y in [0.0, 1.5]; domain z in [0.0, 1.5];
+g = [[1.434065 + 0.147131*sin(1.273277*y + 0.091038), 0.122216*cos(0.718715*z + 2.489661),
+      0.118280*cos(1.320076*y + 1.285719)],
+     [0.122216*cos(0.718715*z + 2.489661), 1.482786 + 0.137424*sin(0.590853*x + 1.981500),
+      0.125871*cos(1.378480*x + 0.306960)],
+     [0.118280*cos(1.320076*y + 1.285719), 0.125871*cos(1.378480*x + 0.306960),
+      1.282876 + 0.163009*sin(0.798163*y + 2.225270)]];
+""")
+
+
+def stacked(fun):
+    """A pointwise function as the stack -> stack map that `fd_gradient`,
+    `fd_hessian` and `NumericMetric` call."""
+    return lambda points: np.stack([fun(p) for p in points])
 
 
 def with_components(m, components, name=None):
     """A copy of metric m with other component expressions."""
     return mt.MetricSpec(m.dim, m.coords, components, m.domain, dict(m.params),
                          dict(m.periods), name if name is not None else m.name)
+
+
+# the per-point lifted metric that the stacked chart replaced: one chart
+# point at a time, one expm_frechet call per fiber direction
+
+def reference_omega_basis(chart, y):
+    """omega on each chart basis vector at one chart point y (N,), n >= 2."""
+    y = np.asarray(y, dtype=float)
+    n = chart.n
+    x, t = y[:n], y[n:]
+    G = chart.gp.check_spd(x)
+    dG = chart.gp.derivative_fn(1)(x)
+    Linv = np.linalg.inv(np.linalg.cholesky(G))
+    S = Linv.T
+    gamma = cv.assemble_gamma_jet(G, dG)[0]
+    Sinv = np.linalg.inv(S)
+    C = np.empty((n, n, n))
+    for i in range(n):
+        M = Linv @ dG[i] @ Linv.T
+        Phi = np.tril(M, -1) + 0.5 * np.diag(np.diag(M))
+        C[i] = Sinv @ (-S @ Phi.T + gamma[:, i, :] @ S)
+    A0 = chart.anchor.frame
+    T = chart.skew_from_t(t)
+    if np.abs(T).max() == 0.0:
+        E0 = np.eye(n)
+        phis = list(chart.basis)
+    else:
+        E0 = expm(T)
+        phis = [E0.T @ expm_frechet(T, B)[1] for B in chart.basis]
+    Q = E0 @ A0
+    om_x = np.einsum("ab,iac,cd->ibd", Q, C, Q)
+    om_t = np.stack([A0.T @ ph @ A0 for ph in phis], axis=0)
+    return om_x, om_t
+
+
+def reference_metric_matrix(chart, y):
+    """The lifted metric at one chart point from `reference_omega_basis`."""
+    om_x, om_t = reference_omega_basis(chart, y)
+    n = chart.n
+    G = chart.g.evaluate(np.asarray(y, dtype=float)[:n])
+    vx = np.stack([ot.vec_skew(om_x[i]) for i in range(n)], axis=0)
+    vt = np.stack([ot.vec_skew(om_t[a]) for a in range(chart.m)], axis=0)
+    hv = vx @ vt.T
+    return np.block([[G + vx @ vx.T, hv], [hv.T, vt @ vt.T]])
 
 
 # references for the curvature of (O(n), b)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from framelab import holonomy as hl
 from framelab import metric as mt
 from framelab import ortho as ot
 
-from conftest import with_components
+from conftest import GMET_N3, reference_metric_matrix, with_components
 
 
 def sphere_canonical(th):
@@ -222,3 +223,62 @@ def test_section_equals_cholesky_reference(n, seed):
     assert np.array_equal(S, S_ref) and np.array_equal(dS, dS_ref)
     assert np.array_equal(hl.cholesky_section(G), S_ref)
 
+
+
+@functools.lru_cache(maxsize=None)
+def _lifted_case(n):
+    """(g, g', base point) with g != g' for n = 2, 3, 4."""
+    if n == 2:
+        return mt.smoothed_cone(0.7, 0.15), mt.smoothed_cone(0.7, 0.30), (0.35, 1.2)
+    if n == 3:
+        g, gp = (mt.parse_metric(text) for text in GMET_N3)
+        return g, gp, (0.4, 0.7, 1.1)
+    return mt.eguchi_hanson(1.0), mt.eguchi_hanson(1.2), (1.8, 1.2, 0.7, 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1))
+def test_stacked_metric_matches_the_pointwise_reference(n, seed):
+    """A stack whose rows share base and fiber rows, as a difference
+    stencil's do, under a random anchor and with |t|_b <= pi/4: each row is
+    within 1e-14 max|gt| of the per-point expm_frechet reference and
+    bitwise the chart's value at that row alone."""
+    g, gp, p = _lifted_case(n)
+    rng = np.random.default_rng(seed)
+    anchor = bd.FramePoint(p, np.linalg.qr(rng.normal(size=(n, n)))[0])
+    chart = bd.LiftedMetricChart(g, gp, anchor)
+    bases = np.array(p) + 0.05 * rng.uniform(-1, 1, size=(3, n))
+    fibers = rng.normal(size=(3, chart.m))
+    # |t|_b = sqrt(2) |t|
+    radii = rng.uniform(0, math.pi / 4, size=(3, 1)) / math.sqrt(2)
+    fibers = np.vstack([radii * fibers / np.linalg.norm(fibers, axis=1, keepdims=True),
+                        np.zeros(chart.m)])
+    Y = np.hstack([bases[rng.integers(3, size=10)], fibers[rng.integers(4, size=10)]])
+    got = chart.metric_matrix(Y)
+    assert got.shape == (10, chart.dim, chart.dim)
+    for k, y in enumerate(Y):
+        ref = reference_metric_matrix(chart, y)
+        assert np.abs(got[k] - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.array_equal(got[k], chart.metric_matrix(y))
+
+
+def test_stacked_metric_reports_the_non_spd_row():
+    """One non-SPD row in a stack raises the error the pointwise check
+    raises at that row."""
+    gp = mt.parse_metric("dim 2; coords x y; g = [[1, 0], [0, x]];")
+    chart = bd.LiftedMetricChart(gp, gp, bd.FramePoint.anchor([0.5, 0.0], 2))
+    Y = np.array([[0.5, 0.0, 0.1], [-0.2, 0.3, 0.0], [0.6, 0.0, 0.0]])
+    with pytest.raises(mt.NotSPDError) as stacked_err:
+        chart.metric_matrix(Y)
+    with pytest.raises(mt.NotSPDError) as pointwise_err:
+        gp.check_spd([-0.2, 0.3])
+    assert str(stacked_err.value) == str(pointwise_err.value)
+
+
+def test_one_dimensional_base_has_an_empty_fiber():
+    flat1 = mt.flat_euclidean(1)
+    chart = bd.LiftedMetricChart(flat1, flat1, bd.FramePoint.anchor([0.3], 1))
+    Y = np.array([[0.3], [0.4]])
+    om_x, om_t = chart.omega_basis(Y)
+    assert om_x.shape == (2, 1, 1, 1) and om_t.shape == (2, 0, 1, 1)
+    assert np.array_equal(chart.metric_matrix(Y), np.ones((2, 1, 1)))

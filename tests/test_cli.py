@@ -107,6 +107,24 @@ def test_oneill_check_sphere(tmp_path):
     assert payload["worst_rel_err"] <= 1e-5
 
 
+def test_oneill_check_one_dimensional_base(tmp_path):
+    # n = 1: the fiber O(1) is zero-dimensional and every Ricci value is 0
+    code, out = run(tmp_path, "oneill-check", "--metric", "builtin:flat-euclidean:dim=1",
+                    "--pairs", "2")
+    assert code == 0
+    assert load(out, "oneill-check")["result"]["worst_rel_err"] == 0.0
+
+
+def test_oneill_check_eguchi_hanson(tmp_path):
+    # n = 4, total dimension 10: the direct check on the SO(4) fiber, g != g'
+    code, out = run(tmp_path, "oneill-check", "--metric", "builtin:eguchi-hanson",
+                    "--metric2", "builtin:eguchi-hanson:a=1.2", "--pairs", "2")
+    assert code == 0
+    payload = load(out, "oneill-check")["result"]
+    assert len(payload["rows"]) == 2
+    assert payload["worst_rel_err"] <= 1e-6
+
+
 def test_curvature_at_smoothed_cone_seam(tmp_path):
     # r = 2*eps, where the cap meets the cone: the metric is C^2 there
     code, out = run(tmp_path, "curvature", "--metric",

@@ -9,6 +9,8 @@ from framelab import curvature as cv
 from framelab import expr as ex
 from framelab import metric as mt
 
+from conftest import stacked
+
 
 def metric_compat_residual(m, p):
     G = m.evaluate(p)
@@ -285,11 +287,73 @@ def test_scaling_laws(eh, rng):
 
 def test_fd_machinery_matches_symbolic(sphere):
     # the Richardson FD mirror reproduces the exact Ricci of the sphere
-    num = cv.NumericMetric(lambda p: sphere.evaluate(p), 2)
+    num = cv.NumericMetric(stacked(sphere.evaluate), 2)
     p = np.array([1.0, 0.7])
     ric_fd = num.ricci(p)
     ric = cv.ricci(sphere, p)
     assert np.abs(ric_fd - ric).max() <= 1e-7
+
+
+# the per-point Richardson stencils that the stacked ones replaced
+
+def _central(fun, p, axis, h):
+    e = np.zeros(len(p))
+    e[axis] = h
+    return (fun(p + e) - fun(p - e)) / (2 * h)
+
+
+def _reference_gradient(fun, p, h1=cv.FD_H1, h2=cv.FD_H2):
+    w = h1 * h1 / (h1 * h1 - h2 * h2)
+    return np.stack([w * _central(fun, p, a, h2) + (1 - w) * _central(fun, p, a, h1)
+                     for a in range(len(p))])
+
+
+def _second_once(fun, p, a, b, h, f0):
+    ea, eb = np.zeros(len(p)), np.zeros(len(p))
+    ea[a] = h
+    eb[b] = h
+    if a == b:
+        return (fun(p + ea) - 2.0 * f0 + fun(p - ea)) / (h * h)
+    return (fun(p + ea + eb) - fun(p + ea - eb) - fun(p - ea + eb)
+            + fun(p - ea - eb)) / (4 * h * h)
+
+
+def _reference_hessian(fun, p, h1=cv.FD_H1_SECOND, h2=cv.FD_H2_SECOND):
+    n = len(p)
+    f0 = fun(p)
+    w = h1 * h1 / (h1 * h1 - h2 * h2)
+    out = np.zeros((n, n) + f0.shape)
+    for a in range(n):
+        for b in range(a, n):
+            out[a, b] = out[b, a] = (w * _second_once(fun, p, a, b, h2, f0)
+                                     + (1 - w) * _second_once(fun, p, a, b, h1, f0))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_fd_stencils_are_one_call(n):
+    """fd_gradient and fd_hessian evaluate their whole stencil, f0 included,
+    in one call, and match the per-point stencils to 1e-12 relative."""
+    rng = np.random.default_rng(n)
+    A = rng.normal(size=(n, 2, 2))
+
+    def f(p):
+        return np.cos(np.tensordot(p, A, axes=1)) + np.outer(p[:2], p[-2:]).sum()
+
+    calls = []
+
+    def fun(points):
+        calls.append(len(points))
+        return stacked(f)(points)
+
+    p = rng.uniform(-1, 1, size=n)
+    for fd, ref, rows in ((cv.fd_gradient, _reference_gradient, 4 * n),
+                          (cv.fd_hessian, _reference_hessian, 1 + 4 * n * n)):
+        calls.clear()
+        got, want = fd(fun, p), ref(f, p)
+        assert calls == [rows]
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +421,7 @@ def test_gamma_jet_equals_separate_assemblies(n, seed):
 
 def test_numeric_metric_geodesic_matches_symbolic(sphere):
     # geodesic_ivp takes the finite-difference source as well
-    num = cv.NumericMetric(sphere.evaluate, 2)
+    num = cv.NumericMetric(stacked(sphere.evaluate), 2)
     p, v = [1.2, 0.3], [0.4, 0.7]
     got = cv.geodesic_ivp(num, p, v, 1.0, rtol=1e-9, atol=1e-9).y[:, -1]
     want = cv.geodesic_ivp(sphere, p, v, 1.0, rtol=1e-9, atol=1e-9).y[:, -1]

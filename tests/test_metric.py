@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framelab import expr as ex
 from framelab import metric as mt
-from framelab.expr import ParseError
+from framelab.expr import ParseError, _plain
 
 
 def test_parse_identity_metric():
@@ -68,6 +70,51 @@ def test_spd_rejects_indefinite():
     m = mt.parse_metric("dim 2; coords x y; g = [[1,0],[0,-1]];")
     with pytest.raises(mt.NotSPDError):
         m.check_spd([0.0, 0.0])
+
+
+def _pointwise_spd_error(g, point):
+    """The pointwise SPD test that `require_spd` stacks: its message, or None."""
+    if not np.allclose(g, g.T, atol=1e-12 * max(1.0, float(np.abs(g).max()))):
+        return f"metric not symmetric at {_plain(point)}"
+    w = np.linalg.eigvalsh(0.5 * (g + g.T))
+    if w[0] <= mt.SPD_EIG_TOL * max(abs(w[-1]), 1e-300):
+        return f"metric not positive definite at {_plain(point)}: eigenvalues {w}"
+    if w[-1] / w[0] > mt.SPD_COND_LIMIT:
+        return f"metric too ill-conditioned at {_plain(point)}: cond {w[-1] / w[0]:.3e}"
+    return None
+
+
+def _spd_test_matrix(rng, n):
+    """SPD, indefinite, ill-conditioned, or asymmetric by about the
+    relative tolerance 1e-5 of `np.allclose`, on either side of it."""
+    B = rng.normal(size=(n, n))
+    G = B @ B.T + 0.1 * np.eye(n)
+    kind = rng.integers(4)
+    if kind == 1:
+        G -= 2.0 * np.abs(np.linalg.eigvalsh(G)).max() * np.outer(B[0], B[0]) / (B[0] @ B[0])
+    elif kind == 2:
+        Q = np.linalg.qr(B)[0]
+        G = Q @ np.diag(np.geomspace(1.0, 10.0 ** -rng.uniform(10, 14), n)) @ Q.T
+    elif kind == 3 and n > 1:
+        G[0, 1] += abs(G[1, 0]) * 1e-5 * rng.uniform(0.5, 1.5)
+    return G
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 4), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_require_spd_keeps_the_pointwise_acceptance_set(n, k, seed):
+    """A stack is accepted iff every matrix passes the pointwise test, and
+    otherwise fails with the pointwise message of its first failing matrix."""
+    rng = np.random.default_rng(seed)
+    G = np.stack([_spd_test_matrix(rng, n) for _ in range(k)])
+    points = rng.normal(size=(k, 2))
+    want = next(filter(None, (_pointwise_spd_error(g, p) for g, p in zip(G, points))), None)
+    try:
+        mt.require_spd(G, points)
+        got = None
+    except mt.NotSPDError as err:
+        got = str(err)
+    assert got == want
 
 
 @pytest.mark.parametrize("factory", [

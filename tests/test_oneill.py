@@ -13,7 +13,7 @@ from framelab import oneill as on
 from framelab import ortho as ot
 from framelab.curvature import fd_gradient
 
-from conftest import ricci_biinvariant
+from conftest import GMET_N3, ricci_biinvariant, stacked
 
 
 def ctx_at(g, gp, p):
@@ -63,7 +63,7 @@ def test_a_tensor_matches_fd_oracle(sphere):
     gam = num.christoffel(y0)
     X0 = ch.horizontal_lift(y0, f1)
     Y0 = ch.horizontal_lift(y0, f2)
-    dY = fd_gradient(lambda y: ch.horizontal_lift(y, f2), y0)
+    dY = fd_gradient(stacked(lambda y: ch.horizontal_lift(y, f2)), y0)
     nab = np.einsum("a,ac->c", X0, dY) + np.einsum("cab,a,b->c", gam, X0, Y0)
     W_fd = math.sqrt(2.0) * ch.omega(y0, nab)
     assert np.abs(W - W_fd).max() <= 1e-8
@@ -75,6 +75,21 @@ def test_covariant_a_zero_on_symmetric_space(sphere, rng):
         z, x, y = (rng.normal(size=2) for _ in range(3))
         V = on.covariant_a_horizontal(ctx, z, x, y)
         assert np.abs(V).max() <= 1e-10
+
+
+def test_a_tensors_on_stacks_match_single_triples(cone_pair, rng):
+    """A stack of triples (pairs for A) gives each triple's own value."""
+    ctx = ctx_at(*cone_pair, [0.35, 1.2])
+    Z, X, Y = (rng.normal(size=(5, 2)) for _ in range(3))
+    V = on.covariant_a_horizontal(ctx, Z, X, Y)
+    W = on.a_tensor_vertical(ctx, X, Y)
+    assert V.shape == W.shape == (5, 2, 2)
+    for k in range(5):
+        one = on.covariant_a_horizontal(ctx, Z[k], X[k], Y[k])
+        assert np.abs(V[k] - one).max() <= 1e-14 * np.abs(one).max()
+        assert np.array_equal(W[k], on.a_tensor_vertical(ctx, X[k], Y[k]))
+    with pytest.raises(ValueError):
+        on.covariant_a_horizontal(ctx, Z[None], X[None], Y[None])
 
 
 def test_covariant_a_flat_zero(flat2):
@@ -103,16 +118,16 @@ def test_covariant_a_cone_pair_matches_fd(cone_pair):
         gam_y = num.christoffel(y)
         X = ch.horizontal_lift(y, f1)
         Y = ch.horizontal_lift(y, f2)
-        dY = fd_gradient(lambda yy: ch.horizontal_lift(yy, f2), y)
+        dY = fd_gradient(stacked(lambda yy: ch.horizontal_lift(yy, f2)), y)
         nabv = np.einsum("a,ac->c", X, dY) + np.einsum("cab,a,b->c", gam_y, X, Y)
         return nabv - ch.horizontal_lift(y, nabv[:2])
 
     A0v = nab_xy_vertical(y0)
-    dA = fd_gradient(nab_xy_vertical, y0, h1=3e-4, h2=3e-5)
+    dA = fd_gradient(stacked(nab_xy_vertical), y0, h1=3e-4, h2=3e-5)
     nabZ_A = np.einsum("a,ac->c", Z0, dA) + np.einsum("cab,a,b->c", gam, Z0, A0v)
 
     def lift_field(vb):
-        return lambda y: ch.horizontal_lift(y, vb)
+        return stacked(lambda y: ch.horizontal_lift(y, vb))
 
     X0 = ch.horizontal_lift(y0, f1)
     Y0 = ch.horizontal_lift(y0, f2)
@@ -259,26 +274,6 @@ g = [[1/4, 0, 0], [0, (sin(th)^2 + tau2*cos(th)^2)/4, tau2*cos(th)/4],
 """)
 
 
-#: a generic non-diagonal pair: every component depends on a coordinate
-GMET_N3 = ("""dim 3; coords x y z;
-domain x in [0.0, 1.5]; domain y in [0.0, 1.5]; domain z in [0.0, 1.5];
-g = [[1.294724 + 0.180127*sin(1.082162*z + 0.282386), -0.123784*cos(1.456267*z + 0.852603),
-      -0.119622*cos(0.792721*y + 0.004470)],
-     [-0.123784*cos(1.456267*z + 0.852603), 1.373251 + 0.147905*sin(0.659739*z + 2.203731),
-      0.147346*cos(0.798401*x + 0.941958)],
-     [-0.119622*cos(0.792721*y + 0.004470), 0.147346*cos(0.798401*x + 0.941958),
-      1.356491 + 0.151674*sin(0.930628*x + 1.760396)]];
-""", """dim 3; coords x y z;
-domain x in [0.0, 1.5]; domain y in [0.0, 1.5]; domain z in [0.0, 1.5];
-g = [[1.434065 + 0.147131*sin(1.273277*y + 0.091038), 0.122216*cos(0.718715*z + 2.489661),
-      0.118280*cos(1.320076*y + 1.285719)],
-     [0.122216*cos(0.718715*z + 2.489661), 1.482786 + 0.137424*sin(0.590853*x + 1.981500),
-      0.125871*cos(1.378480*x + 0.306960)],
-     [0.118280*cos(1.320076*y + 1.285719), 0.125871*cos(1.378480*x + 0.306960),
-      1.282876 + 0.163009*sin(0.798163*y + 2.225270)]];
-""")
-
-
 def fd_ricci_matrix(ctx):
     """P^T Ric_FD P: one finite-difference Ricci of the lifted chart metric,
     with P the chart components of the gt-orthonormal frame."""
@@ -288,23 +283,28 @@ def fd_ricci_matrix(ctx):
     return P.T @ ctx.chart.numeric().ricci(ctx.chart.chart_point()) @ P
 
 
-@pytest.mark.parametrize("pair", ["round-vs-berger-S3", "generic-gmet"])
-def test_ricci_matrix_matches_fd_oracle_n3(pair):
-    """n = 3 (non-abelian fiber) with g != g': the whole Ricci matrix,
-    HHHV cross term included, agrees with the finite-difference oracle."""
+@pytest.mark.parametrize("pair", ["round-vs-berger-S3", "generic-gmet", "eguchi-hanson"])
+def test_ricci_matrix_matches_fd_oracle(pair):
+    """n = 3 and n = 4 (non-abelian fibers) with g != g': the whole Ricci
+    matrix, HHHV cross term included, agrees with the finite-difference
+    oracle."""
     if pair == "generic-gmet":
         g, gp = (mt.parse_metric(text) for text in GMET_N3)
         pts = [[0.4, 0.7, 1.1], [1.0, 0.3, 0.6]]
+    elif pair == "eguchi-hanson":
+        g, gp = mt.eguchi_hanson(1.0), mt.eguchi_hanson(1.2)
+        pts = [[1.8, 1.2, 0.7, 1.0], [2.5, 2.0, 3.0, 0.4]]
     else:
         g, gp = berger_s3(1.0), berger_s3(0.6)
         pts = [[1.0, 0.5, 0.3], [1.9, 2.0, 4.0]]
+    n = g.dim
     worst, cross = 0.0, 0.0
     for p in pts:
         ctx = ctx_at(g, gp, p)
         Q = on.ricci_matrix(ctx)
         F = fd_ricci_matrix(ctx)
         worst = max(worst, float(np.abs(Q - F).max() / (1 + np.abs(F).max())))
-        cross = max(cross, float(np.abs(Q[:3, 3:]).max()))
+        cross = max(cross, float(np.abs(Q[:n, n:]).max()))
     assert worst <= 1e-6
     assert cross >= 0.02   # the HV block is the cross term, so its sign is pinned
 
@@ -450,8 +450,9 @@ def test_bound_report_shares_the_context_jets(eh, monkeypatch):
 
 
 def test_bound_report_assembles_the_blocks_once(eh, monkeypatch):
-    """One EH point: no per-direction Ricci and at most n^2 covariant A
-    evaluations (the polarized matrix took 100 and 192)."""
+    """One EH point: no per-direction Ricci and one covariant A evaluation,
+    on the stack of all n^2 triples (the polarized matrix took 100 and 192,
+    the per-triple blocks 16)."""
     calls = {"ricci_oneill": 0, "covariant_a_horizontal": 0}
 
     def counting(name, original):
@@ -464,7 +465,7 @@ def test_bound_report_assembles_the_blocks_once(eh, monkeypatch):
         monkeypatch.setattr(on, name, counting(name, getattr(on, name)))
     on.ricci_bound_report(eh, mt.eguchi_hanson(1.2), [[1.8, 1.2, 0.7, 1.0]])
     assert calls["ricci_oneill"] == 0
-    assert 0 < calls["covariant_a_horizontal"] <= 16
+    assert calls["covariant_a_horizontal"] == 1
 
 
 def test_bound_report_flat_pair(flat2, rng):
@@ -512,10 +513,33 @@ def test_eguchi_hanson_hh_block(eh, rng):
     assert rep.terms["HV_mixed"] == pytest.approx(-rep.terms["HH"] / 3.0, rel=1e-9)
 
 
-def test_ricci_direct_budget(eh):
-    ctx = ctx_at(eh, eh, [1.8, 1.2, 0.7, 1.0])
-    with pytest.raises(on.DirectBudgetError):
-        on.ricci_direct(ctx, np.array([1.0, 0, 0, 0]), None)
+def test_ricci_eguchi_hanson_formula_vs_direct(eh, rng):
+    """n = 4, the SO(4) fiber, with g != g' (a = 1 against 1.2): formula and
+    finite-difference Ricci agree in mixed, horizontal and vertical
+    directions."""
+    ctx = ctx_at(eh, mt.eguchi_hanson(1.2), [1.8, 1.2, 0.7, 1.0])
+    v, xi = random_direction(ctx, rng)
+    for vv, xx in ((v, xi), (v, None), (None, xi)):
+        f = on.ricci_oneill(ctx, vv, xx, with_hypothesis=False).ricci_formula
+        d = on.ricci_direct(ctx, vv, xx)
+        assert abs(f - d) <= 1e-6 * (1 + abs(d))
+
+
+def test_ricci_direct_is_three_stacked_metric_calls(cone_pair, monkeypatch):
+    """The value, the gradient stencil and the Hessian stencil of the
+    finite-difference Ricci are one `metric_matrix` call each."""
+    rows = []
+    original = bd.LiftedMetricChart.metric_matrix
+
+    def counted(self, y):
+        rows.append(len(np.atleast_2d(y)))
+        return original(self, y)
+
+    monkeypatch.setattr(bd.LiftedMetricChart, "metric_matrix", counted)
+    ctx = ctx_at(*cone_pair, [0.35, 1.2])
+    on.ricci_direct(ctx, np.array([1.0, 0.5]), None)
+    N = ctx.n + ctx.m
+    assert rows == [1, 4 * N, 1 + 4 * N * N]
 
 
 def test_report_serialization(sphere, rng):
