@@ -221,28 +221,26 @@ class LiftedMetricChart:
 
     # -- lifts, fundamental fields, adapted frame -----------------------------
 
-    def horizontal_lift(self, y, v):
-        """Chart components of the horizontal lift of base vector v at y."""
+    def lift(self, y, v=None, a=None):
+        """Chart components at y of the tangent with pi_* = v and omega = a:
+        the horizontal lift of the base vector v plus the fundamental field
+        of a in o(n), either of which may be left out."""
         om_x, om_t = self.omega_basis(y)
-        v = np.asarray(v, dtype=float)
+        v = np.zeros(self.n) if v is None else np.asarray(v, dtype=float)
+        # omega(v, tau) = a:  vec_skew(om_t)^T tau = vec_skew(a) - vec_skew(v . om_x)
         rhs = -ortho.vec_skew(np.einsum("i,iab->ab", v, om_x))
+        if a is not None:
+            rhs += ortho.vec_skew(a)
         tau = np.linalg.solve(ortho.vec_skew(om_t).T, rhs)
         return np.concatenate([v, tau])
-
-    def fundamental_vector(self, y, a):
-        """Chart components of the fundamental field of a in o(n) at y."""
-        _, om_t = self.omega_basis(y)
-        tau = np.linalg.solve(ortho.vec_skew(om_t).T, ortho.vec_skew(a))
-        return np.concatenate([np.zeros(self.n), tau])
 
     def adapted_frame(self, y):
         """Columns: lifts of the g-orthonormalized coordinate basis, then the
         b-orthonormal fundamental fields T_lm / sqrt(2)."""
         x, _ = self.split(y)
         F = section_frame(self.g, x)    # g-ON base frame
-        cols = [self.horizontal_lift(y, F[:, i]) for i in range(self.n)]
-        for B in self.basis:
-            cols.append(self.fundamental_vector(y, B / math.sqrt(2.0)))
+        cols = [self.lift(y, F[:, i]) for i in range(self.n)]
+        cols += [self.lift(y, a=B / math.sqrt(2.0)) for B in self.basis]
         return np.stack(cols, axis=1)
 
     def metric_in_adapted_frame(self, y):
@@ -251,7 +249,7 @@ class LiftedMetricChart:
 
     def vertical_block_fundamental(self, y):
         """Metric on the unnormalized fundamental fields T_lm (contract: 2 I)."""
-        cols = [self.fundamental_vector(y, B) for B in self.basis]
+        cols = [self.lift(y, a=B) for B in self.basis]
         P = np.stack(cols, axis=1)
         return P.T @ self.metric_matrix(y) @ P
 

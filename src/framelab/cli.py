@@ -27,7 +27,7 @@ from . import holonomy as hl
 from . import metric as mt
 from . import oneill as on
 from . import ortho
-from .curvature import DomainExitError, ricci
+from .curvature import DomainExitError, curvature_gradient, riemann
 from .expr import ParseError
 from .metric import MetricError, NotSPDError
 
@@ -120,6 +120,11 @@ def _write_dat(args, name, rows, header):
     print(f"wrote {path}")
 
 
+def _require_count(flag, value):
+    if value < 1:
+        raise ValueError(f"{flag} must be at least 1, got {value}")
+
+
 def _load_metric(uri):
     return mt.metric_from_uri(uri)
 
@@ -149,15 +154,15 @@ def cmd_parse_check(args):
 def cmd_curvature(args):
     m = _load_metric(args.metric)
     p = _basepoint(args, m)
-    ric = ricci(m, p)
+    jet = riemann(m, p)
     payload = {
         "point": p.tolist(),
-        "metric": m.evaluate(p).tolist(),
-        "ricci": ric.tolist(),
+        "metric": jet.G.tolist(),
+        "ricci": jet.ricci().tolist(),
     }
     if args.metric2:
         m2 = _load_metric(args.metric2)
-        payload["hypothesis"] = on.hypothesis_measurements(m, m2, p)
+        payload["hypothesis"] = on.hypothesis_measurements(jet, curvature_gradient(m2, p))
     _write_artifact(args, "curvature", payload)
     return 0
 
@@ -191,6 +196,7 @@ def cmd_lift(args):
 def cmd_oneill_check(args):
     g = _load_metric(args.metric)
     gp = _load_metric(args.metric2) if args.metric2 else g
+    _require_count("--pairs", args.pairs)
     rng = np.random.default_rng(args.seed)
     points = g.sample_interior(rng, args.pairs, margin=0.2)
     n = g.dim
@@ -267,6 +273,7 @@ def cmd_fiber_dist(args):
 def cmd_bound_report(args):
     g = _load_metric(args.metric)
     gp = _load_metric(args.metric2) if args.metric2 else g
+    _require_count("--samples", args.samples)
     region = _region_for(g, args.region) if args.region else list(g.domain)
     rng = np.random.default_rng(args.seed)
     pts = []

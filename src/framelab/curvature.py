@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -58,15 +59,45 @@ class ConnectionCoeffs:
 
 @dataclass(frozen=True)
 class CurvatureTensor:
+    """The Riemann jet of one metric at one point, with the metric matrix
+    and Christoffel symbols it was assembled from."""
     point: np.ndarray
+    G: np.ndarray               # (n, n): the metric matrix
+    gamma: np.ndarray           # (n, n, n): gamma[k, i, j]
     rup: np.ndarray             # (n, n, n, n): rup[l, i, j, k]
     rlow: np.ndarray            # (n, n, n, n): rlow[i, j, k, l]
+
+    def ricci(self):
+        """Ricci tensor Ric_ab = rup[m, m, a, b]."""
+        return np.einsum("mmab->ab", self.rup)
 
 
 @dataclass(frozen=True)
 class CurvatureGradient:
+    """The curvature-gradient jet of one metric at one point: G, gamma and
+    rlow as in `CurvatureTensor`, and the coordinate partials
+    drlow[m, i, j, k, l] = d_m rlow[i, j, k, l]."""
     point: np.ndarray
-    nabla_r: np.ndarray         # (n, n, n, n, n): nabla_r[m, i, j, k, l]
+    G: np.ndarray
+    gamma: np.ndarray
+    rlow: np.ndarray
+    drlow: np.ndarray
+
+    def nabla(self, gamma_c):
+        """(nabla_m R)_ijkl of this metric's curvature, differentiated with
+        the connection whose Christoffel symbols are gamma_c."""
+        rlow = self.rlow
+        return (self.drlow
+                - np.einsum("smi,sjkl->mijkl", gamma_c, rlow)
+                - np.einsum("smj,iskl->mijkl", gamma_c, rlow)
+                - np.einsum("smk,ijsl->mijkl", gamma_c, rlow)
+                - np.einsum("sml,ijks->mijkl", gamma_c, rlow))
+
+    @cached_property
+    def nabla_r(self):
+        """nabla_r[m, i, j, k, l] = (nabla_m R)_ijkl under the metric's own
+        Levi-Civita connection."""
+        return self.nabla(self.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -138,38 +169,40 @@ def _derivs(m, p, order):
     return out
 
 
+def _checked_derivs(m: MetricSpec, p, order):
+    """`_derivs` of a MetricSpec at the float point p, after the domain
+    check, with G from the SPD check."""
+    if not m.in_domain(p):
+        raise DomainExitError(0.0, p)
+    return [m.check_spd(p)] + [m.derivative_fn(k)(p) for k in range(1, order + 1)]
+
+
 def _curvature_tensor(p, G, dG, d2G):
     gamma, dgamma = assemble_gamma_jet(G, dG, d2G)
     rup = assemble_rup(gamma, dgamma)
-    return CurvatureTensor(p, rup, assemble_rlow(G, rup))
+    return CurvatureTensor(p, G, gamma, rup, assemble_rlow(G, rup))
 
 
 def christoffel(m: MetricSpec, p) -> ConnectionCoeffs:
     p = np.asarray(p, dtype=float)
-    if not m.in_domain(p):
-        raise DomainExitError(0.0, p)
-    G = m.check_spd(p)
-    dG = m.derivative_fn(1)(p)
-    return ConnectionCoeffs(p, assemble_gamma_jet(G, dG)[0])
+    return ConnectionCoeffs(p, assemble_gamma_jet(*_checked_derivs(m, p, 1))[0])
 
 
 def riemann(m: MetricSpec, p) -> CurvatureTensor:
+    """The Riemann jet of m at p: G, Gamma, rup and rlow from one
+    evaluation of G, dG and d2G."""
     p = np.asarray(p, dtype=float)
-    if not m.in_domain(p):
-        raise DomainExitError(0.0, p)
-    G = m.check_spd(p)
-    return _curvature_tensor(p, G, m.derivative_fn(1)(p), m.derivative_fn(2)(p))
+    return _curvature_tensor(p, *_checked_derivs(m, p, 2))
 
 
 def ricci(m: MetricSpec, p) -> np.ndarray:
-    """Ricci tensor Ric_ab = rup[m, m, a, b]; equals g on the unit sphere."""
-    R = riemann(m, p)
-    return np.einsum("mmab->ab", R.rup)
+    """Ricci tensor of m at p; equals g on the unit sphere."""
+    return riemann(m, p).ricci()
 
 
 def sectional(m: MetricSpec, p, u, v) -> float:
-    G = m.check_spd(np.asarray(p, dtype=float))
     R = riemann(m, p)
+    G = R.G
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     num = pairing(R.rlow, u, v, v, u)
@@ -187,46 +220,29 @@ def pairing(rlow, a, b, c, d):
     return float(np.einsum("ijkl,i,j,k,l->", rlow, a, b, d, c))
 
 
-def curvature_gradient(m: MetricSpec, p, connection: MetricSpec = None) -> CurvatureGradient:
-    """Covariant derivative of the curvature of m, differentiated with the
-    Levi-Civita connection of `connection` (defaults to m itself).
-
-    nabla_r[m, i, j, k, l] = (nabla_m R)_ijkl.
-    """
+def curvature_gradient(m: MetricSpec, p) -> CurvatureGradient:
+    """The curvature-gradient jet of m at p, from one evaluation of G and
+    its first three partials; `nabla_r` is the Levi-Civita value and
+    `nabla(gamma_c)` the value under another connection."""
     p = np.asarray(p, dtype=float)
-    G, dG, d2G, d3G = _derivs(m, p, 3)
-    gamma_m, dgamma, d2gamma = assemble_gamma_jet(G, dG, d2G, d3G)
-    rup = assemble_rup(gamma_m, dgamma)
-    rlow = assemble_rlow(G, rup)
-    drup = assemble_drup(gamma_m, dgamma, d2gamma)
+    G, dG, d2G, d3G = _checked_derivs(m, p, 3)
+    gamma, dgamma, d2gamma = assemble_gamma_jet(G, dG, d2G, d3G)
+    rup = assemble_rup(gamma, dgamma)
+    drup = assemble_drup(gamma, dgamma, d2gamma)
     # d_m rlow_ijkl = d_m g_ka rup[a,i,j,l] + g_ka d_m rup[a,i,j,l]
     drlow = (np.einsum("mka,aijl->mijkl", dG, rup)
              + np.einsum("ka,maijl->mijkl", G, drup))
-    if connection is None:
-        gamma_c = gamma_m
-    else:
-        gamma_c = christoffel(connection, p).gamma
-    nabla = (drlow
-             - np.einsum("smi,sjkl->mijkl", gamma_c, rlow)
-             - np.einsum("smj,iskl->mijkl", gamma_c, rlow)
-             - np.einsum("smk,ijsl->mijkl", gamma_c, rlow)
-             - np.einsum("sml,ijks->mijkl", gamma_c, rlow))
-    return CurvatureGradient(p, nabla)
+    return CurvatureGradient(p, G, gamma, assemble_rlow(G, rup), drlow)
 
 
-def connection_difference(m: MetricSpec, m_eps: MetricSpec, p) -> np.ndarray:
-    """The (1,2) tensor D^k_ij = Gamma^k_ij - Gamma_eps^k_ij (as d[k,i,j])."""
-    return christoffel(m, p).gamma - christoffel(m_eps, p).gamma
-
-
-def tensor_norm(T, m: MetricSpec, p, signature) -> float:
-    """g-norm of a tensor: sqrt of the full contraction of T (x) T with
-    g (on 'u' slots) and g^-1 (on 'l' slots).  signature example: "ull".
+def tensor_norm(T, G, signature) -> float:
+    """Norm of a tensor under the metric matrix G: sqrt of the full
+    contraction of T (x) T with G (on 'u' slots) and G^-1 (on 'l' slots).
+    signature example: "ull".
     """
     T = np.asarray(T, dtype=float)
     if len(signature) != T.ndim or any(s not in "ul" for s in signature):
         raise ValenceError(f"signature {signature!r} does not match tensor of rank {T.ndim}")
-    G = m.check_spd(np.asarray(p, dtype=float))
     Ginv = _ginv(G)
     k = T.ndim
     a = "abcdefgh"[:k]
@@ -253,7 +269,7 @@ def coordinate_plane_sup(G, rlow) -> float:
 def sup_sectional_coordinate_planes(m: MetricSpec, p) -> float:
     """max |sec| over coordinate 2-planes at p."""
     R = riemann(m, p)
-    return coordinate_plane_sup(m.evaluate(R.point), R.rlow)
+    return coordinate_plane_sup(R.G, R.rlow)
 
 
 # ---------------------------------------------------------------------------
@@ -402,26 +418,18 @@ def geodesic_between(m: MetricSpec, p, q, v0=None, tol=1e-10, max_iter=12,
 GL8_NODES, GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def curve_length(m: MetricSpec, curve, t0=0.0, t1=1.0, samples=256, velocity=None):
-    """Length of a parametric curve t -> coordinates under m (composite
-    Gauss-Legendre quadrature of |c'|_g; velocity falls back to central
-    differences when no exact velocity callable is supplied)."""
+def curve_length(m: MetricSpec, curve, velocity, t0=0.0, t1=1.0, samples=256):
+    """Length of a parametric curve t -> coordinates under m, with exact
+    velocity t -> c'(t) (composite Gauss-Legendre quadrature of |c'|_g)."""
     total = 0.0
     edges = np.linspace(t0, t1, samples // 8 + 1)
-    h = 1e-6 * max(1.0, abs(t1 - t0))
-
-    def vel_at(t):
-        if velocity is not None:
-            return np.asarray(velocity(t), dtype=float)
-        return (np.asarray(curve(t + h)) - np.asarray(curve(t - h))) / (2 * h)
-
     for a, b in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         for x, w in zip(GL8_NODES, GL8_WEIGHTS):
             t = mid + half * x
             c = np.asarray(curve(t), dtype=float)
-            vel = vel_at(t)
+            vel = np.asarray(velocity(t), dtype=float)
             total += w * half * math.sqrt(max(float(vel @ m.evaluate(c) @ vel), 0.0))
     return total
 
@@ -511,4 +519,4 @@ class NumericMetric:
         return _curvature_tensor(p, *_derivs(self, p, 2))
 
     def ricci(self, p):
-        return np.einsum("mmab->ab", self.riemann(p).rup)
+        return self.riemann(p).ricci()

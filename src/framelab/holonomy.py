@@ -35,7 +35,7 @@ ORTHONORMALITY_DRIFT = 1e-8
 class Segment:
     """One smooth piece of a curve: point(t) and velocity(t) on [0, 1]."""
 
-    def __init__(self, point, velocity=None):
+    def __init__(self, point, velocity):
         self._point = point
         self._velocity = velocity
 
@@ -43,12 +43,7 @@ class Segment:
         return np.asarray(self._point(t), dtype=float)
 
     def velocity(self, t):
-        if self._velocity is not None:
-            return np.asarray(self._velocity(t), dtype=float)
-        h = 1e-7
-        lo = max(t - h, 0.0)
-        hi = min(t + h, 1.0)
-        return (self.point(hi) - self.point(lo)) / (hi - lo)
+        return np.asarray(self._velocity(t), dtype=float)
 
 
 def line_segment(a, b):
@@ -108,7 +103,7 @@ class LoopSpec:
     def compute_length(self, g: MetricSpec):
         total = 0.0
         for seg in self.segments:
-            total += curve_length(g, seg.point, 0.0, 1.0, velocity=seg.velocity)
+            total += curve_length(g, seg.point, seg.velocity)
         self.length = total
         return total
 

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import ortho
 from .bundle import FramePoint, LiftedMetricChart
-from .curvature import (connection_difference, coordinate_plane_sup,
-                        curvature_gradient, pairing, ricci, riemann, tensor_norm)
+from .curvature import (CurvatureGradient, CurvatureTensor, coordinate_plane_sup,
+                        curvature_gradient, pairing, riemann, tensor_norm)
 from .holonomy import cholesky_section
 from .metric import MetricSpec
 
@@ -50,15 +50,19 @@ class ONeillContext:
         self.m = self.n * (self.n - 1) // 2
         if self.chart is None:
             self.chart = LiftedMetricChart(self.g, self.gp, self.fp)
-        self.G = self.g.check_spd(p)
-        self.Gp = self.gp.check_spd(p)
-        # g-orthonormal horizontal projections f_i and the g'-orthonormal frame e
+        # the one Riemann jet of g and curvature-gradient jet of g' at p
+        self.jet_g = riemann(self.g, p)
+        self.grad_gp = curvature_gradient(self.gp, p)
+        self.G = self.jet_g.G
+        # g-orthonormal horizontal projections f_i and the g'-orthonormal
+        # frame e (the chart's frame_matrix at t = 0)
         self.f = cholesky_section(self.G)
-        self.e = self.chart.frame_matrix(self.chart.chart_point())
-        self.ric_g = ricci(self.g, p)
-        self.rlow_eps = riemann(self.gp, p).rlow
-        self.nabla_r_eps = curvature_gradient(self.gp, p, connection=self.g).nabla_r
-        self.D = connection_difference(self.g, self.gp, p)
+        self.e = cholesky_section(self.grad_gp.G) @ self.fp.frame
+        self.ric_g = self.jet_g.ricci()
+        self.rlow_eps = self.grad_gp.rlow
+        self.nabla_r_eps = self.grad_gp.nabla(self.jet_g.gamma)
+        # D^k_ij = Gamma^k_ij - Gamma_eps^k_ij
+        self.D = self.jet_g.gamma - self.grad_gp.gamma
         # frame table R4[i, j, lam, mu] = <R_eps(f_i, f_j) e_lam, e_mu>
         self.r4_frame = np.einsum("abkl,ai,bj,ku,lv->ijvu",
                                   self.rlow_eps, self.f, self.f, self.e, self.e)
@@ -199,7 +203,7 @@ def ricci_oneill(ctx: ONeillContext, v_base=None, xi=None, with_hypothesis=True)
         terms=terms,
     )
     if with_hypothesis:
-        report.hypothesis = hypothesis_measurements(ctx.g, ctx.gp, ctx.fp.base)
+        report.hypothesis = hypothesis_measurements(ctx.jet_g, ctx.grad_gp)
     return report
 
 
@@ -211,13 +215,7 @@ def ricci_matrix(ctx: ONeillContext) -> np.ndarray:
 
 def chart_direction(ctx: ONeillContext, v_base, xi):
     """Chart components of the tangent with pi_* = v and omega = xi."""
-    y = ctx.chart.chart_point()
-    out = np.zeros(ctx.n + ctx.m)
-    if v_base is not None and np.abs(v_base).max() > 0:
-        out += ctx.chart.horizontal_lift(y, np.asarray(v_base, dtype=float))
-    if xi is not None and np.abs(np.asarray(xi)).max() > 0:
-        out += ctx.chart.fundamental_vector(y, np.asarray(xi, dtype=float))
-    return out
+    return ctx.chart.lift(ctx.chart.chart_point(), v_base, xi)
 
 
 def ricci_direct(ctx: ONeillContext, v_base=None, xi=None) -> float:
@@ -260,25 +258,15 @@ def covariant_a_vertical_residual(ctx: ONeillContext, xi, x, xi2=None):
 # ---------------------------------------------------------------------------
 # hypothesis measurements and bound reports
 
-def hypothesis_measurements(g: MetricSpec, gp: MetricSpec, p):
-    """Pointwise versions of the four hypothesis quantities."""
-    p = np.asarray(p, dtype=float)
-    return _hypothesis_from_jets(g, gp, p, riemann(gp, p).rlow,
-                                 connection_difference(g, gp, p))
-
-
-def _hypothesis_from_jets(g, gp, p, rlow_eps, D):
-    """`hypothesis_measurements` given the Riemann tensor of gp and the
-    connection difference D at p, as an ONeillContext holds them."""
-    Gp = gp.evaluate(p)
-    diff = g.evaluate(p) - Gp
-    eps_hat = tensor_norm(diff, g, p, "ll")
-    delta_hat = tensor_norm(D, g, p, "ull")
-    k_hat = coordinate_plane_sup(Gp, rlow_eps)
-    K_hat = tensor_norm(curvature_gradient(gp, p).nabla_r, gp, p, "lllll")
-    r_eps_norm = tensor_norm(rlow_eps, gp, p, "llll")
-    return {"eps_hat": eps_hat, "delta_hat": delta_hat, "k_hat": k_hat,
-            "K_hat": K_hat, "riemann_norm": r_eps_norm}
+def hypothesis_measurements(jet_g: CurvatureTensor, grad_gp: CurvatureGradient):
+    """Pointwise versions of the four hypothesis quantities, read from the
+    Riemann jet of g and the curvature-gradient jet of g' at one point."""
+    G, Gp = jet_g.G, grad_gp.G
+    return {"eps_hat": tensor_norm(G - Gp, G, "ll"),
+            "delta_hat": tensor_norm(jet_g.gamma - grad_gp.gamma, G, "ull"),
+            "k_hat": coordinate_plane_sup(Gp, grad_gp.rlow),
+            "K_hat": tensor_norm(grad_gp.nabla_r, Gp, "lllll"),
+            "riemann_norm": tensor_norm(grad_gp.rlow, Gp, "llll")}
 
 
 @dataclass
@@ -313,7 +301,7 @@ def ricci_bound_report(g: MetricSpec, gp: MetricSpec, points, blowup=1e6) -> Bou
     flags = []
     for p in points:
         ctx = ONeillContext(g, gp, FramePoint.anchor(p, g.dim))
-        h = _hypothesis_from_jets(g, gp, ctx.fp.base, ctx.rlow_eps, ctx.D)
+        h = hypothesis_measurements(ctx.jet_g, ctx.grad_gp)
         for k in sup:
             sup[k] = max(sup[k], h[k])
         worst = float(np.abs(np.linalg.eigvalsh(ricci_matrix(ctx))).max())

@@ -48,12 +48,14 @@ def test_connection_form_fundamental_and_horizontal(sphere, rng):
     chart = bd.LiftedMetricChart(sphere, sphere, fp)
     y = chart.chart_point()
     e12 = ot.skew_basis_element(2, 0, 1)
-    fund = chart.fundamental_vector(y, e12)
+    fund = chart.lift(y, a=e12)
     assert np.abs(chart.omega(y, fund) - e12).max() <= 1e-12
     v = rng.normal(size=2)
-    lift = chart.horizontal_lift(y, v)
+    lift = chart.lift(y, v)
     assert np.abs(chart.omega(y, lift)).max() <= 1e-9
     assert np.abs(lift[:2] - v).max() <= 1e-12
+    # a mixed tangent is the sum of its parts, up to rounding
+    assert np.abs(chart.lift(y, v, e12) - (lift + fund)).max() <= 1e-12
 
 
 def test_connection_form_flat_fiber_coordinate(flat2):
@@ -65,7 +67,7 @@ def test_connection_form_flat_fiber_coordinate(flat2):
 
 def test_horizontal_lift_flat_has_no_fiber_motion(flat2):
     chart = bd.LiftedMetricChart(flat2, flat2, bd.FramePoint.anchor([0.0, 0.0], 2))
-    lift = chart.horizontal_lift(chart.chart_point(), np.array([1.0, 0.0]))
+    lift = chart.lift(chart.chart_point(), np.array([1.0, 0.0]))
     assert np.abs(lift[2:]).max() <= 1e-14
 
 
@@ -80,7 +82,7 @@ def test_lift_transport_consistency_on_latitude(sphere):
     from scipy.integrate import solve_ivp
 
     def rhs(t, y):
-        return chart.horizontal_lift(y, seg.velocity(t))
+        return chart.lift(y, seg.velocity(t))
 
     y0 = chart.chart_point()
     sol = solve_ivp(rhs, (0.0, 1.0), y0, rtol=1e-10, atol=1e-12)
@@ -131,8 +133,8 @@ def test_submersion_and_adapted_frame(sphere, rng):
     for _ in range(5):
         u = rng.normal(size=2)
         v = rng.normal(size=2)
-        lu = chart.horizontal_lift(y, u)
-        lv = chart.horizontal_lift(y, v)
+        lu = chart.lift(y, u)
+        lv = chart.lift(y, v)
         assert lu @ Gt @ lv == pytest.approx(u @ G @ v, rel=1e-9, abs=1e-12)
     # adapted frame: identity blocks, vanishing mixed block
     P = chart.metric_in_adapted_frame(y)
@@ -157,8 +159,8 @@ def test_on_invariance_of_scalars(sphere, rng):
         chart = bd.LiftedMetricChart(sphere, sphere, bd.FramePoint(p, A0))
         y = chart.chart_point()
         Gt = chart.metric_matrix(y)
-        lift = chart.horizontal_lift(y, v)
-        fund = chart.fundamental_vector(y, a)
+        lift = chart.lift(y, v)
+        fund = chart.lift(y, a=a)
         vals.append((lift @ Gt @ lift, fund @ Gt @ fund, lift @ Gt @ fund))
     for row in vals[1:]:
         assert np.abs(np.array(row) - np.array(vals[0])).max() <= 1e-9
@@ -188,7 +190,7 @@ def test_fibers_totally_geodesic(sphere, cone_pair):
     for gg, gpp, p in ((sphere, sphere, [1.0, 0.5]), (g, gp, [0.5, 1.0])):
         chart = bd.LiftedMetricChart(gg, gpp, bd.FramePoint.anchor(p, 2))
         y0 = chart.chart_point()
-        v0 = chart.fundamental_vector(y0, 0.8 * ot.skew_basis_element(2, 0, 1))
+        v0 = chart.lift(y0, a=0.8 * ot.skew_basis_element(2, 0, 1))
         sol = cv.geodesic_ivp(chart.numeric(), y0, v0, 1.0, rtol=1e-9, atol=1e-9)
         drift = 0.0
         for t in np.linspace(0, 1.0, 40):

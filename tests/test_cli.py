@@ -301,3 +301,14 @@ def test_holonomy_word_length_zero(tmp_path):
     code, _ = run(tmp_path, "holonomy", "--metric", "builtin:smoothed-cone:a=0.7,eps=0.1",
                   "--at", "0.8,1.0", "--loops", "0", "--word-length", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["oneill-check", "--metric", "builtin:round-sphere", "--pairs", "0"], "--pairs"),
+    (["bound-report", "--metric", "builtin:round-sphere", "--samples", "0"], "--samples"),
+])
+def test_counts_below_one_are_config_errors(tmp_path, capsys, argv, flag):
+    code, out = run(tmp_path, *argv)
+    assert code == 2
+    assert f"config error: {flag} must be at least 1, got 0" in capsys.readouterr().err
+    assert not out.exists()

@@ -110,7 +110,8 @@ def test_eguchi_hanson_ricci_flat(eh, rng):
     for r in (1.5, 2.0, 5.0):
         assert np.abs(cv.ricci(eh, [r, 1.1, 0.6, 0.8])).max() <= 1e-8
     p = [1.5, 1.2, 0.7, 0.9]
-    assert cv.tensor_norm(cv.riemann(eh, p).rlow, eh, p, "llll") > 0.1
+    R = cv.riemann(eh, p)
+    assert cv.tensor_norm(R.rlow, R.G, "llll") > 0.1
 
 
 def test_ricci_symmetric(eh, rng):
@@ -149,25 +150,55 @@ def test_second_bianchi(eh, sphere, rng):
 
 
 def test_tensor_norm_identity(flat2):
-    val = cv.tensor_norm(np.eye(2), flat2, [0.0, 0.0], "ul")
+    val = cv.tensor_norm(np.eye(2), flat2.evaluate([0.0, 0.0]), "ul")
     assert val == pytest.approx(math.sqrt(2), abs=1e-14)
 
 
 def test_tensor_norm_riemann_sphere(sphere):
     # |R| = 2 for the unit 2-sphere
     p = [1.1, 0.3]
-    assert cv.tensor_norm(cv.riemann(sphere, p).rlow, sphere, p, "llll") == pytest.approx(
-        2.0, abs=1e-9)
+    R = cv.riemann(sphere, p)
+    assert cv.tensor_norm(R.rlow, R.G, "llll") == pytest.approx(2.0, abs=1e-9)
 
 
 def test_tensor_norm_valence_mismatch(flat2):
     with pytest.raises(cv.ValenceError):
-        cv.tensor_norm(np.eye(2), flat2, [0, 0], "ull")
+        cv.tensor_norm(np.eye(2), flat2.evaluate([0, 0]), "ull")
 
 
-def test_connection_difference_zero_for_same_metric(sphere):
-    d = cv.connection_difference(sphere, sphere, [1.0, 0.4])
-    assert np.abs(d).max() == 0.0
+def test_jets_carry_their_metric_and_connection(eh, rng):
+    """Each jet holds the G and Gamma it was assembled from, bitwise the
+    values of `evaluate` and `christoffel`, and the curvature-gradient jet
+    holds bitwise the Riemann jet's rlow (leading outputs do not depend on
+    the jet order)."""
+    gp = mt.eguchi_hanson(1.2)
+    for p in eh.sample_interior(rng, 2, margin=0.2):
+        R = cv.riemann(eh, p)
+        J = cv.curvature_gradient(gp, p)
+        assert np.array_equal(R.G, eh.evaluate(p))
+        assert np.array_equal(J.G, gp.evaluate(p))
+        assert np.array_equal(R.gamma, cv.christoffel(eh, p).gamma)
+        assert np.array_equal(J.gamma, cv.christoffel(gp, p).gamma)
+        assert np.array_equal(J.rlow, cv.riemann(gp, p).rlow)
+        assert np.array_equal(R.ricci(), cv.ricci(eh, p))
+        assert np.array_equal(J.nabla(J.gamma), J.nabla_r)
+        # under another connection the difference is the D-terms alone
+        D = R.gamma - J.gamma
+        want = (np.einsum("smi,sjkl->mijkl", D, J.rlow)
+                + np.einsum("smj,iskl->mijkl", D, J.rlow)
+                + np.einsum("smk,ijsl->mijkl", D, J.rlow)
+                + np.einsum("sml,ijks->mijkl", D, J.rlow))
+        got = J.nabla_r - J.nabla(R.gamma)
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+def test_curvature_gradient_checks_domain_and_spd():
+    cone = mt.exact_cone(0.7, r_min=0.5, r_max=3.0)
+    with pytest.raises(cv.DomainExitError):
+        cv.curvature_gradient(cone, [0.2, 1.0])
+    indefinite = mt.parse_metric("dim 2; coords x y; g = [[1, 0], [0, x]];")
+    with pytest.raises(mt.NotSPDError):
+        cv.curvature_gradient(indefinite, [-1.0, 0.0])
 
 
 def test_exp_map_flat(flat2):
@@ -280,8 +311,9 @@ def test_scaling_laws(eh, rng):
         s1 = cv.sectional(eh, p, u, v)
         s2 = cv.sectional(scaled, p, u, v)
         assert s2 == pytest.approx(s1 / lam ** 2, rel=1e-9)
-        n1 = cv.tensor_norm(cv.curvature_gradient(eh, p).nabla_r, eh, p, "lllll")
-        n2 = cv.tensor_norm(cv.curvature_gradient(scaled, p).nabla_r, scaled, p, "lllll")
+        j1, j2 = cv.curvature_gradient(eh, p), cv.curvature_gradient(scaled, p)
+        n1 = cv.tensor_norm(j1.nabla_r, j1.G, "lllll")
+        n2 = cv.tensor_norm(j2.nabla_r, j2.G, "lllll")
         assert n2 == pytest.approx(n1 / lam ** 3, rel=1e-9)
 
 

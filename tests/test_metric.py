@@ -77,11 +77,24 @@ def _pointwise_spd_error(g, point):
     if not np.allclose(g, g.T, atol=1e-12 * max(1.0, float(np.abs(g).max()))):
         return f"metric not symmetric at {_plain(point)}"
     w = np.linalg.eigvalsh(0.5 * (g + g.T))
-    if w[0] <= mt.SPD_EIG_TOL * max(abs(w[-1]), 1e-300):
+    if w[0] > mt.SPD_EIG_TOL * max(abs(w[-1]), 1e-300):
+        return None
+    if w[0] <= 0:
         return f"metric not positive definite at {_plain(point)}: eigenvalues {w}"
-    if w[-1] / w[0] > mt.SPD_COND_LIMIT:
-        return f"metric too ill-conditioned at {_plain(point)}: cond {w[-1] / w[0]:.3e}"
-    return None
+    return f"metric too ill-conditioned at {_plain(point)}: cond {w[-1] / w[0]:.3e}"
+
+
+@pytest.mark.parametrize("diag,message", [
+    ((1.0, 1e-13), "metric too ill-conditioned at [0.5, 0.5]: cond 1.000e+13"),
+    ((1.0, -1.0), "metric not positive definite at [0.5, 0.5]: eigenvalues [-1.  1.]"),
+    ((1.0, 0.0), "metric not positive definite at [0.5, 0.5]: eigenvalues [0. 1.]"),
+])
+def test_spd_message_names_the_failure(diag, message):
+    """Positive but below the relative floor is ill-conditioned; zero or
+    negative is not positive definite."""
+    with pytest.raises(mt.NotSPDError) as err:
+        mt.require_spd(np.diag(diag)[None], [[0.5, 0.5]])
+    assert str(err.value) == message
 
 
 def _spd_test_matrix(rng, n):

@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 
@@ -61,9 +62,9 @@ def test_a_tensor_matches_fd_oracle(sphere):
     W = on.a_tensor_vertical(ctx, f1, f2)
     num = ch.numeric()
     gam = num.christoffel(y0)
-    X0 = ch.horizontal_lift(y0, f1)
-    Y0 = ch.horizontal_lift(y0, f2)
-    dY = fd_gradient(stacked(lambda y: ch.horizontal_lift(y, f2)), y0)
+    X0 = ch.lift(y0, f1)
+    Y0 = ch.lift(y0, f2)
+    dY = fd_gradient(stacked(lambda y: ch.lift(y, f2)), y0)
     nab = np.einsum("a,ac->c", X0, dY) + np.einsum("cab,a,b->c", gam, X0, Y0)
     W_fd = math.sqrt(2.0) * ch.omega(y0, nab)
     assert np.abs(W - W_fd).max() <= 1e-8
@@ -112,25 +113,25 @@ def test_covariant_a_cone_pair_matches_fd(cone_pair):
 
     num = ch.numeric()
     gam = num.christoffel(y0)
-    Z0 = ch.horizontal_lift(y0, f1)
+    Z0 = ch.lift(y0, f1)
 
     def nab_xy_vertical(y):
         gam_y = num.christoffel(y)
-        X = ch.horizontal_lift(y, f1)
-        Y = ch.horizontal_lift(y, f2)
-        dY = fd_gradient(stacked(lambda yy: ch.horizontal_lift(yy, f2)), y)
+        X = ch.lift(y, f1)
+        Y = ch.lift(y, f2)
+        dY = fd_gradient(stacked(lambda yy: ch.lift(yy, f2)), y)
         nabv = np.einsum("a,ac->c", X, dY) + np.einsum("cab,a,b->c", gam_y, X, Y)
-        return nabv - ch.horizontal_lift(y, nabv[:2])
+        return nabv - ch.lift(y, nabv[:2])
 
     A0v = nab_xy_vertical(y0)
     dA = fd_gradient(stacked(nab_xy_vertical), y0, h1=3e-4, h2=3e-5)
     nabZ_A = np.einsum("a,ac->c", Z0, dA) + np.einsum("cab,a,b->c", gam, Z0, A0v)
 
     def lift_field(vb):
-        return stacked(lambda y: ch.horizontal_lift(y, vb))
+        return stacked(lambda y: ch.lift(y, vb))
 
-    X0 = ch.horizontal_lift(y0, f1)
-    Y0 = ch.horizontal_lift(y0, f2)
+    X0 = ch.lift(y0, f1)
+    Y0 = ch.lift(y0, f2)
     nabZX = np.einsum("a,ac->c", Z0, fd_gradient(lift_field(f1), y0)) + \
         np.einsum("cab,a,b->c", gam, Z0, X0)
     nabZY = np.einsum("a,ac->c", Z0, fd_gradient(lift_field(f2), y0)) + \
@@ -416,37 +417,101 @@ def test_bound_report_is_the_spectral_radius(cone_pair, rng):
     assert rep.sup_ricci == max(row["sup_ricci"] for row in rep.per_sample)
 
 
+def _count_jet_evaluations(monkeypatch):
+    """Per metric, the evaluations of G, dG, d2G and d3G from here on."""
+    counts = collections.defaultdict(lambda: [0, 0, 0, 0])
+    evaluate = mt.MetricSpec.evaluate
+    derivative_fn = mt.MetricSpec.derivative_fn
+
+    def counted_evaluate(self, point):
+        counts[self][0] += 1
+        return evaluate(self, point)
+
+    def counted_derivative_fn(self, order):
+        fn = derivative_fn(self, order)
+
+        def counted(point):
+            counts[self][order] += 1
+            return fn(point)
+        return counted
+
+    monkeypatch.setattr(mt.MetricSpec, "evaluate", counted_evaluate)
+    monkeypatch.setattr(mt.MetricSpec, "derivative_fn", counted_derivative_fn)
+    return counts
+
+
+def _count_calls(monkeypatch, names):
+    """Calls of the named curvature functions, on every binding of them."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(cv, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (cv, on):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_context_evaluates_each_jet_once(monkeypatch):
+    """One context at an n = 3 pair with g != g': G, dG and d2G of g and
+    G through d3G of g' once each (4, 3 and 1 times, and 5, 3, 2 and 1
+    times, when the context took its jets separately)."""
+    g, gp = (mt.parse_metric(src) for src in GMET_N3)
+    counts = _count_jet_evaluations(monkeypatch)
+    on.ONeillContext(g, gp, bd.FramePoint.anchor([0.6, 0.7, 0.8], 3))
+    assert counts == {g: [1, 1, 1, 0], gp: [1, 1, 1, 1]}
+
+
 def test_hypothesis_measurements_one_riemann_per_point(eh, monkeypatch):
-    calls = []
-    original = cv.riemann
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(cv, "riemann", counted)
-    monkeypatch.setattr(on, "riemann", counted)
-    on.hypothesis_measurements(eh, mt.eguchi_hanson(1.2), [1.8, 1.2, 0.7, 1.0])
-    assert len(calls) <= 1
+    """The hypothesis numbers read the context's jets: with them in hand,
+    neither `hypothesis_measurements` nor a per-direction report with the
+    hypothesis evaluates a metric or builds a jet."""
+    ctx = ctx_at(eh, mt.eguchi_hanson(1.2), [1.8, 1.2, 0.7, 1.0])
+    counts = _count_jet_evaluations(monkeypatch)
+    calls = _count_calls(monkeypatch, ["riemann", "christoffel", "curvature_gradient"])
+    h = on.hypothesis_measurements(ctx.jet_g, ctx.grad_gp)
+    rep = on.ricci_oneill(ctx, np.ones(4), None)
+    assert rep.hypothesis == h
+    assert counts == {}
+    assert calls == {"riemann": 0, "christoffel": 0, "curvature_gradient": 0}
 
 
 def test_bound_report_shares_the_context_jets(eh, monkeypatch):
-    calls = {"riemann": 0, "christoffel": 0}
+    """A bound-report point evaluates each jet once, as one context does,
+    and makes no Christoffel call (G, dG and d2G of g were evaluated 7, 3
+    and 1 times and G through d3G of g' 9, 4, 3 and 2 times per point,
+    through 2 riemann and 3 christoffel calls, when the context and the
+    hypothesis numbers took their jets separately)."""
+    gp = mt.eguchi_hanson(1.2)
+    counts = _count_jet_evaluations(monkeypatch)
+    calls = _count_calls(monkeypatch, ["riemann", "christoffel", "curvature_gradient"])
+    on.ricci_bound_report(eh, gp, [[1.8, 1.2, 0.7, 1.0]])
+    assert counts == {eh: [1, 1, 1, 0], gp: [1, 1, 1, 1]}
+    assert calls == {"riemann": 1, "christoffel": 0, "curvature_gradient": 1}
 
-    def counting(name, original):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return counted
 
-    riemann = counting("riemann", cv.riemann)
-    monkeypatch.setattr(cv, "riemann", riemann)
-    monkeypatch.setattr(on, "riemann", riemann)
-    monkeypatch.setattr(cv, "christoffel", counting("christoffel", cv.christoffel))
-    on.ricci_bound_report(eh, mt.eguchi_hanson(1.2), [[1.8, 1.2, 0.7, 1.0]])
-    # riemann of g' and g (Ricci); christoffel of g and g' (D) and of g
-    # (the connection of the curvature gradient); 3 and 5 before sharing
-    assert calls == {"riemann": 2, "christoffel": 3}
+def test_curvature_command_evaluates_each_jet_once(eh, monkeypatch, tmp_path):
+    """`curvature --metric2` builds one Riemann jet of g and one gradient
+    jet of g' (6, 2 and 1, and 6, 3, 2 and 1 evaluations before)."""
+    from framelab import cli
+
+    loaded = {}
+
+    def load(uri):
+        return loaded.setdefault(uri, mt.metric_from_uri(uri))
+
+    monkeypatch.setattr(cli, "_load_metric", load)
+    counts = _count_jet_evaluations(monkeypatch)
+    code = cli.main(["curvature", "--metric", "builtin:eguchi-hanson:a=1",
+                     "--metric2", "builtin:eguchi-hanson:a=1.2",
+                     "--at", "1.8,1.2,0.7,1.0", "--out", str(tmp_path)])
+    assert code == 0
+    g, gp = loaded["builtin:eguchi-hanson:a=1"], loaded["builtin:eguchi-hanson:a=1.2"]
+    assert counts == {g: [1, 1, 1, 0], gp: [1, 1, 1, 1]}
 
 
 def test_bound_report_assembles_the_blocks_once(eh, monkeypatch):
