@@ -224,24 +224,30 @@ class LiftedMetricChart:
     def lift(self, y, v=None, a=None):
         """Chart components at y of the tangent with pi_* = v and omega = a:
         the horizontal lift of the base vector v plus the fundamental field
-        of a in o(n), either of which may be left out."""
+        of a in o(n), either of which may be left out.  v (n,) and a (n, n)
+        give one tangent (N,); columns v (n, k) and a stack a (k, n, n) give
+        k tangents, the columns of an (N, k) matrix, from one omega_basis
+        call and one solve."""
         om_x, om_t = self.omega_basis(y)
-        v = np.zeros(self.n) if v is None else np.asarray(v, dtype=float)
+        columns = np.ndim(v) == 2 or np.ndim(a) == 3
+        k = np.shape(v)[1] if np.ndim(v) == 2 else len(a) if np.ndim(a) == 3 else 1
+        v = np.zeros((self.n, k)) if v is None else np.asarray(v, dtype=float).reshape(self.n, k)
         # omega(v, tau) = a:  vec_skew(om_t)^T tau = vec_skew(a) - vec_skew(v . om_x)
-        rhs = -ortho.vec_skew(np.einsum("i,iab->ab", v, om_x))
+        rhs = -ortho.vec_skew(np.einsum("ik,iab->kab", v, om_x))
         if a is not None:
-            rhs += ortho.vec_skew(a)
-        tau = np.linalg.solve(ortho.vec_skew(om_t).T, rhs)
-        return np.concatenate([v, tau])
+            rhs += ortho.vec_skew(np.reshape(a, (k, self.n, self.n)))
+        tau = np.linalg.solve(ortho.vec_skew(om_t).T, rhs.T)
+        out = np.concatenate([v, tau])
+        return out if columns else out[:, 0]
 
     def adapted_frame(self, y):
         """Columns: lifts of the g-orthonormalized coordinate basis, then the
         b-orthonormal fundamental fields T_lm / sqrt(2)."""
         x, _ = self.split(y)
-        F = section_frame(self.g, x)    # g-ON base frame
-        cols = [self.lift(y, F[:, i]) for i in range(self.n)]
-        cols += [self.lift(y, a=B / math.sqrt(2.0)) for B in self.basis]
-        return np.stack(cols, axis=1)
+        n, m = self.n, self.m
+        v = np.concatenate([section_frame(self.g, x), np.zeros((n, m))], axis=1)
+        a = np.concatenate([np.zeros((n, n, n)), self.basis / math.sqrt(2.0)])
+        return self.lift(y, v, a)
 
     def metric_in_adapted_frame(self, y):
         P = self.adapted_frame(y)
@@ -249,8 +255,7 @@ class LiftedMetricChart:
 
     def vertical_block_fundamental(self, y):
         """Metric on the unnormalized fundamental fields T_lm (contract: 2 I)."""
-        cols = [self.lift(y, a=B) for B in self.basis]
-        P = np.stack(cols, axis=1)
+        P = self.lift(y, a=self.basis)
         return P.T @ self.metric_matrix(y) @ P
 
     # -- export ---------------------------------------------------------------

@@ -154,14 +154,16 @@ def cmd_parse_check(args):
 def cmd_curvature(args):
     m = _load_metric(args.metric)
     p = _basepoint(args, m)
+    m2 = _load_metric(args.metric2) if args.metric2 else None
+    if m2 is not None and m2.dim != m.dim:
+        raise ValueError("base and connection metrics must share the chart")
     jet = riemann(m, p)
     payload = {
         "point": p.tolist(),
         "metric": jet.G.tolist(),
         "ricci": jet.ricci().tolist(),
     }
-    if args.metric2:
-        m2 = _load_metric(args.metric2)
+    if m2 is not None:
         payload["hypothesis"] = on.hypothesis_measurements(jet, curvature_gradient(m2, p))
     _write_artifact(args, "curvature", payload)
     return 0

@@ -25,17 +25,18 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from .expr import ExprEvalError
+from .expr import ExprEvalError, _plain
 from .metric import MetricSpec
 
 
 class DomainExitError(RuntimeError):
-    """A curve left the chart; `s_exit` is the first offending parameter."""
+    """A curve left the chart, `s_exit` being the first offending parameter,
+    or (with s_exit None) a point lies outside it."""
 
     def __init__(self, s_exit, point):
-        super().__init__(f"curve leaves the chart domain at s={s_exit:.6g}")
+        super().__init__(f"point {_plain(point)} is outside the chart domain" if s_exit is None
+                         else f"curve leaves the chart domain at s={s_exit:.6g}")
         self.s_exit = s_exit
         self.point = np.asarray(point)
 
@@ -112,8 +113,8 @@ def assemble_gamma_jet(G, *dG):
     partials dG = (dG, d2G, d3G)[:k], k = 1, 2 or 3.  Returns the list
     [gamma, dgamma, d2gamma][:k] with dgamma[m, k, i, j] = d_m Gamma^k_ij
     and d2gamma[m, n, k, i, j] = d_m d_n Gamma^k_ij; g^-1, A and d(g^-1)
-    are computed once for all orders.  For k = 1, G and dG may carry
-    leading stack axes, (..., n, n) and (..., n, n, n).
+    are computed once for all orders.  For k = 1 or 2, G and its partials
+    may carry one leading stack axis, (B, n, n), (B, n, n, n), ...
     """
     ginv = _ginv(G)
     # A[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij and its partials
@@ -121,6 +122,8 @@ def assemble_gamma_jet(G, *dG):
     for d in dG:
         t = np.swapaxes(d, -1, -3)      # t[..., l, i, j] = d_j g_il
         A.append(np.swapaxes(t, -1, -2) + t - d)
+    if G.ndim > 2:
+        return _stacked_gamma_jet(ginv, dG, A)
     out = [0.5 * np.einsum("...kl,...lij->...kij", ginv, A[0])]
     if len(dG) > 1:
         dginv = -np.einsum("ka,mab,bl->mkl", ginv, dG[0], ginv)
@@ -134,6 +137,30 @@ def assemble_gamma_jet(G, *dG):
                           + np.einsum("mkl,nlij->mnkij", dginv, A[1])
                           + np.einsum("nkl,mlij->mnkij", dginv, A[1])
                           + np.einsum("kl,mnlij->mnkij", ginv, A[2])))
+    return out
+
+
+def _stacked_gamma_jet(ginv, dG, A):
+    """`assemble_gamma_jet` on a stack of B points, orders 1 and 2.  Every
+    product acts on one row at a time (broadcast products added in a fixed
+    order, np.matmul per row), so row k is the same bits whatever else is
+    in the stack.  Gamma adds the terms of the single-point einsum in its
+    order, so each row of it is the single-point Gamma bit for bit (the
+    lifted metric's stacked base rows rely on that); dGamma goes through
+    matmul and agrees with the single-point value to rounding."""
+    if len(dG) > 2:
+        raise ValueError("stacked Christoffel jets take G, dG and d2G at most")
+    B, n = ginv.shape[:2]
+    gamma = ginv[:, :, 0, None, None] * A[0][:, None, 0]
+    for l in range(1, n):
+        gamma = gamma + ginv[:, :, l, None, None] * A[0][:, None, l]
+    out = [0.5 * gamma]
+    if len(dG) > 1:
+        gi = ginv[:, None]
+        dginv = -((gi @ dG[0]) @ gi)                      # (B, m, k, l)
+        t1 = dginv.reshape(B, n * n, n) @ A[0].reshape(B, n, n * n)
+        t2 = gi @ A[1].reshape(B, n, n, n * n)
+        out.append(0.5 * (t1.reshape(B, n, n, n, n) + t2.reshape(B, n, n, n, n)))
     return out
 
 
@@ -173,7 +200,7 @@ def _checked_derivs(m: MetricSpec, p, order):
     """`_derivs` of a MetricSpec at the float point p, after the domain
     check, with G from the SPD check."""
     if not m.in_domain(p):
-        raise DomainExitError(0.0, p)
+        raise DomainExitError(None, p)
     return [m.check_spd(p)] + [m.derivative_fn(k)(p) for k in range(1, order + 1)]
 
 
@@ -275,10 +302,212 @@ def sup_sectional_coordinate_planes(m: MetricSpec, p) -> float:
 # ---------------------------------------------------------------------------
 # geodesics
 
-#: integrator tolerances (adaptive RK45)
+#: integrator tolerances (adaptive Dormand-Prince 5(4))
 ODE_RTOL = 1e-10
 ODE_ATOL = 1e-10
 DOMAIN_TOL = 1e-9
+
+def _terms(weights):
+    """The (stage, weight) pairs of a tableau row, zero weights left out."""
+    return [(j, w) for j, w in enumerate(weights) if np.any(w)]
+
+
+# Dormand-Prince 5(4) with the step control of scipy's RK45 (Dormand &
+# Prince, J. Comput. Appl. Math. 6, 1980; Hairer, Norsett & Wanner, Solving
+# ODEs I, II.4), as (stage, weight) terms: the stages, the 5th-order
+# weights, the error weights (the difference to the embedded 4th-order
+# solution, FSAL stage last) and the rows of the quartic dense output.  The
+# geodesic equations are autonomous, so the stage nodes c_s are not needed.
+_DP_A = [None] + [_terms(a) for a in (
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656])]
+_DP_B = _terms([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
+_DP_E = _terms([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
+_DP_P = _terms(np.array([
+    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]]))
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1 / 5
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+def _combine(terms, K):
+    """sum_j w_j K[j] over the (j, w_j) of `terms`, added in stage order
+    (elementwise, so row by row)."""
+    (j, w), *rest = terms
+    acc = w * K[j]
+    for j, w in rest:
+        acc = acc + w * K[j]
+    return acc
+
+
+def _rms(z):
+    """RMS norm of each row of z, the error norm of scipy's RK45."""
+    return np.sqrt((z * z).sum(axis=1)) / z.shape[1] ** 0.5
+
+
+class _DenseOutput:
+    """RK45's quartic interpolant over one row's accepted steps: scalar
+    t -> (d,), t of shape (j,) -> (d, j)."""
+
+    def __init__(self, ts, ys, Q):
+        self.ts = ts                    # (k + 1,) accepted times
+        self.h = np.diff(ts)
+        self.y_old = ys[:-1]            # (k, d): state at each step's start
+        self.Q = Q                      # (k, d, 4): K^T P of each step
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        seg = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.h) - 1)
+        x = (t - self.ts[seg]) / self.h[seg]
+        p = np.cumprod(np.repeat(x[..., None], 4, axis=-1), axis=-1)
+        y = self.h[seg][..., None] * (self.Q[seg] @ p[..., None])[..., 0] + self.y_old[seg]
+        return y if t.ndim == 0 else y.T
+
+
+@dataclass
+class Trajectory:
+    """One integrated trajectory: accepted times t (k,), the states y
+    (d, k) at them, its right-hand-side count, and with dense output `sol`,
+    the interpolant t -> state."""
+    t: np.ndarray
+    y: np.ndarray
+    nfev: int
+    sol: _DenseOutput = None
+
+
+@dataclass
+class TrajectoryStack:
+    """`geodesic_ivp` of a stack: per row a Trajectory, or the exception
+    that ended the row (what a single-row call raises); nfev counts the
+    right-hand sides of every row."""
+    rows: list
+    nfev: int
+
+
+def _dormand_prince(rhs, y0, t_final, rtol, atol, dense):
+    """Integrate y' = f(y) from 0 to t_final > 0 for every row of y0 (B, d),
+    with scipy RK45's tableau, initial step, error norm and step-factor
+    limits, and with each row's own t, step size and accept/reject
+    decisions.  rhs(Y) evaluates f at the rows of Y (b, d) and returns
+    (F, errors), errors {row of Y: exception} for rows whose evaluation
+    failed; such a row, or one whose step size underflows, ends with that
+    exception while the others go on.  Each row's arithmetic is elementwise
+    or its own reduction, so a row's result does not depend on the stack.
+    With dense > 0 each row gets the interpolant of its first `dense` state
+    components.  Returns (per row a Trajectory or an exception, per-row
+    nfev)."""
+    B, d = y0.shape
+    nfev = np.zeros(B, dtype=int)
+    failure = [None] * B
+    steps = []              # (rows, t, y, Q) of every accepted step
+
+    def evaluate(rows, Y, alive):
+        """f at the alive rows of Y; rows whose evaluation fails die."""
+        live = np.flatnonzero(alive)
+        F = np.zeros_like(Y)
+        if not len(live):
+            return F
+        F[live], errors = rhs(Y[live])
+        nfev[rows[live]] += 1
+        for k, exc in errors.items():
+            failure[rows[live[k]]] = exc
+            alive[live[k]] = False
+        return F
+
+    rows = np.arange(B)
+    t = np.zeros(B)
+    y = y0
+    alive = np.ones(B, dtype=bool)
+    f = evaluate(rows, y, alive)
+    # scipy's select_initial_step, row by row
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.minimum(h0, t_final)
+    f1 = evaluate(rows, y + h0[:, None] * f, alive)
+    d2 = _rms((f1 - f) / scale) / h0
+    with np.errstate(divide="ignore"):
+        h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / np.maximum(d1, d2)) ** (1 / 5))
+    h_abs = np.minimum(np.minimum(100 * h0, h1), t_final)
+    rejected = np.zeros(B, dtype=bool)
+
+    while True:
+        rows, t, y, f, h_abs, rejected = (a[alive] for a in (rows, t, y, f, h_abs, rejected))
+        if not len(rows):
+            break
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        # a fresh step starts at min_step at least; a retried one below it fails
+        h_abs = np.where(rejected | (h_abs >= min_step), h_abs, min_step)
+        alive = ~(rejected & (h_abs < min_step))
+        for r in rows[~alive]:
+            failure[r] = RuntimeError(f"geodesic integration failed: {_TOO_SMALL_STEP}")
+        t_new = np.minimum(t + h_abs, t_final)
+        h = t_new - t
+        hc = h[:, None]
+        K = np.empty((7,) + y.shape)
+        K[0] = f
+        for s in range(1, 6):
+            K[s] = evaluate(rows, y + _combine(_DP_A[s], K) * hc, alive)
+        y_new = y + hc * _combine(_DP_B, K)
+        K[6] = evaluate(rows, y_new, alive)
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        error_norm = _rms(_combine(_DP_E, K) * hc / scale)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            grow = _SAFETY * error_norm ** _ERROR_EXPONENT
+        accept = error_norm < 1
+        # min/max as Python's: a NaN norm rejects with the smallest factor
+        factor = np.where(accept, np.where(grow < _MAX_FACTOR, grow, _MAX_FACTOR),
+                          np.where(grow > _MIN_FACTOR, grow, _MIN_FACTOR))
+        factor = np.where(accept & rejected & ~(factor < 1), 1.0, factor)
+        h_abs = np.abs(h) * factor
+        done = accept & alive
+        if done.any():
+            # the interpolant's coefficients Q = K^T P, kept instead of K
+            Q = _combine(_DP_P, K[:, done, :dense, None]) if dense else None
+            steps.append((rows[done], t_new[done], y_new[done], Q))
+        t = np.where(done, t_new, t)
+        y = np.where(done[:, None], y_new, y)
+        f = np.where(done[:, None], K[6], f)
+        rejected = ~accept
+        alive &= ~(done & (t_new >= t_final))
+
+    out = [None] * B
+    if steps:
+        # every accepted step, sorted by row; a row's steps are one slice.
+        # One copy at a time, so the peak stays at twice the step data.
+        all_rows, all_t, all_y, all_Q = (np.concatenate(a) if a[0] is not None else None
+                                         for a in zip(*steps))
+        del steps
+        order = np.argsort(all_rows, kind="stable")
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(all_rows, minlength=B))])
+        all_t = all_t[order]
+        all_y = all_y[order]
+        if dense:
+            all_Q = all_Q[order]
+    for r in range(B):
+        if failure[r] is not None:
+            out[r] = failure[r]
+            continue
+        sl = slice(bounds[r], bounds[r + 1])
+        ts = np.concatenate([[0.0], all_t[sl]])
+        ys = np.concatenate([y0[r:r + 1], all_y[sl]])
+        # a copy of the row's coefficients: a kept row holds no other row's
+        out[r] = Trajectory(ts, ys.T, int(nfev[r]),
+                            _DenseOutput(ts, ys[:, :dense], all_Q[sl].copy()) if dense else None)
+    return out, nfev
 
 
 class _GammaCache:
@@ -286,6 +515,7 @@ class _GammaCache:
     and SPD checks of `christoffel`; m is either derivative source."""
 
     def __init__(self, m, variational=False):
+        self.n = m.dim
         self.dfn = m.derivative_fn(1)
         self.d2fn = m.derivative_fn(2) if variational else None
         if isinstance(m, MetricSpec):
@@ -298,50 +528,103 @@ class _GammaCache:
     def gamma(self, x):
         return assemble_gamma_jet(self.gfn(x), self.dfn(x))[0]
 
-    def gamma_jet(self, x):
-        """[Gamma, dGamma] at x, for the variational equations."""
-        return assemble_gamma_jet(self.gfn(x), self.dfn(x), self.d2fn(x))
+    def jets(self, X):
+        """[Gamma] at each row of X (b, n), with dGamma as well when
+        variational: the metric and its partials once per row, then one
+        stacked assembly.  Returns (jets, errors), errors {row: exception}
+        for rows whose evaluation raised ExprEvalError or LinAlgError; their
+        jet rows are zero."""
+        b, n = len(X), self.n
+        fns = [self.gfn, self.dfn] + ([self.d2fn] if self.d2fn else [])
+        parts = [np.zeros((b,) + (n,) * (k + 2)) for k in range(len(fns))]
+        errors = {}
+        # plain floats: the compiled expressions run faster on them than on
+        # numpy scalars, with the same values
+        for k, x in enumerate(X.tolist()):
+            try:
+                for part, fn in zip(parts, fns):
+                    part[k] = fn(x)
+            except (ExprEvalError, np.linalg.LinAlgError) as exc:
+                errors[k] = exc
+        ok = np.ones(b, dtype=bool)
+        ok[list(errors)] = False
+        if ok.all():
+            try:
+                return assemble_gamma_jet(*parts), errors
+            except np.linalg.LinAlgError:
+                pass            # a singular G: assemble row by row below
+        jets = [np.zeros((b,) + (n,) * (k + 3)) for k in range(len(fns) - 1)]
+        for k in np.flatnonzero(ok):
+            try:
+                for jet, row in zip(jets, assemble_gamma_jet(*(p[k:k + 1] for p in parts))):
+                    jet[k] = row[0]
+            except np.linalg.LinAlgError as exc:
+                errors[k] = exc
+        return jets, errors
+
+
+def _geodesic_rhs(cache, variational):
+    """The stacked right-hand side of the geodesic equations (with the
+    variational equations when asked) for `_dormand_prince`."""
+    n = cache.n
+
+    def rhs(Y):
+        b = len(Y)
+        jets, errors = cache.jets(Y[:, :n])
+        vel = Y[:, n:2 * n]
+        gv = (jets[0] @ vel[:, None, :, None])[..., 0]       # gv[k, i] = Gamma^k_ij v^j
+        acc = -(gv @ vel[:, :, None])[..., 0]
+        if not variational:
+            return np.concatenate([vel, acc], axis=1), errors
+        J = Y[:, 2 * n:2 * n + n * n].reshape(b, n, n)
+        K = Y[:, 2 * n + n * n:].reshape(b, n, n)
+        # dgvv[m, k] = d_m Gamma^k_ij v^i v^j
+        dgvv = ((jets[1] @ vel[:, None, None, :, None])[..., 0] @ vel[:, None, :, None])[..., 0]
+        dK = -(np.swapaxes(dgvv, -1, -2) @ J) - 2.0 * (gv @ K)
+        return np.concatenate([vel, acc, K.reshape(b, n * n), dK.reshape(b, n * n)],
+                              axis=1), errors
+
+    return rhs
 
 
 def geodesic_ivp(m: MetricSpec, p, v, t_final, dense=True, rtol=ODE_RTOL, atol=ODE_ATOL,
                  variational=False):
-    """Integrate x'' + Gamma(x)(x', x') = 0; returns the scipy solution.
+    """Integrate x'' + Gamma(x)(x', x') = 0 from x(0) = p, x'(0) = v over
+    [0, t_final], t_final > 0, on framelab's Dormand-Prince 5(4) stepper.
     m is a MetricSpec or a NumericMetric.
+
+    p and v are one point and velocity (n,), or stacks (B, n) integrated in
+    lockstep, each row with its own step control.  One row returns a
+    `Trajectory` (y[:, -1] is the end state, sol(t) the dense interpolant
+    of (x, v) when dense) or raises: the ExprEvalError or LinAlgError of its
+    right-hand side, or RuntimeError when its step size underflows.  A
+    stack returns a `TrajectoryStack`, in which a failed row holds that
+    exception and fails alone; every row is bitwise its single-row result.
 
     With variational=True the state also carries J = dx/dv0 and K = dv/dv0
     (n x n each, row-major after x and v), started at J = 0, K = I and
     driven by the linearized equations J' = K,
     K' = -dGamma(x)[J](v, v) - 2 Gamma(x)(v, K); rtol and atol apply to
-    every component.
+    every component.  The interpolant still covers only (x, v).
     """
-    cache = _GammaCache(m, variational)
+    if not t_final > 0:
+        raise ValueError(f"geodesic_ivp integrates forward: t_final = {t_final}")
+    p = np.asarray(p, dtype=float)
+    v = np.asarray(v, dtype=float)
     n = m.dim
-
-    def rhs(t, y):
-        x, vel = y[:n], y[n:]
-        gamma = cache.gamma(x)
-        acc = -np.einsum("kij,i,j->k", gamma, vel, vel)
-        return np.concatenate([vel, acc])
-
-    def rhs_variational(t, y):
-        x, vel = y[:n], y[n:2 * n]
-        J = y[2 * n:2 * n + n * n].reshape(n, n)
-        K = y[2 * n + n * n:].reshape(n, n)
-        gamma, dgamma = cache.gamma_jet(x)
-        gv = gamma @ vel                    # gv[k, i] = Gamma^k_ij v^j
-        dgvv = (dgamma @ vel) @ vel         # dgvv[m, k] = d_m Gamma^k_ij v^i v^j
-        dK = -(dgvv.T @ J) - 2.0 * (gv @ K)
-        return np.concatenate([vel, -(gv @ vel), K.ravel(), dK.ravel()])
-
-    y0 = np.concatenate([np.asarray(p, dtype=float), np.asarray(v, dtype=float)])
+    P, V = np.broadcast_arrays(np.atleast_2d(p), np.atleast_2d(v))
+    y0 = np.concatenate([P, V], axis=1)
     if variational:
-        y0 = np.concatenate([y0, np.zeros(n * n), np.eye(n).ravel()])
-        rhs = rhs_variational
-    sol = solve_ivp(rhs, (0.0, float(t_final)), y0, method="RK45",
-                    rtol=rtol, atol=atol, dense_output=dense)
-    if not sol.success:
-        raise RuntimeError(f"geodesic integration failed: {sol.message}")
-    return sol
+        B = len(y0)
+        y0 = np.concatenate([y0, np.zeros((B, n * n)), np.tile(np.eye(n).ravel(), (B, 1))],
+                            axis=1)
+    rows, nfev = _dormand_prince(_geodesic_rhs(_GammaCache(m, variational), variational),
+                                 y0, float(t_final), rtol, atol, 2 * n if dense else 0)
+    if p.ndim == 1 and v.ndim == 1:
+        if isinstance(rows[0], Exception):
+            raise rows[0]
+        return rows[0]
+    return TrajectoryStack(rows, int(nfev.sum()))
 
 
 def _first_domain_exit(m, sol, t_final, samples=200):
@@ -377,41 +660,75 @@ def geodesic_energy_drift(m: MetricSpec, sol, t_final, samples=20):
 
 
 def geodesic_between(m: MetricSpec, p, q, v0=None, tol=1e-10, max_iter=12,
-                     rtol=1e-10, atol=1e-10):
-    """Two-point geodesic by shooting.  Returns (v, length) with exp_p(v) = q.
+                     rtol=1e-10, atol=1e-10, dense=False):
+    """Two-point geodesics by shooting, exp_p(v) = q.
 
     Newton's method on v -> exp_p(v) - q; each step takes one integration
     of the geodesic with its variational equations, whose J(1) is the exact
-    Jacobian of the endpoint map.  A shot that fails to converge, or whose
-    integration fails or leaves the metric's domain of evaluation, raises
-    RuntimeError.  v0 seeds the Newton iteration; the default straight-line
-    velocity works whenever the chart is close to flat on the segment.
+    Jacobian of the endpoint map.  v0 seeds the Newton iteration; the
+    default straight-line velocity works whenever the chart is close to
+    flat on the segment.
+
+    One pair p, q (n,) returns (v, length); a shot that fails to converge,
+    or whose integration fails or leaves the metric's domain of evaluation,
+    raises RuntimeError.  Stacks (B, n) (p or q may be one point) shoot
+    every pair in lockstep, one stacked integration per Newton pass over
+    the rows still open, and return (V, lengths, reasons): reasons[k] is
+    None or the message the single pair would raise, and failed rows have
+    NaN in V and lengths.  Row k is bitwise the single-pair result.  With
+    dense=True the result gains one more item, each converged shot's last
+    integration (a `Trajectory` with its interpolant of (x, v); None for
+    failures).
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    n = m.dim
-    v = np.array(v0, dtype=float) if v0 is not None else (q - p)
-
+    P, Q = np.broadcast_arrays(np.atleast_2d(p), np.atleast_2d(q))
+    V = np.array(np.broadcast_to(v0, P.shape) if v0 is not None else Q - P, dtype=float)
+    B, n = P.shape
+    reasons, causes, paths = [None] * B, [None] * B, [None] * B
+    todo = np.arange(B)
     for _ in range(max_iter):
-        try:
-            sol = geodesic_ivp(m, p, v, 1.0, dense=False, rtol=rtol, atol=atol,
-                               variational=True)
-        except (ExprEvalError, np.linalg.LinAlgError) as exc:
-            raise RuntimeError(f"shooting integration failed: {exc}") from exc
-        end = sol.y[:, -1]
-        err = end[:n] - q
-        if np.linalg.norm(err) < tol:
+        if not len(todo):
             break
-        J = end[2 * n:2 * n + n * n].reshape(n, n)
-        try:
-            step = np.linalg.solve(J, err)
-        except np.linalg.LinAlgError:
-            raise RuntimeError("shooting Jacobian singular") from None
-        v = v - step
-    else:
-        raise RuntimeError(f"shooting failed to converge for {p} -> {q}")
-    length = math.sqrt(max(float(v @ m.evaluate(p) @ v), 0.0))
-    return v, length
+        shots = geodesic_ivp(m, P[todo], V[todo], 1.0, dense=dense, rtol=rtol, atol=atol,
+                             variational=True).rows
+        still = []
+        for k, shot in zip(todo, shots):
+            if isinstance(shot, Exception):
+                causes[k] = shot
+                reasons[k] = (str(shot) if isinstance(shot, RuntimeError)
+                              else f"shooting integration failed: {shot}")
+                continue
+            end = shot.y[:, -1]
+            err = end[:n] - Q[k]
+            if np.linalg.norm(err) < tol:
+                paths[k] = shot
+                continue
+            J = end[2 * n:2 * n + n * n].reshape(n, n)
+            try:
+                step = np.linalg.solve(J, err)
+            except np.linalg.LinAlgError:
+                reasons[k] = "shooting Jacobian singular"
+                continue
+            V[k] = V[k] - step
+            still.append(k)
+        del shots           # only the converged rows' paths outlive their pass
+        todo = np.array(still, dtype=int)
+    for k in todo:
+        reasons[k] = f"shooting failed to converge for {P[k]} -> {Q[k]}"
+    lengths = np.full(B, np.nan)
+    for k in range(B):
+        if reasons[k] is None:
+            lengths[k] = math.sqrt(max(float(V[k] @ m.evaluate(P[k]) @ V[k]), 0.0))
+        else:
+            V[k] = np.nan
+    single = p.ndim == 1 and q.ndim == 1
+    if single and reasons[0] is not None:
+        raise RuntimeError(reasons[0]) from causes[0]
+    out = (V[0], float(lengths[0])) if single else (V, lengths, reasons)
+    if dense:
+        out += (paths[0] if single else paths,)
+    return out
 
 
 #: 8-point Gauss-Legendre rule on [-1, 1], the panel rule of curve_length

@@ -715,9 +715,8 @@ def compile_exprs(exprs, coords, params=None):
             out = fn(point)
         except (ValueError, ZeroDivisionError, OverflowError) as err:
             raise ExprEvalError(f"expression undefined at {_plain(point)}: {err}") from None
-        for v in out:
-            if not math.isfinite(v):
-                raise ExprEvalError(f"expression not finite at {_plain(point)}")
+        if not all(map(math.isfinite, out)):
+            raise ExprEvalError(f"expression not finite at {_plain(point)}")
         return out
 
     return evaluate

@@ -115,19 +115,14 @@ class SampleResult:
 
 
 def _edge_weights(m, points, edges, shifts, refine=False):
-    w = np.empty(len(edges))
-    for idx, (i, j) in enumerate(edges):
-        a = points[i]
-        b = points[j] + (shifts[idx] if shifts is not None else 0.0)
-        seg = hl.line_segment(a, b)
-        length = curve_length(m, seg.point, velocity=seg.velocity, samples=16)
-        if refine:
-            try:
-                _, length_ref = geodesic_between(m, a, b, rtol=1e-9, atol=1e-9)
-                length = min(length, length_ref)
-            except RuntimeError:
-                pass
-        w[idx] = length
+    a = points[edges[:, 0]]
+    b = points[edges[:, 1]] + (shifts if shifts is not None else 0.0)
+    w = np.array([curve_length(m, seg.point, velocity=seg.velocity, samples=16)
+                  for seg in map(hl.line_segment, a, b)])
+    if refine and len(edges):
+        _, shot, reasons = geodesic_between(m, a, b, rtol=1e-9, atol=1e-9)
+        hit = np.array([r is None for r in reasons])
+        w[hit] = np.minimum(w[hit], shot[hit])
     return w
 
 
@@ -241,16 +236,11 @@ def sample_space(m: MetricSpec, region, count, rng=None, mode="geodesic-graph",
     return SampleResult(space, layout, layout.fill_radius)
 
 
-def _geodesic_stays_inside(m, p, v, samples=24):
-    from .curvature import geodesic_ivp
-    try:
-        sol = geodesic_ivp(m, p, v, 1.0, rtol=1e-8, atol=1e-8)
-    except _OFF_CHART_ERRORS:
-        return False
-    for t in np.linspace(0.0, 1.0, samples):
-        if not m.in_domain(sol.sol(t)[: m.dim], tol=1e-9, wrap=True):
-            return False
-    return True
+def _geodesic_stays_inside(m, path, samples=24):
+    """Whether the shot's own integration, read off its interpolant at
+    `samples` times, stays in the chart (up to wrapping periodic axes)."""
+    X = path.sol(np.linspace(0.0, 1.0, samples))[:m.dim].T
+    return all(m.in_domain(x, tol=1e-9, wrap=True) for x in X)
 
 
 def _chord_admissible(m, a, b, samples=12):
@@ -297,19 +287,17 @@ def _refine_pair_distances(m, pts, d_graph, rng=None, shoot=True, chord_slack=1e
                                                          samples=32)
     improved = np.minimum(d, chord)
     if shoot and not _is_flat_on(m, pts, rng):
-        for i in range(n):
-            for j in range(i + 1, n):
-                # chord agreeing with the graph value is already a geodesic
-                if chord[i, j] <= d[i, j] * (1 + 1e-6) and not (
-                        chord[i, j] < d[i, j] * (1 - 5e-3)):
-                    continue
-                try:
-                    v, length = geodesic_between(m, pts[i], rep[(i, j)],
-                                                 rtol=1e-7, atol=1e-9, tol=1e-7,
-                                                 max_iter=8)
-                except RuntimeError:
-                    continue
-                if length < improved[i, j] - chord_slack and _geodesic_stays_inside(m, pts[i], v):
+        # a chord agreeing with the graph value is already a geodesic
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if not (chord[i, j] <= d[i, j] * (1 + 1e-6)
+                         and not chord[i, j] < d[i, j] * (1 - 5e-3))]
+        if pairs:
+            _, lengths, reasons, paths = geodesic_between(
+                m, pts[[i for i, _ in pairs]], np.array([rep[ij] for ij in pairs]),
+                rtol=1e-7, atol=1e-9, tol=1e-7, max_iter=8, dense=True)
+            for (i, j), length, reason, path in zip(pairs, lengths, reasons, paths):
+                if (reason is None and length < improved[i, j] - chord_slack
+                        and _geodesic_stays_inside(m, path)):
                     improved[i, j] = improved[j, i] = length
     # re-run the metric closure so shortcuts propagate through triangles
     d = improved
@@ -619,10 +607,14 @@ def eguchi_hanson_gh_comparison(lam=8.0, count=24, seed=0, a_eh=1.0):
     n = count
     d_eh = np.zeros((n, n))
     d_cone = np.zeros((n, n))
+    I, J = np.triu_indices(n, 1)
+    _, L, reasons = geodesic_between(m, pts[I], pts[J], rtol=1e-9, atol=1e-9)
+    for reason in reasons:
+        if reason is not None:
+            raise RuntimeError(reason)
+    d_eh[I, J] = d_eh[J, I] = L
     for i in range(n):
         for j in range(i + 1, n):
-            _, L = geodesic_between(m, pts[i], pts[j], rtol=1e-9, atol=1e-9)
-            d_eh[i, j] = d_eh[j, i] = L
             ci = (pts[i, 0] / lam, pts[i, 1], pts[i, 2], pts[i, 3])
             cj = (pts[j, 0] / lam, pts[j, 1], pts[j, 2], pts[j, 3])
             d_cone[i, j] = d_cone[j, i] = cone_rp3_distance(ci, cj)

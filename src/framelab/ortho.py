@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm, schur
@@ -79,9 +80,13 @@ def b_norm(a):
     return math.sqrt(max(biinvariant_inner(a, a), 0.0))
 
 
+@lru_cache(maxsize=None)
 def skew_index(n):
-    """`skew_pairs(n)` as two index arrays (lam, mu)."""
-    return np.array(skew_pairs(n), dtype=int).reshape(-1, 2).T
+    """`skew_pairs(n)` as two read-only index arrays (lam, mu), built once
+    per n."""
+    idx = np.array(skew_pairs(n), dtype=int).reshape(-1, 2).T
+    idx.setflags(write=False)
+    return idx
 
 
 def vec_skew(a):

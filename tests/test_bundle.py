@@ -141,6 +141,26 @@ def test_submersion_and_adapted_frame(sphere, rng):
     assert np.abs(P - np.eye(3)).max() <= 1e-9
 
 
+def test_lift_columns_are_single_lifts(eh, monkeypatch):
+    """Stacked v/a columns lift like one column at a time, and the adapted
+    frame takes one omega_basis call for all of its columns."""
+    chart = bd.LiftedMetricChart(eh, eh, bd.FramePoint.anchor([2.2, 1.3, 0.8, 1.1], 4))
+    y = chart.chart_point(t=np.linspace(-0.2, 0.3, 6))
+    rng = np.random.default_rng(7)
+    v = rng.normal(size=(4, 3))
+    a = np.array([ot.unvec_skew(w, 4) for w in rng.normal(size=(3, 6))])
+    cols = chart.lift(y, v, a)
+    assert cols.shape == (10, 3)
+    for k in range(3):
+        assert np.abs(cols[:, k] - chart.lift(y, v[:, k], a[k])).max() <= 1e-12
+    calls = []
+    original = chart.omega_basis
+    monkeypatch.setattr(chart, "omega_basis", lambda y: calls.append(1) or original(y))
+    chart.adapted_frame(y)
+    chart.vertical_block_fundamental(y)
+    assert len(calls) == 2
+
+
 def test_dimension_budget_rejected():
     m5 = mt.flat_euclidean(5)
     with pytest.raises(bd.ChartBudgetError):

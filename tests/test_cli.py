@@ -99,6 +99,23 @@ def test_transport_through_the_pole_is_a_domain_error(tmp_path, capsys):
     assert "domain error" in capsys.readouterr().err
 
 
+def test_curvature_metric2_of_another_dimension_is_a_config_error(tmp_path, capsys):
+    code, _ = run(tmp_path, "curvature", "--metric", "builtin:round-sphere",
+                  "--metric2", "builtin:flat-euclidean:dim=3", "--at", "1.0,0.5")
+    assert code == 2
+    assert "base and connection metrics must share the chart" in capsys.readouterr().err
+
+
+def test_point_outside_the_metric2_chart_is_named(tmp_path, capsys):
+    # th = 4 is off the sphere's chart th in [0, pi], inside the flat one
+    code, _ = run(tmp_path, "curvature", "--metric", "builtin:flat-euclidean:dim=2",
+                  "--metric2", "builtin:round-sphere", "--at", "4.0,0.5")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "point [4.0, 0.5] is outside the chart domain" in err
+    assert "s=0" not in err
+
+
 def test_oneill_check_sphere(tmp_path):
     code, out = run(tmp_path, "oneill-check", "--metric", "builtin:round-sphere",
                     "--pairs", "3")

@@ -288,13 +288,181 @@ def test_geodesic_between_one_integration_per_newton_step(eh, monkeypatch):
     assert len(calls) == k - 1
 
 
-def test_geodesic_between_reraises_evaluation_errors(sphere, monkeypatch):
-    def undefined(*args, **kwargs):
-        raise ex.ExprEvalError("expression undefined")
+def test_stacked_shooting_makes_one_integration_per_newton_pass(eh, monkeypatch):
+    rows = []
+    original = cv.geodesic_ivp
 
-    monkeypatch.setattr(cv, "geodesic_ivp", undefined)
-    with pytest.raises(RuntimeError, match="shooting integration failed"):
-        cv.geodesic_between(sphere, [1.2, 0.4], [1.0, 1.1])
+    def counted(m, p, v, *args, **kwargs):
+        rows.append(len(p))
+        return original(m, p, v, *args, **kwargs)
+
+    P = np.array([[2.2, 1.3, 0.8, 1.1], [2.4, 1.2, 0.9, 1.0], [2.0, 1.4, 1.0, 1.2]])
+    Q = P + np.array([[0.3, -0.2, 0.2, 0.3], [0.02, 0.01, 0.0, 0.01], [0.4, 0.2, -0.3, 0.1]])
+    monkeypatch.setattr(cv, "geodesic_ivp", counted)
+    passes = []
+    for p, q in zip(P, Q):
+        rows.clear()
+        cv.geodesic_between(eh, p, q)
+        passes.append(len(rows))
+    rows.clear()
+    _, _, reasons = cv.geodesic_between(eh, P, Q)
+    assert reasons == [None] * 3
+    # one stacked call per pass, over the rows not yet converged
+    assert len(rows) == max(passes)
+    assert rows == [sum(k > i for k in passes) for i in range(max(passes))]
+
+
+#: a chart whose metric is x^2-smooth on x >= 0 and undefined at x < 0
+#: (sqrt of a negative number), so a geodesic crossing x = 0 fails there
+SQRT_CHART = "dim 2; coords x y; g = [[1, 0], [0, 1 + sqrt(x)^4]];"
+
+
+def test_geodesic_between_reraises_evaluation_errors():
+    m = mt.parse_metric(SQRT_CHART)
+    with pytest.raises(RuntimeError, match="shooting integration failed: expression undefined"):
+        cv.geodesic_between(m, [0.5, 0.0], [-0.5, 0.3])
+
+
+def _reference_rhs(m, variational):
+    """The geodesic right-hand side at one state from the unstacked jets,
+    as scipy's solve_ivp calls it."""
+    n = m.dim
+
+    def rhs(t, y):
+        x, vel = y[:n], y[n:2 * n]
+        derivs = [m.evaluate(x), m.derivative_fn(1)(x)]
+        if variational:
+            derivs.append(m.derivative_fn(2)(x))
+        jets = cv.assemble_gamma_jet(*derivs)
+        gv = jets[0] @ vel
+        if not variational:
+            return np.concatenate([vel, -(gv @ vel)])
+        J = y[2 * n:2 * n + n * n].reshape(n, n)
+        K = y[2 * n + n * n:].reshape(n, n)
+        dgvv = (jets[1] @ vel) @ vel
+        dK = -(dgvv.T @ J) - 2.0 * (gv @ K)
+        return np.concatenate([vel, -(gv @ vel), K.ravel(), dK.ravel()])
+
+    return rhs
+
+
+SHOTS = [("sphere", [1.2, 0.3], [0.4, 0.7]),
+         ("cone", [1.0, 0.2], [0.4, 1.1]),
+         ("eh", [2.2, 1.3, 0.8, 1.1], [0.3, -0.1, 0.2, 0.15])]
+
+
+@pytest.mark.parametrize("variational", [False, True])
+@pytest.mark.parametrize("name, p, v", SHOTS)
+def test_stepper_matches_scipy_rk45(name, p, v, variational, sphere, eh):
+    from scipy.integrate import solve_ivp
+    m = {"sphere": sphere, "cone": mt.exact_cone(0.7), "eh": eh}[name]
+    n = m.dim
+    y0 = np.concatenate([p, v] + ([np.zeros(n * n), np.eye(n).ravel()] if variational else []))
+    want = solve_ivp(_reference_rhs(m, variational), (0.0, 1.0), y0, method="RK45",
+                     rtol=1e-10, atol=1e-10, dense_output=True)
+    got = cv.geodesic_ivp(m, p, v, 1.0, rtol=1e-10, atol=1e-10, variational=variational)
+    scale = np.abs(want.y[:, -1]).max()
+    assert np.abs(got.y[:, -1] - want.y[:, -1]).max() <= 1e-9 * scale
+    assert got.nfev == want.nfev
+    assert np.array_equal(got.t.shape, want.t.shape)
+    # the interpolant covers the geodesic part (x, v) of the state
+    ts = np.linspace(0.0, 1.0, 7)
+    assert np.abs(got.sol(ts) - want.sol(ts)[:2 * n]).max() <= 1e-9 * scale
+
+
+def _cone_and_eh_pairs():
+    rng = np.random.default_rng(3)
+    cone = mt.exact_cone(0.7)
+    eh = mt.rescaled(mt.eguchi_hanson(1.0, r_max=32.0), 1 / 8.0)
+
+    def eh_points(k):
+        return np.c_[rng.uniform(8, 16, k), rng.uniform(0.7, 2.4, k),
+                     rng.uniform(0.5, 2.5, k), rng.uniform(0.5, 2.5, k)]
+
+    return [(cone, np.c_[rng.uniform(0.3, 1.6, 9), rng.uniform(0, 6, 9)],
+             np.c_[rng.uniform(0.3, 1.6, 9), rng.uniform(0, 6, 9)]),
+            (eh, eh_points(4), eh_points(4))]
+
+
+@pytest.mark.parametrize("variational", [False, True])
+def test_stacked_rows_are_their_single_row_integrations(variational):
+    for m, P, Q in _cone_and_eh_pairs():
+        stack = cv.geodesic_ivp(m, P, Q - P, 1.0, rtol=1e-7, atol=1e-9,
+                                variational=variational)
+        ts = np.linspace(0.0, 1.0, 5)
+        for k, row in enumerate(stack.rows):
+            one = cv.geodesic_ivp(m, P[k], Q[k] - P[k], 1.0, rtol=1e-7, atol=1e-9,
+                                  variational=variational)
+            assert np.array_equal(row.t, one.t) and np.array_equal(row.y, one.y)
+            assert np.array_equal(row.sol(ts), one.sol(ts))
+            assert row.nfev == one.nfev
+        assert stack.nfev == sum(row.nfev for row in stack.rows)
+
+
+def test_stacked_shots_are_their_single_pair_shots():
+    for m, P, Q in _cone_and_eh_pairs():
+        V, lengths, reasons = cv.geodesic_between(m, P, Q, rtol=1e-7, atol=1e-9, tol=1e-7,
+                                                  max_iter=8)
+        for k in range(len(P)):
+            try:
+                v, length = cv.geodesic_between(m, P[k], Q[k], rtol=1e-7, atol=1e-9,
+                                                tol=1e-7, max_iter=8)
+            except RuntimeError as err:
+                assert reasons[k] == str(err)
+                assert np.isnan(lengths[k])
+                continue
+            assert reasons[k] is None
+            assert np.array_equal(V[k], v) and lengths[k] == length
+
+
+def test_a_row_that_leaves_the_chart_fails_alone():
+    m = mt.parse_metric(SQRT_CHART)
+    P = np.array([[0.5, 0.0], [0.5, 0.0], [1.0, 0.2]])
+    W = np.array([[0.3, 0.4], [-1.0, 0.3], [-0.2, 0.1]])    # row 1 crosses x = 0
+    stack = cv.geodesic_ivp(m, P, W, 1.0, variational=True)
+    assert isinstance(stack.rows[1], ex.ExprEvalError)
+    with pytest.raises(ex.ExprEvalError) as err:
+        cv.geodesic_ivp(m, P[1], W[1], 1.0, variational=True)
+    assert str(stack.rows[1]) == str(err.value)
+    for k in (0, 2):
+        one = cv.geodesic_ivp(m, P[k], W[k], 1.0, variational=True)
+        assert np.array_equal(stack.rows[k].y, one.y)
+    # the same through the shooting: one reason, the others converge
+    V, lengths, reasons = cv.geodesic_between(m, P, P + W)
+    with pytest.raises(RuntimeError) as err:
+        cv.geodesic_between(m, P[1], P[1] + W[1])
+    assert reasons == [None, str(err.value), None]
+    assert reasons[1].startswith("shooting integration failed: expression undefined")
+    assert np.isnan(lengths[1]) and np.isfinite(lengths[[0, 2]]).all()
+
+
+def test_a_row_at_a_singular_metric_fails_alone(sphere):
+    # the sphere chart's metric diag(1, sin^2 th) is singular at th = 0
+    P = np.array([[0.0, 0.5], [1.0, 0.5]])
+    W = np.array([[0.3, 0.2], [0.3, 0.2]])
+    stack = cv.geodesic_ivp(sphere, P, W, 1.0)
+    with pytest.raises(np.linalg.LinAlgError) as err:
+        cv.geodesic_ivp(sphere, P[0], W[0], 1.0)
+    assert isinstance(stack.rows[0], np.linalg.LinAlgError)
+    assert str(stack.rows[0]) == str(err.value)
+    assert np.array_equal(stack.rows[1].y, cv.geodesic_ivp(sphere, P[1], W[1], 1.0).y)
+
+
+def test_stacked_gamma_jets_are_row_by_row(eh, cone_smooth):
+    rng = np.random.default_rng(5)
+    for m, lo, hi in ((cone_smooth, [0.1, 0.0], [1.5, 6.0]),
+                      (eh, [1.5, 0.5, 0.5, 0.5], [3.0, 2.5, 2.5, 2.5])):
+        X = rng.uniform(lo, hi, size=(17, m.dim))
+        derivs = [np.stack([m.evaluate(x) for x in X])]
+        derivs += [np.stack([m.derivative_fn(k)(x) for x in X]) for k in (1, 2)]
+        gamma, dgamma = cv.assemble_gamma_jet(*derivs)
+        for k, x in enumerate(X):
+            one = cv.assemble_gamma_jet(*(d[k:k + 1] for d in derivs))
+            assert np.array_equal(gamma[k], one[0][0]) and np.array_equal(dgamma[k], one[1][0])
+            # Gamma is the single-point value bit for bit, dGamma to rounding
+            single = cv.assemble_gamma_jet(*(d[k] for d in derivs))
+            assert np.array_equal(gamma[k], single[0])
+            assert np.abs(dgamma[k] - single[1]).max() <= 1e-12 * np.abs(single[1]).max()
 
 
 def test_scaling_laws(eh, rng):

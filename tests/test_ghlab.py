@@ -83,20 +83,59 @@ def test_programming_errors_in_shots_propagate(refine, monkeypatch):
 
 
 def test_errors_in_the_inside_check_propagate(monkeypatch):
-    """A fault in the re-integration of an accepted shot propagates; before
-    the check caught every exception, which read as "leaves the chart" and
-    left distances up to 17% long."""
+    """A fault in the check that an accepted shot stays in the chart, here
+    in reading its interpolant, propagates; a check that caught every
+    exception once read as "leaves the chart" and left distances up to 17%
+    long."""
     original = cv.geodesic_ivp
 
-    def broken(*args, **kwargs):
-        if not kwargs.get("variational"):
-            raise TypeError("broken integration")
-        return original(*args, **kwargs)
+    def broken_path(t):
+        raise TypeError("broken interpolant")
 
-    monkeypatch.setattr(cv, "geodesic_ivp", broken)
-    with pytest.raises(TypeError, match="broken integration"):
+    def shots(*args, **kwargs):
+        out = original(*args, **kwargs)
+        for row in out.rows:
+            if isinstance(row, cv.Trajectory):
+                row.sol = broken_path
+        return out
+
+    monkeypatch.setattr(cv, "geodesic_ivp", shots)
+    with pytest.raises(TypeError, match="broken interpolant"):
         gh.sample_space(mt.exact_cone(0.7), [(0.3, 1.6), (0.0, 2 * math.pi)], 10,
                         rng=np.random.default_rng(2), refine_pairs=True)
+
+
+def test_pairs_are_shot_in_one_stack(monkeypatch):
+    """The refined pairs of a sample are one stacked shot, checked for
+    staying in the chart on that shot's own interpolant."""
+    calls = []
+    original = gh.geodesic_between
+
+    def counted(m, p, q, *args, **kwargs):
+        calls.append(len(p))
+        return original(m, p, q, *args, **kwargs)
+
+    monkeypatch.setattr(gh, "geodesic_between", counted)
+    ivp = []
+    original_ivp = cv.geodesic_ivp
+    monkeypatch.setattr(cv, "geodesic_ivp", lambda *a, **k: ivp.append(k) or original_ivp(*a, **k))
+    gh.sample_space(mt.exact_cone(0.7), [(0.3, 1.6), (0.0, 2 * math.pi)], 8,
+                    rng=np.random.default_rng(2), refine_pairs=True)
+    assert len(calls) == 1 and calls[0] > 1
+    assert ivp and all(k["variational"] and k["dense"] for k in ivp)
+
+
+def test_eh_comparison_raises_when_a_pair_fails(monkeypatch):
+    original = gh.geodesic_between
+
+    def one_fails(*args, **kwargs):
+        V, lengths, reasons = original(*args, **kwargs)
+        reasons[2] = "shooting Jacobian singular"
+        return V, lengths, reasons
+
+    monkeypatch.setattr(gh, "geodesic_between", one_fails)
+    with pytest.raises(RuntimeError, match="shooting Jacobian singular"):
+        gh.eguchi_hanson_gh_comparison(lam=8.0, count=3, seed=0)
 
 
 def test_errors_in_the_flatness_probe_propagate(monkeypatch):

@@ -297,3 +297,12 @@ def test_classify_measures_each_sample_against_identity_once(monkeypatch):
     # one per sample, one for the order search at the fourth power, and one
     # per (sample, power) in the power match
     assert len(calls) == 3 + 1 + 3 * 4
+
+
+def test_skew_index_is_built_once_per_n_and_read_only():
+    for n in (2, 3, 4):
+        lam, mu = ot.skew_index(n)
+        assert list(zip(lam.tolist(), mu.tolist())) == ot.skew_pairs(n)
+        assert ot.skew_index(n) is ot.skew_index(n)
+        with pytest.raises(ValueError):
+            lam[0] = 1
