@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .expr import ExprEvalError, _plain
-from .metric import MetricSpec
+from .metric import MetricSpec, _shaped
 
 
 class DomainExitError(RuntimeError):
@@ -520,8 +520,8 @@ class _GammaCache:
         self.d2fn = m.derivative_fn(2) if variational else None
         if isinstance(m, MetricSpec):
             # the compiled components, without evaluate's argument conversion
-            fn, n = m._compiled(), m.dim
-            self.gfn = lambda x: np.array(fn(x), dtype=float).reshape(n, n)
+            fn, shape = m._compiled(), (m.dim, m.dim)
+            self.gfn = lambda x: _shaped(fn(x), shape)
         else:
             self.gfn = m.evaluate
 
@@ -530,24 +530,43 @@ class _GammaCache:
 
     def jets(self, X):
         """[Gamma] at each row of X (b, n), with dGamma as well when
-        variational: the metric and its partials once per row, then one
-        stacked assembly.  Returns (jets, errors), errors {row: exception}
-        for rows whose evaluation raised ExprEvalError or LinAlgError; their
-        jet rows are zero."""
+        variational: one stacked call per derivative order, then one stacked
+        assembly.  Returns (jets, errors), errors {row: exception} for rows
+        whose evaluation failed; their jet rows are zero.
+
+        A row with a non-finite value is evaluated again as a point (G, then
+        dG, then d2G): it fails with the ExprEvalError or LinAlgError raised
+        there, or with "expression not finite" if the point values are not
+        finite either, and otherwise takes the point values.  A source that
+        fails a whole stack for one bad row (a NumericMetric whose function
+        raises) has every row evaluated so."""
         b, n = len(X), self.n
         fns = [self.gfn, self.dfn] + ([self.d2fn] if self.d2fn else [])
-        parts = [np.zeros((b,) + (n,) * (k + 2)) for k in range(len(fns))]
+        try:
+            parts = [fn(X) for fn in fns]
+            ok = np.logical_and.reduce([np.isfinite(p).reshape(b, -1).all(axis=1)
+                                        for p in parts])
+            redo = np.flatnonzero(~ok)
+        except (ExprEvalError, np.linalg.LinAlgError):
+            parts = [np.zeros((b,) + (n,) * (k + 2)) for k in range(len(fns))]
+            ok = np.zeros(b, dtype=bool)
+            redo = range(b)
         errors = {}
-        # plain floats: the compiled expressions run faster on them than on
-        # numpy scalars, with the same values
-        for k, x in enumerate(X.tolist()):
+        for k in redo:
+            # plain floats: the point binding runs faster on them than on
+            # numpy scalars, with the same values
+            x = X[k].tolist()
             try:
-                for part, fn in zip(parts, fns):
-                    part[k] = fn(x)
+                vals = [fn(x) for fn in fns]
             except (ExprEvalError, np.linalg.LinAlgError) as exc:
                 errors[k] = exc
-        ok = np.ones(b, dtype=bool)
-        ok[list(errors)] = False
+                continue
+            if not all(np.isfinite(v).all() for v in vals):
+                errors[k] = ExprEvalError(f"expression not finite at {_plain(x)}")
+                continue
+            ok[k] = True
+            for part, v in zip(parts, vals):
+                part[k] = v
         if ok.all():
             try:
                 return assemble_gamma_jet(*parts), errors
@@ -736,19 +755,31 @@ GL8_NODES, GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 def curve_length(m: MetricSpec, curve, velocity, t0=0.0, t1=1.0, samples=256):
-    """Length of a parametric curve t -> coordinates under m, with exact
-    velocity t -> c'(t) (composite Gauss-Legendre quadrature of |c'|_g)."""
-    total = 0.0
+    """Length of a parametric curve under m, with exact velocity: composite
+    Gauss-Legendre quadrature of |c'|_g, 8 nodes per panel.  `curve` and
+    `velocity` map an array of t (k,) to (k, n), or for several curves at
+    once to (c, k, n), which gives c lengths.  The metric is evaluated at
+    all nodes as one stack; a node where it is undefined raises the point
+    evaluator's ExprEvalError.  Each node's |c'|^2 is its own v @ G @ v
+    (one stacked matmul), and each curve's terms are added one by one in
+    panel and node order."""
     edges = np.linspace(t0, t1, samples // 8 + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        for x, w in zip(GL8_NODES, GL8_WEIGHTS):
-            t = mid + half * x
-            c = np.asarray(curve(t), dtype=float)
-            vel = np.asarray(velocity(t), dtype=float)
-            total += w * half * math.sqrt(max(float(vel @ m.evaluate(c) @ vel), 0.0))
-    return total
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    t = (mid[:, None] + half[:, None] * GL8_NODES).ravel()
+    C = np.asarray(curve(t), dtype=float)
+    V = np.asarray(velocity(t), dtype=float)
+    G = m.evaluate(C.reshape(-1, m.dim))
+    bad = ~np.isfinite(G).all(axis=(1, 2))
+    if bad.any():
+        x = C.reshape(-1, m.dim)[np.argmax(bad)]
+        m.evaluate(x)
+        raise ExprEvalError(f"expression not finite at {_plain(x)}")
+    G = G.reshape(C.shape + (m.dim,))
+    speed = np.sqrt(np.maximum(((V[..., None, :] @ G) @ V[..., :, None])[..., 0, 0], 0.0))
+    # a cumulative sum adds in order, term by term
+    total = np.cumsum((GL8_WEIGHTS * half[:, None]).ravel() * speed, axis=-1)[..., -1]
+    return float(total) if total.ndim == 0 else total
 
 
 # ---------------------------------------------------------------------------
@@ -814,19 +845,27 @@ class NumericMetric:
     """A metric given only as a matrix evaluator: a derivative source whose
     partials are Richardson central differences.  `fun` maps a stack of
     points (k, dim) to the stack of metric matrices (k, dim, dim), so each
-    difference stencil is one call."""
+    difference stencil is one call.  Like a MetricSpec, it evaluates a
+    point (dim,) or a stack (B, dim)."""
 
     def __init__(self, fun, dim):
         self.fun = fun
         self.dim = dim
 
     def evaluate(self, p):
-        return self.fun(np.asarray(p, dtype=float)[None])[0]
+        p = np.asarray(p, dtype=float)
+        return self.fun(p) if p.ndim == 2 else self.fun(p[None])[0]
 
     def derivative_fn(self, order):
-        """p -> the order-th partials (order 1 or 2), leading axes the directions."""
+        """p -> the order-th partials (order 1 or 2), leading axes the
+        directions; a stack of points gives one stencil call per row."""
         fd = {1: fd_gradient, 2: fd_hessian}[order]
-        return lambda p: fd(self.fun, p)
+
+        def evaluate(p):
+            p = np.asarray(p, dtype=float)
+            return np.stack([fd(self.fun, q) for q in p]) if p.ndim == 2 else fd(self.fun, p)
+
+        return evaluate
 
     def christoffel(self, p):
         return assemble_gamma_jet(*_derivs(self, p, 1))[0]

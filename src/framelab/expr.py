@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 class ExprError(ValueError):
     pass
@@ -639,7 +641,7 @@ def _pythagorean(a, b):
 
 
 # ---------------------------------------------------------------------------
-# compilation to fast python callables
+# compilation: one straight-line program per expression list, two bindings
 
 _MATH_ENV = {
     "sqrt": math.sqrt,
@@ -650,35 +652,74 @@ _MATH_ENV = {
     "log": math.log,
     "abs": abs,
     "sign": lambda x: math.copysign(1.0, x) if x else 0.0,
+    # u^v: libm's pow, as float ** float, but raising ValueError where **
+    # on a negative base and a fractional exponent returns a complex number
+    "_pow": math.pow,
 }
 
+_NUMPY_ENV = {
+    "sqrt": np.sqrt,
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "exp": np.exp,
+    "log": np.log,
+    "abs": np.abs,
+    "sign": np.sign,
+    # libm's pow elementwise, so powers agree bitwise with the math binding
+    # (np.power's vectorized loops differ from it in the last bit)
+    "_pow": np.float_power,
+}
 
-def _emit(e, names):
-    t = type(e)
-    if t is Num:
-        v = e.value
-        return repr(float(v))
-    if t is Sym:
-        if e.name not in names:
-            raise ExprError(f"unbound symbol {e.name!r}")
-        return names[e.name]
-    if t is Add:
-        return f"({_emit(e.a, names)} + {_emit(e.b, names)})"
-    if t is Sub:
-        return f"({_emit(e.a, names)} - {_emit(e.b, names)})"
-    if t is Mul:
-        return f"({_emit(e.a, names)} * {_emit(e.b, names)})"
-    if t is Div:
-        return f"({_emit(e.a, names)} / {_emit(e.b, names)})"
-    if t is Neg:
-        return f"(-{_emit(e.a, names)})"
-    if t is Pow:
-        if type(e.b) is Num and isinstance(e.b.value, Fraction) and e.b.value.denominator == 1:
-            return f"({_emit(e.a, names)} ** {int(e.b.value)})"
-        return f"({_emit(e.a, names)} ** {_emit(e.b, names)})"
-    if t is Call:
-        return f"{e.fn}({_emit(e.a, names)})"
-    raise TypeError(f"not an Expr: {e!r}")
+_FORMATS = {Add: "{} + {}", Sub: "{} - {}", Mul: "{} * {}", Div: "{} / {}",
+            Pow: "_pow({}, {})", Neg: "-{}"}
+
+
+def _program(exprs, names):
+    """Straight-line source of `_compiled(_x)`, returning the values of
+    exprs as a tuple, and the operand text of each value.  Nodes are
+    hash-consed bottom-up: a node's key is its operator and its operands'
+    texts, each distinct key is computed once, into the local `_t<id>`, and
+    its id is its number in order of first use.  The operations and their
+    order are those of the trees, so each value is bitwise what evaluating
+    its tree would give."""
+    lines = []
+    temps = {}          # node key -> local name
+    seen = {}           # id(node) -> operand text; trees share node objects
+
+    def visit(e):
+        text = seen.get(id(e))
+        if text is not None:
+            return text
+        t = type(e)
+        if t is Num:
+            text = repr(float(e.value))
+            if text[0] == "-":
+                text = f"({text})"
+        else:
+            if t is Sym:
+                if e.name not in names:
+                    raise ExprError(f"unbound symbol {e.name!r}")
+                key = (t, e.name)
+                code = names[e.name]
+            elif t is Call:
+                key = (e.fn, visit(e.a))
+                code = f"{e.fn}({key[1]})"
+            elif t in _FORMATS:
+                key = (t, visit(e.a)) if t is Neg else (t, visit(e.a), visit(e.b))
+                code = _FORMATS[t].format(*key[1:])
+            else:
+                raise TypeError(f"not an Expr: {e!r}")
+            text = temps.get(key)
+            if text is None:
+                text = temps[key] = f"_t{len(temps)}"
+                lines.append(f"    {text} = {code}\n")
+        seen[id(e)] = text
+        return text
+
+    outputs = [visit(e) for e in exprs]
+    return (f"def _compiled(_x):\n{''.join(lines)}"
+            f"    return ({''.join(o + ', ' for o in outputs)})\n", outputs)
 
 
 def _plain(point):
@@ -687,30 +728,80 @@ def _plain(point):
 
 
 def compile_exprs(exprs, coords, params=None):
-    """Compile a flat list of Exprs into one callable point -> list of floats.
+    """Compile a flat list of K Exprs into one evaluator.
 
     coords: ordered coordinate names, bound positionally from the argument.
     params: dict of parameter name -> value, baked in at compile time.
+
+    The expressions become one straight-line program in which every
+    distinct subexpression is computed once (`evaluate.source`).  The
+    argument picks its binding:
+
+    * a point (n,) (a sequence, or a 1-D array) runs it on `math` and
+      returns a tuple of K floats, raising ExprEvalError where an operation
+      is undefined ("expression undefined at ...") or a value is not
+      finite ("expression not finite at ...");
+    * a stack (B, n) (a 2-D array) runs it on numpy, on the columns of the
+      contiguous transpose, and returns a (B, K) array.  It never raises
+      for a row: a row where an operation is undefined holds NaN or inf,
+      left for the caller (the point binding names the error).  Powers
+      use libm's pow in both bindings; numpy's exp, log and tan, and on
+      some platforms its sin and cos, may differ from math's by an ulp.
+      A row's values do not depend on the stack's size or the row's
+      position in it.
     """
     exprs = list(exprs)
     params = dict(params or {})
     names = {}
     for idx, c in enumerate(coords):
         names[c] = f"_x[{idx}]"
-    env = dict(_MATH_ENV)
+    consts = {}
     for pname, pval in params.items():
         if pname in names:
             raise ExprError(f"parameter {pname!r} shadows a coordinate")
         key = f"_p_{pname}"
         names[pname] = key
-        env[key] = float(pval)
-    body = ", ".join(_emit(simplify(e), names) for e in exprs)
-    src = f"def _compiled(_x):\n    return ({body}{',' if len(exprs) == 1 else ''})\n"
-    scope = dict(env)
-    exec(src, scope)
-    fn = scope["_compiled"]
+        consts[key] = float(pval)
+    simplified = [simplify(e) for e in exprs]
+    src, outputs = _program(simplified, names)
+    code = compile(src, "<compiled expressions>", "exec")
+    # a stack fills one row per distinct output, then gathers all K
+    first = {}
+    for i, o in enumerate(outputs):
+        first.setdefault(o, i)
+    slot = {o: s for s, o in enumerate(first)}
+    gather = np.array([slot[o] for o in outputs], dtype=np.intp)
+    first = list(first.values())
+
+    def bind(env):
+        scope = dict(env, **consts)
+        exec(code, scope)
+        return scope["_compiled"]
+
+    fn = bind(_MATH_ENV)
+    np_fn = None        # the numpy binding, made on the first stack
+    K = len(exprs)
+
+    def evaluate_stack(X):
+        nonlocal np_fn
+        if np_fn is None:
+            np_fn = bind(_NUMPY_ENV)
+        out = np.empty((len(first), len(X)))
+        with np.errstate(all="ignore"):
+            try:
+                vals = np_fn(np.ascontiguousarray(X.T, dtype=float))
+            except (ValueError, ZeroDivisionError, OverflowError):
+                # only an operation on constants raises here, for every row
+                vals = (math.nan,) * K
+        for row, i in zip(out, first):
+            row[...] = vals[i]
+        # C-contiguous (B, K), so that a row's later products do not
+        # depend on the stack's layout
+        return np.ascontiguousarray(out.T).take(gather, axis=1)
 
     def evaluate(point):
+        if isinstance(point, np.ndarray) and point.ndim == 2:
+            return evaluate_stack(point)
         try:
             out = fn(point)
         except (ValueError, ZeroDivisionError, OverflowError) as err:
@@ -719,6 +810,7 @@ def compile_exprs(exprs, coords, params=None):
             raise ExprEvalError(f"expression not finite at {_plain(point)}")
         return out
 
+    evaluate.source = src
     return evaluate
 
 

@@ -33,7 +33,8 @@ ORTHONORMALITY_DRIFT = 1e-8
 # curves
 
 class Segment:
-    """One smooth piece of a curve: point(t) and velocity(t) on [0, 1]."""
+    """One smooth piece of a curve: point(t) and velocity(t) on [0, 1],
+    (n,) at a number t and (k, n) at an array of k values."""
 
     def __init__(self, point, velocity):
         self._point = point
@@ -48,8 +49,9 @@ class Segment:
 
 def line_segment(a, b):
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return Segment(lambda t: a + t * (b - a), lambda t: b - a)
+    d = np.asarray(b, dtype=float) - a
+    return Segment(lambda t: a + np.asarray(t)[..., None] * d,
+                   lambda t: d.copy() if np.ndim(t) == 0 else np.repeat(d[None], len(t), axis=0))
 
 
 def angular_segment(base, axis, angle0, angle1):
@@ -57,13 +59,14 @@ def angular_segment(base, axis, angle0, angle1):
     base = np.asarray(base, dtype=float)
 
     def point(t):
-        p = base.copy()
-        p[axis] = angle0 + t * (angle1 - angle0)
+        p = np.empty(np.shape(t) + base.shape)
+        p[...] = base
+        p[..., axis] = angle0 + np.multiply(t, angle1 - angle0)
         return p
 
     def velocity(t):
-        v = np.zeros(len(base))
-        v[axis] = angle1 - angle0
+        v = np.zeros(np.shape(t) + base.shape)
+        v[..., axis] = angle1 - angle0
         return v
 
     return Segment(point, velocity)
@@ -378,7 +381,7 @@ def geodesic_triangle_loops(m: MetricSpec, basepoint, scale, count, rng,
 def _geodesic_segment(m: MetricSpec, p, v):
     sol = geodesic_ivp(m, p, v, 1.0)
     n = m.dim
-    return Segment(lambda t: sol.sol(t)[:n], lambda t: sol.sol(t)[n:])
+    return Segment(lambda t: sol.sol(t)[:n].T, lambda t: sol.sol(t)[n:].T)
 
 
 def coordinate_triangle_loops(basepoint, scale, count, rng, dim):

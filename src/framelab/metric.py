@@ -63,6 +63,14 @@ def require_spd(G, points):
     raise NotSPDError(f"metric too ill-conditioned at {at}: cond {hi[k] / lo[k]:.3e}")
 
 
+def _shaped(vals, shape):
+    """A compiled evaluator's result as an array: a point's tuple to
+    `shape`, a stack's (B, K) array to (B,) + shape."""
+    if isinstance(vals, np.ndarray):
+        return vals.reshape((len(vals),) + shape)
+    return np.array(vals, dtype=float).reshape(shape)
+
+
 @dataclass(eq=False)
 class MetricSpec:
     dim: int
@@ -148,34 +156,38 @@ class MetricSpec:
         return self._fn
 
     def evaluate(self, point):
-        """Metric matrix at a chart point, as an (n, n) float array."""
+        """Metric matrix at a chart point (n,), as an (n, n) float array, or
+        at each row of a stack (B, n), as (B, n, n).  A point raises
+        ExprEvalError where a component is undefined or not finite; a stack
+        row there holds NaN or inf instead (see `expr.compile_exprs`)."""
         point = np.asarray(point, dtype=float)
-        vals = self._compiled()(point)
-        return np.array(vals, dtype=float).reshape(self.dim, self.dim)
+        return _shaped(self._compiled()(point), (self.dim, self.dim))
+
+    def _derivative_exprs(self, order):
+        """All order-th partials of the components, flat, in the order of
+        `derivative_fn`'s array."""
+        exprs = [self._flat()]
+        for _ in range(order):
+            # differentiate the whole previous level by each coord
+            exprs = [[ex.differentiate(e, c) for e in block]
+                     for block in exprs for c in self.coords]
+        return [e for block in exprs for e in block]
 
     def derivative_fn(self, order):
         """Compiled evaluator of all order-th partials of the components.
 
-        Returns a callable point -> array of shape (n,)*order + (n, n), where
-        the leading axes are the differentiation directions.
+        Returns a callable taking a point (n,) to an array of shape
+        (n,)*order + (n, n), where the leading axes are the differentiation
+        directions, or a stack (B, n) to (B,) + that shape, failed rows
+        non-finite as in `evaluate`.
         """
         if order in self._dfns:
             return self._dfns[order]
-        n = self.dim
-        exprs = [[e for e in self._flat()]]
-        for _ in range(order):
-            nxt = []
-            for block in exprs:
-                for c in self.coords:
-                    nxt.append([ex.differentiate(e, c) for e in block])
-            # regroup: differentiate the whole previous level by each coord
-            exprs = nxt
-        flat = [e for block in exprs for e in block]
-        fn = ex.compile_exprs(flat, self.coords, self.params)
-        shape = (n,) * order + (n, n)
+        fn = ex.compile_exprs(self._derivative_exprs(order), self.coords, self.params)
+        shape = (self.dim,) * (order + 2)
 
         def evaluate(point):
-            return np.array(fn(point), dtype=float).reshape(shape)
+            return _shaped(fn(point), shape)
 
         self._dfns[order] = evaluate
         return evaluate

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,29 @@ g = [[1.434065 + 0.147131*sin(1.273277*y + 0.091038), 0.122216*cos(0.718715*z + 
      [0.118280*cos(1.320076*y + 1.285719), 0.125871*cos(1.378480*x + 0.306960),
       1.282876 + 0.163009*sin(0.798163*y + 2.225270)]];
 """)
+
+
+_REFERENCE_OPS = {ex.Add: operator.add, ex.Sub: operator.sub, ex.Mul: operator.mul,
+                  ex.Div: operator.truediv, ex.Pow: operator.pow}
+_REFERENCE_CALLS = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "tan": math.tan,
+                    "exp": math.exp, "log": math.log, "abs": abs,
+                    "sign": lambda x: math.copysign(1.0, x) if x else 0.0}
+
+
+def reference_eval(e, env):
+    """An Expr on Python floats, walking the tree node by node with `math`
+    and float ** for powers: what the point binding of `compile_exprs`
+    must return bit for bit on `ex.simplify(e)`.  env maps names to floats."""
+    t = type(e)
+    if t is ex.Num:
+        return float(e.value)
+    if t is ex.Sym:
+        return env[e.name]
+    if t is ex.Neg:
+        return -reference_eval(e.a, env)
+    if t is ex.Call:
+        return _REFERENCE_CALLS[e.fn](reference_eval(e.a, env))
+    return _REFERENCE_OPS[t](reference_eval(e.a, env), reference_eval(e.b, env))
 
 
 def stacked(fun):

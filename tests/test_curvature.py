@@ -640,3 +640,85 @@ def test_coordinate_plane_sup_equals_sectional_loop(sphere, eh, s3_quarter, cone
                    for i in range(n) for j in range(i + 1, n))
         assert cv.sup_sectional_coordinate_planes(m, p) == want
         assert cv.coordinate_plane_sup(m.evaluate(p), cv.riemann(m, p).rlow) == want
+
+
+#: x^1.5 is real for x >= 0 only: a geodesic heading to x < 0 leaves its domain
+FRACTIONAL_POWER_CHART = "dim 2; coords x y; g = [[2 + x^1.5, 0], [0, 1]];"
+
+
+def test_a_fractional_power_of_a_negative_base_fails_the_row():
+    m = mt.parse_metric(FRACTIONAL_POWER_CHART)
+    with pytest.raises(ex.ExprEvalError, match="expression undefined at"):
+        cv.geodesic_ivp(m, [0.2, 0.0], [-3.0, 0.0], 1.0)
+    P = np.array([[0.2, 0.0], [0.5, 0.0]])
+    W = np.array([[-3.0, 0.0], [0.2, 0.1]])
+    stack = cv.geodesic_ivp(m, P, W, 1.0)
+    assert isinstance(stack.rows[0], ex.ExprEvalError)
+    assert np.array_equal(stack.rows[1].y, cv.geodesic_ivp(m, P[1], W[1], 1.0).y)
+
+
+def _counting_derivative_fn(monkeypatch):
+    """Patch MetricSpec.derivative_fn so each evaluator records the number
+    of rows of every call (1 for a point); returns {order: [rows, ...]}."""
+    calls = {}
+    original = mt.MetricSpec.derivative_fn
+
+    def derivative_fn(self, order):
+        fn = original(self, order)
+
+        def counted(x):
+            calls.setdefault(order, []).append(len(x) if np.ndim(x) == 2 else 1)
+            return fn(x)
+
+        return counted
+
+    monkeypatch.setattr(mt.MetricSpec, "derivative_fn", derivative_fn)
+    return calls
+
+
+@pytest.mark.parametrize("variational", [False, True])
+def test_a_stacked_right_hand_side_evaluates_each_order_once(variational, monkeypatch):
+    calls = _counting_derivative_fn(monkeypatch)
+    jet_rows = []
+    jets = cv._GammaCache.jets
+    monkeypatch.setattr(cv._GammaCache, "jets",
+                        lambda self, X: jet_rows.append(len(X)) or jets(self, X))
+    m, P, Q = _cone_and_eh_pairs()[1]
+    stack = cv.geodesic_ivp(m, P, Q - P, 1.0, rtol=1e-7, atol=1e-9, variational=variational)
+    assert all(isinstance(row, cv.Trajectory) for row in stack.rows)
+    # one stacked call per right-hand side and order, over the rows in it
+    assert calls[1] == jet_rows
+    assert calls.get(2, []) == (jet_rows if variational else [])
+    assert max(jet_rows) == len(P)
+
+
+def test_curve_length_evaluates_the_metric_once_per_curve(eh, monkeypatch):
+    from framelab import holonomy as hl
+    rows = []
+    evaluate = mt.MetricSpec.evaluate
+    monkeypatch.setattr(mt.MetricSpec, "evaluate",
+                        lambda self, p: rows.append(len(p) if np.ndim(p) == 2 else 1)
+                        or evaluate(self, p))
+    seg = hl.line_segment([2.0, 1.0, 0.5, 0.5], [2.5, 1.2, 0.8, 0.4])
+    cv.curve_length(eh, seg.point, seg.velocity)
+    assert rows == [256]
+    rows.clear()
+    loop = hl.plaquette_loop(np.array([2.0, 1.0, 0.5, 0.5]), 0, 1, 0.1)
+    loop.compute_length(eh)
+    assert rows == [256] * 4
+
+
+def test_a_numeric_metric_row_that_leaves_the_chart_fails_alone():
+    # the function raises for a whole stencil stack with one bad row, so
+    # the jets fall back to point evaluations, each row on its own
+    m = mt.parse_metric(SQRT_CHART)
+    num = cv.NumericMetric(stacked(m.evaluate), 2)
+    P = np.array([[0.5, 0.0], [0.5, 0.0], [1.0, 0.2]])
+    W = np.array([[0.3, 0.4], [-1.0, 0.3], [-0.2, 0.1]])    # row 1 crosses x = 0
+    stack = cv.geodesic_ivp(num, P, W, 1.0, rtol=1e-8, atol=1e-8)
+    with pytest.raises(ex.ExprEvalError) as err:
+        cv.geodesic_ivp(num, P[1], W[1], 1.0, rtol=1e-8, atol=1e-8)
+    assert str(stack.rows[1]) == str(err.value)
+    for k in (0, 2):
+        one = cv.geodesic_ivp(num, P[k], W[k], 1.0, rtol=1e-8, atol=1e-8)
+        assert np.array_equal(stack.rows[k].y, one.y)

@@ -1,10 +1,17 @@
 import math
+import re
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from framelab import curvature as cv
 from framelab import expr as ex
+from framelab import metric as mt
+from conftest import GMET_N3, reference_eval
 
 
 def fd_derivative(e, var, point, h=1e-5):
@@ -164,3 +171,133 @@ def test_evaluation_error_prints_plain_floats():
 def test_rational_constants_exact():
     e = ex.parse_expr("1/3 + 1/6")
     assert ex.simplify(e) == ex.Num(Fraction(1, 2))
+
+
+def test_negative_constant_base_is_raised_to_the_power():
+    # -1.5 is a float constant; (-1.5)^2 is 2.25, not -(1.5^2)
+    fn = ex.compile_exprs([ex.Pow(ex.Num(-1.5), ex.Num(Fraction(2)))], [])
+    assert fn([]) == (2.25,)
+
+
+def test_fractional_power_of_a_negative_base_is_undefined():
+    # on Python floats (-2.0)**1.5 is complex; the evaluator names the point
+    fn = ex.compile_exprs([ex.parse_expr("2 + x^1.5")], ["x"])
+    with pytest.raises(ex.ExprEvalError, match=r"expression undefined at \[-2.0\]"):
+        fn([-2.0])
+    assert np.isnan(fn(np.array([[-2.0], [4.0]]))[0, 0])
+
+
+# the compiled program: one CSE source, a math binding and a numpy binding
+
+#: metric -> the box its points are drawn from (the smoothed cone's takes in
+#: the cap r < 0.2, where its components are polynomials in abs)
+COMPILED_METRICS = {
+    "smoothed-cone": (mt.smoothed_cone(0.7, 0.1), [(0.02, 1.0), (0.0, 6.2)]),
+    "round-sphere": (mt.round_sphere(), [(0.2, 2.9), (0.0, 6.2)]),
+    "eguchi-hanson": (mt.eguchi_hanson(1.0), [(1.06, 7.9), (0.16, 2.98), (0.0, 6.2), (0.0, 6.2)]),
+    "gmet-n3": (mt.parse_metric(GMET_N3[0]), [(0.0, 1.5)] * 3),
+}
+
+#: a list whose exp, log, tan and powers differ between math and numpy
+TRANSCENDENTAL = (["exp(x)*tan(y/3) + log(1 + x^2)", "x^3 - y^5/7 + x^1.5", "exp(-x*y)^2"],
+                  [(0.1, 2.0), (-2.0, 2.0)])
+
+
+@lru_cache(maxsize=None)
+def _program(name, order):
+    """(exprs, coords, evaluator, box) of the order-th partials of a metric,
+    or of the TRANSCENDENTAL list (order None)."""
+    if order is None:
+        sources, box = TRANSCENDENTAL
+        exprs, coords = [ex.parse_expr(s) for s in sources], ("x", "y")
+    else:
+        m, box = COMPILED_METRICS[name]
+        exprs, coords = m._derivative_exprs(order), m.coords
+    return exprs, coords, ex.compile_exprs(exprs, coords), box
+
+
+def _points(box, fractions):
+    return np.array([[lo + f * (hi - lo) for f, (lo, hi) in zip(row, box)]
+                     for row in fractions])
+
+
+PROGRAMS = st.sampled_from([(name, order) for name in COMPILED_METRICS for order in (0, 1, 2)])
+FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(program=PROGRAMS, fractions=FRACTIONS)
+def test_point_binding_is_the_tree_walk_bit_for_bit(program, fractions):
+    exprs, coords, fn, box = _program(*program)
+    x = _points(box, [fractions])[0].tolist()
+    env = dict(zip(coords, x))
+    want = tuple(reference_eval(ex.simplify(e), env) for e in exprs)
+    assert fn(x) == want
+    # numpy scalars give the same bits
+    assert fn(np.array(x)) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(program=st.one_of(PROGRAMS, st.just(("transcendental", None))),
+       seed=st.integers(0, 2**32 - 1), k=st.integers(0, 63))
+def test_a_stacked_row_does_not_depend_on_the_stack(program, seed, k):
+    _, _, fn, box = _program(*program)
+    X = _points(box, np.random.default_rng(seed).random((64, len(box))))
+    full = fn(X)
+    assert full.shape == (64, len(fn(X[0])))
+    assert np.array_equal(fn(X[k:k + 1])[0], full[k])
+    start = min(k, 57)
+    assert np.array_equal(fn(X[start:start + 7])[k - start], full[k])
+    # a strided, shifted view of the same rows
+    Y = np.zeros((128, len(box)))
+    Y[1::2] = X
+    assert np.array_equal(fn(Y[1::2])[k], full[k])
+
+
+@settings(max_examples=40, deadline=None)
+@given(program=st.one_of(PROGRAMS, st.just(("transcendental", None))),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_values_agree_with_point_values(program, seed):
+    _, _, fn, box = _program(*program)
+    X = _points(box, np.random.default_rng(seed).random((16, len(box))))
+    S = fn(X)
+    for x, row in zip(X, S):
+        point = np.array(fn(x.tolist()))
+        assert np.abs(row - point).max() <= 1e-12 * (1 + np.abs(point).max())
+
+
+def test_powers_sines_and_cosines_stack_bit_for_bit():
+    # numpy's sin, cos and sqrt are libm's, and powers go through libm's pow
+    rng = np.random.default_rng(17)
+    for name in COMPILED_METRICS:
+        for order in (0, 1, 2):
+            _, _, fn, box = _program(name, order)
+            X = _points(box, rng.random((50, len(box))))
+            assert np.array_equal(fn(X), np.array([fn(x.tolist()) for x in X]))
+
+
+def test_a_bad_stacked_row_is_left_for_the_point_evaluator():
+    m = mt.parse_metric("dim 2; coords x y; g = [[2 + sqrt(x), 0], [0, 1 + log(y)^2]];")
+    X = np.array([[1.0, 2.0], [-1.0, 2.0], [1.0, -0.5], [0.5, 0.5]])
+    for fn in (m._compiled(), m.derivative_fn(1)):
+        S = fn(X)
+        assert np.isfinite(S[[0, 3]]).all()
+        assert not np.isfinite(S[1]).all() and not np.isfinite(S[2]).all()
+    cache = cv._GammaCache(m, variational=True)
+    jets, errors = cache.jets(X)
+    assert sorted(errors) == [1, 2]
+    for k in (1, 2):
+        with pytest.raises(ex.ExprEvalError) as err:
+            m.evaluate(X[k].tolist())
+        assert str(errors[k]) == str(err.value)
+        assert str(errors[k]).startswith("expression undefined at")
+        assert not jets[0][k].any() and not jets[1][k].any()
+    assert np.array_equal(jets[0][0], cache.jets(X[:1])[0][0][0])
+
+
+def test_shared_subtrees_are_emitted_once():
+    _, _, fn, _ = _program("eguchi-hanson", 2)
+    temps = re.findall(r"^    (_t\d+) = ", fn.source, flags=re.M)
+    assert len(temps) == len(set(temps)) <= 110
+    # the 256 components of d2G take one return of locals and constants
+    assert fn.source.count("\n") == len(temps) + 2

@@ -203,9 +203,11 @@ def test_rescaled_torus_distances_double():
     scaled = mt.rescaled(base, 2.0)
     a = np.array([0.2, 0.3])
     b = np.array([1.1, 2.0])
-    curve = lambda t: a + t * (b - a)
-    L1 = curve_length(base, curve, velocity=lambda t: b - a)
-    L2 = curve_length(scaled, curve, velocity=lambda t: b - a)
+    # curve_length calls the curve and its velocity on an array of t
+    curve = lambda t: a + np.multiply.outer(t, b - a)
+    velocity = lambda t: np.broadcast_to(b - a, (len(t), 2))
+    L1 = curve_length(base, curve, velocity=velocity)
+    L2 = curve_length(scaled, curve, velocity=velocity)
     assert L2 == pytest.approx(2 * L1, rel=1e-14)
 
 
