@@ -44,8 +44,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import ortho
-from .curvature import NumericMetric, assemble_gamma_jet
-from .holonomy import cholesky_section, section_frame
+from .curvature import NumericMetric
+from .holonomy import section_connection_coeffs, section_frame
 from .metric import MetricSpec, require_spd
 
 DIMENSION_BUDGET = 10
@@ -69,28 +69,6 @@ class FramePoint:
         return FramePoint(np.asarray(base, dtype=float), np.eye(n))
 
 
-def section_with_derivative(G, dG):
-    """Reference section S = chol(G')^-T and its exact partials dS[..., i],
-    from G' (..., n, n) and its partials dG (..., n, n, n), direction axis
-    first after any stack axes."""
-    S = cholesky_section(G)
-    Linv = np.swapaxes(S, -1, -2)
-    M = Linv[..., None, :, :] @ dG @ S[..., None, :, :]
-    Phi = np.tril(M, -1)
-    diag = np.arange(G.shape[-1])
-    Phi[..., diag, diag] = 0.5 * M[..., diag, diag]
-    return S, -S[..., None, :, :] @ np.swapaxes(Phi, -1, -2)
-
-
-def section_connection_coeffs(G, dG):
-    """C_i = S^-1 (d_i S + Gamma'[e_i] S), skew matrices (..., n, n, n), one
-    per direction, from G' and its partials as in `section_with_derivative`."""
-    S, dS = section_with_derivative(G, dG)
-    gamma = assemble_gamma_jet(G, dG)[0]
-    Sinv = np.linalg.inv(S)[..., None, :, :]
-    return Sinv @ (dS + np.swapaxes(gamma, -3, -2) @ S[..., None, :, :])
-
-
 def _distinct_rows(A):
     """The distinct rows of the 2-D array A, in order of first appearance,
     and for each row of A the index of its distinct row."""
@@ -99,6 +77,16 @@ def _distinct_rows(A):
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return A[first[order]], rank[inverse.ravel()]
+
+
+def _rows(fn, X):
+    """fn, a compiled evaluator of `MetricSpec`, at the rows of X (k, n) in
+    one stacked call; a row with a non-finite value is evaluated again as a
+    point, which raises the ExprEvalError a point raises there."""
+    out = fn(X)
+    for k in np.flatnonzero(~np.isfinite(out.reshape(len(X), -1)).all(axis=1)):
+        out[k] = fn(X[k])
+    return out
 
 
 class LiftedMetricChart:
@@ -154,10 +142,9 @@ class LiftedMetricChart:
     def _base_half(self, X):
         """The connection coefficients C_i (k, n, n, n) of the reference
         section at the distinct base rows X (k, n)."""
-        G = np.stack([self.gp.evaluate(x) for x in X])
+        G = _rows(self.gp.evaluate, X)
         require_spd(G, X)
-        dfn = self.gp.derivative_fn(1)
-        return section_connection_coeffs(G, np.stack([dfn(x) for x in X]))
+        return section_connection_coeffs(G, _rows(self.gp.derivative_fn(1), X))
 
     def _fiber_half(self, t):
         """exp(T) (k, n, n) and the Frechet derivatives Dexp_T[B_a]
@@ -206,7 +193,7 @@ class LiftedMetricChart:
         y = np.asarray(y, dtype=float)
         om_x, om_t, X, xi = self._omega_rows(y.reshape(-1, self.dim))
         n = self.n
-        G = np.stack([self.g.evaluate(x) for x in X])[xi]
+        G = _rows(self.g.evaluate, X)[xi]
         vx = ortho.vec_skew(om_x)
         vt = ortho.vec_skew(om_t)
         out = np.empty((len(G), self.dim, self.dim))

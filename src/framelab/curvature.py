@@ -525,9 +525,6 @@ class _GammaCache:
         else:
             self.gfn = m.evaluate
 
-    def gamma(self, x):
-        return assemble_gamma_jet(self.gfn(x), self.dfn(x))[0]
-
     def jets(self, X):
         """[Gamma] at each row of X (b, n), with dGamma as well when
         variational: one stacked call per derivative order, then one stacked
@@ -648,21 +645,30 @@ def geodesic_ivp(m: MetricSpec, p, v, t_final, dense=True, rtol=ODE_RTOL, atol=O
 
 def _first_domain_exit(m, sol, t_final, samples=200):
     ts = np.linspace(0.0, t_final, samples)
-    n = m.dim
-    for t in ts:
-        x = sol.sol(t)[:n]
-        if not m.in_domain(x, tol=DOMAIN_TOL):
-            return t, x
-    return None
+    X = sol.sol(ts)[:m.dim].T
+    lo, hi = np.array(m.domain).T
+    out = ((X < lo - DOMAIN_TOL) | (X > hi + DOMAIN_TOL)).any(axis=1)
+    if not out.any():
+        return None
+    k = int(np.argmax(out))
+    return ts[k], X[k]
 
 
 def exp_map(m: MetricSpec, p, v, t=1.0):
-    """Endpoint of the geodesic from p with initial velocity v at parameter t."""
-    sol = geodesic_ivp(m, p, v, t)
-    exit_info = _first_domain_exit(m, sol, t)
-    if exit_info is not None:
-        raise DomainExitError(exit_info[0], exit_info[1])
-    return sol.y[: m.dim, -1].copy()
+    """Endpoint of the geodesic from p with initial velocity v at parameter
+    t.  Velocities v (B, n) give the B endpoints (B, n) of one stacked
+    integration; the first row that fails or leaves the chart raises."""
+    v = np.asarray(v, dtype=float)
+    sols = geodesic_ivp(m, p, v, t).rows if v.ndim == 2 else [geodesic_ivp(m, p, v, t)]
+    ends = []
+    for sol in sols:
+        if isinstance(sol, Exception):
+            raise sol
+        exit_info = _first_domain_exit(m, sol, t)
+        if exit_info is not None:
+            raise DomainExitError(exit_info[0], exit_info[1])
+        ends.append(sol.y[: m.dim, -1].copy())
+    return np.array(ends) if v.ndim == 2 else ends[0]
 
 
 def geodesic_energy_drift(m: MetricSpec, sol, t_final, samples=20):

@@ -480,12 +480,7 @@ def sample_frame_bundle(g: MetricSpec, gp: MetricSpec, base_points,
             seg = hl.line_segment(base_points[i], base_points[j])
             L = curve_length(g, seg.point, velocity=seg.velocity)
             base_d[i, j] = base_d[j, i] = L
-            S_i = hl.section_frame(gp, base_points[i])
-            P = hl.transport_matrix(gp, [seg], S_i)
-            S_j = hl.section_frame(gp, base_points[j])
-            hol = np.linalg.solve(S_j, P)
-            u, _, vt = np.linalg.svd(hol)
-            transports[(i, j)] = u @ vt
+            transports[(i, j)] = hl.gauge_transport(gp, [seg])
             transports[(j, i)] = transports[(i, j)].T
 
     # holonomy samples per base point

@@ -16,16 +16,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import ortho
-from .curvature import (_OFF_CHART_ERRORS, DomainExitError, _GammaCache, curve_length,
-                        exp_map, geodesic_between, geodesic_ivp)
+from .curvature import (_OFF_CHART_ERRORS, DOMAIN_TOL, DomainExitError, assemble_gamma_jet,
+                        curve_length, exp_map, geodesic_between)
 from .metric import MetricSpec
 
 CLOSURE_TOL = 1e-10
-TRANSPORT_RTOL = 1e-10
-TRANSPORT_ATOL = 1e-11
 ORTHONORMALITY_DRIFT = 1e-8
 
 
@@ -158,6 +155,28 @@ def cholesky_section(G):
     return np.swapaxes(np.linalg.inv(np.linalg.cholesky(G)), -1, -2)
 
 
+def section_with_derivative(G, dG):
+    """Reference section S = chol(G')^-T and its exact partials dS[..., i],
+    from G' (..., n, n) and its partials dG (..., n, n, n), direction axis
+    first after any stack axes."""
+    S = cholesky_section(G)
+    Linv = np.swapaxes(S, -1, -2)
+    M = Linv[..., None, :, :] @ dG @ S[..., None, :, :]
+    Phi = np.tril(M, -1)
+    diag = np.arange(G.shape[-1])
+    Phi[..., diag, diag] = 0.5 * M[..., diag, diag]
+    return S, -S[..., None, :, :] @ np.swapaxes(Phi, -1, -2)
+
+
+def section_connection_coeffs(G, dG):
+    """C_i = S^-1 (d_i S + Gamma'[e_i] S), skew matrices (..., n, n, n), one
+    per direction, from G' and its partials as in `section_with_derivative`."""
+    S, dS = section_with_derivative(G, dG)
+    gamma = assemble_gamma_jet(G, dG)[0]
+    Sinv = np.linalg.inv(S)[..., None, :, :]
+    return Sinv @ (dS + np.swapaxes(gamma, -3, -2) @ S[..., None, :, :])
+
+
 def _verify_shift_invariance(m: MetricSpec, p, shift, tol=1e-9):
     if not np.any(shift):
         return
@@ -168,41 +187,155 @@ def _verify_shift_invariance(m: MetricSpec, p, shift, tol=1e-9):
         raise ValueError("loop closure shift is not a metric-invariant translation")
 
 
-def transport_matrix(conn: MetricSpec, segments, frame0, rtol=TRANSPORT_RTOL,
-                     atol=TRANSPORT_ATOL):
-    """Integrate frame transport E' = -Gamma[c'(t)] E along the segments.
+#: step doubling stops once a segment's max |h_N - h_2N| is at most this
+TRANSPORT_TOL = 1e-11
+#: Magnus steps per segment of the first round's coarse product (a power of 2)
+TRANSPORT_STEPS = 8
+#: step doubling beyond this many steps per segment raises DomainExitError
+TRANSPORT_MAX_STEPS = 4096
+#: the two Gauss-Legendre nodes of a step, as fractions of the step
+_GAUSS = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
+
+
+def _step_nodes(N):
+    """The Gauss nodes of N equal steps on [0, 1], two per step, in order."""
+    return ((np.arange(N)[:, None] + _GAUSS) / N).ravel()
+
+
+def _connection_at(conn: MetricSpec, segments, s):
+    """omega(s) = sum_i c'^i(s) C_i(c(s)) at the parameters s (k,) of every
+    segment, (len(segments), k, n, n), from one stacked evaluation of G and
+    dG.  A node outside the chart (periodic coordinates wrapped), with a
+    non-finite G or dG, or whose G has no Cholesky factor raises
+    DomainExitError at the first such node in curve order."""
+    X = np.concatenate([seg.point(s) for seg in segments])
+    V = np.concatenate([seg.velocity(s) for seg in segments])
+    lo, hi = np.array(conn.domain).T
+    W = conn.wrap_point(X)
+    bad = ((W < lo - DOMAIN_TOL) | (W > hi + DOMAIN_TOL)).any(axis=1)
+    G = conn.evaluate(X)
+    dG = conn.derivative_fn(1)(X)
+    bad |= ~(np.isfinite(G).all(axis=(1, 2)) & np.isfinite(dG).all(axis=(1, 2, 3)))
+    if not bad.any():
+        try:
+            C = section_connection_coeffs(G, dG)
+        except np.linalg.LinAlgError:
+            bad = _cholesky_fails(G)
+            if not bad.any():
+                raise
+    if bad.any():
+        k = len(s)
+        first = min(np.flatnonzero(bad), key=lambda r: (r // k, s[r % k]))
+        raise DomainExitError(float(s[first % k]), X[first])
+    om = (V[:, :, None, None] * C).sum(axis=1)
+    return om.reshape((len(segments), len(s)) + om.shape[1:])
+
+
+def _cholesky_fails(G):
+    """For each matrix of the stack G, whether it has no Cholesky factor."""
+    fails = np.zeros(len(G), dtype=bool)
+    for k, g in enumerate(G):
+        try:
+            np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            fails[k] = True
+    return fails
+
+
+def _expm_skew(A):
+    """exp of each real skew matrix of the stack A (..., n, n): iA is
+    Hermitian, iA = U diag(mu) U^H, so exp(A) = Re(U diag(e^{-i mu}) U^H),
+    orthogonal to rounding."""
+    mu, U = np.linalg.eigh(1j * A)
+    return ((U * np.exp(-1j * mu)[..., None, :]) @ np.conj(np.swapaxes(U, -1, -2))).real
+
+
+def _magnus_steps(conn: MetricSpec, segments, counts):
+    """exp(Omega) of every fourth-order Magnus step of h' = -omega h on each
+    segment, for each step count N in `counts` (powers of 2): a list over
+    counts of (len(segments), N, n, n) stacks, from one `_connection_at`.
+    With omega A1, A2 at the two Gauss nodes of a step of length d,
+    Omega = -(d/2)(A1 + A2) + (sqrt(3)/12) d^2 [A2, A1]."""
+    om = _connection_at(conn, segments, np.concatenate([_step_nodes(N) for N in counts]))
+    out, at = [], 0
+    for N in counts:
+        A1, A2 = om[:, at:at + 2 * N:2], om[:, at + 1:at + 2 * N:2]
+        d = 1.0 / N
+        out.append(_expm_skew(-0.5 * d * (A1 + A2)
+                              + (math.sqrt(3.0) / 12.0) * d * d * (A2 @ A1 - A1 @ A2)))
+        at += 2 * N
+    return out
+
+
+def _ordered_product(steps):
+    """steps[..., N-1, :, :] @ ... @ steps[..., 0, :, :] for N a power of 2,
+    as log2(N) stacked products of neighbours."""
+    while steps.shape[-3] > 1:
+        steps = steps[..., 1::2, :, :] @ steps[..., 0::2, :, :]
+    return steps[..., 0, :, :]
+
+
+def gauge_transport(conn: MetricSpec, segments):
+    """Frame transport along the segments in the section gauge: h in SO(n)
+    with E(1) = S(c(1)) h for the transported frame E(0) = S(c(0)), S the
+    Cholesky section of conn.
+
+    In this gauge E' = -Gamma[c'] E reads h' = -omega(t) h, omega the skew
+    sum_i c'^i C_i of `section_connection_coeffs`.  Each segment runs N and
+    2N fourth-order Magnus steps with two Gauss-Legendre nodes each
+    (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009), every node of
+    every segment in one stacked evaluation; the segments whose
+    max |h_N - h_2N| exceeds TRANSPORT_TOL go on to 4N steps, and so on,
+    one stacked evaluation per round, each keeping its finer product.  A
+    step is the exponential of a skew matrix, so h is orthogonal to
+    rounding.  Raises DomainExitError where a node leaves the chart (see
+    `_connection_at`), or when a segment would need more than
+    TRANSPORT_MAX_STEPS steps, at the step whose halves disagree most."""
+    N = TRANSPORT_STEPS
+    h = np.empty((len(segments), conn.dim, conn.dim))
+    todo = np.arange(len(segments))
+    coarse, fine = _magnus_steps(conn, segments, (N, 2 * N))
+    while True:
+        h[todo] = _ordered_product(fine)
+        diff = np.abs(_ordered_product(coarse) - h[todo]).max(axis=(-2, -1))
+        open_ = diff > TRANSPORT_TOL
+        if not open_.any():
+            break
+        todo, coarse, fine = todo[open_], coarse[open_], fine[open_]
+        if 4 * N > TRANSPORT_MAX_STEPS:
+            # the coarse step that its two fine halves reproduce worst
+            local = np.abs(coarse[0] - fine[0, 1::2] @ fine[0, 0::2]).max(axis=(-2, -1))
+            s = (float(np.argmax(local)) + 0.5) / N
+            raise DomainExitError(s, segments[todo[0]].point(s))
+        N *= 2
+        coarse, (fine,) = fine, _magnus_steps(conn, [segments[j] for j in todo], (2 * N,))
+    total = h[0]
+    for hj in h[1:]:
+        total = hj @ total
+    return total
+
+
+def transport_matrix(conn: MetricSpec, segments, frame0):
+    """Frame transport E' = -Gamma[c'(t)] E along the segments.
 
     frame0: (n, k) matrix whose columns are coordinate components of the
-    transported vectors.  Returns the final (n, k) matrix.
+    transported vectors.  Returns the final (n, k) matrix,
+    S(c(1)) h S(c(0))^-1 frame0 with h the `gauge_transport`.
     """
-    cache = _GammaCache(conn)
-    n = conn.dim
-    E = np.array(frame0, dtype=float)
-    k = E.shape[1]
-    for seg in segments:
-        def rhs(t, y):
-            x = seg.point(t)
-            v = seg.velocity(t)
-            gamma = cache.gamma(x)
-            gv = np.einsum("kil,i->kl", gamma, v)
-            return (-gv @ y.reshape(n, k)).ravel()
-
-        sol = solve_ivp(rhs, (0.0, 1.0), E.ravel(), method="RK45",
-                        rtol=rtol, atol=atol)
-        if not sol.success:
-            # the step size collapses where the curve meets a chart singularity
-            raise DomainExitError(sol.t[-1], seg.point(sol.t[-1]))
-        E = sol.y[:, -1].reshape(n, k)
-    return E
+    S0 = section_frame(conn, segments[0].point(0.0))
+    S1 = section_frame(conn, segments[-1].point(1.0))
+    h = gauge_transport(conn, segments)
+    return S1 @ h @ np.linalg.solve(S0, np.asarray(frame0, dtype=float))
 
 
 def holonomy_element(conn: MetricSpec, loop: LoopSpec):
-    """Transport around the loop, expressed in the anchor-section gauge and
-    polar-projected onto O(n) (drift beyond ORTHONORMALITY_DRIFT raises)."""
-    S = section_frame(conn, loop.basepoint)
+    """Transport around the loop, expressed in the anchor-section gauge (the
+    section at the basepoint and at its closure-shifted copy agree) and
+    polar-projected onto O(n), which removes rounding only (drift beyond
+    ORTHONORMALITY_DRIFT raises)."""
+    conn.check_spd(loop.basepoint)
     _verify_shift_invariance(conn, loop.basepoint, loop.closure_shift)
-    P = transport_matrix(conn, loop.segments, S)
-    h = np.linalg.solve(S, P)
+    h = gauge_transport(conn, loop.segments)
     drift = float(np.abs(h.T @ h - np.eye(conn.dim)).max())
     if drift > ORTHONORMALITY_DRIFT:
         raise RuntimeError(f"transport orthonormality drift {drift:.3e}")
@@ -348,7 +481,8 @@ def fiber_distance(samples, e, e_prime):
 def geodesic_triangle_loops(m: MetricSpec, basepoint, scale, count, rng,
                             max_tries=None):
     """Closed geodesic triangles through the basepoint: two vertices from
-    exp_map with random directions, sides by two-point shooting."""
+    one stacked exp_map with random directions, the three sides from one
+    stacked two-point shooting, each side the converged shot's interpolant."""
     p = np.asarray(basepoint, dtype=float)
     n = m.dim
     G = m.check_spd(p)
@@ -357,31 +491,25 @@ def geodesic_triangle_loops(m: MetricSpec, basepoint, scale, count, rng,
     max_tries = max_tries or 10 * count
     while len(loops) < count and tries < max_tries:
         tries += 1
+        dirs = rng.normal(size=(2, n))
         try:
-            dirs = rng.normal(size=(2, n))
-            verts = []
-            for d in dirs:
-                d = d / math.sqrt(d @ G @ d) * scale
-                verts.append(exp_map(m, p, d, 1.0))
-            a, b = verts
-            segs = []
-            lengths = 0.0
-            for s, t in ((p, a), (a, b), (b, p)):
-                v, seg_len = geodesic_between(m, s, t, rtol=1e-9, atol=1e-9)
-                segs.append(_geodesic_segment(m, s, v))
-                lengths += seg_len
-            loop = LoopSpec(p, segs, None, f"geo-triangle#{len(loops)}")
-            loop.length = lengths
-            loops.append(loop)
+            a, b = exp_map(m, p, [d / math.sqrt(d @ G @ d) * scale for d in dirs], 1.0)
         except _OFF_CHART_ERRORS:
             continue
+        _, lengths, reasons, paths = geodesic_between(m, [p, a, b], [a, b, p], rtol=1e-9,
+                                                      atol=1e-9, dense=True)
+        if any(reasons):
+            continue
+        loop = LoopSpec(p, [_path_segment(path, n) for path in paths], None,
+                        f"geo-triangle#{len(loops)}")
+        loop.length = float(lengths.sum())
+        loops.append(loop)
     return loops
 
 
-def _geodesic_segment(m: MetricSpec, p, v):
-    sol = geodesic_ivp(m, p, v, 1.0)
-    n = m.dim
-    return Segment(lambda t: sol.sol(t)[:n].T, lambda t: sol.sol(t)[n:].T)
+def _path_segment(path, n):
+    """The curve of a geodesic `Trajectory` with dense output, as a Segment."""
+    return Segment(lambda t: path.sol(t)[:n].T, lambda t: path.sol(t)[n:].T)
 
 
 def coordinate_triangle_loops(basepoint, scale, count, rng, dim):

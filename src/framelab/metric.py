@@ -193,14 +193,15 @@ class MetricSpec:
         return evaluate
 
     def wrap_point(self, point):
-        """Translate periodic coordinates back into their base interval."""
+        """Translate periodic coordinates back into their base interval, of
+        a point (n,) or of each row of a stack (B, n)."""
         q = np.array(point, dtype=float)
         for i, c in enumerate(self.coords):
             per = self.periods.get(c)
             if per:
                 lo = self.domain[i][0]
                 base = lo if math.isfinite(lo) else 0.0
-                q[i] = base + ((q[i] - base) % per)
+                q[..., i] = base + ((q[..., i] - base) % per)
         return q
 
     def in_domain(self, point, tol=0.0, wrap=False):

@@ -387,3 +387,126 @@ def test_fiber_distance_validates_pruned_samples():
 def test_holonomy_samples_rejects_empty_words():
     with pytest.raises(ValueError):
         hl.holonomy_samples(mt.flat_euclidean(2), [], word_length=0)
+
+
+# ---------------------------------------------------------------------------
+# Magnus transport in the section gauge
+
+def reference_holonomy(m, loop):
+    """S^-1 E(1) for E(0) = S at the basepoint, E' = -Gamma[c'] E integrated
+    by scipy's DOP853 at rtol 1e-13, one segment at a time."""
+    from scipy.integrate import solve_ivp
+
+    n = m.dim
+    S = hl.section_frame(m, loop.basepoint)
+    E = S.copy()
+    for seg in loop.segments:
+        def rhs(t, y, seg=seg):
+            gamma = cv.christoffel(m, m.wrap_point(seg.point(t))).gamma
+            return (-np.einsum("kil,i->kl", gamma, seg.velocity(t)) @ y.reshape(n, n)).ravel()
+
+        sol = solve_ivp(rhs, (0.0, 1.0), E.ravel(), method="DOP853", rtol=1e-13, atol=1e-14)
+        E = sol.y[:, -1].reshape(n, n)
+    return np.linalg.solve(S, E)
+
+
+@pytest.mark.parametrize("case", ["sphere", "cone-cap", "eh"])
+def test_magnus_transport_matches_a_tight_reference(case, eh, sphere):
+    if case == "sphere":
+        m = sphere
+        loop = hl.polyline_loop([[1.0, 0.5], [1.3, 0.6], [1.1, 1.0], [1.0, 0.5]])
+    elif case == "cone-cap":
+        # r = 0.1 lies in the cap r < 0.2, where the profile is the quintic
+        m = mt.smoothed_cone(0.6, 0.1)
+        loop = hl.coordinate_circle_loop([0.1, 0.0], 1, 2 * math.pi, orientation=-1)
+    else:
+        m = eh
+        loop = hl.plaquette_loop([1.6, 0.85, 0.5, 0.5], 0, 1, 0.25)
+    h = hl.holonomy_element(m, loop)
+    assert np.abs(h - reference_holonomy(m, loop)).max() <= 1e-10
+    assert np.abs(h.T @ h - np.eye(m.dim)).max() <= 1e-14
+
+
+def test_cone_circle_outside_the_cap_is_exact():
+    # the connection form is constant along the circle, so every Magnus
+    # step is exact and only rounding is left
+    for a in (0.7, math.sqrt(2) - 1):
+        cone = mt.smoothed_cone(a, 0.1)
+        loop = hl.coordinate_circle_loop([1.0, 0.3], 1, 2 * math.pi, orientation=-1)
+        h = hl.holonomy_element(cone, loop)
+        assert abs(wrap_angle(holonomy_angle(h) - 2 * math.pi * a)) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["outside the domain", "no Cholesky factor"])
+def test_transport_leaving_the_chart_stops_at_the_first_node_outside(case, sphere):
+    # x = 0.3 - 0.6 s crosses 0 at s = 1/2.  The sphere's G is still
+    # positive definite at th < 0, so only the domain check stops it there;
+    # the unbounded chart of diag(1, y) loses positive definiteness at y = 0
+    if case == "outside the domain":
+        m, axis = sphere, 0
+        seg = hl.line_segment([0.3, 1.0], [-0.3, 1.0])
+    else:
+        m, axis = mt.parse_metric("dim 2; coords x y; g = [[1, 0], [0, y]];"), 1
+        seg = hl.line_segment([1.0, 0.3], [1.0, -0.3])
+    with pytest.raises(cv.DomainExitError) as err:
+        hl.gauge_transport(m, [seg])
+    N = hl.TRANSPORT_STEPS
+    nodes = np.concatenate([hl._step_nodes(N), hl._step_nodes(2 * N)])
+    limit = -cv.DOMAIN_TOL if case == "outside the domain" else 0.0
+    outside = nodes[seg.point(nodes)[:, axis] <= limit]
+    assert err.value.s_exit == outside.min()
+    assert np.array_equal(err.value.point, seg.point(outside.min()))
+
+
+def test_transport_step_cap_is_a_domain_error(eh, monkeypatch):
+    # nothing converges at tolerance 0, so doubling runs into the cap
+    monkeypatch.setattr(hl, "TRANSPORT_TOL", 0.0)
+    monkeypatch.setattr(hl, "TRANSPORT_MAX_STEPS", 64)
+    loop = hl.plaquette_loop([2.2, 1.3, 0.8, 1.1], 0, 1, 0.25)
+    with pytest.raises(cv.DomainExitError) as err:
+        hl.holonomy_element(eh, loop)
+    assert 0.0 < err.value.s_exit < 1.0
+
+
+def test_one_stacked_derivative_call_per_loop_and_round(monkeypatch):
+    """Every node of every segment of a loop is evaluated in one stacked
+    derivative_fn(1) call, and each doubling round adds one more."""
+    m = mt.eguchi_hanson()
+    calls = []
+    dfn = m.derivative_fn(1)
+
+    def counted(order):
+        assert order == 1
+
+        def evaluate(X):
+            calls.append(np.shape(X))
+            return dfn(X)
+        return evaluate
+
+    rounds = []
+    magnus_steps = hl._magnus_steps
+    monkeypatch.setattr(hl, "_magnus_steps",
+                        lambda *args: rounds.append(args[2]) or magnus_steps(*args))
+    monkeypatch.setattr(m, "derivative_fn", counted)
+    # near the bolt the r-sides need more than the first round
+    hl.holonomy_element(m, hl.plaquette_loop([1.6, 0.85, 0.5, 0.5], 0, 1, 0.25))
+    N = hl.TRANSPORT_STEPS
+    assert len(rounds) >= 2
+    assert len(calls) == len(rounds)
+    assert calls[0] == (4 * 2 * (N + 2 * N), 4)
+    assert all(len(shape) == 2 for shape in calls)
+
+
+def test_importing_the_cli_leaves_scipy_integrate_out():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import framelab
+
+    src = str(Path(framelab.__file__).resolve().parent.parent)
+    code = "import sys, framelab.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.stdout.strip() == "False"
