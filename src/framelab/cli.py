@@ -260,11 +260,9 @@ def cmd_fiber_dist(args):
     samples = hl.circle_power_samples(gp, p, axis=1, period=2 * math.pi,
                                       length_metric=g, max_power=args.loops)
     thetas = np.linspace(0.0, 2 * math.pi, args.samples, endpoint=False)
-    rows = []
-    for th in thetas:
-        d = hl.fiber_distance(samples, np.eye(2), ortho.rotation2(th))
-        rows.append({"theta": float(th), "distance": float(d)})
-    refl = hl.fiber_distance(samples, np.eye(2), np.diag([1.0, -1.0]))
+    targets = np.array([ortho.rotation2(th) for th in thetas] + [np.diag([1.0, -1.0])])
+    *dists, refl = hl.fiber_distance(samples, np.eye(2), targets).tolist()
+    rows = [{"theta": float(th), "distance": d} for th, d in zip(thetas, dists)]
     _write_artifact(args, "fiber-dist", {
         "rows": rows, "reflection": "inf" if math.isinf(refl) else refl})
     _write_dat(args, "fiber-dist", [(r["theta"], r["distance"]) for r in rows],

@@ -450,7 +450,7 @@ class FrameBundleSample:
 
 
 def sample_frame_bundle(g: MetricSpec, gp: MetricSpec, base_points,
-                        fiber_count=6, loops_at=None, base_paths=None):
+                        fiber_count=6, loops_at=None):
     """Product-style sample of the frame bundle of a surface (n = 2):
     base points x an SO(2) fiber grid.  Distances are assembled as upper
     bounds: a base path (straight coordinate segments measured under g)
@@ -483,14 +483,16 @@ def sample_frame_bundle(g: MetricSpec, gp: MetricSpec, base_points,
             transports[(i, j)] = hl.gauge_transport(gp, [seg])
             transports[(j, i)] = transports[(i, j)].T
 
-    # holonomy samples per base point
+    # holonomy samples per base point, as element stacks and loop lengths
     samples_at = {}
     for i in range(nb):
         if loops_at is not None:
             loops = loops_at(base_points[i])
-            samples_at[i] = hl.holonomy_samples(gp, loops, g, word_length=1)
+            samples = hl.holonomy_samples(gp, loops, g, word_length=1)
         else:
-            samples_at[i] = [hl.HolonomySample(np.eye(2), 0.0, "constant")]
+            samples = [hl.HolonomySample(np.eye(2), 0.0, "constant")]
+        samples_at[i] = (np.array([s.element for s in samples]),
+                         np.array([s.loop_length for s in samples]))
 
     total = nb * fiber_count
     labels = []
@@ -506,13 +508,9 @@ def sample_frame_bundle(g: MetricSpec, gp: MetricSpec, base_points,
             u = frames[ai]
             v = frames[aj]
             Pu = transports[(i, j)] @ u
-            Lb = base_d[i, j]
-            best = math.inf
-            for s in samples_at[j]:
-                gap = ortho.group_distance(s.element @ Pu, v)
-                if math.isfinite(gap):
-                    best = min(best, math.hypot(Lb + s.loop_length, gap))
-            d[I, J] = d[J, I] = best
+            elements, lengths = samples_at[j]
+            gap = ortho.group_distance(elements @ Pu, v)
+            d[I, J] = d[J, I] = np.hypot(base_d[i, j] + lengths, gap).min()
     space = FiniteMetricSpace(labels, d)
     return FrameBundleSample(space, base_points, angles, base_d)
 
@@ -552,11 +550,10 @@ def fiber_collapse_experiment(a, caps, max_power=60, theta_grid=48,
         basepoint = np.array([rho, 0.0])
         samples = hl.circle_power_samples(m, basepoint, axis=1, period=2 * math.pi,
                                           max_power=max_power)
-        D = 0.0
-        for th in thetas:
-            D = max(D, hl.fiber_distance(samples, np.eye(2), ortho.rotation2(th)))
-        d_refl = hl.fiber_distance(samples, np.eye(2), reflection)
-        refl_disconnected &= math.isinf(d_refl)
+        d = hl.fiber_distance(samples, np.eye(2),
+                              np.array([ortho.rotation2(th) for th in thetas] + [reflection]))
+        D = float(d[:-1].max(initial=0.0))
+        refl_disconnected &= math.isinf(d[-1])
         unit = min((s.loop_length for s in samples if s.loop_length > 0),
                    default=float("inf"))
         ladder.append({"eps": float(eps), "D": float(D), "samples": len(samples),

@@ -361,7 +361,7 @@ class HolonomySample:
 def _dedup(samples, tol=1e-6):
     """Greedy by loop length: a sample is dropped when d_b < tol to an
     earlier kept one.  Only the kept samples that the Frobenius lower bound
-    cannot rule out are compared with the exact group_distance."""
+    cannot rule out are compared, in one stacked group_distance call."""
     ordered = sorted(samples, key=lambda s: s.loop_length)
     if not ordered:
         return []
@@ -369,9 +369,8 @@ def _dedup(samples, tol=1e-6):
     kept = []
     for s in ordered:
         x = ortho.check_orthogonal(s.element)
-        lower = ortho.frobenius_lower_bound(stack[:len(kept)], x)
-        if any(ortho.group_distance(s.element, kept[i].element) < tol
-               for i in np.flatnonzero(lower < tol)):
+        near = np.flatnonzero(ortho.frobenius_lower_bound(stack[:len(kept)], x) < tol)
+        if near.size and (ortho.group_distance(x, stack[near]) < tol).any():
             continue
         stack[len(kept)] = x
         kept.append(s)
@@ -436,15 +435,11 @@ def circle_power_samples(conn: MetricSpec, basepoint, axis, period,
 def min_loop_length(samples, target, tol=1e-6):
     """Smallest sampled loop length realizing `target` within d_b <= tol;
     an upper bound for the true L(target), +inf when unseen."""
-    target = ortho.check_orthogonal(np.asarray(target, dtype=float))
-    n = target.shape[0]
+    target = np.asarray(target, dtype=float)
+    n = target.shape[-1]
     elements = np.reshape([s.element for s in samples], (-1, n, n))
-    lower = ortho.frobenius_lower_bound(ortho.check_orthogonal(elements), target)
-    best = math.inf
-    for s, lo in zip(samples, lower):
-        if lo <= tol and ortho.group_distance(s.element, target) <= tol:
-            best = min(best, s.loop_length)
-    return best
+    hit = ortho.group_distance(elements, target) <= tol
+    return min((s.loop_length for s, h in zip(samples, hit) if h), default=math.inf)
 
 
 def fiber_distance(samples, e, e_prime):
@@ -452,27 +447,16 @@ def fiber_distance(samples, e, e_prime):
     distance on a fiber, certified as an upper bound.  The constant loop is
     always included, so the value never exceeds d_b(e, e').
 
-    Samples are visited by loop length; the search stops at the first one
-    with L(a) >= best and skips those whose Frobenius lower bound on
-    d_b(a e, e') already puts them at or above the best, so the exact
-    group_distance decides every candidate that can lower the minimum."""
+    e' is one frame (n, n), which gives a float, or a stack (K, n, n),
+    which gives (K,).  Every moved frame a e, the constant loop's e first,
+    meets every target in one stacked group_distance call."""
     e = ortho.check_orthogonal(np.asarray(e, dtype=float))
-    e_prime = ortho.check_orthogonal(np.asarray(e_prime, dtype=float))
-    best = ortho.group_distance(e, e_prime)
-    moved = [s.element @ e for s in samples]
     n = e.shape[0]
-    lower = ortho.frobenius_lower_bound(
-        ortho.check_orthogonal(np.reshape(moved, (-1, n, n))), e_prime)
-    for i in sorted(range(len(samples)), key=lambda i: samples[i].loop_length):
-        length = samples[i].loop_length
-        if length >= best:
-            break
-        if math.hypot(length, lower[i]) >= best:
-            continue
-        d = ortho.group_distance(moved[i], e_prime)
-        if math.isfinite(d):
-            best = min(best, math.hypot(length, d))
-    return best
+    moved = np.concatenate([e[None], np.reshape([s.element for s in samples], (-1, n, n)) @ e])
+    lengths = np.array([0.0] + [s.loop_length for s in samples])
+    d = ortho.group_distance(moved, np.asarray(e_prime, dtype=float)[..., None, :, :])
+    best = np.hypot(lengths, d).min(axis=-1)     # hypot(L, inf) = inf
+    return float(best) if best.ndim == 0 else best
 
 
 # ---------------------------------------------------------------------------

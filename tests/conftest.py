@@ -136,6 +136,21 @@ def ricci_biinvariant(xi):
     return 0.25 * total
 
 
+def reference_group_distance(u, v):
+    """d_b(u, v) for one pair from the real Schur form of v u^T: twice the
+    sum of its squared block rotation angles, -1 eigenvalues paired into
+    angle-pi planes; +inf across the components.  `_schur_blocks` reads a
+    block whose subdiagonal is below SCHUR_BLOCK_TOL as two real eigenvalues,
+    so angles under about that size count as 0."""
+    u = ot.check_orthogonal(u)
+    v = ot.check_orthogonal(v)
+    if np.linalg.det(u) * np.linalg.det(v) < 0:
+        return math.inf
+    _, _, blocks, minus = ot._schur_blocks(v @ u.T)
+    angles = [abs(theta) for _, theta in blocks] + [math.pi] * (len(minus) // 2)
+    return math.sqrt(2.0 * sum(t * t for t in angles))
+
+
 @pytest.fixture(scope="session")
 def flat2():
     return mt.flat_euclidean(2)

@@ -294,11 +294,13 @@ def reference_dedup(samples, tol=1e-6):
 
 
 def reference_fiber_distance(samples, e, e_prime):
+    # np.hypot, as the stacked search uses: math.hypot differs from it in
+    # the last bit on a fraction of a percent of arguments
     best = ot.group_distance(e, e_prime)
     for s in samples:
         d = ot.group_distance(s.element @ e, e_prime)
         if math.isfinite(d):
-            best = min(best, math.hypot(s.loop_length, d))
+            best = min(best, float(np.hypot(s.loop_length, d)))
     return best
 
 
@@ -357,6 +359,52 @@ def test_fiber_distance_matches_brute_force(n, seed, size, ties, near_exponents,
         e_prime = e_prime @ np.diag([-1.0] + [1.0] * (n - 1))
     got = hl.fiber_distance(samples, e, e_prime)
     assert got == reference_fiber_distance(samples, e, e_prime)
+
+
+@settings(max_examples=40, deadline=None)
+@given(targets=st.integers(1, 6), **CLOUDS)
+def test_stacked_fiber_distance_rows_are_single_calls(n, seed, size, ties, near_exponents,
+                                                      targets):
+    rng = np.random.default_rng(seed)
+    samples = cloud(rng, n, size, near_exponents, ties)
+    e = random_orthogonal(rng, n)
+    # targets near moved frames, in both components
+    E = np.array([nudge(rng, samples[int(rng.integers(len(samples)))].element @ e,
+                        float(rng.uniform(0, 0.5))) for _ in range(targets)])
+    E[::2] = E[::2] @ np.diag([-1.0] + [1.0] * (n - 1))
+    got = hl.fiber_distance(samples, e, E)
+    assert got.shape == (targets,)
+    assert got.tolist() == [hl.fiber_distance(samples, e, t) for t in E]
+
+
+def test_fiber_dist_command_makes_one_stacked_search(tmp_path, monkeypatch):
+    """The distance calls of one `fiber-dist` run do not grow with its
+    --samples rotations: they all go to one fiber_distance call."""
+    from framelab.cli import main
+
+    counts = {}
+
+    def counting(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(ot, "group_distance")
+    counting(hl, "fiber_distance")
+    seen = []
+    for rotations in ("4", "64"):
+        counts.clear()
+        code = main(["fiber-dist", "--metric", "builtin:smoothed-cone:a=0.41421356,eps=0.05",
+                     "--at", "0.15,0.0", "--loops", "10", "--samples", rotations,
+                     "--out", str(tmp_path / rotations)])
+        assert code == 0
+        assert counts["fiber_distance"] == 1
+        seen.append(counts["group_distance"])
+    assert seen[0] == seen[1]
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from framelab import ortho as ot
 
-from conftest import ricci_biinvariant, sectional_biinvariant
+from conftest import reference_group_distance, ricci_biinvariant, sectional_biinvariant
 
 
 def random_skew(rng, n):
@@ -100,6 +100,61 @@ def test_group_distance_biinvariant(rng):
         d = ot.group_distance(u, v)
         assert ot.group_distance(w @ u, w @ v) == pytest.approx(d, abs=1e-10)
         assert ot.group_distance(u @ w, v @ w) == pytest.approx(d, abs=1e-10)
+
+
+def nudged(rng, u, dist):
+    """u exp(a) with |a|_b = dist."""
+    a = random_skew(rng, u.shape[0])
+    return u @ ot.group_exp(a * (dist / ot.b_norm(a)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_group_distance_stack_matches_schur_reference(n):
+    rng = np.random.default_rng(n)
+    U = np.array([random_orthogonal(rng, n, reflect=bool(rng.integers(2))) for _ in range(200)])
+    far = np.array([random_orthogonal(rng, n, reflect=bool(rng.integers(2))) for _ in U])
+    near = np.array([nudged(rng, u, 10.0 ** rng.uniform(-10, -2)) for u in U])
+    for V, atol in ((far, 1e-12), (near, math.sqrt(n) * ot.SCHUR_BLOCK_TOL + 1e-12)):
+        got = ot.group_distance(U, V)
+        assert got.shape == (len(U),)
+        want = np.array([reference_group_distance(u, v) for u, v in zip(U, V)])
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        fin = np.isfinite(want)
+        assert np.abs(got[fin] - want[fin]).max() <= atol
+
+
+def test_group_distance_components_and_angle_pi():
+    refl3 = np.diag([1.0, 1.0, -1.0])
+    U = np.array([np.eye(3), np.eye(3), refl3, refl3, refl3])
+    V = np.array([np.diag([-1.0, -1.0, 1.0]), refl3, np.eye(3),
+                  np.diag([-1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, 1.0])])
+    pi2 = math.pi * math.sqrt(2.0)
+    assert ot.group_distance(U, V).tolist() == pytest.approx([pi2, math.inf, math.inf,
+                                                              pi2, pi2], rel=1e-15)
+    assert ot.group_distance(np.eye(4), -np.eye(4)) == pytest.approx(2.0 * math.pi, rel=1e-15)
+    assert ot.group_distance(np.eye(2), ot.rotation2(math.pi)) == pytest.approx(pi2, rel=1e-15)
+    assert ot.group_distance(ot.rotation2(0.3), np.diag([1.0, -1.0])) == math.inf
+    assert isinstance(ot.group_distance(np.eye(2), ot.rotation2(0.3)), float)
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_group_distance_rows_are_single_calls(n, block, monkeypatch):
+    # block 7 sends every stack below through the blocked path
+    if block is not None:
+        monkeypatch.setattr(ot, "DISTANCE_BLOCK", block)
+    rng = np.random.default_rng(10 + n)
+    U = np.array([random_orthogonal(rng, n, reflect=bool(rng.integers(2))) for _ in range(40)])
+    V = np.array([nudged(rng, u, 10.0 ** rng.uniform(-8, 0)) for u in U])
+    rows = ot.group_distance(U, V)
+    assert [float(x) for x in rows] == [ot.group_distance(u, v) for u, v in zip(U, V)]
+    assert [float(x) for x in ot.group_distance(U[0], V)] == [ot.group_distance(U[0], v)
+                                                             for v in V]
+    assert [float(x) for x in ot.group_distance(U, V[0])] == [ot.group_distance(u, V[0])
+                                                             for u in U]
+    grid = ot.group_distance(U, V[:5, None])
+    assert grid.shape == (5, len(U))
+    assert grid.tolist() == [[ot.group_distance(u, v) for u in U] for v in V[:5]]
 
 
 def rotation_with_angles(rng, n, angles):
@@ -290,13 +345,14 @@ def test_classify_measures_each_sample_against_identity_once(monkeypatch):
     monkeypatch.setattr(ot, "group_distance", counting)
     circle = [(ot.rotation2(0.1 * k), 1.0) for k in range(1, 6)]
     assert ot.classify_subgroup(circle).label == "SO(2)-circle"
-    assert len(calls) == len(circle)
+    # one stacked call for every sample
+    assert len(calls) == 1
     calls.clear()
     quarter = [(ot.rotation2(0.5 * math.pi * k), 1.0) for k in range(1, 4)]
     assert ot.classify_subgroup(quarter).label == "finite-cyclic(4)"
-    # one per sample, one for the order search at the fourth power, and one
-    # per (sample, power) in the power match
-    assert len(calls) == 3 + 1 + 3 * 4
+    # one stacked call for every sample, one for the order search at the
+    # fourth power, and one per sample against the stacked powers
+    assert len(calls) == 1 + 1 + 3
 
 
 def test_skew_index_is_built_once_per_n_and_read_only():
