@@ -161,22 +161,16 @@ def group_distance(u, v):
     in pairs, angle pi each.  An orthogonal matrix is normal, so its
     eigenvalues have condition number 1 (Bauer-Fike) and every angle is
     exact to rounding, small ones included.  The product of the lambda_k
-    is det(v u^T); its sign tells the components apart.  Pairs are taken
-    DISTANCE_BLOCK at a time, so the temporaries stay small however many
-    pairs broadcast."""
+    is det(v u^T); its sign tells the components apart.  The eigenvalues
+    are taken DISTANCE_BLOCK pairs at a time, so their temporaries stay
+    small however many pairs broadcast."""
     u = check_orthogonal(u)
     v = check_orthogonal(v)
-    shape = np.broadcast_shapes(u.shape[:-2], v.shape[:-2])
-    if math.prod(shape) <= DISTANCE_BLOCK:
-        d = _angle_norm(v @ np.swapaxes(u, -1, -2))
-        return float(d) if d.ndim == 0 else d
-    u = np.broadcast_to(u, shape + u.shape[-2:])
-    v = np.broadcast_to(v, shape + v.shape[-2:])
-    d = np.empty(shape)
-    for start in range(0, d.size, DISTANCE_BLOCK):
-        at = np.unravel_index(np.arange(start, min(start + DISTANCE_BLOCK, d.size)), shape)
-        d[at] = _angle_norm(v[at] @ np.swapaxes(u[at], -1, -2))
-    return d
+    W = v @ np.swapaxes(u, -1, -2)
+    flat = W.reshape(-1, *W.shape[-2:])
+    d = np.concatenate([_angle_norm(flat[i:i + DISTANCE_BLOCK])
+                        for i in range(0, len(flat), DISTANCE_BLOCK)]).reshape(W.shape[:-2])
+    return float(d) if d.ndim == 0 else d
 
 
 def _angle_norm(W):

@@ -137,12 +137,8 @@ def test_group_distance_components_and_angle_pi():
     assert isinstance(ot.group_distance(np.eye(2), ot.rotation2(0.3)), float)
 
 
-@pytest.mark.parametrize("block", [None, 7])
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_stacked_group_distance_rows_are_single_calls(n, block, monkeypatch):
-    # block 7 sends every stack below through the blocked path
-    if block is not None:
-        monkeypatch.setattr(ot, "DISTANCE_BLOCK", block)
+def test_stacked_group_distance_rows_are_single_calls(n):
     rng = np.random.default_rng(10 + n)
     U = np.array([random_orthogonal(rng, n, reflect=bool(rng.integers(2))) for _ in range(40)])
     V = np.array([nudged(rng, u, 10.0 ** rng.uniform(-8, 0)) for u in U])
@@ -152,9 +148,10 @@ def test_stacked_group_distance_rows_are_single_calls(n, block, monkeypatch):
                                                              for v in V]
     assert [float(x) for x in ot.group_distance(U, V[0])] == [ot.group_distance(u, V[0])
                                                              for u in U]
-    grid = ot.group_distance(U, V[:5, None])
-    assert grid.shape == (5, len(U))
-    assert grid.tolist() == [[ot.group_distance(u, v) for u in U] for v in V[:5]]
+    # the whole grid spans more than one eigenvalue block
+    grid = ot.group_distance(U, V[:, None])
+    assert grid.shape == (len(V), len(U)) and grid.size > ot.DISTANCE_BLOCK
+    assert grid.tolist() == [[ot.group_distance(u, v) for u in U] for v in V]
 
 
 def rotation_with_angles(rng, n, angles):
