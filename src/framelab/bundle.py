@@ -24,13 +24,11 @@ exponential.  The metric is then
 
 The chart evaluates a stack of chart points (B, N) at once, in two halves
 that meet per row.  The base half (the SPD check of g', the section and its
-partials, Gamma', C_i and g) runs once per distinct base row x; the fiber
-half runs once per distinct fiber row t, and takes exp(T) and every
-Dexp_T[B_a] from one stacked matrix exponential: the upper-right block of
-exp([[T, B], [0, T]]) is Dexp_T[B] (Mathias 1996; Higham, Functions of
-Matrices, 2008, sec. 3.2).  A finite-difference stencil shares most of
-its base and fiber rows, so each half runs far fewer times than there are
-rows, and a row's value does not depend on the other rows of its stack.
+partials, Gamma', C_i and g) runs once per distinct base row x, the fiber
+half (exp(T) and every exp(-T) Dexp_T[B_a], from one eigendecomposition in
+`ortho.group_exp_derivative`) once per distinct fiber row t.  A stencil
+shares most of its base and fiber rows, and a row's value does not depend
+on the other rows of its stack.
 
 Valid for |t|_b < pi/2; curvature evaluations should stay within pi/4.
 """
@@ -41,7 +39,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import ortho
 from .curvature import NumericMetric
@@ -135,7 +132,7 @@ class LiftedMetricChart:
         """Columns are the frame vectors in coordinate components."""
         x, t = self.split(y)
         S = section_frame(self.gp, x)
-        return S @ expm(self.skew_from_t(t)) @ self.anchor.frame
+        return S @ ortho.group_exp(self.skew_from_t(t)) @ self.anchor.frame
 
     # -- connection form -----------------------------------------------------
 
@@ -146,17 +143,6 @@ class LiftedMetricChart:
         require_spd(G, X)
         return section_connection_coeffs(G, _rows(self.gp.derivative_fn(1), X))
 
-    def _fiber_half(self, t):
-        """exp(T) (k, n, n) and the Frechet derivatives Dexp_T[B_a]
-        (k, m, n, n) at the distinct fiber rows t (k, m), the latter read off
-        one stacked exponential of the block matrices [[T, B_a], [0, T]]."""
-        n = self.n
-        T = self.skew_from_t(t)
-        blocks = np.zeros((len(t), self.m, 2 * n, 2 * n))
-        blocks[..., :n, :n] = blocks[..., n:, n:] = T[:, None]
-        blocks[..., :n, n:] = self.basis
-        return expm(T), expm(blocks)[..., :n, n:]
-
     def _omega_rows(self, Y):
         """omega on each chart basis vector at each row of the stack Y (B, N),
         (B, n, n, n) and (B, m, n, n), with the distinct base rows X and the
@@ -164,11 +150,11 @@ class LiftedMetricChart:
         X, xi = _distinct_rows(Y[:, :self.n])
         t, ti = _distinct_rows(Y[:, self.n:])
         C = self._base_half(X)
-        E0, frechet = self._fiber_half(t)
+        E0, dexp = ortho.group_exp_derivative(self.skew_from_t(t), self.basis)
         A0 = self.anchor.frame
         Q = E0[ti] @ A0
         om_x = np.swapaxes(Q, -1, -2)[:, None] @ C[xi] @ Q[:, None]
-        om_t = (A0.T @ (np.swapaxes(E0, -1, -2)[:, None] @ frechet) @ A0)[ti]
+        om_t = (A0.T @ dexp @ A0)[ti]
         return om_x, om_t, X, xi
 
     def omega_basis(self, y):

@@ -120,9 +120,9 @@ def _write_dat(args, name, rows, header):
     print(f"wrote {path}")
 
 
-def _require_count(flag, value):
-    if value < 1:
-        raise ValueError(f"{flag} must be at least 1, got {value}")
+def _require_count(flag, value, least=1):
+    if value < least:
+        raise ValueError(f"{flag} must be at least {least}, got {value}")
 
 
 def _load_metric(uri):
@@ -228,6 +228,7 @@ def cmd_holonomy(args):
     g = _load_metric(args.metric)
     gp = _load_metric(args.metric2) if args.metric2 else g
     p = _basepoint(args, g)
+    _require_count("--loops", args.loops, 0)
     if args.resume:
         try:
             saved = Path(args.resume).read_text(encoding="utf-8")
@@ -257,6 +258,8 @@ def cmd_fiber_dist(args):
     p = _basepoint(args, g)
     if g.dim != 2:
         raise ValueError("fiber-dist demo is defined for surfaces")
+    _require_count("--loops", args.loops, 0)
+    _require_count("--samples", args.samples)
     samples = hl.circle_power_samples(gp, p, axis=1, period=2 * math.pi,
                                       length_metric=g, max_power=args.loops)
     thetas = np.linspace(0.0, 2 * math.pi, args.samples, endpoint=False)
@@ -315,6 +318,8 @@ def cmd_gh(args):
 
 
 def cmd_experiment(args):
+    _require_count("--samples", args.samples)
+    _require_count("--loops", args.loops, 0)
     if args.name == "cone-collapse":
         caps = _parse_floats(args.caps)
         rep = gh.fiber_collapse_experiment(args.a, caps, max_power=args.loops)

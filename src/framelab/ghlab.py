@@ -521,10 +521,11 @@ def sample_frame_bundle(g: MetricSpec, gp: MetricSpec, base_points,
 @dataclass
 class CollapseReport:
     a: float
-    ladder: list                   # dicts: eps, D, samples, min_unit_length
+    ladder: list                   # dicts: eps, D, samples, min_unit_length (None
+                                   # without a loop of positive length)
     reflection_disconnected: bool
     monotone: bool
-    fitted_slope: float
+    fitted_slope: float | None     # None without two positive D values
 
     def to_json_obj(self):
         return {"a": self.a, "ladder": self.ladder,
@@ -554,17 +555,16 @@ def fiber_collapse_experiment(a, caps, max_power=60, theta_grid=48,
                               np.array([ortho.rotation2(th) for th in thetas] + [reflection]))
         D = float(d[:-1].max(initial=0.0))
         refl_disconnected &= math.isinf(d[-1])
-        unit = min((s.loop_length for s in samples if s.loop_length > 0),
-                   default=float("inf"))
+        unit = min((float(s.loop_length) for s in samples if s.loop_length > 0),
+                   default=None)
         ladder.append({"eps": float(eps), "D": float(D), "samples": len(samples),
-                       "min_unit_length": float(unit)})
+                       "min_unit_length": unit})
     Ds = [row["D"] for row in ladder]
     monotone = all(b <= a_ + 1e-3 for a_, b in zip(Ds[:-1], Ds[1:]))
+    slope = None
     if len(caps) >= 2 and min(Ds) > 0:
-        slope = np.polyfit(np.log([r["eps"] for r in ladder]), np.log(Ds), 1)[0]
-    else:
-        slope = float("nan")
-    return CollapseReport(float(a), ladder, refl_disconnected, monotone, float(slope))
+        slope = float(np.polyfit(np.log([r["eps"] for r in ladder]), np.log(Ds), 1)[0])
+    return CollapseReport(float(a), ladder, refl_disconnected, monotone, slope)
 
 
 @dataclass

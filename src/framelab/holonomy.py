@@ -242,14 +242,6 @@ def _cholesky_fails(G):
     return fails
 
 
-def _expm_skew(A):
-    """exp of each real skew matrix of the stack A (..., n, n): iA is
-    Hermitian, iA = U diag(mu) U^H, so exp(A) = Re(U diag(e^{-i mu}) U^H),
-    orthogonal to rounding."""
-    mu, U = np.linalg.eigh(1j * A)
-    return ((U * np.exp(-1j * mu)[..., None, :]) @ np.conj(np.swapaxes(U, -1, -2))).real
-
-
 def _magnus_steps(conn: MetricSpec, segments, counts):
     """exp(Omega) of every fourth-order Magnus step of h' = -omega h on each
     segment, for each step count N in `counts` (powers of 2): a list over
@@ -261,8 +253,8 @@ def _magnus_steps(conn: MetricSpec, segments, counts):
     for N in counts:
         A1, A2 = om[:, at:at + 2 * N:2], om[:, at + 1:at + 2 * N:2]
         d = 1.0 / N
-        out.append(_expm_skew(-0.5 * d * (A1 + A2)
-                              + (math.sqrt(3.0) / 12.0) * d * d * (A2 @ A1 - A1 @ A2)))
+        out.append(ortho.group_exp(-0.5 * d * (A1 + A2)
+                                   + (math.sqrt(3.0) / 12.0) * d * d * (A2 @ A1 - A1 @ A2)))
         at += 2 * N
     return out
 

@@ -196,6 +196,25 @@ def test_experiment_cone_collapse_smoke(tmp_path):
     assert (out / "cone-collapse.dat").exists()
 
 
+def _reject_constant(name):
+    raise ValueError(f"artifact holds {name}, which is not JSON")
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["--caps", "0.1"], "fitted_slope"),
+    (["--caps", "0.1,0.05", "--loops", "0"], "min_unit_length"),
+])
+def test_cone_collapse_artifact_is_strict_json(tmp_path, argv, key):
+    """One cap leaves no slope to fit, and no loop power leaves no loop of
+    positive length: both are null, never NaN or Infinity."""
+    code, out = run(tmp_path, "experiment", "cone-collapse", "--a", "0.41421356", *argv)
+    assert code == 0
+    payload = json.loads((out / "cone-collapse.json").read_text(),
+                         parse_constant=_reject_constant)["result"]
+    values = [payload[key]] if key in payload else [r[key] for r in payload["ladder"]]
+    assert values and all(v is None for v in values)
+
+
 def test_determinism_byte_identical(tmp_path):
     out = tmp_path / "a"
     texts = []
@@ -320,12 +339,30 @@ def test_holonomy_word_length_zero(tmp_path):
     assert code == 2
 
 
+CONE_AT = ["--metric", "builtin:smoothed-cone:a=0.7,eps=0.1", "--at", "0.8,1.0"]
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["oneill-check", "--metric", "builtin:round-sphere", "--pairs", "0"], "--pairs"),
     (["bound-report", "--metric", "builtin:round-sphere", "--samples", "0"], "--samples"),
+    (["fiber-dist", *CONE_AT, "--samples", "0"], "--samples"),
+    (["experiment", "canonical-recovery", "--samples", "0"], "--samples"),
 ])
 def test_counts_below_one_are_config_errors(tmp_path, capsys, argv, flag):
     code, out = run(tmp_path, *argv)
     assert code == 2
     assert f"config error: {flag} must be at least 1, got 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fiber-dist", *CONE_AT, "--loops", "-1"],
+    ["holonomy", *CONE_AT, "--loops", "-2"],
+    ["experiment", "cone-collapse", "--loops", "-1"],
+])
+def test_negative_loop_counts_are_config_errors(tmp_path, capsys, argv):
+    code, out = run(tmp_path, *argv)
+    assert code == 2
+    assert f"config error: --loops must be at least 0, got {argv[-1]}" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(tmp_path, *argv[:-1], "0")[0] == 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm, expm_frechet
 
 from framelab import ortho as ot
 
@@ -81,6 +82,75 @@ def test_log_exp_round_trip():
 def test_log_rejects_angle_pi():
     with pytest.raises(ot.PrincipalLogError):
         ot.group_log(-np.eye(2))
+
+
+def reference_exp_derivative(a, b):
+    """exp(a) and exp(-a) Dexp_a[b] for one skew a and each direction of b,
+    from scipy's Pade `expm` and `expm_frechet`."""
+    E = expm(a)
+    return E, np.array([E.T @ expm_frechet(a, d)[1] for d in b])
+
+
+def assert_matches_reference(a, b):
+    E, D = ot.group_exp_derivative(a, b)
+    E_ref, D_ref = reference_exp_derivative(a, b)
+    assert np.abs(E - E_ref).max() <= 1e-14
+    assert np.abs(D - D_ref).max() <= 1e-14
+    assert np.array_equal(ot.group_exp(a), E)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_group_exp_derivative_matches_scipy_references(n):
+    """Random skew a with |a|_b from 1e-8 to 3, in the skew basis and in
+    random directions; at a = 0 exp is I and the derivative is b, exactly."""
+    rng = np.random.default_rng(n)
+    basis = np.array(ot.skew_basis(n))
+    for scale in (1e-8, 0.1, 1.0, 3.0):
+        for _ in range(10):
+            a = random_skew(rng, n)
+            assert_matches_reference(a * (scale / ot.b_norm(a)), basis)
+    b = rng.normal(size=(5, n, n))
+    assert_matches_reference(random_skew(rng, n), b)
+    E, D = ot.group_exp_derivative(np.zeros((n, n)), b)
+    assert np.array_equal(E, np.eye(n))
+    assert np.array_equal(D, b)
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.0, 3.0, math.pi - 1e-7])
+def test_group_exp_derivative_double_eigenvalue(theta):
+    """theta (e01 + e23) in o(4) has each eigenvalue +-i theta twice."""
+    e = ot.skew_basis_element
+    assert_matches_reference(theta * (e(4, 0, 1) + e(4, 2, 3)), np.array(ot.skew_basis(4)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("theta", [math.pi - 1e-6, math.pi - 1e-9, math.pi])
+def test_group_exp_derivative_near_angle_pi(n, theta):
+    assert_matches_reference(theta * ot.skew_basis_element(n, 0, 1), np.array(ot.skew_basis(n)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_group_exp_rows_are_single_calls(n):
+    rng = np.random.default_rng(10 + n)
+    A = np.array([random_skew(rng, n) for _ in range(6)] + [np.zeros((n, n))])
+    b = np.array(ot.skew_basis(n))
+    E, D = ot.group_exp_derivative(A, b)
+    assert E.shape == (7, n, n) and D.shape == (7, len(b), n, n)
+    got = ot.group_exp(A)
+    for k, a in enumerate(A):
+        Ek, Dk = ot.group_exp_derivative(a, b)
+        assert np.array_equal(E[k], Ek) and np.array_equal(D[k], Dk)
+        assert np.array_equal(got[k], ot.group_exp(a))
+
+
+def test_check_skew_rejects_a_stack_with_one_non_skew_member(rng):
+    A = np.array([random_skew(rng, 3) for _ in range(4)])
+    assert np.array_equal(ot.check_skew(A), A)
+    A[2, 0, 1] += 1e-3
+    with pytest.raises(ot.NotSkewError):
+        ot.check_skew(A)
+    with pytest.raises(ot.NotSkewError):
+        ot.group_exp(A)
 
 
 def test_group_distance_examples():
