@@ -229,6 +229,8 @@ def cmd_holonomy(args):
     gp = _load_metric(args.metric2) if args.metric2 else g
     p = _basepoint(args, g)
     _require_count("--loops", args.loops, 0)
+    if not 0 < args.delta < math.inf:
+        raise ValueError(f"--delta must be positive and finite, got {args.delta:g}")
     if args.resume:
         try:
             saved = Path(args.resume).read_text(encoding="utf-8")
@@ -296,6 +298,7 @@ def cmd_bound_report(args):
 def cmd_gh(args):
     g = _load_metric(args.metric)
     m2 = _load_metric(args.metric2) if args.metric2 else g
+    _require_count("--samples", args.samples)
     region = _region_for(g, args.region) if args.region else list(g.domain)
     rng = np.random.default_rng(args.seed)
     res1 = gh.sample_space(g, region, args.samples, rng=rng)

@@ -18,9 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
-from scipy.spatial import cKDTree
 
 from . import holonomy as hl
 from . import ortho
@@ -165,6 +162,12 @@ def sample_space(m: MetricSpec, region, count, rng=None, mode="geodesic-graph",
     and beats the graph value replaces it.  Graph, chord and shot values
     are genuine path lengths, so each distance bounds its true one above.
     """
+    # imported here, by their only user, so that commands that sample no
+    # space start without scipy
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+    from scipy.spatial import cKDTree
+
     if mode != "geodesic-graph":
         raise ValueError(f"unknown sampling mode {mode!r}")
     rng = rng or np.random.default_rng(0)

@@ -3,8 +3,12 @@
 principal-log charts, geodesic distances, quotient pseudo-distances, and
 classification of subgroups estimated from holonomy samples.
 
-Every exponential of a skew matrix, and its derivative, comes from one
-Hermitian eigendecomposition (Higham, Functions of Matrices, 2008, Thm 3.11).
+Every exponential of a skew matrix, its derivative and every principal log
+comes from one Hermitian eigendecomposition of a skew matrix (Higham,
+Functions of Matrices, 2008, Thm 3.11).  The log takes it of the Cayley
+transform C = (A + I)^{-1} (A - I), with log A = 2 artanh(C) (ibid. §11),
+and `classify_subgroup` takes all its logs in one stacked call.  Only the
+Nelder-Mead polish of `quotient_distance` imports scipy.
 """
 
 from __future__ import annotations
@@ -15,13 +19,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import schur
 
 SKEW_TOL = 1e-10
 ORTH_TOL = 1e-10
-#: subdiagonal size below which `_schur_blocks` reads a 2x2 block of the
-#: real Schur form as two real eigenvalues, dropping its rotation angle
-SCHUR_BLOCK_TOL = 1e-9
+#: `group_log` refuses a matrix with a rotation angle at or above pi minus this
+LOG_ANGLE_TOL = 1e-9
 #: relative slack of `frobenius_lower_bound`; it absorbs rounding
 FROBENIUS_SLACK = 1e-6
 #: pairs per eigenvalue call of `group_distance`
@@ -112,16 +114,22 @@ def unvec_skew(v, n):
 
 
 def _skew_eigh(a):
-    """mu, U, U^H with ia = U diag(mu) U^H for skew a (..., n, n), and
-    exp(a) = Re(U diag(e^{-i mu}) U^H), orthogonal to rounding."""
+    """mu, U, U^H with ia = U diag(mu) U^H for skew a (..., n, n)."""
     mu, U = np.linalg.eigh(1j * check_skew(a))
-    Uh = np.conj(np.swapaxes(U, -1, -2))
-    return mu, U, Uh, ((U * np.exp(-1j * mu)[..., None, :]) @ Uh).real
+    return mu, U, np.conj(np.swapaxes(U, -1, -2))
+
+
+def _from_eigenbasis(U, f, Uh):
+    """Re(U diag(f) U^H) over the last axes: with f = F(-i mu) for the
+    eigenpairs of `_skew_eigh(a)`, the matrix function F(a)."""
+    return ((U * f[..., None, :]) @ Uh).real
 
 
 def group_exp(a):
-    """exp: o(n) -> O(n), of one skew matrix or a stack (..., n, n)."""
-    return _skew_eigh(a)[3]
+    """exp: o(n) -> O(n), of one skew matrix or a stack (..., n, n);
+    orthogonal to rounding."""
+    mu, U, Uh = _skew_eigh(a)
+    return _from_eigenbasis(U, np.exp(-1j * mu), Uh)
 
 
 def group_exp_derivative(a, b):
@@ -129,48 +137,45 @@ def group_exp_derivative(a, b):
     (..., m, n, n) for skew a (..., n, n) and directions b (m, n, n).  In
     the eigenbasis, b_jk is scaled by e^{i delta/2} sinc(delta/2), delta =
     mu_j - mu_k: stable at equal eigenvalues, and b itself at a = 0."""
-    mu, U, Uh, E = _skew_eigh(a)
+    mu, U, Uh = _skew_eigh(a)
+    E = _from_eigenbasis(U, np.exp(-1j * mu), Uh)
     half = 0.5 * (mu[..., :, None] - mu[..., None, :])
     phi = (np.exp(1j * half) * np.sinc(half / math.pi))[..., None, :, :]
     U, Uh = U[..., None, :, :], Uh[..., None, :, :]
     return E, (U @ (phi * (Uh @ b @ U)) @ Uh).real
 
 
-def _schur_blocks(A, tol=SCHUR_BLOCK_TOL):
-    """Real Schur form of an orthogonal matrix: rotation angles and the
-    number of -1 eigenvalues, plus the transform Q with A = Q T Q^T."""
-    T, Q = schur(np.asarray(A, dtype=float), output="real")
-    n = A.shape[0]
-    blocks = []   # (start index, angle) for 2x2 rotation blocks
-    minus = []    # indices of -1 diagonal entries
-    i = 0
-    while i < n:
-        if i + 1 < n and abs(T[i + 1, i]) > tol:
-            theta = math.atan2(T[i + 1, i], T[i, i])
-            blocks.append((i, theta))
-            i += 2
-        else:
-            if T[i, i] < 0:
-                minus.append(i)
-            i += 1
-    return T, Q, blocks, minus
+def _principal_logs(A, angle_tol):
+    """Principal logs of a stack A (k, n, n) of orthogonal matrices, as
+    (L, ok): ok (k,) marks the rows whose eigenvalues all have
+    |arg| < pi - angle_tol, and L (k, n, n) holds their logs, NaN elsewhere.
+
+    For such a row A + I is invertible, C = (A + I)^{-1} (A - I) is skew
+    with eigenvalues i tan(t/2) over the rotation angles t of A, and
+    A = exp(2 artanh C).  With iC = U diag(mu) U^H from `_skew_eigh`,
+    log A = Re(U diag(-2i arctan mu) U^H): no branch cut is met, and each
+    angle 2 arctan(mu) keeps full accuracy however small it is."""
+    lam = np.linalg.eigvals(A)
+    ok = (np.abs(np.angle(lam)) < math.pi - angle_tol).all(axis=-1)
+    L = np.full(A.shape, math.nan)
+    B = A[ok]
+    eye = np.eye(A.shape[-1])
+    C = np.linalg.solve(B + eye, B - eye)
+    mu, U, Uh = _skew_eigh(0.5 * (C - np.swapaxes(C, -1, -2)))
+    L[ok] = _from_eigenbasis(U, -2j * np.arctan(mu), Uh)
+    return L, ok
 
 
-def group_log(A, angle_tol=1e-9):
-    """Principal logarithm: the skew a with exp(a) = A, all angles < pi."""
-    A = check_orthogonal(A)
-    n = A.shape[0]
-    T, Q, blocks, minus = _schur_blocks(A)
-    if minus:
-        raise PrincipalLogError("matrix has an eigenvalue -1 (rotation angle pi)")
-    for _, theta in blocks:
-        if abs(theta) >= math.pi - angle_tol:
-            raise PrincipalLogError(f"rotation angle {abs(theta):.6f} too close to pi")
-    L = np.zeros((n, n))
-    for i, theta in blocks:
-        L[i, i + 1] = -theta
-        L[i + 1, i] = theta
-    return Q @ L @ Q.T
+def group_log(A, angle_tol=LOG_ANGLE_TOL):
+    """Principal logarithm: the skew a with exp(a) = A and every rotation
+    angle below pi - angle_tol, as one row of `_principal_logs`.  A matrix
+    with an angle at or above that, an eigenvalue -1 included (so every
+    reflection), raises PrincipalLogError."""
+    L, ok = _principal_logs(check_orthogonal(A)[None], angle_tol)
+    if not ok[0]:
+        raise PrincipalLogError(
+            f"matrix has a rotation angle within {angle_tol:g} of pi, or an eigenvalue -1")
+    return L[0]
 
 
 def group_distance(u, v):
@@ -290,11 +295,9 @@ class SubgroupEstimate:
         return SubgroupEstimate("trivial", n, 0)
 
 
-def _orthonormal_algebra(vectors, rel_tol=1e-6):
-    """Rank-revealing orthogonalization of log vectors (b-coordinates)."""
-    if not vectors:
-        return 0, []
-    M = np.stack(vectors, axis=0)
+def _orthonormal_algebra(M, rel_tol=1e-6):
+    """Rank-revealing orthogonalization of log vectors M (k, m), in
+    b-coordinates."""
     norms = np.linalg.norm(M, axis=1)
     keep = norms > 1e-14
     if not keep.any():
@@ -339,18 +342,13 @@ def classify_subgroup(samples, near_identity=1.5, svd_tol=1e-6,
     n = mats.shape[-1]
     m_dim = n * (n - 1) // 2
 
-    dists = group_distance(mats, np.eye(n)).tolist()
-    nontrivial = [(d, A) for d, A in zip(dists, mats) if d > 1e-8]
+    dists = group_distance(mats, np.eye(n))
+    nontrivial = [(d, A) for d, A in zip(dists.tolist(), mats) if d > 1e-8]
     if not nontrivial:
         return SubgroupEstimate.trivial(n)
 
-    logs = []
-    for d, A in nontrivial:
-        if d <= near_identity:
-            try:
-                logs.append(vec_skew(group_log(A)))
-            except PrincipalLogError:
-                continue
+    L, ok = _principal_logs(mats[(dists > 1e-8) & (dists <= near_identity)], LOG_ANGLE_TOL)
+    logs = vec_skew(L[ok])
     rank, basis_vecs = _orthonormal_algebra(logs, rel_tol=svd_tol)
     basis = [unvec_skew(v, n) for v in basis_vecs]
     residuals = {"svd_rank": rank}

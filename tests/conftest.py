@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import expm, expm_frechet
+from scipy.linalg import expm, expm_frechet, schur
 
 from framelab import curvature as cv
 from framelab import expr as ex
@@ -136,6 +136,51 @@ def ricci_biinvariant(xi):
     return 0.25 * total
 
 
+# the real-Schur references that the eigenvalue distance and the Cayley log
+# replaced
+
+#: subdiagonal size below which `_schur_blocks` reads a 2x2 block of the
+#: real Schur form as two real eigenvalues, dropping its rotation angle
+SCHUR_BLOCK_TOL = 1e-9
+
+
+def _schur_blocks(A, tol=SCHUR_BLOCK_TOL):
+    """Real Schur form of an orthogonal matrix: rotation angles and the
+    number of -1 eigenvalues, plus the transform Q with A = Q T Q^T."""
+    T, Q = schur(np.asarray(A, dtype=float), output="real")
+    n = A.shape[0]
+    blocks = []   # (start index, angle) for 2x2 rotation blocks
+    minus = []    # indices of -1 diagonal entries
+    i = 0
+    while i < n:
+        if i + 1 < n and abs(T[i + 1, i]) > tol:
+            theta = math.atan2(T[i + 1, i], T[i, i])
+            blocks.append((i, theta))
+            i += 2
+        else:
+            if T[i, i] < 0:
+                minus.append(i)
+            i += 1
+    return T, Q, blocks, minus
+
+
+def reference_group_log(A, angle_tol=1e-9):
+    """Principal logarithm: the skew a with exp(a) = A, all angles < pi."""
+    A = ot.check_orthogonal(A)
+    n = A.shape[0]
+    T, Q, blocks, minus = _schur_blocks(A)
+    if minus:
+        raise ot.PrincipalLogError("matrix has an eigenvalue -1 (rotation angle pi)")
+    for _, theta in blocks:
+        if abs(theta) >= math.pi - angle_tol:
+            raise ot.PrincipalLogError(f"rotation angle {abs(theta):.6f} too close to pi")
+    L = np.zeros((n, n))
+    for i, theta in blocks:
+        L[i, i + 1] = -theta
+        L[i + 1, i] = theta
+    return Q @ L @ Q.T
+
+
 def reference_group_distance(u, v):
     """d_b(u, v) for one pair from the real Schur form of v u^T: twice the
     sum of its squared block rotation angles, -1 eigenvalues paired into
@@ -146,7 +191,7 @@ def reference_group_distance(u, v):
     v = ot.check_orthogonal(v)
     if np.linalg.det(u) * np.linalg.det(v) < 0:
         return math.inf
-    _, _, blocks, minus = ot._schur_blocks(v @ u.T)
+    _, _, blocks, minus = _schur_blocks(v @ u.T)
     angles = [abs(theta) for _, theta in blocks] + [math.pi] * (len(minus) // 2)
     return math.sqrt(2.0 * sum(t * t for t in angles))
 

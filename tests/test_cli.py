@@ -347,12 +347,28 @@ CONE_AT = ["--metric", "builtin:smoothed-cone:a=0.7,eps=0.1", "--at", "0.8,1.0"]
     (["bound-report", "--metric", "builtin:round-sphere", "--samples", "0"], "--samples"),
     (["fiber-dist", *CONE_AT, "--samples", "0"], "--samples"),
     (["experiment", "canonical-recovery", "--samples", "0"], "--samples"),
+    (["gh", "--metric", "builtin:round-sphere", "--samples", "0"], "--samples"),
 ])
 def test_counts_below_one_are_config_errors(tmp_path, capsys, argv, flag):
     code, out = run(tmp_path, *argv)
     assert code == 2
     assert f"config error: {flag} must be at least 1, got 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("delta", ["0", "-0.25", "inf", "nan"])
+def test_holonomy_delta_must_be_positive_and_finite(tmp_path, capsys, delta):
+    code, out = run(tmp_path, "holonomy", *CONE_AT, "--loops", "0", "--delta", delta)
+    assert code == 2
+    assert f"config error: --delta must be positive and finite, got {float(delta):g}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gh_with_one_sample_runs(tmp_path):
+    code, out = run(tmp_path, "gh", "--metric", "builtin:round-sphere", "--samples", "1")
+    assert code == 0
+    assert load(out, "gh")["result"]["gh_upper"] == 0.0
 
 
 @pytest.mark.parametrize("argv", [
@@ -366,3 +382,46 @@ def test_negative_loop_counts_are_config_errors(tmp_path, capsys, argv):
     assert f"config error: --loops must be at least 0, got {argv[-1]}" in capsys.readouterr().err
     assert not out.exists()
     assert run(tmp_path, *argv[:-1], "0")[0] == 0
+
+
+#: one run of every command that samples no space, at its smallest test size
+SCIPY_FREE_RUNS = [
+    ["parse-check", "--metric", "builtin:smoothed-cone:a=0.7,eps=0.1"],
+    ["curvature", "--metric", "builtin:round-sphere", "--at", "1.0,0.5"],
+    ["lift", "--metric", "builtin:round-sphere", "--at", "1.1,0.3"],
+    ["oneill-check", "--metric", "builtin:round-sphere", "--pairs", "3"],
+    ["holonomy", *CONE_AT, "--loops", "2", "--word-length", "1"],
+    ["fiber-dist", "--metric", "builtin:smoothed-cone:a=0.41421356,eps=0.05",
+     "--at", "0.15,0.0", "--loops", "20", "--samples", "8"],
+    ["bound-report", "--metric", "builtin:round-sphere", "--samples", "3"],
+]
+
+SCIPY_PROBE = """
+import json, sys
+from framelab.cli import main
+
+runs, out = json.loads(sys.argv[1]), sys.argv[2]
+for argv in runs:
+    assert main(argv + ["--out", out]) == 0, argv
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert main(["gh", "--metric", "builtin:round-sphere", "--samples", "3", "--out", out]) == 0
+print(json.dumps({"before": before, "after_gh": "scipy" in sys.modules}))
+"""
+
+
+def test_only_gh_and_experiment_load_scipy(tmp_path):
+    """Importing the CLI and running every command but gh and experiment
+    loads no scipy module; gh then does, so the probe sees an import."""
+    import os
+    import subprocess
+    import sys
+
+    import framelab
+
+    src = str(Path(framelab.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(SCIPY_FREE_RUNS), str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen == {"before": [], "after_gh": True}

@@ -544,17 +544,3 @@ def test_one_stacked_derivative_call_per_loop_and_round(monkeypatch):
     assert calls[0] == (4 * 2 * (N + 2 * N), 4)
     assert all(len(shape) == 2 for shape in calls)
 
-
-def test_importing_the_cli_leaves_scipy_integrate_out():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import framelab
-
-    src = str(Path(framelab.__file__).resolve().parent.parent)
-    code = "import sys, framelab.cli; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
-    assert out.stdout.strip() == "False"

@@ -9,7 +9,8 @@ from scipy.linalg import expm, expm_frechet
 
 from framelab import ortho as ot
 
-from conftest import reference_group_distance, ricci_biinvariant, sectional_biinvariant
+from conftest import (SCHUR_BLOCK_TOL, reference_group_distance, reference_group_log,
+                      ricci_biinvariant, sectional_biinvariant)
 
 
 def random_skew(rng, n):
@@ -80,8 +81,55 @@ def test_log_exp_round_trip():
 
 
 def test_log_rejects_angle_pi():
-    with pytest.raises(ot.PrincipalLogError):
-        ot.group_log(-np.eye(2))
+    # -I, a half turn, and a reflection (an eigenvalue -1 in the other component)
+    for A in (-np.eye(2), ot.rotation2(math.pi), np.diag([1.0, -1.0, 1.0])):
+        with pytest.raises(ot.PrincipalLogError):
+            ot.group_log(A)
+
+
+def skew_with_angles(rng, angles, n):
+    """Q a Q^T for a random Q in SO(n) and a block-diagonal skew a whose
+    2x2 blocks rotate by the given angles."""
+    a = np.zeros((n, n))
+    for k, t in enumerate(angles):
+        a[2 * k, 2 * k + 1], a[2 * k + 1, 2 * k] = -t, t
+    q = random_orthogonal(rng, n)
+    return q @ a @ q.T
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_group_log_matches_schur_reference(n):
+    rng = np.random.default_rng(100 + n)
+    cases = [rng.uniform(0.05, 3.0, size=n // 2) for _ in range(40)] + [np.full(n // 2, 3.0)]
+    for angles in cases:
+        A = ot.group_exp(skew_with_angles(rng, angles, n))
+        assert np.abs(ot.group_log(A) - reference_group_log(A)).max() <= 1e-13
+
+
+def test_group_log_matches_schur_reference_isoclinic():
+    """theta (e01 + e23): every eigenvalue is double, in o(4) conjugated."""
+    rng = np.random.default_rng(7)
+    iso = ot.skew_basis_element(4, 0, 1) + ot.skew_basis_element(4, 2, 3)
+    for theta in np.linspace(0.1, 3.0, 12):
+        q = random_orthogonal(rng, 4)
+        A = ot.group_exp(theta * q @ iso @ q.T)
+        assert np.abs(ot.group_log(A) - reference_group_log(A)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_principal_logs_rows_are_their_group_log(n):
+    rng = np.random.default_rng(200 + n)
+    A = np.array([random_orthogonal(rng, n, reflect=bool(rng.integers(2))) for _ in range(30)]
+                 + [ot.group_exp(skew_with_angles(rng, [math.pi] + [0.5] * (n // 2 - 1), n))])
+    L, ok = ot._principal_logs(A, ot.LOG_ANGLE_TOL)
+    assert 0 < ok.sum() < len(A)
+    for row, good, a in zip(L, ok, A):
+        if good:
+            assert np.array_equal(row, ot.group_log(a))
+        else:
+            assert np.isnan(row).all()
+            with pytest.raises(ot.PrincipalLogError):
+                ot.group_log(a)
 
 
 def reference_exp_derivative(a, b):
@@ -184,7 +232,7 @@ def test_group_distance_stack_matches_schur_reference(n):
     U = np.array([random_orthogonal(rng, n, reflect=bool(rng.integers(2))) for _ in range(200)])
     far = np.array([random_orthogonal(rng, n, reflect=bool(rng.integers(2))) for _ in U])
     near = np.array([nudged(rng, u, 10.0 ** rng.uniform(-10, -2)) for u in U])
-    for V, atol in ((far, 1e-12), (near, math.sqrt(n) * ot.SCHUR_BLOCK_TOL + 1e-12)):
+    for V, atol in ((far, 1e-12), (near, math.sqrt(n) * SCHUR_BLOCK_TOL + 1e-12)):
         got = ot.group_distance(U, V)
         assert got.shape == (len(U),)
         want = np.array([reference_group_distance(u, v) for u, v in zip(U, V)])
@@ -330,6 +378,20 @@ def test_classify_full_so3(rng):
     samples = [(ot.group_exp(random_skew(rng, 3) * 0.4), 1.0) for _ in range(25)]
     est = ot.classify_subgroup(samples)
     assert est.label == "full-SO(3)"
+
+
+def test_classify_skips_an_angle_pi_sample_in_one_log_call(monkeypatch):
+    calls = []
+    principal_logs = ot._principal_logs
+    monkeypatch.setattr(ot, "_principal_logs",
+                        lambda A, tol: calls.append(len(A)) or principal_logs(A, tol))
+    samples = [(ot.rotation2(0.3 * k), 1.0) for k in range(1, 5)] + [(ot.rotation2(math.pi), 1.0)]
+    # near_identity above d_b(I, rot pi) = pi sqrt 2: the half turn reaches the log
+    est = ot.classify_subgroup(samples, near_identity=5.0)
+    assert calls == [5]
+    assert est.label == "SO(2)-circle"
+    assert est.rank == 1
+    assert abs(abs(ot.vec_skew(est.algebra_basis[0])[0]) - 1.0) <= 1e-14
 
 
 def test_classify_empty_raises():
