@@ -65,11 +65,14 @@ def _parse_region(text):
 
 
 def _basepoint(args, m):
-    """The --at point; a coordinate count other than m.dim is a config error."""
+    """The --at point; a coordinate count other than m.dim is a config error,
+    and a point that is not finite or lies outside the chart a domain error."""
     p = np.array(_parse_floats(args.at))
     if p.shape != (m.dim,):
         raise ValueError(f"--at gives {p.size} coordinates; the chart "
                          f"({', '.join(m.coords)}) has {m.dim}")
+    if not (np.isfinite(p).all() and m.in_domain(p)):
+        raise DomainExitError(None, p)
     return p
 
 
@@ -348,6 +351,10 @@ def cmd_experiment(args):
             raise InvariantViolation(f"classification {rep.classification}")
         if args.strict and rep.quotient_diameters["gap"] <= 0:
             raise InvariantViolation("quotient diameter gap not positive")
+        over = [k for k, exact in rep.quotient_diameters["exact"].items()
+                if k != "gap" and rep.quotient_diameters[k] > exact + 1e-12]
+        if args.strict and over:
+            raise InvariantViolation(f"sampled {', '.join(over)} exceed the exact diameters")
     elif args.name == "canonical-recovery":
         rep = canonical_recovery_report(args.samples, args.seed)
         _write_artifact(args, "canonical-recovery", rep)

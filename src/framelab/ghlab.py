@@ -633,7 +633,8 @@ def eguchi_hanson_experiment(lams=(4.0, 16.0, 64.0), seed=0, deltas=(0.2, 0.35),
                              gh_count=20, quotient_samples=40, a_eh=1.0):
     """The three-part rescaled Eguchi-Hanson study: (i) holonomy sample
     lengths shrink with the scale while the classification stays SU(2);
-    (ii) sampled quotient diameters separate O(4)/SU(2) from O(4)/{±I};
+    (ii) the exact diameters of O(4)/SU(2), O(4)/{±I} and O(4)/O(4) beside
+    their maxima over sampled exp(xi), |xi|_b <= pi (so below sqrt(2) pi);
     (iii) the base annulus GH-approaches the exact cone annulus."""
     from .metric import eguchi_hanson, rescaled
     base = eguchi_hanson(a_eh)
@@ -661,7 +662,7 @@ def eguchi_hanson_experiment(lams=(4.0, 16.0, 64.0), seed=0, deltas=(0.2, 0.35),
         su2.residuals.get("chirality_off_plus", 1.0),
         su2.residuals.get("chirality_off_minus", 1.0))) if su2.algebra_basis else 1.0
 
-    # quotient diameters by sampling
+    # quotient diameters: the maxima over sampled elements, and the exact ones
     minus_I = ortho.SubgroupEstimate("finite-cyclic(2)", 4, 0, [],
                                      [-np.eye(4)], {}, order=2)
     diam_su2 = 0.0
@@ -671,13 +672,14 @@ def eguchi_hanson_experiment(lams=(4.0, 16.0, 64.0), seed=0, deltas=(0.2, 0.35),
         xi = xi / ortho.b_norm(xi) * rng.uniform(0.0, math.pi)
         u = ortho.group_exp(xi)
         if su2.label == "SU(2)-in-SO(4)":
-            diam_su2 = max(diam_su2, ortho.quotient_distance(np.eye(4), u, su2,
-                                                             rng=rng, coarse=60))
+            diam_su2 = max(diam_su2, ortho.quotient_distance(np.eye(4), u, su2))
         diam_pm = max(diam_pm, ortho.quotient_distance(np.eye(4), u, minus_I))
     quotient = {"diam_O4_mod_SU2": float(diam_su2),
                 "diam_O4_mod_pmI": float(diam_pm),
                 "diam_O4_mod_O4": 0.0,
-                "gap": float(diam_pm - diam_su2)}
+                "gap": float(diam_pm - diam_su2),
+                "exact": {"diam_O4_mod_SU2": math.pi, "diam_O4_mod_pmI": math.sqrt(2.0) * math.pi,
+                          "diam_O4_mod_O4": 0.0, "gap": (math.sqrt(2.0) - 1.0) * math.pi}}
 
     gh_val, _, _ = eguchi_hanson_gh_comparison(gh_lam, gh_count, seed, a_eh)
     gh_table = [{"lambda": float(gh_lam), "count": gh_count, "gh_upper": float(gh_val)}]

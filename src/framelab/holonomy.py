@@ -424,16 +424,6 @@ def circle_power_samples(conn: MetricSpec, basepoint, axis, period,
     return _dedup(out)
 
 
-def min_loop_length(samples, target, tol=1e-6):
-    """Smallest sampled loop length realizing `target` within d_b <= tol;
-    an upper bound for the true L(target), +inf when unseen."""
-    target = np.asarray(target, dtype=float)
-    n = target.shape[-1]
-    elements = np.reshape([s.element for s in samples], (-1, n, n))
-    hit = ortho.group_distance(elements, target) <= tol
-    return min((s.loop_length for s, h in zip(samples, hit) if h), default=math.inf)
-
-
 def fiber_distance(samples, e, e_prime):
     """min over samples a of sqrt(L(a)^2 + d_b(a e, e')^2): the restricted
     distance on a fiber, certified as an upper bound.  The constant loop is

@@ -7,8 +7,9 @@ Every exponential of a skew matrix, its derivative and every principal log
 comes from one Hermitian eigendecomposition of a skew matrix (Higham,
 Functions of Matrices, 2008, Thm 3.11).  The log takes it of the Cayley
 transform C = (A + I)^{-1} (A - I), with log A = 2 artanh(C) (ibid. §11),
-and `classify_subgroup` takes all its logs in one stacked call.  Only the
-Nelder-Mead polish of `quotient_distance` imports scipy.
+and `classify_subgroup` takes all its logs in one stacked call.
+`quotient_distance` is exact, with one closed form per subgroup class; for
+SU(2)-in-SO(4) it is a rotation angle in SO(3), and it refuses `other`.
 """
 
 from __future__ import annotations
@@ -415,60 +416,55 @@ def _classify_finite(n, nontrivial, tol, residuals):
 # ---------------------------------------------------------------------------
 # quotient pseudo-distance
 
-def quotient_distance(u, v, H: SubgroupEstimate, rng=None, coarse=200, polish=True):
-    """inf over h in the estimated subgroup H of d_b(h u, v)."""
+def quotient_distance(u, v, H: SubgroupEstimate):
+    """inf over h in the estimated subgroup H of d_b(h u, v), exactly; u and
+    v are (n, n) or stacks (..., n, n) that broadcast, and one pair gives a
+    float.  By bi-invariance it is d_b(w, H) with w = v u^T.  trivial gives
+    d_b(u, v); SO(2)-circle and full-SO(n) act transitively on a component,
+    so give 0, or +inf across the components; finite-cyclic(k) takes the
+    least d_b(g^j u, v) over the k powers; `other` raises ValueError.
+
+    SU(2)-in-SO(4): its algebra h is one of the two commuting, b-orthogonal
+    ideals of o(4) = su(2)+ (+) su(2)- (`su2_bases`; `residuals["chirality"]`
+    says which), and k, with b-orthonormal basis E_1, E_2, E_3, is the
+    other; K = exp(k) = SU(2) commutes with H.  A shortest path from H to w
+    is h exp(sX), X = X_h + X_k, with d = |X|_b >= |X_k|_b, and as X_h and
+    X_k commute, exp(X_k) lies in H w.  So R_kl = b(E_k, w E_l w^T), Ad_w on
+    k, is in SO(3) and equals Ad_{exp X_k} on k.  As [E_1, E_2] = +-E_3
+    cyclically, Ad_{exp(tE)} for b-unit E in k rotates k by the angle t, so
+    the rotation angle of R, atan2(|axial R|, (tr R - 1)/2), is at most d.
+    Conversely exp(X_k) with |X_k|_b that angle has the same R, so
+    w exp(-X_k) centralizes K and lies in H: d is that angle.  It ranges
+    over [0, pi], so a component of O(4)/SU(2) has diameter pi, attained
+    at exp(pi E_1).  Where det w < 0 it is +inf, as H lies in SO(4).
+    """
     u = check_orthogonal(u)
     v = check_orthogonal(v)
-    n = u.shape[0]
-    base = group_distance(u, v)
+    n = u.shape[-1]
     label = H.label
-
     if label == "trivial":
-        return base
+        return group_distance(u, v)
     if label == "SO(2)-circle" or label.startswith("full-SO("):
-        return 0.0 if math.isfinite(base) else math.inf
-    if label.startswith("finite-cyclic"):
+        d = np.where(np.isinf(group_distance(u, v)), math.inf, 0.0)
+    elif label.startswith("finite-cyclic"):
         gen = H.finite_generators[0]
-        moved = []
-        P = np.eye(n)
-        for _ in range(max(H.order, 1)):
-            moved.append(P @ u)
-            P = P @ gen
-        return min(base, float(group_distance(np.array(moved), v).min()))
-    if label == "SU(2)-in-SO(4)" or (label == "other" and H.algebra_basis):
-        basis = H.algebra_basis
-        k = len(basis)
-        rng = rng or np.random.default_rng(0)
-        best = base
-        best_theta = np.zeros(k)
-        thetas = []
-        for _ in range(coarse):
-            theta = rng.normal(size=k)
-            norm = np.linalg.norm(theta)
-            if norm > 0:
-                theta = theta * (rng.random() * 2 * math.pi) / norm
-            thetas.append(theta)
-        if thetas:
-            moved = group_exp(np.einsum("ck,kij->cij", thetas, basis)) @ u
-            d = group_distance(moved, v)
-            i = int(np.argmin(d))
-            if d[i] < best:
-                best = float(d[i])
-                best_theta = thetas[i]
-        if polish and math.isfinite(best):
-            from scipy.optimize import minimize
-
-            def f(theta):
-                h = group_exp(sum(t * a for t, a in zip(theta, basis)))
-                d = group_distance(h @ u, v)
-                return d if math.isfinite(d) else 1e6
-
-            res = minimize(f, best_theta, method="Nelder-Mead",
-                           options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
-            best = min(best, float(res.fun))
-        return best
-    if label == "other" and H.finite_generators:
-        moved = np.array([g @ u for g in H.finite_generators])
-        return min(base, float(group_distance(moved, v).min()))
-    return base
-
+        powers = [np.eye(n)]
+        for _ in range(H.order - 1):
+            powers.append(powers[-1] @ gen)
+        lead = np.broadcast_shapes(u.shape[:-2], v.shape[:-2])
+        moved = np.array(powers).reshape((len(powers),) + (1,) * len(lead) + (n, n)) @ u
+        d = group_distance(moved, v).min(axis=0)
+    elif label == "SU(2)-in-SO(4)":
+        plus, minus = su2_bases()
+        E = np.array(minus if H.residuals["chirality"] == "self-dual" else plus)
+        w = (v @ np.swapaxes(u, -1, -2))[..., None, :, :]
+        # b(a1, a2) = sum_ij a1_ij a2_ij for skew a1, a2
+        R = (E[:, None] * (w @ E @ np.swapaxes(w, -1, -2))[..., None, :, :, :]).sum(axis=(-2, -1))
+        axial = np.stack([R[..., 2, 1] - R[..., 1, 2], R[..., 0, 2] - R[..., 2, 0],
+                          R[..., 1, 0] - R[..., 0, 1]], axis=-1)
+        angle = np.arctan2(0.5 * np.linalg.norm(axial, axis=-1),
+                           0.5 * (np.trace(R, axis1=-2, axis2=-1) - 1.0))
+        d = np.where(np.linalg.det(w[..., 0, :, :]) < 0, math.inf, angle)
+    else:
+        raise ValueError(f"no exact quotient distance for the class {label!r}")
+    return float(d) if d.ndim == 0 else d

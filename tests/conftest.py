@@ -196,6 +196,68 @@ def reference_group_distance(u, v):
     return math.sqrt(2.0 * sum(t * t for t in angles))
 
 
+# the search that the closed-form quotient distance replaced: for an algebra
+# it draws a random coarse grid of H and polishes the best point with
+# Nelder-Mead, so its value is an upper bound on the exact one
+
+def reference_quotient_distance(u, v, H, rng=None, coarse=200, polish=True):
+    """inf over h in the estimated subgroup H of d_b(h u, v)."""
+    u = ot.check_orthogonal(u)
+    v = ot.check_orthogonal(v)
+    n = u.shape[0]
+    base = ot.group_distance(u, v)
+    label = H.label
+
+    if label == "trivial":
+        return base
+    if label == "SO(2)-circle" or label.startswith("full-SO("):
+        return 0.0 if math.isfinite(base) else math.inf
+    if label.startswith("finite-cyclic"):
+        gen = H.finite_generators[0]
+        moved = []
+        P = np.eye(n)
+        for _ in range(max(H.order, 1)):
+            moved.append(P @ u)
+            P = P @ gen
+        return min(base, float(ot.group_distance(np.array(moved), v).min()))
+    if label == "SU(2)-in-SO(4)" or (label == "other" and H.algebra_basis):
+        basis = H.algebra_basis
+        k = len(basis)
+        rng = rng or np.random.default_rng(0)
+        best = base
+        best_theta = np.zeros(k)
+        thetas = []
+        for _ in range(coarse):
+            theta = rng.normal(size=k)
+            norm = np.linalg.norm(theta)
+            if norm > 0:
+                theta = theta * (rng.random() * 2 * math.pi) / norm
+            thetas.append(theta)
+        if thetas:
+            moved = ot.group_exp(np.einsum("ck,kij->cij", thetas, basis)) @ u
+            d = ot.group_distance(moved, v)
+            i = int(np.argmin(d))
+            if d[i] < best:
+                best = float(d[i])
+                best_theta = thetas[i]
+        if polish and math.isfinite(best):
+            from scipy.optimize import minimize
+
+            def f(theta):
+                h = ot.group_exp(sum(t * a for t, a in zip(theta, basis)))
+                d = ot.group_distance(h @ u, v)
+                return d if math.isfinite(d) else 1e6
+
+            res = minimize(f, best_theta, method="Nelder-Mead",
+                           options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 400})
+            best = min(best, float(res.fun))
+        return best
+    if label == "other" and H.finite_generators:
+        moved = np.array([g @ u for g in H.finite_generators])
+        return min(base, float(ot.group_distance(moved, v).min()))
+    return base
+
+
 @pytest.fixture(scope="session")
 def flat2():
     return mt.flat_euclidean(2)

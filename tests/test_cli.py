@@ -1,8 +1,10 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from framelab import ghlab as gh
 from framelab.cli import main
 
 
@@ -292,6 +294,11 @@ def test_gh_command(tmp_path):
     assert payload["gh_upper"] <= 1e-9
 
 
+#: the diameters on one component, and the gap between the first two
+EH_EXACT_DIAMETERS = {"diam_O4_mod_SU2": math.pi, "diam_O4_mod_pmI": math.sqrt(2.0) * math.pi,
+                      "diam_O4_mod_O4": 0.0, "gap": (math.sqrt(2.0) - 1.0) * math.pi}
+
+
 def test_experiment_eguchi_hanson_smoke(tmp_path):
     code, out = run(tmp_path, "experiment", "eguchi-hanson",
                     "--scales", "4,16,64", "--samples", "6", "--loops", "6")
@@ -299,9 +306,23 @@ def test_experiment_eguchi_hanson_smoke(tmp_path):
     payload = load(out, "eguchi-hanson")["result"]
     assert payload["classification"] == "SU(2)-in-SO(4)"
     assert payload["chirality_residual"] <= 1e-5
-    assert payload["quotient_diameters"]["gap"] > 0
+    diams = payload["quotient_diameters"]
+    assert diams["gap"] > 0
+    assert diams["exact"] == EH_EXACT_DIAMETERS
+    assert all(diams[k] <= v for k, v in EH_EXACT_DIAMETERS.items())
     assert payload["gh_table"][0]["gh_upper"] <= 0.05
     assert (out / "eguchi-hanson.dat").exists()
+
+
+def test_experiment_eguchi_hanson_strict_checks_the_exact_diameters(tmp_path, capsys, monkeypatch):
+    diams = {"diam_O4_mod_SU2": math.pi + 1e-9, "diam_O4_mod_pmI": 3.0,
+             "diam_O4_mod_O4": 0.0, "gap": 1.0, "exact": EH_EXACT_DIAMETERS}
+    report = gh.EguchiHansonReport([], "SU(2)-in-SO(4)", 0.0, diams, [])
+    monkeypatch.setattr(gh, "eguchi_hanson_experiment", lambda **kwargs: report)
+    code, _ = run(tmp_path, "experiment", "eguchi-hanson")
+    assert code == 4
+    assert "sampled diam_O4_mod_SU2 exceed the exact diameters" in capsys.readouterr().err
+    assert run(tmp_path, "experiment", "eguchi-hanson", "--no-strict")[0] == 0
 
 
 def test_non_spd_point_is_a_domain_error(tmp_path):
@@ -319,6 +340,18 @@ def test_non_spd_point_is_a_domain_error(tmp_path):
 def test_basepoint_dimension_mismatch_is_a_config_error(tmp_path, argv):
     code, _ = run(tmp_path, *argv)
     assert code == 2
+
+
+@pytest.mark.parametrize("at", ["inf,1.0", "nan,1.0"])
+@pytest.mark.parametrize("command", ["curvature", "lift", "holonomy", "fiber-dist"])
+def test_basepoint_that_is_not_finite_is_a_domain_error(tmp_path, capsys, command, at):
+    code, out = run(tmp_path, command, "--metric", "builtin:smoothed-cone:a=0.7,eps=0.1",
+                    "--at", at)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"domain error: point [{at.replace(',', ', ')}] is outside the chart domain" in err
+    assert "Warning" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("content", [None, '{"length": 1.0}\n'])
@@ -394,6 +427,9 @@ SCIPY_FREE_RUNS = [
     ["fiber-dist", "--metric", "builtin:smoothed-cone:a=0.41421356,eps=0.05",
      "--at", "0.15,0.0", "--loops", "20", "--samples", "8"],
     ["bound-report", "--metric", "builtin:round-sphere", "--samples", "3"],
+    ["experiment", "cone-collapse", "--a", "0.41421356", "--caps", "0.1,0.05", "--loops", "0"],
+    ["experiment", "eguchi-hanson", "--scales", "4,16,64", "--samples", "6", "--loops", "6"],
+    ["experiment", "canonical-recovery", "--samples", "10"],
 ]
 
 SCIPY_PROBE = """
@@ -409,9 +445,10 @@ print(json.dumps({"before": before, "after_gh": "scipy" in sys.modules}))
 """
 
 
-def test_only_gh_and_experiment_load_scipy(tmp_path):
-    """Importing the CLI and running every command but gh and experiment
-    loads no scipy module; gh then does, so the probe sees an import."""
+def test_only_gh_loads_scipy(tmp_path):
+    """Importing the CLI and running every command but gh, each experiment
+    included, loads no scipy module; gh then does, so the probe sees an
+    import."""
     import os
     import subprocess
     import sys

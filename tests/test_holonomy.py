@@ -127,16 +127,6 @@ def test_circle_power_samples_match_matrix_powers():
     assert target
 
 
-def test_min_loop_length(sphere):
-    loops = [hl.coordinate_circle_loop([1.0, 0.0], 1, 2 * math.pi, orientation=1)]
-    samples = hl.holonomy_samples(sphere, loops, sphere, word_length=2)
-    assert hl.min_loop_length(samples, np.eye(2)) == 0.0
-    h = samples[1].element
-    assert hl.min_loop_length(samples, h) <= samples[1].loop_length + 1e-12
-    far = ot.rotation2(holonomy_angle(h) + 1.0)
-    assert hl.min_loop_length(samples, far) == math.inf
-
-
 def test_fiber_distance_flat_torus_is_group_distance(torus2):
     samples = [hl.HolonomySample(np.eye(2), 0.0, "constant")]
     e = ot.rotation2(0.2)
@@ -405,17 +395,6 @@ def test_fiber_dist_command_makes_one_stacked_search(tmp_path, monkeypatch):
         assert counts["fiber_distance"] == 1
         seen.append(counts["group_distance"])
     assert seen[0] == seen[1]
-
-
-@settings(max_examples=40, deadline=None)
-@given(**CLOUDS)
-def test_min_loop_length_matches_brute_force(n, seed, size, ties, near_exponents):
-    rng = np.random.default_rng(seed)
-    samples = cloud(rng, n, size, near_exponents, ties)
-    target = samples[int(rng.integers(len(samples)))].element
-    want = min((s.loop_length for s in samples
-                if ot.group_distance(s.element, target) <= 1e-6), default=math.inf)
-    assert hl.min_loop_length(samples, target) == want
 
 
 def test_dedup_validates_every_sample():

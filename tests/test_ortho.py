@@ -10,7 +10,7 @@ from scipy.linalg import expm, expm_frechet
 from framelab import ortho as ot
 
 from conftest import (SCHUR_BLOCK_TOL, reference_group_distance, reference_group_log,
-                      ricci_biinvariant, sectional_biinvariant)
+                      reference_quotient_distance, ricci_biinvariant, sectional_biinvariant)
 
 
 def random_skew(rng, n):
@@ -433,25 +433,110 @@ def test_quotient_so2_reflection_infinite():
     assert ot.quotient_distance(ot.rotation2(0.3), refl, H) == math.inf
 
 
-def test_quotient_vanishes_on_orbits_and_axioms(rng):
-    plus, minus = ot.su2_bases()
-    samples = [(ot.group_exp(sum(c * b for c, b in zip(rng.normal(size=3) * 0.4, plus))), 1.0)
+def su2_estimate(rng, chirality):
+    """H classified from 20 samples of exp of the self-dual (0) or
+    anti-self-dual (1) ideal of o(4)."""
+    ideal = ot.su2_bases()[chirality]
+    samples = [(ot.group_exp(sum(c * b for c, b in zip(rng.normal(size=3) * 0.4, ideal))), 1.0)
                for _ in range(20)]
     H = ot.classify_subgroup(samples)
+    assert H.label == "SU(2)-in-SO(4)"
+    assert H.residuals["chirality"] == ("self-dual", "anti-self-dual")[chirality]
+    return H, ideal
+
+
+def test_quotient_vanishes_on_orbits_and_axioms(rng):
+    H, plus = su2_estimate(rng, 0)
     # orbit: h u at distance 0 from u
     u = random_orthogonal(rng, 4)
     h = ot.group_exp(0.7 * plus[0] - 0.4 * plus[2])
-    assert ot.quotient_distance(h @ u, u, H, rng=rng) <= 1e-6
+    assert ot.quotient_distance(h @ u, u, H) <= 1e-12
     # symmetry and triangle inequality on random rotations
     pts = [random_orthogonal(rng, 4) for _ in range(3)]
     d = {}
     for i in range(3):
         for j in range(3):
             if i != j:
-                d[i, j] = ot.quotient_distance(pts[i], pts[j], H, rng=rng)
+                d[i, j] = ot.quotient_distance(pts[i], pts[j], H)
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        assert d[i, j] == pytest.approx(d[j, i], abs=2e-4)
-    assert d[0, 2] <= d[0, 1] + d[1, 2] + 1e-4
+        assert d[i, j] == pytest.approx(d[j, i], abs=1e-12)
+    assert d[0, 2] <= d[0, 1] + d[1, 2] + 1e-12
+
+
+@pytest.mark.parametrize("chirality", [0, 1])
+def test_su2_quotient_never_exceeds_the_search(rng, chirality):
+    H, _ = su2_estimate(rng, chirality)
+    us = np.array([random_orthogonal(rng, 4) for _ in range(30)])
+    vs = np.array([random_orthogonal(rng, 4) for _ in range(30)])
+    exact = ot.quotient_distance(us, vs, H)
+    search = np.array([reference_quotient_distance(u, v, H) for u, v in zip(us, vs)])
+    assert (exact <= search + 1e-12).all()
+
+
+@pytest.mark.parametrize("chirality", [0, 1])
+def test_su2_quotient_matches_a_grid_minimum(rng, chirality):
+    """exp is 1-Lipschitz on the ideal (a bi-invariant metric has K >= 0),
+    and exp of the ball |theta|_b <= 2 pi covers H = SU(2), so a cube grid
+    of spacing s over it has a point within s sqrt(3) / 2 of any h."""
+    H, ideal = su2_estimate(rng, chirality)
+    axis = np.linspace(-2 * math.pi, 2 * math.pi, 33)
+    theta = np.stack(np.meshgrid(axis, axis, axis), axis=-1).reshape(-1, 3)
+    theta = theta[np.linalg.norm(theta, axis=1) <= 2 * math.pi + axis[1] - axis[0]]
+    hs = ot.group_exp(np.einsum("ck,kij->cij", theta, np.array(ideal)))
+    resolution = (axis[1] - axis[0]) * math.sqrt(3.0) / 2.0
+    for _ in range(3):
+        u = random_orthogonal(rng, 4)
+        v = random_orthogonal(rng, 4)
+        exact = ot.quotient_distance(u, v, H)
+        grid = float(ot.group_distance(hs @ u, v).min())
+        assert exact <= grid + 1e-12
+        assert grid <= exact + resolution
+
+
+@pytest.mark.parametrize("chirality", [0, 1])
+def test_su2_quotient_is_invariant_under_H_and_stacks_bitwise(rng, chirality):
+    H, ideal = su2_estimate(rng, chirality)
+    us = np.array([random_orthogonal(rng, 4, reflect=k % 3 == 0) for k in range(12)])
+    vs = np.array([random_orthogonal(rng, 4, reflect=k % 3 == 0) for k in range(12)])
+    d = ot.quotient_distance(us, vs, H)
+    assert np.isfinite(d).all()
+    for _ in range(3):
+        h = ot.group_exp(np.einsum("k,kij->ij", rng.normal(size=3) * 2.0, np.array(ideal)))
+        assert np.abs(ot.quotient_distance(h @ us, vs, H) - d).max() <= 1e-12
+        assert np.abs(ot.quotient_distance(us, h @ vs, H) - d).max() <= 1e-12
+    single = [ot.quotient_distance(u, v, H) for u, v in zip(us, vs)]
+    assert all(type(x) is float for x in single)
+    assert np.array_equal(d, single)
+    assert np.array_equal(ot.quotient_distance(us[0], vs, H), [ot.quotient_distance(us[0], v, H)
+                                                               for v in vs])
+    assert ot.quotient_distance(us[1], vs[0], H) == math.inf
+
+
+@pytest.mark.parametrize("chirality", [0, 1])
+def test_quotient_diameters_are_attained(rng, chirality):
+    H, _ = su2_estimate(rng, chirality)
+    other = ot.su2_bases()[1 - chirality]
+    assert ot.quotient_distance(np.eye(4), ot.group_exp(math.pi * other[0]), H) == \
+        pytest.approx(math.pi, abs=1e-12)
+    minus_I = ot.SubgroupEstimate("finite-cyclic(2)", 4, 0, [], [-np.eye(4)], {}, order=2)
+    assert ot.quotient_distance(np.eye(4), np.diag([-1.0, -1.0, 1.0, 1.0]), minus_I) == \
+        pytest.approx(math.sqrt(2.0) * math.pi, abs=1e-12)
+
+
+def test_finite_cyclic_quotient_stacks_bitwise(rng):
+    H = ot.classify_subgroup([(ot.rotation2(2 * math.pi / 5), 1.0)])
+    assert H.label == "finite-cyclic(5)"
+    us = np.array([random_orthogonal(rng, 2, reflect=k % 2 == 1) for k in range(6)])
+    vs = np.array([random_orthogonal(rng, 2) for _ in range(4)])
+    d = ot.quotient_distance(us[:, None], vs[None], H)
+    assert d.shape == (6, 4)
+    assert np.array_equal(d, [[reference_quotient_distance(u, v, H) for v in vs] for u in us])
+
+
+def test_other_class_has_no_quotient_distance():
+    H = ot.SubgroupEstimate("other", 3, 2, ot.skew_basis(3)[:2], [], {})
+    with pytest.raises(ValueError, match="no exact quotient distance for the class 'other'"):
+        ot.quotient_distance(np.eye(3), np.eye(3), H)
 
 
 def test_quotient_monotone_below_group_distance(rng):
