@@ -349,10 +349,12 @@ def cmd_experiment(args):
                    ["lambda", "max_loop_length", "chirality_residual"])
         if args.strict and rep.classification != "SU(2)-in-SO(4)":
             raise InvariantViolation(f"classification {rep.classification}")
-        if args.strict and rep.quotient_diameters["gap"] <= 0:
+        # with no quotient samples the sampled diameters and the gap are null
+        diams = rep.quotient_diameters
+        if args.strict and diams["gap"] is not None and diams["gap"] <= 0:
             raise InvariantViolation("quotient diameter gap not positive")
-        over = [k for k, exact in rep.quotient_diameters["exact"].items()
-                if k != "gap" and rep.quotient_diameters[k] > exact + 1e-12]
+        over = [k for k, exact in diams["exact"].items()
+                if k != "gap" and diams[k] is not None and diams[k] > exact + 1e-12]
         if args.strict and over:
             raise InvariantViolation(f"sampled {', '.join(over)} exceed the exact diameters")
     elif args.name == "canonical-recovery":

@@ -302,42 +302,102 @@ def sup_sectional_coordinate_planes(m: MetricSpec, p) -> float:
 # ---------------------------------------------------------------------------
 # geodesics
 
-#: integrator tolerances (adaptive Dormand-Prince 5(4))
+#: integrator tolerances (adaptive Dormand-Prince 8(5,3))
 ODE_RTOL = 1e-10
 ODE_ATOL = 1e-10
 DOMAIN_TOL = 1e-9
 
-def _terms(weights):
-    """The (stage, weight) pairs of a tableau row, zero weights left out."""
-    return [(j, w) for j, w in enumerate(weights) if np.any(w)]
-
-
-# Dormand-Prince 5(4) with the step control of scipy's RK45 (Dormand &
-# Prince, J. Comput. Appl. Math. 6, 1980; Hairer, Norsett & Wanner, Solving
-# ODEs I, II.4), as (stage, weight) terms: the stages, the 5th-order
-# weights, the error weights (the difference to the embedded 4th-order
-# solution, FSAL stage last) and the rows of the quartic dense output.  The
-# geodesic equations are autonomous, so the stage nodes c_s are not needed.
-_DP_A = [None] + [_terms(a) for a in (
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656])]
-_DP_B = _terms([35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
-_DP_E = _terms([-71 / 57600, 0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40])
-_DP_P = _terms(np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-     87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-     701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423]]))
+# Dormand-Prince 8(5,3) with the step control of scipy's DOP853 (Hairer,
+# Norsett & Wanner, Solving ODEs I, 2nd ed., II.5 and II.10; the digits of
+# Hairer's dop853.f, as scipy's dop853_coefficients prints them).  Each
+# tableau row is a list of (stage, weight) terms, zero weights left out.
+# Rows 1-11 give stages 1-11; row 12 gives the 8th-order solution, whose
+# right-hand side is stage 12 (FSAL); rows 13-15 give the three extra
+# stages of the dense output.  The geodesic equations are autonomous, so
+# the stage nodes c_s are not needed.
+_A = [None,
+      [(0, 5.26001519587677318785587544488e-2)],
+      [(0, 1.97250569845378994544595329183e-2), (1, 5.91751709536136983633785987549e-2)],
+      [(0, 2.95875854768068491816892993775e-2), (2, 8.87627564304205475450678981324e-2)],
+      [(0, 2.41365134159266685502369798665e-1), (2, -8.84549479328286085344864962717e-1),
+       (3, 9.24834003261792003115737966543e-1)],
+      [(0, 3.7037037037037037037037037037e-2), (3, 1.70828608729473871279604482173e-1),
+       (4, 1.25467687566822425016691814123e-1)],
+      [(0, 3.7109375e-2), (3, 1.70252211019544039314978060272e-1),
+       (4, 6.02165389804559606850219397283e-2), (5, -1.7578125e-2)],
+      [(0, 3.70920001185047927108779319836e-2), (3, 1.70383925712239993810214054705e-1),
+       (4, 1.07262030446373284651809199168e-1), (5, -1.53194377486244017527936158236e-2),
+       (6, 8.27378916381402288758473766002e-3)],
+      [(0, 6.24110958716075717114429577812e-1), (3, -3.36089262944694129406857109825),
+       (4, -8.68219346841726006818189891453e-1), (5, 2.75920996994467083049415600797e1),
+       (6, 2.01540675504778934086186788979e1), (7, -4.34898841810699588477366255144e1)],
+      [(0, 4.77662536438264365890433908527e-1), (3, -2.48811461997166764192642586468),
+       (4, -5.90290826836842996371446475743e-1), (5, 2.12300514481811942347288949897e1),
+       (6, 1.52792336328824235832596922938e1), (7, -3.32882109689848629194453265587e1),
+       (8, -2.03312017085086261358222928593e-2)],
+      [(0, -9.3714243008598732571704021658e-1), (3, 5.18637242884406370830023853209),
+       (4, 1.09143734899672957818500254654), (5, -8.14978701074692612513997267357),
+       (6, -1.85200656599969598641566180701e1), (7, 2.27394870993505042818970056734e1),
+       (8, 2.49360555267965238987089396762), (9, -3.0467644718982195003823669022)],
+      [(0, 2.27331014751653820792359768449), (3, -1.05344954667372501984066689879e1),
+       (4, -2.00087205822486249909675718444), (5, -1.79589318631187989172765950534e1),
+       (6, 2.79488845294199600508499808837e1), (7, -2.85899827713502369474065508674),
+       (8, -8.87285693353062954433549289258), (9, 1.23605671757943030647266201528e1),
+       (10, 6.43392746015763530355970484046e-1)],
+      [(0, 5.42937341165687622380535766363e-2), (5, 4.45031289275240888144113950566),
+       (6, 1.89151789931450038304281599044), (7, -5.8012039600105847814672114227),
+       (8, 3.1116436695781989440891606237e-1), (9, -1.52160949662516078556178806805e-1),
+       (10, 2.01365400804030348374776537501e-1), (11, 4.47106157277725905176885569043e-2)],
+      [(0, 5.61675022830479523392909219681e-2), (6, 2.53500210216624811088794765333e-1),
+       (7, -2.46239037470802489917441475441e-1), (8, -1.24191423263816360469010140626e-1),
+       (9, 1.5329179827876569731206322685e-1), (10, 8.20105229563468988491666602057e-3),
+       (11, 7.56789766054569976138603589584e-3), (12, -8.298e-3)],
+      [(0, 3.18346481635021405060768473261e-2), (5, 2.83009096723667755288322961402e-2),
+       (6, 5.35419883074385676223797384372e-2), (7, -5.49237485713909884646569340306e-2),
+       (10, -1.08347328697249322858509316994e-4), (11, 3.82571090835658412954920192323e-4),
+       (12, -3.40465008687404560802977114492e-4), (13, 1.41312443674632500278074618366e-1)],
+      [(0, -4.28896301583791923408573538692e-1), (5, -4.69762141536116384314449447206),
+       (6, 7.68342119606259904184240953878), (7, 4.06898981839711007970213554331),
+       (8, 3.56727187455281109270669543021e-1), (12, -1.39902416515901462129418009734e-3),
+       (13, 2.9475147891527723389556272149), (14, -9.15095847217987001081870187138)]]
+_B = _A[12]
+# the two error estimators: the difference to the embedded 5th-order
+# solution, and to the 3rd-order one, whose weights differ from B by bhh1,
+# bhh2 and bhh3 at stages 0, 8 and 11
+_E5 = [(0, 0.1312004499419488073250102996e-1), (5, -0.1225156446376204440720569753e+1),
+       (6, -0.4957589496572501915214079952), (7, 0.1664377182454986536961530415e+1),
+       (8, -0.3503288487499736816886487290), (9, 0.3341791187130174790297318841),
+       (10, 0.8192320648511571246570742613e-1), (11, -0.2235530786388629525884427845e-1)]
+_BHH = {0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547,
+        11: 0.220588235294117647058823529412e-1}
+_E3 = [(j, w - _BHH.get(j, 0.0)) for j, w in _B]
+# the last four coefficient rows of the 7th-order dense output, over all 16 stages
+_D = [[(0, -0.84289382761090128651353491142e+1), (5, 0.56671495351937776962531783590),
+       (6, -0.30689499459498916912797304727e+1), (7, 0.23846676565120698287728149680e+1),
+       (8, 0.21170345824450282767155149946e+1), (9, -0.87139158377797299206789907490),
+       (10, 0.22404374302607882758541771650e+1), (11, 0.63157877876946881815570249290),
+       (12, -0.88990336451333310820698117400e-1), (13, 0.18148505520854727256656404962e+2),
+       (14, -0.91946323924783554000451984436e+1), (15, -0.44360363875948939664310572000e+1)],
+      [(0, 0.10427508642579134603413151009e+2), (5, 0.24228349177525818288430175319e+3),
+       (6, 0.16520045171727028198505394887e+3), (7, -0.37454675472269020279518312152e+3),
+       (8, -0.22113666853125306036270938578e+2), (9, 0.77334326684722638389603898808e+1),
+       (10, -0.30674084731089398182061213626e+2), (11, -0.93321305264302278729567221706e+1),
+       (12, 0.15697238121770843886131091075e+2), (13, -0.31139403219565177677282850411e+2),
+       (14, -0.93529243588444783865713862664e+1), (15, 0.35816841486394083752465898540e+2)],
+      [(0, 0.19985053242002433820987653617e+2), (5, -0.38703730874935176555105901742e+3),
+       (6, -0.18917813819516756882830838328e+3), (7, 0.52780815920542364900561016686e+3),
+       (8, -0.11573902539959630126141871134e+2), (9, 0.68812326946963000169666922661e+1),
+       (10, -0.10006050966910838403183860980e+1), (11, 0.77771377980534432092869265740),
+       (12, -0.27782057523535084065932004339e+1), (13, -0.60196695231264120758267380846e+2),
+       (14, 0.84320405506677161018159903784e+2), (15, 0.11992291136182789328035130030e+2)],
+      [(0, -0.25693933462703749003312586129e+2), (5, -0.15418974869023643374053993627e+3),
+       (6, -0.23152937917604549567536039109e+3), (7, 0.35763911791061412378285349910e+3),
+       (8, 0.93405324183624310003907691704e+2), (9, -0.37458323136451633156875139351e+2),
+       (10, 0.10409964950896230045147246184e+3), (11, 0.29840293426660503123344363579e+2),
+       (12, -0.43533456590011143754432175058e+2), (13, 0.96324553959188282948394950600e+2),
+       (14, -0.39177261675615439165231486172e+2), (15, -0.14972683625798562581422125276e+3)]]
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERROR_EXPONENT = -1 / 5
+_ERROR_EXPONENT = -1 / 8
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
@@ -352,26 +412,42 @@ def _combine(terms, K):
 
 
 def _rms(z):
-    """RMS norm of each row of z, the error norm of scipy's RK45."""
+    """RMS norm of each row of z, the norm of scipy's initial step."""
     return np.sqrt((z * z).sum(axis=1)) / z.shape[1] ** 0.5
 
 
+def _error_norm(K, h, scale):
+    """scipy DOP853's error norm of each row, |h| |e5|^2 / sqrt((|e5|^2
+    + 0.01 |e3|^2) m) with e5, e3 the two error estimates over scale and m
+    the number of components; 0 where both estimates vanish."""
+    e5 = _combine(_E5, K) / scale
+    e3 = _combine(_E3, K) / scale
+    e5, e3 = (e5 * e5).sum(axis=1), (e3 * e3).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norm = np.abs(h) * e5 / np.sqrt((e5 + 0.01 * e3) * scale.shape[1])
+    return np.where((e5 == 0) & (e3 == 0), 0.0, norm)
+
+
 class _DenseOutput:
-    """RK45's quartic interpolant over one row's accepted steps: scalar
+    """DOP853's 7th-order interpolant over one row's accepted steps: scalar
     t -> (d,), t of shape (j,) -> (d, j)."""
 
-    def __init__(self, ts, ys, Q):
+    def __init__(self, ts, ys, F):
         self.ts = ts                    # (k + 1,) accepted times
         self.h = np.diff(ts)
         self.y_old = ys[:-1]            # (k, d): state at each step's start
-        self.Q = Q                      # (k, d, 4): K^T P of each step
+        self.F = F                      # (k, 7, d): each step's coefficients
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         seg = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.h) - 1)
-        x = (t - self.ts[seg]) / self.h[seg]
-        p = np.cumprod(np.repeat(x[..., None], 4, axis=-1), axis=-1)
-        y = self.h[seg][..., None] * (self.Q[seg] @ p[..., None])[..., 0] + self.y_old[seg]
+        x = ((t - self.ts[seg]) / self.h[seg])[..., None]
+        F = self.F[seg]
+        # F[6] first, multiplying by x and 1 - x in turn, as scipy does
+        y = 0.0
+        for i in range(7):
+            y = (y + F[..., 6 - i, :]) * (x if i % 2 == 0 else 1 - x)
+        y = y + self.y_old[seg]
         return y if t.ndim == 0 else y.T
 
 
@@ -395,22 +471,25 @@ class TrajectoryStack:
     nfev: int
 
 
-def _dormand_prince(rhs, y0, t_final, rtol, atol, dense):
+def _dormand_prince(rhs, y0, t_final, rtol, atol, dense, controlled):
     """Integrate y' = f(y) from 0 to t_final > 0 for every row of y0 (B, d),
-    with scipy RK45's tableau, initial step, error norm and step-factor
+    with scipy DOP853's tableau, initial step, error norm and step-factor
     limits, and with each row's own t, step size and accept/reject
-    decisions.  rhs(Y) evaluates f at the rows of Y (b, d) and returns
-    (F, errors), errors {row of Y: exception} for rows whose evaluation
-    failed; such a row, or one whose step size underflows, ends with that
-    exception while the others go on.  Each row's arithmetic is elementwise
-    or its own reduction, so a row's result does not depend on the stack.
-    With dense > 0 each row gets the interpolant of its first `dense` state
-    components.  Returns (per row a Trajectory or an exception, per-row
-    nfev)."""
+    decisions.  The initial step and the error norm read only the first
+    `controlled` components of a row; the others ride along on its steps.
+    rhs(Y) evaluates f at the rows of Y (b, d) and returns (F, errors),
+    errors {row of Y: exception} for rows whose evaluation failed; such a
+    row, or one whose step size underflows, ends with that exception while
+    the others go on.  Each row's arithmetic is elementwise or its own
+    reduction, so a row's result does not depend on the stack.  With
+    dense > 0 each accepted step also evaluates the three extra stages, and
+    each row gets the interpolant of its first `dense` state components.
+    Returns (per row a Trajectory or an exception, per-row nfev)."""
     B, d = y0.shape
+    c = controlled
     nfev = np.zeros(B, dtype=int)
     failure = [None] * B
-    steps = []              # (rows, t, y, Q) of every accepted step
+    steps = []              # (rows, t, y, F) of every accepted step
 
     def evaluate(rows, Y, alive):
         """f at the alive rows of Y; rows whose evaluation fails die."""
@@ -431,16 +510,16 @@ def _dormand_prince(rhs, y0, t_final, rtol, atol, dense):
     alive = np.ones(B, dtype=bool)
     f = evaluate(rows, y, alive)
     # scipy's select_initial_step, row by row
-    scale = atol + np.abs(y) * rtol
-    d0, d1 = _rms(y / scale), _rms(f / scale)
+    scale = atol + np.abs(y[:, :c]) * rtol
+    d0, d1 = _rms(y[:, :c] / scale), _rms(f[:, :c] / scale)
     with np.errstate(divide="ignore", invalid="ignore"):
         h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.minimum(h0, t_final)
     f1 = evaluate(rows, y + h0[:, None] * f, alive)
-    d2 = _rms((f1 - f) / scale) / h0
+    d2 = _rms((f1 - f)[:, :c] / scale) / h0
     with np.errstate(divide="ignore"):
         h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15), np.maximum(1e-6, h0 * 1e-3),
-                      (0.01 / np.maximum(d1, d2)) ** (1 / 5))
+                      (0.01 / np.maximum(d1, d2)) ** (1 / 8))
     h_abs = np.minimum(np.minimum(100 * h0, h1), t_final)
     rejected = np.zeros(B, dtype=bool)
 
@@ -457,14 +536,14 @@ def _dormand_prince(rhs, y0, t_final, rtol, atol, dense):
         t_new = np.minimum(t + h_abs, t_final)
         h = t_new - t
         hc = h[:, None]
-        K = np.empty((7,) + y.shape)
+        K = np.empty((16,) + y.shape)
         K[0] = f
-        for s in range(1, 6):
-            K[s] = evaluate(rows, y + _combine(_DP_A[s], K) * hc, alive)
-        y_new = y + hc * _combine(_DP_B, K)
-        K[6] = evaluate(rows, y_new, alive)
-        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        error_norm = _rms(_combine(_DP_E, K) * hc / scale)
+        for s in range(1, 12):
+            K[s] = evaluate(rows, y + _combine(_A[s], K) * hc, alive)
+        y_new = y + hc * _combine(_B, K)
+        K[12] = evaluate(rows, y_new, alive)
+        scale = atol + np.maximum(np.abs(y[:, :c]), np.abs(y_new[:, :c])) * rtol
+        error_norm = _error_norm(K[:, :, :c], h, scale)
         with np.errstate(divide="ignore", invalid="ignore"):
             grow = _SAFETY * error_norm ** _ERROR_EXPONENT
         accept = error_norm < 1
@@ -474,13 +553,30 @@ def _dormand_prince(rhs, y0, t_final, rtol, atol, dense):
         factor = np.where(accept & rejected & ~(factor < 1), 1.0, factor)
         h_abs = np.abs(h) * factor
         done = accept & alive
+        F = None
+        if dense and done.any():
+            # the extra stages on the accepted rows; a row whose stage fails dies
+            idx = np.flatnonzero(done)
+            Kd, yd, hd = K[:, idx], y[idx], hc[idx]
+            kept = np.ones(len(idx), dtype=bool)
+            for s in range(13, 16):
+                Kd[s] = evaluate(rows[idx], yd + _combine(_A[s], Kd) * hd, kept)
+            alive[idx[~kept]] = False
+            done = accept & alive
+            # scipy's Dop853DenseOutput coefficients of the first `dense` components
+            Kd, yd, hd = Kd[:, kept, :dense], yd[kept, :dense], hd[kept]
+            dy = y_new[done, :dense] - yd
+            F = np.empty((len(dy), 7, dense))
+            F[:, 0] = dy
+            F[:, 1] = hd * Kd[0] - dy
+            F[:, 2] = 2 * dy - hd * (Kd[12] + Kd[0])
+            for r, terms in enumerate(_D):
+                F[:, 3 + r] = hd * _combine(terms, Kd)
         if done.any():
-            # the interpolant's coefficients Q = K^T P, kept instead of K
-            Q = _combine(_DP_P, K[:, done, :dense, None]) if dense else None
-            steps.append((rows[done], t_new[done], y_new[done], Q))
+            steps.append((rows[done], t_new[done], y_new[done], F))
         t = np.where(done, t_new, t)
         y = np.where(done[:, None], y_new, y)
-        f = np.where(done[:, None], K[6], f)
+        f = np.where(done[:, None], K[12], f)
         rejected = ~accept
         alive &= ~(done & (t_new >= t_final))
 
@@ -488,7 +584,7 @@ def _dormand_prince(rhs, y0, t_final, rtol, atol, dense):
     if steps:
         # every accepted step, sorted by row; a row's steps are one slice.
         # One copy at a time, so the peak stays at twice the step data.
-        all_rows, all_t, all_y, all_Q = (np.concatenate(a) if a[0] is not None else None
+        all_rows, all_t, all_y, all_F = (np.concatenate(a) if a[0] is not None else None
                                          for a in zip(*steps))
         del steps
         order = np.argsort(all_rows, kind="stable")
@@ -496,7 +592,7 @@ def _dormand_prince(rhs, y0, t_final, rtol, atol, dense):
         all_t = all_t[order]
         all_y = all_y[order]
         if dense:
-            all_Q = all_Q[order]
+            all_F = all_F[order]
     for r in range(B):
         if failure[r] is not None:
             out[r] = failure[r]
@@ -506,7 +602,7 @@ def _dormand_prince(rhs, y0, t_final, rtol, atol, dense):
         ys = np.concatenate([y0[r:r + 1], all_y[sl]])
         # a copy of the row's coefficients: a kept row holds no other row's
         out[r] = Trajectory(ts, ys.T, int(nfev[r]),
-                            _DenseOutput(ts, ys[:, :dense], all_Q[sl].copy()) if dense else None)
+                            _DenseOutput(ts, ys[:, :dense], all_F[sl].copy()) if dense else None)
     return out, nfev
 
 
@@ -606,7 +702,7 @@ def _geodesic_rhs(cache, variational):
 def geodesic_ivp(m: MetricSpec, p, v, t_final, dense=True, rtol=ODE_RTOL, atol=ODE_ATOL,
                  variational=False):
     """Integrate x'' + Gamma(x)(x', x') = 0 from x(0) = p, x'(0) = v over
-    [0, t_final], t_final > 0, on framelab's Dormand-Prince 5(4) stepper.
+    [0, t_final], t_final > 0, on framelab's Dormand-Prince 8(5,3) stepper.
     m is a MetricSpec or a NumericMetric.
 
     p and v are one point and velocity (n,), or stacks (B, n) integrated in
@@ -620,8 +716,10 @@ def geodesic_ivp(m: MetricSpec, p, v, t_final, dense=True, rtol=ODE_RTOL, atol=O
     With variational=True the state also carries J = dx/dv0 and K = dv/dv0
     (n x n each, row-major after x and v), started at J = 0, K = I and
     driven by the linearized equations J' = K,
-    K' = -dGamma(x)[J](v, v) - 2 Gamma(x)(v, K); rtol and atol apply to
-    every component.  The interpolant still covers only (x, v).
+    K' = -dGamma(x)[J](v, v) - 2 Gamma(x)(v, K).  rtol and atol apply to
+    (x, v) only: the step control reads the geodesic, and J and K ride
+    along on its steps, so t and the (x, v) rows are bitwise those of
+    variational=False.  The interpolant still covers only (x, v).
     """
     if not t_final > 0:
         raise ValueError(f"geodesic_ivp integrates forward: t_final = {t_final}")
@@ -635,7 +733,7 @@ def geodesic_ivp(m: MetricSpec, p, v, t_final, dense=True, rtol=ODE_RTOL, atol=O
         y0 = np.concatenate([y0, np.zeros((B, n * n)), np.tile(np.eye(n).ravel(), (B, 1))],
                             axis=1)
     rows, nfev = _dormand_prince(_geodesic_rhs(_GammaCache(m, variational), variational),
-                                 y0, float(t_final), rtol, atol, 2 * n if dense else 0)
+                                 y0, float(t_final), rtol, atol, 2 * n if dense else 0, 2 * n)
     if p.ndim == 1 and v.ndim == 1:
         if isinstance(rows[0], Exception):
             raise rows[0]

@@ -628,14 +628,49 @@ def eguchi_hanson_gh_comparison(lam=8.0, count=24, seed=0, a_eh=1.0):
     return gh_upper(A, B, natural_correspondence(n)), A, B
 
 
+def haar_so(rng, count, n):
+    """count Haar-random elements of SO(n), (count, n, n): Q of the QR of
+    a Gaussian matrix with the signs of diag R moved into Q (Mezzadri,
+    Notices AMS 54, 2007), and the first column negated where det Q < 0."""
+    Q, R = np.linalg.qr(rng.normal(size=(count, n, n)))
+    Q = Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+    Q[:, :, 0] *= np.where(np.linalg.det(Q) < 0, -1.0, 1.0)[:, None]
+    return Q
+
+
+def quotient_diameters(su2, count, rng):
+    """The diameters of O(4)/SU(2), O(4)/{±I} and O(4)/O(4) on the identity
+    component, exact and as maxima over `count` Haar-random elements of
+    SO(4), one stacked `quotient_distance` call per subgroup.  su2 is the
+    classified holonomy group; the sampled SU(2) maximum is 0 unless it is
+    `SU(2)-in-SO(4)`.  With count = 0 the sampled diameters and the gap are
+    None."""
+    minus_I = ortho.SubgroupEstimate("finite-cyclic(2)", 4, 0, [],
+                                     [-np.eye(4)], {}, order=2)
+    diam_su2 = diam_pm = gap = None
+    if count:
+        U = haar_so(rng, count, 4)
+        diam_su2 = (float(np.max(ortho.quotient_distance(np.eye(4), U, su2)))
+                    if su2.label == "SU(2)-in-SO(4)" else 0.0)
+        diam_pm = float(np.max(ortho.quotient_distance(np.eye(4), U, minus_I)))
+        gap = diam_pm - diam_su2
+    return {"diam_O4_mod_SU2": diam_su2,
+            "diam_O4_mod_pmI": diam_pm,
+            "diam_O4_mod_O4": 0.0,
+            "gap": gap,
+            "exact": {"diam_O4_mod_SU2": math.pi, "diam_O4_mod_pmI": math.sqrt(2.0) * math.pi,
+                      "diam_O4_mod_O4": 0.0, "gap": (math.sqrt(2.0) - 1.0) * math.pi}}
+
+
 def eguchi_hanson_experiment(lams=(4.0, 16.0, 64.0), seed=0, deltas=(0.2, 0.35),
                              basepoint=(2.2, 1.3, 0.8, 1.1), gh_lam=8.0,
                              gh_count=20, quotient_samples=40, a_eh=1.0):
     """The three-part rescaled Eguchi-Hanson study: (i) holonomy sample
     lengths shrink with the scale while the classification stays SU(2);
     (ii) the exact diameters of O(4)/SU(2), O(4)/{±I} and O(4)/O(4) beside
-    their maxima over sampled exp(xi), |xi|_b <= pi (so below sqrt(2) pi);
-    (iii) the base annulus GH-approaches the exact cone annulus."""
+    their maxima over `quotient_samples` Haar-random elements of SO(4)
+    (None, with the gap, when there are none); (iii) the base annulus
+    GH-approaches the exact cone annulus."""
     from .metric import eguchi_hanson, rescaled
     base = eguchi_hanson(a_eh)
     bp = np.array(basepoint)
@@ -662,24 +697,7 @@ def eguchi_hanson_experiment(lams=(4.0, 16.0, 64.0), seed=0, deltas=(0.2, 0.35),
         su2.residuals.get("chirality_off_plus", 1.0),
         su2.residuals.get("chirality_off_minus", 1.0))) if su2.algebra_basis else 1.0
 
-    # quotient diameters: the maxima over sampled elements, and the exact ones
-    minus_I = ortho.SubgroupEstimate("finite-cyclic(2)", 4, 0, [],
-                                     [-np.eye(4)], {}, order=2)
-    diam_su2 = 0.0
-    diam_pm = 0.0
-    for _ in range(quotient_samples):
-        xi = ortho.unvec_skew(rng.normal(size=6), 4)
-        xi = xi / ortho.b_norm(xi) * rng.uniform(0.0, math.pi)
-        u = ortho.group_exp(xi)
-        if su2.label == "SU(2)-in-SO(4)":
-            diam_su2 = max(diam_su2, ortho.quotient_distance(np.eye(4), u, su2))
-        diam_pm = max(diam_pm, ortho.quotient_distance(np.eye(4), u, minus_I))
-    quotient = {"diam_O4_mod_SU2": float(diam_su2),
-                "diam_O4_mod_pmI": float(diam_pm),
-                "diam_O4_mod_O4": 0.0,
-                "gap": float(diam_pm - diam_su2),
-                "exact": {"diam_O4_mod_SU2": math.pi, "diam_O4_mod_pmI": math.sqrt(2.0) * math.pi,
-                          "diam_O4_mod_O4": 0.0, "gap": (math.sqrt(2.0) - 1.0) * math.pi}}
+    quotient = quotient_diameters(su2, quotient_samples, rng)
 
     gh_val, _, _ = eguchi_hanson_gh_comparison(gh_lam, gh_count, seed, a_eh)
     gh_table = [{"lambda": float(gh_lam), "count": gh_count, "gh_upper": float(gh_val)}]

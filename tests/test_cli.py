@@ -314,6 +314,18 @@ def test_experiment_eguchi_hanson_smoke(tmp_path):
     assert (out / "eguchi-hanson.dat").exists()
 
 
+def test_experiment_eguchi_hanson_without_quotient_samples(tmp_path):
+    # --loops counts the quotient samples: with none, the sampled diameters
+    # and the gap are null and strict mode checks only the rest
+    code, out = run(tmp_path, "experiment", "eguchi-hanson",
+                    "--scales", "4,16,64", "--samples", "6", "--loops", "0")
+    assert code == 0
+    diams = load(out, "eguchi-hanson")["result"]["quotient_diameters"]
+    assert diams["exact"] == EH_EXACT_DIAMETERS
+    assert diams["diam_O4_mod_SU2"] is None and diams["diam_O4_mod_pmI"] is None
+    assert diams["gap"] is None
+
+
 def test_experiment_eguchi_hanson_strict_checks_the_exact_diameters(tmp_path, capsys, monkeypatch):
     diams = {"diam_O4_mod_SU2": math.pi + 1e-9, "diam_O4_mod_pmI": 3.0,
              "diam_O4_mod_O4": 0.0, "gap": 1.0, "exact": EH_EXACT_DIAMETERS}

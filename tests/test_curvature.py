@@ -353,13 +353,19 @@ SHOTS = [("sphere", [1.2, 0.3], [0.4, 0.7]),
 
 @pytest.mark.parametrize("variational", [False, True])
 @pytest.mark.parametrize("name, p, v", SHOTS)
-def test_stepper_matches_scipy_rk45(name, p, v, variational, sphere, eh):
+def test_stepper_matches_scipy_dop853(name, p, v, variational, sphere, eh):
     from scipy.integrate import solve_ivp
     m = {"sphere": sphere, "cone": mt.exact_cone(0.7), "eh": eh}[name]
     n = m.dim
     y0 = np.concatenate([p, v] + ([np.zeros(n * n), np.eye(n).ravel()] if variational else []))
-    want = solve_ivp(_reference_rhs(m, variational), (0.0, 1.0), y0, method="RK45",
-                     rtol=1e-10, atol=1e-10, dense_output=True)
+    # the stepper's RMS norm over (x, v) is scipy's over all d components
+    # with atol and rtol scaled by c = sqrt(2n/d) on (x, v) and atol = inf
+    # on (J, K)
+    c = math.sqrt(2 * n / len(y0))
+    atol = np.full(len(y0), math.inf)
+    atol[:2 * n] = c * 1e-10
+    want = solve_ivp(_reference_rhs(m, variational), (0.0, 1.0), y0, method="DOP853",
+                     rtol=c * 1e-10, atol=atol, dense_output=True)
     got = cv.geodesic_ivp(m, p, v, 1.0, rtol=1e-10, atol=1e-10, variational=variational)
     scale = np.abs(want.y[:, -1]).max()
     assert np.abs(got.y[:, -1] - want.y[:, -1]).max() <= 1e-9 * scale
@@ -368,6 +374,22 @@ def test_stepper_matches_scipy_rk45(name, p, v, variational, sphere, eh):
     # the interpolant covers the geodesic part (x, v) of the state
     ts = np.linspace(0.0, 1.0, 7)
     assert np.abs(got.sol(ts) - want.sol(ts)[:2 * n]).max() <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("name, p, v", SHOTS)
+def test_a_shots_steps_are_its_geodesics_steps(name, p, v, dense, sphere, eh):
+    """The step control reads (x, v) only, so the variational integration
+    takes the plain one's steps and (x, v) states, bit for bit."""
+    m = {"sphere": sphere, "cone": mt.exact_cone(0.7), "eh": eh}[name]
+    n = m.dim
+    plain = cv.geodesic_ivp(m, p, v, 1.0, dense=dense)
+    shot = cv.geodesic_ivp(m, p, v, 1.0, dense=dense, variational=True)
+    assert np.array_equal(shot.t, plain.t)
+    assert np.array_equal(shot.y[:2 * n], plain.y)
+    if dense:
+        ts = np.linspace(0.0, 1.0, 7)
+        assert np.array_equal(shot.sol(ts), plain.sol(ts))
 
 
 def _cone_and_eh_pairs():
@@ -446,6 +468,36 @@ def test_a_row_at_a_singular_metric_fails_alone(sphere):
     assert isinstance(stack.rows[0], np.linalg.LinAlgError)
     assert str(stack.rows[0]) == str(err.value)
     assert np.array_equal(stack.rows[1].y, cv.geodesic_ivp(sphere, P[1], W[1], 1.0).y)
+
+
+def test_a_row_whose_extra_stage_fails_fails_alone():
+    """The dense output's three extra stages run on the accepted rows of a
+    dense call only; a row whose extra stage fails ends with that exception,
+    and the other rows go on."""
+    def rhs_failing_in(lo, hi):
+        # u' = 1, w' = 0; rows with w = 1 fail where u lies in (lo, hi)
+        def rhs(Y):
+            F = np.zeros_like(Y)
+            F[:, 0] = 1.0
+            bad = np.flatnonzero((Y[:, 1] == 1.0) & (lo < Y[:, 0]) & (Y[:, 0] < hi))
+            return F, {int(k): RuntimeError(f"no value at u = {Y[k, 0]}") for k in bad}
+        return rhs
+
+    # the step control reads u only, so every row takes the same steps
+    y0 = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    (free,), _ = cv._dormand_prince(rhs_failing_in(2.0, 2.0), y0[:1], 1.0, 1e-10, 1e-10, 2, 1)
+    # a band around the last step's last extra-stage node, c = 7/9, which no
+    # other stage of any step reaches
+    t0, h = free.t[-2], free.t[-1] - free.t[-2]
+    rhs = rhs_failing_in(t0 + (7 / 9 - 1e-6) * h, t0 + (7 / 9 + 1e-6) * h)
+    stack, _ = cv._dormand_prince(rhs, y0, 1.0, 1e-10, 1e-10, 2, 1)
+    (one,), _ = cv._dormand_prince(rhs, y0[1:2], 1.0, 1e-10, 1e-10, 2, 1)
+    assert isinstance(stack[1], RuntimeError) and str(stack[1]) == str(one)
+    for k in (0, 2):
+        assert np.array_equal(stack[k].t, free.t) and np.array_equal(stack[k].y, free.y)
+    # without dense output the row never evaluates that stage
+    (plain,), _ = cv._dormand_prince(rhs, y0[1:2], 1.0, 1e-10, 1e-10, 0, 1)
+    assert np.array_equal(plain.t, free.t)
 
 
 def test_stacked_gamma_jets_are_row_by_row(eh, cone_smooth):

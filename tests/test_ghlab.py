@@ -344,3 +344,24 @@ def test_chord_lengths_equal_panel_quadrature(a, b):
     seg = hl.line_segment(a, b)
     got = cv.curve_length(CHORD_CONE, seg.point, velocity=seg.velocity, samples=32)
     assert got == _chord_reference(CHORD_CONE, a, b, 4)
+
+
+def test_haar_quotient_samples_reach_past_pi():
+    """Haar-random SO(4) reaches O(4)/{±I} distances above pi, whose
+    diameter is sqrt(2) pi; no sampled maximum exceeds its exact value."""
+    from framelab import ortho as ot
+    rng = np.random.default_rng(0)
+    ideal = ot.su2_bases()[0]
+    su2 = ot.classify_subgroup(
+        [(ot.group_exp(sum(c * b for c, b in zip(rng.normal(size=3) * 0.4, ideal))), 1.0)
+         for _ in range(20)])
+    assert su2.label == "SU(2)-in-SO(4)"
+    U = gh.haar_so(rng, 50, 4)
+    assert np.abs(U @ U.transpose(0, 2, 1) - np.eye(4)).max() <= 1e-12
+    assert (np.linalg.det(U) > 0).all()
+    diams = gh.quotient_diameters(su2, 40, rng)
+    assert diams["diam_O4_mod_pmI"] > math.pi
+    assert all(diams[k] <= exact + 1e-12 for k, exact in diams["exact"].items() if k != "gap")
+    assert diams["gap"] == diams["diam_O4_mod_pmI"] - diams["diam_O4_mod_SU2"] > 0
+    empty = gh.quotient_diameters(su2, 0, rng)
+    assert [empty[k] for k in ("diam_O4_mod_SU2", "diam_O4_mod_pmI", "gap")] == [None] * 3
