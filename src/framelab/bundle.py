@@ -114,10 +114,11 @@ class LiftedMetricChart:
         y = np.asarray(y, dtype=float)
         return y[: self.n], y[self.n:]
 
-    def chart_point(self, base=None, t=None):
-        base = self.anchor.base if base is None else np.asarray(base, dtype=float)
+    def chart_point(self, t=None):
+        """The chart point over the anchor's base point, at fiber
+        coordinates t (the anchor frame itself by default)."""
         t = np.zeros(self.m) if t is None else np.asarray(t, dtype=float)
-        return np.concatenate([base, t])
+        return np.concatenate([self.anchor.base, t])
 
     def skew_from_t(self, t):
         """T(t) for t (m,), or one T per row of a stack (..., m)."""

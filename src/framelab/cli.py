@@ -77,7 +77,10 @@ def _basepoint(args, m):
 
 
 def _region_for(m, spec_text):
-    named = _parse_region(spec_text)
+    """The sampling box: the --region bounds by coordinate name, the chart's
+    domain for the coordinates it leaves out (and for all of them without
+    --region), which must then be bounded."""
+    named = _parse_region(spec_text) if spec_text else []
     by_name = {name: (lo, hi) for name, lo, hi in named}
     region = []
     for c, dom in zip(m.coords, m.domain):
@@ -93,8 +96,7 @@ def _region_for(m, spec_text):
     return region
 
 
-def _write_artifact(args, name, payload, fmt=None):
-    fmt = fmt or args.format
+def _write_artifact(args, name, payload):
     payload = {
         "tool": "framelab",
         "version": __version__,
@@ -128,15 +130,12 @@ def _require_count(flag, value, least=1):
         raise ValueError(f"{flag} must be at least {least}, got {value}")
 
 
-def _load_metric(uri):
-    return mt.metric_from_uri(uri)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_parse_check(args):
-    m = _load_metric(args.metric)
+    m = mt.metric_from_uri(args.metric)
+    _require_count("--grid", args.grid)
     try:
         m.validate_spd_on_grid(per_axis=args.grid)
     except NotSPDError as err:
@@ -155,9 +154,9 @@ def cmd_parse_check(args):
 
 
 def cmd_curvature(args):
-    m = _load_metric(args.metric)
+    m = mt.metric_from_uri(args.metric)
     p = _basepoint(args, m)
-    m2 = _load_metric(args.metric2) if args.metric2 else None
+    m2 = mt.metric_from_uri(args.metric2) if args.metric2 else None
     if m2 is not None and m2.dim != m.dim:
         raise ValueError("base and connection metrics must share the chart")
     jet = riemann(m, p)
@@ -173,8 +172,8 @@ def cmd_curvature(args):
 
 
 def cmd_lift(args):
-    g = _load_metric(args.metric)
-    gp = _load_metric(args.metric2) if args.metric2 else g
+    g = mt.metric_from_uri(args.metric)
+    gp = mt.metric_from_uri(args.metric2) if args.metric2 else g
     p = _basepoint(args, g)
     fp = bd.FramePoint.anchor(p, g.dim)
     chart = bd.LiftedMetricChart(g, gp, fp)
@@ -199,8 +198,8 @@ def cmd_lift(args):
 
 
 def cmd_oneill_check(args):
-    g = _load_metric(args.metric)
-    gp = _load_metric(args.metric2) if args.metric2 else g
+    g = mt.metric_from_uri(args.metric)
+    gp = mt.metric_from_uri(args.metric2) if args.metric2 else g
     _require_count("--pairs", args.pairs)
     rng = np.random.default_rng(args.seed)
     points = g.sample_interior(rng, args.pairs, margin=0.2)
@@ -212,7 +211,7 @@ def cmd_oneill_check(args):
     def one(task):
         p, v, xi = task
         ctx = on.ONeillContext(g, gp, bd.FramePoint.anchor(p, n))
-        rep = on.ricci_oneill(ctx, v, xi, with_hypothesis=False)
+        rep = on.ricci_oneill(ctx, v, xi)
         direct = on.ricci_direct(ctx, v, xi)
         return {"point": list(map(float, p)),
                 "formula": rep.ricci_formula, "direct": direct,
@@ -228,8 +227,8 @@ def cmd_oneill_check(args):
 
 
 def cmd_holonomy(args):
-    g = _load_metric(args.metric)
-    gp = _load_metric(args.metric2) if args.metric2 else g
+    g = mt.metric_from_uri(args.metric)
+    gp = mt.metric_from_uri(args.metric2) if args.metric2 else g
     p = _basepoint(args, g)
     _require_count("--loops", args.loops, 0)
     if not 0 < args.delta < math.inf:
@@ -258,8 +257,8 @@ def cmd_holonomy(args):
 
 
 def cmd_fiber_dist(args):
-    g = _load_metric(args.metric)
-    gp = _load_metric(args.metric2) if args.metric2 else g
+    g = mt.metric_from_uri(args.metric)
+    gp = mt.metric_from_uri(args.metric2) if args.metric2 else g
     p = _basepoint(args, g)
     if g.dim != 2:
         raise ValueError("fiber-dist demo is defined for surfaces")
@@ -279,10 +278,10 @@ def cmd_fiber_dist(args):
 
 
 def cmd_bound_report(args):
-    g = _load_metric(args.metric)
-    gp = _load_metric(args.metric2) if args.metric2 else g
+    g = mt.metric_from_uri(args.metric)
+    gp = mt.metric_from_uri(args.metric2) if args.metric2 else g
     _require_count("--samples", args.samples)
-    region = _region_for(g, args.region) if args.region else list(g.domain)
+    region = _region_for(g, args.region)
     rng = np.random.default_rng(args.seed)
     pts = []
     for _ in range(args.samples):
@@ -299,10 +298,10 @@ def cmd_bound_report(args):
 
 
 def cmd_gh(args):
-    g = _load_metric(args.metric)
-    m2 = _load_metric(args.metric2) if args.metric2 else g
+    g = mt.metric_from_uri(args.metric)
+    m2 = mt.metric_from_uri(args.metric2) if args.metric2 else g
     _require_count("--samples", args.samples)
-    region = _region_for(g, args.region) if args.region else list(g.domain)
+    region = _region_for(g, args.region)
     rng = np.random.default_rng(args.seed)
     res1 = gh.sample_space(g, region, args.samples, rng=rng)
     res2 = gh.sample_space(m2, region, args.samples, layout=res1.layout)
@@ -338,6 +337,9 @@ def cmd_experiment(args):
             raise InvariantViolation("reflection component unexpectedly connected")
     elif args.name == "eguchi-hanson":
         lams = _parse_floats(args.scales) if args.scales else (4.0, 16.0, 64.0)
+        for lam in lams:
+            if not 0 < lam < math.inf:
+                raise ValueError(f"--scales must be positive and finite, got {lam:g}")
         rep = gh.eguchi_hanson_experiment(
             lams=tuple(lams), seed=args.seed, gh_count=args.samples,
             quotient_samples=args.loops)
@@ -415,7 +417,7 @@ def build_parser():
         p.add_argument("--jobs", type=int,
                        default=int(os.environ.get("FRAMELAB_JOBS", "1")))
         p.add_argument("--out", default="out")
-        p.add_argument("--format", choices=["json", "csv", "dat"], default="json")
+        p.add_argument("--format", choices=["json", "csv"], default="json")
         strict = p.add_mutually_exclusive_group()
         strict.add_argument("--strict", dest="strict", action="store_true", default=True)
         strict.add_argument("--no-strict", dest="strict", action="store_false")

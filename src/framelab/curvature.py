@@ -782,15 +782,15 @@ def geodesic_energy_drift(m: MetricSpec, sol, t_final, samples=20):
     return float((vals.max() - vals.min()) / scale)
 
 
-def geodesic_between(m: MetricSpec, p, q, v0=None, tol=1e-10, max_iter=12,
+def geodesic_between(m: MetricSpec, p, q, tol=1e-10, max_iter=12,
                      rtol=1e-10, atol=1e-10, dense=False):
     """Two-point geodesics by shooting, exp_p(v) = q.
 
     Newton's method on v -> exp_p(v) - q; each step takes one integration
     of the geodesic with its variational equations, whose J(1) is the exact
-    Jacobian of the endpoint map.  v0 seeds the Newton iteration; the
-    default straight-line velocity works whenever the chart is close to
-    flat on the segment.
+    Jacobian of the endpoint map.  The iteration starts at the straight-line
+    velocity q - p, which works whenever the chart is close to flat on the
+    segment.
 
     One pair p, q (n,) returns (v, length); a shot that fails to converge,
     or whose integration fails or leaves the metric's domain of evaluation,
@@ -806,7 +806,7 @@ def geodesic_between(m: MetricSpec, p, q, v0=None, tol=1e-10, max_iter=12,
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     P, Q = np.broadcast_arrays(np.atleast_2d(p), np.atleast_2d(q))
-    V = np.array(np.broadcast_to(v0, P.shape) if v0 is not None else Q - P, dtype=float)
+    V = np.array(Q - P, dtype=float)
     B, n = P.shape
     reasons, causes, paths = [None] * B, [None] * B, [None] * B
     todo = np.arange(B)
@@ -858,16 +858,16 @@ def geodesic_between(m: MetricSpec, p, q, v0=None, tol=1e-10, max_iter=12,
 GL8_NODES, GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def curve_length(m: MetricSpec, curve, velocity, t0=0.0, t1=1.0, samples=256):
-    """Length of a parametric curve under m, with exact velocity: composite
-    Gauss-Legendre quadrature of |c'|_g, 8 nodes per panel.  `curve` and
-    `velocity` map an array of t (k,) to (k, n), or for several curves at
-    once to (c, k, n), which gives c lengths.  The metric is evaluated at
+def curve_length(m: MetricSpec, curve, velocity, samples=256):
+    """Length of a parametric curve on [0, 1] under m, with exact velocity:
+    composite Gauss-Legendre quadrature of |c'|_g, 8 nodes per panel.
+    `curve` and `velocity` map an array of t (k,) to (k, n), or for several
+    curves at once to (c, k, n), which gives c lengths.  The metric is evaluated at
     all nodes as one stack; a node where it is undefined raises the point
     evaluator's ExprEvalError.  Each node's |c'|^2 is its own v @ G @ v
     (one stacked matmul), and each curve's terms are added one by one in
     panel and node order."""
-    edges = np.linspace(t0, t1, samples // 8 + 1)
+    edges = np.linspace(0.0, 1.0, samples // 8 + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     t = (mid[:, None] + half[:, None] * GL8_NODES).ravel()

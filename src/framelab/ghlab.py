@@ -83,14 +83,6 @@ class FiniteMetricSpace:
             buf.write(",".join(repr(float(v)) for v in row) + "\n")
         return buf.getvalue()
 
-    @staticmethod
-    def from_csv(text):
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        labels = lines[0].split(",")
-        rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-        return FiniteMetricSpace(labels, np.array(rows))
-
-
 
 # ---------------------------------------------------------------------------
 # sampling a MetricSpec region through a geodesic graph
@@ -119,15 +111,10 @@ def _chord_lengths(m, a, b, samples):
                         lambda t: np.repeat(d[:, None], len(t), axis=1), samples=samples)
 
 
-def _edge_weights(m, points, edges, shifts, refine=False):
+def _edge_weights(m, points, edges, shifts):
     a = points[edges[:, 0]]
     b = points[edges[:, 1]] + (shifts if shifts is not None else 0.0)
-    w = _chord_lengths(m, a, b, 16) if len(edges) else np.zeros(0)
-    if refine and len(edges):
-        _, shot, reasons = geodesic_between(m, a, b, rtol=1e-9, atol=1e-9)
-        hit = np.array([r is None for r in reasons])
-        w[hit] = np.minimum(w[hit], shot[hit])
-    return w
+    return _chord_lengths(m, a, b, 16) if len(edges) else np.zeros(0)
 
 
 def _period_shifts(m):
@@ -145,12 +132,18 @@ def _period_shifts(m):
     return [s for s in shifts if np.any(s)], shifts
 
 
-def sample_space(m: MetricSpec, region, count, rng=None, mode="geodesic-graph",
-                 knn=12, oversample=10, layout: GraphLayout = None,
-                 refine_edges=False, refine_pairs=False) -> SampleResult:
+#: neighbours per candidate point in the graph of `sample_space`
+GRAPH_KNN = 12
+#: candidate points per sampled point (at least 200 in all)
+GRAPH_OVERSAMPLE = 10
+
+
+def sample_space(m: MetricSpec, region, count, rng=None, layout: GraphLayout = None,
+                 refine_pairs=False) -> SampleResult:
     """Farthest-point sample of `count` points in the coordinate region;
-    pairwise distances are shortest paths on a k-NN graph over a denser
-    candidate cloud, with edge weights measured under m.  The graph-path
+    pairwise distances are shortest paths on a GRAPH_KNN-nearest-neighbour
+    graph over a GRAPH_OVERSAMPLE times denser candidate cloud, with edge
+    weights measured under m as straight-chord lengths.  The graph-path
     overestimate is O(fill radius), which is reported.
 
     Passing a previous `layout` reuses the identical point cloud, edges and
@@ -168,14 +161,12 @@ def sample_space(m: MetricSpec, region, count, rng=None, mode="geodesic-graph",
     from scipy.sparse.csgraph import dijkstra
     from scipy.spatial import cKDTree
 
-    if mode != "geodesic-graph":
-        raise ValueError(f"unknown sampling mode {mode!r}")
     rng = rng or np.random.default_rng(0)
     region = [(float(lo), float(hi)) for lo, hi in region]
     n = m.dim
     nonzero_shifts, _ = _period_shifts(m)
     if layout is None:
-        M = max(count * oversample, 200)
+        M = max(count * GRAPH_OVERSAMPLE, 200)
         pts = np.empty((M, n))
         for a, (lo, hi) in enumerate(region):
             pts[:, a] = rng.uniform(lo, hi, size=M)
@@ -184,7 +175,7 @@ def sample_space(m: MetricSpec, region, count, rng=None, mode="geodesic-graph",
         all_shifts = [np.zeros(n)] + nonzero_shifts
         tiled = np.concatenate([pts + s for s in all_shifts], axis=0)
         tree = cKDTree(tiled)
-        k_eff = min(knn + 1, len(tiled))
+        k_eff = min(GRAPH_KNN + 1, len(tiled))
         _, nbrs = tree.query(pts, k=k_eff)
         edge_map = {}
         for i in range(M):
@@ -214,7 +205,7 @@ def sample_space(m: MetricSpec, region, count, rng=None, mode="geodesic-graph",
         need_fps = layout.chosen is None
     M = len(pts)
 
-    weights = _edge_weights(m, pts, edges, shifts, refine=refine_edges)
+    weights = _edge_weights(m, pts, edges, shifts)
     graph = csr_matrix((np.concatenate([weights, weights]),
                         (np.concatenate([edges[:, 0], edges[:, 1]]),
                          np.concatenate([edges[:, 1], edges[:, 0]]))),
@@ -226,7 +217,7 @@ def sample_space(m: MetricSpec, region, count, rng=None, mode="geodesic-graph",
         chosen = [0]
         dist_to_set = dijkstra(graph, indices=0)
         if not np.isfinite(dist_to_set).all():
-            raise ValueError("sample graph is disconnected; increase knn")
+            raise ValueError("sample graph is disconnected")
         for _ in range(count - 1):
             nxt = int(np.argmax(dist_to_set))
             chosen.append(nxt)
@@ -272,11 +263,11 @@ def _is_flat_on(m, pts, rng, probes=5):
     return True
 
 
-def _refine_pair_distances(m, pts, d_graph, rng=None, shoot=True, chord_slack=1e-9):
+def _refine_pair_distances(m, pts, d_graph, rng):
     """Tighten graph distances with genuine path lengths: straight-chord
     quadrature under the nearest period representative (exact on flat
-    charts), then fast-tolerance two-point shooting where it can help."""
-    rng = rng or np.random.default_rng(0)
+    charts), then fast-tolerance two-point shooting where it can help; a
+    shot replaces a value only if it is shorter by more than 1e-9."""
     d = d_graph.copy()
     n = len(pts)
     _, all_shifts = _period_shifts(m)
@@ -299,7 +290,7 @@ def _refine_pair_distances(m, pts, d_graph, rng=None, shoot=True, chord_slack=1e
         chord[ci, cj] = chord[cj, ci] = _chord_lengths(
             m, pts[ci], np.array([rep[ij] for ij in chords]), 32)
     improved = np.minimum(d, chord)
-    if shoot and not _is_flat_on(m, pts, rng):
+    if not _is_flat_on(m, pts, rng):
         # a chord agreeing with the graph value is already a geodesic
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if not (chord[i, j] <= d[i, j] * (1 + 1e-6)
@@ -309,7 +300,7 @@ def _refine_pair_distances(m, pts, d_graph, rng=None, shoot=True, chord_slack=1e
                 m, pts[[i for i, _ in pairs]], np.array([rep[ij] for ij in pairs]),
                 rtol=1e-7, atol=1e-9, tol=1e-7, max_iter=8, dense=True)
             for (i, j), length, reason, path in zip(pairs, lengths, reasons, paths):
-                if (reason is None and length < improved[i, j] - chord_slack
+                if (reason is None and length < improved[i, j] - 1e-9
                         and _geodesic_stays_inside(m, path)):
                     improved[i, j] = improved[j, i] = length
     # re-run the metric closure so shortcuts propagate through triangles
@@ -322,10 +313,9 @@ def _refine_pair_distances(m, pts, d_graph, rng=None, shoot=True, chord_slack=1e
 # ---------------------------------------------------------------------------
 # GH bounds
 
-def natural_correspondence(size_a, size_b=None):
-    if size_b is None or size_b == size_a:
-        return [(i, i) for i in range(size_a)]
-    raise CorrespondenceError("natural correspondence needs equal sizes")
+def natural_correspondence(size):
+    """The identity correspondence between two spaces of `size` points."""
+    return [(i, i) for i in range(size)]
 
 
 def gh_upper(A: FiniteMetricSpace, B: FiniteMetricSpace, corr) -> float:
@@ -367,11 +357,13 @@ def _greedy_covering(space, eps):
     return centers
 
 
-def gh_lower(A: FiniteMetricSpace, B: FiniteMetricSpace, grid=24) -> float:
+def gh_lower(A: FiniteMetricSpace, B: FiniteMetricSpace) -> float:
     """Lower bound on GH of the finite spaces as given (an estimate for
     sampled spaces): max of half the diameter gap and the packing-vs-
     covering obstruction (an eps-separated set larger than an exhibited
-    covering of the other side forces distortion)."""
+    covering of the other side forces distortion), over a grid of 24
+    scales eps and 24 slacks per scale."""
+    grid = 24
     best = 0.5 * abs(A.diam() - B.diam())
     for X, Y in ((A, B), (B, A)):
         diam = X.diam()
@@ -539,18 +531,18 @@ class CollapseReport:
         return [(row["eps"], row["D"]) for row in self.ladder]
 
 
-def fiber_collapse_experiment(a, caps, max_power=60, theta_grid=48,
-                              radius_factor=2.5) -> CollapseReport:
-    """D(eps) = max over a theta grid of the sampled fiber distance between
-    I and rot(theta) at a base point near the vertex of the cap-smoothed
-    cone; the reflection component stays at infinite distance."""
-    thetas = np.linspace(0.0, 2 * math.pi, theta_grid, endpoint=False)
+def fiber_collapse_experiment(a, caps, max_power=60) -> CollapseReport:
+    """D(eps) = max over a 48-point theta grid of the sampled fiber distance
+    between I and rot(theta) at the base point r = 2.5 eps, near the vertex
+    of the cap-smoothed cone; the reflection component stays at infinite
+    distance."""
+    thetas = np.linspace(0.0, 2 * math.pi, 48, endpoint=False)
     reflection = np.array([[1.0, 0.0], [0.0, -1.0]])
     ladder = []
     refl_disconnected = True
     for eps in caps:
         m = smoothed_cone(a, eps)
-        rho = radius_factor * eps
+        rho = 2.5 * eps
         basepoint = np.array([rho, 0.0])
         samples = hl.circle_power_samples(m, basepoint, axis=1, period=2 * math.pi,
                                           max_power=max_power)
@@ -586,26 +578,25 @@ class EguchiHansonReport:
                 "gh_table": self.gh_table}
 
 
-def eguchi_hanson_annulus_points(rng, count, lam, r_lo=1.0, r_hi=2.0,
-                                 th_window=(0.7, math.pi - 0.7),
-                                 ph_window=(0.5, 2.5), ps_window=(0.5, 2.5)):
-    """Points of the rescaled annulus (rescaled radius in [r_lo, r_hi]),
-    expressed in the original chart where r is lam times larger."""
+def eguchi_hanson_annulus_points(rng, count, lam):
+    """Points of the rescaled annulus (rescaled radius in [1, 2], th in
+    [0.7, pi - 0.7], ph and ps in [0.5, 2.5]), expressed in the original
+    chart where r is lam times larger."""
     pts = np.empty((count, 4))
-    pts[:, 0] = rng.uniform(r_lo * lam, r_hi * lam, size=count)
-    pts[:, 1] = rng.uniform(*th_window, size=count)
-    pts[:, 2] = rng.uniform(*ph_window, size=count)
-    pts[:, 3] = rng.uniform(*ps_window, size=count)
+    pts[:, 0] = rng.uniform(lam, 2.0 * lam, size=count)
+    pts[:, 1] = rng.uniform(0.7, math.pi - 0.7, size=count)
+    pts[:, 2] = rng.uniform(0.5, 2.5, size=count)
+    pts[:, 3] = rng.uniform(0.5, 2.5, size=count)
     return pts
 
 
-def eguchi_hanson_gh_comparison(lam=8.0, count=24, seed=0, a_eh=1.0):
-    """Distances on the rescaled Eguchi-Hanson annulus (two-point shooting)
-    against the exact C(RP^3) annulus under the natural chart
+def eguchi_hanson_gh_comparison(lam=8.0, count=24, seed=0):
+    """Distances on the rescaled Eguchi-Hanson annulus (a = 1, two-point
+    shooting) against the exact C(RP^3) annulus under the natural chart
     correspondence; returns (gh_upper value, FiniteMetricSpace pair)."""
     from .metric import eguchi_hanson, rescaled
     rng = np.random.default_rng(seed)
-    base = eguchi_hanson(a_eh, r_max=4.0 * lam)
+    base = eguchi_hanson(r_max=4.0 * lam)
     m = rescaled(base, 1.0 / lam)
     pts = eguchi_hanson_annulus_points(rng, count, lam)
     n = count
@@ -662,25 +653,26 @@ def quotient_diameters(su2, count, rng):
                       "diam_O4_mod_O4": 0.0, "gap": (math.sqrt(2.0) - 1.0) * math.pi}}
 
 
-def eguchi_hanson_experiment(lams=(4.0, 16.0, 64.0), seed=0, deltas=(0.2, 0.35),
-                             basepoint=(2.2, 1.3, 0.8, 1.1), gh_lam=8.0,
-                             gh_count=20, quotient_samples=40, a_eh=1.0):
-    """The three-part rescaled Eguchi-Hanson study: (i) holonomy sample
-    lengths shrink with the scale while the classification stays SU(2);
-    (ii) the exact diameters of O(4)/SU(2), O(4)/{±I} and O(4)/O(4) beside
-    their maxima over `quotient_samples` Haar-random elements of SO(4)
-    (None, with the gap, when there are none); (iii) the base annulus
-    GH-approaches the exact cone annulus."""
+def eguchi_hanson_experiment(lams=(4.0, 16.0, 64.0), seed=0, gh_count=20,
+                             quotient_samples=40):
+    """The three-part rescaled Eguchi-Hanson study (a = 1): (i) the
+    holonomy samples of plaquettes of sides 0.2 and 0.35 at (r, th, ph, ps)
+    = (2.2, 1.3, 0.8, 1.1) shrink with the scale while the classification
+    stays SU(2); (ii) the exact diameters of O(4)/SU(2), O(4)/{±I} and
+    O(4)/O(4) beside their maxima over `quotient_samples` Haar-random
+    elements of SO(4) (None, with the gap, when there are none); (iii) the
+    base annulus at scale 8 GH-approaches the exact cone annulus."""
     from .metric import eguchi_hanson, rescaled
-    base = eguchi_hanson(a_eh)
-    bp = np.array(basepoint)
+    base = eguchi_hanson()
+    bp = np.array([2.2, 1.3, 0.8, 1.1])
+    gh_lam = 8.0
     rng = np.random.default_rng(seed)
 
     ladder = []
     members = []
     for lam in lams:
         m = rescaled(base, 1.0 / lam)
-        loops = hl.plaquette_loops(bp, deltas[0], 4) + hl.plaquette_loops(bp, deltas[1], 4)
+        loops = hl.plaquette_loops(bp, 0.2, 4) + hl.plaquette_loops(bp, 0.35, 4)
         samples = hl.holonomy_samples(m, loops, m, word_length=2)
         max_len = max(s.loop_length for s in samples)
         est = ortho.classify_subgroup([(s.element, s.loop_length) for s in samples])
@@ -689,7 +681,7 @@ def eguchi_hanson_experiment(lams=(4.0, 16.0, 64.0), seed=0, deltas=(0.2, 0.35),
                        "chirality_residual": float(min(
                            est.residuals.get("chirality_off_plus", 1.0),
                            est.residuals.get("chirality_off_minus", 1.0)))})
-        members.append(hl.H0FamilyMember(float(lam), m, m, bp, samples))
+        members.append(hl.H0FamilyMember(float(lam), samples))
 
     report = hl.estimate_H0(members)
     su2 = report.estimate
@@ -699,7 +691,7 @@ def eguchi_hanson_experiment(lams=(4.0, 16.0, 64.0), seed=0, deltas=(0.2, 0.35),
 
     quotient = quotient_diameters(su2, quotient_samples, rng)
 
-    gh_val, _, _ = eguchi_hanson_gh_comparison(gh_lam, gh_count, seed, a_eh)
-    gh_table = [{"lambda": float(gh_lam), "count": gh_count, "gh_upper": float(gh_val)}]
+    gh_val, _, _ = eguchi_hanson_gh_comparison(gh_lam, gh_count, seed)
+    gh_table = [{"lambda": gh_lam, "count": gh_count, "gh_upper": float(gh_val)}]
 
     return EguchiHansonReport(ladder, su2.label, chirality_residual, quotient, gh_table)

@@ -13,7 +13,7 @@ that the metric components are invariant under that shift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,15 +108,14 @@ class LoopSpec:
         return total
 
 
-def polyline_loop(points, descriptor="polyline", closure_shift=None):
-    """Piecewise-straight closed loop; a nonzero closure shift must be
-    declared explicitly (it is checked against the metric's periods)."""
+def polyline_loop(points, descriptor="polyline"):
+    """Piecewise-straight loop, closed in the chart (no closure shift)."""
     pts = [np.asarray(p, dtype=float) for p in points]
     segs = [line_segment(a, b) for a, b in zip(pts[:-1], pts[1:])]
-    return LoopSpec(pts[0], segs, closure_shift, descriptor)
+    return LoopSpec(pts[0], segs, None, descriptor)
 
 
-def plaquette_loop(p, i, j, delta, descriptor=None):
+def plaquette_loop(p, i, j, delta):
     p = np.asarray(p, dtype=float)
     ei = np.zeros(len(p))
     ej = np.zeros(len(p))
@@ -124,11 +123,10 @@ def plaquette_loop(p, i, j, delta, descriptor=None):
     ej[j] = delta
     pts = [p, p + ei, p + ei + ej, p + ej, p]
     return LoopSpec(p, [line_segment(a, b) for a, b in zip(pts[:-1], pts[1:])],
-                    None, descriptor or f"plaquette({i},{j},{delta})")
+                    None, f"plaquette({i},{j},{delta})")
 
 
-def coordinate_circle_loop(basepoint, axis, period, orientation=1, turns=1,
-                           descriptor=None):
+def coordinate_circle_loop(basepoint, axis, period, orientation=1, turns=1):
     """Loop sweeping a periodic coordinate by `turns` full periods."""
     base = np.asarray(basepoint, dtype=float)
     a0 = base[axis]
@@ -136,8 +134,7 @@ def coordinate_circle_loop(basepoint, axis, period, orientation=1, turns=1,
     seg = angular_segment(base, axis, a0, a1)
     shift = np.zeros(len(base))
     shift[axis] = a1 - a0
-    return LoopSpec(base, [seg], shift,
-                    descriptor or f"circle(axis={axis}, turns={orientation * turns})")
+    return LoopSpec(base, [seg], shift, f"circle(axis={axis}, turns={orientation * turns})")
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +367,11 @@ def _dedup(samples, tol=1e-6):
 
 
 def holonomy_samples(conn: MetricSpec, loops, length_metric: MetricSpec = None,
-                     word_length=1, include_inverses=True, dedup_tol=1e-6):
+                     word_length=1):
     """Holonomy elements of the given loops (all sharing one basepoint),
     closed under products up to `word_length` letters and inverses, with
-    exact additive length accounting.  Deduplicated with d_b < dedup_tol,
-    keeping the smaller length.
+    exact additive length accounting.  Deduplicated with d_b < 1e-6 (see
+    `_dedup`), keeping the smaller length.
     """
     if word_length < 1:
         raise ValueError(f"word length must be at least 1, got {word_length}")
@@ -385,10 +382,9 @@ def holonomy_samples(conn: MetricSpec, loops, length_metric: MetricSpec = None,
             loop.compute_length(g)
         h = holonomy_element(conn, loop)
         base.append(HolonomySample(h, loop.length, loop.descriptor))
-        if include_inverses:
-            base.append(HolonomySample(h.T, loop.length, loop.descriptor + "^-1"))
+        base.append(HolonomySample(h.T, loop.length, loop.descriptor + "^-1"))
     if word_length == 1:
-        return _dedup(base, dedup_tol)
+        return _dedup(base)
     words = list(base)
     frontier = list(base)
     for _ in range(1, word_length):
@@ -400,19 +396,20 @@ def holonomy_samples(conn: MetricSpec, loops, length_metric: MetricSpec = None,
                                           w.loop_length + s.loop_length,
                                           f"{w.descriptor}*{s.descriptor}"))
         words.extend(nxt)
-        frontier = _dedup(nxt, dedup_tol)
+        frontier = _dedup(nxt)
         # a greedy pass over its own output keeps every element, so the
         # final `words` needs no further pass
-        words = _dedup(words, dedup_tol)
+        words = _dedup(words)
     return words
 
 
 def circle_power_samples(conn: MetricSpec, basepoint, axis, period,
-                         length_metric=None, max_power=50, orientation=-1):
-    """Powers of one periodic-coordinate circle: transport once, then take
-    matrix powers with additive lengths (holonomy of the k-fold loop)."""
+                         length_metric=None, max_power=50):
+    """Powers of one periodic-coordinate circle, swept backwards: transport
+    once, then take matrix powers with additive lengths (holonomy of the
+    k-fold loop)."""
     g = length_metric or conn
-    loop = coordinate_circle_loop(basepoint, axis, period, orientation=orientation)
+    loop = coordinate_circle_loop(basepoint, axis, period, orientation=-1)
     L1 = loop.compute_length(g)
     h = holonomy_element(conn, loop)
     out = [HolonomySample(np.eye(conn.dim), 0.0, "constant")]
@@ -489,9 +486,10 @@ def coordinate_triangle_loops(basepoint, scale, count, rng, dim):
     return loops
 
 
-def plaquette_loops(basepoint, delta, dim, planes=None):
-    planes = planes or [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-    return [plaquette_loop(basepoint, i, j, delta) for i, j in planes]
+def plaquette_loops(basepoint, delta, dim):
+    """One plaquette per coordinate plane (i, j), i < j, lexicographic."""
+    return [plaquette_loop(basepoint, i, j, delta)
+            for i in range(dim) for j in range(i + 1, dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +498,7 @@ def plaquette_loops(basepoint, delta, dim, planes=None):
 @dataclass
 class H0FamilyMember:
     scale: float
-    conn: MetricSpec
-    length_metric: MetricSpec
-    basepoint: np.ndarray
-    loops: list                 # LoopSpec list or prebuilt HolonomySample list
+    samples: list               # HolonomySample list, the constant loop included
 
 
 @dataclass
@@ -516,43 +511,29 @@ class H0Report:
         return [row[1] for row in self.per_scale]
 
 
-def estimate_H0(members, threshold=None, word_length=2, diam=3.0,
-                classify_kwargs=None) -> H0Report:
+def estimate_H0(members) -> H0Report:
     """Estimate the infinitesimal holonomy group from a ladder of scales.
 
-    Keeps only samples whose loop length is below threshold(scale) (default
-    scale^{-1/2} * diam relative to the first rung) and reports whether the
-    classification label stabilizes over the last three rungs.
+    Keeps only samples whose loop length is at most 3 sqrt(r), r the ratio
+    of the smaller to the larger of the scale and the first rung's, and
+    reports whether the classification label stabilizes over the last
+    three rungs.
     """
-    classify_kwargs = classify_kwargs or {}
-    scales = [mem.scale for mem in members]
-    s0 = scales[0]
-
-    def default_threshold(scale):
-        ratio = s0 / scale if scale >= s0 else scale / s0
-        return math.sqrt(ratio) * diam
-
-    thresh = threshold or default_threshold
+    s0 = members[0].scale
     per_scale = []
     kept_all = []
     for mem in members:
-        if mem.loops and isinstance(mem.loops[0], HolonomySample):
-            samples = mem.loops
-        else:
-            samples = holonomy_samples(mem.conn, mem.loops, mem.length_metric,
-                                       word_length=word_length)
-        cut = thresh(mem.scale)
-        kept = [s for s in samples if s.loop_length <= cut]
+        ratio = s0 / mem.scale if mem.scale >= s0 else mem.scale / s0
+        cut = math.sqrt(ratio) * 3.0
+        kept = [s for s in mem.samples if s.loop_length <= cut]
         if not kept:
-            kept = [HolonomySample(np.eye(mem.conn.dim), 0.0, "constant")]
-        est = ortho.classify_subgroup([(s.element, s.loop_length) for s in kept],
-                                      **classify_kwargs)
+            kept = [HolonomySample(np.eye(len(mem.samples[0].element)), 0.0, "constant")]
+        est = ortho.classify_subgroup([(s.element, s.loop_length) for s in kept])
         per_scale.append((mem.scale, est.label, len(kept), cut))
         kept_all = kept
     labels = [row[1] for row in per_scale]
     stabilized = len(labels) >= 3 and len(set(labels[-3:])) == 1
-    final = ortho.classify_subgroup([(s.element, s.loop_length) for s in kept_all],
-                                    **classify_kwargs)
+    final = ortho.classify_subgroup([(s.element, s.loop_length) for s in kept_all])
     if not stabilized:
         final = ortho.SubgroupEstimate("other", final.n, final.rank,
                                        final.algebra_basis, final.finite_generators,

@@ -124,7 +124,7 @@ class MetricSpec:
 
     def _numerically_equal(self, a, b, samples=50, tol=1e-12):
         rng = np.random.default_rng(20240517)
-        pts = self._sample_points(rng, samples)
+        pts = self.sample_interior(rng, samples)
         fa = ex.compile_exprs([a, b], self.coords, self.params)
         for p in pts:
             try:
@@ -219,7 +219,8 @@ class MetricSpec:
         require_spd(g[None], [point])
         return g
 
-    def _sample_points(self, rng, count, margin=0.05):
+    def sample_interior(self, rng, count, margin=0.05):
+        """Random points in the domain interior (margin fraction held back)."""
         pts = []
         for _ in range(count):
             p = []
@@ -231,11 +232,10 @@ class MetricSpec:
             pts.append(np.array(p))
         return pts
 
-    def sample_interior(self, rng, count, margin=0.05):
-        """Random points in the domain interior (margin fraction held back)."""
-        return self._sample_points(rng, count, margin=margin)
-
-    def grid_interior(self, per_axis=10, margin=0.05):
+    def grid_interior(self, per_axis=10):
+        """A per_axis^n lattice in the domain interior, 5% held back at each
+        end of every axis."""
+        margin = 0.05
         axes = []
         for lo, hi in self.domain:
             lo_eff = lo if math.isfinite(lo) else -2.0

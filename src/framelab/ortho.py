@@ -29,6 +29,15 @@ LOG_ANGLE_TOL = 1e-9
 FROBENIUS_SLACK = 1e-6
 #: pairs per eigenvalue call of `group_distance`
 DISTANCE_BLOCK = 1024
+#: `classify_subgroup` takes logs of the samples within this d_b of I
+NEAR_IDENTITY = 1.5
+#: relative singular-value floor of the sampled algebra's rank, and the
+#: largest chirality residual of an SU(2)-in-SO(4) basis
+SVD_TOL = 1e-6
+#: largest relative bracket residual of a subalgebra
+BRACKET_TOL = 1e-5
+#: a finite-cyclic generator's power must come within 10x this of I
+FINITE_TOL = 1e-6
 
 
 class NotSkewError(ValueError):
@@ -59,21 +68,21 @@ def skew_basis(n):
     return [skew_basis_element(n, lam, mu) for lam, mu in skew_pairs(n)]
 
 
-def check_skew(a, tol=SKEW_TOL):
-    """a, (n, n) or a stack (..., n, n), if each matrix is skew to `tol`."""
+def check_skew(a):
+    """a, (n, n) or a stack (..., n, n), if each matrix is skew to SKEW_TOL."""
     a = np.asarray(a, dtype=float)
     r = np.abs(a + np.swapaxes(a, -1, -2)).max(axis=(-2, -1))
-    if (r > tol * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))).any():
+    if (r > SKEW_TOL * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))).any():
         raise NotSkewError(f"matrix is not skew-symmetric (residual {r.max():.3e})")
     return a
 
 
-def check_orthogonal(A, tol=ORTH_TOL):
-    """A, an (n, n) matrix or a stack (..., n, n), if orthogonal to `tol`."""
+def check_orthogonal(A):
+    """A, an (n, n) matrix or a stack (..., n, n), if orthogonal to ORTH_TOL."""
     A = np.asarray(A, dtype=float)
     n = A.shape[-2]
     r = float(np.abs(np.swapaxes(A, -1, -2) @ A - np.eye(n)).max(initial=0.0))
-    if r > tol:
+    if r > ORTH_TOL:
         raise NotOrthogonalError(f"matrix is not orthogonal (residual {r:.3e})")
     return A
 
@@ -146,10 +155,11 @@ def group_exp_derivative(a, b):
     return E, (U @ (phi * (Uh @ b @ U)) @ Uh).real
 
 
-def _principal_logs(A, angle_tol):
+def _principal_logs(A):
     """Principal logs of a stack A (k, n, n) of orthogonal matrices, as
     (L, ok): ok (k,) marks the rows whose eigenvalues all have
-    |arg| < pi - angle_tol, and L (k, n, n) holds their logs, NaN elsewhere.
+    |arg| < pi - LOG_ANGLE_TOL, and L (k, n, n) holds their logs, NaN
+    elsewhere.
 
     For such a row A + I is invertible, C = (A + I)^{-1} (A - I) is skew
     with eigenvalues i tan(t/2) over the rotation angles t of A, and
@@ -157,7 +167,7 @@ def _principal_logs(A, angle_tol):
     log A = Re(U diag(-2i arctan mu) U^H): no branch cut is met, and each
     angle 2 arctan(mu) keeps full accuracy however small it is."""
     lam = np.linalg.eigvals(A)
-    ok = (np.abs(np.angle(lam)) < math.pi - angle_tol).all(axis=-1)
+    ok = (np.abs(np.angle(lam)) < math.pi - LOG_ANGLE_TOL).all(axis=-1)
     L = np.full(A.shape, math.nan)
     B = A[ok]
     eye = np.eye(A.shape[-1])
@@ -167,15 +177,15 @@ def _principal_logs(A, angle_tol):
     return L, ok
 
 
-def group_log(A, angle_tol=LOG_ANGLE_TOL):
+def group_log(A):
     """Principal logarithm: the skew a with exp(a) = A and every rotation
-    angle below pi - angle_tol, as one row of `_principal_logs`.  A matrix
-    with an angle at or above that, an eigenvalue -1 included (so every
-    reflection), raises PrincipalLogError."""
-    L, ok = _principal_logs(check_orthogonal(A)[None], angle_tol)
+    angle below pi - LOG_ANGLE_TOL, as one row of `_principal_logs`.  A
+    matrix with an angle at or above that, an eigenvalue -1 included (so
+    every reflection), raises PrincipalLogError."""
+    L, ok = _principal_logs(check_orthogonal(A)[None])
     if not ok[0]:
         raise PrincipalLogError(
-            f"matrix has a rotation angle within {angle_tol:g} of pi, or an eigenvalue -1")
+            f"matrix has a rotation angle within {LOG_ANGLE_TOL:g} of pi, or an eigenvalue -1")
     return L[0]
 
 
@@ -296,16 +306,17 @@ class SubgroupEstimate:
         return SubgroupEstimate("trivial", n, 0)
 
 
-def _orthonormal_algebra(M, rel_tol=1e-6):
+def _orthonormal_algebra(M):
     """Rank-revealing orthogonalization of log vectors M (k, m), in
-    b-coordinates."""
+    b-coordinates, with singular values below SVD_TOL times the largest
+    dropped."""
     norms = np.linalg.norm(M, axis=1)
     keep = norms > 1e-14
     if not keep.any():
         return 0, []
     M = M[keep] / norms[keep, None]
     _, s, vt = np.linalg.svd(M, full_matrices=False)
-    rank = int(np.sum(s > rel_tol * s[0]))
+    rank = int(np.sum(s > SVD_TOL * s[0]))
     return rank, [vt[i] for i in range(rank)]
 
 
@@ -329,12 +340,15 @@ def _bracket_residual(basis_mats):
     return worst
 
 
-def classify_subgroup(samples, near_identity=1.5, svd_tol=1e-6,
-                      bracket_tol=1e-5, finite_tol=1e-6) -> SubgroupEstimate:
+def classify_subgroup(samples) -> SubgroupEstimate:
     """Estimate the subgroup of O(n) generated by holonomy samples.
 
     samples: iterable of (GroupElement, weight); the weight usually carries
-    the loop length and is not used here beyond being recorded.
+    the loop length and is not used here beyond being recorded.  The
+    algebra is spanned by the principal logs of the samples within
+    NEAR_IDENTITY of I.  Every one has a log: a rotation angle at or above
+    pi - LOG_ANGLE_TOL gives d_b >= sqrt(2) (pi - LOG_ANGLE_TOL) >
+    NEAR_IDENTITY.
     """
     samples = list(samples)
     if not samples:
@@ -348,18 +362,17 @@ def classify_subgroup(samples, near_identity=1.5, svd_tol=1e-6,
     if not nontrivial:
         return SubgroupEstimate.trivial(n)
 
-    L, ok = _principal_logs(mats[(dists > 1e-8) & (dists <= near_identity)], LOG_ANGLE_TOL)
-    logs = vec_skew(L[ok])
-    rank, basis_vecs = _orthonormal_algebra(logs, rel_tol=svd_tol)
+    L, _ = _principal_logs(mats[(dists > 1e-8) & (dists <= NEAR_IDENTITY)])
+    rank, basis_vecs = _orthonormal_algebra(vec_skew(L))
     basis = [unvec_skew(v, n) for v in basis_vecs]
     residuals = {"svd_rank": rank}
 
     if rank == 0:
-        return _classify_finite(n, nontrivial, finite_tol, residuals)
+        return _classify_finite(n, nontrivial, residuals)
 
     br = _bracket_residual(basis)
     residuals["bracket"] = br
-    if br > bracket_tol:
+    if br > BRACKET_TOL:
         return SubgroupEstimate("other", n, rank, basis, [], residuals)
 
     if n == 2 and rank == 1:
@@ -377,13 +390,13 @@ def classify_subgroup(samples, near_identity=1.5, svd_tol=1e-6,
         off_minus = max(minus_res)
         residuals["chirality_off_plus"] = off_plus
         residuals["chirality_off_minus"] = off_minus
-        if min(off_plus, off_minus) <= svd_tol:
+        if min(off_plus, off_minus) <= SVD_TOL:
             residuals["chirality"] = "self-dual" if off_plus <= off_minus else "anti-self-dual"
             return SubgroupEstimate("SU(2)-in-SO(4)", n, 3, basis, [], residuals)
     return SubgroupEstimate("other", n, rank, basis, [], residuals)
 
 
-def _classify_finite(n, nontrivial, tol, residuals):
+def _classify_finite(n, nontrivial, residuals):
     """nontrivial: (d_b(A, I), A) pairs."""
     ident = np.eye(n)
     finite_d = [(d, A) for d, A in nontrivial if math.isfinite(d)]
@@ -395,8 +408,8 @@ def _classify_finite(n, nontrivial, tol, residuals):
     order = None
     P = gen.copy()
     for k in range(1, 1001):
-        near = frobenius_lower_bound(check_orthogonal(P), ident) <= 10 * tol
-        if near and group_distance(P, ident) <= 10 * tol:
+        near = frobenius_lower_bound(check_orthogonal(P), ident) <= 10 * FINITE_TOL
+        if near and group_distance(P, ident) <= 10 * FINITE_TOL:
             order = k
             break
         P = P @ gen
@@ -407,7 +420,7 @@ def _classify_finite(n, nontrivial, tol, residuals):
     for _, A in nontrivial:
         worst = max(worst, float(group_distance(A, powers).min()))
     residuals["power_match"] = worst
-    if worst <= 10 * tol:
+    if worst <= 10 * FINITE_TOL:
         return SubgroupEstimate(f"finite-cyclic({order})", n, 0, [], [gen],
                                 residuals, order=order)
     return SubgroupEstimate("other", n, 0, [], [gen], residuals)

@@ -111,6 +111,14 @@ def reference_metric_matrix(chart, y):
     return np.block([[G + vx @ vx.T, hv], [hv.T, vt @ vt.T]])
 
 
+def reference_a_tensor_vertical(ctx, x, y):
+    """That-components of (nabla~_X Y)^V for horizontal lifts of x, y at an
+    `oneill.ONeillContext`: W[lam, mu] = (1/sqrt 2) R4_eps(x, y, e_lam,
+    e_mu), in one einsum; stacks x, y (k, n) give one W per pair."""
+    return np.einsum("abkl,...a,...b,ku,lv->...vu",
+                     ctx.rlow_eps, x, y, ctx.e, ctx.e) / math.sqrt(2.0)
+
+
 # references for the curvature of (O(n), b)
 
 def sectional_biinvariant(a1, a2):

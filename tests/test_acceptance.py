@@ -63,7 +63,7 @@ def test_acceptance_02_oneill_cross_validation():
             v = rng.normal(size=2)
             xi = ot.unvec_skew(rng.normal(size=1), 2)
             for vv, xx in ((v, xi), (v, None), (None, xi)):
-                f = on.ricci_oneill(ctx, vv, xx, with_hypothesis=False).ricci_formula
+                f = on.ricci_oneill(ctx, vv, xx).ricci_formula
                 d = on.ricci_direct(ctx, vv, xx)
                 worst_ric = max(worst_ric, abs(f - d) / (1 + abs(d)))
                 count += 1
@@ -82,7 +82,7 @@ def test_acceptance_02_oneill_cross_validation():
     xi = ot.unvec_skew(rng.normal(size=6), 4)
     worst_eh = 0.0
     for vv, xx in ((v, xi), (v, None), (None, xi)):
-        f = on.ricci_oneill(ctx, vv, xx, with_hypothesis=False).ricci_formula
+        f = on.ricci_oneill(ctx, vv, xx).ricci_formula
         d = on.ricci_direct(ctx, vv, xx)
         worst_eh = max(worst_eh, abs(f - d) / (1 + abs(d)))
     eh_s = time.perf_counter() - t0
@@ -161,7 +161,7 @@ def test_acceptance_06_infinitesimal_holonomy_classification():
         bp = np.array([2.05 * eps, 0.0])
         samples = hl.circle_power_samples(m, bp, axis=1, period=2 * math.pi,
                                           max_power=40)
-        members.append(hl.H0FamilyMember(0.1 / eps, m, m, bp, samples))
+        members.append(hl.H0FamilyMember(0.1 / eps, samples))
     cone_rep = hl.estimate_H0(members)
 
     # rescaled Eguchi-Hanson ladder
@@ -171,8 +171,8 @@ def test_acceptance_06_infinitesimal_holonomy_classification():
     for lam in (4.0, 16.0, 64.0):
         m = mt.rescaled(eh, 1.0 / lam)
         loops = hl.plaquette_loops(bp, 0.25, 4)
-        members.append(hl.H0FamilyMember(lam, m, m, bp, loops))
-    eh_rep = hl.estimate_H0(members, word_length=2)
+        members.append(hl.H0FamilyMember(lam, hl.holonomy_samples(m, loops, m, word_length=2)))
+    eh_rep = hl.estimate_H0(members)
     resid = min(eh_rep.estimate.residuals.get("chirality_off_plus", 1.0),
                 eh_rep.estimate.residuals.get("chirality_off_minus", 1.0))
 

@@ -393,6 +393,7 @@ CONE_AT = ["--metric", "builtin:smoothed-cone:a=0.7,eps=0.1", "--at", "0.8,1.0"]
     (["fiber-dist", *CONE_AT, "--samples", "0"], "--samples"),
     (["experiment", "canonical-recovery", "--samples", "0"], "--samples"),
     (["gh", "--metric", "builtin:round-sphere", "--samples", "0"], "--samples"),
+    (["parse-check", "--metric", "builtin:round-sphere", "--grid", "0"], "--grid"),
 ])
 def test_counts_below_one_are_config_errors(tmp_path, capsys, argv, flag):
     code, out = run(tmp_path, *argv)
@@ -407,6 +408,43 @@ def test_holonomy_delta_must_be_positive_and_finite(tmp_path, capsys, delta):
     assert code == 2
     assert f"config error: --delta must be positive and finite, got {float(delta):g}" in \
         capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scales", ["0", "inf", "4,-16", "nan"])
+def test_eguchi_hanson_scales_must_be_positive_and_finite(tmp_path, capsys, scales):
+    code, out = run(tmp_path, "experiment", "eguchi-hanson", "--scales", scales,
+                    "--samples", "4", "--loops", "0")
+    assert code == 2
+    bad = [float(v) for v in scales.split(",") if not 0 < float(v) < math.inf][0]
+    assert f"config error: --scales must be positive and finite, got {bad:g}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,samples", [("bound-report", "2"), ("gh", "3")])
+def test_unbounded_chart_without_region_is_a_config_error(tmp_path, capsys, command, samples):
+    code, out = run(tmp_path, command, "--metric", "builtin:flat-euclidean",
+                    "--samples", samples)
+    assert code == 2
+    assert "config error: region must bound coordinate x1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bound-report", "gh"])
+def test_a_bounded_chart_without_region_samples_its_domain(tmp_path, command):
+    """No --region is the region of the whole domain, named in full."""
+    metric = ["--metric", "builtin:round-sphere", "--samples", "3"]
+    _, whole = run(tmp_path / "whole", command, *metric)
+    _, named = run(tmp_path / "named", command, *metric, "--region",
+                   f"th:0.0:{math.pi!r},ph:0.0:{2 * math.pi!r}")
+    assert load(whole, command)["result"] == load(named, command)["result"]
+
+
+def test_format_dat_is_refused(tmp_path):
+    code, out = run(tmp_path, "bound-report", "--metric", "builtin:round-sphere",
+                    "--samples", "2", "--format", "dat")
+    assert code == 2
     assert not out.exists()
 
 

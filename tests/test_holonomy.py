@@ -178,7 +178,7 @@ def test_estimate_h0_flat_rescaling_trivial(flat2):
     for lam in (1.0, 4.0, 16.0):
         m = mt.rescaled(flat2, 1.0 / lam)
         loops = hl.plaquette_loops(np.array([0.2, 0.1]), 0.2, 2)
-        members.append(hl.H0FamilyMember(lam, m, m, np.array([0.2, 0.1]), loops))
+        members.append(hl.H0FamilyMember(lam, hl.holonomy_samples(m, loops, m, word_length=2)))
     report = hl.estimate_H0(members)
     assert report.estimate.label == "trivial"
     assert report.stabilized
@@ -192,7 +192,7 @@ def test_estimate_h0_cone_so2():
         bp = np.array([2.05 * eps, 0.0])   # just outside the cap joint
         samples = hl.circle_power_samples(m, bp, axis=1, period=2 * math.pi,
                                           max_power=40)
-        members.append(hl.H0FamilyMember(0.1 / eps, m, m, bp, samples))
+        members.append(hl.H0FamilyMember(0.1 / eps, samples))
     report = hl.estimate_H0(members)
     assert [row[1] for row in report.per_scale] == ["SO(2)-circle"] * 3
     assert report.estimate.label == "SO(2)-circle"
@@ -205,8 +205,8 @@ def test_estimate_h0_eguchi_hanson_su2(eh):
     for lam in (4.0, 16.0, 64.0):
         m = mt.rescaled(eh, 1.0 / lam)
         loops = hl.plaquette_loops(bp, 0.25, 4)
-        members.append(hl.H0FamilyMember(lam, m, m, bp, loops))
-    report = hl.estimate_H0(members, word_length=2)
+        members.append(hl.H0FamilyMember(lam, hl.holonomy_samples(m, loops, m, word_length=2)))
+    report = hl.estimate_H0(members)
     assert report.estimate.label == "SU(2)-in-SO(4)"
     assert report.stabilized
 

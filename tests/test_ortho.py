@@ -121,7 +121,7 @@ def test_principal_logs_rows_are_their_group_log(n):
     rng = np.random.default_rng(200 + n)
     A = np.array([random_orthogonal(rng, n, reflect=bool(rng.integers(2))) for _ in range(30)]
                  + [ot.group_exp(skew_with_angles(rng, [math.pi] + [0.5] * (n // 2 - 1), n))])
-    L, ok = ot._principal_logs(A, ot.LOG_ANGLE_TOL)
+    L, ok = ot._principal_logs(A)
     assert 0 < ok.sum() < len(A)
     for row, good, a in zip(L, ok, A):
         if good:
@@ -384,11 +384,12 @@ def test_classify_skips_an_angle_pi_sample_in_one_log_call(monkeypatch):
     calls = []
     principal_logs = ot._principal_logs
     monkeypatch.setattr(ot, "_principal_logs",
-                        lambda A, tol: calls.append(len(A)) or principal_logs(A, tol))
-    samples = [(ot.rotation2(0.3 * k), 1.0) for k in range(1, 5)] + [(ot.rotation2(math.pi), 1.0)]
-    # near_identity above d_b(I, rot pi) = pi sqrt 2: the half turn reaches the log
-    est = ot.classify_subgroup(samples, near_identity=5.0)
-    assert calls == [5]
+                        lambda A: calls.append(len(A)) or principal_logs(A))
+    samples = [(ot.rotation2(0.25 * k), 1.0) for k in range(1, 5)] + [(ot.rotation2(math.pi), 1.0)]
+    # d_b(I, rot pi) = pi sqrt 2 exceeds NEAR_IDENTITY: only the four
+    # samples within it reach the one log call
+    est = ot.classify_subgroup(samples)
+    assert calls == [4]
     assert est.label == "SO(2)-circle"
     assert est.rank == 1
     assert abs(abs(ot.vec_skew(est.algebra_basis[0])[0]) - 1.0) <= 1e-14
