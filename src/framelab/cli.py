@@ -417,7 +417,6 @@ def build_parser():
         p.add_argument("--jobs", type=int,
                        default=int(os.environ.get("FRAMELAB_JOBS", "1")))
         p.add_argument("--out", default="out")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
         strict = p.add_mutually_exclusive_group()
         strict.add_argument("--strict", dest="strict", action="store_true", default=True)
         strict.add_argument("--no-strict", dest="strict", action="store_false")
@@ -464,12 +463,14 @@ def build_parser():
     common(p)
     p.add_argument("--region", default=None, help="name:lo:hi,...")
     p.add_argument("--samples", type=int, default=12)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_bound_report)
 
     p = sub.add_parser("gh", help="GH bounds between two metrics on one chart")
     common(p)
     p.add_argument("--region", default=None)
     p.add_argument("--samples", type=int, default=30)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=cmd_gh)
 
     p = sub.add_parser("experiment", help="named experiments")

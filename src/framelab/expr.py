@@ -467,43 +467,60 @@ def free_symbols(e):
 
 # ---------------------------------------------------------------------------
 # differentiation
+#
+# `_diff` and `_simplify` take a memo shared by one build of expressions
+# (the levels of metric partials one `derivative_fn` call adds, one
+# `compile_exprs` call).  It is keyed by node identity and holds the node,
+# so an id is not reused while the memo lives: shared subtrees are
+# differentiated (per variable) and simplified once.  A simplified node is
+# entered as its own simplification, which relies on `_simplify` being
+# idempotent and returning a simplified tree as the same object.
 
 def differentiate(e, var):
     """Exact partial derivative of e with respect to the symbol named var."""
     if isinstance(var, Sym):
         var = var.name
-    return simplify(_diff(e, var))
+    return _differentiate(e, var, {})
 
 
-def _diff(e, var):
+def _differentiate(e, var, memo):
+    return _simplify(_diff(e, var, memo), memo)
+
+
+def _diff(e, var, memo):
     t = type(e)
     if t is Num:
         return Num(Fraction(0))
     if t is Sym:
         return Num(Fraction(1)) if e.name == var else Num(Fraction(0))
+    key = (id(e), var)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit[1]
     if t is Add:
-        return Add(_diff(e.a, var), _diff(e.b, var))
-    if t is Sub:
-        return Sub(_diff(e.a, var), _diff(e.b, var))
-    if t is Neg:
-        return Neg(_diff(e.a, var))
-    if t is Mul:
-        return Add(Mul(_diff(e.a, var), e.b), Mul(e.a, _diff(e.b, var)))
-    if t is Div:
-        num = Sub(Mul(_diff(e.a, var), e.b), Mul(e.a, _diff(e.b, var)))
-        return Div(num, Pow(e.b, Num(Fraction(2))))
-    if t is Pow:
+        d = Add(_diff(e.a, var, memo), _diff(e.b, var, memo))
+    elif t is Sub:
+        d = Sub(_diff(e.a, var, memo), _diff(e.b, var, memo))
+    elif t is Neg:
+        d = Neg(_diff(e.a, var, memo))
+    elif t is Mul:
+        d = Add(Mul(_diff(e.a, var, memo), e.b), Mul(e.a, _diff(e.b, var, memo)))
+    elif t is Div:
+        num = Sub(Mul(_diff(e.a, var, memo), e.b), Mul(e.a, _diff(e.b, var, memo)))
+        d = Div(num, Pow(e.b, Num(Fraction(2))))
+    elif t is Pow:
         base, expo = e.a, e.b
         if not free_symbols(expo):
             # d(u^c) = c u^(c-1) u'
             c = expo
-            return Mul(Mul(c, Pow(base, Sub(c, Num(Fraction(1))))), _diff(base, var))
-        # general: u^v (v' ln u + v u'/u)
-        term = Add(Mul(_diff(expo, var), Call("log", base)),
-                   Div(Mul(expo, _diff(base, var)), base))
-        return Mul(e, term)
-    if t is Call:
-        inner = _diff(e.a, var)
+            d = Mul(Mul(c, Pow(base, Sub(c, Num(Fraction(1))))), _diff(base, var, memo))
+        else:
+            # general: u^v (v' ln u + v u'/u)
+            term = Add(Mul(_diff(expo, var, memo), Call("log", base)),
+                       Div(Mul(expo, _diff(base, var, memo)), base))
+            d = Mul(e, term)
+    elif t is Call:
+        inner = _diff(e.a, var, memo)
         fn = e.fn
         if fn == "sin":
             outer = Call("cos", e.a)
@@ -523,8 +540,11 @@ def _diff(e, var):
             outer = Num(Fraction(0))
         else:  # pragma: no cover
             raise ExprError(f"no derivative rule for {fn}")
-        return Mul(outer, inner)
-    raise TypeError(f"not an Expr: {e!r}")
+        d = Mul(outer, inner)
+    else:
+        raise TypeError(f"not an Expr: {e!r}")
+    memo[key] = (e, d)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -539,18 +559,44 @@ def _is_const(e, v):
 
 
 def simplify(e):
+    return _simplify(e, {})
+
+
+def _simplify(e, memo):
     t = type(e)
-    if t in (Num, Sym):
+    if t is Num or t is Sym:
         return e
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
+    if t is Neg or t is Call:
+        s = _fold(e, _simplify(e.a, memo))
+    else:
+        s = _fold(e, _simplify(e.a, memo), _simplify(e.b, memo))
+    memo[id(e)] = (e, s)
+    if s is not e:
+        memo[id(s)] = (s, s)
+    return s
+
+
+def _negate(a, e=None):
+    """-a for a simplified a; e, if given, is a Neg node whose operand
+    simplified to a."""
+    if _num(a):
+        return Num(-a.value)
+    if type(a) is Neg:
+        return a.a
+    return e if e is not None and a is e.a else Neg(a)
+
+
+def _fold(e, a, b=None):
+    """Node e simplified, given its operands simplified (b for a binary
+    node): e itself when no rule applies and its operands came back
+    unchanged."""
+    t = type(e)
     if t is Neg:
-        a = simplify(e.a)
-        if _num(a):
-            return Num(-a.value)
-        if type(a) is Neg:
-            return a.a
-        return Neg(a)
+        return _negate(a, e)
     if t is Call:
-        a = simplify(e.a)
         if _num(a) and e.fn == "sqrt" and isinstance(a.value, Fraction) and a.value >= 0:
             num_root = math.isqrt(a.value.numerator)
             den_root = math.isqrt(a.value.denominator)
@@ -564,9 +610,8 @@ def simplify(e):
             return Num(Fraction(1))
         if _is_const(a, 1) and e.fn == "log":
             return Num(Fraction(0))
-        return Call(e.fn, a)
-    a = simplify(e.a)
-    b = simplify(e.b)
+        return e if a is e.a else Call(e.fn, a)
+    same = a is e.a and b is e.b
     if t is Add:
         if _is_const(a, 0):
             return b
@@ -577,17 +622,17 @@ def simplify(e):
         pyth = _pythagorean(a, b)
         if pyth is not None:
             return pyth
-        return Add(a, b)
+        return e if same else Add(a, b)
     if t is Sub:
         if _is_const(b, 0):
             return a
         if _num(a) and _num(b):
             return Num(a.value - b.value)
         if _is_const(a, 0):
-            return simplify(Neg(b))
-        if _key(a) == _key(b):
+            return _negate(b)
+        if a is b or _key(a) == _key(b):
             return Num(Fraction(0))
-        return Sub(a, b)
+        return e if same else Sub(a, b)
     if t is Mul:
         if _is_const(a, 0) or _is_const(b, 0):
             return Num(Fraction(0))
@@ -598,10 +643,10 @@ def simplify(e):
         if _num(a) and _num(b):
             return Num(a.value * b.value)
         if _is_const(a, -1):
-            return simplify(Neg(b))
+            return _negate(b)
         if _is_const(b, -1):
-            return simplify(Neg(a))
-        return Mul(a, b)
+            return _negate(a)
+        return e if same else Mul(a, b)
     if t is Div:
         if _is_const(b, 1):
             return a
@@ -610,7 +655,7 @@ def simplify(e):
         if _num(a) and _num(b) and not _is_const(b, 0):
             if isinstance(a.value, Fraction) and isinstance(b.value, Fraction):
                 return Num(a.value / b.value)
-        return Div(a, b)
+        return e if same else Div(a, b)
     if t is Pow:
         if _is_const(b, 0):
             return Num(Fraction(1))
@@ -620,7 +665,7 @@ def simplify(e):
             p = b.value.numerator
             if isinstance(a.value, Fraction) and (p >= 0 or a.value != 0):
                 return Num(a.value ** p)
-        return Pow(a, b)
+        return e if same else Pow(a, b)
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -762,7 +807,8 @@ def compile_exprs(exprs, coords, params=None):
         key = f"_p_{pname}"
         names[pname] = key
         consts[key] = float(pval)
-    simplified = [simplify(e) for e in exprs]
+    memo = {}
+    simplified = [_simplify(e, memo) for e in exprs]
     src, outputs = _program(simplified, names)
     code = compile(src, "<compiled expressions>", "exec")
     # a stack fills one row per distinct output, then gathers all K

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class CorrespondenceError(ValueError):
 class FiniteMetricSpace:
     labels: list
     d: np.ndarray
-    basepoint: int = None
 
     def __post_init__(self):
         self.d = np.asarray(self.d, dtype=float)
@@ -72,7 +71,7 @@ class FiniteMetricSpace:
         return float(finite.max()) if finite.size else 0.0
 
     def rescaled(self, lam):
-        return FiniteMetricSpace(list(self.labels), self.d * float(lam), self.basepoint)
+        return FiniteMetricSpace(list(self.labels), self.d * float(lam))
 
     # -- serialization -----------------------------------------------------
 
@@ -92,7 +91,7 @@ class GraphLayout:
     points: np.ndarray          # (M, n) candidate points
     edges: np.ndarray           # (E, 2) indices
     chosen: np.ndarray          # (N,) indices into points
-    fill_radius: float = None
+    fill_radius: float = field(default=None, init=False)   # set with `chosen`
     edge_shifts: np.ndarray = None   # (E, n) period shifts of the edge target
 
 

@@ -13,7 +13,7 @@ that the metric components are invariant under that shift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class LoopSpec:
     segments: list
     closure_shift: np.ndarray = None
     descriptor: str = ""
-    length: float = None        # filled in under the length metric
+    length: float = field(default=None, init=False)   # filled in under the length metric
 
     def __post_init__(self):
         self.basepoint = np.asarray(self.basepoint, dtype=float)
@@ -97,7 +97,8 @@ class LoopSpec:
             segs.append(Segment(lambda t, s=seg: s.point(1.0 - t),
                                 lambda t, s=seg: -s.velocity(1.0 - t)))
         rev = LoopSpec(self.basepoint + self.closure_shift, segs,
-                       -self.closure_shift, self.descriptor + "^-1", self.length)
+                       -self.closure_shift, self.descriptor + "^-1")
+        rev.length = self.length
         return rev
 
     def compute_length(self, g: MetricSpec):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -71,6 +72,11 @@ def _shaped(vals, shape):
     return np.array(vals, dtype=float).reshape(shape)
 
 
+def _upper_pairs(n):
+    """The upper-triangle components (i, j), i <= j, in row-major order."""
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
+
 @dataclass(eq=False)
 class MetricSpec:
     dim: int
@@ -107,6 +113,8 @@ class MetricSpec:
         self._check_bindings()
         self._fn = None
         self._dfns = {}
+        self._levels = {0: {(): tuple(self.components[i][j]
+                                      for i, j in _upper_pairs(self.dim))}}
 
     # -- construction checks ------------------------------------------------
 
@@ -163,15 +171,30 @@ class MetricSpec:
         point = np.asarray(point, dtype=float)
         return _shaped(self._compiled()(point), (self.dim, self.dim))
 
+    def _level(self, order, memo):
+        """{sorted multi-index: the n(n+1)/2 upper-triangle partials} of
+        the given order, each the partial one order below differentiated by
+        the index's last coordinate.  Levels are kept; threads that race to
+        fill one build equal levels, and all get the first one stored."""
+        level = self._levels.get(order)
+        if level is None:
+            prev = self._level(order - 1, memo)
+            level = {idx: tuple(ex._differentiate(e, self.coords[idx[-1]], memo)
+                                for e in prev[idx[:-1]])
+                     for idx in combinations_with_replacement(range(self.dim), order)}
+            level = self._levels.setdefault(order, level)
+        return level
+
     def _derivative_exprs(self, order):
         """All order-th partials of the components, flat, in the order of
-        `derivative_fn`'s array."""
-        exprs = [self._flat()]
-        for _ in range(order):
-            # differentiate the whole previous level by each coord
-            exprs = [[ex.differentiate(e, c) for e in block]
-                     for block in exprs for c in self.coords]
-        return [e for block in exprs for e in block]
+        `derivative_fn`'s array: by reference to one partial per sorted
+        multi-index and upper-triangle component."""
+        level = self._level(order, {})
+        n = self.dim
+        slot = {pair: k for k, pair in enumerate(_upper_pairs(n))}
+        return [level[tuple(sorted(idx))][slot[min(i, j), max(i, j)]]
+                for idx in product(range(n), repeat=order)
+                for i in range(n) for j in range(n)]
 
     def derivative_fn(self, order):
         """Compiled evaluator of all order-th partials of the components.

@@ -42,14 +42,13 @@ class ONeillContext:
     g: MetricSpec
     gp: MetricSpec
     fp: FramePoint
-    chart: LiftedMetricChart = None
+    chart: LiftedMetricChart = field(init=False)
 
     def __post_init__(self):
         p = self.fp.base
         self.n = self.g.dim
         self.m = self.n * (self.n - 1) // 2
-        if self.chart is None:
-            self.chart = LiftedMetricChart(self.g, self.gp, self.fp)
+        self.chart = LiftedMetricChart(self.g, self.gp, self.fp)
         # the one Riemann jet of g and curvature-gradient jet of g' at p
         self.jet_g = riemann(self.g, p)
         self.grad_gp = curvature_gradient(self.gp, p)

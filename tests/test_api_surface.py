@@ -1,13 +1,14 @@
 """Every library option has a caller: each defaulted parameter of a public
-function or method in `src/framelab` is set, by keyword or by position, by
-some call in `src/` or `bench/`, unless it is one of the named exemptions
-below.  An option that nothing sets is a branch that only tests reach.
+function or method in `src/framelab`, and each defaulted field of a public
+dataclass, is set, by keyword or by position, by some call in `src/` or
+`bench/`, unless it is one of the named exemptions below.  An option that
+nothing sets is a branch that only tests reach.
 
 Calls are matched to definitions by the called name alone (`f(...)`,
 `mod.f(...)` and `obj.f(...)` all match every `def f`), a public class's
-`__init__` by the class name.  A call with `*args` sets every positional
-parameter, one with `**kwargs` every parameter.  `bench/` is read, never
-changed."""
+`__init__` and a public dataclass's fields by the class name.  A call with
+`*args` sets every positional parameter, one with `**kwargs` every
+parameter.  `bench/` is read, never changed."""
 
 import ast
 from pathlib import Path
@@ -72,9 +73,33 @@ def _defaulted(fn, is_method):
     return out
 
 
+def _is_dataclass(cls):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _init_false(value):
+    return (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id == "field"
+            and any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                    and k.value.value is False for k in value.keywords))
+
+
+def _defaulted_fields(cls):
+    """(field name, positional index) of each defaulted constructor field
+    of a dataclass; a field(init=False) is no constructor parameter."""
+    fields = [node for node in cls.body
+              if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+              and not _init_false(node.value)]
+    return [(node.target.id, i) for i, node in enumerate(fields) if node.value is not None]
+
+
 def _definitions():
     """(module, qualified name, called name, parameter, positional index)
-    for every defaulted parameter of a public function or method."""
+    for every defaulted parameter of a public function or method, and for
+    every defaulted field of a public dataclass (qualified by its class)."""
     out = []
     for path in SOURCES:
         mod = path.stem
@@ -82,6 +107,8 @@ def _definitions():
             if isinstance(node, ast.FunctionDef) and _is_public(node.name):
                 out += [(mod, node.name, node.name, p, i) for p, i in _defaulted(node, False)]
             elif isinstance(node, ast.ClassDef) and _is_public(node.name):
+                if _is_dataclass(node):
+                    out += [(mod, node.name, node.name, p, i) for p, i in _defaulted_fields(node)]
                 for fn in node.body:
                     if not isinstance(fn, ast.FunctionDef):
                         continue
@@ -98,12 +125,26 @@ def _definitions():
     return out
 
 
+def _self_attr(node):
+    """x for an argument `self.x`, else None."""
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "self"):
+        return node.attr
+    return None
+
+
 def _calls():
-    """called name -> list of (positional count, keyword names), with
-    count inf after *args and keyword names None after **kwargs."""
+    """called name -> list of (positional count, keyword names, copies),
+    with count inf after *args and keyword names None after **kwargs.
+    copies maps a position or keyword of a call to the enclosing class to
+    the `self.x` it passes: a copy such as `Space(..., self.basepoint)`
+    in a method of `Space` does not set the field."""
     out = {}
     for path in CALLERS:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        enclosing = {id(node): cls.name for cls in ast.walk(tree)
+                     if isinstance(cls, ast.ClassDef) for node in ast.walk(cls)}
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             f = node.func
@@ -116,16 +157,32 @@ def _calls():
             starred = any(isinstance(a, ast.Starred) for a in node.args)
             count = float("inf") if starred else len(node.args)
             keywords = {k.arg for k in node.keywords}
-            out.setdefault(name, []).append((count, None if None in keywords else keywords))
+            copies = {}
+            if enclosing.get(id(node)) == name:
+                for i, a in enumerate(node.args):
+                    if isinstance(a, ast.Starred):
+                        break
+                    copies[i] = _self_attr(a)
+                copies.update({k.arg: _self_attr(k.value) for k in node.keywords})
+            out.setdefault(name, []).append(
+                (count, None if None in keywords else keywords, copies))
     return out
+
+
+def _sets(call, param, index):
+    count, keywords, copies = call
+    if keywords is None:
+        return True
+    if index is not None and count > index:
+        return copies.get(index) != param
+    return param in keywords and copies.get(param) != param
 
 
 def _unset():
     calls = _calls()
     unset = []
     for mod, qualname, called, param, index in _definitions():
-        if not any((index is not None and count > index) or keywords is None or param in keywords
-                   for count, keywords in calls.get(called, [])):
+        if not any(_sets(call, param, index) for call in calls.get(called, [])):
             unset.append((mod, qualname, param))
     return unset
 
@@ -144,8 +201,12 @@ def test_every_exemption_is_still_needed():
 
 def test_the_scan_sees_positional_keyword_and_starred_calls():
     calls = _calls()
-    assert (3, {"rng", "refine_pairs"}) in calls["sample_space"]      # bench/ops.py
-    assert any(k is None for _, k in calls["builtin"])                # builtin(f, **params)
+    assert (3, {"rng", "refine_pairs"}, {}) in calls["sample_space"]  # bench/ops.py
+    assert any(k is None for _, k, _ in calls["builtin"])             # builtin(f, **params)
     defs = {(m, q, p): i for m, q, _, p, i in _definitions()}
     assert defs[("ghlab", "FiniteMetricSpace.validate", "tol")] == 0  # self is dropped
     assert ("cli", "main", "argv") in defs
+    # dataclass fields: a defaulted one by its place among the init fields
+    assert defs[("metric", "MetricSpec", "domain")] == 3
+    assert defs[("ghlab", "GraphLayout", "edge_shifts")] == 3
+    assert ("ghlab", "GraphLayout", "fill_radius") not in defs        # field(init=False)

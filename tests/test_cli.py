@@ -512,3 +512,15 @@ def test_only_gh_loads_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     assert seen == {"before": [], "after_gh": True}
+
+
+@pytest.mark.parametrize("argv", [
+    ["holonomy", "--metric", "builtin:eguchi-hanson", "--at", "2.2,1.3,0.8,1.1"],
+    ["curvature", "--metric", "builtin:round-sphere", "--at", "1.1,0.3"],
+    ["experiment", "canonical-recovery"],
+])
+def test_format_is_refused_where_nothing_reads_it(tmp_path, argv):
+    # only bound-report and gh write CSV tables
+    code, out = run(tmp_path, *argv, "--format", "csv")
+    assert code == 2
+    assert not out.exists()

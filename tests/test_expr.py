@@ -301,3 +301,51 @@ def test_shared_subtrees_are_emitted_once():
     assert len(temps) == len(set(temps)) <= 110
     # the 256 components of d2G take one return of locals and constants
     assert fn.source.count("\n") == len(temps) + 2
+
+
+# the premise of the memo that `differentiate`, `simplify` and
+# `compile_exprs` share within one build
+
+_LEAVES = st.one_of(
+    st.sampled_from([ex.Sym("x"), ex.Sym("y")]),
+    st.sampled_from([-1, 0, 1, 2, Fraction(1, 2)]).map(lambda v: ex.Num(Fraction(v))),
+    st.floats(-3.0, 3.0).map(ex.Num))
+
+#: exponents from a small set, so that folded constants stay small
+_EXPONENTS = st.sampled_from([ex.Num(Fraction(2)), ex.Num(Fraction(-1)),
+                              ex.Num(Fraction(1, 2)), ex.Sym("y")])
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(lambda op, a, b: op(a, b),
+                  st.sampled_from([ex.Add, ex.Sub, ex.Mul, ex.Div]), children, children),
+        st.builds(ex.Pow, children, _EXPONENTS),
+        st.builds(ex.Neg, children),
+        st.builds(ex.Call, st.sampled_from(ex._FUNCTIONS), children),
+        # one subtree object in two places, as a derivative tree shares them
+        children.map(lambda c: ex.Mul(c, ex.Add(c, ex.Sym("x")))))
+
+
+EXPRS = st.recursive(_LEAVES, _extend, max_leaves=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=EXPRS)
+def test_simplify_is_idempotent_and_keeps_a_simplified_tree(e):
+    s = ex.simplify(e)
+    assert ex._key(ex.simplify(s)) == ex._key(s)
+    assert ex.simplify(s) is s
+
+
+@settings(max_examples=200, deadline=None)
+@given(e=EXPRS)
+def test_memoized_and_fresh_derivatives_agree(e):
+    memo = {}
+    assert ex._key(ex._simplify(e, memo)) == ex._key(ex.simplify(e))
+    for var in ("x", "y"):
+        d = ex._differentiate(e, var, memo)
+        assert ex._key(d) == ex._key(ex.differentiate(e, var))
+        # a second order from the same memo, as a level of partials is built
+        assert ex._key(ex._differentiate(d, "x", memo)) == ex._key(
+            ex.differentiate(ex.differentiate(e, var), "x"))

@@ -1,4 +1,9 @@
+import importlib.util
+import itertools
 import math
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,3 +235,128 @@ def test_gmet_file_round_trip(tmp_path):
     back = mt.metric_from_uri(str(path))
     p = np.array([0.9, 0.4])
     assert np.abs(m.evaluate(p) - back.evaluate(p)).max() <= 1e-14
+
+
+# one derivative per sorted multi-index and upper-triangle component
+
+def _reference_derivative_exprs(m, order):
+    """Every order-th partial of every component, each differentiated on
+    its own in the order of its multi-index: the per-entry form that
+    `MetricSpec._derivative_exprs` replaced."""
+    exprs = [m._flat()]
+    for _ in range(order):
+        exprs = [[ex.differentiate(e, c) for e in block] for block in exprs for c in m.coords]
+    return [e for block in exprs for e in block]
+
+
+def _reference_derivative_fn(m, order):
+    fn = ex.compile_exprs(_reference_derivative_exprs(m, order), m.coords, m.params)
+    return lambda x: mt._shaped(fn(x), (m.dim,) * (order + 2))
+
+
+def _bench_gmet_bodies(seed, tmp_path):
+    """The n = 3 `.gmet` texts of the benchmark's oneill-direct inputs."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    ops = inputs.generate("oneill-direct", seed, tmp_path)["n3"]
+    return [Path(op[key]).read_text() for op in ops for key in ("metric", "metric2")]
+
+
+_BUILTINS = [
+    lambda: mt.flat_euclidean(3),
+    lambda: mt.flat_torus(2),
+    lambda: mt.round_sphere(),
+    lambda: mt.smoothed_cone(0.7, 0.15),
+    lambda: mt.exact_cone(0.7),
+    lambda: mt.eguchi_hanson(1.0),
+    lambda: mt.rescaled(mt.eguchi_hanson(1.0, r_max=32.0), 1.0 / 8),
+]
+
+#: a generic n = 3 chart: components that mix coordinates, each lower
+#: entry written differently from its upper twin
+GMET_MIXED = """dim 3; coords x y z;
+domain x in [0.0, 1.5]; domain y in [0.0, 1.5]; domain z in [0.0, 1.5];
+g = [[2 + 0.3*sin(x*y) + 0.1*z^2, 0.2*cos(x + y*z), 0.1*x*exp(-y*z)],
+     [0.2*cos(y*z + x), 2 + 0.2*x*y*z, 0.15*sin(x - z)*y],
+     [0.1*exp(-z*y)*x, 0.15*y*sin(x - z), 2 + 0.25*cos(x*z)*y]];
+"""
+
+
+def _check_bitwise(m):
+    X = np.array(m.sample_interior(np.random.default_rng(5), 20))
+    for order in (1, 2, 3):
+        got, want = m.derivative_fn(order), _reference_derivative_fn(m, order)
+        assert np.array_equal(got(X), want(X)), (m.name, order)
+        assert np.array_equal(got(X[3]), want(X[3])), (m.name, order)
+
+
+@pytest.mark.parametrize("factory", _BUILTINS)
+def test_derivative_arrays_are_the_per_entry_ones_bit_for_bit(factory):
+    _check_bitwise(factory())
+
+
+def test_bench_gmet_derivative_arrays_are_the_per_entry_ones_bit_for_bit(tmp_path):
+    bodies = _bench_gmet_bodies(101, tmp_path)
+    assert len(bodies) == 24
+    for body in bodies:
+        _check_bitwise(mt.parse_metric(body))
+
+
+def test_derivative_arrays_of_a_generic_chart_are_exactly_symmetric():
+    m = mt.parse_metric(GMET_MIXED)
+    X = np.array(m.sample_interior(np.random.default_rng(11), 20))
+    for order in (1, 2, 3):
+        D = m.derivative_fn(order)(X)
+        want = _reference_derivative_fn(m, order)(X)
+        assert np.all(np.abs(D - want) <= 1e-13 * (1 + np.abs(want)))
+        assert np.array_equal(D, np.swapaxes(D, -1, -2))
+        for perm in itertools.permutations(range(1, order + 1)):
+            axes = (0,) + perm + (order + 1, order + 2)
+            assert np.array_equal(D, D.transpose(axes))
+
+
+def test_each_order_is_differentiated_once(monkeypatch):
+    calls = []
+    differentiate = ex._differentiate
+    monkeypatch.setattr(ex, "_differentiate",
+                        lambda e, var, memo: calls.append(var) or differentiate(e, var, memo))
+    m = mt.eguchi_hanson(1.0)
+    m.derivative_fn(1)
+    m.derivative_fn(2)
+    before = len(calls)
+    m.derivative_fn(3)
+    # only the third level: C(n + 2, 3) sorted multi-indices, n(n+1)/2 components
+    assert len(calls) - before == 20 * 10
+    m.derivative_fn(3)
+    m._derivative_exprs(3)
+    assert len(calls) - before == 20 * 10
+    assert len(calls) == (4 + 10 + 20) * 10
+
+
+def test_threads_that_race_to_build_a_level_get_one_level():
+    m = mt.parse_metric(GMET_MIXED)
+    barrier = threading.Barrier(4, timeout=60)
+    results = [None] * 4
+
+    def build(k):
+        barrier.wait()
+        results[k] = m._derivative_exprs(3)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(r) == 3 ** 5 for r in results)
+    # every thread returns the level stored first, and no level is replaced
+    assert all(a is b for r in results[1:] for a, b in zip(results[0], r))
+    stored = {id(e) for entries in m._levels[3].values() for e in entries}
+    assert {id(e) for e in results[0]} == stored
