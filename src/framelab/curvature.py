@@ -481,9 +481,9 @@ def _dormand_prince(rhs, y0, t_final, rtol, atol, dense, controlled):
     errors {row of Y: exception} for rows whose evaluation failed; such a
     row, or one whose step size underflows, ends with that exception while
     the others go on.  Each row's arithmetic is elementwise or its own
-    reduction, so a row's result does not depend on the stack.  With
-    dense > 0 each accepted step also evaluates the three extra stages, and
-    each row gets the interpolant of its first `dense` state components.
+    reduction, so a row's result does not depend on the stack.  When
+    dense, each accepted step also evaluates the three extra stages, and
+    each row gets the interpolant of its whole state.
     Returns (per row a Trajectory or an exception, per-row nfev)."""
     B, d = y0.shape
     c = controlled
@@ -563,10 +563,10 @@ def _dormand_prince(rhs, y0, t_final, rtol, atol, dense, controlled):
                 Kd[s] = evaluate(rows[idx], yd + _combine(_A[s], Kd) * hd, kept)
             alive[idx[~kept]] = False
             done = accept & alive
-            # scipy's Dop853DenseOutput coefficients of the first `dense` components
-            Kd, yd, hd = Kd[:, kept, :dense], yd[kept, :dense], hd[kept]
-            dy = y_new[done, :dense] - yd
-            F = np.empty((len(dy), 7, dense))
+            # scipy's Dop853DenseOutput coefficients
+            Kd, yd, hd = Kd[:, kept], yd[kept], hd[kept]
+            dy = y_new[done] - yd
+            F = np.empty((len(dy), 7, d))
             F[:, 0] = dy
             F[:, 1] = hd * Kd[0] - dy
             F[:, 2] = 2 * dy - hd * (Kd[12] + Kd[0])
@@ -602,7 +602,7 @@ def _dormand_prince(rhs, y0, t_final, rtol, atol, dense, controlled):
         ys = np.concatenate([y0[r:r + 1], all_y[sl]])
         # a copy of the row's coefficients: a kept row holds no other row's
         out[r] = Trajectory(ts, ys.T, int(nfev[r]),
-                            _DenseOutput(ts, ys[:, :dense], all_F[sl].copy()) if dense else None)
+                            _DenseOutput(ts, ys, all_F[sl].copy()) if dense else None)
     return out, nfev
 
 
@@ -707,8 +707,8 @@ def geodesic_ivp(m: MetricSpec, p, v, t_final, dense=True, rtol=ODE_RTOL, atol=O
 
     p and v are one point and velocity (n,), or stacks (B, n) integrated in
     lockstep, each row with its own step control.  One row returns a
-    `Trajectory` (y[:, -1] is the end state, sol(t) the dense interpolant
-    of (x, v) when dense) or raises: the ExprEvalError or LinAlgError of its
+    `Trajectory` (y[:, -1] is the end state, sol(t) the interpolant of the
+    state when dense) or raises: the ExprEvalError or LinAlgError of its
     right-hand side, or RuntimeError when its step size underflows.  A
     stack returns a `TrajectoryStack`, in which a failed row holds that
     exception and fails alone; every row is bitwise its single-row result.
@@ -719,7 +719,7 @@ def geodesic_ivp(m: MetricSpec, p, v, t_final, dense=True, rtol=ODE_RTOL, atol=O
     K' = -dGamma(x)[J](v, v) - 2 Gamma(x)(v, K).  rtol and atol apply to
     (x, v) only: the step control reads the geodesic, and J and K ride
     along on its steps, so t and the (x, v) rows are bitwise those of
-    variational=False.  The interpolant still covers only (x, v).
+    variational=False, and so is the (x, v) part of the interpolant.
     """
     if not t_final > 0:
         raise ValueError(f"geodesic_ivp integrates forward: t_final = {t_final}")
@@ -733,7 +733,7 @@ def geodesic_ivp(m: MetricSpec, p, v, t_final, dense=True, rtol=ODE_RTOL, atol=O
         y0 = np.concatenate([y0, np.zeros((B, n * n)), np.tile(np.eye(n).ravel(), (B, 1))],
                             axis=1)
     rows, nfev = _dormand_prince(_geodesic_rhs(_GammaCache(m, variational), variational),
-                                 y0, float(t_final), rtol, atol, 2 * n if dense else 0, 2 * n)
+                                 y0, float(t_final), rtol, atol, dense, 2 * n)
     if p.ndim == 1 and v.ndim == 1:
         if isinstance(rows[0], Exception):
             raise rows[0]
@@ -744,8 +744,7 @@ def geodesic_ivp(m: MetricSpec, p, v, t_final, dense=True, rtol=ODE_RTOL, atol=O
 def _first_domain_exit(m, sol, t_final, samples=200):
     ts = np.linspace(0.0, t_final, samples)
     X = sol.sol(ts)[:m.dim].T
-    lo, hi = np.array(m.domain).T
-    out = ((X < lo - DOMAIN_TOL) | (X > hi + DOMAIN_TOL)).any(axis=1)
+    out = ~m.in_domain(X, tol=DOMAIN_TOL)
     if not out.any():
         return None
     k = int(np.argmax(out))
@@ -783,7 +782,7 @@ def geodesic_energy_drift(m: MetricSpec, sol, t_final, samples=20):
 
 
 def geodesic_between(m: MetricSpec, p, q, tol=1e-10, max_iter=12,
-                     rtol=1e-10, atol=1e-10, dense=False):
+                     rtol=1e-10, atol=1e-10):
     """Two-point geodesics by shooting, exp_p(v) = q.
 
     Newton's method on v -> exp_p(v) - q; each step takes one integration
@@ -798,22 +797,22 @@ def geodesic_between(m: MetricSpec, p, q, tol=1e-10, max_iter=12,
     every pair in lockstep, one stacked integration per Newton pass over
     the rows still open, and return (V, lengths, reasons): reasons[k] is
     None or the message the single pair would raise, and failed rows have
-    NaN in V and lengths.  Row k is bitwise the single-pair result.  With
-    dense=True the result gains one more item, each converged shot's last
-    integration (a `Trajectory` with its interpolant of (x, v); None for
-    failures).
+    NaN in V and lengths.  Row k is bitwise the single-pair result.  A
+    shot carries no interpolant; since the step control reads (x, v) only,
+    `geodesic_ivp(m, p, v, 1.0, rtol=rtol, atol=atol)` from a converged v
+    gives the shot's own path bit for bit, with its interpolant.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     P, Q = np.broadcast_arrays(np.atleast_2d(p), np.atleast_2d(q))
     V = np.array(Q - P, dtype=float)
     B, n = P.shape
-    reasons, causes, paths = [None] * B, [None] * B, [None] * B
+    reasons, causes = [None] * B, [None] * B
     todo = np.arange(B)
     for _ in range(max_iter):
         if not len(todo):
             break
-        shots = geodesic_ivp(m, P[todo], V[todo], 1.0, dense=dense, rtol=rtol, atol=atol,
+        shots = geodesic_ivp(m, P[todo], V[todo], 1.0, dense=False, rtol=rtol, atol=atol,
                              variational=True).rows
         still = []
         for k, shot in zip(todo, shots):
@@ -825,7 +824,6 @@ def geodesic_between(m: MetricSpec, p, q, tol=1e-10, max_iter=12,
             end = shot.y[:, -1]
             err = end[:n] - Q[k]
             if np.linalg.norm(err) < tol:
-                paths[k] = shot
                 continue
             J = end[2 * n:2 * n + n * n].reshape(n, n)
             try:
@@ -835,7 +833,6 @@ def geodesic_between(m: MetricSpec, p, q, tol=1e-10, max_iter=12,
                 continue
             V[k] = V[k] - step
             still.append(k)
-        del shots           # only the converged rows' paths outlive their pass
         todo = np.array(still, dtype=int)
     for k in todo:
         reasons[k] = f"shooting failed to converge for {P[k]} -> {Q[k]}"
@@ -848,10 +845,7 @@ def geodesic_between(m: MetricSpec, p, q, tol=1e-10, max_iter=12,
     single = p.ndim == 1 and q.ndim == 1
     if single and reasons[0] is not None:
         raise RuntimeError(reasons[0]) from causes[0]
-    out = (V[0], float(lengths[0])) if single else (V, lengths, reasons)
-    if dense:
-        out += (paths[0] if single else paths,)
-    return out
+    return (V[0], float(lengths[0])) if single else (V, lengths, reasons)
 
 
 #: 8-point Gauss-Legendre rule on [-1, 1], the panel rule of curve_length

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import holonomy as hl
 from . import ortho
-from .curvature import _OFF_CHART_ERRORS, curve_length, geodesic_between
+from .curvature import _OFF_CHART_ERRORS, curve_length, geodesic_between, geodesic_ivp
 from .metric import MetricSpec, smoothed_cone
 
 TRIANGLE_TOL = 1e-9
@@ -237,17 +237,15 @@ def sample_space(m: MetricSpec, region, count, rng=None, layout: GraphLayout = N
 
 
 def _geodesic_stays_inside(m, path, samples=24):
-    """Whether the shot's own integration, read off its interpolant at
+    """Whether a geodesic `Trajectory`, read off its interpolant at
     `samples` times, stays in the chart (up to wrapping periodic axes)."""
     X = path.sol(np.linspace(0.0, 1.0, samples))[:m.dim].T
-    return all(m.in_domain(x, tol=1e-9, wrap=True) for x in X)
+    return bool(m.in_domain(X, tol=1e-9, wrap=True).all())
 
 
 def _chord_admissible(m, a, b, samples=12):
-    for t in np.linspace(0.0, 1.0, samples):
-        if not m.in_domain(a + t * (b - a), tol=1e-12, wrap=True):
-            return False
-    return True
+    t = np.linspace(0.0, 1.0, samples)[:, None]
+    return bool(m.in_domain(a + t * (b - a), tol=1e-12, wrap=True).all())
 
 
 def _is_flat_on(m, pts, rng, probes=5):
@@ -295,13 +293,20 @@ def _refine_pair_distances(m, pts, d_graph, rng):
                  if not (chord[i, j] <= d[i, j] * (1 + 1e-6)
                          and not chord[i, j] < d[i, j] * (1 - 5e-3))]
         if pairs:
-            _, lengths, reasons, paths = geodesic_between(
-                m, pts[[i for i, _ in pairs]], np.array([rep[ij] for ij in pairs]),
-                rtol=1e-7, atol=1e-9, tol=1e-7, max_iter=8, dense=True)
-            for (i, j), length, reason, path in zip(pairs, lengths, reasons, paths):
-                if (reason is None and length < improved[i, j] - 1e-9
-                        and _geodesic_stays_inside(m, path)):
-                    improved[i, j] = improved[j, i] = length
+            P = pts[[i for i, _ in pairs]]
+            V, lengths, reasons = geodesic_between(
+                m, P, np.array([rep[ij] for ij in pairs]),
+                rtol=1e-7, atol=1e-9, tol=1e-7, max_iter=8)
+            # the shots that would replace a distance, integrated once more
+            # as plain geodesics: bitwise the shots' own paths
+            rows = [k for k, (i, j) in enumerate(pairs)
+                    if reasons[k] is None and lengths[k] < improved[i, j] - 1e-9]
+            if rows:
+                paths = geodesic_ivp(m, P[rows], V[rows], 1.0, rtol=1e-7, atol=1e-9).rows
+                for k, path in zip(rows, paths):
+                    if not isinstance(path, Exception) and _geodesic_stays_inside(m, path):
+                        i, j = pairs[k]
+                        improved[i, j] = improved[j, i] = lengths[k]
     # re-run the metric closure so shortcuts propagate through triangles
     d = improved
     for k in range(n):
@@ -674,7 +679,7 @@ def eguchi_hanson_experiment(lams=(4.0, 16.0, 64.0), seed=0, gh_count=20,
         loops = hl.plaquette_loops(bp, 0.2, 4) + hl.plaquette_loops(bp, 0.35, 4)
         samples = hl.holonomy_samples(m, loops, m, word_length=2)
         max_len = max(s.loop_length for s in samples)
-        est = ortho.classify_subgroup([(s.element, s.loop_length) for s in samples])
+        est = ortho.classify_subgroup([s.element for s in samples])
         ladder.append({"lambda": float(lam), "max_length": float(max_len),
                        "label": est.label,
                        "chirality_residual": float(min(

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ortho
 from .curvature import (_OFF_CHART_ERRORS, DOMAIN_TOL, DomainExitError, assemble_gamma_jet,
-                        curve_length, exp_map, geodesic_between)
+                        curve_length, exp_map, geodesic_between, geodesic_ivp)
 from .metric import MetricSpec
 
 CLOSURE_TOL = 1e-10
@@ -90,16 +90,6 @@ class LoopSpec:
             raise ValueError(f"loop is not closed: endpoint gap {gap:.3e}")
         if np.abs(start - self.basepoint).max() > CLOSURE_TOL:
             raise ValueError("loop does not start at its basepoint")
-
-    def reversed(self):
-        segs = []
-        for seg in reversed(self.segments):
-            segs.append(Segment(lambda t, s=seg: s.point(1.0 - t),
-                                lambda t, s=seg: -s.velocity(1.0 - t)))
-        rev = LoopSpec(self.basepoint + self.closure_shift, segs,
-                       -self.closure_shift, self.descriptor + "^-1")
-        rev.length = self.length
-        return rev
 
     def compute_length(self, g: MetricSpec):
         total = 0.0
@@ -208,9 +198,7 @@ def _connection_at(conn: MetricSpec, segments, s):
     DomainExitError at the first such node in curve order."""
     X = np.concatenate([seg.point(s) for seg in segments])
     V = np.concatenate([seg.velocity(s) for seg in segments])
-    lo, hi = np.array(conn.domain).T
-    W = conn.wrap_point(X)
-    bad = ((W < lo - DOMAIN_TOL) | (W > hi + DOMAIN_TOL)).any(axis=1)
+    bad = ~conn.in_domain(X, tol=DOMAIN_TOL, wrap=True)
     G = conn.evaluate(X)
     dG = conn.derivative_fn(1)(X)
     bad |= ~(np.isfinite(G).all(axis=(1, 2)) & np.isfinite(dG).all(axis=(1, 2, 3)))
@@ -445,8 +433,10 @@ def fiber_distance(samples, e, e_prime):
 def geodesic_triangle_loops(m: MetricSpec, basepoint, scale, count, rng,
                             max_tries=None):
     """Closed geodesic triangles through the basepoint: two vertices from
-    one stacked exp_map with random directions, the three sides from one
-    stacked two-point shooting, each side the converged shot's interpolant."""
+    one stacked exp_map with random directions, the three sides' velocities
+    from one stacked two-point shooting, and the sides themselves from one
+    stacked plain integration of those velocities, the shots' own paths.  A
+    vertex, shot or side that fails makes the try a failed one."""
     p = np.asarray(basepoint, dtype=float)
     n = m.dim
     G = m.check_spd(p)
@@ -460,11 +450,13 @@ def geodesic_triangle_loops(m: MetricSpec, basepoint, scale, count, rng,
             a, b = exp_map(m, p, [d / math.sqrt(d @ G @ d) * scale for d in dirs], 1.0)
         except _OFF_CHART_ERRORS:
             continue
-        _, lengths, reasons, paths = geodesic_between(m, [p, a, b], [a, b, p], rtol=1e-9,
-                                                      atol=1e-9, dense=True)
+        V, lengths, reasons = geodesic_between(m, [p, a, b], [a, b, p], rtol=1e-9, atol=1e-9)
         if any(reasons):
             continue
-        loop = LoopSpec(p, [_path_segment(path, n) for path in paths], None,
+        sides = geodesic_ivp(m, np.array([p, a, b]), V, 1.0, rtol=1e-9, atol=1e-9).rows
+        if any(isinstance(side, Exception) for side in sides):
+            continue
+        loop = LoopSpec(p, [_path_segment(side, n) for side in sides], None,
                         f"geo-triangle#{len(loops)}")
         loop.length = float(lengths.sum())
         loops.append(loop)
@@ -529,12 +521,12 @@ def estimate_H0(members) -> H0Report:
         kept = [s for s in mem.samples if s.loop_length <= cut]
         if not kept:
             kept = [HolonomySample(np.eye(len(mem.samples[0].element)), 0.0, "constant")]
-        est = ortho.classify_subgroup([(s.element, s.loop_length) for s in kept])
+        est = ortho.classify_subgroup([s.element for s in kept])
         per_scale.append((mem.scale, est.label, len(kept), cut))
         kept_all = kept
     labels = [row[1] for row in per_scale]
     stabilized = len(labels) >= 3 and len(set(labels[-3:])) == 1
-    final = ortho.classify_subgroup([(s.element, s.loop_length) for s in kept_all])
+    final = ortho.classify_subgroup([s.element for s in kept_all])
     if not stabilized:
         final = ortho.SubgroupEstimate("other", final.n, final.rank,
                                        final.algebra_basis, final.finite_generators,

@@ -228,13 +228,15 @@ class MetricSpec:
         return q
 
     def in_domain(self, point, tol=0.0, wrap=False):
+        """Whether a point (n,) lies in the domain widened by tol, or for a
+        stack (B, n) whether each row does, periodic coordinates wrapped
+        first if asked; a NaN coordinate is not outside."""
         point = np.asarray(point, dtype=float)
         if wrap:
             point = self.wrap_point(point)
-        for x, (lo, hi) in zip(point, self.domain):
-            if x < lo - tol or x > hi + tol:
-                return False
-        return True
+        lo, hi = np.array(self.domain, dtype=float).T
+        outside = ((point < lo - tol) | (point > hi + tol)).any(axis=-1)
+        return ~outside if point.ndim == 2 else not outside
 
     def check_spd(self, point):
         """Raise NotSPDError unless the metric is usably SPD at the point."""

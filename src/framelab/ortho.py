@@ -340,20 +340,17 @@ def _bracket_residual(basis_mats):
     return worst
 
 
-def classify_subgroup(samples) -> SubgroupEstimate:
-    """Estimate the subgroup of O(n) generated by holonomy samples.
-
-    samples: iterable of (GroupElement, weight); the weight usually carries
-    the loop length and is not used here beyond being recorded.  The
-    algebra is spanned by the principal logs of the samples within
-    NEAR_IDENTITY of I.  Every one has a log: a rotation angle at or above
-    pi - LOG_ANGLE_TOL gives d_b >= sqrt(2) (pi - LOG_ANGLE_TOL) >
-    NEAR_IDENTITY.
+def classify_subgroup(elements) -> SubgroupEstimate:
+    """Estimate the subgroup of O(n) generated by holonomy elements, a
+    stack (k, n, n) or a list of (n, n) matrices.  The algebra is spanned
+    by the principal logs of the elements within NEAR_IDENTITY of I.  Every
+    one has a log: a rotation angle at or above pi - LOG_ANGLE_TOL gives
+    d_b >= sqrt(2) (pi - LOG_ANGLE_TOL) > NEAR_IDENTITY.
     """
-    samples = list(samples)
-    if not samples:
+    mats = np.asarray(elements, dtype=float)
+    if not len(mats):
         raise ValueError("empty sample set")
-    mats = check_orthogonal(np.array([a for a, _ in samples], dtype=float))
+    mats = check_orthogonal(mats)
     n = mats.shape[-1]
     m_dim = n * (n - 1) // 2
 

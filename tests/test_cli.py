@@ -1,9 +1,12 @@
+import argparse
+import ast
 import json
 import math
 from pathlib import Path
 
 import pytest
 
+from framelab import cli
 from framelab import ghlab as gh
 from framelab.cli import main
 
@@ -522,5 +525,98 @@ def test_only_gh_loads_scipy(tmp_path):
 def test_format_is_refused_where_nothing_reads_it(tmp_path, argv):
     # only bound-report and gh write CSV tables
     code, out = run(tmp_path, *argv, "--format", "csv")
+    assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("strict,code", [("--strict", 4), ("--no-strict", 0)])
+def test_parse_check_round_trip_mismatch_obeys_strict(tmp_path, monkeypatch, strict, code):
+    """A canonical text that parses to another metric fails the round trip:
+    an invariant violation under --strict, a recorded `ok: false` under
+    --no-strict."""
+    from framelab import metric as mt
+    monkeypatch.setattr(mt, "print_metric",
+                        lambda m: "dim 2; coords x1 x2; g = [[1.5, 0], [0, 1]];")
+    got, out = run(tmp_path, "parse-check", "--metric", "builtin:flat-euclidean", strict)
+    assert got == code
+    assert load(out, "parse-check")["result"]["ok"] is False
+
+
+# ---------------------------------------------------------------------------
+# every option of a command is read by it
+
+CLI_FUNCTIONS = {node.name: node for node in ast.parse(Path(cli.__file__).read_text()).body
+                 if isinstance(node, ast.FunctionDef)}
+
+#: option dest -> why a command may leave it unread
+UNREAD_EXEMPT = {
+    "jobs": "bench/ops.py passes --jobs 1 to every command it runs; ROADMAP item 7 "
+            "removes the option together with that benchmark edit",
+}
+
+
+def _reads(name, param="args", seen=None):
+    """The attributes read as `param.<attr>` in the cli function `name`,
+    and in every cli function it passes `param` to, there under that
+    function's own parameter name."""
+    seen = set() if seen is None else seen
+    if (name, param) in seen:
+        return set()
+    seen.add((name, param))
+    out = set()
+    for node in ast.walk(CLI_FUNCTIONS[name]):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == param):
+            out.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in CLI_FUNCTIONS):
+            callee = [a.arg for a in CLI_FUNCTIONS[node.func.id].args.args]
+            passed = [(callee[i], a) for i, a in enumerate(node.args)]
+            passed += [(k.arg, k.value) for k in node.keywords]
+            for to, value in passed:
+                if isinstance(value, ast.Name) and value.id == param:
+                    out |= _reads(node.func.id, to, seen)
+    return out
+
+
+def _unread():
+    """(subcommand, dest) of each option that its command does not read."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    out = []
+    for command, parser in sub.choices.items():
+        read = _reads(parser.get_default("func").__name__)
+        out += [(command, a.dest) for a in parser._actions
+                if a.dest != "help" and a.dest not in read]
+    return out
+
+
+def test_every_cli_option_is_read_by_its_command():
+    unread = [(c, d) for c, d in _unread() if d not in UNREAD_EXEMPT]
+    assert not unread, f"options that their command never reads: {unread}"
+
+
+def test_every_cli_exemption_is_still_needed():
+    assert {d for _, d in _unread()} == set(UNREAD_EXEMPT)
+
+
+def test_the_option_scan_follows_args_into_helpers():
+    # --at through _basepoint(args, m), --out through _write_artifact
+    assert {"at", "metric", "metric2", "out"} <= _reads("cmd_curvature")
+    assert "seed" not in _reads("cmd_curvature")
+    assert {"samples", "seed", "name"} <= _reads("cmd_experiment")
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--metric", "builtin:round-sphere", "--at", "1.1,0.3", "--seed", "1"],
+    ["curvature", "--metric", "builtin:round-sphere", "--at", "1.1,0.3", "--no-strict"],
+    ["lift", "--metric", "builtin:round-sphere", "--at", "1.1,0.3", "--seed", "1"],
+    ["holonomy", *CONE_AT, "--loops", "0", "--strict"],
+    ["fiber-dist", *CONE_AT, "--loops", "0", "--seed", "1"],
+    ["fiber-dist", *CONE_AT, "--loops", "0", "--no-strict"],
+    ["parse-check", "--metric", "builtin:round-sphere", "--metric2", "builtin:round-sphere"],
+])
+def test_options_a_command_does_not_read_are_refused(tmp_path, argv):
+    code, out = run(tmp_path, *argv)
     assert code == 2
     assert not out.exists()

@@ -371,9 +371,9 @@ def test_stepper_matches_scipy_dop853(name, p, v, variational, sphere, eh):
     assert np.abs(got.y[:, -1] - want.y[:, -1]).max() <= 1e-9 * scale
     assert got.nfev == want.nfev
     assert np.array_equal(got.t.shape, want.t.shape)
-    # the interpolant covers the geodesic part (x, v) of the state
+    # the interpolant covers the whole state
     ts = np.linspace(0.0, 1.0, 7)
-    assert np.abs(got.sol(ts) - want.sol(ts)[:2 * n]).max() <= 1e-9 * scale
+    assert np.abs(got.sol(ts) - want.sol(ts)).max() <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("dense", [False, True])
@@ -389,7 +389,7 @@ def test_a_shots_steps_are_its_geodesics_steps(name, p, v, dense, sphere, eh):
     assert np.array_equal(shot.y[:2 * n], plain.y)
     if dense:
         ts = np.linspace(0.0, 1.0, 7)
-        assert np.array_equal(shot.sol(ts), plain.sol(ts))
+        assert np.array_equal(shot.sol(ts)[:2 * n], plain.sol(ts))
 
 
 def _cone_and_eh_pairs():
@@ -435,6 +435,25 @@ def test_stacked_shots_are_their_single_pair_shots():
                 continue
             assert reasons[k] is None
             assert np.array_equal(V[k], v) and lengths[k] == length
+
+
+def test_a_converged_shots_plain_path_is_its_variational_path():
+    """At the refine tolerances, the plain dense integration from each
+    converged shot's velocity interpolates, at 24 times, bitwise what the
+    variational dense integration of that velocity interpolates for (x, v):
+    the path a dense shot once carried."""
+    ts = np.linspace(0.0, 1.0, 24)
+    for m, P, Q in _cone_and_eh_pairs():
+        n = m.dim
+        V, _, reasons = cv.geodesic_between(m, P, Q, rtol=1e-7, atol=1e-9, tol=1e-7,
+                                            max_iter=8)
+        rows = [k for k, reason in enumerate(reasons) if reason is None]
+        assert rows
+        plain = cv.geodesic_ivp(m, P[rows], V[rows], 1.0, rtol=1e-7, atol=1e-9).rows
+        shots = cv.geodesic_ivp(m, P[rows], V[rows], 1.0, rtol=1e-7, atol=1e-9,
+                                variational=True).rows
+        for path, shot in zip(plain, shots):
+            assert np.array_equal(path.sol(ts), shot.sol(ts)[:2 * n])
 
 
 def test_a_row_that_leaves_the_chart_fails_alone():
@@ -485,18 +504,18 @@ def test_a_row_whose_extra_stage_fails_fails_alone():
 
     # the step control reads u only, so every row takes the same steps
     y0 = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    (free,), _ = cv._dormand_prince(rhs_failing_in(2.0, 2.0), y0[:1], 1.0, 1e-10, 1e-10, 2, 1)
+    (free,), _ = cv._dormand_prince(rhs_failing_in(2.0, 2.0), y0[:1], 1.0, 1e-10, 1e-10, True, 1)
     # a band around the last step's last extra-stage node, c = 7/9, which no
     # other stage of any step reaches
     t0, h = free.t[-2], free.t[-1] - free.t[-2]
     rhs = rhs_failing_in(t0 + (7 / 9 - 1e-6) * h, t0 + (7 / 9 + 1e-6) * h)
-    stack, _ = cv._dormand_prince(rhs, y0, 1.0, 1e-10, 1e-10, 2, 1)
-    (one,), _ = cv._dormand_prince(rhs, y0[1:2], 1.0, 1e-10, 1e-10, 2, 1)
+    stack, _ = cv._dormand_prince(rhs, y0, 1.0, 1e-10, 1e-10, True, 1)
+    (one,), _ = cv._dormand_prince(rhs, y0[1:2], 1.0, 1e-10, 1e-10, True, 1)
     assert isinstance(stack[1], RuntimeError) and str(stack[1]) == str(one)
     for k in (0, 2):
         assert np.array_equal(stack[k].t, free.t) and np.array_equal(stack[k].y, free.y)
     # without dense output the row never evaluates that stage
-    (plain,), _ = cv._dormand_prince(rhs, y0[1:2], 1.0, 1e-10, 1e-10, 0, 1)
+    (plain,), _ = cv._dormand_prince(rhs, y0[1:2], 1.0, 1e-10, 1e-10, False, 1)
     assert np.array_equal(plain.t, free.t)
 
 

@@ -86,45 +86,62 @@ def test_programming_errors_in_shots_propagate(refine, monkeypatch):
 
 def test_errors_in_the_inside_check_propagate(monkeypatch):
     """A fault in the check that an accepted shot stays in the chart, here
-    in reading its interpolant, propagates; a check that caught every
-    exception once read as "leaves the chart" and left distances up to 17%
-    long."""
-    original = cv.geodesic_ivp
+    in reading the interpolant of its plain integration, propagates; a
+    check that caught every exception once read as "leaves the chart" and
+    left distances up to 17% long."""
+    original = gh.geodesic_ivp
 
     def broken_path(t):
         raise TypeError("broken interpolant")
 
-    def shots(*args, **kwargs):
+    def paths(*args, **kwargs):
         out = original(*args, **kwargs)
         for row in out.rows:
             if isinstance(row, cv.Trajectory):
                 row.sol = broken_path
         return out
 
-    monkeypatch.setattr(cv, "geodesic_ivp", shots)
+    monkeypatch.setattr(gh, "geodesic_ivp", paths)
     with pytest.raises(TypeError, match="broken interpolant"):
         gh.sample_space(mt.exact_cone(0.7), [(0.3, 1.6), (0.0, 2 * math.pi)], 10,
                         rng=np.random.default_rng(2), refine_pairs=True)
 
 
 def test_pairs_are_shot_in_one_stack(monkeypatch):
-    """The refined pairs of a sample are one stacked shot, checked for
-    staying in the chart on that shot's own interpolant."""
-    calls = []
+    """The refined pairs of a sample are one stacked shot without
+    interpolants; the converged rows that would replace a distance are
+    integrated once more, as one stack of plain dense geodesics, and
+    checked for staying in the chart on those paths."""
+    shots = []
     original = gh.geodesic_between
 
     def counted(m, p, q, *args, **kwargs):
-        calls.append(len(p))
-        return original(m, p, q, *args, **kwargs)
+        shots.append((p, original(m, p, q, *args, **kwargs)))
+        return shots[-1][1]
 
     monkeypatch.setattr(gh, "geodesic_between", counted)
-    ivp = []
+    passes = []
     original_ivp = cv.geodesic_ivp
-    monkeypatch.setattr(cv, "geodesic_ivp", lambda *a, **k: ivp.append(k) or original_ivp(*a, **k))
+    monkeypatch.setattr(cv, "geodesic_ivp",
+                        lambda *a, **k: passes.append(k) or original_ivp(*a, **k))
+    paths = []
+    original_paths = gh.geodesic_ivp
+    monkeypatch.setattr(gh, "geodesic_ivp",
+                        lambda m, p, v, *a, **k: paths.append((p, v, k))
+                        or original_paths(m, p, v, *a, **k))
     gh.sample_space(mt.exact_cone(0.7), [(0.3, 1.6), (0.0, 2 * math.pi)], 8,
                     rng=np.random.default_rng(2), refine_pairs=True)
-    assert len(calls) == 1 and calls[0] > 1
-    assert ivp and all(k["variational"] and k["dense"] for k in ivp)
+    assert len(shots) == 1 and len(shots[0][0]) > 1
+    assert passes and all(k["variational"] and not k["dense"] for k in passes)
+    # one plain call with the default dense output, on converged shots only
+    (P, V, kwargs), = paths
+    assert kwargs == {"rtol": 1e-7, "atol": 1e-9}
+    shot_P, (shot_V, _, reasons) = shots[0]
+    converged = [k for k, reason in enumerate(reasons) if reason is None]
+    assert 0 < len(P) <= len(converged)
+    for p, v in zip(P, V):
+        assert any(np.array_equal(p, shot_P[k]) and np.array_equal(v, shot_V[k])
+                   for k in converged)
 
 
 def test_eh_comparison_raises_when_a_pair_fails(monkeypatch):
@@ -354,7 +371,7 @@ def test_haar_quotient_samples_reach_past_pi():
     rng = np.random.default_rng(0)
     ideal = ot.su2_bases()[0]
     su2 = ot.classify_subgroup(
-        [(ot.group_exp(sum(c * b for c, b in zip(rng.normal(size=3) * 0.4, ideal))), 1.0)
+        [ot.group_exp(sum(c * b for c, b in zip(rng.normal(size=3) * 0.4, ideal)))
          for _ in range(20)])
     assert su2.label == "SU(2)-in-SO(4)"
     U = gh.haar_so(rng, 50, 4)

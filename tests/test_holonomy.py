@@ -73,7 +73,9 @@ def test_loop_reversal_and_concatenation(sphere):
     l2 = hl.polyline_loop([[1.0, 0.5], [1.3, 0.6], [1.1, 1.0], [1.0, 0.5]])
     h1 = hl.holonomy_element(sphere, l1)
     h2 = hl.holonomy_element(sphere, l2)
-    hrev = hl.holonomy_element(sphere, l1.reversed())
+    # l1's corners in reverse order
+    rev = hl.polyline_loop([[1.0, 0.5], [1.0, 0.9], [1.4, 0.9], [1.4, 0.5], [1.0, 0.5]])
+    hrev = hl.holonomy_element(sphere, rev)
     assert np.abs(hrev - h1.T).max() <= 1e-8
     cat = hl.LoopSpec(l1.basepoint, l1.segments + l2.segments, None, "cat")
     hcat = hl.holonomy_element(sphere, cat)
@@ -225,6 +227,36 @@ def test_eh_triangle_holonomy_single_chirality(eh, rng):
         assert min(p, m_) <= 1e-5   # one chirality factor carries nothing
 
 
+def test_triangle_sides_are_plain_integrations_of_the_shots(sphere, monkeypatch):
+    """Each triangle's sides come from one stacked plain integration of
+    the shots' velocities at the shots' tolerances, and a side that fails
+    makes the try a failed one."""
+    shots, sides = [], []
+    original_shots, original_sides = cv.geodesic_ivp, hl.geodesic_ivp
+    monkeypatch.setattr(cv, "geodesic_ivp",
+                        lambda *a, **k: shots.append(k) or original_shots(*a, **k))
+
+    def plain(m, p, v, *args, **kwargs):
+        sides.append((len(p), kwargs))
+        return original_sides(m, p, v, *args, **kwargs)
+
+    monkeypatch.setattr(hl, "geodesic_ivp", plain)
+    loops = hl.geodesic_triangle_loops(sphere, [1.0, 0.5], 0.2, 2, np.random.default_rng(0))
+    assert len(loops) == 2
+    variational = [k for k in shots if k.get("variational")]
+    assert variational and not any(k["dense"] for k in variational)
+    assert sides == [(3, {"rtol": 1e-9, "atol": 1e-9})] * 2
+
+    def one_side_fails(*args, **kwargs):
+        out = original_sides(*args, **kwargs)
+        out.rows[1] = cv.DomainExitError(0.5, [0.0, 0.0])
+        return out
+
+    monkeypatch.setattr(hl, "geodesic_ivp", one_side_fails)
+    assert hl.geodesic_triangle_loops(sphere, [1.0, 0.5], 0.2, 2, np.random.default_rng(0),
+                                      max_tries=3) == []
+
+
 def test_triangle_loops_skip_only_failed_curves(sphere, monkeypatch):
     def raising(exc):
         def exp_map(*args, **kwargs):
@@ -248,7 +280,7 @@ def test_lemma_3_4_consistency():
     bp = np.array([2.5 * eps, 0.0])
     samples = hl.circle_power_samples(m, bp, axis=1, period=2 * math.pi,
                                       max_power=60)
-    est = ot.classify_subgroup([(s.element, s.loop_length) for s in samples])
+    est = ot.classify_subgroup([s.element for s in samples])
     assert est.label == "SO(2)-circle"
     e = np.eye(2)
     for th in np.linspace(0.1, 2 * math.pi - 0.1, 7):

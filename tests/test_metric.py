@@ -56,6 +56,31 @@ def test_parse_params_and_domain():
     assert g[1, 1] == pytest.approx(0.49 * 4.0)
 
 
+def _in_domain_reference(m, point, tol, wrap):
+    """The coordinate-by-coordinate test of one point."""
+    point = m.wrap_point(point) if wrap else np.asarray(point, dtype=float)
+    return not any(x < lo - tol or x > hi + tol for x, (lo, hi) in zip(point, m.domain))
+
+
+def test_in_domain_of_a_stack_is_per_row():
+    """A stack gives one answer per row, the coordinate-by-coordinate
+    answer and the point answer: with tol, wrap, and for a NaN
+    coordinate, which is not outside."""
+    cone = mt.exact_cone(0.7)         # r in [r_min, r_max], phi periodic
+    lo, hi = cone.domain[0]
+    X = np.array([[0.5 * (lo + hi), 1.0], [hi + 1e-10, 1.0], [hi + 1e-6, 1.0],
+                  [lo, 7.0], [lo, -0.5], [math.nan, 1.0], [1.0, math.nan]])
+    for tol, wrap in ((0.0, False), (1e-9, False), (1e-9, True), (0.0, True)):
+        got = cone.in_domain(X, tol=tol, wrap=wrap)
+        assert got.dtype == bool and got.shape == (len(X),)
+        assert got.tolist() == [cone.in_domain(x, tol=tol, wrap=wrap) for x in X]
+        assert got.tolist() == [_in_domain_reference(cone, x, tol, wrap) for x in X]
+    assert cone.in_domain(X, tol=1e-9, wrap=True).tolist() == [True, True, False, True, True,
+                                                               True, True]
+    assert cone.in_domain(X).tolist() == [True, False, False, False, False, True, True]
+    assert cone.in_domain(X[0]) is True and cone.in_domain(X[2]) is False
+
+
 def test_print_parse_round_trip_evaluates_identically(rng):
     src = "dim 2; coords th ph; params b=0.25; g = [[1+b*cos(th), 0],[0, sin(th)^2 + b]];"
     m = mt.parse_metric(src)

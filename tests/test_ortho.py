@@ -342,21 +342,20 @@ def test_ricci_biinvariant_closed_form(rng):
 # classification
 
 def test_classify_identity_only():
-    est = ot.classify_subgroup([(np.eye(2), 0.0)])
+    est = ot.classify_subgroup([np.eye(2)])
     assert est.label == "trivial"
 
 
 def test_classify_cone_circle_samples():
     alpha = math.sqrt(2) - 1
-    samples = [(ot.rotation2((2 * math.pi * alpha * k) % (2 * math.pi)), 0.1 * k)
-               for k in range(1, 51)]
+    samples = [ot.rotation2((2 * math.pi * alpha * k) % (2 * math.pi)) for k in range(1, 51)]
     est = ot.classify_subgroup(samples)
     assert est.label == "SO(2)-circle"
     assert est.rank == 1
 
 
 def test_classify_finite_cyclic():
-    samples = [(ot.rotation2(2 * math.pi * k / 3), 1.0) for k in range(3)]
+    samples = [ot.rotation2(2 * math.pi * k / 3) for k in range(3)]
     est = ot.classify_subgroup(samples)
     assert est.label == "finite-cyclic(3)"
     assert est.order == 3
@@ -367,7 +366,7 @@ def test_classify_su2(rng):
     samples = []
     for _ in range(25):
         c = rng.normal(size=3) * 0.4
-        samples.append((ot.group_exp(sum(ci * b for ci, b in zip(c, plus))), 1.0))
+        samples.append(ot.group_exp(sum(ci * b for ci, b in zip(c, plus))))
     est = ot.classify_subgroup(samples)
     assert est.label == "SU(2)-in-SO(4)"
     assert min(est.residuals["chirality_off_plus"],
@@ -375,7 +374,7 @@ def test_classify_su2(rng):
 
 
 def test_classify_full_so3(rng):
-    samples = [(ot.group_exp(random_skew(rng, 3) * 0.4), 1.0) for _ in range(25)]
+    samples = np.array([ot.group_exp(random_skew(rng, 3) * 0.4) for _ in range(25)])
     est = ot.classify_subgroup(samples)
     assert est.label == "full-SO(3)"
 
@@ -385,7 +384,7 @@ def test_classify_skips_an_angle_pi_sample_in_one_log_call(monkeypatch):
     principal_logs = ot._principal_logs
     monkeypatch.setattr(ot, "_principal_logs",
                         lambda A: calls.append(len(A)) or principal_logs(A))
-    samples = [(ot.rotation2(0.25 * k), 1.0) for k in range(1, 5)] + [(ot.rotation2(math.pi), 1.0)]
+    samples = [ot.rotation2(0.25 * k) for k in range(1, 5)] + [ot.rotation2(math.pi)]
     # d_b(I, rot pi) = pi sqrt 2 exceeds NEAR_IDENTITY: only the four
     # samples within it reach the one log call
     est = ot.classify_subgroup(samples)
@@ -401,7 +400,7 @@ def test_classify_empty_raises():
 
 
 def test_estimate_serializes_to_json(rng):
-    samples = [(ot.rotation2(0.2 * k), 0.1) for k in range(8)]
+    samples = [ot.rotation2(0.2 * k) for k in range(8)]
     est = ot.classify_subgroup(samples)
     obj = json.loads(est.to_json())
     assert obj["class"] == est.label
@@ -412,8 +411,7 @@ def test_estimate_serializes_to_json(rng):
 # quotient pseudo-distance
 
 def so2_estimate():
-    return ot.classify_subgroup([(ot.rotation2(0.1), 0.1), (ot.rotation2(0.25), 0.1),
-                                 (ot.rotation2(0.4), 0.1)])
+    return ot.classify_subgroup([ot.rotation2(0.1), ot.rotation2(0.25), ot.rotation2(0.4)])
 
 
 def test_quotient_trivial_equals_group_distance(rng):
@@ -438,7 +436,7 @@ def su2_estimate(rng, chirality):
     """H classified from 20 samples of exp of the self-dual (0) or
     anti-self-dual (1) ideal of o(4)."""
     ideal = ot.su2_bases()[chirality]
-    samples = [(ot.group_exp(sum(c * b for c, b in zip(rng.normal(size=3) * 0.4, ideal))), 1.0)
+    samples = [ot.group_exp(sum(c * b for c, b in zip(rng.normal(size=3) * 0.4, ideal)))
                for _ in range(20)]
     H = ot.classify_subgroup(samples)
     assert H.label == "SU(2)-in-SO(4)"
@@ -525,7 +523,7 @@ def test_quotient_diameters_are_attained(rng, chirality):
 
 
 def test_finite_cyclic_quotient_stacks_bitwise(rng):
-    H = ot.classify_subgroup([(ot.rotation2(2 * math.pi / 5), 1.0)])
+    H = ot.classify_subgroup([ot.rotation2(2 * math.pi / 5)])
     assert H.label == "finite-cyclic(5)"
     us = np.array([random_orthogonal(rng, 2, reflect=k % 2 == 1) for k in range(6)])
     vs = np.array([random_orthogonal(rng, 2) for _ in range(4)])
@@ -558,12 +556,12 @@ def test_classify_measures_each_sample_against_identity_once(monkeypatch):
         return group_distance(u, v)
 
     monkeypatch.setattr(ot, "group_distance", counting)
-    circle = [(ot.rotation2(0.1 * k), 1.0) for k in range(1, 6)]
+    circle = [ot.rotation2(0.1 * k) for k in range(1, 6)]
     assert ot.classify_subgroup(circle).label == "SO(2)-circle"
     # one stacked call for every sample
     assert len(calls) == 1
     calls.clear()
-    quarter = [(ot.rotation2(0.5 * math.pi * k), 1.0) for k in range(1, 4)]
+    quarter = np.array([ot.rotation2(0.5 * math.pi * k) for k in range(1, 4)])
     assert ot.classify_subgroup(quarter).label == "finite-cyclic(4)"
     # one stacked call for every sample, one for the order search at the
     # fourth power, and one per sample against the stacked powers
