@@ -129,12 +129,6 @@ class LiftedMetricChart:
         T[..., mu, lam] -= t
         return T
 
-    def frame_matrix(self, y):
-        """Columns are the frame vectors in coordinate components."""
-        x, t = self.split(y)
-        S = section_frame(self.gp, x)
-        return S @ ortho.group_exp(self.skew_from_t(t)) @ self.anchor.frame
-
     # -- connection form -----------------------------------------------------
 
     def _base_half(self, X):
@@ -165,12 +159,6 @@ class LiftedMetricChart:
         om_x, om_t, _, _ = self._omega_rows(y.reshape(-1, self.dim))
         lead = y.shape[:-1]
         return om_x.reshape(lead + om_x.shape[1:]), om_t.reshape(lead + om_t.shape[1:])
-
-    def omega(self, y, chart_vec):
-        om_x, om_t = self.omega_basis(y)
-        v = np.asarray(chart_vec, dtype=float)
-        return (np.einsum("i,iab->ab", v[: self.n], om_x)
-                + np.einsum("a,aqr->qr", v[self.n:], om_t))
 
     # -- the metric ----------------------------------------------------------
 

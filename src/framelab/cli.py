@@ -329,6 +329,13 @@ def cmd_experiment(args):
     _require_count("--loops", args.loops, 0)
     if args.name == "cone-collapse":
         caps = _parse_floats(args.caps)
+        if not caps:
+            raise ValueError("--caps lists no cap")
+        for eps in caps:
+            try:
+                mt.cap_coefficients(eps)
+            except MetricError as err:
+                raise ValueError(f"--caps: {err}") from None
         rep = gh.fiber_collapse_experiment(args.a, caps, max_power=args.loops)
         payload = rep.to_json_obj()
         _write_artifact(args, "cone-collapse", payload)
@@ -339,6 +346,8 @@ def cmd_experiment(args):
             raise InvariantViolation("reflection component unexpectedly connected")
     elif args.name == "eguchi-hanson":
         lams = _parse_floats(args.scales) if args.scales else (4.0, 16.0, 64.0)
+        if not lams:
+            raise ValueError("--scales lists no scale")
         for lam in lams:
             if not 0 < lam < math.inf:
                 raise ValueError(f"--scales must be positive and finite, got {lam:g}")

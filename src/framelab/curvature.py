@@ -741,33 +741,6 @@ def geodesic_ivp(m: MetricSpec, p, v, t_final, dense=True, rtol=ODE_RTOL, atol=O
     return TrajectoryStack(rows, int(nfev.sum()))
 
 
-def _first_domain_exit(m, sol, t_final, samples=200):
-    ts = np.linspace(0.0, t_final, samples)
-    X = sol.sol(ts)[:m.dim].T
-    out = ~m.in_domain(X, tol=DOMAIN_TOL)
-    if not out.any():
-        return None
-    k = int(np.argmax(out))
-    return ts[k], X[k]
-
-
-def exp_map(m: MetricSpec, p, v, t=1.0):
-    """Endpoint of the geodesic from p with initial velocity v at parameter
-    t.  Velocities v (B, n) give the B endpoints (B, n) of one stacked
-    integration; the first row that fails or leaves the chart raises."""
-    v = np.asarray(v, dtype=float)
-    sols = geodesic_ivp(m, p, v, t).rows if v.ndim == 2 else [geodesic_ivp(m, p, v, t)]
-    ends = []
-    for sol in sols:
-        if isinstance(sol, Exception):
-            raise sol
-        exit_info = _first_domain_exit(m, sol, t)
-        if exit_info is not None:
-            raise DomainExitError(exit_info[0], exit_info[1])
-        ends.append(sol.y[: m.dim, -1].copy())
-    return np.array(ends) if v.ndim == 2 else ends[0]
-
-
 def geodesic_energy_drift(m: MetricSpec, sol, t_final, samples=20):
     n = m.dim
     ts = np.linspace(0.0, t_final, samples)
@@ -964,9 +937,6 @@ class NumericMetric:
             return np.stack([fd(self.fun, q) for q in p]) if p.ndim == 2 else fd(self.fun, p)
 
         return evaluate
-
-    def christoffel(self, p):
-        return assemble_gamma_jet(*_derivs(self, p, 1))[0]
 
     def riemann(self, p):
         p = np.asarray(p, dtype=float)

@@ -98,6 +98,8 @@ class Num(Expr):
 
     def __init__(self, value):
         if isinstance(value, float):
+            if not math.isfinite(value):
+                raise ExprError(f"number not finite: {value!r}")
             # keep floats only when they are not exactly representable
             if value == int(value) and abs(value) < 2**52:
                 value = Fraction(int(value))
@@ -173,28 +175,12 @@ class Call(Expr):
         raise AttributeError("Expr nodes are immutable")
 
 
-def sqrt(a):
-    return Call("sqrt", a)
-
-
 def sin(a):
     return Call("sin", a)
 
 
 def cos(a):
     return Call("cos", a)
-
-
-def tan(a):
-    return Call("tan", a)
-
-
-def exp(a):
-    return Call("exp", a)
-
-
-def log(a):
-    return Call("log", a)
 
 
 # ---------------------------------------------------------------------------

@@ -46,20 +46,25 @@ class FiniteMetricSpace:
             raise ValueError("distance matrix shape does not match labels")
 
     def validate(self, tol=TRIANGLE_TOL):
+        """Checks a pseudo-metric to tol: zero diagonal, no negative
+        entry, symmetry and the triangle inequality.  +inf is allowed (it
+        separates components); NaN is not, since it fails every comparison.
+        Each check compares entry by entry, so the NaN of inf - inf, which
+        holds for two infinite entries, hides no other entry."""
         d = self.d
+        if np.isnan(d).any():
+            raise ValueError("NaN distance")
         scale = max(1.0, float(np.max(d[np.isfinite(d)], initial=0.0)))
         if np.abs(np.diag(d)).max() > tol:
             raise ValueError("nonzero diagonal")
         if (d < -tol).any():
             raise ValueError("negative distance")
-        if np.abs(d - d.T).max() > tol * scale:
-            raise ValueError("asymmetric distance matrix")
-        n = d.shape[0]
-        for k in range(n):
-            lhs = d
-            rhs = d[:, k][:, None] + d[k, :][None, :]
-            if (lhs - rhs).max() > tol * scale:
-                raise ValueError("triangle inequality violated")
+        with np.errstate(invalid="ignore"):
+            if (np.abs(d - d.T) > tol * scale).any():
+                raise ValueError("asymmetric distance matrix")
+            for k in range(d.shape[0]):
+                if (d - (d[:, k][:, None] + d[k, :][None, :]) > tol * scale).any():
+                    raise ValueError("triangle inequality violated")
         return self
 
     @property
@@ -69,9 +74,6 @@ class FiniteMetricSpace:
     def diam(self):
         finite = self.d[np.isfinite(self.d)]
         return float(finite.max()) if finite.size else 0.0
-
-    def rescaled(self, lam):
-        return FiniteMetricSpace(list(self.labels), self.d * float(lam))
 
     # -- serialization -----------------------------------------------------
 

@@ -13,13 +13,12 @@ that the metric components are invariant under that shift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import ortho
-from .curvature import (_OFF_CHART_ERRORS, DOMAIN_TOL, DomainExitError, assemble_gamma_jet,
-                        curve_length, exp_map, geodesic_between, geodesic_ivp)
+from .curvature import DOMAIN_TOL, DomainExitError, assemble_gamma_jet, curve_length
 from .metric import MetricSpec
 
 CLOSURE_TOL = 1e-10
@@ -75,7 +74,6 @@ class LoopSpec:
     segments: list
     closure_shift: np.ndarray = None
     descriptor: str = ""
-    length: float = field(default=None, init=False)   # filled in under the length metric
 
     def __post_init__(self):
         self.basepoint = np.asarray(self.basepoint, dtype=float)
@@ -92,11 +90,8 @@ class LoopSpec:
             raise ValueError("loop does not start at its basepoint")
 
     def compute_length(self, g: MetricSpec):
-        total = 0.0
-        for seg in self.segments:
-            total += curve_length(g, seg.point, seg.velocity)
-        self.length = total
-        return total
+        """The loop's length under g, the sum of its segments' lengths."""
+        return sum(curve_length(g, seg.point, seg.velocity) for seg in self.segments)
 
 
 def polyline_loop(points, descriptor="polyline"):
@@ -367,11 +362,10 @@ def holonomy_samples(conn: MetricSpec, loops, length_metric: MetricSpec = None,
     g = length_metric or conn
     base = [HolonomySample(np.eye(conn.dim), 0.0, "constant")]
     for loop in loops:
-        if loop.length is None:
-            loop.compute_length(g)
+        length = loop.compute_length(g)
         h = holonomy_element(conn, loop)
-        base.append(HolonomySample(h, loop.length, loop.descriptor))
-        base.append(HolonomySample(h.T, loop.length, loop.descriptor + "^-1"))
+        base.append(HolonomySample(h, length, loop.descriptor))
+        base.append(HolonomySample(h.T, length, loop.descriptor + "^-1"))
     if word_length == 1:
         return _dedup(base)
     words = list(base)
@@ -430,44 +424,6 @@ def fiber_distance(samples, e, e_prime):
 # ---------------------------------------------------------------------------
 # loop generators
 
-def geodesic_triangle_loops(m: MetricSpec, basepoint, scale, count, rng,
-                            max_tries=None):
-    """Closed geodesic triangles through the basepoint: two vertices from
-    one stacked exp_map with random directions, the three sides' velocities
-    from one stacked two-point shooting, and the sides themselves from one
-    stacked plain integration of those velocities, the shots' own paths.  A
-    vertex, shot or side that fails makes the try a failed one."""
-    p = np.asarray(basepoint, dtype=float)
-    n = m.dim
-    G = m.check_spd(p)
-    loops = []
-    tries = 0
-    max_tries = max_tries or 10 * count
-    while len(loops) < count and tries < max_tries:
-        tries += 1
-        dirs = rng.normal(size=(2, n))
-        try:
-            a, b = exp_map(m, p, [d / math.sqrt(d @ G @ d) * scale for d in dirs], 1.0)
-        except _OFF_CHART_ERRORS:
-            continue
-        V, lengths, reasons = geodesic_between(m, [p, a, b], [a, b, p], rtol=1e-9, atol=1e-9)
-        if any(reasons):
-            continue
-        sides = geodesic_ivp(m, np.array([p, a, b]), V, 1.0, rtol=1e-9, atol=1e-9).rows
-        if any(isinstance(side, Exception) for side in sides):
-            continue
-        loop = LoopSpec(p, [_path_segment(side, n) for side in sides], None,
-                        f"geo-triangle#{len(loops)}")
-        loop.length = float(lengths.sum())
-        loops.append(loop)
-    return loops
-
-
-def _path_segment(path, n):
-    """The curve of a geodesic `Trajectory` with dense output, as a Segment."""
-    return Segment(lambda t: path.sol(t)[:n].T, lambda t: path.sol(t)[n:].T)
-
-
 def coordinate_triangle_loops(basepoint, scale, count, rng, dim):
     """Closed triangles with straight coordinate sides near the basepoint."""
     p = np.asarray(basepoint, dtype=float)
@@ -499,9 +455,6 @@ class H0Report:
     estimate: ortho.SubgroupEstimate
     per_scale: list             # (scale, label, kept sample count, threshold)
     stabilized: bool
-
-    def labels(self):
-        return [row[1] for row in self.per_scale]
 
 
 def estimate_H0(members) -> H0Report:

@@ -14,6 +14,7 @@ with ``#`` comments and free whitespace.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -421,8 +422,8 @@ def print_metric(m):
 
 def _positive(value, name):
     v = float(value)
-    if not v > 0:
-        raise MetricError(f"parameter {name} must be positive, got {value}")
+    if not (v > 0 and math.isfinite(v)):
+        raise MetricError(f"parameter {name} must be positive and finite, got {value}")
     return v
 
 
@@ -466,6 +467,21 @@ def _relu_expr(e):
     return ex.Div(ex.Add(e, ex.Call("abs", e)), ex.Num(Fraction(2)))
 
 
+def cap_coefficients(eps):
+    """The coefficients 4/s^2, 7/s^3 and 3/s^4 (s = 2 eps) of the smoothed
+    cone's quintic cap.  An eps that is not positive and finite, or whose
+    coefficients are not finite floats, raises MetricError."""
+    s = 2 * _positive(eps, "eps")
+    try:
+        coeffs = (4.0 / s ** 2, 7.0 / s ** 3, 3.0 / s ** 4)
+    except (ZeroDivisionError, OverflowError):   # a power of s underflows to 0 or overflows
+        coeffs = (math.inf,)
+    if not all(map(math.isfinite, coeffs)):
+        raise MetricError(f"eps={eps} is out of range: the cap coefficients "
+                          f"4/s^2, 7/s^3 and 3/s^4 (s = 2 eps) are not finite floats")
+    return coeffs
+
+
 def smoothed_cone(a, eps, r_max=4.0):
     """Cone dr^2 + a^2 r^2 dphi^2, capped smoothly on r < 2*eps.
 
@@ -477,14 +493,15 @@ def smoothed_cone(a, eps, r_max=4.0):
     a = float(a)
     if not (0 < a <= 1):
         raise MetricError(f"cone angle factor must satisfy 0 < a <= 1, got {a}")
-    eps = _positive(eps, "eps")
+    c3, c4, c5 = cap_coefficients(eps)
+    eps = float(eps)
     r, s = ex.Sym("r"), 2 * eps
     u = _relu_expr(ex.Sub(ex.Num(s), r))
     one_m_a = ex.Num(1.0 - a)
     cap = ex.Add(
-        ex.Sub(ex.Mul(ex.Num(4.0 / s ** 2), ex.Pow(u, ex.Num(Fraction(3)))),
-               ex.Mul(ex.Num(7.0 / s ** 3), ex.Pow(u, ex.Num(Fraction(4))))),
-        ex.Mul(ex.Num(3.0 / s ** 4), ex.Pow(u, ex.Num(Fraction(5)))))
+        ex.Sub(ex.Mul(ex.Num(c3), ex.Pow(u, ex.Num(Fraction(3)))),
+               ex.Mul(ex.Num(c4), ex.Pow(u, ex.Num(Fraction(4))))),
+        ex.Mul(ex.Num(c5), ex.Pow(u, ex.Num(Fraction(5)))))
     f = ex.Add(ex.Mul(ex.Num(a), r), ex.Mul(one_m_a, cap))
     zero = ex.Num(Fraction(0))
     comps = [[ex.Num(Fraction(1)), zero], [zero, ex.Pow(f, ex.Num(Fraction(2)))]]
@@ -518,7 +535,7 @@ def eguchi_hanson(a=1.0, margin=0.05, r_max=8.0, angle_margin=0.15):
     The bolt r = a is a coordinate degeneracy of this chart, so the domain
     starts at r = a*(1+margin); th stays away from the Euler-angle poles.
     """
-    a = _positive(a, "a_EH")
+    a = _positive(a, "a")
     r, th = ex.Sym("r"), ex.Sym("th")
     two = ex.Num(Fraction(2))
     quarter_r2 = ex.Div(ex.Pow(r, two), ex.Num(Fraction(4)))
@@ -571,30 +588,20 @@ _BUILTINS = {
     "eguchi-hanson": eguchi_hanson,
 }
 
-_PARAM_ALIASES = {
-    "a_EH": "a",
-    "eps_s": "eps",
-    "lambda": "lam",
-}
-
-
-def builtin(family, base=None, **params):
-    """Instantiate a builtin family by id, e.g. builtin('smoothed-cone', a=0.7, eps=0.1)."""
-    params = {_PARAM_ALIASES.get(k, k): v for k, v in params.items()}
-    if family == "rescaled":
-        lam = params.pop("lam", None)
-        if lam is None:
-            raise MetricError("rescaled needs lam=")
-        if base is None:
-            base_family = params.pop("family", None)
-            if base_family is None:
-                raise MetricError("rescaled needs a base family")
-            base = builtin(base_family, **params)
-        return rescaled(base, lam)
+def builtin(family, **params):
+    """Instantiate a builtin family by id, e.g. builtin('smoothed-cone', a=0.7, eps=0.1).
+    Parameters that the family does not take, or a required one left out,
+    raise MetricError."""
     try:
         fn = _BUILTINS[family]
     except KeyError:
         raise MetricError(f"unknown builtin family {family!r}") from None
+    signature = inspect.signature(fn)
+    try:
+        signature.bind(**params)
+    except TypeError as err:
+        takes = ", ".join(signature.parameters) or "no parameters"
+        raise MetricError(f"builtin {family} takes {takes}: {err}") from None
     return fn(**params)
 
 

@@ -54,7 +54,7 @@ class ONeillContext:
         self.grad_gp = curvature_gradient(self.gp, p)
         self.G = self.jet_g.G
         # g-orthonormal horizontal projections f_i and the g'-orthonormal
-        # frame e (the chart's frame_matrix at t = 0)
+        # frame e (the chart's frame at fiber coordinates t = 0)
         self.f = cholesky_section(self.G)
         self.e = cholesky_section(self.grad_gp.G) @ self.fp.frame
         self.ric_g = self.jet_g.ricci()

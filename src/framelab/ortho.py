@@ -23,7 +23,7 @@ import numpy as np
 
 SKEW_TOL = 1e-10
 ORTH_TOL = 1e-10
-#: `group_log` refuses a matrix with a rotation angle at or above pi minus this
+#: `_principal_logs` refuses a matrix with a rotation angle at or above pi minus this
 LOG_ANGLE_TOL = 1e-9
 #: relative slack of `frobenius_lower_bound`; it absorbs rounding
 FROBENIUS_SLACK = 1e-6
@@ -46,10 +46,6 @@ class NotSkewError(ValueError):
 
 class NotOrthogonalError(ValueError):
     pass
-
-
-class PrincipalLogError(ValueError):
-    """Requested log of an orthogonal matrix with a rotation angle >= pi."""
 
 
 def skew_pairs(n):
@@ -175,18 +171,6 @@ def _principal_logs(A):
     mu, U, Uh = _skew_eigh(0.5 * (C - np.swapaxes(C, -1, -2)))
     L[ok] = _from_eigenbasis(U, -2j * np.arctan(mu), Uh)
     return L, ok
-
-
-def group_log(A):
-    """Principal logarithm: the skew a with exp(a) = A and every rotation
-    angle below pi - LOG_ANGLE_TOL, as one row of `_principal_logs`.  A
-    matrix with an angle at or above that, an eigenvalue -1 included (so
-    every reflection), raises PrincipalLogError."""
-    L, ok = _principal_logs(check_orthogonal(A)[None])
-    if not ok[0]:
-        raise PrincipalLogError(
-            f"matrix has a rotation angle within {LOG_ANGLE_TOL:g} of pi, or an eigenvalue -1")
-    return L[0]
 
 
 def group_distance(u, v):

@@ -61,6 +61,21 @@ def stacked(fun):
     return lambda points: np.stack([fun(p) for p in points])
 
 
+def connection_form(chart, y, v):
+    """omega(v) at the chart point y (N,), for a chart vector v (N,): the
+    contraction of `omega_basis`."""
+    om_x, om_t = chart.omega_basis(y)
+    v = np.asarray(v, dtype=float)
+    return (np.einsum("i,iab->ab", v[:chart.n], om_x)
+            + np.einsum("a,aqr->qr", v[chart.n:], om_t))
+
+
+def fd_christoffel(num, y):
+    """Gamma[k, i, j] of a NumericMetric at y, from its finite-difference
+    first partials."""
+    return cv.assemble_gamma_jet(num.evaluate(y), num.derivative_fn(1)(y))[0]
+
+
 def with_components(m, components, name=None):
     """A copy of metric m with other component expressions."""
     return mt.MetricSpec(m.dim, m.coords, components, m.domain, dict(m.params),
@@ -172,16 +187,20 @@ def _schur_blocks(A, tol=SCHUR_BLOCK_TOL):
     return T, Q, blocks, minus
 
 
+class ReferenceLogError(ValueError):
+    """`reference_group_log` of a matrix with a rotation angle near pi."""
+
+
 def reference_group_log(A, angle_tol=1e-9):
     """Principal logarithm: the skew a with exp(a) = A, all angles < pi."""
     A = ot.check_orthogonal(A)
     n = A.shape[0]
     T, Q, blocks, minus = _schur_blocks(A)
     if minus:
-        raise ot.PrincipalLogError("matrix has an eigenvalue -1 (rotation angle pi)")
+        raise ReferenceLogError("matrix has an eigenvalue -1 (rotation angle pi)")
     for _, theta in blocks:
         if abs(theta) >= math.pi - angle_tol:
-            raise ot.PrincipalLogError(f"rotation angle {abs(theta):.6f} too close to pi")
+            raise ReferenceLogError(f"rotation angle {abs(theta):.6f} too close to pi")
     L = np.zeros((n, n))
     for i, theta in blocks:
         L[i, i + 1] = -theta

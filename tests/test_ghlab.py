@@ -182,9 +182,33 @@ def test_gh_upper_rescaled_bound():
     d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
     A = gh.FiniteMetricSpace([str(i) for i in range(12)], d)
     delta = 0.05
-    B = A.rescaled(1 + delta)
+    B = gh.FiniteMetricSpace(A.labels, d * (1 + delta))
     val = gh.gh_upper(A, B, gh.natural_correspondence(12))
     assert val <= delta * A.diam() / 2 + 1e-12
+
+
+@pytest.mark.parametrize("d", [
+    [[0.0, math.nan], [math.nan, 0.0]],
+    [[0.0, 1.0, 2.0], [1.0, 0.0, math.nan], [2.0, math.nan, 0.0]],
+])
+def test_validate_rejects_nan(d):
+    with pytest.raises(ValueError, match="NaN distance"):
+        gh.FiniteMetricSpace([str(i) for i in range(len(d))], d).validate()
+
+
+def test_validate_keeps_infinite_distances_between_components():
+    d = np.array([[0.0, 1.0, math.inf], [1.0, 0.0, math.inf], [math.inf, math.inf, 0.0]])
+    A = gh.FiniteMetricSpace(["a", "b", "c"], d).validate()
+    assert A.diam() == 1.0
+    # beside an infinite pair, a finite defect is still found
+    four = np.full((4, 4), math.inf)
+    four[:3, :3] = [[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]]
+    four[3, 3] = 0.0
+    with pytest.raises(ValueError, match="triangle inequality"):
+        gh.FiniteMetricSpace(list("abcd"), four).validate()
+    d[0, 1] = 1.5
+    with pytest.raises(ValueError, match="asymmetric"):
+        gh.FiniteMetricSpace(["a", "b", "c"], d).validate()
 
 
 def test_gh_upper_requires_cover():

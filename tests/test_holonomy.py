@@ -213,62 +213,18 @@ def test_estimate_h0_eguchi_hanson_su2(eh):
     assert report.stabilized
 
 
-def test_eh_triangle_holonomy_single_chirality(eh, rng):
-    bp = np.array([2.0, 1.4, 1.0, 1.2])
-    loops = hl.geodesic_triangle_loops(eh, bp, 0.25, 6, rng)
-    assert len(loops) >= 4
-    samples = hl.holonomy_samples(eh, loops, eh, word_length=1)
-    plus, minus = ot.su2_bases()
-    for s in samples:
-        if s.loop_length == 0:
-            continue
-        lg = ot.group_log(s.element)
-        p, m_ = ot.chirality_residuals(lg)
-        assert min(p, m_) <= 1e-5   # one chirality factor carries nothing
-
-
-def test_triangle_sides_are_plain_integrations_of_the_shots(sphere, monkeypatch):
-    """Each triangle's sides come from one stacked plain integration of
-    the shots' velocities at the shots' tolerances, and a side that fails
-    makes the try a failed one."""
-    shots, sides = [], []
-    original_shots, original_sides = cv.geodesic_ivp, hl.geodesic_ivp
-    monkeypatch.setattr(cv, "geodesic_ivp",
-                        lambda *a, **k: shots.append(k) or original_shots(*a, **k))
-
-    def plain(m, p, v, *args, **kwargs):
-        sides.append((len(p), kwargs))
-        return original_sides(m, p, v, *args, **kwargs)
-
-    monkeypatch.setattr(hl, "geodesic_ivp", plain)
-    loops = hl.geodesic_triangle_loops(sphere, [1.0, 0.5], 0.2, 2, np.random.default_rng(0))
-    assert len(loops) == 2
-    variational = [k for k in shots if k.get("variational")]
-    assert variational and not any(k["dense"] for k in variational)
-    assert sides == [(3, {"rtol": 1e-9, "atol": 1e-9})] * 2
-
-    def one_side_fails(*args, **kwargs):
-        out = original_sides(*args, **kwargs)
-        out.rows[1] = cv.DomainExitError(0.5, [0.0, 0.0])
-        return out
-
-    monkeypatch.setattr(hl, "geodesic_ivp", one_side_fails)
-    assert hl.geodesic_triangle_loops(sphere, [1.0, 0.5], 0.2, 2, np.random.default_rng(0),
-                                      max_tries=3) == []
-
-
-def test_triangle_loops_skip_only_failed_curves(sphere, monkeypatch):
-    def raising(exc):
-        def exp_map(*args, **kwargs):
-            raise exc
-        return exp_map
-
-    monkeypatch.setattr(hl, "exp_map", raising(cv.DomainExitError(0.5, [0.0, 0.0])))
-    assert hl.geodesic_triangle_loops(sphere, [1.0, 0.5], 0.2, 2,
-                                      np.random.default_rng(0)) == []
-    monkeypatch.setattr(hl, "exp_map", raising(TypeError("broken exp_map")))
-    with pytest.raises(TypeError, match="broken exp_map"):
-        hl.geodesic_triangle_loops(sphere, [1.0, 0.5], 0.2, 2, np.random.default_rng(0))
+def test_reused_loops_are_measured_under_each_length_metric(eh):
+    """A loop measured under one length metric and reused under another
+    takes the second metric's length."""
+    bp = [2.2, 1.3, 0.8, 1.1]
+    loops = hl.plaquette_loops(bp, 0.2, 4)
+    twice = mt.rescaled(eh, 2.0)
+    first = hl.holonomy_samples(eh, loops, eh)
+    reused = hl.holonomy_samples(eh, loops, twice)
+    fresh = hl.holonomy_samples(eh, hl.plaquette_loops(bp, 0.2, 4), twice)
+    assert [s.loop_length for s in reused] == [s.loop_length for s in fresh]
+    assert max(s.loop_length for s in reused) == pytest.approx(
+        2.0 * max(s.loop_length for s in first), rel=1e-12)
 
 
 def test_lemma_3_4_consistency():

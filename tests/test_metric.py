@@ -248,11 +248,6 @@ def test_builtin_uri_parsing():
     assert m2.dim == 2
 
 
-def test_builtin_family_dataclass():
-    m = mt.builtin("rescaled", lam=2.0, base=mt.flat_torus())
-    assert m.evaluate([0.1, 0.1])[0, 0] == 4.0
-
-
 def test_gmet_file_round_trip(tmp_path):
     m = mt.smoothed_cone(0.7, 0.1)
     path = tmp_path / "cone.gmet"

@@ -9,8 +9,9 @@ from scipy.linalg import expm, expm_frechet
 
 from framelab import ortho as ot
 
-from conftest import (SCHUR_BLOCK_TOL, reference_group_distance, reference_group_log,
-                      reference_quotient_distance, ricci_biinvariant, sectional_biinvariant)
+from conftest import (SCHUR_BLOCK_TOL, ReferenceLogError, reference_group_distance,
+                      reference_group_log, reference_quotient_distance, ricci_biinvariant,
+                      sectional_biinvariant)
 
 
 def random_skew(rng, n):
@@ -74,17 +75,27 @@ def test_exp_rotation_closed_form(rng):
     assert np.allclose(got, [[c, s], [-s, c]], atol=1e-14)
 
 
+def principal_log(A):
+    """The log of one orthogonal matrix, as the one row of `_principal_logs`
+    (which must not refuse it)."""
+    L, ok = ot._principal_logs(ot.check_orthogonal(A)[None])
+    assert ok[0]
+    return L[0]
+
+
 def test_log_exp_round_trip():
     a = 0.3 * ot.skew_basis_element(3, 0, 1) + 0.1 * ot.skew_basis_element(3, 0, 2)
-    back = ot.group_log(ot.group_exp(a))
+    back = principal_log(ot.group_exp(a))
     assert np.abs(back - a).max() <= 1e-12
 
 
 def test_log_rejects_angle_pi():
     # -I, a half turn, and a reflection (an eigenvalue -1 in the other component)
     for A in (-np.eye(2), ot.rotation2(math.pi), np.diag([1.0, -1.0, 1.0])):
-        with pytest.raises(ot.PrincipalLogError):
-            ot.group_log(A)
+        L, ok = ot._principal_logs(A[None])
+        assert not ok[0] and np.isnan(L[0]).all()
+        with pytest.raises(ReferenceLogError):
+            reference_group_log(A)
 
 
 def skew_with_angles(rng, angles, n):
@@ -103,7 +114,7 @@ def test_group_log_matches_schur_reference(n):
     cases = [rng.uniform(0.05, 3.0, size=n // 2) for _ in range(40)] + [np.full(n // 2, 3.0)]
     for angles in cases:
         A = ot.group_exp(skew_with_angles(rng, angles, n))
-        assert np.abs(ot.group_log(A) - reference_group_log(A)).max() <= 1e-13
+        assert np.abs(principal_log(A) - reference_group_log(A)).max() <= 1e-13
 
 
 def test_group_log_matches_schur_reference_isoclinic():
@@ -113,7 +124,7 @@ def test_group_log_matches_schur_reference_isoclinic():
     for theta in np.linspace(0.1, 3.0, 12):
         q = random_orthogonal(rng, 4)
         A = ot.group_exp(theta * q @ iso @ q.T)
-        assert np.abs(ot.group_log(A) - reference_group_log(A)).max() <= 1e-13
+        assert np.abs(principal_log(A) - reference_group_log(A)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -124,12 +135,13 @@ def test_principal_logs_rows_are_their_group_log(n):
     L, ok = ot._principal_logs(A)
     assert 0 < ok.sum() < len(A)
     for row, good, a in zip(L, ok, A):
+        # a stacked row is bitwise the log of its matrix alone
+        one, one_ok = ot._principal_logs(a[None])
+        assert one_ok[0] == good
         if good:
-            assert np.array_equal(row, ot.group_log(a))
+            assert np.array_equal(row, one[0])
         else:
-            assert np.isnan(row).all()
-            with pytest.raises(ot.PrincipalLogError):
-                ot.group_log(a)
+            assert np.isnan(row).all() and np.isnan(one[0]).all()
 
 
 def reference_exp_derivative(a, b):
