@@ -186,11 +186,21 @@ class LiftedMetricChart:
     def lift(self, y, v=None, a=None):
         """Chart components at y of the tangent with pi_* = v and omega = a:
         the horizontal lift of the base vector v plus the fundamental field
-        of a in o(n), either of which may be left out.  v (n,) and a (n, n)
-        give one tangent (N,); columns v (n, k) and a stack a (k, n, n) give
-        k tangents, the columns of an (N, k) matrix, from one omega_basis
-        call and one solve."""
+        of a in o(n), either of which may be left out.  At a point y (N,),
+        v (n,) and a (n, n) give one tangent (N,), and columns v (n, k) and
+        a stack a (k, n, n) give k tangents, the columns of an (N, k)
+        matrix.  At a stack y (B, N), v (B, n) and a (B, n, n) give one
+        tangent per row, (B, N), each bitwise the row's point lift.  Every
+        form makes one omega_basis call and one (batched) solve."""
+        y = np.asarray(y, dtype=float)
         om_x, om_t = self.omega_basis(y)
+        if y.ndim == 2:
+            v = np.zeros((len(y), self.n)) if v is None else np.asarray(v, dtype=float)
+            rhs = -ortho.vec_skew(np.einsum("ki,kiab->kab", v, om_x))
+            if a is not None:
+                rhs += ortho.vec_skew(a)
+            tau = np.linalg.solve(np.swapaxes(ortho.vec_skew(om_t), -1, -2), rhs[..., None])
+            return np.concatenate([v, tau[..., 0]], axis=1)
         columns = np.ndim(v) == 2 or np.ndim(a) == 3
         k = np.shape(v)[1] if np.ndim(v) == 2 else len(a) if np.ndim(a) == 3 else 1
         v = np.zeros((self.n, k)) if v is None else np.asarray(v, dtype=float).reshape(self.n, k)

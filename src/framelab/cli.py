@@ -14,9 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -41,17 +39,18 @@ class InvariantViolation(RuntimeError):
     pass
 
 
-def parallel_map(fn, items, jobs):
-    """Order-preserving map with an optional thread pool."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
-def _parse_floats(text):
-    return [float(v) for v in text.split(",") if v != ""]
+def _parse_floats(flag, text):
+    """The comma-separated numbers of option `flag`; a piece that is not a
+    number is a config error naming the option and the piece."""
+    out = []
+    for piece in text.split(","):
+        if piece != "":
+            try:
+                out.append(float(piece))
+            except ValueError:
+                raise ValueError(f"{flag} takes comma-separated numbers, "
+                                 f"got {piece!r}") from None
+    return out
 
 
 def _parse_region(text):
@@ -68,7 +67,7 @@ def _parse_region(text):
 def _basepoint(args, m):
     """The --at point; a coordinate count other than m.dim is a config error,
     and a point that is not finite or lies outside the chart a domain error."""
-    p = np.array(_parse_floats(args.at))
+    p = np.array(_parse_floats("--at", args.at))
     if p.shape != (m.dim,):
         raise ValueError(f"--at gives {p.size} coordinates; the chart "
                          f"({', '.join(m.coords)}) has {m.dim}")
@@ -206,21 +205,17 @@ def cmd_oneill_check(args):
     rng = np.random.default_rng(args.seed)
     points = g.sample_interior(rng, args.pairs, margin=0.2)
     n = g.dim
-    # directions are drawn up front so a thread pool cannot reorder the stream
     tasks = [(p, rng.normal(size=n), ortho.unvec_skew(rng.normal(size=n * (n - 1) // 2), n))
              for p in points]
-
-    def one(task):
-        p, v, xi = task
-        ctx = on.ONeillContext(g, gp, bd.FramePoint.anchor(p, n))
-        rep = on.ricci_oneill(ctx, v, xi)
-        direct = on.ricci_direct(ctx, v, xi)
-        return {"point": list(map(float, p)),
-                "formula": rep.ricci_formula, "direct": direct,
-                "rel_err": abs(rep.ricci_formula - direct) / (1 + abs(direct)),
-                "terms": rep.terms}
-
-    rows = parallel_map(one, tasks, args.jobs)
+    ctxs = [on.ONeillContext(g, gp, bd.FramePoint.anchor(p, n)) for p, _, _ in tasks]
+    reps = [on.ricci_oneill(ctx, v, xi) for ctx, (_, v, xi) in zip(ctxs, tasks)]
+    # every pair's finite-difference Ricci in one stacked pass
+    direct = on.ricci_direct(ctxs, [v for _, v, _ in tasks], [xi for _, _, xi in tasks])
+    rows = [{"point": list(map(float, p)),
+             "formula": rep.ricci_formula, "direct": d,
+             "rel_err": abs(rep.ricci_formula - d) / (1 + abs(d)),
+             "terms": rep.terms}
+            for (p, _, _), rep, d in zip(tasks, reps, direct.tolist())]
     worst = max(r["rel_err"] for r in rows)
     _write_artifact(args, "oneill-check", {"worst_rel_err": worst, "rows": rows})
     if args.strict and worst > 1e-5:
@@ -328,7 +323,7 @@ def cmd_experiment(args):
     _require_count("--samples", args.samples)
     _require_count("--loops", args.loops, 0)
     if args.name == "cone-collapse":
-        caps = _parse_floats(args.caps)
+        caps = _parse_floats("--caps", args.caps)
         if not caps:
             raise ValueError("--caps lists no cap")
         for eps in caps:
@@ -336,6 +331,10 @@ def cmd_experiment(args):
                 mt.cap_coefficients(eps)
             except MetricError as err:
                 raise ValueError(f"--caps: {err}") from None
+            r, r_max = gh.COLLAPSE_RADIUS * eps, mt.smoothed_cone(args.a, eps).domain[0][1]
+            if not r < r_max:
+                raise ValueError(f"--caps: cap {eps:g} puts the base point r = {r:g} "
+                                 f"outside the chart r < {r_max:g}")
         rep = gh.fiber_collapse_experiment(args.a, caps, max_power=args.loops)
         payload = rep.to_json_obj()
         _write_artifact(args, "cone-collapse", payload)
@@ -345,7 +344,7 @@ def cmd_experiment(args):
         if args.strict and not rep.reflection_disconnected:
             raise InvariantViolation("reflection component unexpectedly connected")
     elif args.name == "eguchi-hanson":
-        lams = _parse_floats(args.scales) if args.scales else (4.0, 16.0, 64.0)
+        lams = _parse_floats("--scales", args.scales) if args.scales else (4.0, 16.0, 64.0)
         if not lams:
             raise ValueError("--scales lists no scale")
         for lam in lams:
@@ -419,7 +418,8 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, metric=True, metric2=True, seed=True, strict=True):
-        """--jobs and --out, and the shared options the command reads."""
+        """--jobs and --out, and the shared options the command reads;
+        --jobs is accepted and ignored."""
         if metric:
             p.add_argument("--metric", required=True,
                            help="builtin:NAME[:k=v,...] or a .gmet path")
@@ -428,8 +428,7 @@ def build_parser():
                            help="the smoothed-metric slot (defaults to --metric)")
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int,
-                       default=int(os.environ.get("FRAMELAB_JOBS", "1")))
+        p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
         p.add_argument("--out", default="out")
         if strict:
             group = p.add_mutually_exclusive_group()

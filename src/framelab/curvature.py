@@ -870,46 +870,59 @@ def _richardson(d1, d2, h1, h2):
 
 
 def fd_gradient(fun, p, h1=FD_H1, h2=FD_H2):
-    """Richardson-extrapolated first partials of an array-valued function.
+    """Richardson-extrapolated first partials of an array-valued function
+    at a point p (n,), shape (n,) + value shape, or at each centre of a
+    stack p (B, n), shape (B, n) + value shape.
 
     `fun` maps a stack of points (k, n) to the stack of its values; it is
-    called once, on the whole stencil p +- h e_a for h = h1, h2.  Returns
-    shape (n,) + value shape.
+    called once, on the stencils p +- h e_a for h = h1, h2 of every centre.
+    Each centre's rows and quotients are the point's arithmetic, so with a
+    `fun` whose rows do not depend on their stack, a centre's partials are
+    bitwise its point partials.
     """
     p = np.asarray(p, dtype=float)
-    n = len(p)
-    rows = [p + s * h * np.eye(n) for h in (h1, h2) for s in (1.0, -1.0)]
-    F = fun(np.concatenate(rows))
-    F = F.reshape((4, n) + F.shape[1:])
-    return _richardson((F[0] - F[1]) / (2 * h1), (F[2] - F[3]) / (2 * h2), h1, h2)
+    P = np.atleast_2d(p)
+    B, n = P.shape
+    rows = [P[:, None] + s * h * np.eye(n) for h in (h1, h2) for s in (1.0, -1.0)]
+    F = fun(np.concatenate(rows, axis=1).reshape(-1, n))
+    F = F.reshape((B, 4, n) + F.shape[1:])
+    out = _richardson((F[:, 0] - F[:, 1]) / (2 * h1), (F[:, 2] - F[:, 3]) / (2 * h2), h1, h2)
+    return out if p.ndim == 2 else out[0]
 
 
 def fd_hessian(fun, p, h1=FD_H1_SECOND, h2=FD_H2_SECOND):
-    """Richardson-extrapolated second partials; shape (n, n) + value shape.
+    """Richardson-extrapolated second partials at a point p (n,), shape
+    (n, n) + value shape, or at each centre of a stack p (B, n), shape
+    (B, n, n) + value shape.
 
     `fun` maps a stack of points to the stack of its values; it is called
-    once, on p itself and the stencils of both steps: p +- h e_a for the
-    diagonal and the four corners p +- h e_a +- h e_b for each a < b.
+    once, on every centre itself and its stencils of both steps: p +- h e_a
+    for the diagonal and the four corners p +- h e_a +- h e_b for each
+    a < b.  As in `fd_gradient`, each centre's partials are bitwise its
+    point partials when `fun`'s rows do not depend on their stack.
     """
     p = np.asarray(p, dtype=float)
-    n = len(p)
+    P = np.atleast_2d(p)[:, None]
+    B, _, n = P.shape
     ia, ib = np.triu_indices(n, 1)
-    rows = [p[None]]
+    rows = [P]
     for h in (h1, h2):
         E = h * np.eye(n)
-        rows += [p + E, p - E]
-        rows += [p + s * E[ia] + t * E[ib] for s in (1.0, -1.0) for t in (1.0, -1.0)]
-    F = fun(np.concatenate(rows))
-    f0, F = F[0], F[1:].reshape((2, -1) + F.shape[1:])
+        rows += [P + E, P - E]
+        rows += [P + s * E[ia] + t * E[ib] for s in (1.0, -1.0) for t in (1.0, -1.0)]
+    F = fun(np.concatenate(rows, axis=1).reshape(-1, n))
+    F = F.reshape((B, -1) + F.shape[1:])
+    f0, F = F[:, 0], F[:, 1:].reshape((B, 2, -1) + F.shape[2:])
     diag, off = [], []
-    for Fh, h in zip(F, (h1, h2)):
-        diag.append((Fh[:n] - 2.0 * f0 + Fh[n:2 * n]) / (h * h))
-        c = Fh[2 * n:].reshape((4, len(ia)) + F.shape[2:])
-        off.append((c[0] - c[1] - c[2] + c[3]) / (4 * h * h))
-    out = np.empty((n, n) + f0.shape)
-    out[np.arange(n), np.arange(n)] = _richardson(*diag, h1, h2)
-    out[ia, ib] = out[ib, ia] = _richardson(*off, h1, h2)
-    return out
+    for k, h in enumerate((h1, h2)):
+        Fh = F[:, k]
+        diag.append((Fh[:, :n] - 2.0 * f0[:, None] + Fh[:, n:2 * n]) / (h * h))
+        c = Fh[:, 2 * n:].reshape((B, 4, len(ia)) + f0.shape[1:])
+        off.append((c[:, 0] - c[:, 1] - c[:, 2] + c[:, 3]) / (4 * h * h))
+    out = np.empty((B, n, n) + f0.shape[1:])
+    out[:, np.arange(n), np.arange(n)] = _richardson(*diag, h1, h2)
+    out[:, ia, ib] = out[:, ib, ia] = _richardson(*off, h1, h2)
+    return out if p.ndim == 2 else out[0]
 
 
 class NumericMetric:
@@ -929,18 +942,24 @@ class NumericMetric:
 
     def derivative_fn(self, order):
         """p -> the order-th partials (order 1 or 2), leading axes the
-        directions; a stack of points gives one stencil call per row."""
+        directions; a stack of points (B, dim) gives a leading stack axis
+        from one `fun` call over the stencils of all its rows."""
         fd = {1: fd_gradient, 2: fd_hessian}[order]
-
-        def evaluate(p):
-            p = np.asarray(p, dtype=float)
-            return np.stack([fd(self.fun, q) for q in p]) if p.ndim == 2 else fd(self.fun, p)
-
-        return evaluate
+        return lambda p: fd(self.fun, p)
 
     def riemann(self, p):
+        """The Riemann jet at a point (dim,), or a list of them, one per row
+        of a stack (B, dim): three `fun` calls in all (G, the gradient
+        stencils and the Hessian stencils), then each row assembled on its
+        own, so a row's jet is bitwise its point jet."""
         p = np.asarray(p, dtype=float)
-        return _curvature_tensor(p, *_derivs(self, p, 2))
+        derivs = _derivs(self, p, 2)
+        if p.ndim == 1:
+            return _curvature_tensor(p, *derivs)
+        return [_curvature_tensor(q, *row) for q, *row in zip(p, *derivs)]
 
     def ricci(self, p):
-        return self.riemann(p).ricci()
+        """Ricci at a point (dim,), or (B, dim, dim) for a stack (B, dim)."""
+        p = np.asarray(p, dtype=float)
+        jets = self.riemann(p)
+        return jets.ricci() if p.ndim == 1 else np.stack([j.ricci() for j in jets])

@@ -537,18 +537,23 @@ class CollapseReport:
         return [(row["eps"], row["D"]) for row in self.ladder]
 
 
+#: the cone-collapse base point of cap eps sits at r = COLLAPSE_RADIUS * eps,
+#: just outside the cap r < 2 eps
+COLLAPSE_RADIUS = 2.5
+
+
 def fiber_collapse_experiment(a, caps, max_power=60) -> CollapseReport:
     """D(eps) = max over a 48-point theta grid of the sampled fiber distance
-    between I and rot(theta) at the base point r = 2.5 eps, near the vertex
-    of the cap-smoothed cone; the reflection component stays at infinite
-    distance."""
+    between I and rot(theta) at the base point r = COLLAPSE_RADIUS eps, near
+    the vertex of the cap-smoothed cone; the reflection component stays at
+    infinite distance."""
     thetas = np.linspace(0.0, 2 * math.pi, 48, endpoint=False)
     reflection = np.array([[1.0, 0.0], [0.0, -1.0]])
     ladder = []
     refl_disconnected = True
     for eps in caps:
         m = smoothed_cone(a, eps)
-        rho = 2.5 * eps
+        rho = COLLAPSE_RADIUS * eps
         basepoint = np.array([rho, 0.0])
         samples = hl.circle_power_samples(m, basepoint, axis=1, period=2 * math.pi,
                                           max_power=max_power)

@@ -175,14 +175,27 @@ def chart_direction(ctx: ONeillContext, v_base, xi):
     return ctx.chart.lift(ctx.chart.chart_point(), v_base, xi)
 
 
-def ricci_direct(ctx: ONeillContext, v_base=None, xi=None) -> float:
-    """Ricci of the lifted coordinate metric by finite differences,
-    contracted against the same direction; each difference stencil is one
-    stacked `metric_matrix` call."""
-    x, xi, _ = normalize_direction(ctx, v_base, xi)
-    ric = ctx.chart.numeric().ricci(ctx.chart.chart_point())
-    c = chart_direction(ctx, x, xi)
-    return float(c @ ric @ c)
+def ricci_direct(ctxs, V, XI) -> np.ndarray:
+    """Ricci of the lifted coordinate metric by finite differences at each
+    context's frame point, contracted against that context's direction
+    (v_base, xi) from V and XI, either of which may be None; one float per
+    context.
+
+    The contexts must share g, g' and the anchor frame.  Then one chart,
+    `ctxs[0].chart`, serves them all (its metric reads only the anchor
+    frame; a base point enters only through `chart_point`), so the values,
+    gradient stencils and Hessian stencils of every context are three
+    stacked `metric_matrix` calls, and the chart directions one stacked
+    `lift`.  Each value is bitwise the one of a single-context call."""
+    chart = ctxs[0].chart
+    if any(ctx.g is not chart.g or ctx.gp is not chart.gp
+           or not np.array_equal(ctx.fp.frame, chart.anchor.frame) for ctx in ctxs):
+        raise ValueError("ricci_direct needs contexts that share g, g' and the anchor frame")
+    dirs = [normalize_direction(ctx, v, xi) for ctx, v, xi in zip(ctxs, V, XI, strict=True)]
+    Y = np.stack([ctx.chart.chart_point() for ctx in ctxs])
+    ric = chart.numeric().ricci(Y)
+    C = chart.lift(Y, np.stack([x for x, _, _ in dirs]), np.stack([xi for _, xi, _ in dirs]))
+    return np.array([c @ r @ c for c, r in zip(C, ric)])
 
 
 def riemann_direct_4(ctx: ONeillContext, dir_tuples):

@@ -62,9 +62,9 @@ def test_acceptance_02_oneill_cross_validation():
             ctx = on.ONeillContext(g, g, bd.FramePoint.anchor(p, 2))
             v = rng.normal(size=2)
             xi = ot.unvec_skew(rng.normal(size=1), 2)
-            for vv, xx in ((v, xi), (v, None), (None, xi)):
+            dirs = ((v, xi), (v, None), (None, xi))
+            for (vv, xx), d in zip(dirs, on.ricci_direct([ctx] * 3, *zip(*dirs))):
                 f = on.ricci_oneill(ctx, vv, xx).ricci_formula
-                d = on.ricci_direct(ctx, vv, xx)
                 worst_ric = max(worst_ric, abs(f - d) / (1 + abs(d)))
                 count += 1
             # VVVH block by direct evaluation (one-dimensional fiber)
@@ -81,9 +81,9 @@ def test_acceptance_02_oneill_cross_validation():
     v = rng.normal(size=4)
     xi = ot.unvec_skew(rng.normal(size=6), 4)
     worst_eh = 0.0
-    for vv, xx in ((v, xi), (v, None), (None, xi)):
+    dirs = ((v, xi), (v, None), (None, xi))
+    for (vv, xx), d in zip(dirs, on.ricci_direct([ctx] * 3, *zip(*dirs))):
         f = on.ricci_oneill(ctx, vv, xx).ricci_formula
-        d = on.ricci_direct(ctx, vv, xx)
         worst_eh = max(worst_eh, abs(f - d) / (1 + abs(d)))
     eh_s = time.perf_counter() - t0
     ok = (worst_ric <= 1e-5 and worst_eh <= 1e-5 and worst_vvvh <= 1e-6

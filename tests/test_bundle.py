@@ -169,6 +169,37 @@ def test_lift_columns_are_single_lifts(eh, monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("pair", ["cone", "gmet-n3", "eguchi-hanson"])
+def test_lift_over_a_stack_is_bitwise_point_lifts(pair, cone_pair, monkeypatch):
+    """Chart points (B, N) with one (v, a) per row lift in one omega_basis
+    call, each row bitwise its point lift, with v or a left out too."""
+    if pair == "cone":
+        (g, gp), p = cone_pair, [0.5, 1.0]
+    elif pair == "gmet-n3":
+        (g, gp), p = (mt.parse_metric(text) for text in GMET_N3), [0.4, 0.7, 1.1]
+    else:
+        g, gp, p = mt.eguchi_hanson(1.0), mt.eguchi_hanson(1.2), [1.8, 1.2, 0.7, 1.0]
+    chart = bd.LiftedMetricChart(g, gp, bd.FramePoint.anchor(p, len(p)))
+    n, m, B = chart.n, chart.m, 4
+    rng = np.random.default_rng(n)
+    Y = np.tile(chart.chart_point(), (B, 1))
+    Y[:, :n] += rng.uniform(-0.05, 0.05, size=(B, n))
+    Y[:, n:] += rng.uniform(-0.2, 0.2, size=(B, m))
+    V = rng.normal(size=(B, n))
+    A = np.array([ot.unvec_skew(w, n) for w in rng.normal(size=(B, m))])
+    for v, a in ((V, A), (V, None), (None, A)):
+        want = np.stack([chart.lift(y, None if v is None else v[k], None if a is None else a[k])
+                         for k, y in enumerate(Y)])
+        calls = []
+        original = chart.omega_basis
+        monkeypatch.setattr(chart, "omega_basis", lambda y: calls.append(1) or original(y))
+        got = chart.lift(Y, v, a)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert got.shape == (B, n + m)
+        assert np.array_equal(got, want)
+
+
 def test_dimension_budget_rejected():
     m5 = mt.flat_euclidean(5)
     with pytest.raises(bd.ChartBudgetError):

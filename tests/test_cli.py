@@ -217,6 +217,35 @@ def test_experiment_cone_collapse_smoke(tmp_path):
     assert (out / "cone-collapse.dat").exists()
 
 
+@pytest.mark.parametrize("caps", ["2", "0.1,1.6"])
+def test_cone_collapse_cap_whose_base_point_leaves_the_chart(tmp_path, capsys, caps):
+    # the base point r = 2.5 eps must lie inside the smoothed cone's chart r < 4
+    code, out = run(tmp_path, "experiment", "cone-collapse", "--caps", caps, "--loops", "2")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error: --caps: cap " in err and "outside the chart r < 4" in err
+    assert not out.exists()
+
+
+def test_cone_collapse_cap_just_inside_the_chart_runs(tmp_path):
+    code, out = run(tmp_path, "experiment", "cone-collapse", "--caps", "1.5", "--loops", "2")
+    assert code == 0
+    assert [row["eps"] for row in load(out, "cone-collapse")["result"]["ladder"]] == [1.5]
+
+
+@pytest.mark.parametrize("argv,flag,piece", [
+    (["experiment", "cone-collapse", "--caps", "abc"], "--caps", "'abc'"),
+    (["experiment", "eguchi-hanson", "--scales", "abc"], "--scales", "'abc'"),
+    (["curvature", "--metric", "builtin:eguchi-hanson", "--at", "1,x,1,1"], "--at", "'x'"),
+])
+def test_a_number_list_that_is_not_numbers_names_its_option(tmp_path, capsys, argv, flag, piece):
+    code, out = run(tmp_path, *argv)
+    assert code == 2
+    assert f"config error: {flag} takes comma-separated numbers, got {piece}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def _reject_constant(name):
     raise ValueError(f"artifact holds {name}, which is not JSON")
 
@@ -259,16 +288,28 @@ def test_seed_changes_output(tmp_path):
     assert r1["rows"][0]["point"] != r2["rows"][0]["point"]
 
 
-def test_jobs_parallel_matches_serial(tmp_path):
-    out1 = tmp_path / "a"
-    out2 = tmp_path / "b"
-    main(["oneill-check", "--metric", "builtin:round-sphere", "--pairs", "3",
-          "--seed", "3", "--jobs", "1", "--out", str(out1)])
-    main(["oneill-check", "--metric", "builtin:round-sphere", "--pairs", "3",
-          "--seed", "3", "--jobs", "3", "--out", str(out2)])
-    r1 = json.loads((out1 / "oneill-check.json").read_text())["result"]
-    r2 = json.loads((out2 / "oneill-check.json").read_text())["result"]
-    assert r1["worst_rel_err"] == r2["worst_rel_err"]
+def test_oneill_check_is_three_metric_matrix_calls(tmp_path, monkeypatch):
+    """All pairs of one oneill-check call share one finite-difference pass:
+    the values, gradient stencils and Hessian stencils of the lifted metric
+    are three metric_matrix calls whatever --pairs is."""
+    from framelab import bundle as bd
+    calls = []
+    original = bd.LiftedMetricChart.metric_matrix
+    monkeypatch.setattr(bd.LiftedMetricChart, "metric_matrix",
+                        lambda self, y: calls.append(len(y)) or original(self, y))
+    code, out = run(tmp_path, "oneill-check", "--metric", "builtin:smoothed-cone:a=0.7,eps=0.15",
+                    "--metric2", "builtin:smoothed-cone:a=0.7,eps=0.3", "--pairs", "5")
+    assert code == 0
+    assert calls == [5, 5 * 4 * 3, 5 * (1 + 4 * 3 * 3)]
+    assert len(load(out, "oneill-check")["result"]["rows"]) == 5
+
+
+def test_framelab_jobs_environment_is_not_read(tmp_path, monkeypatch):
+    # --jobs is accepted and ignored, and nothing reads FRAMELAB_JOBS
+    monkeypatch.setenv("FRAMELAB_JOBS", "two")
+    code, out = run(tmp_path, "parse-check", "--metric", "builtin:round-sphere")
+    assert code == 0
+    assert load(out, "parse-check")["config"]["jobs"] == 1
 
 
 def test_holonomy_resume_merges_samples(tmp_path):
@@ -580,8 +621,9 @@ CLI_FUNCTIONS = {node.name: node for node in ast.parse(Path(cli.__file__).read_t
 
 #: option dest -> why a command may leave it unread
 UNREAD_EXEMPT = {
-    "jobs": "bench/ops.py passes --jobs 1 to every command it runs; ROADMAP item 7 "
-            "removes the option together with that benchmark edit",
+    "jobs": "accepted and ignored, read by no command: bench/ops.py passes --jobs 1 "
+            "to every command it runs; ROADMAP item 7 removes the option together "
+            "with that benchmark edit",
 }
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framelab import bundle as bd
 from framelab import curvature as cv
 from framelab import expr as ex
 from framelab import metric as mt
@@ -618,6 +619,57 @@ def test_fd_stencils_are_one_call(n):
         assert calls == [rows]
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fd_stencils_over_a_stack_of_centres(n):
+    """A stack of B centres is one `fun` call over all B stencils, and each
+    centre's partials are bitwise its point partials."""
+    rng = np.random.default_rng(10 + n)
+    A = rng.normal(size=(n, 2, 2))
+
+    def f(p):
+        return np.sin(np.tensordot(p, A, axes=1)) * np.exp(p.sum())
+
+    calls = []
+
+    def fun(points):
+        calls.append(len(points))
+        return stacked(f)(points)
+
+    P = rng.uniform(-1, 1, size=(5, n))
+    for fd, rows in ((cv.fd_gradient, 4 * n), (cv.fd_hessian, 1 + 4 * n * n)):
+        calls.clear()
+        got = fd(fun, P)
+        assert calls == [5 * rows]
+        want = np.stack([fd(fun, p) for p in P])
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_numeric_ricci_over_a_stack_is_three_calls_of_point_rows(cone_pair):
+    """NumericMetric.ricci of a stack of B points makes three `fun` calls,
+    and each row is bitwise the point's Ricci; riemann gives one jet per
+    row."""
+    g, gp = cone_pair
+    chart = bd.LiftedMetricChart(g, gp, bd.FramePoint.anchor([0.5, 1.0], 2))
+    calls = []
+
+    def fun(Y):
+        calls.append(len(Y))
+        return chart.metric_matrix(Y)
+
+    num = cv.NumericMetric(fun, chart.dim)
+    Y = np.array([[0.5, 1.0, 0.0], [0.8, 2.0, 0.1], [1.2, 3.5, -0.2]])
+    got = num.ricci(Y)
+    N = chart.dim
+    assert calls == [3, 3 * 4 * N, 3 * (1 + 4 * N * N)]
+    assert got.shape == (3, N, N)
+    for y, ric in zip(Y, got):
+        assert np.array_equal(ric, num.ricci(y))
+    jets = num.riemann(Y)
+    assert [j.point.tolist() for j in jets] == Y.tolist()
+    assert all(np.array_equal(j.rlow, num.riemann(y).rlow) for j, y in zip(jets, Y))
 
 
 # ---------------------------------------------------------------------------

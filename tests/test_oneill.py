@@ -164,9 +164,9 @@ def test_ricci_formula_vs_direct(case, flat2, torus2, sphere, rng):
         ctx = ctx_at(g, g, p)
         for _ in range(4):
             v, xi = random_direction(ctx, rng)
-            for vv, xx in ((v, xi), (v, None), (None, xi)):
+            dirs = ((v, xi), (v, None), (None, xi))
+            for (vv, xx), d in zip(dirs, on.ricci_direct([ctx] * 3, *zip(*dirs))):
                 f = on.ricci_oneill(ctx, vv, xx).ricci_formula
-                d = on.ricci_direct(ctx, vv, xx)
                 assert abs(f - d) <= 1e-5 * (1 + abs(d))
 
 
@@ -176,7 +176,7 @@ def test_ricci_cone_pair_formula_vs_direct(cone_pair, rng):
     for _ in range(4):
         v, xi = random_direction(ctx, rng)
         f = on.ricci_oneill(ctx, v, xi).ricci_formula
-        d = on.ricci_direct(ctx, v, xi)
+        d, = on.ricci_direct([ctx], [v], [xi])
         assert abs(f - d) <= 1e-5 * (1 + abs(d))
 
 
@@ -581,15 +581,16 @@ def test_ricci_eguchi_hanson_formula_vs_direct(eh, rng):
     directions."""
     ctx = ctx_at(eh, mt.eguchi_hanson(1.2), [1.8, 1.2, 0.7, 1.0])
     v, xi = random_direction(ctx, rng)
-    for vv, xx in ((v, xi), (v, None), (None, xi)):
+    dirs = ((v, xi), (v, None), (None, xi))
+    for (vv, xx), d in zip(dirs, on.ricci_direct([ctx] * 3, *zip(*dirs))):
         f = on.ricci_oneill(ctx, vv, xx).ricci_formula
-        d = on.ricci_direct(ctx, vv, xx)
         assert abs(f - d) <= 1e-6 * (1 + abs(d))
 
 
 def test_ricci_direct_is_three_stacked_metric_calls(cone_pair, monkeypatch):
-    """The value, the gradient stencil and the Hessian stencil of the
-    finite-difference Ricci are one `metric_matrix` call each."""
+    """The values, the gradient stencils and the Hessian stencils of the
+    finite-difference Ricci of B contexts are one `metric_matrix` call
+    each."""
     rows = []
     original = bd.LiftedMetricChart.metric_matrix
 
@@ -598,8 +599,40 @@ def test_ricci_direct_is_three_stacked_metric_calls(cone_pair, monkeypatch):
         return original(self, y)
 
     monkeypatch.setattr(bd.LiftedMetricChart, "metric_matrix", counted)
-    ctx = ctx_at(*cone_pair, [0.35, 1.2])
-    on.ricci_direct(ctx, np.array([1.0, 0.5]), None)
-    N = ctx.n + ctx.m
-    assert rows == [1, 4 * N, 1 + 4 * N * N]
+    ctxs = [ctx_at(*cone_pair, p) for p in ([0.35, 1.2], [0.6, 2.0], [1.1, 0.4])]
+    B = len(ctxs)
+    on.ricci_direct(ctxs, [np.array([1.0, 0.5])] * B, [None] * B)
+    N = ctxs[0].n + ctxs[0].m
+    assert rows == [B, 4 * N * B, B * (1 + 4 * N * N)]
 
+
+@pytest.mark.parametrize("pair", ["cone", "gmet-n3", "eguchi-hanson"])
+def test_ricci_direct_stack_is_bitwise_single_calls(pair, cone_pair, rng):
+    """ricci_direct over B contexts gives each context's single-context
+    value bit for bit: n = 2, n = 3 with g != g', and n = 4."""
+    if pair == "cone":
+        (g, gp), pts = cone_pair, [[0.35, 1.2], [0.9, 2.5], [1.3, 4.0]]
+    elif pair == "gmet-n3":
+        g, gp = (mt.parse_metric(text) for text in GMET_N3)
+        pts = [[0.4, 0.7, 1.1], [1.0, 0.3, 0.6], [0.6, 0.7, 0.8]]
+    else:
+        g, gp = mt.eguchi_hanson(1.0), mt.eguchi_hanson(1.2)
+        pts = [[1.8, 1.2, 0.7, 1.0], [2.4, 1.5, 2.0, 0.3]]
+    ctxs = [ctx_at(g, gp, p) for p in pts]
+    dirs = [random_direction(ctx, rng) for ctx in ctxs]
+    dirs[0] = (dirs[0][0], None)
+    dirs[-1] = (None, dirs[-1][1])
+    V, XI = zip(*dirs)
+    got = on.ricci_direct(ctxs, V, XI)
+    assert got.dtype == float and got.shape == (len(ctxs),)
+    want = [on.ricci_direct([ctx], [v], [xi])[0] for ctx, v, xi in zip(ctxs, V, XI)]
+    assert got.tolist() == want
+
+
+def test_ricci_direct_refuses_contexts_that_differ(cone_pair):
+    g, gp = cone_pair
+    one = ctx_at(g, gp, [0.35, 1.2])
+    for other in (ctx_at(g, g, [0.6, 2.0]), ctx_at(mt.smoothed_cone(0.7, 0.2), gp, [0.6, 2.0]),
+                  on.ONeillContext(g, gp, bd.FramePoint([0.6, 2.0], ot.rotation2(0.3)))):
+        with pytest.raises(ValueError, match="share g, g' and the anchor frame"):
+            on.ricci_direct([one, other], [None, None], [np.eye(2) - np.eye(2)] * 2)
