@@ -64,6 +64,18 @@ def _parse_region(text):
     return out
 
 
+def _metric_pair(args):
+    """The --metric g and the --metric2 g' (g itself without --metric2); a
+    g' of another dimension is a config error."""
+    g = mt.metric_from_uri(args.metric)
+    if not args.metric2:
+        return g, g
+    gp = mt.metric_from_uri(args.metric2)
+    if gp.dim != g.dim:
+        raise ValueError("base and connection metrics must share the chart")
+    return g, gp
+
+
 def _basepoint(args, m):
     """The --at point; a coordinate count other than m.dim is a config error,
     and a point that is not finite or lies outside the chart a domain error."""
@@ -155,26 +167,22 @@ def cmd_parse_check(args):
 
 
 def cmd_curvature(args):
-    m = mt.metric_from_uri(args.metric)
+    m, m2 = _metric_pair(args)
     p = _basepoint(args, m)
-    m2 = mt.metric_from_uri(args.metric2) if args.metric2 else None
-    if m2 is not None and m2.dim != m.dim:
-        raise ValueError("base and connection metrics must share the chart")
     jet = riemann(m, p)
     payload = {
         "point": p.tolist(),
         "metric": jet.G.tolist(),
         "ricci": jet.ricci().tolist(),
     }
-    if m2 is not None:
+    if args.metric2:
         payload["hypothesis"] = on.hypothesis_measurements(jet, curvature_gradient(m2, p))
     _write_artifact(args, "curvature", payload)
     return 0
 
 
 def cmd_lift(args):
-    g = mt.metric_from_uri(args.metric)
-    gp = mt.metric_from_uri(args.metric2) if args.metric2 else g
+    g, gp = _metric_pair(args)
     p = _basepoint(args, g)
     fp = bd.FramePoint.anchor(p, g.dim)
     chart = bd.LiftedMetricChart(g, gp, fp)
@@ -199,8 +207,7 @@ def cmd_lift(args):
 
 
 def cmd_oneill_check(args):
-    g = mt.metric_from_uri(args.metric)
-    gp = mt.metric_from_uri(args.metric2) if args.metric2 else g
+    g, gp = _metric_pair(args)
     _require_count("--pairs", args.pairs)
     rng = np.random.default_rng(args.seed)
     points = g.sample_interior(rng, args.pairs, margin=0.2)
@@ -224,8 +231,7 @@ def cmd_oneill_check(args):
 
 
 def cmd_holonomy(args):
-    g = mt.metric_from_uri(args.metric)
-    gp = mt.metric_from_uri(args.metric2) if args.metric2 else g
+    g, gp = _metric_pair(args)
     p = _basepoint(args, g)
     _require_count("--loops", args.loops, 0)
     if not 0 < args.delta < math.inf:
@@ -254,8 +260,7 @@ def cmd_holonomy(args):
 
 
 def cmd_fiber_dist(args):
-    g = mt.metric_from_uri(args.metric)
-    gp = mt.metric_from_uri(args.metric2) if args.metric2 else g
+    g, gp = _metric_pair(args)
     p = _basepoint(args, g)
     if g.dim != 2:
         raise ValueError("fiber-dist demo is defined for surfaces")
@@ -275,8 +280,7 @@ def cmd_fiber_dist(args):
 
 
 def cmd_bound_report(args):
-    g = mt.metric_from_uri(args.metric)
-    gp = mt.metric_from_uri(args.metric2) if args.metric2 else g
+    g, gp = _metric_pair(args)
     _require_count("--samples", args.samples)
     region = _region_for(g, args.region)
     rng = np.random.default_rng(args.seed)
@@ -295,8 +299,7 @@ def cmd_bound_report(args):
 
 
 def cmd_gh(args):
-    g = mt.metric_from_uri(args.metric)
-    m2 = mt.metric_from_uri(args.metric2) if args.metric2 else g
+    g, m2 = _metric_pair(args)
     _require_count("--samples", args.samples)
     region = _region_for(g, args.region)
     rng = np.random.default_rng(args.seed)

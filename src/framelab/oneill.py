@@ -35,6 +35,9 @@ from .metric import MetricSpec
 #: the smoothed-cone pair (n = 2) and by the whole-matrix finite-difference
 #: checks of n = 3 and n = 4 pairs with g != g' (test_ricci_matrix_matches_fd_oracle)
 CROSS_TERM_SIGN = -1.0
+#: most Hessian-stencil rows, 1 + 4 N^2 per context on a chart of dimension
+#: N, that one `ricci_direct` group sends to `metric_matrix`
+DIRECT_ROWS = 2048
 
 
 @dataclass
@@ -184,16 +187,21 @@ def ricci_direct(ctxs, V, XI) -> np.ndarray:
     The contexts must share g, g' and the anchor frame.  Then one chart,
     `ctxs[0].chart`, serves them all (its metric reads only the anchor
     frame; a base point enters only through `chart_point`), so the values,
-    gradient stencils and Hessian stencils of every context are three
-    stacked `metric_matrix` calls, and the chart directions one stacked
-    `lift`.  Each value is bitwise the one of a single-context call."""
+    gradient stencils and Hessian stencils of a group of contexts are three
+    stacked `metric_matrix` calls, and the chart directions of all of them
+    one stacked `lift`.  The groups are consecutive, each with as many
+    contexts as fit their Hessian stencils in DIRECT_ROWS rows (one at
+    least), so the stencils' memory does not grow with the number of
+    contexts.  Each value is bitwise the one of a single-context call."""
     chart = ctxs[0].chart
     if any(ctx.g is not chart.g or ctx.gp is not chart.gp
            or not np.array_equal(ctx.fp.frame, chart.anchor.frame) for ctx in ctxs):
         raise ValueError("ricci_direct needs contexts that share g, g' and the anchor frame")
     dirs = [normalize_direction(ctx, v, xi) for ctx, v, xi in zip(ctxs, V, XI, strict=True)]
     Y = np.stack([ctx.chart.chart_point() for ctx in ctxs])
-    ric = chart.numeric().ricci(Y)
+    per = max(1, DIRECT_ROWS // (1 + 4 * chart.dim ** 2))
+    numeric = chart.numeric()
+    ric = np.concatenate([numeric.ricci(Y[i:i + per]) for i in range(0, len(Y), per)])
     C = chart.lift(Y, np.stack([x for x, _, _ in dirs]), np.stack([xi for _, xi, _ in dirs]))
     return np.array([c @ r @ c for c, r in zip(C, ric)])
 

@@ -186,13 +186,25 @@ def group_distance(u, v):
     exact to rounding, small ones included.  The product of the lambda_k
     is det(v u^T); its sign tells the components apart.  The eigenvalues
     are taken DISTANCE_BLOCK pairs at a time, so their temporaries stay
-    small however many pairs broadcast."""
+    small however many pairs broadcast.
+
+    For n = 2 no eigenvalue is taken.  W = v u^T, if in SO(2), rotates
+    by t = atan2(W_10 - W_01, W_00 + W_11) in (-pi, pi], so d_b = sqrt(2) |t|,
+    and d_b = +inf where det W = W_00 W_11 - W_01 W_10 < 0.  atan2 is
+    well-conditioned everywhere, so t is exact to rounding, small angles
+    included.  For u = v, W_10 and W_01 are the same products summed in the
+    same order, so the numerator is exactly 0 and d(e, e) = 0.0."""
     u = check_orthogonal(u)
     v = check_orthogonal(v)
     W = v @ np.swapaxes(u, -1, -2)
-    flat = W.reshape(-1, *W.shape[-2:])
-    d = np.concatenate([_angle_norm(flat[i:i + DISTANCE_BLOCK])
-                        for i in range(0, len(flat), DISTANCE_BLOCK)]).reshape(W.shape[:-2])
+    if W.shape[-1] == 2:
+        t = np.arctan2(W[..., 1, 0] - W[..., 0, 1], W[..., 0, 0] + W[..., 1, 1])
+        det = W[..., 0, 0] * W[..., 1, 1] - W[..., 0, 1] * W[..., 1, 0]
+        d = np.where(det < 0, math.inf, math.sqrt(2.0) * np.abs(t))
+    else:
+        flat = W.reshape(-1, *W.shape[-2:])
+        d = np.concatenate([_angle_norm(flat[i:i + DISTANCE_BLOCK]) for i in
+                            range(0, len(flat), DISTANCE_BLOCK)]).reshape(W.shape[:-2])
     return float(d) if d.ndim == 0 else d
 
 

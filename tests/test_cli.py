@@ -127,6 +127,22 @@ def test_curvature_metric2_of_another_dimension_is_a_config_error(tmp_path, caps
     assert "base and connection metrics must share the chart" in capsys.readouterr().err
 
 
+CONE_2D = ("builtin:smoothed-cone:a=0.7,eps=0.1", "0.8,1.0")
+EH_4D = ("builtin:eguchi-hanson", "2.2,1.3,0.8,1.1")
+
+
+@pytest.mark.parametrize("command", ["holonomy", "fiber-dist", "gh"])
+@pytest.mark.parametrize("base, conn", [(CONE_2D, EH_4D), (EH_4D, CONE_2D)])
+def test_metric2_of_another_dimension_is_a_config_error(tmp_path, capsys, command,
+                                                        base, conn):
+    at = [] if command == "gh" else ["--at", base[1]]
+    code, out = run(tmp_path, command, "--metric", base[0], "--metric2", conn[0], *at)
+    assert code == 2
+    assert "config error: base and connection metrics must share the chart" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_point_outside_the_metric2_chart_is_named(tmp_path, capsys):
     # th = 4 is off the sphere's chart th in [0, pi], inside the flat one
     code, _ = run(tmp_path, "curvature", "--metric", "builtin:flat-euclidean:dim=2",

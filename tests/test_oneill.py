@@ -629,6 +629,33 @@ def test_ricci_direct_stack_is_bitwise_single_calls(pair, cone_pair, rng):
     assert got.tolist() == want
 
 
+def test_ricci_direct_groups_fit_the_row_budget(rng, monkeypatch):
+    """With DIRECT_ROWS small the contexts go in several groups: the values
+    are bitwise the one-group values, and no `metric_matrix` call gets more
+    rows than the budget."""
+    g, gp = (mt.parse_metric(text) for text in GMET_N3)
+    pts = [[0.4, 0.7, 1.1], [1.0, 0.3, 0.6], [0.6, 0.7, 0.8], [0.9, 1.1, 0.5], [0.3, 0.4, 1.3]]
+    ctxs = [ctx_at(g, gp, p) for p in pts]
+    V, XI = zip(*[random_direction(ctx, rng) for ctx in ctxs])
+    whole = on.ricci_direct(ctxs, V, XI)
+    N = ctxs[0].n + ctxs[0].m
+    budget = 2 * (1 + 4 * N * N) + 10
+    assert budget < len(ctxs) * (1 + 4 * N * N) <= on.DIRECT_ROWS
+    rows = []
+    original = bd.LiftedMetricChart.metric_matrix
+
+    def counted(self, y):
+        rows.append(len(np.atleast_2d(y)))
+        return original(self, y)
+
+    monkeypatch.setattr(bd.LiftedMetricChart, "metric_matrix", counted)
+    monkeypatch.setattr(on, "DIRECT_ROWS", budget)
+    assert on.ricci_direct(ctxs, V, XI).tolist() == whole.tolist()
+    # groups of 2, 2 and 1 contexts: values, gradient and Hessian stencils
+    assert rows == [k * r for k in (2, 2, 1) for r in (1, 4 * N, 1 + 4 * N * N)]
+    assert max(rows) <= budget
+
+
 def test_ricci_direct_refuses_contexts_that_differ(cone_pair):
     g, gp = cone_pair
     one = ctx_at(g, gp, [0.35, 1.2])

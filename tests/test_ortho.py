@@ -284,6 +284,51 @@ def test_stacked_group_distance_rows_are_single_calls(n):
     assert grid.tolist() == [[ot.group_distance(u, v) for u in U] for v in V]
 
 
+def test_o2_closed_form_matches_eigenvalue_form():
+    rng = np.random.default_rng(24)
+    U = np.array([random_orthogonal(rng, 2, reflect=bool(rng.integers(2))) for _ in range(400)])
+    far = np.array([random_orthogonal(rng, 2, reflect=bool(rng.integers(2))) for _ in U])
+    near = np.array([nudged(rng, u, 10.0 ** rng.uniform(-12, -1)) for u in U])
+    for V in (far, near):
+        # _angle_norm, the n >= 3 path, is the reference
+        got = ot.group_distance(U, V)
+        want = ot._angle_norm(V @ np.swapaxes(U, -1, -2))
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        fin = np.isfinite(want)
+        assert fin.any() and (V is near or not fin.all())
+        assert np.abs(got[fin] - want[fin]).max() <= 2e-15
+
+
+def test_o2_closed_form_is_exactly_zero_on_symmetric_w():
+    rng = np.random.default_rng(25)
+    for u in [random_orthogonal(rng, 2, reflect=bool(k % 2)) for k in range(10)]:
+        assert ot.group_distance(u, u) == 0.0
+    # W = v exactly symmetric and a hair off I, orthogonal within ORTH_TOL
+    assert ot.group_distance(np.eye(2), np.array([[1.0, 1e-12], [1e-12, 1.0]])) == 0.0
+
+
+def test_o2_closed_form_at_minus_identity():
+    # W_10 = sin(-pi) is a tiny negative number: atan2 gives -pi, not +pi
+    W = ot.rotation2(-math.pi)
+    assert W[1, 0] < 0
+    assert ot.group_distance(np.eye(2), W) == math.sqrt(2.0) * math.pi
+    assert ot.group_distance(np.eye(2), -np.eye(2)) == math.sqrt(2.0) * math.pi
+
+
+def test_o2_distance_takes_no_eigenvalues(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+    rng = np.random.default_rng(26)
+    U = np.array([random_orthogonal(rng, 2, reflect=bool(rng.integers(2))) for _ in range(40)])
+    ot.group_distance(U[0], U[1])
+    ot.group_distance(U, U[::-1])
+    ot.group_distance(U, U[:, None, None])
+    assert calls == []
+    ot.group_distance(np.eye(3), random_orthogonal(rng, 3))
+    assert calls == [(1, 3, 3)]
+
+
 def rotation_with_angles(rng, n, angles):
     """Q diag(R(t_1), R(t_2), ..., 1) Q^T for a random orthogonal Q."""
     D = np.eye(n)
