@@ -43,7 +43,7 @@ import numpy as np
 from . import ortho
 from .curvature import NumericMetric
 from .holonomy import section_connection_coeffs, section_frame
-from .metric import MetricSpec, require_spd
+from .metric import MetricSpec, _finite_rows, require_spd
 
 DIMENSION_BUDGET = 10
 
@@ -68,21 +68,30 @@ class FramePoint:
 
 def _distinct_rows(A):
     """The distinct rows of the 2-D array A, in order of first appearance,
-    and for each row of A the index of its distinct row."""
-    _, first, inverse = np.unique(A, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return A[first[order]], rank[inverse.ravel()]
+    and for each row of A the index of its distinct row.  Rows are equal
+    when their entries compare equal, as in `np.unique(A, axis=0)`; a
+    stable lexicographic sort puts each group's first row first."""
+    order = np.lexsort(A.T[::-1]) if A.shape[1] else np.arange(len(A))
+    S = A[order]
+    new = np.ones(len(A), dtype=bool)
+    new[1:] = (S[1:] != S[:-1]).any(axis=1)
+    group = np.empty(len(A), dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    first = order[new]
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    return A[first[by_first]], rank[group]
 
 
-def _rows(fn, X):
-    """fn, a compiled evaluator of `MetricSpec`, at the rows of X (k, n) in
-    one stacked call; a row with a non-finite value is evaluated again as a
-    point, which raises the ExprEvalError a point raises there."""
-    out = fn(X)
-    for k in np.flatnonzero(~np.isfinite(out.reshape(len(X), -1)).all(axis=1)):
-        out[k] = fn(X[k])
+def _rows(jet, X):
+    """jet, a `MetricSpec.derivative_fn` evaluator, at the rows of X (k, n)
+    in one stacked call; a row with a non-finite value is evaluated again
+    as a point, which raises the ExprEvalError a point raises there."""
+    out = jet(X)
+    for k in np.flatnonzero(~_finite_rows(out)):
+        for d, v in zip(out, jet(X[k])):
+            d[k] = v
     return out
 
 
@@ -116,9 +125,11 @@ class LiftedMetricChart:
 
     def chart_point(self, t=None):
         """The chart point over the anchor's base point, at fiber
-        coordinates t (the anchor frame itself by default)."""
-        t = np.zeros(self.m) if t is None else np.asarray(t, dtype=float)
-        return np.concatenate([self.anchor.base, t])
+        coordinates t (the anchor frame itself by default); over each row
+        of a stacked base (B, n), one chart point per row, (B, N)."""
+        base = self.anchor.base
+        t = np.zeros(base.shape[:-1] + (self.m,)) if t is None else np.asarray(t, dtype=float)
+        return np.concatenate([base, t], axis=-1)
 
     def skew_from_t(self, t):
         """T(t) for t (m,), or one T per row of a stack (..., m)."""
@@ -134,9 +145,9 @@ class LiftedMetricChart:
     def _base_half(self, X):
         """The connection coefficients C_i (k, n, n, n) of the reference
         section at the distinct base rows X (k, n)."""
-        G = _rows(self.gp.evaluate, X)
+        G, dG = _rows(self.gp.derivative_fn(1), X)
         require_spd(G, X)
-        return section_connection_coeffs(G, _rows(self.gp.derivative_fn(1), X))
+        return section_connection_coeffs(G, dG)
 
     def _omega_rows(self, Y):
         """omega on each chart basis vector at each row of the stack Y (B, N),
@@ -168,7 +179,7 @@ class LiftedMetricChart:
         y = np.asarray(y, dtype=float)
         om_x, om_t, X, xi = self._omega_rows(y.reshape(-1, self.dim))
         n = self.n
-        G = _rows(self.g.evaluate, X)[xi]
+        G = _rows(self.g.derivative_fn(0), X)[0][xi]
         vx = ortho.vec_skew(om_x)
         vt = ortho.vec_skew(om_t)
         out = np.empty((len(G), self.dim, self.dim))

@@ -212,17 +212,19 @@ def cmd_oneill_check(args):
     rng = np.random.default_rng(args.seed)
     points = g.sample_interior(rng, args.pairs, margin=0.2)
     n = g.dim
-    tasks = [(p, rng.normal(size=n), ortho.unvec_skew(rng.normal(size=n * (n - 1) // 2), n))
-             for p in points]
-    ctxs = [on.ONeillContext(g, gp, bd.FramePoint.anchor(p, n)) for p, _, _ in tasks]
-    reps = [on.ricci_oneill(ctx, v, xi) for ctx, (_, v, xi) in zip(ctxs, tasks)]
-    # every pair's finite-difference Ricci in one stacked pass
-    direct = on.ricci_direct(ctxs, [v for _, v, _ in tasks], [xi for _, _, xi in tasks])
-    rows = [{"point": list(map(float, p)),
-             "formula": rep.ricci_formula, "direct": d,
-             "rel_err": abs(rep.ricci_formula - d) / (1 + abs(d)),
-             "terms": rep.terms}
-            for (p, _, _), rep, d in zip(tasks, reps, direct.tolist())]
+    # per pair, the n components of v, then the n(n-1)/2 of xi
+    W = rng.normal(size=(args.pairs, n + n * (n - 1) // 2))
+    V, XI = W[:, :n].copy(), ortho.unvec_skew(W[:, n:], n)
+    # every pair's formula from one stacked context, and its
+    # finite-difference Ricci in one stacked pass
+    ctx = on.ONeillContext(g, gp, bd.FramePoint.anchor(points, n))
+    rep = on.ricci_oneill(ctx, V, XI)
+    direct = on.ricci_direct(ctx, V, XI)
+    terms = [dict(zip(rep.terms, row)) for row in zip(*(t.tolist() for t in rep.terms.values()))]
+    rows = [{"point": p, "formula": f, "direct": d, "rel_err": abs(f - d) / (1 + abs(d)),
+             "terms": t}
+            for p, f, d, t in zip(points.tolist(), rep.ricci_formula.tolist(),
+                                  direct.tolist(), terms)]
     worst = max(r["rel_err"] for r in rows)
     _write_artifact(args, "oneill-check", {"worst_rel_err": worst, "rows": rows})
     if args.strict and worst > 1e-5:
@@ -284,10 +286,8 @@ def cmd_bound_report(args):
     _require_count("--samples", args.samples)
     region = _region_for(g, args.region)
     rng = np.random.default_rng(args.seed)
-    pts = []
-    for _ in range(args.samples):
-        pts.append(np.array([rng.uniform(lo, hi) for lo, hi in region]))
-    rep = on.ricci_bound_report(g, gp, pts)
+    lo, hi = np.array(region, dtype=float).T
+    rep = on.ricci_bound_report(g, gp, rng.uniform(lo, hi, size=(args.samples, g.dim)))
     _write_artifact(args, "bound-report", rep.to_json_obj())
     if args.format == "csv":
         path = Path(args.out) / "bound-report.csv"

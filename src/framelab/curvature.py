@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .expr import ExprEvalError, _plain
-from .metric import MetricSpec, _shaped
+from .metric import MetricSpec, _finite_rows, require_spd
 
 
 class DomainExitError(RuntimeError):
@@ -61,7 +61,8 @@ class ConnectionCoeffs:
 @dataclass(frozen=True)
 class CurvatureTensor:
     """The Riemann jet of one metric at one point, with the metric matrix
-    and Christoffel symbols it was assembled from."""
+    and Christoffel symbols it was assembled from; at a stack of points,
+    every array carries the stack axis first."""
     point: np.ndarray
     G: np.ndarray               # (n, n): the metric matrix
     gamma: np.ndarray           # (n, n, n): gamma[k, i, j]
@@ -70,7 +71,7 @@ class CurvatureTensor:
 
     def ricci(self):
         """Ricci tensor Ric_ab = rup[m, m, a, b]."""
-        return np.einsum("mmab->ab", self.rup)
+        return np.einsum("...mmab->...ab", self.rup)
 
 
 @dataclass(frozen=True)
@@ -89,10 +90,10 @@ class CurvatureGradient:
         the connection whose Christoffel symbols are gamma_c."""
         rlow = self.rlow
         return (self.drlow
-                - np.einsum("smi,sjkl->mijkl", gamma_c, rlow)
-                - np.einsum("smj,iskl->mijkl", gamma_c, rlow)
-                - np.einsum("smk,ijsl->mijkl", gamma_c, rlow)
-                - np.einsum("sml,ijks->mijkl", gamma_c, rlow))
+                - np.einsum("...smi,...sjkl->...mijkl", gamma_c, rlow)
+                - np.einsum("...smj,...iskl->...mijkl", gamma_c, rlow)
+                - np.einsum("...smk,...ijsl->...mijkl", gamma_c, rlow)
+                - np.einsum("...sml,...ijks->...mijkl", gamma_c, rlow))
 
     @cached_property
     def nabla_r(self):
@@ -108,40 +109,53 @@ def _ginv(G):
     return np.linalg.solve(G, np.eye(G.shape[-1]))
 
 
-def assemble_gamma_jet(G, *dG):
-    """Christoffel symbols and their partials from G and its first k
-    partials dG = (dG, d2G, d3G)[:k], k = 1, 2 or 3.  Returns the list
-    [gamma, dgamma, d2gamma][:k] with dgamma[m, k, i, j] = d_m Gamma^k_ij
-    and d2gamma[m, n, k, i, j] = d_m d_n Gamma^k_ij; g^-1, A and d(g^-1)
-    are computed once for all orders.  For k = 1 or 2, G and its partials
-    may carry one leading stack axis, (B, n, n), (B, n, n, n), ...
-    """
-    ginv = _ginv(G)
-    # A[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij and its partials
+def _gamma_parts(G, dG):
+    """g^-1 and A[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij with its
+    partials, one per array of dG."""
     A = []
     for d in dG:
         t = np.swapaxes(d, -1, -3)      # t[..., l, i, j] = d_j g_il
         A.append(np.swapaxes(t, -1, -2) + t - d)
-    if G.ndim > 2:
-        return _stacked_gamma_jet(ginv, dG, A)
+    return _ginv(G), A
+
+
+def _gamma_jet(G, *dG):
+    """Christoffel symbols and their partials from G and its first k
+    partials dG = (dG, d2G, d3G)[:k], k = 1, 2 or 3.  Returns the list
+    [gamma, dgamma, d2gamma][:k] with dgamma[m, k, i, j] = d_m Gamma^k_ij
+    and d2gamma[m, n, k, i, j] = d_m d_n Gamma^k_ij; g^-1, A and d(g^-1)
+    are computed once for all orders.  G and its partials may carry
+    leading stack axes, (B, n, n), (B, n, n, n), ...: the einsums
+    broadcast over them, so each row is its point value bit for bit.
+    """
+    ginv, A = _gamma_parts(G, dG)
     out = [0.5 * np.einsum("...kl,...lij->...kij", ginv, A[0])]
     if len(dG) > 1:
-        dginv = -np.einsum("ka,mab,bl->mkl", ginv, dG[0], ginv)
-        out.append(0.5 * (np.einsum("mkl,lij->mkij", dginv, A[0])
-                          + np.einsum("kl,mlij->mkij", ginv, A[1])))
+        dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dG[0], ginv)
+        out.append(0.5 * (np.einsum("...mkl,...lij->...mkij", dginv, A[0])
+                          + np.einsum("...kl,...mlij->...mkij", ginv, A[1])))
     if len(dG) > 2:
-        d2ginv = -(np.einsum("nka,mab,bl->mnkl", dginv, dG[0], ginv)
-                   + np.einsum("ka,mnab,bl->mnkl", ginv, dG[1], ginv)
-                   + np.einsum("ka,mab,nbl->mnkl", ginv, dG[0], dginv))
-        out.append(0.5 * (np.einsum("mnkl,lij->mnkij", d2ginv, A[0])
-                          + np.einsum("mkl,nlij->mnkij", dginv, A[1])
-                          + np.einsum("nkl,mlij->mnkij", dginv, A[1])
-                          + np.einsum("kl,mnlij->mnkij", ginv, A[2])))
+        d2ginv = -(np.einsum("...nka,...mab,...bl->...mnkl", dginv, dG[0], ginv)
+                   + np.einsum("...ka,...mnab,...bl->...mnkl", ginv, dG[1], ginv)
+                   + np.einsum("...ka,...mab,...nbl->...mnkl", ginv, dG[0], dginv))
+        out.append(0.5 * (np.einsum("...mnkl,...lij->...mnkij", d2ginv, A[0])
+                          + np.einsum("...mkl,...nlij->...mnkij", dginv, A[1])
+                          + np.einsum("...nkl,...mlij->...mnkij", dginv, A[1])
+                          + np.einsum("...kl,...mnlij->...mnkij", ginv, A[2])))
     return out
 
 
-def _stacked_gamma_jet(ginv, dG, A):
-    """`assemble_gamma_jet` on a stack of B points, orders 1 and 2.  Every
+def assemble_gamma_jet(G, *dG):
+    """`_gamma_jet` at a point; on a stack (B, n, n) of G and its first one
+    or two partials, the row products of `_stacked_gamma_jet`, which the
+    geodesic right-hand sides and the connection forms take."""
+    if G.ndim > 2:
+        return _stacked_gamma_jet(G, dG)
+    return _gamma_jet(G, *dG)
+
+
+def _stacked_gamma_jet(G, dG):
+    """`_gamma_jet` on a stack of B points, orders 1 and 2.  Every
     product acts on one row at a time (broadcast products added in a fixed
     order, np.matmul per row), so row k is the same bits whatever else is
     in the stack.  Gamma adds the terms of the single-point einsum in its
@@ -150,6 +164,7 @@ def _stacked_gamma_jet(ginv, dG, A):
     matmul and agrees with the single-point value to rounding."""
     if len(dG) > 2:
         raise ValueError("stacked Christoffel jets take G, dG and d2G at most")
+    ginv, A = _gamma_parts(G, dG)
     B, n = ginv.shape[:2]
     gamma = ginv[:, :, 0, None, None] * A[0][:, None, 0]
     for l in range(1, n):
@@ -165,59 +180,66 @@ def _stacked_gamma_jet(ginv, dG, A):
 
 
 def assemble_rup(gamma, dgamma):
-    term = np.einsum("iljk->lijk", dgamma) - np.einsum("jlik->lijk", dgamma)
-    quad = np.einsum("lim,mjk->lijk", gamma, gamma)
-    return term + quad - np.einsum("lijk->ljik", quad)
+    term = np.einsum("...iljk->...lijk", dgamma) - np.einsum("...jlik->...lijk", dgamma)
+    quad = np.einsum("...lim,...mjk->...lijk", gamma, gamma)
+    return term + quad - np.einsum("...lijk->...ljik", quad)
 
 
 def assemble_rlow(G, rup):
-    return np.einsum("km,mijl->ijkl", G, rup)
+    return np.einsum("...km,...mijl->...ijkl", G, rup)
 
 
 def assemble_drup(gamma, dgamma, d2gamma):
     """drup[m, l, i, j, k] = d_m R^l_ijk."""
-    term = (np.einsum("miljk->mlijk", d2gamma)
-            - np.einsum("mjlik->mlijk", d2gamma))
-    quad = (np.einsum("mlia,ajk->mlijk", dgamma, gamma)
-            + np.einsum("lia,majk->mlijk", gamma, dgamma))
-    return term + quad - np.einsum("mlijk->mljik", quad)
+    term = (np.einsum("...miljk->...mlijk", d2gamma)
+            - np.einsum("...mjlik->...mlijk", d2gamma))
+    quad = (np.einsum("...mlia,...ajk->...mlijk", dgamma, gamma)
+            + np.einsum("...lia,...majk->...mlijk", gamma, dgamma))
+    return term + quad - np.einsum("...mlijk->...mljik", quad)
 
 
 # ---------------------------------------------------------------------------
 # symbolic-derivative entry points
 
-def _derivs(m, p, order):
-    """[G, dG, ..., d^order G] at p; m is a derivative source, a MetricSpec
-    or a NumericMetric."""
-    p = np.asarray(p, dtype=float)
-    out = [m.evaluate(p)]
-    for k in range(1, order + 1):
-        out.append(m.derivative_fn(k)(p))
-    return out
-
-
 def _checked_derivs(m: MetricSpec, p, order):
-    """`_derivs` of a MetricSpec at the float point p, after the domain
-    check, with G from the SPD check."""
-    if not m.in_domain(p):
-        raise DomainExitError(None, p)
-    return [m.check_spd(p)] + [m.derivative_fn(k)(p) for k in range(1, order + 1)]
+    """[G, dG, ..., d^order G] of a MetricSpec at the float point p (n,),
+    after the domain check, with G SPD-checked; or at each row of a stack
+    p (B, n), from one stacked evaluation, where a row that is outside the
+    domain, not finite or not SPD goes through the point checks in row
+    order: it raises that point's error, or (not finite on numpy only)
+    takes the point's values."""
+    jet = m.derivative_fn(order)
+    if p.ndim == 1:
+        if not m.in_domain(p):
+            raise DomainExitError(None, p)
+        derivs = jet(p)
+        require_spd(derivs[0][None], [p])
+        return derivs
+    derivs = jet(p)
+    start = 0
+    for k in np.flatnonzero(~(m.in_domain(p) & _finite_rows(derivs))):
+        require_spd(derivs[0][start:k], p[start:k])
+        for d, v in zip(derivs, _checked_derivs(m, p[k], order)):
+            d[k] = v
+        start = k + 1
+    require_spd(derivs[0][start:], p[start:])
+    return derivs
 
 
 def _curvature_tensor(p, G, dG, d2G):
-    gamma, dgamma = assemble_gamma_jet(G, dG, d2G)
+    gamma, dgamma = _gamma_jet(G, dG, d2G)
     rup = assemble_rup(gamma, dgamma)
     return CurvatureTensor(p, G, gamma, rup, assemble_rlow(G, rup))
 
 
 def christoffel(m: MetricSpec, p) -> ConnectionCoeffs:
     p = np.asarray(p, dtype=float)
-    return ConnectionCoeffs(p, assemble_gamma_jet(*_checked_derivs(m, p, 1))[0])
+    return ConnectionCoeffs(p, _gamma_jet(*_checked_derivs(m, p, 1))[0])
 
 
 def riemann(m: MetricSpec, p) -> CurvatureTensor:
-    """The Riemann jet of m at p: G, Gamma, rup and rlow from one
-    evaluation of G, dG and d2G."""
+    """The Riemann jet of m at p (n,), or at each row of a stack p (B, n):
+    G, Gamma, rup and rlow from one evaluation of G, dG and d2G."""
     p = np.asarray(p, dtype=float)
     return _curvature_tensor(p, *_checked_derivs(m, p, 2))
 
@@ -248,49 +270,57 @@ def pairing(rlow, a, b, c, d):
 
 
 def curvature_gradient(m: MetricSpec, p) -> CurvatureGradient:
-    """The curvature-gradient jet of m at p, from one evaluation of G and
-    its first three partials; `nabla_r` is the Levi-Civita value and
-    `nabla(gamma_c)` the value under another connection."""
+    """The curvature-gradient jet of m at p (n,), or at each row of a stack
+    p (B, n), from one evaluation of G and its first three partials;
+    `nabla_r` is the Levi-Civita value and `nabla(gamma_c)` the value under
+    another connection."""
     p = np.asarray(p, dtype=float)
     G, dG, d2G, d3G = _checked_derivs(m, p, 3)
-    gamma, dgamma, d2gamma = assemble_gamma_jet(G, dG, d2G, d3G)
+    gamma, dgamma, d2gamma = _gamma_jet(G, dG, d2G, d3G)
     rup = assemble_rup(gamma, dgamma)
     drup = assemble_drup(gamma, dgamma, d2gamma)
     # d_m rlow_ijkl = d_m g_ka rup[a,i,j,l] + g_ka d_m rup[a,i,j,l]
-    drlow = (np.einsum("mka,aijl->mijkl", dG, rup)
-             + np.einsum("ka,maijl->mijkl", G, drup))
+    drlow = (np.einsum("...mka,...aijl->...mijkl", dG, rup)
+             + np.einsum("...ka,...maijl->...mijkl", G, drup))
     return CurvatureGradient(p, G, gamma, assemble_rlow(G, rup), drlow)
 
 
-def tensor_norm(T, G, signature) -> float:
+def _item(a):
+    """A result at one point as a float; at a stack, the array."""
+    return float(a) if np.ndim(a) == 0 else a
+
+
+def tensor_norm(T, G, signature):
     """Norm of a tensor under the metric matrix G: sqrt of the full
     contraction of T (x) T with G (on 'u' slots) and G^-1 (on 'l' slots).
-    signature example: "ull".
+    signature example: "ull".  T and G may carry the same leading stack
+    axes, which give one norm per row.
     """
     T = np.asarray(T, dtype=float)
-    if len(signature) != T.ndim or any(s not in "ul" for s in signature):
-        raise ValenceError(f"signature {signature!r} does not match tensor of rank {T.ndim}")
+    k = T.ndim - (np.ndim(G) - 2)
+    if len(signature) != k or any(s not in "ul" for s in signature):
+        raise ValenceError(f"signature {signature!r} does not match tensor of rank {k}")
     Ginv = _ginv(G)
-    k = T.ndim
     a = "abcdefgh"[:k]
     b = "mnopqrst"[:k]
-    mats = ",".join(f"{a[i]}{b[i]}" for i in range(k))
-    sub = f"{a},{b},{mats}->"
+    mats = ",".join(f"...{a[i]}{b[i]}" for i in range(k))
+    sub = f"...{a},...{b},{mats}->..."
     slots = [G if s == "u" else Ginv for s in signature]
     val = np.einsum(sub, T, T, *slots)
-    return math.sqrt(max(val, 0.0))
+    return _item(np.sqrt(np.maximum(val, 0.0)))
 
 
-def coordinate_plane_sup(G, rlow) -> float:
+def coordinate_plane_sup(G, rlow):
     """max |sec| over coordinate 2-planes, read from the metric G and the
-    rlow array at one point."""
-    n = len(G)
-    best = 0.0
+    rlow array at one point, or per row of stacks of them."""
+    n = G.shape[-1]
+    best = np.zeros(G.shape[:-2])
     for i in range(n):
         for j in range(i + 1, n):
-            den = G[i, i] * G[j, j] - G[i, j] * G[i, j]
-            best = max(best, abs(float(rlow[i, j, i, j]) / den))
-    return best
+            den = G[..., i, i] * G[..., j, j] - G[..., i, j] * G[..., i, j]
+            # fmax keeps the best so far over a NaN, as max(best, nan) does
+            best = np.fmax(best, np.abs(rlow[..., i, j, i, j] / den))
+    return _item(best)
 
 
 def sup_sectional_coordinate_planes(m: MetricSpec, p) -> float:
@@ -612,36 +642,29 @@ class _GammaCache:
 
     def __init__(self, m, variational=False):
         self.n = m.dim
-        self.dfn = m.derivative_fn(1)
-        self.d2fn = m.derivative_fn(2) if variational else None
-        if isinstance(m, MetricSpec):
-            # the compiled components, without evaluate's argument conversion
-            fn, shape = m._compiled(), (m.dim, m.dim)
-            self.gfn = lambda x: _shaped(fn(x), shape)
-        else:
-            self.gfn = m.evaluate
+        self.order = 2 if variational else 1
+        self.jet = m.derivative_fn(self.order)
 
     def jets(self, X):
         """[Gamma] at each row of X (b, n), with dGamma as well when
-        variational: one stacked call per derivative order, then one stacked
-        assembly.  Returns (jets, errors), errors {row: exception} for rows
-        whose evaluation failed; their jet rows are zero.
+        variational: one stacked jet call (G, dG and, when variational,
+        d2G), then one stacked assembly.  Returns (jets, errors), errors
+        {row: exception} for rows whose evaluation failed; their jet rows
+        are zero.
 
-        A row with a non-finite value is evaluated again as a point (G, then
-        dG, then d2G): it fails with the ExprEvalError or LinAlgError raised
-        there, or with "expression not finite" if the point values are not
-        finite either, and otherwise takes the point values.  A source that
-        fails a whole stack for one bad row (a NumericMetric whose function
-        raises) has every row evaluated so."""
+        A row with a non-finite value is evaluated again as a point: it
+        fails with the ExprEvalError or LinAlgError raised there, or with
+        "expression not finite" if the point values are not finite either,
+        and otherwise takes the point values.  A source that fails a whole
+        stack for one bad row (a NumericMetric whose function raises) has
+        every row evaluated so."""
         b, n = len(X), self.n
-        fns = [self.gfn, self.dfn] + ([self.d2fn] if self.d2fn else [])
         try:
-            parts = [fn(X) for fn in fns]
-            ok = np.logical_and.reduce([np.isfinite(p).reshape(b, -1).all(axis=1)
-                                        for p in parts])
+            parts = self.jet(X)
+            ok = _finite_rows(parts)
             redo = np.flatnonzero(~ok)
         except (ExprEvalError, np.linalg.LinAlgError):
-            parts = [np.zeros((b,) + (n,) * (k + 2)) for k in range(len(fns))]
+            parts = [np.zeros((b,) + (n,) * (k + 2)) for k in range(self.order + 1)]
             ok = np.zeros(b, dtype=bool)
             redo = range(b)
         errors = {}
@@ -650,7 +673,7 @@ class _GammaCache:
             # numpy scalars, with the same values
             x = X[k].tolist()
             try:
-                vals = [fn(x) for fn in fns]
+                vals = self.jet(x)
             except (ExprEvalError, np.linalg.LinAlgError) as exc:
                 errors[k] = exc
                 continue
@@ -665,7 +688,7 @@ class _GammaCache:
                 return assemble_gamma_jet(*parts), errors
             except np.linalg.LinAlgError:
                 pass            # a singular G: assemble row by row below
-        jets = [np.zeros((b,) + (n,) * (k + 3)) for k in range(len(fns) - 1)]
+        jets = [np.zeros((b,) + (n,) * (k + 3)) for k in range(self.order)]
         for k in np.flatnonzero(ok):
             try:
                 for jet, row in zip(jets, assemble_gamma_jet(*(p[k:k + 1] for p in parts))):
@@ -941,11 +964,12 @@ class NumericMetric:
         return self.fun(p) if p.ndim == 2 else self.fun(p[None])[0]
 
     def derivative_fn(self, order):
-        """p -> the order-th partials (order 1 or 2), leading axes the
-        directions; a stack of points (B, dim) gives a leading stack axis
-        from one `fun` call over the stencils of all its rows."""
-        fd = {1: fd_gradient, 2: fd_hessian}[order]
-        return lambda p: fd(self.fun, p)
+        """p -> [G, dG, ..., d^order G] (order 0, 1 or 2), the partials'
+        leading axes the directions, as `MetricSpec.derivative_fn` returns
+        them; a stack of points (B, dim) gives a leading stack axis, and
+        each order is one `fun` call over G or the stencils of all rows."""
+        fds = (fd_gradient, fd_hessian)[:order]
+        return lambda p: [self.evaluate(p)] + [fd(self.fun, p) for fd in fds]
 
     def riemann(self, p):
         """The Riemann jet at a point (dim,), or a list of them, one per row
@@ -953,7 +977,7 @@ class NumericMetric:
         stencils and the Hessian stencils), then each row assembled on its
         own, so a row's jet is bitwise its point jet."""
         p = np.asarray(p, dtype=float)
-        derivs = _derivs(self, p, 2)
+        derivs = self.derivative_fn(2)(p)
         if p.ndim == 1:
             return _curvature_tensor(p, *derivs)
         return [_curvature_tensor(q, *row) for q, *row in zip(p, *derivs)]

@@ -12,6 +12,7 @@ attempt aggressive rewriting.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -707,8 +708,9 @@ _FORMATS = {Add: "{} + {}", Sub: "{} - {}", Mul: "{} * {}", Div: "{} / {}",
 
 
 def _program(exprs, names):
-    """Straight-line source of `_compiled(_x)`, returning the values of
-    exprs as a tuple, and the operand text of each value.  Nodes are
+    """Straight-line source of `_compiled(_x)`, returning each distinct
+    value of exprs once, as a tuple in order of first use, and the operand
+    text of each expression's value.  Nodes are
     hash-consed bottom-up: a node's key is its operator and its operands'
     texts, each distinct key is computed once, into the local `_t<id>`, and
     its id is its number in order of first use.  The operations and their
@@ -749,8 +751,9 @@ def _program(exprs, names):
         return text
 
     outputs = [visit(e) for e in exprs]
+    distinct = dict.fromkeys(outputs)
     return (f"def _compiled(_x):\n{''.join(lines)}"
-            f"    return ({''.join(o + ', ' for o in outputs)})\n", outputs)
+            f"    return ({''.join(o + ', ' for o in distinct)})\n", outputs)
 
 
 def _plain(point):
@@ -797,13 +800,13 @@ def compile_exprs(exprs, coords, params=None):
     simplified = [_simplify(e, memo) for e in exprs]
     src, outputs = _program(simplified, names)
     code = compile(src, "<compiled expressions>", "exec")
-    # a stack fills one row per distinct output, then gathers all K
-    first = {}
-    for i, o in enumerate(outputs):
-        first.setdefault(o, i)
-    slot = {o: s for s, o in enumerate(first)}
+    # the program returns each distinct output once; gather all K from them
+    K = len(exprs)
+    slot = {}
+    for o in outputs:
+        slot.setdefault(o, len(slot))
     gather = np.array([slot[o] for o in outputs], dtype=np.intp)
-    first = list(first.values())
+    pick = operator.itemgetter(*gather.tolist()) if K > 1 else lambda out: tuple(out[:K])
 
     def bind(env):
         scope = dict(env, **consts)
@@ -812,21 +815,20 @@ def compile_exprs(exprs, coords, params=None):
 
     fn = bind(_MATH_ENV)
     np_fn = None        # the numpy binding, made on the first stack
-    K = len(exprs)
 
     def evaluate_stack(X):
         nonlocal np_fn
         if np_fn is None:
             np_fn = bind(_NUMPY_ENV)
-        out = np.empty((len(first), len(X)))
+        out = np.empty((len(slot), len(X)))
         with np.errstate(all="ignore"):
             try:
                 vals = np_fn(np.ascontiguousarray(X.T, dtype=float))
             except (ValueError, ZeroDivisionError, OverflowError):
                 # only an operation on constants raises here, for every row
-                vals = (math.nan,) * K
-        for row, i in zip(out, first):
-            row[...] = vals[i]
+                vals = (math.nan,) * len(slot)
+        for row, v in zip(out, vals):
+            row[...] = v
         # C-contiguous (B, K), so that a row's later products do not
         # depend on the stack's layout
         return np.ascontiguousarray(out.T).take(gather, axis=1)
@@ -840,7 +842,7 @@ def compile_exprs(exprs, coords, params=None):
             raise ExprEvalError(f"expression undefined at {_plain(point)}: {err}") from None
         if not all(map(math.isfinite, out)):
             raise ExprEvalError(f"expression not finite at {_plain(point)}")
-        return out
+        return pick(out)
 
     evaluate.source = src
     return evaluate

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ortho
 from .curvature import DOMAIN_TOL, DomainExitError, assemble_gamma_jet, curve_length
-from .metric import MetricSpec
+from .metric import MetricSpec, _finite_rows
 
 CLOSURE_TOL = 1e-10
 ORTHONORMALITY_DRIFT = 1e-8
@@ -194,9 +194,8 @@ def _connection_at(conn: MetricSpec, segments, s):
     X = np.concatenate([seg.point(s) for seg in segments])
     V = np.concatenate([seg.velocity(s) for seg in segments])
     bad = ~conn.in_domain(X, tol=DOMAIN_TOL, wrap=True)
-    G = conn.evaluate(X)
-    dG = conn.derivative_fn(1)(X)
-    bad |= ~(np.isfinite(G).all(axis=(1, 2)) & np.isfinite(dG).all(axis=(1, 2, 3)))
+    G, dG = conn.derivative_fn(1)(X)
+    bad |= ~_finite_rows([G, dG])
     if not bad.any():
         try:
             C = section_connection_coeffs(G, dG)

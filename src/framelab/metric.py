@@ -65,12 +65,11 @@ def require_spd(G, points):
     raise NotSPDError(f"metric too ill-conditioned at {at}: cond {hi[k] / lo[k]:.3e}")
 
 
-def _shaped(vals, shape):
-    """A compiled evaluator's result as an array: a point's tuple to
-    `shape`, a stack's (B, K) array to (B,) + shape."""
-    if isinstance(vals, np.ndarray):
-        return vals.reshape((len(vals),) + shape)
-    return np.array(vals, dtype=float).reshape(shape)
+def _finite_rows(arrays):
+    """For stacks (B, ...) of values at the same B points, whether every
+    value of each row is finite."""
+    return np.logical_and.reduce([np.isfinite(a).reshape(len(a), -1).all(axis=1)
+                                  for a in arrays])
 
 
 def _upper_pairs(n):
@@ -112,8 +111,7 @@ class MetricSpec:
             self.domain = dom
         self._check_symmetry()
         self._check_bindings()
-        self._fn = None
-        self._dfns = {}
+        self._jets = {}
         self._levels = {0: {(): tuple(self.components[i][j]
                                       for i, j in _upper_pairs(self.dim))}}
 
@@ -159,18 +157,12 @@ class MetricSpec:
     def _flat(self):
         return [self.components[i][j] for i in range(self.dim) for j in range(self.dim)]
 
-    def _compiled(self):
-        if self._fn is None:
-            self._fn = ex.compile_exprs(self._flat(), self.coords, self.params)
-        return self._fn
-
     def evaluate(self, point):
         """Metric matrix at a chart point (n,), as an (n, n) float array, or
         at each row of a stack (B, n), as (B, n, n).  A point raises
         ExprEvalError where a component is undefined or not finite; a stack
         row there holds NaN or inf instead (see `expr.compile_exprs`)."""
-        point = np.asarray(point, dtype=float)
-        return _shaped(self._compiled()(point), (self.dim, self.dim))
+        return self._jet(0)(np.asarray(point, dtype=float))[0]
 
     def _level(self, order, memo):
         """{sorted multi-index: the n(n+1)/2 upper-triangle partials} of
@@ -188,7 +180,7 @@ class MetricSpec:
 
     def _derivative_exprs(self, order):
         """All order-th partials of the components, flat, in the order of
-        `derivative_fn`'s array: by reference to one partial per sorted
+        their `derivative_fn` array: by reference to one partial per sorted
         multi-index and upper-triangle component."""
         level = self._level(order, {})
         n = self.dim
@@ -197,24 +189,46 @@ class MetricSpec:
                 for idx in product(range(n), repeat=order)
                 for i in range(n) for j in range(n)]
 
+    def _jet(self, order):
+        """The compiled evaluator of `derivative_fn(order)`, kept per order:
+        one program over the components and every partial up to `order`."""
+        fn = self._jets.get(order)
+        if fn is not None:
+            return fn
+        exprs = self._flat()
+        for k in range(1, order + 1):
+            exprs += self._derivative_exprs(k)
+        program = ex.compile_exprs(exprs, self.coords, self.params)
+        n = self.dim
+        shapes = [(n,) * (k + 2) for k in range(order + 1)]
+        ends = np.cumsum([n ** (k + 2) for k in range(order + 1)]).tolist()
+        starts = [0] + ends[:-1]
+
+        def fn(point):
+            vals = program(point)
+            if isinstance(vals, np.ndarray):
+                # C-contiguous, as the program's own rows, so that a row's
+                # later products do not depend on the layout
+                return [np.ascontiguousarray(vals[:, a:b]).reshape((len(vals),) + s)
+                        for a, b, s in zip(starts, ends, shapes)]
+            vals = np.array(vals, dtype=float)
+            return [vals[a:b].reshape(s) for a, b, s in zip(starts, ends, shapes)]
+
+        return self._jets.setdefault(order, fn)
+
     def derivative_fn(self, order):
-        """Compiled evaluator of all order-th partials of the components.
+        """Compiled evaluator of the jet of the components to `order`: G
+        and all its partials up to that order, from one program in which
+        every distinct subexpression is computed once.
 
-        Returns a callable taking a point (n,) to an array of shape
-        (n,)*order + (n, n), where the leading axes are the differentiation
-        directions, or a stack (B, n) to (B,) + that shape, failed rows
-        non-finite as in `evaluate`.
+        Returns a callable taking a point (n,) to the list [G, dG, ...,
+        d^order G], the k-th partials of shape (n,)*k + (n, n) with the
+        leading axes the differentiation directions, or a stack (B, n) to
+        the list of their stacks (B,) + shape, failed rows non-finite as in
+        `evaluate`.  A point raises the ExprEvalError of the program's
+        first undefined operation, which may lie in any order.
         """
-        if order in self._dfns:
-            return self._dfns[order]
-        fn = ex.compile_exprs(self._derivative_exprs(order), self.coords, self.params)
-        shape = (self.dim,) * (order + 2)
-
-        def evaluate(point):
-            return _shaped(fn(point), shape)
-
-        self._dfns[order] = evaluate
-        return evaluate
+        return self._jet(order)
 
     def wrap_point(self, point):
         """Translate periodic coordinates back into their base interval, of
@@ -246,17 +260,13 @@ class MetricSpec:
         return g
 
     def sample_interior(self, rng, count, margin=0.05):
-        """Random points in the domain interior (margin fraction held back)."""
-        pts = []
-        for _ in range(count):
-            p = []
-            for lo, hi in self.domain:
-                lo_eff = lo if math.isfinite(lo) else -2.0
-                hi_eff = hi if math.isfinite(hi) else 2.0
-                span = hi_eff - lo_eff
-                p.append(lo_eff + span * (margin + (1 - 2 * margin) * rng.random()))
-            pts.append(np.array(p))
-        return pts
+        """count random points in the domain interior (margin fraction held
+        back), as one (count, n) array from count * n draws of rng.random
+        in row-major order; an infinite bound counts as -2 or 2."""
+        lo, hi = np.array(self.domain, dtype=float).T
+        lo = np.where(np.isfinite(lo), lo, -2.0)
+        span = np.where(np.isfinite(hi), hi, 2.0) - lo
+        return lo + span * (margin + (1 - 2 * margin) * rng.random((count, self.dim)))
 
     def grid_interior(self, per_axis=10):
         """A per_axis^n lattice in the domain interior, 5% held back at each

@@ -112,10 +112,13 @@ def vec_skew(a):
 
 
 def unvec_skew(v, n):
-    a = np.zeros((n, n))
-    for idx, (i, j) in enumerate(skew_pairs(n)):
-        a[i, j] = v[idx] / math.sqrt(2.0)
-        a[j, i] = -a[i, j]
+    """The skew (n, n) matrix of `vec_skew` coordinates v (m,), or one per
+    row of a stack v (..., m)."""
+    v = np.asarray(v, dtype=float)
+    lam, mu = skew_index(n)
+    a = np.zeros(v.shape[:-1] + (n, n))
+    a[..., lam, mu] = v / math.sqrt(2.0)
+    a[..., mu, lam] = -a[..., lam, mu]
     return a
 
 

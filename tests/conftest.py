@@ -73,7 +73,7 @@ def connection_form(chart, y, v):
 def fd_christoffel(num, y):
     """Gamma[k, i, j] of a NumericMetric at y, from its finite-difference
     first partials."""
-    return cv.assemble_gamma_jet(num.evaluate(y), num.derivative_fn(1)(y))[0]
+    return cv.assemble_gamma_jet(*num.derivative_fn(1)(y))[0]
 
 
 def with_components(m, components, name=None):
@@ -91,7 +91,7 @@ def reference_omega_basis(chart, y):
     n = chart.n
     x, t = y[:n], y[n:]
     G = chart.gp.check_spd(x)
-    dG = chart.gp.derivative_fn(1)(x)
+    dG = chart.gp.derivative_fn(1)(x)[1]
     Linv = np.linalg.inv(np.linalg.cholesky(G))
     S = Linv.T
     gamma = cv.assemble_gamma_jet(G, dG)[0]

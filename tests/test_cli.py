@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from framelab import cli
@@ -708,3 +709,44 @@ def test_options_a_command_does_not_read_are_refused(tmp_path, argv):
     code, out = run(tmp_path, *argv)
     assert code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [0, 5, 101])
+def test_bound_report_draws_the_points_of_the_loop(tmp_path, seed):
+    """The sample points are one (samples, n) uniform draw over the region,
+    bitwise the points of a per-point, per-coordinate loop of draws."""
+    from framelab import metric as mt
+    code, out = run(tmp_path, "bound-report", "--metric", "builtin:eguchi-hanson",
+                    "--samples", "4", "--seed", str(seed), "--format", "csv")
+    assert code == 0
+    rows = (out / "bound-report.csv").read_text().splitlines()[1:]
+    got = [[float(v) for v in row.split(",")[0].split()] for row in rows]
+    rng = np.random.default_rng(seed)
+    region = cli._region_for(mt.eguchi_hanson(), None)
+    assert got == [[rng.uniform(lo, hi) for lo, hi in region] for _ in range(4)]
+
+
+def test_oneill_check_rows_are_the_per_pair_contexts(tmp_path):
+    """Each `oneill-check` row is bitwise what one context per pair gives,
+    its point, v and xi drawn pair by pair (the points first, then v and xi
+    of each pair in turn), as the command drew them before its one
+    stacked context."""
+    from framelab import bundle as bd
+    from framelab import metric as mt
+    from framelab import oneill as on
+    from framelab import ortho as ot
+    uri, uri2 = "builtin:eguchi-hanson", "builtin:eguchi-hanson:a=1.2"
+    code, out = run(tmp_path, "oneill-check", "--metric", uri, "--metric2", uri2,
+                    "--pairs", "3", "--seed", "5")
+    assert code == 0
+    rows = load(out, "oneill-check")["result"]["rows"]
+    g, gp = mt.metric_from_uri(uri), mt.metric_from_uri(uri2)
+    rng = np.random.default_rng(5)
+    points = g.sample_interior(rng, 3, margin=0.2)
+    for p, row in zip(points, rows, strict=True):
+        v, xi = rng.normal(size=4), ot.unvec_skew(rng.normal(size=6), 4)
+        ctx = on.ONeillContext(g, gp, bd.FramePoint.anchor(p, 4))
+        rep = on.ricci_oneill(ctx, v, xi)
+        assert row["point"] == p.tolist()
+        assert row["formula"] == rep.ricci_formula and row["terms"] == rep.terms
+        assert row["direct"] == on.ricci_direct(ctx, [v], [xi])[0]

@@ -14,8 +14,7 @@ from conftest import stacked
 
 
 def metric_compat_residual(m, p):
-    G = m.evaluate(p)
-    dG = m.derivative_fn(1)(p)
+    G, dG = m.derivative_fn(1)(p)
     gamma = cv.christoffel(m, p).gamma
     # d_k g_ij - Gamma^l_ki g_lj - Gamma^l_kj g_il
     res = (dG - np.einsum("lki,lj->kij", gamma, G)
@@ -324,10 +323,7 @@ def _reference_rhs(m, variational):
 
     def rhs(t, y):
         x, vel = y[:n], y[n:2 * n]
-        derivs = [m.evaluate(x), m.derivative_fn(1)(x)]
-        if variational:
-            derivs.append(m.derivative_fn(2)(x))
-        jets = cv.assemble_gamma_jet(*derivs)
+        jets = cv.assemble_gamma_jet(*m.derivative_fn(2 if variational else 1)(x))
         gv = jets[0] @ vel
         if not variational:
             return np.concatenate([vel, -(gv @ vel)])
@@ -518,8 +514,7 @@ def test_stacked_gamma_jets_are_row_by_row(eh, cone_smooth):
     for m, lo, hi in ((cone_smooth, [0.1, 0.0], [1.5, 6.0]),
                       (eh, [1.5, 0.5, 0.5, 0.5], [3.0, 2.5, 2.5, 2.5])):
         X = rng.uniform(lo, hi, size=(17, m.dim))
-        derivs = [np.stack([m.evaluate(x) for x in X])]
-        derivs += [np.stack([m.derivative_fn(k)(x) for x in X]) for k in (1, 2)]
+        derivs = [np.stack(d) for d in zip(*(m.derivative_fn(2)(x) for x in X))]
         gamma, dgamma = cv.assemble_gamma_jet(*derivs)
         for k, x in enumerate(X):
             one = cv.assemble_gamma_jet(*(d[k:k + 1] for d in derivs))
@@ -802,9 +797,9 @@ def test_a_stacked_right_hand_side_evaluates_each_order_once(variational, monkey
     m, P, Q = _cone_and_eh_pairs()[1]
     stack = cv.geodesic_ivp(m, P, Q - P, 1.0, rtol=1e-7, atol=1e-9, variational=variational)
     assert all(isinstance(row, cv.Trajectory) for row in stack.rows)
-    # one stacked call per right-hand side and order, over the rows in it
-    assert calls[1] == jet_rows
-    assert calls.get(2, []) == (jet_rows if variational else [])
+    # one stacked jet call per right-hand side, over the rows in it: G and
+    # dG, with d2G as well when variational
+    assert calls == {(2 if variational else 1): jet_rows}
     assert max(jet_rows) == len(P)
 
 

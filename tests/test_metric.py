@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framelab import curvature as cv
 from framelab import expr as ex
 from framelab import metric as mt
 from framelab.expr import ParseError, _plain
@@ -201,8 +202,8 @@ def test_smoothed_cone_cap_profile_is_c2():
     s = 2 * eps
     d2 = m.derivative_fn(2)
     for h in (1e-4, 1e-5):
-        below = d2([s - h, 0.0])[0, 0, 1, 1]
-        above = d2([s + h, 0.0])[0, 0, 1, 1]
+        below = d2([s - h, 0.0])[2][0, 0, 1, 1]
+        above = d2([s + h, 0.0])[2][0, 0, 1, 1]
         assert abs(below - above) <= 200 * h  # second derivative is Lipschitz-matched
 
 
@@ -269,9 +270,17 @@ def _reference_derivative_exprs(m, order):
     return [e for block in exprs for e in block]
 
 
+def _shaped(vals, shape):
+    """A compiled evaluator's result as an array: a point's tuple to
+    `shape`, a stack's (B, K) array to (B,) + shape."""
+    if isinstance(vals, np.ndarray):
+        return vals.reshape((len(vals),) + shape)
+    return np.array(vals, dtype=float).reshape(shape)
+
+
 def _reference_derivative_fn(m, order):
     fn = ex.compile_exprs(_reference_derivative_exprs(m, order), m.coords, m.params)
-    return lambda x: mt._shaped(fn(x), (m.dim,) * (order + 2))
+    return lambda x: _shaped(fn(x), (m.dim,) * (order + 2))
 
 
 def _bench_gmet_bodies(seed, tmp_path):
@@ -308,8 +317,8 @@ def _check_bitwise(m):
     X = np.array(m.sample_interior(np.random.default_rng(5), 20))
     for order in (1, 2, 3):
         got, want = m.derivative_fn(order), _reference_derivative_fn(m, order)
-        assert np.array_equal(got(X), want(X)), (m.name, order)
-        assert np.array_equal(got(X[3]), want(X[3])), (m.name, order)
+        assert np.array_equal(got(X)[order], want(X)), (m.name, order)
+        assert np.array_equal(got(X[3])[order], want(X[3])), (m.name, order)
 
 
 @pytest.mark.parametrize("factory", _BUILTINS)
@@ -328,7 +337,7 @@ def test_derivative_arrays_of_a_generic_chart_are_exactly_symmetric():
     m = mt.parse_metric(GMET_MIXED)
     X = np.array(m.sample_interior(np.random.default_rng(11), 20))
     for order in (1, 2, 3):
-        D = m.derivative_fn(order)(X)
+        D = m.derivative_fn(order)(X)[order]
         want = _reference_derivative_fn(m, order)(X)
         assert np.all(np.abs(D - want) <= 1e-13 * (1 + np.abs(want)))
         assert np.array_equal(D, np.swapaxes(D, -1, -2))
@@ -380,3 +389,118 @@ def test_threads_that_race_to_build_a_level_get_one_level():
     assert all(a is b for r in results[1:] for a, b in zip(results[0], r))
     stored = {id(e) for entries in m._levels[3].values() for e in entries}
     assert {id(e) for e in results[0]} == stored
+
+
+# one program per metric and order
+
+def _separate_programs(m, order):
+    """G and its partials to `order` from one program per order: G from the
+    components, each order's partials from `_derivative_exprs`, as the
+    metric evaluated them before one program per metric and order."""
+    fns = [ex.compile_exprs(m._flat(), m.coords, m.params)]
+    fns += [ex.compile_exprs(m._derivative_exprs(k), m.coords, m.params)
+            for k in range(1, order + 1)]
+    return lambda x: [_shaped(fn(x), (m.dim,) * (k + 2)) for k, fn in enumerate(fns)]
+
+
+@pytest.mark.parametrize("factory", _BUILTINS + [lambda: mt.parse_metric(GMET_MIXED)])
+def test_one_program_jets_are_the_separate_programs_bit_for_bit(factory):
+    """Every builtin, the rescaled Eguchi-Hanson and a generic n = 3 chart:
+    the jet of each order 0-3 is bitwise the separate programs' arrays, on
+    a stack and at each point."""
+    m = factory()
+    X = m.sample_interior(np.random.default_rng(7), 12)
+    for order in range(4):
+        got, want = m.derivative_fn(order), _separate_programs(m, order)
+        for x in [X] + list(X[:4]):
+            jet, ref = got(x), want(x)
+            assert len(jet) == order + 1
+            for a, b in zip(jet, ref):
+                assert a.shape == b.shape and np.array_equal(a, b), (m.name, order)
+    assert np.array_equal(m.evaluate(X), _separate_programs(m, 0)(X)[0])
+
+
+#: a metric that is finite at r = 0 while its r-partials are not
+SQRT_BASE = "dim 2; coords r t; g = [[1, 0], [0, 1 + sqrt(r)]];"
+
+
+def test_an_undefined_partial_of_a_finite_metric_raises_at_a_point():
+    """G is defined at r = 0 and dG is not: a point jet raises ExprEvalError,
+    a stacked one leaves that row non-finite, and the stacked curvature
+    jets and geodesic right-hand sides evaluate that row again as a point,
+    which raises the point's error."""
+    m = mt.parse_metric(SQRT_BASE)
+    p = [0.0, 0.3]
+    assert np.array_equal(m.evaluate(p), np.eye(2))
+    for order in (1, 2, 3):
+        with pytest.raises(ex.ExprEvalError, match="expression undefined at"):
+            m.derivative_fn(order)(p)
+    X = np.array([[1.0, 0.3], [0.0, 0.3], [0.5, 0.1]])
+    G, dG = m.derivative_fn(1)(X)
+    assert np.isfinite(G).all() and np.isfinite(dG[[0, 2]]).all()
+    assert not np.isfinite(dG[1]).all()
+    for jet in (cv.christoffel, cv.riemann, cv.curvature_gradient):
+        with pytest.raises(ex.ExprEvalError) as point:
+            jet(m, X[1])
+        if jet is not cv.christoffel:
+            with pytest.raises(ex.ExprEvalError) as stacked:
+                jet(m, X)
+            assert str(stacked.value) == str(point.value)
+    _, errors = cv._GammaCache(m, variational=True).jets(X)
+    assert list(errors) == [1]
+    assert isinstance(errors[1], ex.ExprEvalError)
+
+
+def test_a_stacked_geodesic_right_hand_side_is_one_evaluation(monkeypatch):
+    """Each stacked right-hand side evaluates its rows' G and dG (and d2G
+    with the variational equations) in one call of one compiled program."""
+    evals = []
+    compile_exprs = ex.compile_exprs
+
+    def counting(*args):
+        fn = compile_exprs(*args)
+        return lambda x: evals.append(np.shape(x)) or fn(x)
+
+    monkeypatch.setattr(ex, "compile_exprs", counting)
+    jet_rows = []
+    jets = cv._GammaCache.jets
+    monkeypatch.setattr(cv._GammaCache, "jets",
+                        lambda self, X: jet_rows.append(len(X)) or jets(self, X))
+    m = mt.exact_cone(0.7)
+    P = np.array([[1.0, 0.2], [0.6, 1.0], [1.3, 2.0]])
+    W = np.array([[0.2, 0.3], [-0.1, 0.4], [0.3, -0.2]])
+    for variational in (False, True):
+        evals.clear()
+        jet_rows.clear()
+        stack = cv.geodesic_ivp(m, P, W, 1.0, dense=False, variational=variational)
+        assert all(isinstance(row, cv.Trajectory) for row in stack.rows)
+        assert max(jet_rows) == len(P)
+        assert evals == [(b, 2) for b in jet_rows]
+
+
+def _loop_sample(m, rng, count, margin):
+    """The per-point, per-coordinate draws that one (count, n) draw of
+    `sample_interior` replaced."""
+    pts = []
+    for _ in range(count):
+        p = []
+        for lo, hi in m.domain:
+            lo_eff = lo if math.isfinite(lo) else -2.0
+            hi_eff = hi if math.isfinite(hi) else 2.0
+            p.append(lo_eff + (hi_eff - lo_eff) * (margin + (1 - 2 * margin) * rng.random()))
+        pts.append(p)
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 101, 24101])
+def test_sample_interior_draws_the_points_of_the_loop(seed):
+    """One (count, n) draw gives bitwise the points of the per-coordinate
+    loop, bounded and unbounded coordinates alike, and leaves the stream
+    where the loop leaves it."""
+    for m in (mt.eguchi_hanson(1.0), mt.flat_euclidean(3), mt.smoothed_cone(0.7, 0.15)):
+        for margin in (0.05, 0.2):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = m.sample_interior(rng, 9, margin=margin)
+            assert got.shape == (9, m.dim)
+            assert np.array_equal(got, _loop_sample(m, ref, 9, margin))
+            assert rng.random() == ref.random()

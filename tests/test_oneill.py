@@ -165,7 +165,7 @@ def test_ricci_formula_vs_direct(case, flat2, torus2, sphere, rng):
         for _ in range(4):
             v, xi = random_direction(ctx, rng)
             dirs = ((v, xi), (v, None), (None, xi))
-            for (vv, xx), d in zip(dirs, on.ricci_direct([ctx] * 3, *zip(*dirs))):
+            for (vv, xx), d in zip(dirs, on.ricci_direct(ctx, *zip(*dirs))):
                 f = on.ricci_oneill(ctx, vv, xx).ricci_formula
                 assert abs(f - d) <= 1e-5 * (1 + abs(d))
 
@@ -176,7 +176,7 @@ def test_ricci_cone_pair_formula_vs_direct(cone_pair, rng):
     for _ in range(4):
         v, xi = random_direction(ctx, rng)
         f = on.ricci_oneill(ctx, v, xi).ricci_formula
-        d, = on.ricci_direct([ctx], [v], [xi])
+        d, = on.ricci_direct(ctx, [v], [xi])
         assert abs(f - d) <= 1e-5 * (1 + abs(d))
 
 
@@ -415,7 +415,8 @@ def test_bound_report_is_the_spectral_radius(cone_pair, rng):
 
 
 def _count_jet_evaluations(monkeypatch):
-    """Per metric, the evaluations of G, dG, d2G and d3G from here on."""
+    """Per metric, the evaluations of G alone (`evaluate`) and of its jets
+    to order 1, 2 and 3 (`derivative_fn(order)`) from here on."""
     counts = collections.defaultdict(lambda: [0, 0, 0, 0])
     evaluate = mt.MetricSpec.evaluate
     derivative_fn = mt.MetricSpec.derivative_fn
@@ -454,13 +455,20 @@ def _count_calls(monkeypatch, names):
 
 
 def test_context_evaluates_each_jet_once(monkeypatch):
-    """One context at an n = 3 pair with g != g': G, dG and d2G of g and
-    G through d3G of g' once each (4, 3 and 1 times, and 5, 3, 2 and 1
-    times, when the context took its jets separately)."""
+    """One context at an n = 3 pair with g != g', at a point and at a stack
+    of three: one evaluation of the jet of g to order 2 and one of g' to
+    order 3 (G, dG and d2G of g and G through d3G of g' once each, from
+    separate programs, before one program per metric and order; 4, 3 and
+    1 times, and 5, 3, 2 and 1 times, when the context took its jets
+    separately)."""
     g, gp = (mt.parse_metric(src) for src in GMET_N3)
     counts = _count_jet_evaluations(monkeypatch)
     on.ONeillContext(g, gp, bd.FramePoint.anchor([0.6, 0.7, 0.8], 3))
-    assert counts == {g: [1, 1, 1, 0], gp: [1, 1, 1, 1]}
+    assert counts == {g: [0, 0, 1, 0], gp: [0, 0, 0, 1]}
+    counts.clear()
+    on.ONeillContext(g, gp, bd.FramePoint.anchor([[0.6, 0.7, 0.8], [0.4, 0.7, 1.1],
+                                                  [1.0, 0.3, 0.6]], 3))
+    assert counts == {g: [0, 0, 1, 0], gp: [0, 0, 0, 1]}
 
 
 def test_hypothesis_measurements_one_riemann_per_point(eh, monkeypatch):
@@ -477,22 +485,29 @@ def test_hypothesis_measurements_one_riemann_per_point(eh, monkeypatch):
 
 
 def test_bound_report_shares_the_context_jets(eh, monkeypatch):
-    """A bound-report point evaluates each jet once, as one context does,
-    and makes no Christoffel call (G, dG and d2G of g were evaluated 7, 3
-    and 1 times and G through d3G of g' 9, 4, 3 and 2 times per point,
-    through 2 riemann and 3 christoffel calls, when the context and the
-    hypothesis numbers took their jets separately)."""
+    """A bound-report evaluates each jet once, as one context does, for
+    one point and for a stack of them, and makes no Christoffel call (G,
+    dG and d2G of g were evaluated 7, 3 and 1 times and G through d3G of
+    g' 9, 4, 3 and 2 times per point, through 2 riemann and 3 christoffel
+    calls, when the context and the hypothesis numbers took their jets
+    separately; one riemann and one curvature_gradient call per point
+    before the stacked context)."""
     gp = mt.eguchi_hanson(1.2)
     counts = _count_jet_evaluations(monkeypatch)
     calls = _count_calls(monkeypatch, ["riemann", "christoffel", "curvature_gradient"])
-    on.ricci_bound_report(eh, gp, [[1.8, 1.2, 0.7, 1.0]])
-    assert counts == {eh: [1, 1, 1, 0], gp: [1, 1, 1, 1]}
-    assert calls == {"riemann": 1, "christoffel": 0, "curvature_gradient": 1}
+    for pts in ([[1.8, 1.2, 0.7, 1.0]], [[1.8, 1.2, 0.7, 1.0], [2.4, 1.5, 2.0, 0.3]]):
+        counts.clear()
+        calls.update(dict.fromkeys(calls, 0))
+        on.ricci_bound_report(eh, gp, pts)
+        assert counts == {eh: [0, 0, 1, 0], gp: [0, 0, 0, 1]}
+        assert calls == {"riemann": 1, "christoffel": 0, "curvature_gradient": 1}
 
 
 def test_curvature_command_evaluates_each_jet_once(eh, monkeypatch, tmp_path):
     """`curvature --metric2` builds one Riemann jet of g and one gradient
-    jet of g' (6, 2 and 1, and 6, 3, 2 and 1 evaluations before)."""
+    jet of g', each from one jet evaluation (6, 2 and 1, and 6, 3, 2 and 1
+    evaluations of G and its partials before; 1, 1 and 1, and 1, 1, 1 and
+    1 before one program per metric and order)."""
     from framelab import cli
 
     loaded = {}
@@ -508,7 +523,7 @@ def test_curvature_command_evaluates_each_jet_once(eh, monkeypatch, tmp_path):
                      "--at", "1.8,1.2,0.7,1.0", "--out", str(tmp_path)])
     assert code == 0
     g, gp = loaded["builtin:eguchi-hanson:a=1"], loaded["builtin:eguchi-hanson:a=1.2"]
-    assert counts == {g: [1, 1, 1, 0], gp: [1, 1, 1, 1]}
+    assert counts == {g: [0, 0, 1, 0], gp: [0, 0, 0, 1]}
 
 
 def test_bound_report_assembles_the_blocks_once(eh, monkeypatch):
@@ -582,7 +597,7 @@ def test_ricci_eguchi_hanson_formula_vs_direct(eh, rng):
     ctx = ctx_at(eh, mt.eguchi_hanson(1.2), [1.8, 1.2, 0.7, 1.0])
     v, xi = random_direction(ctx, rng)
     dirs = ((v, xi), (v, None), (None, xi))
-    for (vv, xx), d in zip(dirs, on.ricci_direct([ctx] * 3, *zip(*dirs))):
+    for (vv, xx), d in zip(dirs, on.ricci_direct(ctx, *zip(*dirs))):
         f = on.ricci_oneill(ctx, vv, xx).ricci_formula
         assert abs(f - d) <= 1e-6 * (1 + abs(d))
 
@@ -599,17 +614,17 @@ def test_ricci_direct_is_three_stacked_metric_calls(cone_pair, monkeypatch):
         return original(self, y)
 
     monkeypatch.setattr(bd.LiftedMetricChart, "metric_matrix", counted)
-    ctxs = [ctx_at(*cone_pair, p) for p in ([0.35, 1.2], [0.6, 2.0], [1.1, 0.4])]
-    B = len(ctxs)
-    on.ricci_direct(ctxs, [np.array([1.0, 0.5])] * B, [None] * B)
-    N = ctxs[0].n + ctxs[0].m
+    ctx = ctx_at(*cone_pair, [[0.35, 1.2], [0.6, 2.0], [1.1, 0.4]])
+    B = 3
+    on.ricci_direct(ctx, [np.array([1.0, 0.5])] * B, [None] * B)
+    N = ctx.n + ctx.m
     assert rows == [B, 4 * N * B, B * (1 + 4 * N * N)]
 
 
 @pytest.mark.parametrize("pair", ["cone", "gmet-n3", "eguchi-hanson"])
 def test_ricci_direct_stack_is_bitwise_single_calls(pair, cone_pair, rng):
-    """ricci_direct over B contexts gives each context's single-context
-    value bit for bit: n = 2, n = 3 with g != g', and n = 4."""
+    """ricci_direct at a stacked context of B points gives each point's
+    single-point value bit for bit: n = 2, n = 3 with g != g', and n = 4."""
     if pair == "cone":
         (g, gp), pts = cone_pair, [[0.35, 1.2], [0.9, 2.5], [1.3, 4.0]]
     elif pair == "gmet-n3":
@@ -618,29 +633,29 @@ def test_ricci_direct_stack_is_bitwise_single_calls(pair, cone_pair, rng):
     else:
         g, gp = mt.eguchi_hanson(1.0), mt.eguchi_hanson(1.2)
         pts = [[1.8, 1.2, 0.7, 1.0], [2.4, 1.5, 2.0, 0.3]]
-    ctxs = [ctx_at(g, gp, p) for p in pts]
-    dirs = [random_direction(ctx, rng) for ctx in ctxs]
+    ctx = ctx_at(g, gp, pts)
+    dirs = [random_direction(ctx, rng) for _ in pts]
     dirs[0] = (dirs[0][0], None)
     dirs[-1] = (None, dirs[-1][1])
     V, XI = zip(*dirs)
-    got = on.ricci_direct(ctxs, V, XI)
-    assert got.dtype == float and got.shape == (len(ctxs),)
-    want = [on.ricci_direct([ctx], [v], [xi])[0] for ctx, v, xi in zip(ctxs, V, XI)]
+    got = on.ricci_direct(ctx, V, XI)
+    assert got.dtype == float and got.shape == (len(pts),)
+    want = [on.ricci_direct(ctx_at(g, gp, p), [v], [xi])[0] for p, v, xi in zip(pts, V, XI)]
     assert got.tolist() == want
 
 
 def test_ricci_direct_groups_fit_the_row_budget(rng, monkeypatch):
-    """With DIRECT_ROWS small the contexts go in several groups: the values
+    """With DIRECT_ROWS small the rows go in several groups: the values
     are bitwise the one-group values, and no `metric_matrix` call gets more
     rows than the budget."""
     g, gp = (mt.parse_metric(text) for text in GMET_N3)
     pts = [[0.4, 0.7, 1.1], [1.0, 0.3, 0.6], [0.6, 0.7, 0.8], [0.9, 1.1, 0.5], [0.3, 0.4, 1.3]]
-    ctxs = [ctx_at(g, gp, p) for p in pts]
-    V, XI = zip(*[random_direction(ctx, rng) for ctx in ctxs])
-    whole = on.ricci_direct(ctxs, V, XI)
-    N = ctxs[0].n + ctxs[0].m
+    ctx = ctx_at(g, gp, pts)
+    V, XI = zip(*[random_direction(ctx, rng) for _ in pts])
+    whole = on.ricci_direct(ctx, V, XI)
+    N = ctx.n + ctx.m
     budget = 2 * (1 + 4 * N * N) + 10
-    assert budget < len(ctxs) * (1 + 4 * N * N) <= on.DIRECT_ROWS
+    assert budget < len(pts) * (1 + 4 * N * N) <= on.DIRECT_ROWS
     rows = []
     original = bd.LiftedMetricChart.metric_matrix
 
@@ -650,16 +665,96 @@ def test_ricci_direct_groups_fit_the_row_budget(rng, monkeypatch):
 
     monkeypatch.setattr(bd.LiftedMetricChart, "metric_matrix", counted)
     monkeypatch.setattr(on, "DIRECT_ROWS", budget)
-    assert on.ricci_direct(ctxs, V, XI).tolist() == whole.tolist()
+    assert on.ricci_direct(ctx, V, XI).tolist() == whole.tolist()
     # groups of 2, 2 and 1 contexts: values, gradient and Hessian stencils
     assert rows == [k * r for k in (2, 2, 1) for r in (1, 4 * N, 1 + 4 * N * N)]
     assert max(rows) <= budget
 
 
-def test_ricci_direct_refuses_contexts_that_differ(cone_pair):
-    g, gp = cone_pair
-    one = ctx_at(g, gp, [0.35, 1.2])
-    for other in (ctx_at(g, g, [0.6, 2.0]), ctx_at(mt.smoothed_cone(0.7, 0.2), gp, [0.6, 2.0]),
-                  on.ONeillContext(g, gp, bd.FramePoint([0.6, 2.0], ot.rotation2(0.3)))):
-        with pytest.raises(ValueError, match="share g, g' and the anchor frame"):
-            on.ricci_direct([one, other], [None, None], [np.eye(2) - np.eye(2)] * 2)
+
+# ---------------------------------------------------------------------------
+# stacked contexts
+
+STACKED_CASES = {
+    "n2-cone": (lambda: (mt.smoothed_cone(0.7, 0.15), mt.smoothed_cone(0.7, 0.3)),
+                [[0.35, 1.2], [0.9, 2.5], [1.3, 4.0], [0.2, 0.1]]),
+    "n3-gmet": (lambda: tuple(mt.parse_metric(text) for text in GMET_N3),
+                [[0.4, 0.7, 1.1], [1.0, 0.3, 0.6], [0.6, 0.7, 0.8]]),
+    "n4-eguchi-hanson": (lambda: (mt.eguchi_hanson(1.0), mt.eguchi_hanson(1.2)),
+                         [[1.8, 1.2, 0.7, 1.0], [2.4, 1.5, 2.0, 0.3], [1.3, 0.9, 4.0, 5.0]]),
+}
+
+
+def _ulp_gap(a, b):
+    """The largest |a - b| in ulps of the largest |b|."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(np.abs(a - b).max() / np.spacing(max(np.abs(b).max(), 1e-300)))
+
+
+@pytest.mark.parametrize("case", list(STACKED_CASES))
+def test_stacked_context_rows_are_the_point_contexts(case, rng):
+    """n = 2, 3 and 4 with g != g': each row of a stacked context (G, Gamma,
+    rlow, nabla R' under Gamma, r4_frame, the frames) and of its formula
+    and terms is the one-point context's, within 4 ulps of the array's
+    largest entry; a failure names every array's largest gap (0, bitwise,
+    with numpy 2.4 on x86-64)."""
+    factory, pts = STACKED_CASES[case]
+    g, gp = factory()
+    ctx = ctx_at(g, gp, pts)
+    V, XI = (np.array(a) for a in zip(*[random_direction(ctx, rng) for _ in pts]))
+    rep = on.ricci_oneill(ctx, V, XI)
+    blocks = on._ricci_blocks(ctx)
+    gaps = collections.defaultdict(float)
+    for k, p in enumerate(pts):
+        one = ctx_at(g, gp, p)
+        rep1 = on.ricci_oneill(one, V[k], XI[k])
+        rows = {"G": (ctx.G, one.G), "gamma": (ctx.jet_g.gamma, one.jet_g.gamma),
+                "gamma_eps": (ctx.grad_gp.gamma, one.grad_gp.gamma),
+                "rlow": (ctx.jet_g.rlow, one.jet_g.rlow), "ric_g": (ctx.ric_g, one.ric_g),
+                "rlow_eps": (ctx.rlow_eps, one.rlow_eps),
+                "nabla_r_eps": (ctx.nabla_r_eps, one.nabla_r_eps),
+                "f": (ctx.f, one.f), "e": (ctx.e, one.e),
+                "r4_frame": (ctx.r4_frame, one.r4_frame),
+                "formula": (rep.ricci_formula, rep1.ricci_formula)}
+        rows.update({f"term {name}": (rep.terms[name], rep1.terms[name]) for name in rep1.terms})
+        rows.update({f"block {name}": (Q, Q1) for (name, Q), Q1
+                     in zip(blocks.items(), on._ricci_blocks(one).values())})
+        for name, (stacked, single) in rows.items():
+            gaps[name] = max(gaps[name], _ulp_gap(np.asarray(stacked)[k], single))
+    assert max(gaps.values()) <= 4, dict(gaps)
+
+
+#: a chart whose metric is not positive definite where x <= 0
+NOT_SPD_CHART = "dim 2; coords x y; domain x in [-1, 1]; domain y in [-1, 1]; g = [[1, 0], [0, x]];"
+#: a flat chart that ends at x = 0.8
+SHORT_FLAT_CHART = ("dim 2; coords x y; domain x in [-1, 0.8]; domain y in [-1, 1];"
+                    " g = [[1, 0], [0, 1]];")
+
+
+def test_a_stacked_context_names_the_first_bad_point():
+    """A stack with points outside the chart, or where a metric is not
+    positive definite, raises the exception of the first bad point in
+    draw order, with g checked before g' at each point, as one context per
+    point did; so does a bound report over the stack."""
+    eh, eh2 = mt.eguchi_hanson(1.0), mt.eguchi_hanson(1.2)
+    bad, short = mt.parse_metric(NOT_SPD_CHART), mt.parse_metric(SHORT_FLAT_CHART)
+    cases = [
+        (eh, eh2, [[1.8, 1.2, 0.7, 1.0], [0.5, 1.2, 0.7, 1.0], [9.0, 1.2, 0.7, 1.0]],
+         cv.DomainExitError, "point [0.5, 1.2, 0.7, 1.0] is outside the chart domain"),
+        (bad, bad, [[0.5, 0.1], [-0.5, 0.2], [-0.3, 0.0]],
+         mt.NotSPDError, "metric not positive definite at [-0.5, 0.2]: eigenvalues"),
+        # g' fails at the second point before g leaves its chart at the third
+        (short, bad, [[0.5, 0.1], [-0.5, 0.2], [0.9, 0.0]],
+         mt.NotSPDError, "metric not positive definite at [-0.5, 0.2]: eigenvalues"),
+    ]
+    for g, gp, pts, error, message in cases:
+        first = next(p for p in pts if not g.in_domain(p) or not gp.in_domain(p)
+                     or np.linalg.eigvalsh(gp.evaluate(p))[0] <= 0
+                     or np.linalg.eigvalsh(g.evaluate(p))[0] <= 0)
+        with pytest.raises(error) as one:
+            ctx_at(g, gp, first)
+        assert str(one.value).startswith(message)
+        for run in (lambda: ctx_at(g, gp, pts), lambda: on.ricci_bound_report(g, gp, pts)):
+            with pytest.raises(error) as stacked:
+                run()
+            assert str(stacked.value) == str(one.value)
