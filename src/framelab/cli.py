@@ -54,13 +54,22 @@ def _parse_floats(flag, text):
 
 
 def _parse_region(text):
-    """'r:0.5:2.0,phi:0:6.28' -> list of (name, lo, hi)."""
+    """'r:0.5:2.0,phi:0:6.28' -> list of (name, lo, hi).  A piece that is
+    not name:lo:hi with finite numbers lo <= hi, or that names a coordinate
+    again, is a config error naming --region and the piece."""
     out = []
     for piece in text.split(","):
-        parts = piece.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"bad region piece {piece!r}; want name:lo:hi")
-        out.append((parts[0], float(parts[1]), float(parts[2])))
+        name, *bounds = piece.split(":")
+        try:
+            lo, hi = map(float, bounds)
+        except ValueError:
+            lo = hi = math.nan
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ValueError(f"--region takes name:lo:hi with finite numbers lo <= hi, "
+                             f"got {piece!r}")
+        if name in (named for named, _, _ in out):
+            raise ValueError(f"--region names {name} twice, again in {piece!r}")
+        out.append((name, lo, hi))
     return out
 
 

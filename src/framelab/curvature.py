@@ -109,74 +109,46 @@ def _ginv(G):
     return np.linalg.solve(G, np.eye(G.shape[-1]))
 
 
-def _gamma_parts(G, dG):
-    """g^-1 and A[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij with its
-    partials, one per array of dG."""
-    A = []
-    for d in dG:
-        t = np.swapaxes(d, -1, -3)      # t[..., l, i, j] = d_j g_il
-        A.append(np.swapaxes(t, -1, -2) + t - d)
-    return _ginv(G), A
-
-
-def _gamma_jet(G, *dG):
+def assemble_gamma_jet(G, *dG):
     """Christoffel symbols and their partials from G and its first k
     partials dG = (dG, d2G, d3G)[:k], k = 1, 2 or 3.  Returns the list
     [gamma, dgamma, d2gamma][:k] with dgamma[m, k, i, j] = d_m Gamma^k_ij
     and d2gamma[m, n, k, i, j] = d_m d_n Gamma^k_ij; g^-1, A and d(g^-1)
     are computed once for all orders.  G and its partials may carry
-    leading stack axes, (B, n, n), (B, n, n, n), ...: the einsums
-    broadcast over them, so each row is its point value bit for bit.
-    """
-    ginv, A = _gamma_parts(G, dG)
-    out = [0.5 * np.einsum("...kl,...lij->...kij", ginv, A[0])]
-    if len(dG) > 1:
-        dginv = -np.einsum("...ka,...mab,...bl->...mkl", ginv, dG[0], ginv)
-        out.append(0.5 * (np.einsum("...mkl,...lij->...mkij", dginv, A[0])
-                          + np.einsum("...kl,...mlij->...mkij", ginv, A[1])))
-    if len(dG) > 2:
-        d2ginv = -(np.einsum("...nka,...mab,...bl->...mnkl", dginv, dG[0], ginv)
-                   + np.einsum("...ka,...mnab,...bl->...mnkl", ginv, dG[1], ginv)
-                   + np.einsum("...ka,...mab,...nbl->...mnkl", ginv, dG[0], dginv))
-        out.append(0.5 * (np.einsum("...mnkl,...lij->...mnkij", d2ginv, A[0])
-                          + np.einsum("...mkl,...nlij->...mnkij", dginv, A[1])
-                          + np.einsum("...nkl,...mlij->...mnkij", dginv, A[1])
-                          + np.einsum("...kl,...mnlij->...mnkij", ginv, A[2])))
-    return out
-
-
-def assemble_gamma_jet(G, *dG):
-    """`_gamma_jet` at a point; on a stack (B, n, n) of G and its first one
-    or two partials, the row products of `_stacked_gamma_jet`, which the
-    geodesic right-hand sides and the connection forms take."""
-    if G.ndim > 2:
-        return _stacked_gamma_jet(G, dG)
-    return _gamma_jet(G, *dG)
-
-
-def _stacked_gamma_jet(G, dG):
-    """`_gamma_jet` on a stack of B points, orders 1 and 2.  Every
-    product acts on one row at a time (broadcast products added in a fixed
-    order, np.matmul per row), so row k is the same bits whatever else is
-    in the stack.  Gamma adds the terms of the single-point einsum in its
-    order, so each row of it is the single-point Gamma bit for bit (the
-    lifted metric's stacked base rows rely on that); dGamma goes through
-    matmul and agrees with the single-point value to rounding."""
-    if len(dG) > 2:
-        raise ValueError("stacked Christoffel jets take G, dG and d2G at most")
-    ginv, A = _gamma_parts(G, dG)
-    B, n = ginv.shape[:2]
+    leading stack axes, (B, n, n), (B, n, n, n), ..., and a point is a
+    one-row stack.  Every product acts on one row at a time (broadcast
+    products added in a fixed order, np.matmul per row), so each row is
+    its point value bit for bit whatever else is in the stack."""
+    lead, n = G.shape[:-2], G.shape[-1]
+    G = G.reshape(-1, n, n)
+    B = len(G)
+    ginv = _ginv(G)
+    dG = [d.reshape((B,) + d.shape[len(lead):]) for d in dG]
+    # A[:, l, i, j] = d_i g_jl + d_j g_il - d_l g_ij, and its partials
+    A = []
+    for d in dG:
+        t = np.swapaxes(d, -1, -3)      # t[..., l, i, j] = d_j g_il
+        A.append(np.swapaxes(t, -1, -2) + t - d)
     gamma = ginv[:, :, 0, None, None] * A[0][:, None, 0]
     for l in range(1, n):
         gamma = gamma + ginv[:, :, l, None, None] * A[0][:, None, l]
     out = [0.5 * gamma]
     if len(dG) > 1:
+        A0 = A[0].reshape(B, n, n * n)
+        A1 = A[1].reshape(B, n, n, n * n)
         gi = ginv[:, None]
-        dginv = -((gi @ dG[0]) @ gi)                      # (B, m, k, l)
-        t1 = dginv.reshape(B, n * n, n) @ A[0].reshape(B, n, n * n)
-        t2 = gi @ A[1].reshape(B, n, n, n * n)
-        out.append(0.5 * (t1.reshape(B, n, n, n, n) + t2.reshape(B, n, n, n, n)))
-    return out
+        dginv = -((gi @ dG[0]) @ gi)                            # (B, m, k, l)
+        out.append(0.5 * ((dginv.reshape(B, n * n, n) @ A0).reshape(B, n, n, n * n)
+                          + gi @ A1))
+    if len(dG) > 2:
+        # d2ginv[:, m, n] = -(dginv[n] dG[m] ginv + ginv d2G[m, n] ginv + ginv dG[m] dginv[n])
+        gi, dGm, dgn = ginv[:, None, None], dG[0][:, :, None], dginv[:, None]
+        d2ginv = -((dgn @ dGm) @ gi + (gi @ dG[1]) @ gi + (gi @ dGm) @ dgn)
+        out.append(0.5 * ((d2ginv.reshape(B, n ** 3, n) @ A0).reshape(B, n, n, n, n * n)
+                          + dginv[:, :, None] @ A1[:, None]
+                          + dgn @ A1[:, :, None]
+                          + gi @ A[2].reshape(B, n, n, n, n * n)))
+    return [o.reshape(lead + (n,) * (k + 3)) for k, o in enumerate(out)]
 
 
 def assemble_rup(gamma, dgamma):
@@ -227,14 +199,14 @@ def _checked_derivs(m: MetricSpec, p, order):
 
 
 def _curvature_tensor(p, G, dG, d2G):
-    gamma, dgamma = _gamma_jet(G, dG, d2G)
+    gamma, dgamma = assemble_gamma_jet(G, dG, d2G)
     rup = assemble_rup(gamma, dgamma)
     return CurvatureTensor(p, G, gamma, rup, assemble_rlow(G, rup))
 
 
 def christoffel(m: MetricSpec, p) -> ConnectionCoeffs:
     p = np.asarray(p, dtype=float)
-    return ConnectionCoeffs(p, _gamma_jet(*_checked_derivs(m, p, 1))[0])
+    return ConnectionCoeffs(p, assemble_gamma_jet(*_checked_derivs(m, p, 1))[0])
 
 
 def riemann(m: MetricSpec, p) -> CurvatureTensor:
@@ -276,7 +248,7 @@ def curvature_gradient(m: MetricSpec, p) -> CurvatureGradient:
     another connection."""
     p = np.asarray(p, dtype=float)
     G, dG, d2G, d3G = _checked_derivs(m, p, 3)
-    gamma, dgamma, d2gamma = _gamma_jet(G, dG, d2G, d3G)
+    gamma, dgamma, d2gamma = assemble_gamma_jet(G, dG, d2G, d3G)
     rup = assemble_rup(gamma, dgamma)
     drup = assemble_drup(gamma, dgamma, d2gamma)
     # d_m rlow_ijkl = d_m g_ka rup[a,i,j,l] + g_ka d_m rup[a,i,j,l]
@@ -294,19 +266,23 @@ def tensor_norm(T, G, signature):
     """Norm of a tensor under the metric matrix G: sqrt of the full
     contraction of T (x) T with G (on 'u' slots) and G^-1 (on 'l' slots).
     signature example: "ull".  T and G may carry the same leading stack
-    axes, which give one norm per row.
+    axes, which give one norm per row.  One slot at a time is raised or
+    lowered by a matmul, each row on its own.
     """
     T = np.asarray(T, dtype=float)
-    k = T.ndim - (np.ndim(G) - 2)
+    lead = np.shape(G)[:-2]
+    k = T.ndim - len(lead)
     if len(signature) != k or any(s not in "ul" for s in signature):
         raise ValenceError(f"signature {signature!r} does not match tensor of rank {k}")
     Ginv = _ginv(G)
-    a = "abcdefgh"[:k]
-    b = "mnopqrst"[:k]
-    mats = ",".join(f"...{a[i]}{b[i]}" for i in range(k))
-    sub = f"...{a},...{b},{mats}->..."
-    slots = [G if s == "u" else Ginv for s in signature]
-    val = np.einsum(sub, T, T, *slots)
+    # U = T with each slot a contracted with M[a, b]: the first slot moves
+    # last, the others index the rows of one matmul per stack row, so after
+    # k steps the slots are in order again
+    U = T
+    for s in signature:
+        U = np.moveaxis(U, len(lead), -1)
+        U = (U.reshape(lead + (-1, U.shape[-1])) @ (G if s == "u" else Ginv)).reshape(U.shape)
+    val = (T * U).reshape(lead + (-1,)).sum(axis=-1)
     return _item(np.sqrt(np.maximum(val, 0.0)))
 
 
@@ -972,18 +948,13 @@ class NumericMetric:
         return lambda p: [self.evaluate(p)] + [fd(self.fun, p) for fd in fds]
 
     def riemann(self, p):
-        """The Riemann jet at a point (dim,), or a list of them, one per row
-        of a stack (B, dim): three `fun` calls in all (G, the gradient
-        stencils and the Hessian stencils), then each row assembled on its
-        own, so a row's jet is bitwise its point jet."""
+        """The Riemann jet at a point (dim,), or at each row of a stack
+        (B, dim): three `fun` calls in all (G, the gradient stencils and the
+        Hessian stencils), then one stacked assembly, in which each row is
+        bitwise its point jet."""
         p = np.asarray(p, dtype=float)
-        derivs = self.derivative_fn(2)(p)
-        if p.ndim == 1:
-            return _curvature_tensor(p, *derivs)
-        return [_curvature_tensor(q, *row) for q, *row in zip(p, *derivs)]
+        return _curvature_tensor(p, *self.derivative_fn(2)(p))
 
     def ricci(self, p):
         """Ricci at a point (dim,), or (B, dim, dim) for a stack (B, dim)."""
-        p = np.asarray(p, dtype=float)
-        jets = self.riemann(p)
-        return jets.ricci() if p.ndim == 1 else np.stack([j.ricci() for j in jets])
+        return self.riemann(p).ricci()

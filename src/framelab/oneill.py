@@ -77,9 +77,14 @@ class ONeillContext:
         self.nabla_r_eps = self.grad_gp.nabla(self.jet_g.gamma)
         # D^k_ij = Gamma^k_ij - Gamma_eps^k_ij
         self.D = self.jet_g.gamma - self.grad_gp.gamma
-        # frame table R4[i, j, lam, mu] = <R_eps(f_i, f_j) e_lam, e_mu>
-        self.r4_frame = np.einsum("...abkl,...ai,...bj,...ku,...lv->...ijvu",
-                                  self.rlow_eps, self.f, self.f, self.e, self.e)
+        # frame table R4[i, j, lam, mu] = <R_eps(f_i, f_j) e_lam, e_mu>, from
+        # four pairwise contractions: f^T R f over (a, b) for each (k, l),
+        # then e^T (.)^T e over (k, l) for each (i, j)
+        f = self.f[..., None, None, :, :]
+        e = self.e[..., None, None, :, :]
+        Q = np.swapaxes(f, -1, -2) @ np.moveaxis(self.rlow_eps, (-4, -3), (-2, -1)) @ f
+        Q = np.moveaxis(Q, (-2, -1), (-4, -3))                  # Q[..., i, j, k, l]
+        self.r4_frame = np.swapaxes(e, -1, -2) @ np.swapaxes(Q, -1, -2) @ e
 
 
 def _jets(g, gp, p):

@@ -532,6 +532,28 @@ def test_a_bounded_chart_without_region_samples_its_domain(tmp_path, command):
     assert load(whole, command)["result"] == load(named, command)["result"]
 
 
+BAD_BOUNDS = "--region takes name:lo:hi with finite numbers lo <= hi, got "
+
+
+@pytest.mark.parametrize("command,metric,region,message", [
+    ("bound-report", "builtin:eguchi-hanson", "r:nan:2", BAD_BOUNDS + "'r:nan:2'"),
+    ("bound-report", "builtin:eguchi-hanson", "r:1.5:inf", BAD_BOUNDS + "'r:1.5:inf'"),
+    ("gh", "builtin:round-sphere", "th:nan:1", BAD_BOUNDS + "'th:nan:1'"),
+    ("gh", "builtin:round-sphere", "th:0.5:inf", BAD_BOUNDS + "'th:0.5:inf'"),
+    ("bound-report", "builtin:eguchi-hanson", "r:abc:2", BAD_BOUNDS + "'r:abc:2'"),
+    ("bound-report", "builtin:eguchi-hanson", "r:4:1.5", BAD_BOUNDS + "'r:4:1.5'"),
+    ("bound-report", "builtin:eguchi-hanson", "r:1.5:2,r:1.6:1.7",
+     "--region names r twice, again in 'r:1.6:1.7'"),
+])
+def test_a_bad_region_piece_is_a_config_error_naming_it(tmp_path, capsys, command, metric,
+                                                        region, message):
+    code, out = run(tmp_path, command, "--metric", metric, "--region", region,
+                    "--samples", "2")
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_format_dat_is_refused(tmp_path):
     code, out = run(tmp_path, "bound-report", "--metric", "builtin:round-sphere",
                     "--samples", "2", "--format", "dat")

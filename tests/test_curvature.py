@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -164,6 +165,35 @@ def test_tensor_norm_riemann_sphere(sphere):
 def test_tensor_norm_valence_mismatch(flat2):
     with pytest.raises(cv.ValenceError):
         cv.tensor_norm(np.eye(2), flat2.evaluate([0, 0]), "ull")
+
+
+def _reference_tensor_norm(T, G, signature):
+    """The one-einsum norm that the slot-by-slot contraction replaced."""
+    k = len(signature)
+    a, b = "abcdefgh"[:k], "mnopqrst"[:k]
+    mats = ",".join(f"...{a[i]}{b[i]}" for i in range(k))
+    slots = [G if s == "u" else np.linalg.solve(G, np.eye(G.shape[-1])) for s in signature]
+    return np.sqrt(np.maximum(np.einsum(f"...{a},...{b},{mats}->...", T, T, *slots), 0.0))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tensor_norm_matches_the_einsum_for_every_signature(n):
+    """Every 'u'/'l' signature of rank 1-5 on a stack of random tensors:
+    the norms agree with the one-einsum reference to rounding, and each row
+    is bitwise the norm of that row alone."""
+    rng = np.random.default_rng(11 + n)
+    C = rng.normal(size=(6, n, n))
+    G = C @ np.swapaxes(C, -1, -2) + n * np.eye(n)
+    for k in range(1, 6):
+        T = rng.normal(size=(6,) + (n,) * k)
+        for signature in itertools.product("ul", repeat=k):
+            signature = "".join(signature)
+            got = cv.tensor_norm(T, G, signature)
+            want = _reference_tensor_norm(T, G, signature)
+            assert got.shape == (6,)
+            assert np.abs(got - want).max() <= 1e-14 * want.max()
+            for row in range(6):
+                assert cv.tensor_norm(T[row], G[row], signature) == got[row]
 
 
 def test_jets_carry_their_metric_and_connection(eh, rng):
@@ -510,19 +540,20 @@ def test_a_row_whose_extra_stage_fails_fails_alone():
 
 
 def test_stacked_gamma_jets_are_row_by_row(eh, cone_smooth):
+    """Each row of a stacked jet, orders 1-3, is the same bits alone in a
+    one-row stack and at the point itself."""
     rng = np.random.default_rng(5)
     for m, lo, hi in ((cone_smooth, [0.1, 0.0], [1.5, 6.0]),
                       (eh, [1.5, 0.5, 0.5, 0.5], [3.0, 2.5, 2.5, 2.5])):
         X = rng.uniform(lo, hi, size=(17, m.dim))
-        derivs = [np.stack(d) for d in zip(*(m.derivative_fn(2)(x) for x in X))]
-        gamma, dgamma = cv.assemble_gamma_jet(*derivs)
-        for k, x in enumerate(X):
+        derivs = [np.stack(d) for d in zip(*(m.derivative_fn(3)(x) for x in X))]
+        jets = cv.assemble_gamma_jet(*derivs)
+        assert len(jets) == 3
+        for k in range(len(X)):
             one = cv.assemble_gamma_jet(*(d[k:k + 1] for d in derivs))
-            assert np.array_equal(gamma[k], one[0][0]) and np.array_equal(dgamma[k], one[1][0])
-            # Gamma is the single-point value bit for bit, dGamma to rounding
             single = cv.assemble_gamma_jet(*(d[k] for d in derivs))
-            assert np.array_equal(gamma[k], single[0])
-            assert np.abs(dgamma[k] - single[1]).max() <= 1e-12 * np.abs(single[1]).max()
+            for jet, row, point in zip(jets, one, single):
+                assert np.array_equal(jet[k], row[0]) and np.array_equal(jet[k], point)
 
 
 def test_scaling_laws(eh, rng):
@@ -644,8 +675,8 @@ def test_fd_stencils_over_a_stack_of_centres(n):
 
 def test_numeric_ricci_over_a_stack_is_three_calls_of_point_rows(cone_pair):
     """NumericMetric.ricci of a stack of B points makes three `fun` calls,
-    and each row is bitwise the point's Ricci; riemann gives one jet per
-    row."""
+    and each row is bitwise the point's Ricci; riemann gives one stacked
+    jet, whose rows are the point jets."""
     g, gp = cone_pair
     chart = bd.LiftedMetricChart(g, gp, bd.FramePoint.anchor([0.5, 1.0], 2))
     calls = []
@@ -663,8 +694,8 @@ def test_numeric_ricci_over_a_stack_is_three_calls_of_point_rows(cone_pair):
     for y, ric in zip(Y, got):
         assert np.array_equal(ric, num.ricci(y))
     jets = num.riemann(Y)
-    assert [j.point.tolist() for j in jets] == Y.tolist()
-    assert all(np.array_equal(j.rlow, num.riemann(y).rlow) for j, y in zip(jets, Y))
+    assert jets.point.tolist() == Y.tolist()
+    assert all(np.array_equal(jets.rlow[k], num.riemann(y).rlow) for k, y in enumerate(Y))
 
 
 # ---------------------------------------------------------------------------
@@ -726,8 +757,11 @@ def test_gamma_jet_equals_separate_assemblies(n, seed):
     for k in (1, 2, 3):
         got = cv.assemble_gamma_jet(G, *(dG, d2G, d3G)[:k])
         assert len(got) == k
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
+        # Gamma adds the einsum's terms in its order; the partials take
+        # matmuls, which may round otherwise
+        assert np.array_equal(got[0], want[0])
+        for a, b in zip(got[1:], want[1:]):
+            assert np.abs(a - b).max() <= 4e-15 * np.abs(b).max()
 
 
 def test_numeric_metric_geodesic_matches_symbolic(sphere):

@@ -724,6 +724,19 @@ def test_stacked_context_rows_are_the_point_contexts(case, rng):
     assert max(gaps.values()) <= 4, dict(gaps)
 
 
+@pytest.mark.parametrize("case", list(STACKED_CASES))
+def test_r4_frame_is_the_five_operand_einsum(case):
+    """The frame table from four pairwise contractions equals the one
+    5-operand einsum it replaced, to rounding of its largest entry, on a
+    stacked context of n = 2, 3 and 4."""
+    factory, pts = STACKED_CASES[case]
+    ctx = ctx_at(*factory(), pts)
+    want = np.einsum("...abkl,...ai,...bj,...ku,...lv->...ijvu",
+                     ctx.rlow_eps, ctx.f, ctx.f, ctx.e, ctx.e)
+    assert ctx.r4_frame.shape == want.shape
+    assert np.abs(ctx.r4_frame - want).max() <= 4e-15 * np.abs(want).max()
+
+
 #: a chart whose metric is not positive definite where x <= 0
 NOT_SPD_CHART = "dim 2; coords x y; domain x in [-1, 1]; domain y in [-1, 1]; g = [[1, 0], [0, x]];"
 #: a flat chart that ends at x = 0.8
