@@ -7,6 +7,11 @@ by curvature gradients stay exact; d abs(u) = sign(u) u' with sign(0) = 0,
 and sign has derivative 0.  Simplification is deliberately limited
 to constant folding and a few identities (x*1, x+0, sin^2+cos^2); we never
 attempt aggressive rewriting.
+
+Each tree is simplified once: `simplify` rewrites a tree bottom-up, and
+`differentiate` folds each node of a derivative as it builds it, so the
+derivative of a simplified tree is simplified.  `compile_exprs` compiles
+the trees it is given as they are.
 """
 
 from __future__ import annotations
@@ -39,35 +44,8 @@ _FUNCTIONS = ("sqrt", "sin", "cos", "tan", "exp", "log", "abs", "sign")
 class Expr:
     __slots__ = ()
 
-    def __add__(self, other):
-        return Add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return Add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return Sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return Sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return Mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return Mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return Div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return Div(_coerce(other), self)
-
-    def __pow__(self, other):
-        return Pow(self, _coerce(other))
-
-    def __neg__(self):
-        return Neg(self)
+    def __setattr__(self, *a):
+        raise AttributeError("Expr nodes are immutable")
 
     def __repr__(self):
         return f"{type(self).__name__}({to_str(self)!r})"
@@ -106,9 +84,6 @@ class Num(Expr):
                 value = Fraction(int(value))
         object.__setattr__(self, "value", value)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
-
 
 class Sym(Expr):
     """A named symbol: either a chart coordinate or a named parameter."""
@@ -118,9 +93,6 @@ class Sym(Expr):
     def __init__(self, name):
         object.__setattr__(self, "name", name)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
-
 
 class _Binary(Expr):
     __slots__ = ("a", "b")
@@ -128,9 +100,6 @@ class _Binary(Expr):
     def __init__(self, a, b):
         object.__setattr__(self, "a", _coerce(a))
         object.__setattr__(self, "b", _coerce(b))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
 
 
 class Add(_Binary):
@@ -159,9 +128,6 @@ class Neg(Expr):
     def __init__(self, a):
         object.__setattr__(self, "a", _coerce(a))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
-
 
 class Call(Expr):
     __slots__ = ("fn", "a")
@@ -171,9 +137,6 @@ class Call(Expr):
             raise ExprError(f"unknown function {fn!r}")
         object.__setattr__(self, "fn", fn)
         object.__setattr__(self, "a", _coerce(a))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
 
 
 def sin(a):
@@ -455,79 +418,87 @@ def free_symbols(e):
 # ---------------------------------------------------------------------------
 # differentiation
 #
-# `_diff` and `_simplify` take a memo shared by one build of expressions
-# (the levels of metric partials one `derivative_fn` call adds, one
-# `compile_exprs` call).  It is keyed by node identity and holds the node,
-# so an id is not reused while the memo lives: shared subtrees are
-# differentiated (per variable) and simplified once.  A simplified node is
-# entered as its own simplification, which relies on `_simplify` being
-# idempotent and returning a simplified tree as the same object.
+# `_diff` folds each node of a derivative as it builds it (`_mk`), from
+# operands that are already simplified, so the derivative of a simplified
+# tree is simplified.  Its memo is shared by one build of partials (the
+# levels one `derivative_fn` call adds).  It is keyed by node identity and
+# holds the node, so an id is not reused while the memo lives: subtrees
+# that trees share are differentiated once per variable.
 
 def differentiate(e, var):
-    """Exact partial derivative of e with respect to the symbol named var."""
+    """Exact partial derivative of e with respect to the symbol named var,
+    simplified."""
     if isinstance(var, Sym):
         var = var.name
-    return _differentiate(e, var, {})
+    return _diff(simplify(e), var, {})
 
 
-def _differentiate(e, var, memo):
-    return _simplify(_diff(e, var, memo), memo)
+def _mk(t, a, b=None):
+    """The node t(a, b), or t(a) for Neg, folded; a and b are simplified."""
+    return _fold(t(a) if b is None else t(a, b), a, b)
+
+
+def _call(fn, a):
+    """The node fn(a), folded; a is simplified."""
+    return _fold(Call(fn, a), a)
+
+
+_ZERO, _ONE, _TWO = Num(Fraction(0)), Num(Fraction(1)), Num(Fraction(2))
 
 
 def _diff(e, var, memo):
+    """The partial derivative of a simplified tree, simplified."""
     t = type(e)
     if t is Num:
-        return Num(Fraction(0))
+        return _ZERO
     if t is Sym:
-        return Num(Fraction(1)) if e.name == var else Num(Fraction(0))
+        return _ONE if e.name == var else _ZERO
     key = (id(e), var)
     hit = memo.get(key)
     if hit is not None:
         return hit[1]
-    if t is Add:
-        d = Add(_diff(e.a, var, memo), _diff(e.b, var, memo))
-    elif t is Sub:
-        d = Sub(_diff(e.a, var, memo), _diff(e.b, var, memo))
+    if t is Add or t is Sub:
+        d = _mk(t, _diff(e.a, var, memo), _diff(e.b, var, memo))
     elif t is Neg:
-        d = Neg(_diff(e.a, var, memo))
+        d = _mk(Neg, _diff(e.a, var, memo))
     elif t is Mul:
-        d = Add(Mul(_diff(e.a, var, memo), e.b), Mul(e.a, _diff(e.b, var, memo)))
+        d = _mk(Add, _mk(Mul, _diff(e.a, var, memo), e.b), _mk(Mul, e.a, _diff(e.b, var, memo)))
     elif t is Div:
-        num = Sub(Mul(_diff(e.a, var, memo), e.b), Mul(e.a, _diff(e.b, var, memo)))
-        d = Div(num, Pow(e.b, Num(Fraction(2))))
+        num = _mk(Sub, _mk(Mul, _diff(e.a, var, memo), e.b), _mk(Mul, e.a, _diff(e.b, var, memo)))
+        d = _mk(Div, num, _mk(Pow, e.b, _TWO))
     elif t is Pow:
         base, expo = e.a, e.b
         if not free_symbols(expo):
             # d(u^c) = c u^(c-1) u'
-            c = expo
-            d = Mul(Mul(c, Pow(base, Sub(c, Num(Fraction(1))))), _diff(base, var, memo))
+            d = _mk(Mul, _mk(Mul, expo, _mk(Pow, base, _mk(Sub, expo, _ONE))),
+                    _diff(base, var, memo))
         else:
             # general: u^v (v' ln u + v u'/u)
-            term = Add(Mul(_diff(expo, var, memo), Call("log", base)),
-                       Div(Mul(expo, _diff(base, var, memo)), base))
-            d = Mul(e, term)
+            term = _mk(Add, _mk(Mul, _diff(expo, var, memo), _call("log", base)),
+                       _mk(Div, _mk(Mul, expo, _diff(base, var, memo)), base))
+            d = _mk(Mul, e, term)
     elif t is Call:
         inner = _diff(e.a, var, memo)
         fn = e.fn
         if fn == "sin":
-            outer = Call("cos", e.a)
+            outer = _call("cos", e.a)
         elif fn == "cos":
-            outer = Neg(Call("sin", e.a))
+            outer = _mk(Neg, _call("sin", e.a))
         elif fn == "tan":
-            outer = Div(Num(Fraction(1)), Pow(Call("cos", e.a), Num(Fraction(2))))
+            outer = _mk(Div, _ONE, _mk(Pow, _call("cos", e.a), _TWO))
         elif fn == "exp":
             outer = e
         elif fn == "log":
-            outer = Div(Num(Fraction(1)), e.a)
+            outer = _mk(Div, _ONE, e.a)
         elif fn == "sqrt":
-            outer = Div(Num(Fraction(1)), Mul(Num(Fraction(2)), e))
+            outer = _mk(Div, _ONE, _mk(Mul, _TWO, e))
         elif fn == "abs":
-            outer = Call("sign", e.a)
+            outer = _call("sign", e.a)
         elif fn == "sign":
-            outer = Num(Fraction(0))
+            outer = _ZERO
         else:  # pragma: no cover
             raise ExprError(f"no derivative rule for {fn}")
-        d = Mul(outer, inner)
+        d = _mk(Mul, outer, inner)
     else:
         raise TypeError(f"not an Expr: {e!r}")
     memo[key] = (e, d)
@@ -546,24 +517,27 @@ def _is_const(e, v):
 
 
 def simplify(e):
-    return _simplify(e, {})
-
-
-def _simplify(e, memo):
+    """e with constants folded and the identities of `_fold` applied,
+    bottom-up.  A simplified tree comes back as the same object."""
     t = type(e)
     if t is Num or t is Sym:
         return e
-    hit = memo.get(id(e))
-    if hit is not None:
-        return hit[1]
     if t is Neg or t is Call:
-        s = _fold(e, _simplify(e.a, memo))
-    else:
-        s = _fold(e, _simplify(e.a, memo), _simplify(e.b, memo))
-    memo[id(e)] = (e, s)
-    if s is not e:
-        memo[id(s)] = (s, s)
-    return s
+        return _fold(e, simplify(e.a))
+    return _fold(e, simplify(e.a), simplify(e.b))
+
+
+def _constant(v):
+    """Num(v) for the value of an operation on constants.  Programs take
+    constants as floats, so an exact value beyond float range raises
+    ExprError; bit lengths pass every other value without a conversion."""
+    if type(v) is Fraction and v.numerator.bit_length() - v.denominator.bit_length() > 1022:
+        try:
+            float(v)
+        except OverflowError:
+            magnitude = math.log10(abs(v.numerator)) - math.log10(v.denominator)
+            raise ExprError(f"constant of about 10^{magnitude:.0f} does not fit a float") from None
+    return Num(v)
 
 
 def _negate(a, e=None):
@@ -605,7 +579,7 @@ def _fold(e, a, b=None):
         if _is_const(b, 0):
             return a
         if _num(a) and _num(b):
-            return Num(a.value + b.value)
+            return _constant(a.value + b.value)
         pyth = _pythagorean(a, b)
         if pyth is not None:
             return pyth
@@ -614,7 +588,7 @@ def _fold(e, a, b=None):
         if _is_const(b, 0):
             return a
         if _num(a) and _num(b):
-            return Num(a.value - b.value)
+            return _constant(a.value - b.value)
         if _is_const(a, 0):
             return _negate(b)
         if a is b or _key(a) == _key(b):
@@ -628,7 +602,7 @@ def _fold(e, a, b=None):
         if _is_const(b, 1):
             return a
         if _num(a) and _num(b):
-            return Num(a.value * b.value)
+            return _constant(a.value * b.value)
         if _is_const(a, -1):
             return _negate(b)
         if _is_const(b, -1):
@@ -641,7 +615,7 @@ def _fold(e, a, b=None):
             return Num(Fraction(0))
         if _num(a) and _num(b) and not _is_const(b, 0):
             if isinstance(a.value, Fraction) and isinstance(b.value, Fraction):
-                return Num(a.value / b.value)
+                return _constant(a.value / b.value)
         return e if same else Div(a, b)
     if t is Pow:
         if _is_const(b, 0):
@@ -651,7 +625,7 @@ def _fold(e, a, b=None):
         if _num(a) and _num(b) and isinstance(b.value, Fraction) and b.value.denominator == 1:
             p = b.value.numerator
             if isinstance(a.value, Fraction) and (p >= 0 or a.value != 0):
-                return Num(a.value ** p)
+                return _constant(a.value ** p)
         return e if same else Pow(a, b)
     raise TypeError(f"not an Expr: {e!r}")
 
@@ -767,9 +741,11 @@ def compile_exprs(exprs, coords, params=None):
     coords: ordered coordinate names, bound positionally from the argument.
     params: dict of parameter name -> value, baked in at compile time.
 
-    The expressions become one straight-line program in which every
-    distinct subexpression is computed once (`evaluate.source`).  The
-    argument picks its binding:
+    The trees are compiled as given, so callers pass simplified ones
+    (`simplify`; metric components and their derivatives are).  They
+    become one straight-line program in which every distinct
+    subexpression is computed once (`evaluate.source`).  The argument
+    picks its binding:
 
     * a point (n,) (a sequence, or a 1-D array) runs it on `math` and
       returns a tuple of K floats, raising ExprEvalError where an operation
@@ -796,9 +772,7 @@ def compile_exprs(exprs, coords, params=None):
         key = f"_p_{pname}"
         names[pname] = key
         consts[key] = float(pval)
-    memo = {}
-    simplified = [_simplify(e, memo) for e in exprs]
-    src, outputs = _program(simplified, names)
+    src, outputs = _program(exprs, names)
     code = compile(src, "<compiled expressions>", "exec")
     # the program returns each distinct output once; gather all K from them
     K = len(exprs)
@@ -849,9 +823,10 @@ def compile_exprs(exprs, coords, params=None):
 
 
 def evaluate(e, bindings):
-    """Evaluate a single Expr with a dict of symbol values."""
+    """Evaluate a single Expr, simplified, with a dict of symbol values
+    (one for each symbol the Expr names)."""
     names = sorted(free_symbols(e))
-    fn = compile_exprs([e], names)
+    fn = compile_exprs([simplify(e)], names)
     try:
         point = [float(bindings[n]) for n in names]
     except KeyError as err:

@@ -81,7 +81,7 @@ def _upper_pairs(n):
 class MetricSpec:
     dim: int
     coords: tuple
-    components: tuple            # dim x dim nested tuple of Expr
+    components: tuple            # dim x dim nested tuple of Expr, stored simplified
     domain: tuple = None         # dim pairs (lo, hi); None -> unbounded
     params: dict = field(default_factory=dict)
     periods: dict = field(default_factory=dict)   # coord name -> period (runtime metadata)
@@ -95,10 +95,9 @@ class MetricSpec:
             raise MetricError(f"dim {self.dim} but {len(self.coords)} coordinate names")
         if len(set(self.coords)) != self.dim:
             raise MetricError("duplicate coordinate names")
-        comps = tuple(tuple(row) for row in self.components)
-        if len(comps) != self.dim or any(len(row) != self.dim for row in comps):
+        written = tuple(tuple(row) for row in self.components)
+        if len(written) != self.dim or any(len(row) != self.dim for row in written):
             raise MetricError(f"component matrix must be {self.dim}x{self.dim}")
-        self.components = comps
         if self.domain is None:
             self.domain = tuple((-math.inf, math.inf) for _ in range(self.dim))
         else:
@@ -109,8 +108,10 @@ class MetricSpec:
                 if not lo < hi:
                     raise MetricError(f"empty domain interval [{lo}, {hi}]")
             self.domain = dom
+        # simplified once, here: every later reader takes the stored trees
+        self.components = tuple(tuple(ex.simplify(e) for e in row) for row in written)
         self._check_symmetry()
-        self._check_bindings()
+        self._check_bindings(written)
         self._jets = {}
         self._levels = {0: {(): tuple(self.components[i][j]
                                       for i, j in _upper_pairs(self.dim))}}
@@ -120,8 +121,7 @@ class MetricSpec:
     def _check_symmetry(self):
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                a = ex.simplify(self.components[i][j])
-                b = ex.simplify(self.components[j][i])
+                a, b = self.components[i][j], self.components[j][i]
                 if a == b:
                     continue
                 if not self._numerically_equal(a, b):
@@ -143,9 +143,11 @@ class MetricSpec:
                 return False
         return True
 
-    def _check_bindings(self):
+    def _check_bindings(self, written):
+        """Every symbol of the components as written (before simplifying)
+        is a coordinate or a parameter."""
         allowed = set(self.coords) | set(self.params)
-        for row in self.components:
+        for row in written:
             for e in row:
                 extra = ex.free_symbols(e) - allowed
                 if extra:
@@ -172,7 +174,7 @@ class MetricSpec:
         level = self._levels.get(order)
         if level is None:
             prev = self._level(order - 1, memo)
-            level = {idx: tuple(ex._differentiate(e, self.coords[idx[-1]], memo)
+            level = {idx: tuple(ex._diff(e, self.coords[idx[-1]], memo)
                                 for e in prev[idx[:-1]])
                      for idx in combinations_with_replacement(range(self.dim), order)}
             level = self._levels.setdefault(order, level)
@@ -421,7 +423,7 @@ def print_metric(m):
             lines.append(f"domain {c} in [{lo_s}, {hi_s}];")
     rows = []
     for i in range(m.dim):
-        row = ", ".join(ex.to_str(ex.simplify(e)) for e in m.components[i])
+        row = ", ".join(ex.to_str(e) for e in m.components[i])
         rows.append(f"[{row}]")
     lines.append("g = [" + ", ".join(rows) + "];")
     return "\n".join(lines) + "\n"

@@ -42,7 +42,8 @@ _REFERENCE_CALLS = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "tan": 
 def reference_eval(e, env):
     """An Expr on Python floats, walking the tree node by node with `math`
     and float ** for powers: what the point binding of `compile_exprs`
-    must return bit for bit on `ex.simplify(e)`.  env maps names to floats."""
+    must return bit for bit on the tree e it is given.  env maps names to
+    floats."""
     t = type(e)
     if t is ex.Num:
         return float(e.value)
@@ -53,6 +54,58 @@ def reference_eval(e, env):
     if t is ex.Call:
         return _REFERENCE_CALLS[e.fn](reference_eval(e.a, env))
     return _REFERENCE_OPS[t](reference_eval(e.a, env), reference_eval(e.b, env))
+
+
+def _const(v):
+    return ex.Num(Fraction(v))
+
+
+#: the outer derivative f'(u) of each function f, as a tree in u
+_OUTER = {"sin": lambda e: ex.Call("cos", e.a),
+          "cos": lambda e: ex.Neg(ex.Call("sin", e.a)),
+          "tan": lambda e: ex.Div(_const(1), ex.Pow(ex.Call("cos", e.a), _const(2))),
+          "exp": lambda e: e,
+          "log": lambda e: ex.Div(_const(1), e.a),
+          "sqrt": lambda e: ex.Div(_const(1), ex.Mul(_const(2), e)),
+          "abs": lambda e: ex.Call("sign", e.a),
+          "sign": lambda e: _const(0)}
+
+
+def textbook_derivative(e, var, memo):
+    """The partial derivative of e by the sum, product, quotient, power and
+    chain rules, every node built as the rule writes it and nothing folded:
+    its `ex.simplify` is what the folded derivatives of `ex.differentiate`
+    and `MetricSpec.derivative_fn` must equal.  memo, keyed by node
+    identity and holding the node, differentiates a shared subtree once."""
+    t = type(e)
+    if t is ex.Num:
+        return _const(0)
+    if t is ex.Sym:
+        return _const(1 if e.name == var else 0)
+    hit = memo.get((id(e), var))
+    if hit is not None:
+        return hit[1]
+
+    def d(u):
+        return textbook_derivative(u, var, memo)
+
+    if t in (ex.Add, ex.Sub):
+        out = t(d(e.a), d(e.b))
+    elif t is ex.Neg:
+        out = ex.Neg(d(e.a))
+    elif t is ex.Mul:
+        out = ex.Add(ex.Mul(d(e.a), e.b), ex.Mul(e.a, d(e.b)))
+    elif t is ex.Div:
+        out = ex.Div(ex.Sub(ex.Mul(d(e.a), e.b), ex.Mul(e.a, d(e.b))), ex.Pow(e.b, _const(2)))
+    elif t is ex.Pow and not ex.free_symbols(e.b):
+        out = ex.Mul(ex.Mul(e.b, ex.Pow(e.a, ex.Sub(e.b, _const(1)))), d(e.a))
+    elif t is ex.Pow:
+        out = ex.Mul(e, ex.Add(ex.Mul(d(e.b), ex.Call("log", e.a)),
+                               ex.Div(ex.Mul(e.b, d(e.a)), e.a)))
+    else:
+        out = ex.Mul(_OUTER[e.fn](e), d(e.a))
+    memo[id(e), var] = (e, out)
+    return out
 
 
 def stacked(fun):

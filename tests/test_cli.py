@@ -554,6 +554,26 @@ def test_a_bad_region_piece_is_a_config_error_naming_it(tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("component", ["1 + 10^400*x", "1 + x/10^400", "1 + 2.5e0*10^400*x^2"])
+def test_a_constant_beyond_float_range_is_a_config_error(tmp_path, capsys, component):
+    path = tmp_path / "big.gmet"
+    path.write_text(f"dim 2; coords x y; g = [[{component}, 0], [0, 1]];", encoding="utf-8")
+    for argv in (["parse-check"], ["curvature", "--at", "0.5,0.5"]):
+        code, out = run(tmp_path, *argv, "--metric", str(path))
+        assert code == 2
+        assert "config error: constant of about 10^400 does not fit a float" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_a_constant_below_float_range_folds_to_zero(tmp_path):
+    path = tmp_path / "tiny.gmet"
+    path.write_text("dim 2; coords x y; g = [[1 + 10^-400*x, 0], [0, 1]];", encoding="utf-8")
+    code, out = run(tmp_path, "curvature", "--metric", str(path), "--at", "0.5,0.5")
+    assert code == 0
+    assert load(out, "curvature")["result"]["metric"] == [[1.0, 0.0], [0.0, 1.0]]
+
+
 def test_format_dat_is_refused(tmp_path):
     code, out = run(tmp_path, "bound-report", "--metric", "builtin:round-sphere",
                     "--samples", "2", "--format", "dat")

@@ -14,6 +14,7 @@ from framelab import curvature as cv
 from framelab import expr as ex
 from framelab import metric as mt
 from framelab.expr import ParseError, _plain
+from conftest import GMET_N3, textbook_derivative
 
 
 def test_parse_identity_metric():
@@ -346,12 +347,35 @@ def test_derivative_arrays_of_a_generic_chart_are_exactly_symmetric():
             assert np.array_equal(D, D.transpose(axes))
 
 
+class _CountedLevels(dict):
+    """A metric's `_levels`, recording the order of each level stored."""
+
+    def __init__(self, levels):
+        super().__init__(levels)
+        self.stored = []
+
+    def setdefault(self, order, level):
+        self.stored.append(order)
+        return super().setdefault(order, level)
+
+
 def test_each_order_is_differentiated_once(monkeypatch):
-    calls = []
-    differentiate = ex._differentiate
-    monkeypatch.setattr(ex, "_differentiate",
-                        lambda e, var, memo: calls.append(var) or differentiate(e, var, memo))
+    calls, depth = [], [0]
+    diff = ex._diff
+
+    def counting(e, var, memo):
+        # `_diff` recurses through the module's name: count the outer calls
+        if not depth[0]:
+            calls.append(var)
+        depth[0] += 1
+        try:
+            return diff(e, var, memo)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ex, "_diff", counting)
     m = mt.eguchi_hanson(1.0)
+    m._levels = _CountedLevels(m._levels)
     m.derivative_fn(1)
     m.derivative_fn(2)
     before = len(calls)
@@ -362,6 +386,9 @@ def test_each_order_is_differentiated_once(monkeypatch):
     m._derivative_exprs(3)
     assert len(calls) - before == 20 * 10
     assert len(calls) == (4 + 10 + 20) * 10
+    assert m._levels.stored == [1, 2, 3]
+    assert {k: (len(v), {len(p) for p in v.values()}) for k, v in m._levels.items()} == {
+        0: (1, {10}), 1: (4, {10}), 2: (10, {10}), 3: (20, {10})}
 
 
 def test_threads_that_race_to_build_a_level_get_one_level():
@@ -389,6 +416,82 @@ def test_threads_that_race_to_build_a_level_get_one_level():
     assert all(a is b for r in results[1:] for a, b in zip(results[0], r))
     stored = {id(e) for entries in m._levels[3].values() for e in entries}
     assert {id(e) for e in results[0]} == stored
+
+
+# each tree simplified once: the components when the metric is built, and
+# each partial as it is differentiated
+
+def _textbook_jet_exprs(m, order):
+    """The expressions of `derivative_fn(order)`, each partial the
+    simplified textbook derivative of the partial one order below by its
+    multi-index's last coordinate: a derivative then a simplification,
+    as two passes."""
+    n, pairs = m.dim, mt._upper_pairs(m.dim)
+    levels, memo = {(): [m.components[i][j] for i, j in pairs]}, {}
+    for k in range(1, order + 1):
+        for idx in itertools.combinations_with_replacement(range(n), k):
+            levels[idx] = [ex.simplify(textbook_derivative(e, m.coords[idx[-1]], memo))
+                           for e in levels[idx[:-1]]]
+    slot = {pair: s for s, pair in enumerate(pairs)}
+    return m._flat() + [levels[tuple(sorted(idx))][slot[min(i, j), max(i, j)]]
+                        for k in range(1, order + 1)
+                        for idx in itertools.product(range(n), repeat=k)
+                        for i in range(n) for j in range(n)]
+
+
+def _check_textbook_sources(monkeypatch, m):
+    """The program `derivative_fn(k)` compiles, k = 0-3, is byte for byte
+    the program of the two-pass partials."""
+    sources, compile_exprs = [], ex.compile_exprs
+
+    def recording(*args):
+        fn = compile_exprs(*args)
+        sources.append(fn.source)
+        return fn
+
+    monkeypatch.setattr(ex, "compile_exprs", recording)
+    for order in range(4):
+        m.derivative_fn(order)
+        want = compile_exprs(_textbook_jet_exprs(m, order), m.coords, m.params)
+        assert sources[-1] == want.source, (m.name, order)
+    assert len(sources) == 4
+
+
+_PARSED = [lambda: mt.parse_metric(GMET_MIXED)] + [lambda b=b: mt.parse_metric(b) for b in GMET_N3]
+
+
+@pytest.mark.parametrize("factory", _BUILTINS + _PARSED)
+def test_compiled_jets_are_the_two_pass_programs(monkeypatch, factory):
+    _check_textbook_sources(monkeypatch, factory())
+
+
+def test_bench_gmet_compiled_jets_are_the_two_pass_programs(monkeypatch, tmp_path):
+    for body in _bench_gmet_bodies(101, tmp_path):
+        _check_textbook_sources(monkeypatch, mt.parse_metric(body))
+
+
+@pytest.mark.parametrize("factory", _BUILTINS + _PARSED + [
+    lambda: mt.rescaled(mt.parse_metric(GMET_MIXED), 3),
+    lambda: mt.parse_metric("dim 2; coords x y; g = [[1 + 0*x + y^1, 0*y], [0, 2 - -x]];")])
+def test_components_are_stored_simplified(factory):
+    m = factory()
+    for row in m.components:
+        for e in row:
+            assert ex.simplify(e) is e
+
+
+def test_a_foldable_component_is_differentiated_folded():
+    """sin(x)^2 + cos(x)^2 folds to 1 before it is differentiated, so its
+    x-partials are exactly 0."""
+    src = "sin(x)^2 + cos(x)^2 + y^2"
+    assert ex.differentiate(ex.parse_expr(src), "x") == ex.Num(0)
+    m = mt.parse_metric(f"dim 2; coords x y; g = [[{src}, 0], [0, 1]];")
+    assert m.components[0][0] == ex.parse_expr("1 + y^2")
+    for order in (1, 2, 3):
+        assert m._derivative_exprs(order)[0] == ex.Num(0)
+    _, dG, d2G, d3G = m.derivative_fn(3)(np.array([[0.3, 0.7], [1.1, -0.4]]))
+    assert not dG[:, 0, 0, 0].any() and not d2G[:, 0, :, 0, 0].any()
+    assert not d3G[..., 0, 0].any()
 
 
 # one program per metric and order
