@@ -15,7 +15,8 @@ Index conventions used throughout:
 
 The same algebra runs on two derivative sources: exact symbolic derivatives
 of a MetricSpec, or Richardson-extrapolated central differences of any
-pointwise metric evaluator (used for lifted metrics).
+pointwise metric evaluator (used for lifted metrics).  Geodesics take no
+Christoffel tensor: they integrate the spray contracted from G^-1 and dG.
 """
 
 from __future__ import annotations
@@ -413,7 +414,7 @@ def _combine(terms, K):
     (j, w), *rest = terms
     acc = w * K[j]
     for j, w in rest:
-        acc = acc + w * K[j]
+        acc += w * K[j]
     return acc
 
 
@@ -499,12 +500,15 @@ def _dormand_prince(rhs, y0, t_final, rtol, atol, dense, controlled):
 
     def evaluate(rows, Y, alive):
         """f at the alive rows of Y; rows whose evaluation fails die."""
-        live = np.flatnonzero(alive)
-        F = np.zeros_like(Y)
-        if not len(live):
-            return F
-        F[live], errors = rhs(Y[live])
-        nfev[rows[live]] += 1
+        if alive.all():
+            (F, errors), live = rhs(Y), range(len(Y))
+            nfev[rows] += 1
+        else:
+            live, F = np.flatnonzero(alive), np.zeros_like(Y)
+            if not len(live):
+                return F
+            F[live], errors = rhs(Y[live])
+            nfev[rows[live]] += 1
         for k, exc in errors.items():
             failure[rows[live[k]]] = exc
             alive[live[k]] = False
@@ -612,9 +616,10 @@ def _dormand_prince(rhs, y0, t_final, rtol, atol, dense, controlled):
     return out, nfev
 
 
-class _GammaCache:
-    """Christoffel evaluation for ODE right-hand sides, without the domain
-    and SPD checks of `christoffel`; m is either derivative source."""
+class _SprayJets:
+    """G^-1 and the partials of G for the geodesic right-hand sides,
+    without the domain and SPD checks of `christoffel`; m is either
+    derivative source."""
 
     def __init__(self, m, variational=False):
         self.n = m.dim
@@ -622,11 +627,10 @@ class _GammaCache:
         self.jet = m.derivative_fn(self.order)
 
     def jets(self, X):
-        """[Gamma] at each row of X (b, n), with dGamma as well when
-        variational: one stacked jet call (G, dG and, when variational,
-        d2G), then one stacked assembly.  Returns (jets, errors), errors
-        {row: exception} for rows whose evaluation failed; their jet rows
-        are zero.
+        """[G^-1, dG] at each row of X (b, n), and d2G when variational,
+        from one stacked jet call and one stacked inverse.  Returns (jets,
+        errors), errors {row: exception} for rows whose evaluation failed
+        (a singular G with LinAlgError); their jet rows are zero.
 
         A row with a non-finite value is evaluated again as a point: it
         fails with the ExprEvalError or LinAlgError raised there, or with
@@ -637,11 +641,10 @@ class _GammaCache:
         b, n = len(X), self.n
         try:
             parts = self.jet(X)
-            ok = _finite_rows(parts)
-            redo = np.flatnonzero(~ok)
+            redo = (() if all(np.isfinite(p).all() for p in parts)
+                    else np.flatnonzero(~_finite_rows(parts)))
         except (ExprEvalError, np.linalg.LinAlgError):
             parts = [np.zeros((b,) + (n,) * (k + 2)) for k in range(self.order + 1)]
-            ok = np.zeros(b, dtype=bool)
             redo = range(b)
         errors = {}
         for k in redo:
@@ -650,49 +653,55 @@ class _GammaCache:
             x = X[k].tolist()
             try:
                 vals = self.jet(x)
+                if not all(np.isfinite(v).all() for v in vals):
+                    raise ExprEvalError(f"expression not finite at {_plain(x)}")
             except (ExprEvalError, np.linalg.LinAlgError) as exc:
                 errors[k] = exc
-                continue
-            if not all(np.isfinite(v).all() for v in vals):
-                errors[k] = ExprEvalError(f"expression not finite at {_plain(x)}")
-                continue
-            ok[k] = True
+                vals = [0.0] * len(parts)
             for part, v in zip(parts, vals):
                 part[k] = v
-        if ok.all():
-            try:
-                return assemble_gamma_jet(*parts), errors
-            except np.linalg.LinAlgError:
-                pass            # a singular G: assemble row by row below
-        jets = [np.zeros((b,) + (n,) * (k + 3)) for k in range(self.order)]
-        for k in np.flatnonzero(ok):
-            try:
-                for jet, row in zip(jets, assemble_gamma_jet(*(p[k:k + 1] for p in parts))):
-                    jet[k] = row[0]
-            except np.linalg.LinAlgError as exc:
-                errors[k] = exc
-        return jets, errors
+        try:
+            parts[0] = np.linalg.inv(parts[0])
+        except np.linalg.LinAlgError:
+            # row by row: a failed row's zero G raises again and keeps its error
+            G, parts[0] = parts[0], np.zeros_like(parts[0])
+            for k in range(b):
+                try:
+                    parts[0][k] = np.linalg.inv(G[k])
+                except np.linalg.LinAlgError as exc:
+                    errors.setdefault(k, exc)
+                    for part in parts[1:]:
+                        part[k] = 0.0
+        return parts, errors
 
 
-def _geodesic_rhs(cache, variational):
-    """The stacked right-hand side of the geodesic equations (with the
-    variational equations when asked) for `_dormand_prince`."""
-    n = cache.n
+def _geodesic_rhs(spray, variational):
+    """The stacked right-hand side of the geodesic (and variational)
+    equations for `_dormand_prince`, as the contracted spray Gamma(v, v) =
+    G^-1 w / 2, w_l = 2 v^i Q[i, l] - Q[l, j] v^j, Q[m, l] = d_m g_lj v^j."""
+    n = spray.n
 
     def rhs(Y):
         b = len(Y)
-        jets, errors = cache.jets(Y[:, :n])
+        (ginv, dG, *d2G), errors = spray.jets(Y[:, :n])
         vel = Y[:, n:2 * n]
-        gv = (jets[0] @ vel[:, None, :, None])[..., 0]       # gv[k, i] = Gamma^k_ij v^j
-        acc = -(gv @ vel[:, :, None])[..., 0]
+        vc, vr = vel[:, :, None], vel[:, None, :]
+        Q = (dG @ vc[:, None])[..., 0]
+        gvv = 0.5 * (ginv @ (2.0 * np.swapaxes(vr @ Q, -1, -2) - Q @ vc))[..., 0]
         if not variational:
-            return np.concatenate([vel, acc], axis=1), errors
+            return np.concatenate([vel, -gvv], axis=1), errors
         J = Y[:, 2 * n:2 * n + n * n].reshape(b, n, n)
         K = Y[:, 2 * n + n * n:].reshape(b, n, n)
-        # dgvv[m, k] = d_m Gamma^k_ij v^i v^j
-        dgvv = ((jets[1] @ vel[:, None, None, :, None])[..., 0] @ vel[:, None, :, None])[..., 0]
+        # gv[k, i] = Gamma^k_ij v^j = G^-1 (Q^T + v^m d_m G - Q) / 2
+        dGv = (vr @ dG.reshape(b, n, n * n)).reshape(b, n, n)
+        gv = 0.5 * (ginv @ (np.swapaxes(Q, -1, -2) + dGv - Q))
+        # dgvv[m, k] = d_m Gamma^k_ij v^i v^j = G^-1 (d_m w / 2 - d_m G Gamma(v, v)),
+        # d_m w from R[m, i, l] = d_m d_i g_lj v^j as w is from Q
+        R = (d2G[0] @ vc[:, None, None])[..., 0]
+        dw = 2.0 * np.swapaxes(vr[:, None] @ R, -1, -2) - R @ vc[:, None]
+        dgvv = (ginv[:, None] @ (0.5 * dw - dG @ gvv[:, None, :, None]))[..., 0]
         dK = -(np.swapaxes(dgvv, -1, -2) @ J) - 2.0 * (gv @ K)
-        return np.concatenate([vel, acc, K.reshape(b, n * n), dK.reshape(b, n * n)],
+        return np.concatenate([vel, -gvv, K.reshape(b, n * n), dK.reshape(b, n * n)],
                               axis=1), errors
 
     return rhs
@@ -702,7 +711,8 @@ def geodesic_ivp(m: MetricSpec, p, v, t_final, dense=True, rtol=ODE_RTOL, atol=O
                  variational=False):
     """Integrate x'' + Gamma(x)(x', x') = 0 from x(0) = p, x'(0) = v over
     [0, t_final], t_final > 0, on framelab's Dormand-Prince 8(5,3) stepper.
-    m is a MetricSpec or a NumericMetric.
+    m is a MetricSpec or a NumericMetric.  The right-hand side is the
+    contracted spray (`_geodesic_rhs`), with no Christoffel tensor.
 
     p and v are one point and velocity (n,), or stacks (B, n) integrated in
     lockstep, each row with its own step control.  One row returns a
@@ -731,7 +741,7 @@ def geodesic_ivp(m: MetricSpec, p, v, t_final, dense=True, rtol=ODE_RTOL, atol=O
         B = len(y0)
         y0 = np.concatenate([y0, np.zeros((B, n * n)), np.tile(np.eye(n).ravel(), (B, 1))],
                             axis=1)
-    rows, nfev = _dormand_prince(_geodesic_rhs(_GammaCache(m, variational), variational),
+    rows, nfev = _dormand_prince(_geodesic_rhs(_SprayJets(m, variational), variational),
                                  y0, float(t_final), rtol, atol, dense, 2 * n)
     if p.ndim == 1 and v.ndim == 1:
         if isinstance(rows[0], Exception):

@@ -177,6 +177,15 @@ class _Token:
         self.col = col
 
 
+def _float_literal(tok):
+    """A number token's value as a float, which it must fit; an exact literal
+    in an expression stays exact, and only program constants must fit."""
+    value = float(tok.text)
+    if not math.isfinite(value):
+        raise ParseError(f"number {tok.text} does not fit a float", tok.line, tok.col)
+    return value
+
+
 def _tokenize(source):
     tokens = []
     line, col = 1, 1
@@ -218,8 +227,6 @@ def _tokenize(source):
                 else:
                     break
             text = source[i:j]
-            if not math.isfinite(float(text)):
-                raise ParseError(f"number {text} does not fit a float", line, start_col)
             tokens.append(_Token("number", text, line, start_col))
             col += j - i
             i = j
@@ -310,7 +317,7 @@ class _Parser:
         tok = self.next()
         if tok.kind == "number":
             if "e" in tok.text or "E" in tok.text:
-                return Num(float(tok.text))
+                return Num(_float_literal(tok))
             return Num(Fraction(tok.text))
         if tok.kind == "name":
             if self.peek().kind == "(":
@@ -527,16 +534,22 @@ def simplify(e):
     return _fold(e, simplify(e.a), simplify(e.b))
 
 
+def _program_float(v):
+    """float(v) for a constant of a program; an exact value beyond float
+    range raises ExprError."""
+    try:
+        return float(v)
+    except OverflowError:
+        magnitude = math.log10(abs(v.numerator)) - math.log10(v.denominator)
+        raise ExprError(f"constant of about 10^{magnitude:.0f} does not fit a float") from None
+
+
 def _constant(v):
     """Num(v) for the value of an operation on constants.  Programs take
     constants as floats, so an exact value beyond float range raises
     ExprError; bit lengths pass every other value without a conversion."""
     if type(v) is Fraction and v.numerator.bit_length() - v.denominator.bit_length() > 1022:
-        try:
-            float(v)
-        except OverflowError:
-            magnitude = math.log10(abs(v.numerator)) - math.log10(v.denominator)
-            raise ExprError(f"constant of about 10^{magnitude:.0f} does not fit a float") from None
+        _program_float(v)
     return Num(v)
 
 
@@ -700,7 +713,7 @@ def _program(exprs, names):
             return text
         t = type(e)
         if t is Num:
-            text = repr(float(e.value))
+            text = repr(_program_float(e.value))
             if text[0] == "-":
                 text = f"({text})"
         else:

@@ -139,25 +139,25 @@ def cholesky_section(G):
 
 
 def section_with_derivative(G, dG):
-    """Reference section S = chol(G')^-T and its exact partials dS[..., i],
-    from G' (..., n, n) and its partials dG (..., n, n, n), direction axis
-    first after any stack axes."""
-    S = cholesky_section(G)
-    Linv = np.swapaxes(S, -1, -2)
+    """Reference section S = chol(G')^-T, its exact partials dS[..., i] and
+    its inverse S^-1 = chol(G')^T, from G' (..., n, n) and its partials dG
+    (..., n, n, n), direction axis first after any stack axes."""
+    L = np.linalg.cholesky(G)
+    Linv = np.linalg.inv(L)
+    S = np.swapaxes(Linv, -1, -2)
     M = Linv[..., None, :, :] @ dG @ S[..., None, :, :]
     Phi = np.tril(M, -1)
     diag = np.arange(G.shape[-1])
     Phi[..., diag, diag] = 0.5 * M[..., diag, diag]
-    return S, -S[..., None, :, :] @ np.swapaxes(Phi, -1, -2)
+    return S, -S[..., None, :, :] @ np.swapaxes(Phi, -1, -2), np.swapaxes(L, -1, -2)
 
 
 def section_connection_coeffs(G, dG):
     """C_i = S^-1 (d_i S + Gamma'[e_i] S), skew matrices (..., n, n, n), one
     per direction, from G' and its partials as in `section_with_derivative`."""
-    S, dS = section_with_derivative(G, dG)
+    S, dS, Sinv = section_with_derivative(G, dG)
     gamma = assemble_gamma_jet(G, dG)[0]
-    Sinv = np.linalg.inv(S)[..., None, :, :]
-    return Sinv @ (dS + np.swapaxes(gamma, -3, -2) @ S[..., None, :, :])
+    return Sinv[..., None, :, :] @ (dS + np.swapaxes(gamma, -3, -2) @ S[..., None, :, :])
 
 
 def _verify_shift_invariance(m: MetricSpec, p, shift, tol=1e-9):

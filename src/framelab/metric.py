@@ -329,7 +329,7 @@ def parse_metric(source):
                     parser.next()
                     sign = -1.0
                 pval = parser.expect("number")
-                params[pname] = sign * float(Fraction(pval.text) if "e" not in pval.text.lower() else float(pval.text))
+                params[pname] = sign * ex._float_literal(pval)
         elif word == "domain":
             while parser.peek().kind == "name":
                 cname = parser.next().text
@@ -384,7 +384,7 @@ def _parse_bound(parser):
     if tok.kind == "name" and tok.text == "inf":
         return sign * math.inf
     if tok.kind == "number":
-        return sign * float(tok.text)
+        return sign * ex._float_literal(tok)
     raise ParseError(f"expected a number or inf, found {tok.text!r}", tok.line, tok.col)
 
 

@@ -280,8 +280,10 @@ def test_section_equals_cholesky_reference(n, seed):
     dG = rng.normal(size=(n, n, n))
     dG = dG + dG.transpose(0, 2, 1)
     S_ref, dS_ref = _section_reference(G, dG)
-    S, dS = hl.section_with_derivative(G, dG)
+    S, dS, Sinv = hl.section_with_derivative(G, dG)
     assert np.array_equal(S, S_ref) and np.array_equal(dS, dS_ref)
+    assert np.array_equal(Sinv, np.linalg.cholesky(G).T)
+    assert np.abs(Sinv @ S - np.eye(n)).max() <= 1e-12
     assert np.array_equal(hl.cholesky_section(G), S_ref)
 
 

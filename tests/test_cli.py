@@ -554,7 +554,12 @@ def test_a_bad_region_piece_is_a_config_error_naming_it(tmp_path, capsys, comman
     assert not out.exists()
 
 
-@pytest.mark.parametrize("component", ["1 + 10^400*x", "1 + x/10^400", "1 + 2.5e0*10^400*x^2"])
+#: 10^400, an exact integer literal beyond float range
+BIG = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("component", ["1 + 10^400*x", "1 + x/10^400", "1 + 2.5e0*10^400*x^2",
+                                       pytest.param(BIG, id="literal")])
 def test_a_constant_beyond_float_range_is_a_config_error(tmp_path, capsys, component):
     path = tmp_path / "big.gmet"
     path.write_text(f"dim 2; coords x y; g = [[{component}, 0], [0, 1]];", encoding="utf-8")
@@ -572,6 +577,17 @@ def test_a_constant_below_float_range_folds_to_zero(tmp_path):
     code, out = run(tmp_path, "curvature", "--metric", str(path), "--at", "0.5,0.5")
     assert code == 0
     assert load(out, "curvature")["result"]["metric"] == [[1.0, 0.0], [0.0, 1.0]]
+
+
+def test_the_canonical_text_of_a_constant_below_float_range_round_trips(tmp_path):
+    from framelab import metric as mt
+    path = tmp_path / "tiny.gmet"
+    path.write_text("dim 2; coords x y; g = [[1 + 10^-400*x, 0], [0, 1]];", encoding="utf-8")
+    code, out = run(tmp_path, "parse-check", "--metric", str(path))
+    assert code == 0
+    canonical = load(out, "parse-check")["result"]["canonical"]
+    assert f"1 + 1/{BIG}*x" in canonical
+    assert mt.parse_metric(canonical).components == mt.metric_from_uri(str(path)).components
 
 
 def test_format_dat_is_refused(tmp_path):

@@ -412,6 +412,46 @@ def test_a_shots_steps_are_its_geodesics_steps(name, p, v, dense, sphere, eh):
         assert np.array_equal(shot.sol(ts)[:2 * n], plain.sol(ts))
 
 
+@pytest.mark.parametrize("variational", [False, True])
+@pytest.mark.parametrize("name", ["sphere", "cone", "eh"])
+def test_the_spray_is_the_christoffel_right_hand_side(name, variational, sphere, eh):
+    """The contracted spray gives Gamma(v, v), Gamma v and dGamma(v, v) of
+    the assembled Christoffel jets up to rounding, and each stacked row is
+    bitwise its one-row call."""
+    m = {"sphere": sphere, "cone": mt.exact_cone(0.7), "eh": eh}[name]
+    n = m.dim
+    rng = np.random.default_rng(11)
+    X = m.sample_interior(rng, 20)
+    Y = np.concatenate([X, rng.normal(size=(20, n + (2 * n * n if variational else 0)))],
+                       axis=1)
+    rhs = cv._geodesic_rhs(cv._SprayJets(m, variational), variational)
+    F, errors = rhs(Y)
+    assert errors == {}
+    reference = _reference_rhs(m, variational)
+    for k, y in enumerate(Y):
+        want = reference(0.0, y)
+        assert np.abs(F[k] - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.array_equal(F[k], rhs(Y[k][None])[0][0])
+
+
+def test_a_singular_metric_row_fails_alone():
+    m = mt.parse_metric("dim 2; coords x y; g = [[x^2, 0], [0, 1]];")
+    P = np.array([[0.5, 0.2], [0.0, 0.2], [1.5, 0.4]])
+    W = np.array([[0.3, 0.1], [0.3, 0.1], [-0.2, 0.3]])
+    for variational in (False, True):
+        spray = cv._SprayJets(m, variational)
+        jets, errors = spray.jets(P)
+        assert list(errors) == [1]
+        assert isinstance(errors[1], np.linalg.LinAlgError)
+        for jet, point in zip(jets, spray.jets(P[2:])[0]):
+            assert not jet[1].any()
+            assert np.array_equal(jet[2], point[0])
+    stack = cv.geodesic_ivp(m, P, W, 0.5)
+    assert isinstance(stack.rows[1], np.linalg.LinAlgError)
+    for k in (0, 2):
+        assert np.array_equal(stack.rows[k].y, cv.geodesic_ivp(m, P[k], W[k], 0.5).y)
+
+
 def _cone_and_eh_pairs():
     rng = np.random.default_rng(3)
     cone = mt.exact_cone(0.7)
@@ -825,8 +865,8 @@ def _counting_derivative_fn(monkeypatch):
 def test_a_stacked_right_hand_side_evaluates_each_order_once(variational, monkeypatch):
     calls = _counting_derivative_fn(monkeypatch)
     jet_rows = []
-    jets = cv._GammaCache.jets
-    monkeypatch.setattr(cv._GammaCache, "jets",
+    jets = cv._SprayJets.jets
+    monkeypatch.setattr(cv._SprayJets, "jets",
                         lambda self, X: jet_rows.append(len(X)) or jets(self, X))
     m, P, Q = _cone_and_eh_pairs()[1]
     stack = cv.geodesic_ivp(m, P, Q - P, 1.0, rtol=1e-7, atol=1e-9, variational=variational)

@@ -288,8 +288,8 @@ def test_a_bad_stacked_row_is_left_for_the_point_evaluator():
     for S in m.derivative_fn(1)(X):
         assert np.isfinite(S[[0, 3]]).all()
         assert not np.isfinite(S[1]).all() and not np.isfinite(S[2]).all()
-    cache = cv._GammaCache(m, variational=True)
-    jets, errors = cache.jets(X)
+    spray = cv._SprayJets(m, variational=True)
+    jets, errors = spray.jets(X)
     assert sorted(errors) == [1, 2]
     for k in (1, 2):
         with pytest.raises(ex.ExprEvalError) as err:
@@ -297,7 +297,7 @@ def test_a_bad_stacked_row_is_left_for_the_point_evaluator():
         assert str(errors[k]) == str(err.value)
         assert str(errors[k]).startswith("expression undefined at")
         assert not jets[0][k].any() and not jets[1][k].any()
-    assert np.array_equal(jets[0][0], cache.jets(X[:1])[0][0][0])
+    assert np.array_equal(jets[0][0], spray.jets(X[:1])[0][0][0])
 
 
 def test_shared_subtrees_are_emitted_once():

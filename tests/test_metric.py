@@ -549,7 +549,7 @@ def test_an_undefined_partial_of_a_finite_metric_raises_at_a_point():
             with pytest.raises(ex.ExprEvalError) as stacked:
                 jet(m, X)
             assert str(stacked.value) == str(point.value)
-    _, errors = cv._GammaCache(m, variational=True).jets(X)
+    _, errors = cv._SprayJets(m, variational=True).jets(X)
     assert list(errors) == [1]
     assert isinstance(errors[1], ex.ExprEvalError)
 
@@ -566,8 +566,8 @@ def test_a_stacked_geodesic_right_hand_side_is_one_evaluation(monkeypatch):
 
     monkeypatch.setattr(ex, "compile_exprs", counting)
     jet_rows = []
-    jets = cv._GammaCache.jets
-    monkeypatch.setattr(cv._GammaCache, "jets",
+    jets = cv._SprayJets.jets
+    monkeypatch.setattr(cv._SprayJets, "jets",
                         lambda self, X: jet_rows.append(len(X)) or jets(self, X))
     m = mt.exact_cone(0.7)
     P = np.array([[1.0, 0.2], [0.6, 1.0], [1.3, 2.0]])
