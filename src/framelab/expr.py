@@ -178,8 +178,7 @@ class _Token:
 
 
 def _float_literal(tok):
-    """A number token's value as a float, which it must fit; an exact literal
-    in an expression stays exact, and only program constants must fit."""
+    """A number token's value as a float, which it must fit."""
     value = float(tok.text)
     if not math.isfinite(value):
         raise ParseError(f"number {tok.text} does not fit a float", tok.line, tok.col)
@@ -318,7 +317,10 @@ class _Parser:
         if tok.kind == "number":
             if "e" in tok.text or "E" in tok.text:
                 return Num(_float_literal(tok))
-            return Num(Fraction(tok.text))
+            try:
+                return Num(Fraction(tok.text))
+            except ValueError:
+                raise ParseError(f"number of {len(tok.text)} digits is too long", tok.line, tok.col) from None
         if tok.kind == "name":
             if self.peek().kind == "(":
                 if tok.text not in _FUNCTIONS:
@@ -544,11 +546,13 @@ def _program_float(v):
         raise ExprError(f"constant of about 10^{magnitude:.0f} does not fit a float") from None
 
 
-def _constant(v):
-    """Num(v) for the value of an operation on constants.  Programs take
-    constants as floats, so an exact value beyond float range raises
-    ExprError; bit lengths pass every other value without a conversion."""
-    if type(v) is Fraction and v.numerator.bit_length() - v.denominator.bit_length() > 1022:
+def _constant(op, x, y):
+    """Num(op(x, y)) for two constants.  A float operand takes the other as a
+    program float; an exact value beyond float range raises ExprError."""
+    if type(x) is float or type(y) is float:
+        return Num(op(_program_float(x), _program_float(y)))
+    v = op(x, y)
+    if v.numerator.bit_length() - v.denominator.bit_length() > 1022:
         _program_float(v)
     return Num(v)
 
@@ -592,7 +596,7 @@ def _fold(e, a, b=None):
         if _is_const(b, 0):
             return a
         if _num(a) and _num(b):
-            return _constant(a.value + b.value)
+            return _constant(operator.add, a.value, b.value)
         pyth = _pythagorean(a, b)
         if pyth is not None:
             return pyth
@@ -601,7 +605,7 @@ def _fold(e, a, b=None):
         if _is_const(b, 0):
             return a
         if _num(a) and _num(b):
-            return _constant(a.value - b.value)
+            return _constant(operator.sub, a.value, b.value)
         if _is_const(a, 0):
             return _negate(b)
         if a is b or _key(a) == _key(b):
@@ -615,7 +619,7 @@ def _fold(e, a, b=None):
         if _is_const(b, 1):
             return a
         if _num(a) and _num(b):
-            return _constant(a.value * b.value)
+            return _constant(operator.mul, a.value, b.value)
         if _is_const(a, -1):
             return _negate(b)
         if _is_const(b, -1):
@@ -628,7 +632,7 @@ def _fold(e, a, b=None):
             return Num(Fraction(0))
         if _num(a) and _num(b) and not _is_const(b, 0):
             if isinstance(a.value, Fraction) and isinstance(b.value, Fraction):
-                return _constant(a.value / b.value)
+                return _constant(operator.truediv, a.value, b.value)
         return e if same else Div(a, b)
     if t is Pow:
         if _is_const(b, 0):
@@ -638,7 +642,7 @@ def _fold(e, a, b=None):
         if _num(a) and _num(b) and isinstance(b.value, Fraction) and b.value.denominator == 1:
             p = b.value.numerator
             if isinstance(a.value, Fraction) and (p >= 0 or a.value != 0):
-                return _constant(a.value ** p)
+                return _constant(operator.pow, a.value, p)
         return e if same else Pow(a, b)
     raise TypeError(f"not an Expr: {e!r}")
 

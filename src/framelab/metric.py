@@ -315,7 +315,10 @@ def parse_metric(source):
         word = tok.text
         if word == "dim":
             num = parser.expect("number")
-            dim = int(num.text)
+            try:
+                dim = int(num.text)
+            except ValueError:
+                err(f"dim must be an integer, found {num.text[:40]!r}", num)
         elif word == "coords":
             coords = []
             while parser.peek().kind == "name":

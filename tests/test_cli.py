@@ -559,7 +559,8 @@ BIG = "1" + "0" * 400
 
 
 @pytest.mark.parametrize("component", ["1 + 10^400*x", "1 + x/10^400", "1 + 2.5e0*10^400*x^2",
-                                       pytest.param(BIG, id="literal")])
+                                       pytest.param(BIG, id="literal"),
+                                       pytest.param(f"1 + 2.5e0*{BIG}*x^2", id="literal-times-float")])
 def test_a_constant_beyond_float_range_is_a_config_error(tmp_path, capsys, component):
     path = tmp_path / "big.gmet"
     path.write_text(f"dim 2; coords x y; g = [[{component}, 0], [0, 1]];", encoding="utf-8")

@@ -43,6 +43,17 @@ def test_parse_rejects_dimension_mismatch():
         mt.parse_metric("dim 3; coords x y; g = [[1,0],[0,1]];")
 
 
+@pytest.mark.parametrize("source, message, col", [
+    pytest.param("dim 1e400; coords x; g = [[1]];", "dim must be an integer", 5, id="dim-1e400"),
+    pytest.param("dim 2; coords x y; g = [[1 + " + "1" * 5000 + "*x, 0], [0, 1]];", "too long", 30,
+                 id="5000-digit-literal"),
+])
+def test_a_number_that_cannot_be_read_is_a_located_parse_error(source, message, col):
+    with pytest.raises(ParseError, match=message) as err:
+        mt.parse_metric(source)
+    assert (err.value.line, err.value.col) == (1, col)
+
+
 def test_parse_params_and_domain():
     src = """
     # cone chart
