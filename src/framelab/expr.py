@@ -318,7 +318,7 @@ class _Parser:
             if "e" in tok.text or "E" in tok.text:
                 return Num(_float_literal(tok))
             try:
-                return Num(Fraction(tok.text))
+                return Num(_exact(Fraction(tok.text)))
             except ValueError:
                 raise ParseError(f"number of {len(tok.text)} digits is too long", tok.line, tok.col) from None
         if tok.kind == "name":
@@ -546,15 +546,50 @@ def _program_float(v):
         raise ExprError(f"constant of about 10^{magnitude:.0f} does not fit a float") from None
 
 
+#: digits of the numerator and of the denominator of an exact constant:
+#: Python's default limit on converting an int to or from a string, which
+#: reading a number literal, `_key` and `to_str` all do
+EXACT_DIGITS = 4300
+_EXACT_BOUND = 10 ** EXACT_DIGITS       # the smallest integer of too many digits
+
+
+def _too_long(log10_size):
+    size = f"{log10_size:.0f}" if abs(log10_size) < 1e12 else f"{log10_size:.3g}"
+    return ExprError(f"constant of about 10^{size} has more than {EXACT_DIGITS} digits")
+
+
+def _exact(v):
+    """v, an exact constant, if its numerator and its denominator have at
+    most EXACT_DIGITS digits; else ExprError."""
+    if abs(v.numerator) >= _EXACT_BOUND or v.denominator >= _EXACT_BOUND:
+        raise _too_long(math.log10(abs(v.numerator)) - math.log10(v.denominator))
+    return v
+
+
 def _constant(op, x, y):
     """Num(op(x, y)) for two constants.  A float operand takes the other as a
-    program float; an exact value beyond float range raises ExprError."""
+    program float, so an exact value beyond float range raises ExprError
+    there; an exact result is kept exact, whatever its size as a float, up
+    to EXACT_DIGITS digits (see `_exact`)."""
     if type(x) is float or type(y) is float:
         return Num(op(_program_float(x), _program_float(y)))
-    v = op(x, y)
-    if v.numerator.bit_length() - v.denominator.bit_length() > 1022:
-        _program_float(v)
-    return Num(v)
+    return Num(_exact(op(x, y)))
+
+
+def _power(x, p):
+    """Num(x^p) for an exact x and an integer p.  Its size is checked from
+    bit lengths before it is computed: an integer of b bits raised to |p|
+    has at least |p| (b - 1) + 1 bits, so a power of more than EXACT_DIGITS
+    digits raises ExprError at once, and any other has at most about
+    2 |p| (b - 1) bits, cheap to compute."""
+    bits = max(abs(x.numerator).bit_length(), x.denominator.bit_length())
+    if abs(p) * (bits - 1) >= _EXACT_BOUND.bit_length():
+        try:
+            size = p * (math.log10(abs(x.numerator)) - math.log10(x.denominator))
+        except OverflowError:       # an exponent beyond float range
+            size = math.inf
+        raise _too_long(size)
+    return _constant(operator.pow, x, p)
 
 
 def _negate(a, e=None):
@@ -642,7 +677,7 @@ def _fold(e, a, b=None):
         if _num(a) and _num(b) and isinstance(b.value, Fraction) and b.value.denominator == 1:
             p = b.value.numerator
             if isinstance(a.value, Fraction) and (p >= 0 or a.value != 0):
-                return _constant(operator.pow, a.value, p)
+                return _power(a.value, p)
         return e if same else Pow(a, b)
     raise TypeError(f"not an Expr: {e!r}")
 

@@ -330,23 +330,93 @@ class HolonomySample:
                 "loop": self.descriptor}
 
 
+#: Gram entries per row block of `_dedup`'s screen, and matrix entries per
+#: side of one of its stacked distance calls (float64, 4 MB each)
+SCREEN_ENTRIES = 1 << 19
+#: absolute rounding margin of `_dedup`'s Gram screen, on squared norms
+SCREEN_MARGIN = 1e-12
+
+
+def _near(F, sq, rows, cols, bound):
+    """Whether |F_r|^2 + |F_c|^2 - 2 <F_r, F_c> < bound, for the rows r of
+    the slice `rows` against `cols` (a slice or an index array), from one
+    matmul; sq holds every |F_k|^2."""
+    return sq[rows, None] + sq[None, cols] - 2.0 * (F[rows] @ F[cols].T) < bound
+
+
+def _drop_close(X, J, I, keep, tol):
+    """Greedy over the candidate pairs (j, i), i < j, ordered by j: set
+    keep[j] False where d_b(X[j], X[i]) < tol and keep[i] still holds.
+    Every d_b comes from one stacked group_distance call, the later sample
+    first."""
+    if not J.size:
+        return
+    close = ortho.group_distance(X[J], X[I]) < tol
+    for j, i in zip(J[close].tolist(), I[close].tolist()):
+        if keep[i]:
+            keep[j] = False
+
+
 def _dedup(samples, tol=1e-6):
-    """Greedy by loop length: a sample is dropped when d_b < tol to an
-    earlier kept one.  Only the kept samples that the Frobenius lower bound
-    cannot rule out are compared, in one stacked group_distance call."""
+    """Greedy by loop length: samples sorted stably by loop length, a
+    sample is dropped iff d_b < tol to an earlier kept one.
+
+    Three stacked steps.  One `check_orthogonal` validates every sample.
+    A Gram screen then finds the candidate pairs: by
+    `ortho.frobenius_lower_bound`, d_b(A, B) < tol needs ||A - B||_F <
+    reach = (tol + 10 n ORTH_TOL)(1 + FROBENIUS_SLACK).  The screen
+    computes ||A - B||_F^2 as |A|^2 + |B|^2 - 2 <A, B>, three dot products
+    of n^2 terms each bounded by 1 in size (entries of orthogonal
+    matrices), so each is off by at most n^2 u |A| |B| ~ n^3 u (u = 2^-53
+    the unit roundoff; Higham, Accuracy and Stability, 2002, sec. 3.1),
+    and the sum by about 4 n^3 u plus two rounded additions.  That is
+    below 1e-12 = SCREEN_MARGIN for n <= 13; the screen keeps every pair
+    below reach^2 + SCREEN_MARGIN, so no pair with d_b < tol escapes it.
+    Each block of rows meets only the rows before its end (`_near`).
+    Last, a stacked `group_distance` call takes the exact d_b of the
+    candidates (`_drop_close`), and a greedy pass over the close pairs, in
+    order of the later sample, decides the drops.  So the exact d_b still
+    decides every drop, and the result is that of the quadratic greedy.
+
+    The candidates wait for their d_b until they fill one distance call of
+    SCREEN_ENTRIES entries per side, or until a block screens more pairs
+    than it has rows, so a sparse screen makes one call (a word closure of
+    length 2 does).  A cluster of samples within reach of each other, such
+    as the identities of a flat metric, has quadratically many pairs:
+    there each block ends a call, the call decides every sample screened
+    so far, and later blocks meet only the decided samples that were kept,
+    one matmul each, and the undecided ones.  Blocks of at most
+    sqrt(pairs per call) rows keep one block's pairs within a call's
+    size."""
     ordered = sorted(samples, key=lambda s: s.loop_length)
     if not ordered:
         return []
-    stack = np.empty((len(ordered),) + np.shape(ordered[0].element))   # kept elements
-    kept = []
-    for s in ordered:
-        x = ortho.check_orthogonal(s.element)
-        near = np.flatnonzero(ortho.frobenius_lower_bound(stack[:len(kept)], x) < tol)
-        if near.size and (ortho.group_distance(x, stack[near]) < tol).any():
-            continue
-        stack[len(kept)] = x
-        kept.append(s)
-    return kept
+    X = ortho.check_orthogonal(np.array([s.element for s in ordered]))
+    K, n = len(X), X.shape[-1]
+    F = X.reshape(K, n * n)
+    sq = np.einsum("ij,ij->i", F, F)
+    reach = (tol + 10.0 * n * ortho.ORTH_TOL) * (1.0 + ortho.FROBENIUS_SLACK)
+    bound = reach * reach + SCREEN_MARGIN
+    per_call = max(1, SCREEN_ENTRIES // (n * n))
+    rows = max(1, min(SCREEN_ENTRIES // K, math.isqrt(per_call)))
+    keep = np.ones(K, dtype=bool)
+    decided = 0                             # keep[:decided] is final
+    kept = np.zeros(0, dtype=int)           # its kept samples
+    J, I, pending = [], [], 0
+    for a in range(0, K, rows):
+        b = min(a + rows, K)
+        # pairs with a kept decided sample, then with an earlier undecided one
+        block = slice(a, b)
+        jk, ik = np.nonzero(_near(F, sq, block, kept, bound))
+        ju, iu = np.nonzero(np.tril(_near(F, sq, block, slice(decided, b), bound), a - decided - 1))
+        J += [jk + a, ju + a]
+        I += [kept[ik], iu + decided]
+        pending += len(jk) + len(ju)
+        if pending >= per_call or len(jk) + len(ju) > b - a or b == K:
+            _drop_close(X, np.concatenate(J), np.concatenate(I), keep, tol)
+            kept = np.concatenate([kept, decided + np.flatnonzero(keep[decided:b])])
+            decided, J, I, pending = b, [], [], 0
+    return [s for s, k in zip(ordered, keep) if k]
 
 
 def holonomy_samples(conn: MetricSpec, loops, length_metric: MetricSpec = None,
@@ -354,7 +424,9 @@ def holonomy_samples(conn: MetricSpec, loops, length_metric: MetricSpec = None,
     """Holonomy elements of the given loops (all sharing one basepoint),
     closed under products up to `word_length` letters and inverses, with
     exact additive length accounting.  Deduplicated with d_b < 1e-6 (see
-    `_dedup`), keeping the smaller length.
+    `_dedup`), keeping the smaller length.  Each round extends the
+    deduplicated frontier of the round before; the last round's frontier
+    is not deduplicated, since nothing reads it.
     """
     if word_length < 1:
         raise ValueError(f"word length must be at least 1, got {word_length}")
@@ -369,7 +441,7 @@ def holonomy_samples(conn: MetricSpec, loops, length_metric: MetricSpec = None,
         return _dedup(base)
     words = list(base)
     frontier = list(base)
-    for _ in range(1, word_length):
+    for r in range(1, word_length):
         nxt = []
         for w in frontier:
             for s in base[1:]:
@@ -378,7 +450,8 @@ def holonomy_samples(conn: MetricSpec, loops, length_metric: MetricSpec = None,
                                           w.loop_length + s.loop_length,
                                           f"{w.descriptor}*{s.descriptor}"))
         words.extend(nxt)
-        frontier = _dedup(nxt)
+        if r + 1 < word_length:
+            frontier = _dedup(nxt)
         # a greedy pass over its own output keeps every element, so the
         # final `words` needs no further pass
         words = _dedup(words)

@@ -591,6 +591,53 @@ def test_the_canonical_text_of_a_constant_below_float_range_round_trips(tmp_path
     assert mt.parse_metric(canonical).components == mt.metric_from_uri(str(path)).components
 
 
+@pytest.mark.parametrize("component,size", [("1 + 10^-5000*x", "-5000"),
+                                            ("1 + 10^-5000*x - 10^-5000*x", "-5000"),
+                                            ("1 + 10^4300*x", "4300")])
+def test_an_exact_constant_of_too_many_digits_is_a_config_error(tmp_path, capsys, component,
+                                                                  size):
+    path = tmp_path / "long.gmet"
+    path.write_text(f"dim 2; coords x y; g = [[{component}, 0], [0, 1]];", encoding="utf-8")
+    for argv in (["parse-check"], ["curvature", "--at", "0.5,0.5"]):
+        code, out = run(tmp_path, *argv, "--metric", str(path))
+        assert code == 2
+        assert f"config error: constant of about 10^{size} has more than 4300 digits" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_an_exact_intermediate_beyond_float_range_folds(tmp_path):
+    from framelab import metric as mt
+    path = tmp_path / "ten.gmet"
+    path.write_text("dim 2; coords x y; g = [[1 + 10^400/10^399*x, 0], [0, 1]];",
+                    encoding="utf-8")
+    assert mt.metric_from_uri(str(path)).components == \
+        mt.parse_metric("dim 2; coords x y; g = [[1 + 10*x, 0], [0, 1]];").components
+    code, out = run(tmp_path, "curvature", "--metric", str(path), "--at", "0.5,0.5")
+    assert code == 0
+    assert load(out, "curvature")["result"]["metric"] == [[6.0, 0.0], [0.0, 1.0]]
+
+
+def test_a_power_of_too_many_digits_is_refused_before_it_is_computed(tmp_path):
+    # 10^100000000 would take minutes to compute; its size is known at once
+    import os
+    import subprocess
+    import sys
+
+    import framelab
+
+    path = tmp_path / "huge.gmet"
+    path.write_text("dim 2; coords x y; g = [[1 + 10^100000000*0*x, 0], [0, 1]];",
+                    encoding="utf-8")
+    src = str(Path(framelab.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from framelab.cli import main; sys.exit(main(sys.argv[1:]))",
+         "parse-check", "--metric", str(path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 2
+    assert "config error: constant of about 10^100000000 has more than 4300 digits" in proc.stderr
+
+
 def test_format_dat_is_refused(tmp_path):
     code, out = run(tmp_path, "bound-report", "--metric", "builtin:round-sphere",
                     "--samples", "2", "--format", "dat")

@@ -310,9 +310,12 @@ def cloud(rng, n, size, near_exponents, ties):
     return out
 
 
+# near-duplicates anywhere within a decade of the dedup tolerance 1e-6, and
+# ones that straddle it at d_b = 10^(-6 +- 0.02)
 CLOUDS = dict(n=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1),
               size=st.integers(1, 12), ties=st.booleans(),
-              near_exponents=st.lists(st.floats(-7.0, -5.0), max_size=16))
+              near_exponents=st.lists(st.one_of(st.floats(-7.0, -5.0), st.floats(-6.02, -5.98)),
+                                      max_size=16))
 
 
 @settings(max_examples=60, deadline=None)
@@ -321,6 +324,76 @@ def test_dedup_matches_quadratic_reference(n, seed, size, ties, near_exponents):
     samples = cloud(np.random.default_rng(seed), n, size, near_exponents, ties)
     got = hl._dedup(samples)
     assert [id(s) for s in got] == [id(s) for s in reference_dedup(samples)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(entries=st.sampled_from([1, 5, 40, 200]), **CLOUDS)
+def test_dedup_over_several_screen_blocks(n, seed, size, ties, near_exponents, entries):
+    """Screen blocks of one row or a few, and distance calls of a pair or a
+    few, keep the reference's samples."""
+    samples = cloud(np.random.default_rng(seed), n, size, near_exponents, ties)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hl, "SCREEN_ENTRIES", entries)
+        got = hl._dedup(samples)
+    assert [id(s) for s in got] == [id(s) for s in reference_dedup(samples)]
+
+
+def test_a_cluster_is_deduplicated_without_stacking_every_pair(monkeypatch):
+    """600 samples within 1e-9 of I have 179,700 pairs within reach; each
+    screen block ends a distance call, and later blocks meet only the kept
+    samples, so no call stacks more than one block's pairs."""
+    rng = np.random.default_rng(5)
+    samples = [hl.HolonomySample(nudge(rng, np.eye(3), 1e-9), float(k), f"c{k}")
+               for k in range(600)]
+    samples += [hl.HolonomySample(random_orthogonal(rng, 3), 0.5, f"r{k}") for k in range(5)]
+    sizes = []
+    distance = ot.group_distance
+    monkeypatch.setattr(ot, "group_distance", lambda u, v: sizes.append(len(u)) or distance(u, v))
+    got = hl._dedup(samples)
+    monkeypatch.setattr(ot, "group_distance", distance)
+    assert [id(s) for s in got] == [id(s) for s in reference_dedup(samples)]
+    rows = math.isqrt(hl.SCREEN_ENTRIES // 9)
+    assert max(sizes) <= rows * (rows + 5)
+    assert sum(sizes) <= 605 * (rows + 5)
+
+
+def reference_closure(conn, loops, g, word_length, dedup):
+    """Word closure as `holonomy_samples` defines it, with every round's
+    frontier deduplicated, the last one's too."""
+    base = [hl.HolonomySample(np.eye(conn.dim), 0.0, "constant")]
+    for loop in loops:
+        h, length = hl.holonomy_element(conn, loop), loop.compute_length(g)
+        base += [hl.HolonomySample(h, length, loop.descriptor),
+                 hl.HolonomySample(h.T, length, loop.descriptor + "^-1")]
+    words, frontier = list(base), list(base)
+    for _ in range(1, word_length):
+        nxt = [hl.HolonomySample(s.element @ w.element, w.loop_length + s.loop_length,
+                                 f"{w.descriptor}*{s.descriptor}")
+               for w in frontier for s in base[1:]]
+        words = dedup(words + nxt)
+        frontier = dedup(nxt)
+    return words
+
+
+@pytest.mark.parametrize("case", ["cone-cap", "eh"])
+def test_word_closure_matches_a_closure_that_dedups_every_frontier(case, eh):
+    if case == "cone-cap":
+        # inside the cap r < 0.2, so every loop has a nontrivial holonomy
+        m, bp, dedup = mt.smoothed_cone(0.7, 0.1), np.array([0.15, 0.5]), reference_dedup
+        loops = [hl.coordinate_circle_loop(bp, 1, 2 * math.pi, orientation=-1),
+                 hl.plaquette_loop(bp, 0, 1, 0.04),
+                 *hl.coordinate_triangle_loops(bp, 0.04, 1, np.random.default_rng(0), 2)]
+    else:
+        m, bp, dedup = eh, np.array([2.2, 1.3, 0.8, 1.1]), hl._dedup
+        loops = hl.plaquette_loops(bp, 0.25, 4)
+    got = hl.holonomy_samples(m, loops, m, word_length=3)
+    want = reference_closure(m, loops, m, 3, dedup)
+    assert len(got) > 2 * len(loops) + 1
+
+    def key(s):
+        return s.descriptor, s.loop_length, s.element.tobytes()
+
+    assert [key(s) for s in got] == [key(s) for s in want]
 
 
 @settings(max_examples=60, deadline=None)
@@ -355,24 +428,25 @@ def test_stacked_fiber_distance_rows_are_single_calls(n, seed, size, ties, near_
     assert got.tolist() == [hl.fiber_distance(samples, e, t) for t in E]
 
 
+def count_calls(monkeypatch, counts, module, name):
+    """Count the calls of module.name in counts[name]."""
+    inner = getattr(module, name)
+
+    def wrapper(*args):
+        counts[name] = counts.get(name, 0) + 1
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_fiber_dist_command_makes_one_stacked_search(tmp_path, monkeypatch):
     """The distance calls of one `fiber-dist` run do not grow with its
     --samples rotations: they all go to one fiber_distance call."""
     from framelab.cli import main
 
     counts = {}
-
-    def counting(module, name):
-        inner = getattr(module, name)
-
-        def wrapper(*args):
-            counts[name] = counts.get(name, 0) + 1
-            return inner(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counting(ot, "group_distance")
-    counting(hl, "fiber_distance")
+    count_calls(monkeypatch, counts, ot, "group_distance")
+    count_calls(monkeypatch, counts, hl, "fiber_distance")
     seen = []
     for rotations in ("4", "64"):
         counts.clear()
@@ -381,6 +455,26 @@ def test_fiber_dist_command_makes_one_stacked_search(tmp_path, monkeypatch):
                      "--out", str(tmp_path / rotations)])
         assert code == 0
         assert counts["fiber_distance"] == 1
+        seen.append(counts["group_distance"])
+    assert seen[0] == seen[1]
+
+
+def test_holonomy_command_makes_one_stacked_distance_call_per_dedup(tmp_path, monkeypatch):
+    """The distance calls of one `holonomy` run do not grow with its --loops:
+    each dedup takes every exact d_b it needs in one stacked call, and at
+    word length 2 only the words are deduplicated, not the last frontier."""
+    from framelab.cli import main
+
+    counts = {}
+    count_calls(monkeypatch, counts, ot, "group_distance")
+    count_calls(monkeypatch, counts, hl, "_dedup")
+    seen = []
+    for loops in ("0", "3"):
+        counts.clear()
+        code = main(["holonomy", "--metric", "builtin:eguchi-hanson", "--at", "2.2,1.3,0.8,1.1",
+                     "--loops", loops, "--word-length", "2", "--out", str(tmp_path / loops)])
+        assert code == 0
+        assert counts["_dedup"] == 1
         seen.append(counts["group_distance"])
     assert seen[0] == seen[1]
 
