@@ -319,9 +319,8 @@ DOMAIN_TOL = 1e-9
 # Hairer's dop853.f, as scipy's dop853_coefficients prints them).  Each
 # tableau row is a list of (stage, weight) terms, zero weights left out.
 # Rows 1-11 give stages 1-11; row 12 gives the 8th-order solution, whose
-# right-hand side is stage 12 (FSAL); rows 13-15 give the three extra
-# stages of the dense output.  The geodesic equations are autonomous, so
-# the stage nodes c_s are not needed.
+# right-hand side is stage 12 (FSAL).  The geodesic equations are
+# autonomous, so the stage nodes c_s are not needed.
 _A = [None,
       [(0, 5.26001519587677318785587544488e-2)],
       [(0, 1.97250569845378994544595329183e-2), (1, 5.91751709536136983633785987549e-2)],
@@ -354,19 +353,7 @@ _A = [None,
       [(0, 5.42937341165687622380535766363e-2), (5, 4.45031289275240888144113950566),
        (6, 1.89151789931450038304281599044), (7, -5.8012039600105847814672114227),
        (8, 3.1116436695781989440891606237e-1), (9, -1.52160949662516078556178806805e-1),
-       (10, 2.01365400804030348374776537501e-1), (11, 4.47106157277725905176885569043e-2)],
-      [(0, 5.61675022830479523392909219681e-2), (6, 2.53500210216624811088794765333e-1),
-       (7, -2.46239037470802489917441475441e-1), (8, -1.24191423263816360469010140626e-1),
-       (9, 1.5329179827876569731206322685e-1), (10, 8.20105229563468988491666602057e-3),
-       (11, 7.56789766054569976138603589584e-3), (12, -8.298e-3)],
-      [(0, 3.18346481635021405060768473261e-2), (5, 2.83009096723667755288322961402e-2),
-       (6, 5.35419883074385676223797384372e-2), (7, -5.49237485713909884646569340306e-2),
-       (10, -1.08347328697249322858509316994e-4), (11, 3.82571090835658412954920192323e-4),
-       (12, -3.40465008687404560802977114492e-4), (13, 1.41312443674632500278074618366e-1)],
-      [(0, -4.28896301583791923408573538692e-1), (5, -4.69762141536116384314449447206),
-       (6, 7.68342119606259904184240953878), (7, 4.06898981839711007970213554331),
-       (8, 3.56727187455281109270669543021e-1), (12, -1.39902416515901462129418009734e-3),
-       (13, 2.9475147891527723389556272149), (14, -9.15095847217987001081870187138)]]
+       (10, 2.01365400804030348374776537501e-1), (11, 4.47106157277725905176885569043e-2)]]
 _B = _A[12]
 # the two error estimators: the difference to the embedded 5th-order
 # solution, and to the 3rd-order one, whose weights differ from B by bhh1,
@@ -378,31 +365,6 @@ _E5 = [(0, 0.1312004499419488073250102996e-1), (5, -0.12251564463762044407205697
 _BHH = {0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547,
         11: 0.220588235294117647058823529412e-1}
 _E3 = [(j, w - _BHH.get(j, 0.0)) for j, w in _B]
-# the last four coefficient rows of the 7th-order dense output, over all 16 stages
-_D = [[(0, -0.84289382761090128651353491142e+1), (5, 0.56671495351937776962531783590),
-       (6, -0.30689499459498916912797304727e+1), (7, 0.23846676565120698287728149680e+1),
-       (8, 0.21170345824450282767155149946e+1), (9, -0.87139158377797299206789907490),
-       (10, 0.22404374302607882758541771650e+1), (11, 0.63157877876946881815570249290),
-       (12, -0.88990336451333310820698117400e-1), (13, 0.18148505520854727256656404962e+2),
-       (14, -0.91946323924783554000451984436e+1), (15, -0.44360363875948939664310572000e+1)],
-      [(0, 0.10427508642579134603413151009e+2), (5, 0.24228349177525818288430175319e+3),
-       (6, 0.16520045171727028198505394887e+3), (7, -0.37454675472269020279518312152e+3),
-       (8, -0.22113666853125306036270938578e+2), (9, 0.77334326684722638389603898808e+1),
-       (10, -0.30674084731089398182061213626e+2), (11, -0.93321305264302278729567221706e+1),
-       (12, 0.15697238121770843886131091075e+2), (13, -0.31139403219565177677282850411e+2),
-       (14, -0.93529243588444783865713862664e+1), (15, 0.35816841486394083752465898540e+2)],
-      [(0, 0.19985053242002433820987653617e+2), (5, -0.38703730874935176555105901742e+3),
-       (6, -0.18917813819516756882830838328e+3), (7, 0.52780815920542364900561016686e+3),
-       (8, -0.11573902539959630126141871134e+2), (9, 0.68812326946963000169666922661e+1),
-       (10, -0.10006050966910838403183860980e+1), (11, 0.77771377980534432092869265740),
-       (12, -0.27782057523535084065932004339e+1), (13, -0.60196695231264120758267380846e+2),
-       (14, 0.84320405506677161018159903784e+2), (15, 0.11992291136182789328035130030e+2)],
-      [(0, -0.25693933462703749003312586129e+2), (5, -0.15418974869023643374053993627e+3),
-       (6, -0.23152937917604549567536039109e+3), (7, 0.35763911791061412378285349910e+3),
-       (8, 0.93405324183624310003907691704e+2), (9, -0.37458323136451633156875139351e+2),
-       (10, 0.10409964950896230045147246184e+3), (11, 0.29840293426660503123344363579e+2),
-       (12, -0.43533456590011143754432175058e+2), (13, 0.96324553959188282948394950600e+2),
-       (14, -0.39177261675615439165231486172e+2), (15, -0.14972683625798562581422125276e+3)]]
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1 / 8
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
@@ -435,38 +397,15 @@ def _error_norm(K, h, scale):
     return np.where((e5 == 0) & (e3 == 0), 0.0, norm)
 
 
-class _DenseOutput:
-    """DOP853's 7th-order interpolant over one row's accepted steps: scalar
-    t -> (d,), t of shape (j,) -> (d, j)."""
-
-    def __init__(self, ts, ys, F):
-        self.ts = ts                    # (k + 1,) accepted times
-        self.h = np.diff(ts)
-        self.y_old = ys[:-1]            # (k, d): state at each step's start
-        self.F = F                      # (k, 7, d): each step's coefficients
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        seg = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0, len(self.h) - 1)
-        x = ((t - self.ts[seg]) / self.h[seg])[..., None]
-        F = self.F[seg]
-        # F[6] first, multiplying by x and 1 - x in turn, as scipy does
-        y = 0.0
-        for i in range(7):
-            y = (y + F[..., 6 - i, :]) * (x if i % 2 == 0 else 1 - x)
-        y = y + self.y_old[seg]
-        return y if t.ndim == 0 else y.T
-
-
 @dataclass
 class Trajectory:
     """One integrated trajectory: accepted times t (k,), the states y
-    (d, k) at them, its right-hand-side count, and with dense output `sol`,
-    the interpolant t -> state."""
+    (d, k) at them, its right-hand-side count, and whether a stage point or
+    state of an accepted step lay outside the chart (never, without one)."""
     t: np.ndarray
     y: np.ndarray
     nfev: int
-    sol: _DenseOutput = None
+    left_chart: bool
 
 
 @dataclass
@@ -478,7 +417,7 @@ class TrajectoryStack:
     nfev: int
 
 
-def _dormand_prince(rhs, y0, t_final, rtol, atol, dense, controlled):
+def _dormand_prince(rhs, inside, y0, t_final, rtol, atol, controlled):
     """Integrate y' = f(y) from 0 to t_final > 0 for every row of y0 (B, d),
     with scipy DOP853's tableau, initial step, error norm and step-factor
     limits, and with each row's own t, step size and accept/reject
@@ -487,16 +426,19 @@ def _dormand_prince(rhs, y0, t_final, rtol, atol, dense, controlled):
     rhs(Y) evaluates f at the rows of Y (b, d) and returns (F, errors),
     errors {row of Y: exception} for rows whose evaluation failed; such a
     row, or one whose step size underflows, ends with that exception while
-    the others go on.  Each row's arithmetic is elementwise or its own
-    reduction, so a row's result does not depend on the stack.  When
-    dense, each accepted step also evaluates the three extra stages, and
-    each row gets the interpolant of its whole state.
+    the others go on.  inside(Y) tells whether each row of Y (b, d) lies in
+    the chart, or inside is None: one call per iteration tests the 12 stage
+    points and the new state of every accepted step, which marks its row's
+    `Trajectory.left_chart` and ends nothing.  Each row's arithmetic is
+    elementwise or its own reduction, so a row's result does not depend on
+    the stack.
     Returns (per row a Trajectory or an exception, per-row nfev)."""
     B, d = y0.shape
     c = controlled
     nfev = np.zeros(B, dtype=int)
     failure = [None] * B
-    steps = []              # (rows, t, y, F) of every accepted step
+    left = np.zeros(B, dtype=bool)
+    steps = []              # (rows, t, y) of every accepted step
 
     def evaluate(rows, Y, alive):
         """f at the alive rows of Y; rows whose evaluation fails die."""
@@ -546,10 +488,13 @@ def _dormand_prince(rhs, y0, t_final, rtol, atol, dense, controlled):
         t_new = np.minimum(t + h_abs, t_final)
         h = t_new - t
         hc = h[:, None]
-        K = np.empty((16,) + y.shape)
+        K = np.empty((13,) + y.shape)
         K[0] = f
+        S = np.empty((12,) + y.shape)       # the stage points
+        S[0] = y
         for s in range(1, 12):
-            K[s] = evaluate(rows, y + _combine(_A[s], K) * hc, alive)
+            S[s] = y + _combine(_A[s], K) * hc
+            K[s] = evaluate(rows, S[s], alive)
         y_new = y + hc * _combine(_B, K)
         K[12] = evaluate(rows, y_new, alive)
         scale = atol + np.maximum(np.abs(y[:, :c]), np.abs(y_new[:, :c])) * rtol
@@ -563,27 +508,11 @@ def _dormand_prince(rhs, y0, t_final, rtol, atol, dense, controlled):
         factor = np.where(accept & rejected & ~(factor < 1), 1.0, factor)
         h_abs = np.abs(h) * factor
         done = accept & alive
-        F = None
-        if dense and done.any():
-            # the extra stages on the accepted rows; a row whose stage fails dies
-            idx = np.flatnonzero(done)
-            Kd, yd, hd = K[:, idx], y[idx], hc[idx]
-            kept = np.ones(len(idx), dtype=bool)
-            for s in range(13, 16):
-                Kd[s] = evaluate(rows[idx], yd + _combine(_A[s], Kd) * hd, kept)
-            alive[idx[~kept]] = False
-            done = accept & alive
-            # scipy's Dop853DenseOutput coefficients
-            Kd, yd, hd = Kd[:, kept], yd[kept], hd[kept]
-            dy = y_new[done] - yd
-            F = np.empty((len(dy), 7, d))
-            F[:, 0] = dy
-            F[:, 1] = hd * Kd[0] - dy
-            F[:, 2] = 2 * dy - hd * (Kd[12] + Kd[0])
-            for r, terms in enumerate(_D):
-                F[:, 3 + r] = hd * _combine(terms, Kd)
         if done.any():
-            steps.append((rows[done], t_new[done], y_new[done], F))
+            steps.append((rows[done], t_new[done], y_new[done]))
+            if inside is not None:
+                X = np.concatenate([S[:, done], y_new[None, done]])
+                left[rows[done]] |= ~inside(X.reshape(-1, d)).reshape(13, -1).all(axis=0)
         t = np.where(done, t_new, t)
         y = np.where(done[:, None], y_new, y)
         f = np.where(done[:, None], K[12], f)
@@ -594,15 +523,12 @@ def _dormand_prince(rhs, y0, t_final, rtol, atol, dense, controlled):
     if steps:
         # every accepted step, sorted by row; a row's steps are one slice.
         # One copy at a time, so the peak stays at twice the step data.
-        all_rows, all_t, all_y, all_F = (np.concatenate(a) if a[0] is not None else None
-                                         for a in zip(*steps))
+        all_rows, all_t, all_y = (np.concatenate(a) for a in zip(*steps))
         del steps
         order = np.argsort(all_rows, kind="stable")
         bounds = np.concatenate([[0], np.cumsum(np.bincount(all_rows, minlength=B))])
         all_t = all_t[order]
         all_y = all_y[order]
-        if dense:
-            all_F = all_F[order]
     for r in range(B):
         if failure[r] is not None:
             out[r] = failure[r]
@@ -610,16 +536,14 @@ def _dormand_prince(rhs, y0, t_final, rtol, atol, dense, controlled):
         sl = slice(bounds[r], bounds[r + 1])
         ts = np.concatenate([[0.0], all_t[sl]])
         ys = np.concatenate([y0[r:r + 1], all_y[sl]])
-        # a copy of the row's coefficients: a kept row holds no other row's
-        out[r] = Trajectory(ts, ys.T, int(nfev[r]),
-                            _DenseOutput(ts, ys, all_F[sl].copy()) if dense else None)
+        out[r] = Trajectory(ts, ys.T, int(nfev[r]), bool(left[r]))
     return out, nfev
 
 
 class _SprayJets:
-    """G^-1 and the partials of G for the geodesic right-hand sides,
-    without the domain and SPD checks of `christoffel`; m is either
-    derivative source."""
+    """G^-1 and the partials of G for the geodesic right-hand sides; m is
+    either derivative source.  No point is tested for SPD here, nor against
+    the chart: `geodesic_ivp` tests the chart once per stepper iteration."""
 
     def __init__(self, m, variational=False):
         self.n = m.dim
@@ -707,28 +631,33 @@ def _geodesic_rhs(spray, variational):
     return rhs
 
 
-def geodesic_ivp(m: MetricSpec, p, v, t_final, dense=True, rtol=ODE_RTOL, atol=ODE_ATOL,
+def geodesic_ivp(m: MetricSpec, p, v, t_final, rtol=ODE_RTOL, atol=ODE_ATOL,
                  variational=False):
     """Integrate x'' + Gamma(x)(x', x') = 0 from x(0) = p, x'(0) = v over
     [0, t_final], t_final > 0, on framelab's Dormand-Prince 8(5,3) stepper.
     m is a MetricSpec or a NumericMetric.  The right-hand side is the
-    contracted spray (`_geodesic_rhs`), with no Christoffel tensor.
+    contracted spray (`_geodesic_rhs`), with no Christoffel tensor.  On a
+    MetricSpec, the 12 stage points and the new state of every accepted
+    step are tested against the chart (`in_domain(tol=DOMAIN_TOL,
+    wrap=True)`), one stacked call per stepper iteration; a point outside
+    marks `Trajectory.left_chart` and ends nothing.  A NumericMetric has
+    no chart, and no test.
 
     p and v are one point and velocity (n,), or stacks (B, n) integrated in
     lockstep, each row with its own step control.  One row returns a
-    `Trajectory` (y[:, -1] is the end state, sol(t) the interpolant of the
-    state when dense) or raises: the ExprEvalError or LinAlgError of its
-    right-hand side, or RuntimeError when its step size underflows.  A
-    stack returns a `TrajectoryStack`, in which a failed row holds that
-    exception and fails alone; every row is bitwise its single-row result.
+    `Trajectory` (y[:, -1] is the end state) or raises: the ExprEvalError
+    or LinAlgError of its right-hand side, or RuntimeError when its step
+    size underflows.  A stack returns a `TrajectoryStack`, in which a
+    failed row holds that exception and fails alone; every row is bitwise
+    its single-row result.
 
     With variational=True the state also carries J = dx/dv0 and K = dv/dv0
     (n x n each, row-major after x and v), started at J = 0, K = I and
     driven by the linearized equations J' = K,
     K' = -dGamma(x)[J](v, v) - 2 Gamma(x)(v, K).  rtol and atol apply to
     (x, v) only: the step control reads the geodesic, and J and K ride
-    along on its steps, so t and the (x, v) rows are bitwise those of
-    variational=False, and so is the (x, v) part of the interpolant.
+    along on its steps, so t, the (x, v) rows and left_chart are bitwise
+    those of variational=False.
     """
     if not t_final > 0:
         raise ValueError(f"geodesic_ivp integrates forward: t_final = {t_final}")
@@ -741,8 +670,10 @@ def geodesic_ivp(m: MetricSpec, p, v, t_final, dense=True, rtol=ODE_RTOL, atol=O
         B = len(y0)
         y0 = np.concatenate([y0, np.zeros((B, n * n)), np.tile(np.eye(n).ravel(), (B, 1))],
                             axis=1)
+    inside = ((lambda Y: m.in_domain(Y[:, :n], tol=DOMAIN_TOL, wrap=True))
+              if isinstance(m, MetricSpec) else None)
     rows, nfev = _dormand_prince(_geodesic_rhs(_SprayJets(m, variational), variational),
-                                 y0, float(t_final), rtol, atol, dense, 2 * n)
+                                 inside, y0, float(t_final), rtol, atol, 2 * n)
     if p.ndim == 1 and v.ndim == 1:
         if isinstance(rows[0], Exception):
             raise rows[0]
@@ -750,15 +681,12 @@ def geodesic_ivp(m: MetricSpec, p, v, t_final, dense=True, rtol=ODE_RTOL, atol=O
     return TrajectoryStack(rows, int(nfev.sum()))
 
 
-def geodesic_energy_drift(m: MetricSpec, sol, t_final, samples=20):
+def geodesic_energy_drift(m: MetricSpec, sol):
+    """The spread of the energy g(v, v) over the accepted states of a
+    `Trajectory`, relative to its largest value."""
     n = m.dim
-    ts = np.linspace(0.0, t_final, samples)
-    vals = []
-    for t in ts:
-        y = sol.sol(t)
-        x, vel = y[:n], y[n:]
-        vals.append(float(vel @ m.evaluate(x) @ vel))
-    vals = np.array(vals)
+    x, vel = sol.y[:n].T, sol.y[n:2 * n].T
+    vals = ((vel[:, None] @ m.evaluate(x)) @ vel[:, :, None])[:, 0, 0]
     scale = max(vals.max(), 1e-30)
     return float((vals.max() - vals.min()) / scale)
 
@@ -775,14 +703,14 @@ def geodesic_between(m: MetricSpec, p, q, tol=1e-10, max_iter=12,
 
     One pair p, q (n,) returns (v, length); a shot that fails to converge,
     or whose integration fails or leaves the metric's domain of evaluation,
-    raises RuntimeError.  Stacks (B, n) (p or q may be one point) shoot
-    every pair in lockstep, one stacked integration per Newton pass over
-    the rows still open, and return (V, lengths, reasons): reasons[k] is
-    None or the message the single pair would raise, and failed rows have
-    NaN in V and lengths.  Row k is bitwise the single-pair result.  A
-    shot carries no interpolant; since the step control reads (x, v) only,
-    `geodesic_ivp(m, p, v, 1.0, rtol=rtol, atol=atol)` from a converged v
-    gives the shot's own path bit for bit, with its interpolant.
+    raises RuntimeError.  Leaving the chart is judged on the final Newton
+    pass alone, from its `Trajectory.left_chart`: every stage point and
+    state of its accepted steps (a NumericMetric has no chart).  Stacks
+    (B, n) (p or q may be one point) shoot every pair in lockstep, one
+    stacked integration per Newton pass over the rows still open, and
+    return (V, lengths, reasons): reasons[k] is None or the message the
+    single pair would raise, and failed rows have NaN in V and lengths.
+    Row k is bitwise the single-pair result.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -794,7 +722,7 @@ def geodesic_between(m: MetricSpec, p, q, tol=1e-10, max_iter=12,
     for _ in range(max_iter):
         if not len(todo):
             break
-        shots = geodesic_ivp(m, P[todo], V[todo], 1.0, dense=False, rtol=rtol, atol=atol,
+        shots = geodesic_ivp(m, P[todo], V[todo], 1.0, rtol=rtol, atol=atol,
                              variational=True).rows
         still = []
         for k, shot in zip(todo, shots):
@@ -806,6 +734,8 @@ def geodesic_between(m: MetricSpec, p, q, tol=1e-10, max_iter=12,
             end = shot.y[:, -1]
             err = end[:n] - Q[k]
             if np.linalg.norm(err) < tol:
+                if shot.left_chart:
+                    reasons[k] = "shot leaves the chart domain"
                 continue
             J = end[2 * n:2 * n + n * n].reshape(n, n)
             try:

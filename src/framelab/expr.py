@@ -248,10 +248,25 @@ def _tokenize(source):
     return tokens
 
 
+#: how deep brackets, function calls, signs and exponents may nest in one
+#: expression; the parser and every tree pass recurse once per level
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
+
+    def _nested(self, tok, parse):
+        """parse() one level below the bracket, call, sign or exponent at tok."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def peek(self):
         return self.tokens[self.pos]
@@ -290,18 +305,17 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "-":
             self.next()
-            return Neg(self._unary())
+            return Neg(self._nested(tok, self._unary))
         if tok.kind == "+":
             self.next()
-            return self._unary()
+            return self._nested(tok, self._unary)
         return self._power()
 
     def _power(self):
         base = self._atom()
         if self.peek().kind == "^":
-            self.next()
             # right associative, binds tighter than unary minus on the left
-            exponent = self._unary_power()
+            exponent = self._nested(self.next(), self._unary_power)
             return Pow(base, exponent)
         return base
 
@@ -309,7 +323,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "-":
             self.next()
-            return Neg(self._unary_power())
+            return Neg(self._nested(tok, self._unary_power))
         return self._power()
 
     def _atom(self):
@@ -325,13 +339,12 @@ class _Parser:
             if self.peek().kind == "(":
                 if tok.text not in _FUNCTIONS:
                     raise ParseError(f"unknown function {tok.text!r}", tok.line, tok.col)
-                self.next()
-                arg = self.parse_expr()
+                arg = self._nested(self.next(), self.parse_expr)
                 self.expect(")")
                 return Call(tok.text, arg)
             return Sym(tok.text)
         if tok.kind == "(":
-            node = self.parse_expr()
+            node = self._nested(tok, self.parse_expr)
             self.expect(")")
             return node
         raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)

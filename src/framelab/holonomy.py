@@ -568,14 +568,18 @@ def samples_to_jsonl(samples):
 
 
 def samples_from_jsonl(text, n):
-    """Samples written by samples_to_jsonl; a malformed line raises ValueError."""
+    """Samples written by samples_to_jsonl; a malformed line, or one with a
+    NaN or infinite number, raises ValueError."""
     import json
     out = []
     for k, line in enumerate(text.strip().splitlines(), 1):
         try:
             obj = json.loads(line)
             mat = np.array(obj["matrix"], dtype=float).reshape(n, n)
-            out.append(HolonomySample(mat, float(obj["length"]), obj.get("loop", "")))
+            length = float(obj["length"])
+            if not (np.isfinite(mat).all() and math.isfinite(length)):
+                raise ValueError("entry not finite")
+            out.append(HolonomySample(mat, length, obj.get("loop", "")))
         except (KeyError, TypeError, AttributeError, ValueError) as err:
             raise ValueError(f"bad holonomy sample on line {k}: {err!r}") from None
     return out

@@ -74,11 +74,13 @@ def check_skew(a):
 
 
 def check_orthogonal(A):
-    """A, an (n, n) matrix or a stack (..., n, n), if orthogonal to ORTH_TOL."""
+    """A, an (n, n) matrix or a stack (..., n, n), if orthogonal to ORTH_TOL;
+    a non-finite entry fails, its residual being NaN or infinite."""
     A = np.asarray(A, dtype=float)
     n = A.shape[-2]
-    r = float(np.abs(np.swapaxes(A, -1, -2) @ A - np.eye(n)).max(initial=0.0))
-    if r > ORTH_TOL:
+    with np.errstate(invalid="ignore", over="ignore"):
+        r = float(np.abs(np.swapaxes(A, -1, -2) @ A - np.eye(n)).max(initial=0.0))
+    if not r <= ORTH_TOL:
         raise NotOrthogonalError(f"matrix is not orthogonal (residual {r:.3e})")
     return A
 

@@ -114,6 +114,20 @@ def stacked(fun):
     return lambda points: np.stack([fun(p) for p in points])
 
 
+def dipping_cone_pair(a=0.7, R=1.5, depth=1e-3, r_min=0.7):
+    """Two points (R, phi) of the exact cone dr^2 + a^2 r^2 dphi^2, placed so
+    that their geodesic, a straight segment of the flat development, passes
+    `depth` below r_min at its midpoint: (p, q, r_min, length, dip), dip
+    the fraction of the length that lies below r_min.  The development
+    angle between them, 2 acos((r_min - depth) / R), stays below pi, so p,
+    q are each other's nearest period representatives."""
+    d = r_min - depth
+    half = math.acos(d / R) / a
+    length = 2.0 * math.sqrt(R * R - d * d)
+    dip = 2.0 * math.sqrt(r_min * r_min - d * d) / length
+    return np.array([R, 3.0 - half]), np.array([R, 3.0 + half]), r_min, length, dip
+
+
 def connection_form(chart, y, v):
     """omega(v) at the chart point y (N,), for a chart vector v (N,): the
     contraction of `omega_basis`."""

@@ -79,8 +79,6 @@ EXEMPT = {
         "the frame-bundle GH experiment (ROADMAP item 5) decides its sampling",
     ("holonomy", "coordinate_circle_loop", "turns"):
         "the frame-bundle GH experiment (ROADMAP item 5) may sweep several turns",
-    ("curvature", "geodesic_energy_drift", "samples"):
-        "run telemetry (ROADMAP item 6) records energy drift through it",
     ("curvature", "fd_gradient", "h1"):
         "an A-tensor test differentiates a non-metric function at other steps",
     ("curvature", "fd_gradient", "h2"):

@@ -455,6 +455,17 @@ def test_holonomy_bad_resume_file(tmp_path, capsys, content):
     assert "config error" in capsys.readouterr().err
 
 
+def test_holonomy_resume_refuses_a_non_finite_sample(tmp_path, capsys):
+    saved = tmp_path / "samples.jsonl"
+    saved.write_text('{"matrix": [1.0, 0.0, 0.0, 1.0], "length": 0.0}\n'
+                     '{"matrix": [NaN, 0.0, 0.0, 1.0], "length": 1.0}\n', encoding="utf-8")
+    code, out = run(tmp_path, "holonomy", "--metric", "builtin:smoothed-cone:a=0.7,eps=0.1",
+                    "--at", "0.8,1.0", "--loops", "1", "--resume", str(saved))
+    assert code == 2
+    assert "config error: bad holonomy sample on line 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_holonomy_word_length_zero(tmp_path):
     code, _ = run(tmp_path, "holonomy", "--metric", "builtin:smoothed-cone:a=0.7,eps=0.1",
                   "--at", "0.8,1.0", "--loops", "0", "--word-length", "0")
@@ -570,6 +581,33 @@ def test_a_constant_beyond_float_range_is_a_config_error(tmp_path, capsys, compo
         assert "config error: constant of about 10^400 does not fit a float" in \
             capsys.readouterr().err
         assert not out.exists()
+
+
+NESTED_COMMANDS = [["parse-check"], ["curvature", "--at", "1.0,1.0"],
+                   ["holonomy", "--at", "1.0,1.0", "--loops", "1"],
+                   ["oneill-check", "--pairs", "1"], ["bound-report"]]
+
+
+@pytest.mark.parametrize("opening", ["(", "sin("])
+def test_nesting_past_the_cap_is_a_located_config_error(tmp_path, capsys, opening):
+    """100 nested levels run on every command; the 101st opening is a
+    config error at its own column, not a RecursionError."""
+    from framelab.expr import MAX_NESTING
+    for depth in (MAX_NESTING, MAX_NESTING + 1):
+        body = opening * depth + "x" + ")" * depth
+        path = tmp_path / f"nested{depth}.gmet"
+        path.write_text("dim 2; coords x y; domain x in [0.5, 1.5] y in [0.5, 1.5];\n"
+                        f"g = [[1 + {body}, 0], [0, 1]];", encoding="utf-8")
+        for argv in NESTED_COMMANDS:
+            code, out = run(tmp_path, *argv, "--metric", str(path))
+            err = capsys.readouterr().err
+            if depth == MAX_NESTING:
+                assert code == 0, err
+                continue
+            column = len("g = [[1 + ") + len(opening) * MAX_NESTING + len(opening)
+            assert code == 2
+            assert (f"config error: nesting deeper than {MAX_NESTING} levels "
+                    f"(line 2, column {column})") in err
 
 
 def test_a_constant_below_float_range_folds_to_zero(tmp_path):

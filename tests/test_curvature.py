@@ -11,7 +11,7 @@ from framelab import curvature as cv
 from framelab import expr as ex
 from framelab import metric as mt
 
-from conftest import stacked
+from conftest import dipping_cone_pair, stacked
 
 
 def metric_compat_residual(m, p):
@@ -244,7 +244,7 @@ def test_exp_map_great_circle(sphere):
 
 def test_exp_map_energy_conservation(sphere):
     sol = cv.geodesic_ivp(sphere, [1.2, 0.3], [0.4, 0.7], 1.5)
-    assert cv.geodesic_energy_drift(sphere, sol, 1.5) <= 1e-8
+    assert cv.geodesic_energy_drift(sphere, sol) <= 1e-8
 
 
 def test_geodesic_between_shooting(sphere):
@@ -265,7 +265,7 @@ def _endpoint_jacobian_fd(m, p, v, h=1e-6):
     for a in range(n):
         dv = np.zeros(n)
         dv[a] = h
-        ends = [cv.geodesic_ivp(m, p, w, 1.0, dense=False, rtol=1e-12, atol=1e-12).y[:n, -1]
+        ends = [cv.geodesic_ivp(m, p, w, 1.0, rtol=1e-12, atol=1e-12).y[:n, -1]
                 for w in (v + dv, v - dv)]
         J[:, a] = (ends[0] - ends[1]) / (2 * h)
     return J
@@ -280,13 +280,13 @@ def test_variational_jacobian_matches_finite_differences(name, p, v, sphere, eh)
     m = {"sphere": sphere, "cone": mt.exact_cone(0.7), "eh": eh}[name]
     p, v = np.array(p), np.array(v)
     n = m.dim
-    sol = cv.geodesic_ivp(m, p, v, 1.0, dense=False, rtol=1e-12, atol=1e-12,
+    sol = cv.geodesic_ivp(m, p, v, 1.0, rtol=1e-12, atol=1e-12,
                           variational=True)
     J = sol.y[2 * n:2 * n + n * n, -1].reshape(n, n)
     fd = _endpoint_jacobian_fd(m, p, v)
     assert np.abs(J - fd).max() <= 1e-6 * np.abs(fd).max()
     # the geodesic part of the state is the plain geodesic
-    plain = cv.geodesic_ivp(m, p, v, 1.0, dense=False, rtol=1e-12, atol=1e-12)
+    plain = cv.geodesic_ivp(m, p, v, 1.0, rtol=1e-12, atol=1e-12)
     assert np.abs(sol.y[:2 * n, -1] - plain.y[:, -1]).max() <= 1e-9
 
 
@@ -385,31 +385,26 @@ def test_stepper_matches_scipy_dop853(name, p, v, variational, sphere, eh):
     atol = np.full(len(y0), math.inf)
     atol[:2 * n] = c * 1e-10
     want = solve_ivp(_reference_rhs(m, variational), (0.0, 1.0), y0, method="DOP853",
-                     rtol=c * 1e-10, atol=atol, dense_output=True)
+                     rtol=c * 1e-10, atol=atol)
     got = cv.geodesic_ivp(m, p, v, 1.0, rtol=1e-10, atol=1e-10, variational=variational)
     scale = np.abs(want.y[:, -1]).max()
     assert np.abs(got.y[:, -1] - want.y[:, -1]).max() <= 1e-9 * scale
     assert got.nfev == want.nfev
     assert np.array_equal(got.t.shape, want.t.shape)
-    # the interpolant covers the whole state
-    ts = np.linspace(0.0, 1.0, 7)
-    assert np.abs(got.sol(ts) - want.sol(ts)).max() <= 1e-9 * scale
 
 
-@pytest.mark.parametrize("dense", [False, True])
 @pytest.mark.parametrize("name, p, v", SHOTS)
-def test_a_shots_steps_are_its_geodesics_steps(name, p, v, dense, sphere, eh):
+def test_a_shots_steps_are_its_geodesics_steps(name, p, v, sphere, eh):
     """The step control reads (x, v) only, so the variational integration
-    takes the plain one's steps and (x, v) states, bit for bit."""
+    takes the plain one's steps and (x, v) states, bit for bit, and tests
+    the same stage points against the chart."""
     m = {"sphere": sphere, "cone": mt.exact_cone(0.7), "eh": eh}[name]
     n = m.dim
-    plain = cv.geodesic_ivp(m, p, v, 1.0, dense=dense)
-    shot = cv.geodesic_ivp(m, p, v, 1.0, dense=dense, variational=True)
+    plain = cv.geodesic_ivp(m, p, v, 1.0)
+    shot = cv.geodesic_ivp(m, p, v, 1.0, variational=True)
     assert np.array_equal(shot.t, plain.t)
     assert np.array_equal(shot.y[:2 * n], plain.y)
-    if dense:
-        ts = np.linspace(0.0, 1.0, 7)
-        assert np.array_equal(shot.sol(ts)[:2 * n], plain.sol(ts))
+    assert shot.left_chart is plain.left_chart is False
 
 
 @pytest.mark.parametrize("variational", [False, True])
@@ -471,12 +466,11 @@ def test_stacked_rows_are_their_single_row_integrations(variational):
     for m, P, Q in _cone_and_eh_pairs():
         stack = cv.geodesic_ivp(m, P, Q - P, 1.0, rtol=1e-7, atol=1e-9,
                                 variational=variational)
-        ts = np.linspace(0.0, 1.0, 5)
         for k, row in enumerate(stack.rows):
             one = cv.geodesic_ivp(m, P[k], Q[k] - P[k], 1.0, rtol=1e-7, atol=1e-9,
                                   variational=variational)
             assert np.array_equal(row.t, one.t) and np.array_equal(row.y, one.y)
-            assert np.array_equal(row.sol(ts), one.sol(ts))
+            assert row.left_chart == one.left_chart
             assert row.nfev == one.nfev
         assert stack.nfev == sum(row.nfev for row in stack.rows)
 
@@ -495,25 +489,6 @@ def test_stacked_shots_are_their_single_pair_shots():
                 continue
             assert reasons[k] is None
             assert np.array_equal(V[k], v) and lengths[k] == length
-
-
-def test_a_converged_shots_plain_path_is_its_variational_path():
-    """At the refine tolerances, the plain dense integration from each
-    converged shot's velocity interpolates, at 24 times, bitwise what the
-    variational dense integration of that velocity interpolates for (x, v):
-    the path a dense shot once carried."""
-    ts = np.linspace(0.0, 1.0, 24)
-    for m, P, Q in _cone_and_eh_pairs():
-        n = m.dim
-        V, _, reasons = cv.geodesic_between(m, P, Q, rtol=1e-7, atol=1e-9, tol=1e-7,
-                                            max_iter=8)
-        rows = [k for k, reason in enumerate(reasons) if reason is None]
-        assert rows
-        plain = cv.geodesic_ivp(m, P[rows], V[rows], 1.0, rtol=1e-7, atol=1e-9).rows
-        shots = cv.geodesic_ivp(m, P[rows], V[rows], 1.0, rtol=1e-7, atol=1e-9,
-                                variational=True).rows
-        for path, shot in zip(plain, shots):
-            assert np.array_equal(path.sol(ts), shot.sol(ts)[:2 * n])
 
 
 def test_a_row_that_leaves_the_chart_fails_alone():
@@ -537,6 +512,62 @@ def test_a_row_that_leaves_the_chart_fails_alone():
     assert np.isnan(lengths[1]) and np.isfinite(lengths[[0, 2]]).all()
 
 
+def test_a_shot_that_dips_out_of_the_chart_between_its_states_fails():
+    """On the exact cone with r_min raised, a shot whose geodesic passes
+    below r_min for 2.8% of its length, between two of its accepted states
+    and between two of 24 evenly spaced times, converges and fails with
+    the chart reason; its stacked neighbour and the same shot on the cone
+    down to its vertex converge, and a NumericMetric, with no chart, tests
+    nothing."""
+    p, q, r_min, length, dip = dipping_cone_pair()
+    assert dip < 1 / 24
+    # the dip is centred at t = 0.5, and each of the 24 times lies outside it
+    assert (np.abs(np.linspace(0.0, 1.0, 24) - 0.5) > dip / 2).all()
+    mid = 0.5 * (p + q)
+    cone = mt.exact_cone(0.7, r_min=r_min)
+    opts = dict(rtol=1e-7, atol=1e-9, tol=1e-7, max_iter=8)
+    P, Q = np.array([p, p]), np.array([q, mid + [0.2, 0.0]])
+    V, lengths, reasons = cv.geodesic_between(cone, P, Q, **opts)
+    assert reasons == ["shot leaves the chart domain", None]
+    assert np.isnan(lengths[0]) and np.isfinite(lengths[1])
+    with pytest.raises(RuntimeError, match="shot leaves the chart domain"):
+        cv.geodesic_between(cone, p, q, **opts)
+    # the path of the shot: its accepted states stay in the chart
+    v, shot_length = cv.geodesic_between(mt.exact_cone(0.7), p, q, **opts)
+    assert shot_length == pytest.approx(length, rel=1e-6)
+    path = cv.geodesic_ivp(cone, p, v, 1.0, rtol=1e-7, atol=1e-9)
+    assert path.left_chart and cone.in_domain(path.y[:2].T).all()
+    assert not cv.geodesic_ivp(mt.exact_cone(0.7), p, v, 1.0, rtol=1e-7, atol=1e-9).left_chart
+    numeric = cv.NumericMetric(cone.evaluate, 2)
+    assert cv.geodesic_between(numeric, p, q, **opts)[1] == pytest.approx(length, rel=1e-6)
+
+
+def test_the_chart_test_is_one_stacked_call_per_stepper_iteration(monkeypatch):
+    """The chart test adds no right-hand side: a stack of shots makes 2 +
+    12 k right-hand-side calls over k stepper iterations, and at most k
+    `in_domain` calls, each on the 13 points of every accepted step."""
+    rhs_calls, checks = [], []
+    jets = cv._SprayJets.jets
+    monkeypatch.setattr(cv._SprayJets, "jets",
+                        lambda self, X: rhs_calls.append(len(X)) or jets(self, X))
+    in_domain = mt.MetricSpec.in_domain
+
+    def counted(self, point, tol=0.0, wrap=False):
+        if tol == cv.DOMAIN_TOL:
+            checks.append(len(point))
+        return in_domain(self, point, tol, wrap)
+
+    monkeypatch.setattr(mt.MetricSpec, "in_domain", counted)
+    (m, P, Q), _ = _cone_and_eh_pairs()
+    stack = cv.geodesic_ivp(m, P, Q - P, 1.0, rtol=1e-7, atol=1e-9, variational=True)
+    iterations = (len(rhs_calls) - 2) // 12
+    assert len(rhs_calls) == 2 + 12 * iterations
+    assert stack.nfev == sum(rhs_calls)
+    assert 0 < len(checks) <= iterations and all(k % 13 == 0 for k in checks)
+    steps = sum(len(row.t) - 1 for row in stack.rows)
+    assert sum(checks) == 13 * steps
+
+
 def test_a_row_at_a_singular_metric_fails_alone(sphere):
     # the sphere chart's metric diag(1, sin^2 th) is singular at th = 0
     P = np.array([[0.0, 0.5], [1.0, 0.5]])
@@ -547,36 +578,6 @@ def test_a_row_at_a_singular_metric_fails_alone(sphere):
     assert isinstance(stack.rows[0], np.linalg.LinAlgError)
     assert str(stack.rows[0]) == str(err.value)
     assert np.array_equal(stack.rows[1].y, cv.geodesic_ivp(sphere, P[1], W[1], 1.0).y)
-
-
-def test_a_row_whose_extra_stage_fails_fails_alone():
-    """The dense output's three extra stages run on the accepted rows of a
-    dense call only; a row whose extra stage fails ends with that exception,
-    and the other rows go on."""
-    def rhs_failing_in(lo, hi):
-        # u' = 1, w' = 0; rows with w = 1 fail where u lies in (lo, hi)
-        def rhs(Y):
-            F = np.zeros_like(Y)
-            F[:, 0] = 1.0
-            bad = np.flatnonzero((Y[:, 1] == 1.0) & (lo < Y[:, 0]) & (Y[:, 0] < hi))
-            return F, {int(k): RuntimeError(f"no value at u = {Y[k, 0]}") for k in bad}
-        return rhs
-
-    # the step control reads u only, so every row takes the same steps
-    y0 = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    (free,), _ = cv._dormand_prince(rhs_failing_in(2.0, 2.0), y0[:1], 1.0, 1e-10, 1e-10, True, 1)
-    # a band around the last step's last extra-stage node, c = 7/9, which no
-    # other stage of any step reaches
-    t0, h = free.t[-2], free.t[-1] - free.t[-2]
-    rhs = rhs_failing_in(t0 + (7 / 9 - 1e-6) * h, t0 + (7 / 9 + 1e-6) * h)
-    stack, _ = cv._dormand_prince(rhs, y0, 1.0, 1e-10, 1e-10, True, 1)
-    (one,), _ = cv._dormand_prince(rhs, y0[1:2], 1.0, 1e-10, 1e-10, True, 1)
-    assert isinstance(stack[1], RuntimeError) and str(stack[1]) == str(one)
-    for k in (0, 2):
-        assert np.array_equal(stack[k].t, free.t) and np.array_equal(stack[k].y, free.y)
-    # without dense output the row never evaluates that stage
-    (plain,), _ = cv._dormand_prince(rhs, y0[1:2], 1.0, 1e-10, 1e-10, False, 1)
-    assert np.array_equal(plain.t, free.t)
 
 
 def test_stacked_gamma_jets_are_row_by_row(eh, cone_smooth):

@@ -10,6 +10,8 @@ from framelab import ghlab as gh
 from framelab import holonomy as hl
 from framelab import metric as mt
 
+from conftest import dipping_cone_pair
+
 
 def test_fms_validation():
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -85,63 +87,85 @@ def test_programming_errors_in_shots_propagate(refine, monkeypatch):
 
 
 def test_errors_in_the_inside_check_propagate(monkeypatch):
-    """A fault in the check that an accepted shot stays in the chart, here
-    in reading the interpolant of its plain integration, propagates; a
-    check that caught every exception once read as "leaves the chart" and
-    left distances up to 17% long."""
-    original = gh.geodesic_ivp
+    """A fault in the test that a shot stays in the chart, here in the
+    stepper's stacked `in_domain` call, propagates; a check that caught
+    every exception once read as "leaves the chart" and left distances up
+    to 17% long."""
+    in_domain = mt.MetricSpec.in_domain
 
-    def broken_path(t):
-        raise TypeError("broken interpolant")
+    def broken(self, point, tol=0.0, wrap=False):
+        if tol == cv.DOMAIN_TOL:
+            raise TypeError("broken chart test")
+        return in_domain(self, point, tol, wrap)
 
-    def paths(*args, **kwargs):
-        out = original(*args, **kwargs)
-        for row in out.rows:
-            if isinstance(row, cv.Trajectory):
-                row.sol = broken_path
-        return out
-
-    monkeypatch.setattr(gh, "geodesic_ivp", paths)
-    with pytest.raises(TypeError, match="broken interpolant"):
+    monkeypatch.setattr(mt.MetricSpec, "in_domain", broken)
+    with pytest.raises(TypeError, match="broken chart test"):
         gh.sample_space(mt.exact_cone(0.7), [(0.3, 1.6), (0.0, 2 * math.pi)], 10,
                         rng=np.random.default_rng(2), refine_pairs=True)
 
 
 def test_pairs_are_shot_in_one_stack(monkeypatch):
-    """The refined pairs of a sample are one stacked shot without
-    interpolants; the converged rows that would replace a distance are
-    integrated once more, as one stack of plain dense geodesics, and
-    checked for staying in the chart on those paths."""
+    """The refined pairs of a sample are one stacked shot, and its Newton
+    passes are every integration: a converged shot is not integrated
+    again to test the chart, since its final pass did."""
     shots = []
     original = gh.geodesic_between
 
     def counted(m, p, q, *args, **kwargs):
-        shots.append((p, original(m, p, q, *args, **kwargs)))
-        return shots[-1][1]
+        shots.append(len(p))
+        return original(m, p, q, *args, **kwargs)
 
     monkeypatch.setattr(gh, "geodesic_between", counted)
     passes = []
     original_ivp = cv.geodesic_ivp
     monkeypatch.setattr(cv, "geodesic_ivp",
-                        lambda *a, **k: passes.append(k) or original_ivp(*a, **k))
-    paths = []
-    original_paths = gh.geodesic_ivp
-    monkeypatch.setattr(gh, "geodesic_ivp",
-                        lambda m, p, v, *a, **k: paths.append((p, v, k))
-                        or original_paths(m, p, v, *a, **k))
+                        lambda m, p, v, *a, **k: passes.append((len(p), k))
+                        or original_ivp(m, p, v, *a, **k))
     gh.sample_space(mt.exact_cone(0.7), [(0.3, 1.6), (0.0, 2 * math.pi)], 8,
                     rng=np.random.default_rng(2), refine_pairs=True)
-    assert len(shots) == 1 and len(shots[0][0]) > 1
-    assert passes and all(k["variational"] and not k["dense"] for k in passes)
-    # one plain call with the default dense output, on converged shots only
-    (P, V, kwargs), = paths
-    assert kwargs == {"rtol": 1e-7, "atol": 1e-9}
-    shot_P, (shot_V, _, reasons) = shots[0]
-    converged = [k for k, reason in enumerate(reasons) if reason is None]
-    assert 0 < len(P) <= len(converged)
-    for p, v in zip(P, V):
-        assert any(np.array_equal(p, shot_P[k]) and np.array_equal(v, shot_V[k])
-                   for k in converged)
+    assert len(shots) == 1 and shots[0] > 1
+    assert not hasattr(gh, "geodesic_ivp")
+    rows = [b for b, _ in passes]
+    assert rows[0] == shots[0] and rows == sorted(rows, reverse=True)
+    assert all(k == {"rtol": 1e-7, "atol": 1e-9, "variational": True} for _, k in passes)
+
+
+def _dipping_layout():
+    """A sample layout of two chosen points whose shot dips out of the
+    chart (`dipping_cone_pair`), joined by a graph path through (2, 3)."""
+    p, q, r_min, length, _ = dipping_cone_pair()
+    points = np.array([p, q, [2.0, 3.0]])
+    edges = np.array([[0, 2], [1, 2]])
+    layout = gh.GraphLayout(points, edges, np.array([0, 1]), edge_shifts=np.zeros((2, 2)))
+    return layout, r_min, length
+
+
+def test_a_shot_that_leaves_the_chart_keeps_the_graph_or_chord_value():
+    layout, r_min, length = _dipping_layout()
+    region = [(0.3, 1.6), (0.0, 2 * math.pi)]
+    cone = mt.exact_cone(0.7, r_min=r_min)
+    graph = gh.sample_space(cone, region, 2, layout=layout).space.d[0, 1]
+    chord = gh._chord_lengths(cone, layout.points[:1], layout.points[1:2], 32)[0]
+    assert length < chord < graph * (1 - 5e-3)
+    refined = gh.sample_space(cone, region, 2, layout=layout, refine_pairs=True).space.d
+    assert refined[0, 1] == chord
+    # down to the vertex, the same shot stays in the chart and replaces it
+    whole = gh.sample_space(mt.exact_cone(0.7), region, 2, layout=layout, refine_pairs=True)
+    assert whole.space.d[0, 1] == pytest.approx(length, rel=1e-6)
+
+
+def test_eh_comparison_raises_when_a_shot_leaves_the_chart(monkeypatch):
+    """With the chart's r bound 0.1 below the lowest annulus point, every
+    point lies inside, and a shot whose geodesic passes nearer the bolt
+    fails its pair."""
+    lam, count, seed = 8.0, 3, 0
+    pts = gh.eguchi_hanson_annulus_points(np.random.default_rng(seed), count, lam)
+    r_low = pts[:, 0].min() - 0.1
+    eguchi_hanson = mt.eguchi_hanson
+    monkeypatch.setattr(mt, "eguchi_hanson",
+                        lambda r_max: eguchi_hanson(r_max=r_max, margin=r_low - 1.0))
+    with pytest.raises(RuntimeError, match="shot leaves the chart domain"):
+        gh.eguchi_hanson_gh_comparison(lam=lam, count=count, seed=seed)
 
 
 def test_eh_comparison_raises_when_a_pair_fails(monkeypatch):

@@ -586,7 +586,7 @@ def test_a_stacked_geodesic_right_hand_side_is_one_evaluation(monkeypatch):
     for variational in (False, True):
         evals.clear()
         jet_rows.clear()
-        stack = cv.geodesic_ivp(m, P, W, 1.0, dense=False, variational=variational)
+        stack = cv.geodesic_ivp(m, P, W, 1.0, variational=variational)
         assert all(isinstance(row, cv.Trajectory) for row in stack.rows)
         assert max(jet_rows) == len(P)
         assert evals == [(b, 2) for b in jet_rows]

@@ -75,6 +75,16 @@ def test_exp_rotation_closed_form(rng):
     assert np.allclose(got, [[c, s], [-s, c]], atol=1e-14)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_matrix_is_not_orthogonal(bad):
+    # the residual is NaN, and NaN > ORTH_TOL is False: only a small residual passes
+    A = np.eye(3)
+    A[0, 0] = bad
+    for stack in (A, np.stack([np.eye(3), A])):
+        with pytest.raises(ot.NotOrthogonalError):
+            ot.check_orthogonal(stack)
+
+
 def principal_log(A):
     """The log of one orthogonal matrix, as the one row of `_principal_logs`
     (which must not refuse it)."""
