@@ -43,7 +43,7 @@ import numpy as np
 from . import ortho
 from .curvature import NumericMetric
 from .holonomy import section_connection_coeffs, section_frame
-from .metric import MetricSpec, _finite_rows, require_spd
+from .metric import MetricSpec, _jet_rows, require_spd
 
 DIMENSION_BUDGET = 10
 
@@ -82,17 +82,6 @@ def _distinct_rows(A):
     rank = np.empty_like(by_first)
     rank[by_first] = np.arange(len(by_first))
     return A[first[by_first]], rank[group]
-
-
-def _rows(jet, X):
-    """jet, a `MetricSpec.derivative_fn` evaluator, at the rows of X (k, n)
-    in one stacked call; a row with a non-finite value is evaluated again
-    as a point, which raises the ExprEvalError a point raises there."""
-    out = jet(X)
-    for k in np.flatnonzero(~_finite_rows(out)):
-        for d, v in zip(out, jet(X[k])):
-            d[k] = v
-    return out
 
 
 class LiftedMetricChart:
@@ -144,8 +133,11 @@ class LiftedMetricChart:
 
     def _base_half(self, X):
         """The connection coefficients C_i (k, n, n, n) of the reference
-        section at the distinct base rows X (k, n)."""
-        G, dG = _rows(self.gp.derivative_fn(1), X)
+        section at the distinct base rows X (k, n); the first row whose jet
+        fails (`_jet_rows`) raises its error."""
+        (G, dG), errors = _jet_rows(self.gp, X, 1)
+        if errors:
+            raise errors[min(errors)]
         require_spd(G, X)
         return section_connection_coeffs(G, dG)
 
@@ -179,7 +171,10 @@ class LiftedMetricChart:
         y = np.asarray(y, dtype=float)
         om_x, om_t, X, xi = self._omega_rows(y.reshape(-1, self.dim))
         n = self.n
-        G = _rows(self.g.derivative_fn(0), X)[0][xi]
+        (G,), errors = _jet_rows(self.g, X, 0)
+        if errors:
+            raise errors[min(errors)]
+        G = G[xi]
         vx = ortho.vec_skew(om_x)
         vt = ortho.vec_skew(om_t)
         out = np.empty((len(G), self.dim, self.dim))

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .expr import ExprEvalError, _plain
-from .metric import MetricSpec, _finite_rows, require_spd
+from .metric import MetricSpec, _jet_rows, require_spd
 
 
 class DomainExitError(RuntimeError):
@@ -177,25 +177,23 @@ def assemble_drup(gamma, dgamma, d2gamma):
 def _checked_derivs(m: MetricSpec, p, order):
     """[G, dG, ..., d^order G] of a MetricSpec at the float point p (n,),
     after the domain check, with G SPD-checked; or at each row of a stack
-    p (B, n), from one stacked evaluation, where a row that is outside the
-    domain, not finite or not SPD goes through the point checks in row
-    order: it raises that point's error, or (not finite on numpy only)
-    takes the point's values."""
-    jet = m.derivative_fn(order)
+    p (B, n), from `_jet_rows`, checked in row order up to the first row
+    that is outside the domain or failed: the rows before it are
+    SPD-checked, then that row raises DomainExitError or its error."""
     if p.ndim == 1:
         if not m.in_domain(p):
             raise DomainExitError(None, p)
-        derivs = jet(p)
+        derivs = m.derivative_fn(order)(p)
         require_spd(derivs[0][None], [p])
         return derivs
-    derivs = jet(p)
-    start = 0
-    for k in np.flatnonzero(~(m.in_domain(p) & _finite_rows(derivs))):
-        require_spd(derivs[0][start:k], p[start:k])
-        for d, v in zip(derivs, _checked_derivs(m, p[k], order)):
-            d[k] = v
-        start = k + 1
-    require_spd(derivs[0][start:], p[start:])
+    derivs, errors = _jet_rows(m, p, order)
+    outside = ~m.in_domain(p)
+    bad = outside.copy()
+    bad[list(errors)] = True
+    k = int(np.argmax(bad)) if bad.any() else len(p)
+    require_spd(derivs[0][:k], p[:k])
+    if k < len(p):
+        raise DomainExitError(None, p[k]) if outside[k] else errors[k]
     return derivs
 
 
@@ -540,74 +538,31 @@ def _dormand_prince(rhs, inside, y0, t_final, rtol, atol, controlled):
     return out, nfev
 
 
-class _SprayJets:
-    """G^-1 and the partials of G for the geodesic right-hand sides; m is
-    either derivative source.  No point is tested for SPD here, nor against
-    the chart: `geodesic_ivp` tests the chart once per stepper iteration."""
-
-    def __init__(self, m, variational=False):
-        self.n = m.dim
-        self.order = 2 if variational else 1
-        self.jet = m.derivative_fn(self.order)
-
-    def jets(self, X):
-        """[G^-1, dG] at each row of X (b, n), and d2G when variational,
-        from one stacked jet call and one stacked inverse.  Returns (jets,
-        errors), errors {row: exception} for rows whose evaluation failed
-        (a singular G with LinAlgError); their jet rows are zero.
-
-        A row with a non-finite value is evaluated again as a point: it
-        fails with the ExprEvalError or LinAlgError raised there, or with
-        "expression not finite" if the point values are not finite either,
-        and otherwise takes the point values.  A source that fails a whole
-        stack for one bad row (a NumericMetric whose function raises) has
-        every row evaluated so."""
-        b, n = len(X), self.n
-        try:
-            parts = self.jet(X)
-            redo = (() if all(np.isfinite(p).all() for p in parts)
-                    else np.flatnonzero(~_finite_rows(parts)))
-        except (ExprEvalError, np.linalg.LinAlgError):
-            parts = [np.zeros((b,) + (n,) * (k + 2)) for k in range(self.order + 1)]
-            redo = range(b)
-        errors = {}
-        for k in redo:
-            # plain floats: the point binding runs faster on them than on
-            # numpy scalars, with the same values
-            x = X[k].tolist()
-            try:
-                vals = self.jet(x)
-                if not all(np.isfinite(v).all() for v in vals):
-                    raise ExprEvalError(f"expression not finite at {_plain(x)}")
-            except (ExprEvalError, np.linalg.LinAlgError) as exc:
-                errors[k] = exc
-                vals = [0.0] * len(parts)
-            for part, v in zip(parts, vals):
-                part[k] = v
-        try:
-            parts[0] = np.linalg.inv(parts[0])
-        except np.linalg.LinAlgError:
-            # row by row: a failed row's zero G raises again and keeps its error
-            G, parts[0] = parts[0], np.zeros_like(parts[0])
-            for k in range(b):
-                try:
-                    parts[0][k] = np.linalg.inv(G[k])
-                except np.linalg.LinAlgError as exc:
-                    errors.setdefault(k, exc)
-                    for part in parts[1:]:
-                        part[k] = 0.0
-        return parts, errors
-
-
-def _geodesic_rhs(spray, variational):
+def _geodesic_rhs(m, variational):
     """The stacked right-hand side of the geodesic (and variational)
     equations for `_dormand_prince`, as the contracted spray Gamma(v, v) =
-    G^-1 w / 2, w_l = 2 v^i Q[i, l] - Q[l, j] v^j, Q[m, l] = d_m g_lj v^j."""
-    n = spray.n
+    G^-1 w / 2, w_l = 2 v^i Q[i, l] - Q[l, j] v^j, Q[m, l] = d_m g_lj v^j.
+    m is either derivative source.  G, dG and (variational) d2G come from
+    one `_jet_rows` call and G^-1 from one stacked inverse; a row whose
+    jets fail, or whose G is singular (LinAlgError), fails alone.  No
+    point is tested for SPD here, nor against the chart: `geodesic_ivp`
+    tests the chart once per stepper iteration."""
+    n = m.dim
+    order = 2 if variational else 1
 
     def rhs(Y):
         b = len(Y)
-        (ginv, dG, *d2G), errors = spray.jets(Y[:, :n])
+        (G, dG, *d2G), errors = _jet_rows(m, Y[:, :n], order)
+        try:
+            ginv = np.linalg.inv(G)
+        except np.linalg.LinAlgError:
+            # row by row: a failed row's zero G raises again and keeps its error
+            ginv = np.zeros_like(G)
+            for k in range(b):
+                try:
+                    ginv[k] = np.linalg.inv(G[k])
+                except np.linalg.LinAlgError as exc:
+                    errors.setdefault(k, exc)
         vel = Y[:, n:2 * n]
         vc, vr = vel[:, :, None], vel[:, None, :]
         Q = (dG @ vc[:, None])[..., 0]
@@ -672,7 +627,7 @@ def geodesic_ivp(m: MetricSpec, p, v, t_final, rtol=ODE_RTOL, atol=ODE_ATOL,
                             axis=1)
     inside = ((lambda Y: m.in_domain(Y[:, :n], tol=DOMAIN_TOL, wrap=True))
               if isinstance(m, MetricSpec) else None)
-    rows, nfev = _dormand_prince(_geodesic_rhs(_SprayJets(m, variational), variational),
+    rows, nfev = _dormand_prince(_geodesic_rhs(m, variational),
                                  inside, y0, float(t_final), rtol, atol, 2 * n)
     if p.ndim == 1 and v.ndim == 1:
         if isinstance(rows[0], Exception):
@@ -769,8 +724,8 @@ def curve_length(m: MetricSpec, curve, velocity, samples=256):
     composite Gauss-Legendre quadrature of |c'|_g, 8 nodes per panel.
     `curve` and `velocity` map an array of t (k,) to (k, n), or for several
     curves at once to (c, k, n), which gives c lengths.  The metric is evaluated at
-    all nodes as one stack; a node where it is undefined raises the point
-    evaluator's ExprEvalError.  Each node's |c'|^2 is its own v @ G @ v
+    all nodes as one stack (`_jet_rows`); the first node where it fails
+    raises its error.  Each node's |c'|^2 is its own v @ G @ v
     (one stacked matmul), and each curve's terms are added one by one in
     panel and node order."""
     edges = np.linspace(0.0, 1.0, samples // 8 + 1)
@@ -779,12 +734,9 @@ def curve_length(m: MetricSpec, curve, velocity, samples=256):
     t = (mid[:, None] + half[:, None] * GL8_NODES).ravel()
     C = np.asarray(curve(t), dtype=float)
     V = np.asarray(velocity(t), dtype=float)
-    G = m.evaluate(C.reshape(-1, m.dim))
-    bad = ~np.isfinite(G).all(axis=(1, 2))
-    if bad.any():
-        x = C.reshape(-1, m.dim)[np.argmax(bad)]
-        m.evaluate(x)
-        raise ExprEvalError(f"expression not finite at {_plain(x)}")
+    (G,), errors = _jet_rows(m, C.reshape(-1, m.dim), 0)
+    if errors:
+        raise errors[min(errors)]
     G = G.reshape(C.shape + (m.dim,))
     speed = np.sqrt(np.maximum(((V[..., None, :] @ G) @ V[..., :, None])[..., 0, 0], 0.0))
     # a cumulative sum adds in order, term by term
@@ -808,17 +760,18 @@ def _richardson(d1, d2, h1, h2):
     return w * d2 + (1 - w) * d1
 
 
-def fd_gradient(fun, p, h1=FD_H1, h2=FD_H2):
+def fd_gradient(fun, p):
     """Richardson-extrapolated first partials of an array-valued function
     at a point p (n,), shape (n,) + value shape, or at each centre of a
     stack p (B, n), shape (B, n) + value shape.
 
     `fun` maps a stack of points (k, n) to the stack of its values; it is
-    called once, on the stencils p +- h e_a for h = h1, h2 of every centre.
-    Each centre's rows and quotients are the point's arithmetic, so with a
-    `fun` whose rows do not depend on their stack, a centre's partials are
-    bitwise its point partials.
+    called once, on the stencils p +- h e_a of every centre for the steps
+    h = FD_H1 and FD_H2.  Each centre's rows and quotients are the point's
+    arithmetic, so with a `fun` whose rows do not depend on their stack, a
+    centre's partials are bitwise its point partials.
     """
+    h1, h2 = FD_H1, FD_H2
     p = np.asarray(p, dtype=float)
     P = np.atleast_2d(p)
     B, n = P.shape
@@ -829,7 +782,7 @@ def fd_gradient(fun, p, h1=FD_H1, h2=FD_H2):
     return out if p.ndim == 2 else out[0]
 
 
-def fd_hessian(fun, p, h1=FD_H1_SECOND, h2=FD_H2_SECOND):
+def fd_hessian(fun, p):
     """Richardson-extrapolated second partials at a point p (n,), shape
     (n, n) + value shape, or at each centre of a stack p (B, n), shape
     (B, n, n) + value shape.
@@ -840,6 +793,7 @@ def fd_hessian(fun, p, h1=FD_H1_SECOND, h2=FD_H2_SECOND):
     a < b.  As in `fd_gradient`, each centre's partials are bitwise its
     point partials when `fun`'s rows do not depend on their stack.
     """
+    h1, h2 = FD_H1_SECOND, FD_H2_SECOND
     p = np.asarray(p, dtype=float)
     P = np.atleast_2d(p)[:, None]
     B, _, n = P.shape

@@ -318,15 +318,12 @@ def gh_upper(A: FiniteMetricSpace, B: FiniteMetricSpace, corr) -> float:
     right = {j for _, j in corr}
     if left != set(range(A.size)) or right != set(range(B.size)):
         raise CorrespondenceError("correspondence must cover both sides")
-    worst = 0.0
-    for i, j in corr:
-        for k, l in corr:
-            da = A.d[i, k]
-            db = B.d[j, l]
-            if math.isinf(da) and math.isinf(db):
-                continue
-            worst = max(worst, abs(da - db))
-    return 0.5 * worst
+    I, J = np.array(corr, dtype=int).reshape(-1, 2).T
+    da, db = A.d[np.ix_(I, I)], B.d[np.ix_(J, J)]
+    with np.errstate(invalid="ignore"):
+        gap = np.where(np.isinf(da) & np.isinf(db), 0.0, np.abs(da - db))
+    # fmax skips a NaN gap instead of returning it
+    return 0.5 * float(np.fmax.reduce(gap.ravel(), initial=0.0))
 
 
 def _greedy_separated(space, eps):

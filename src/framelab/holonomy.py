@@ -19,7 +19,7 @@ import numpy as np
 
 from . import ortho
 from .curvature import DOMAIN_TOL, DomainExitError, assemble_gamma_jet, curve_length
-from .metric import MetricSpec, _finite_rows
+from .metric import MetricSpec, _jet_rows
 
 CLOSURE_TOL = 1e-10
 ORTHONORMALITY_DRIFT = 1e-8
@@ -112,15 +112,15 @@ def plaquette_loop(p, i, j, delta):
                     None, f"plaquette({i},{j},{delta})")
 
 
-def coordinate_circle_loop(basepoint, axis, period, orientation=1, turns=1):
-    """Loop sweeping a periodic coordinate by `turns` full periods."""
+def coordinate_circle_loop(basepoint, axis, period, orientation=1):
+    """Loop sweeping a periodic coordinate by one period, in the sense of `orientation`."""
     base = np.asarray(basepoint, dtype=float)
     a0 = base[axis]
-    a1 = a0 + orientation * turns * period
+    a1 = a0 + orientation * period
     seg = angular_segment(base, axis, a0, a1)
     shift = np.zeros(len(base))
     shift[axis] = a1 - a0
-    return LoopSpec(base, [seg], shift, f"circle(axis={axis}, turns={orientation * turns})")
+    return LoopSpec(base, [seg], shift, f"circle(axis={axis}, turns={orientation})")
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +188,14 @@ def _step_nodes(N):
 def _connection_at(conn: MetricSpec, segments, s):
     """omega(s) = sum_i c'^i(s) C_i(c(s)) at the parameters s (k,) of every
     segment, (len(segments), k, n, n), from one stacked evaluation of G and
-    dG.  A node outside the chart (periodic coordinates wrapped), with a
-    non-finite G or dG, or whose G has no Cholesky factor raises
+    dG (`_jet_rows`).  A node outside the chart (periodic coordinates
+    wrapped), whose jet fails, or whose G has no Cholesky factor raises
     DomainExitError at the first such node in curve order."""
     X = np.concatenate([seg.point(s) for seg in segments])
     V = np.concatenate([seg.velocity(s) for seg in segments])
     bad = ~conn.in_domain(X, tol=DOMAIN_TOL, wrap=True)
-    G, dG = conn.derivative_fn(1)(X)
-    bad |= ~_finite_rows([G, dG])
+    (G, dG), errors = _jet_rows(conn, X, 1)
+    bad[list(errors)] = True
     if not bad.any():
         try:
             C = section_connection_coeffs(G, dG)

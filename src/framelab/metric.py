@@ -72,6 +72,43 @@ def _finite_rows(arrays):
                                   for a in arrays])
 
 
+def _jet_rows(m, X, order):
+    """`m.derivative_fn(order)` at the rows of X (B, n), m a MetricSpec or a
+    NumericMetric, from one stacked call.  Returns (derivs, errors), errors
+    {row: exception} for the rows whose evaluation failed; their rows of
+    derivs hold zeros.
+
+    A row with a non-finite value is evaluated again as a point: it fails
+    with the ExprEvalError or LinAlgError raised there, or with "expression
+    not finite" if the point values are not finite either, and otherwise
+    takes the point values.  A source that fails a whole stack for one bad
+    row (a NumericMetric whose function raises) has every row evaluated so.
+    Each caller decides what a failed row means."""
+    jet = m.derivative_fn(order)
+    try:
+        derivs = jet(X)
+        redo = (() if all(np.isfinite(d).all() for d in derivs)
+                else np.flatnonzero(~_finite_rows(derivs)))
+    except (ex.ExprEvalError, np.linalg.LinAlgError):
+        derivs = [np.zeros((len(X),) + (m.dim,) * (k + 2)) for k in range(order + 1)]
+        redo = range(len(X))
+    errors = {}
+    for k in redo:
+        # plain floats: the point binding runs faster on them than on
+        # numpy scalars, with the same values
+        x = X[k].tolist()
+        try:
+            vals = jet(x)
+            if not all(np.isfinite(v).all() for v in vals):
+                raise ex.ExprEvalError(f"expression not finite at {_plain(x)}")
+        except (ex.ExprEvalError, np.linalg.LinAlgError) as exc:
+            errors[k] = exc
+            vals = [0.0] * len(derivs)
+        for d, v in zip(derivs, vals):
+            d[k] = v
+    return derivs, errors
+
+
 def _upper_pairs(n):
     """The upper-triangle components (i, j), i <= j, in row-major order."""
     return [(i, j) for i in range(n) for j in range(i, n)]

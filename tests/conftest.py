@@ -114,6 +114,36 @@ def stacked(fun):
     return lambda points: np.stack([fun(p) for p in points])
 
 
+def counting_rhs(monkeypatch):
+    """Patch the geodesic right-hand side so each call records its number
+    of rows; returns that list."""
+    rows = []
+    geodesic_rhs = cv._geodesic_rhs
+
+    def counted(m, variational):
+        rhs = geodesic_rhs(m, variational)
+        return lambda Y: rows.append(len(Y)) or rhs(Y)
+
+    monkeypatch.setattr(cv, "_geodesic_rhs", counted)
+    return rows
+
+
+def _central(fun, p, axis, h):
+    e = np.zeros(len(p))
+    e[axis] = h
+    return (fun(p + e) - fun(p - e)) / (2 * h)
+
+
+def reference_gradient(fun, p, h1=cv.FD_H1, h2=cv.FD_H2):
+    """Richardson-extrapolated first partials of a pointwise function at
+    one point p (n,), one central difference per direction and step: what
+    `fd_gradient` computes at its steps FD_H1, FD_H2, and at other steps
+    for a test that needs them."""
+    w = h1 * h1 / (h1 * h1 - h2 * h2)
+    return np.stack([w * _central(fun, p, a, h2) + (1 - w) * _central(fun, p, a, h1)
+                     for a in range(len(p))])
+
+
 def dipping_cone_pair(a=0.7, R=1.5, depth=1e-3, r_min=0.7):
     """Two points (R, phi) of the exact cone dr^2 + a^2 r^2 dphi^2, placed so
     that their geodesic, a straight segment of the flat development, passes

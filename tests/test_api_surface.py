@@ -77,16 +77,6 @@ EXEMPT = {
         "the frame-bundle GH experiment (ROADMAP item 5) decides its sampling",
     ("ghlab", "sample_frame_bundle", "loops_at"):
         "the frame-bundle GH experiment (ROADMAP item 5) decides its sampling",
-    ("holonomy", "coordinate_circle_loop", "turns"):
-        "the frame-bundle GH experiment (ROADMAP item 5) may sweep several turns",
-    ("curvature", "fd_gradient", "h1"):
-        "an A-tensor test differentiates a non-metric function at other steps",
-    ("curvature", "fd_gradient", "h2"):
-        "an A-tensor test differentiates a non-metric function at other steps",
-    ("curvature", "fd_hessian", "h1"):
-        "an A-tensor test differentiates a non-metric function at other steps",
-    ("curvature", "fd_hessian", "h2"):
-        "an A-tensor test differentiates a non-metric function at other steps",
 }
 
 

@@ -11,7 +11,7 @@ from framelab import curvature as cv
 from framelab import expr as ex
 from framelab import metric as mt
 
-from conftest import dipping_cone_pair, stacked
+from conftest import counting_rhs, dipping_cone_pair, reference_gradient, stacked
 
 
 def metric_compat_residual(m, p):
@@ -419,7 +419,7 @@ def test_the_spray_is_the_christoffel_right_hand_side(name, variational, sphere,
     X = m.sample_interior(rng, 20)
     Y = np.concatenate([X, rng.normal(size=(20, n + (2 * n * n if variational else 0)))],
                        axis=1)
-    rhs = cv._geodesic_rhs(cv._SprayJets(m, variational), variational)
+    rhs = cv._geodesic_rhs(m, variational)
     F, errors = rhs(Y)
     assert errors == {}
     reference = _reference_rhs(m, variational)
@@ -434,13 +434,13 @@ def test_a_singular_metric_row_fails_alone():
     P = np.array([[0.5, 0.2], [0.0, 0.2], [1.5, 0.4]])
     W = np.array([[0.3, 0.1], [0.3, 0.1], [-0.2, 0.3]])
     for variational in (False, True):
-        spray = cv._SprayJets(m, variational)
-        jets, errors = spray.jets(P)
+        rhs = cv._geodesic_rhs(m, variational)
+        Y = np.concatenate([P, W, np.ones((3, 8 if variational else 0))], axis=1)
+        F, errors = rhs(Y)
         assert list(errors) == [1]
         assert isinstance(errors[1], np.linalg.LinAlgError)
-        for jet, point in zip(jets, spray.jets(P[2:])[0]):
-            assert not jet[1].any()
-            assert np.array_equal(jet[2], point[0])
+        for k in (0, 2):
+            assert np.array_equal(F[k], rhs(Y[k:k + 1])[0][0])
     stack = cv.geodesic_ivp(m, P, W, 0.5)
     assert isinstance(stack.rows[1], np.linalg.LinAlgError)
     for k in (0, 2):
@@ -546,10 +546,7 @@ def test_the_chart_test_is_one_stacked_call_per_stepper_iteration(monkeypatch):
     """The chart test adds no right-hand side: a stack of shots makes 2 +
     12 k right-hand-side calls over k stepper iterations, and at most k
     `in_domain` calls, each on the 13 points of every accepted step."""
-    rhs_calls, checks = [], []
-    jets = cv._SprayJets.jets
-    monkeypatch.setattr(cv._SprayJets, "jets",
-                        lambda self, X: rhs_calls.append(len(X)) or jets(self, X))
+    rhs_calls, checks = counting_rhs(monkeypatch), []
     in_domain = mt.MetricSpec.in_domain
 
     def counted(self, point, tol=0.0, wrap=False):
@@ -628,18 +625,6 @@ def test_fd_machinery_matches_symbolic(sphere):
 
 # the per-point Richardson stencils that the stacked ones replaced
 
-def _central(fun, p, axis, h):
-    e = np.zeros(len(p))
-    e[axis] = h
-    return (fun(p + e) - fun(p - e)) / (2 * h)
-
-
-def _reference_gradient(fun, p, h1=cv.FD_H1, h2=cv.FD_H2):
-    w = h1 * h1 / (h1 * h1 - h2 * h2)
-    return np.stack([w * _central(fun, p, a, h2) + (1 - w) * _central(fun, p, a, h1)
-                     for a in range(len(p))])
-
-
 def _second_once(fun, p, a, b, h, f0):
     ea, eb = np.zeros(len(p)), np.zeros(len(p))
     ea[a] = h
@@ -679,7 +664,7 @@ def test_fd_stencils_are_one_call(n):
         return stacked(f)(points)
 
     p = rng.uniform(-1, 1, size=n)
-    for fd, ref, rows in ((cv.fd_gradient, _reference_gradient, 4 * n),
+    for fd, ref, rows in ((cv.fd_gradient, reference_gradient, 4 * n),
                           (cv.fd_hessian, _reference_hessian, 1 + 4 * n * n)):
         calls.clear()
         got, want = fd(fun, p), ref(f, p)
@@ -865,10 +850,7 @@ def _counting_derivative_fn(monkeypatch):
 @pytest.mark.parametrize("variational", [False, True])
 def test_a_stacked_right_hand_side_evaluates_each_order_once(variational, monkeypatch):
     calls = _counting_derivative_fn(monkeypatch)
-    jet_rows = []
-    jets = cv._SprayJets.jets
-    monkeypatch.setattr(cv._SprayJets, "jets",
-                        lambda self, X: jet_rows.append(len(X)) or jets(self, X))
+    jet_rows = counting_rhs(monkeypatch)
     m, P, Q = _cone_and_eh_pairs()[1]
     stack = cv.geodesic_ivp(m, P, Q - P, 1.0, rtol=1e-7, atol=1e-9, variational=variational)
     assert all(isinstance(row, cv.Trajectory) for row in stack.rows)
@@ -880,18 +862,14 @@ def test_a_stacked_right_hand_side_evaluates_each_order_once(variational, monkey
 
 def test_curve_length_evaluates_the_metric_once_per_curve(eh, monkeypatch):
     from framelab import holonomy as hl
-    rows = []
-    evaluate = mt.MetricSpec.evaluate
-    monkeypatch.setattr(mt.MetricSpec, "evaluate",
-                        lambda self, p: rows.append(len(p) if np.ndim(p) == 2 else 1)
-                        or evaluate(self, p))
+    calls = _counting_derivative_fn(monkeypatch)
     seg = hl.line_segment([2.0, 1.0, 0.5, 0.5], [2.5, 1.2, 0.8, 0.4])
     cv.curve_length(eh, seg.point, seg.velocity)
-    assert rows == [256]
-    rows.clear()
+    assert calls == {0: [256]}
+    calls.clear()
     loop = hl.plaquette_loop(np.array([2.0, 1.0, 0.5, 0.5]), 0, 1, 0.1)
     loop.compute_length(eh)
-    assert rows == [256] * 4
+    assert calls == {0: [256] * 4}
 
 
 def test_a_numeric_metric_row_that_leaves_the_chart_fails_alone():

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab import curvature as cv
 from framelab import expr as ex
 from framelab import metric as mt
 from conftest import GMET_N3, reference_eval, textbook_derivative
@@ -288,16 +287,6 @@ def test_a_bad_stacked_row_is_left_for_the_point_evaluator():
     for S in m.derivative_fn(1)(X):
         assert np.isfinite(S[[0, 3]]).all()
         assert not np.isfinite(S[1]).all() and not np.isfinite(S[2]).all()
-    spray = cv._SprayJets(m, variational=True)
-    jets, errors = spray.jets(X)
-    assert sorted(errors) == [1, 2]
-    for k in (1, 2):
-        with pytest.raises(ex.ExprEvalError) as err:
-            m.evaluate(X[k].tolist())
-        assert str(errors[k]) == str(err.value)
-        assert str(errors[k]).startswith("expression undefined at")
-        assert not jets[0][k].any() and not jets[1][k].any()
-    assert np.array_equal(jets[0][0], spray.jets(X[:1])[0][0][0])
 
 
 def test_shared_subtrees_are_emitted_once():

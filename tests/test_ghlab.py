@@ -235,6 +235,52 @@ def test_validate_keeps_infinite_distances_between_components():
         gh.FiniteMetricSpace(["a", "b", "c"], d).validate()
 
 
+def _loop_gh_upper(A, B, corr):
+    """gh_upper as a double loop over the correspondence, pair by pair."""
+    worst = 0.0
+    for i, j in corr:
+        for k, l in corr:
+            da, db = A.d[i, k], B.d[j, l]
+            if math.isinf(da) and math.isinf(db):
+                continue
+            worst = max(worst, abs(da - db))
+    return 0.5 * worst
+
+
+def _two_components(rng, sizes):
+    """Random distances within each component, +inf between them."""
+    n = sum(sizes)
+    d = np.full((n, n), math.inf)
+    at = 0
+    for k in sizes:
+        block = rng.uniform(0.5, 2.0, size=(k, k))
+        d[at:at + k, at:at + k] = block + block.T
+        at += k
+    np.fill_diagonal(d, 0.0)
+    return gh.FiniteMetricSpace([str(i) for i in range(n)], d)
+
+
+def test_gh_upper_is_the_loop_over_the_correspondence():
+    """The array form is bitwise the pair-by-pair loop: pairs infinite on
+    both sides are skipped, and a NaN is passed over."""
+    rng = np.random.default_rng(8)
+    cases = []
+    for _ in range(4):
+        A, B = (gh.FiniteMetricSpace([str(i) for i in range(9)],
+                                     rng.uniform(0, 3, size=(9, 9))) for _ in range(2))
+        corr = gh.natural_correspondence(9) + [tuple(p) for p in rng.integers(0, 9, (6, 2))]
+        cases.append((A, B, corr))
+    # the same two components on both sides, then components that differ
+    cases.append((_two_components(rng, (3, 4)), _two_components(rng, (3, 4)),
+                  gh.natural_correspondence(7)))
+    cases.append((_two_components(rng, (3, 4)), _two_components(rng, (4, 3)),
+                  gh.natural_correspondence(7)))
+    cases[0][0].d[2, 5] = math.nan
+    for A, B, corr in cases:
+        assert gh.gh_upper(A, B, corr) == _loop_gh_upper(A, B, corr)
+    assert math.isfinite(gh.gh_upper(*cases[-2])) and gh.gh_upper(*cases[-1]) == math.inf
+
+
 def test_gh_upper_requires_cover():
     d = np.zeros((2, 2))
     A = gh.FiniteMetricSpace(["a", "b"], d)
@@ -321,6 +367,14 @@ def test_sample_frame_bundle_flat_product(rng):
     assert fb.space.d[0, 1] == pytest.approx(want, rel=1e-9)
 
 
+def _circle_loop_turns(p, turns):
+    """`coordinate_circle_loop(p, 1, 2 pi, orientation=-1)` swept `turns` times."""
+    p = np.asarray(p, dtype=float)
+    a1 = p[1] - turns * 2 * math.pi
+    return hl.LoopSpec(p, [hl.angular_segment(p, 1, p[1], a1)], [0.0, a1 - p[1]],
+                       f"circle(axis=1, turns={-turns})")
+
+
 def test_sample_frame_bundle_cone_fiber_diameter_monotone():
     """Holonomy shortcuts shrink fibers near the cone vertex."""
     a = math.sqrt(2) - 1
@@ -330,8 +384,7 @@ def test_sample_frame_bundle_cone_fiber_diameter_monotone():
     def loops_at(p):
         if p[0] > 0.5:
             return []
-        return [hl.coordinate_circle_loop(p, 1, 2 * math.pi, orientation=-1,
-                                          turns=k) for k in (1, 2, 3, 4, 5)]
+        return [_circle_loop_turns(p, k) for k in (1, 2, 3, 4, 5)]
 
     fb = gh.sample_frame_bundle(cone, cone, base, fiber_count=6, loops_at=loops_at)
     K = 6

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framelab import bundle as bd
 from framelab import curvature as cv
 from framelab import expr as ex
+from framelab import holonomy as hl
 from framelab import metric as mt
 from framelab.expr import ParseError, _plain
-from conftest import GMET_N3, textbook_derivative
+from conftest import GMET_N3, counting_rhs, textbook_derivative
 
 
 def test_parse_identity_metric():
@@ -540,9 +542,9 @@ SQRT_BASE = "dim 2; coords r t; g = [[1, 0], [0, 1 + sqrt(r)]];"
 
 def test_an_undefined_partial_of_a_finite_metric_raises_at_a_point():
     """G is defined at r = 0 and dG is not: a point jet raises ExprEvalError,
-    a stacked one leaves that row non-finite, and the stacked curvature
-    jets and geodesic right-hand sides evaluate that row again as a point,
-    which raises the point's error."""
+    a stacked one leaves that row non-finite, and `_jet_rows`, under the
+    stacked curvature jets and every other stacked caller, evaluates that
+    row again as a point, which raises the point's error."""
     m = mt.parse_metric(SQRT_BASE)
     p = [0.0, 0.3]
     assert np.array_equal(m.evaluate(p), np.eye(2))
@@ -560,9 +562,71 @@ def test_an_undefined_partial_of_a_finite_metric_raises_at_a_point():
             with pytest.raises(ex.ExprEvalError) as stacked:
                 jet(m, X)
             assert str(stacked.value) == str(point.value)
-    _, errors = cv._SprayJets(m, variational=True).jets(X)
+    _, errors = mt._jet_rows(m, X, 2)
     assert list(errors) == [1]
     assert isinstance(errors[1], ex.ExprEvalError)
+
+
+#: undefined at x < 0 (sqrt) and at y <= 0 (log); SPD elsewhere
+SQRT_LOG = "dim 2; coords x y; g = [[2 + sqrt(x), 0], [0, 1 + log(y)^2]];"
+
+
+def _point_error(fn, *args):
+    """The message of the ExprEvalError that fn(*args) raises."""
+    with pytest.raises(ex.ExprEvalError) as err:
+        fn(*args)
+    return str(err.value)
+
+
+def test_jet_rows_evaluates_a_failed_row_again_as_a_point():
+    """A stacked row that comes back non-finite is evaluated as a point:
+    it fails with the point's error and holds zeros, while the other rows
+    keep their stacked values."""
+    m = mt.parse_metric(SQRT_LOG)
+    X = np.array([[1.0, 2.0], [-1.0, 2.0], [1.0, -0.5], [0.5, 0.5]])
+    derivs, errors = mt._jet_rows(m, X, 2)
+    assert sorted(errors) == [1, 2]
+    for k in (1, 2):
+        assert str(errors[k]) == _point_error(m.evaluate, X[k].tolist())
+        assert str(errors[k]).startswith("expression undefined at")
+        assert not any(d[k].any() for d in derivs)
+    for d, want in zip(derivs, m.derivative_fn(2)(X)):
+        assert np.array_equal(d[[0, 3]], want[[0, 3]])
+
+
+def test_every_stacked_caller_raises_the_error_of_its_failed_row():
+    """One undefined row of a stack gives what one point gives there,
+    through every caller of `_jet_rows`."""
+    m = mt.parse_metric(SQRT_LOG)
+    flat = mt.parse_metric("dim 2; coords x y; g = [[1, 0], [0, 1]];")
+    X = np.array([[1.0, 2.0], [-1.0, 2.0], [0.5, 0.5]])
+    # the curvature jets
+    assert _point_error(cv.riemann, m, X) == _point_error(cv.riemann, m, X[1])
+    # a chord crossing x < 0: its first node there
+    seg, nodes = hl.line_segment([1.0, 2.0], [-1.0, 1.5]), []
+    message = _point_error(cv.curve_length, m, lambda t: nodes.append(seg.point(t)) or nodes[0],
+                           seg.velocity)
+    assert message == _point_error(m.evaluate, nodes[0][np.argmax(nodes[0][:, 0] < 0)])
+    # the lifted metric, through g and through g'
+    Y = np.c_[X, np.zeros(3)]
+    for g, gp in ((m, flat), (flat, m)):
+        chart = bd.LiftedMetricChart(g, gp, bd.FramePoint.anchor([1.0, 2.0], 2))
+        assert (_point_error(chart.metric_matrix, Y)
+                == _point_error(chart.metric_matrix, Y[1]))
+    # frame transport: a domain error at the first bad node
+    with pytest.raises(cv.DomainExitError) as err:
+        hl.gauge_transport(m, [seg])
+    s = np.concatenate([hl._step_nodes(hl.TRANSPORT_STEPS),
+                        hl._step_nodes(2 * hl.TRANSPORT_STEPS)])
+    s_bad = s[seg.point(s)[:, 0] < 0].min()
+    assert err.value.s_exit == s_bad
+    assert np.array_equal(err.value.point, seg.point(s_bad))
+    # geodesics: the row fails alone
+    W = np.array([[0.1, 0.1], [0.1, 0.1], [0.1, 0.1]])
+    stack = cv.geodesic_ivp(m, X, W, 0.5)
+    assert str(stack.rows[1]) == _point_error(cv.geodesic_ivp, m, X[1], W[1], 0.5)
+    for k in (0, 2):
+        assert np.array_equal(stack.rows[k].y, cv.geodesic_ivp(m, X[k], W[k], 0.5).y)
 
 
 def test_a_stacked_geodesic_right_hand_side_is_one_evaluation(monkeypatch):
@@ -576,10 +640,7 @@ def test_a_stacked_geodesic_right_hand_side_is_one_evaluation(monkeypatch):
         return lambda x: evals.append(np.shape(x)) or fn(x)
 
     monkeypatch.setattr(ex, "compile_exprs", counting)
-    jet_rows = []
-    jets = cv._SprayJets.jets
-    monkeypatch.setattr(cv._SprayJets, "jets",
-                        lambda self, X: jet_rows.append(len(X)) or jets(self, X))
+    jet_rows = counting_rhs(monkeypatch)
     m = mt.exact_cone(0.7)
     P = np.array([[1.0, 0.2], [0.6, 1.0], [1.3, 2.0]])
     W = np.array([[0.2, 0.3], [-0.1, 0.4], [0.3, -0.2]])

@@ -15,7 +15,7 @@ from framelab import ortho as ot
 from framelab.curvature import fd_gradient
 
 from conftest import (GMET_N3, connection_form, fd_christoffel, reference_a_tensor_vertical,
-                      ricci_biinvariant, stacked)
+                      reference_gradient, ricci_biinvariant, stacked)
 
 
 def ctx_at(g, gp, p):
@@ -123,7 +123,7 @@ def test_covariant_a_cone_pair_matches_fd(cone_pair):
         return nabv - ch.lift(y, nabv[:2])
 
     A0v = nab_xy_vertical(y0)
-    dA = fd_gradient(stacked(nab_xy_vertical), y0, h1=3e-4, h2=3e-5)
+    dA = reference_gradient(nab_xy_vertical, y0, 3e-4, 3e-5)
     nabZ_A = np.einsum("a,ac->c", Z0, dA) + np.einsum("cab,a,b->c", gam, Z0, A0v)
 
     def lift_field(vb):
