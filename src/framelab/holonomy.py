@@ -90,8 +90,12 @@ class LoopSpec:
             raise ValueError("loop does not start at its basepoint")
 
     def compute_length(self, g: MetricSpec):
-        """The loop's length under g, the sum of its segments' lengths."""
-        return sum(curve_length(g, seg.point, seg.velocity) for seg in self.segments)
+        """The loop's length under g, the sum of its segments' lengths in
+        order, from one `curve_length` call on the stack of its segments."""
+        segs = self.segments
+        lengths = curve_length(g, lambda t: np.stack([seg.point(t) for seg in segs]),
+                               lambda t: np.stack([seg.velocity(t) for seg in segs]))
+        return sum(lengths.tolist())
 
 
 def polyline_loop(points, descriptor="polyline"):
@@ -160,6 +164,23 @@ def section_connection_coeffs(G, dG):
     return Sinv[..., None, :, :] @ (dS + np.swapaxes(gamma, -3, -2) @ S[..., None, :, :])
 
 
+def section_connection_form(G, dG, V):
+    """omega = sum_i V^i C_i of `section_connection_coeffs`, skew (..., n, n),
+    for the velocities V (..., n), contracted before the section algebra.
+
+    With L = chol(G'), S^-1 dS[V] = -Phi[V]^T and S^-1 Gamma'[V] S =
+    (1/2) L^-1 (dG[V] + B - B^T) L^-T, where dG[V] = V^i d_i G' and
+    B_ml = V^i d_l G'_mi.  For P = L^-1 dG[V] L^-T, symmetric, this gives
+    omega = (1/2)(T - T^T + L^-1 (B - B^T) L^-T), T = tril(P, -1)."""
+    Linv = np.linalg.inv(np.linalg.cholesky(G))
+    LinvT = np.swapaxes(Linv, -1, -2)
+    n = G.shape[-1]
+    dGV = (V[..., None, :] @ dG.reshape(dG.shape[:-3] + (n, n * n))).reshape(G.shape)
+    Bt = (dG @ V[..., None, :, None])[..., 0]
+    T = np.tril(Linv @ dGV @ LinvT, -1)
+    return 0.5 * (T - np.swapaxes(T, -1, -2) + Linv @ (np.swapaxes(Bt, -1, -2) - Bt) @ LinvT)
+
+
 def _verify_shift_invariance(m: MetricSpec, p, shift, tol=1e-9):
     if not np.any(shift):
         return
@@ -176,21 +197,15 @@ TRANSPORT_TOL = 1e-11
 TRANSPORT_STEPS = 8
 #: step doubling beyond this many steps per segment raises DomainExitError
 TRANSPORT_MAX_STEPS = 4096
-#: the two Gauss-Legendre nodes of a step, as fractions of the step
-_GAUSS = 0.5 + np.array([-1.0, 1.0]) * (math.sqrt(3.0) / 6.0)
-
-
-def _step_nodes(N):
-    """The Gauss nodes of N equal steps on [0, 1], two per step, in order."""
-    return ((np.arange(N)[:, None] + _GAUSS) / N).ravel()
 
 
 def _connection_at(conn: MetricSpec, segments, s):
     """omega(s) = sum_i c'^i(s) C_i(c(s)) at the parameters s (k,) of every
     segment, (len(segments), k, n, n), from one stacked evaluation of G and
-    dG (`_jet_rows`).  A node outside the chart (periodic coordinates
-    wrapped), whose jet fails, or whose G has no Cholesky factor raises
-    DomainExitError at the first such node in curve order."""
+    dG (`_jet_rows`) and `section_connection_form`.  A node outside the
+    chart (periodic coordinates wrapped), whose jet fails, or whose G has
+    no Cholesky factor raises DomainExitError at the first such node in
+    curve order."""
     X = np.concatenate([seg.point(s) for seg in segments])
     V = np.concatenate([seg.velocity(s) for seg in segments])
     bad = ~conn.in_domain(X, tol=DOMAIN_TOL, wrap=True)
@@ -198,7 +213,7 @@ def _connection_at(conn: MetricSpec, segments, s):
     bad[list(errors)] = True
     if not bad.any():
         try:
-            C = section_connection_coeffs(G, dG)
+            om = section_connection_form(G, dG, V)
         except np.linalg.LinAlgError:
             bad = _cholesky_fails(G)
             if not bad.any():
@@ -207,7 +222,6 @@ def _connection_at(conn: MetricSpec, segments, s):
         k = len(s)
         first = min(np.flatnonzero(bad), key=lambda r: (r // k, s[r % k]))
         raise DomainExitError(float(s[first % k]), X[first])
-    om = (V[:, :, None, None] * C).sum(axis=1)
     return om.reshape((len(segments), len(s)) + om.shape[1:])
 
 
@@ -222,21 +236,16 @@ def _cholesky_fails(G):
     return fails
 
 
-def _magnus_steps(conn: MetricSpec, segments, counts):
-    """exp(Omega) of every fourth-order Magnus step of h' = -omega h on each
-    segment, for each step count N in `counts` (powers of 2): a list over
-    counts of (len(segments), N, n, n) stacks, from one `_connection_at`.
-    With omega A1, A2 at the two Gauss nodes of a step of length d,
-    Omega = -(d/2)(A1 + A2) + (sqrt(3)/12) d^2 [A2, A1]."""
-    om = _connection_at(conn, segments, np.concatenate([_step_nodes(N) for N in counts]))
-    out, at = [], 0
-    for N in counts:
-        A1, A2 = om[:, at:at + 2 * N:2], om[:, at + 1:at + 2 * N:2]
-        d = 1.0 / N
-        out.append(ortho.group_exp(-0.5 * d * (A1 + A2)
-                                   + (math.sqrt(3.0) / 12.0) * d * d * (A2 @ A1 - A1 @ A2)))
-        at += 2 * N
-    return out
+def _simpson_steps(om):
+    """exp(Omega) of the M fourth-order Magnus steps of h' = -omega h on
+    [0, 1] whose Simpson nodes 0, 1/2, 1 (in step fractions) hold omega at
+    om (..., 2M + 1, n, n), as (..., M, n, n).  With omega_0, omega_1/2,
+    omega_1 at a step of length d = 1/M,
+    Omega = -(d/6)(omega_0 + 4 omega_1/2 + omega_1) - (d^2/12)[omega_0, omega_1]."""
+    A0, Ah, A1 = om[..., 0:-1:2, :, :], om[..., 1::2, :, :], om[..., 2::2, :, :]
+    d = 2.0 / (om.shape[-3] - 1)
+    return ortho.group_exp(-(d / 6.0) * (A0 + 4.0 * Ah + A1)
+                           - (d * d / 12.0) * (A0 @ A1 - A1 @ A0))
 
 
 def _ordered_product(steps):
@@ -254,33 +263,43 @@ def gauge_transport(conn: MetricSpec, segments):
 
     In this gauge E' = -Gamma[c'] E reads h' = -omega(t) h, omega the skew
     sum_i c'^i C_i of `section_connection_coeffs`.  Each segment runs N and
-    2N fourth-order Magnus steps with two Gauss-Legendre nodes each
-    (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009), every node of
-    every segment in one stacked evaluation; the segments whose
-    max |h_N - h_2N| exceeds TRANSPORT_TOL go on to 4N steps, and so on,
-    one stacked evaluation per round, each keeping its finer product.  A
-    step is the exponential of a skew matrix, so h is orthogonal to
-    rounding.  Raises DomainExitError where a node leaves the chart (see
-    `_connection_at`), or when a segment would need more than
-    TRANSPORT_MAX_STEPS steps, at the step whose halves disagree most."""
+    2N fourth-order Magnus steps on Simpson nodes (Iserles & Norsett 1999;
+    Blanes, Casas, Oteo & Ros 2009, sec. 5), which nest: omega is kept on
+    the lattice j/(4N), j = 0..4N, whose every other node serves the N
+    steps and all of which serve the 2N steps.  The first round evaluates
+    the lattice of every segment in one stacked call; the segments whose
+    max |h_N - h_2N| exceeds TRANSPORT_TOL go on to 4N steps, which add
+    only the midpoints of the lattice's 4N intervals, and so on, one
+    stacked evaluation of new midpoints per round, each round keeping its
+    finer product and its lattice.  A step is the exponential of a skew
+    matrix, so h is orthogonal to rounding.  Raises DomainExitError where
+    a node leaves the chart (see `_connection_at`; segment ends are nodes,
+    and a corner within DOMAIN_TOL of the chart's edge is inside), or when
+    a segment would need more than TRANSPORT_MAX_STEPS steps, at the step
+    whose halves disagree most."""
     N = TRANSPORT_STEPS
     h = np.empty((len(segments), conn.dim, conn.dim))
     todo = np.arange(len(segments))
-    coarse, fine = _magnus_steps(conn, segments, (N, 2 * N))
+    om = _connection_at(conn, segments, np.arange(4 * N + 1) / (4 * N))
+    coarse = _simpson_steps(om[:, ::2])
     while True:
+        fine = _simpson_steps(om)
         h[todo] = _ordered_product(fine)
         diff = np.abs(_ordered_product(coarse) - h[todo]).max(axis=(-2, -1))
         open_ = diff > TRANSPORT_TOL
         if not open_.any():
             break
-        todo, coarse, fine = todo[open_], coarse[open_], fine[open_]
+        todo, om, coarse, fine = todo[open_], om[open_], coarse[open_], fine[open_]
         if 4 * N > TRANSPORT_MAX_STEPS:
             # the coarse step that its two fine halves reproduce worst
             local = np.abs(coarse[0] - fine[0, 1::2] @ fine[0, 0::2]).max(axis=(-2, -1))
             s = (float(np.argmax(local)) + 0.5) / N
             raise DomainExitError(s, segments[todo[0]].point(s))
         N *= 2
-        coarse, (fine,) = fine, _magnus_steps(conn, [segments[j] for j in todo], (2 * N,))
+        mid = _connection_at(conn, [segments[j] for j in todo], np.arange(1, 4 * N, 2) / (4 * N))
+        nested = np.empty((len(todo), 4 * N + 1) + om.shape[2:])
+        nested[:, 0::2], nested[:, 1::2] = om, mid
+        om, coarse = nested, fine
     total = h[0]
     for hj in h[1:]:
         total = hj @ total
@@ -433,8 +452,8 @@ def holonomy_samples(conn: MetricSpec, loops, length_metric: MetricSpec = None,
     g = length_metric or conn
     base = [HolonomySample(np.eye(conn.dim), 0.0, "constant")]
     for loop in loops:
-        length = loop.compute_length(g)
         h = holonomy_element(conn, loop)
+        length = loop.compute_length(g)
         base.append(HolonomySample(h, length, loop.descriptor))
         base.append(HolonomySample(h.T, length, loop.descriptor + "^-1"))
     if word_length == 1:
@@ -465,8 +484,8 @@ def circle_power_samples(conn: MetricSpec, basepoint, axis, period,
     k-fold loop)."""
     g = length_metric or conn
     loop = coordinate_circle_loop(basepoint, axis, period, orientation=-1)
-    L1 = loop.compute_length(g)
     h = holonomy_element(conn, loop)
+    L1 = loop.compute_length(g)
     out = [HolonomySample(np.eye(conn.dim), 0.0, "constant")]
     P = np.eye(conn.dim)
     for k in range(1, max_power + 1):

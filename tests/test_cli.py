@@ -121,6 +121,20 @@ def test_transport_through_the_pole_is_a_domain_error(tmp_path, capsys):
     assert "domain error" in capsys.readouterr().err
 
 
+def test_holonomy_loop_into_an_undefined_region_is_a_domain_error(tmp_path, capsys):
+    # a triangle loop crosses x = 0, below which sqrt(x) is undefined: the
+    # loop is transported before it is measured, so the transport's domain
+    # error is what the command reports, not the length quadrature's
+    path = tmp_path / "sqrt.gmet"
+    path.write_text("dim 2; coords x y; g = [[2 + sqrt(x), 0], [0, 1 + log(y)^2]];",
+                    encoding="utf-8")
+    code, out = run(tmp_path, "holonomy", "--metric", str(path), "--at", "0.1,1.0",
+                    "--loops", "2")
+    assert code == 3
+    assert "domain error: curve leaves the chart domain at s=0.59375" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_curvature_metric2_of_another_dimension_is_a_config_error(tmp_path, capsys):
     code, _ = run(tmp_path, "curvature", "--metric", "builtin:round-sphere",
                   "--metric2", "builtin:flat-euclidean:dim=3", "--at", "1.0,0.5")

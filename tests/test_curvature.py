@@ -869,7 +869,7 @@ def test_curve_length_evaluates_the_metric_once_per_curve(eh, monkeypatch):
     calls.clear()
     loop = hl.plaquette_loop(np.array([2.0, 1.0, 0.5, 0.5]), 0, 1, 0.1)
     loop.compute_length(eh)
-    assert calls == {0: [256] * 4}
+    assert calls == {0: [1024]}
 
 
 def test_a_numeric_metric_row_that_leaves_the_chart_fails_alone():

@@ -519,6 +519,25 @@ def reference_holonomy(m, loop):
     return np.linalg.solve(S, E)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_connection_form_contracts_the_connection_coefficients(n, seed):
+    # a stack of three SPD matrices with symmetric partials, and velocities
+    rng = np.random.default_rng(seed)
+    B = rng.normal(size=(3, n, n))
+    G = B @ np.swapaxes(B, -1, -2) + n * np.eye(n)
+    dG = rng.normal(size=(3, n, n, n))
+    dG = dG + np.swapaxes(dG, -1, -2)
+    V = rng.normal(size=(3, n))
+    om = hl.section_connection_form(G, dG, V)
+    want = np.einsum("ki,kiab->kab", V, hl.section_connection_coeffs(G, dG))
+    assert np.abs(om - want).max() <= 1e-13 * (1.0 + np.abs(want).max())
+    assert np.abs(om + np.swapaxes(om, -1, -2)).max() <= 1e-13 * (1.0 + np.abs(om).max())
+    one = hl.section_connection_form(G[0], dG[0], V[0])
+    assert one.shape == (n, n)
+    assert np.abs(one - om[0]).max() <= 1e-13 * (1.0 + np.abs(om[0]).max())
+
+
 @pytest.mark.parametrize("case", ["sphere", "cone-cap", "eh"])
 def test_magnus_transport_matches_a_tight_reference(case, eh, sphere):
     if case == "sphere":
@@ -546,11 +565,18 @@ def test_cone_circle_outside_the_cap_is_exact():
         assert abs(wrap_angle(holonomy_angle(h) - 2 * math.pi * a)) <= 1e-12
 
 
+def simpson_lattice(N):
+    """The first transport round's nodes on a segment, j/(4N) for j = 0..4N."""
+    return np.arange(4 * N + 1) / (4 * N)
+
+
 @pytest.mark.parametrize("case", ["outside the domain", "no Cholesky factor"])
 def test_transport_leaving_the_chart_stops_at_the_first_node_outside(case, sphere):
-    # x = 0.3 - 0.6 s crosses 0 at s = 1/2.  The sphere's G is still
-    # positive definite at th < 0, so only the domain check stops it there;
-    # the unbounded chart of diag(1, y) loses positive definiteness at y = 0
+    # x = 0.3 - 0.6 s crosses 0 at s = 1/2, a node of the lattice.  The
+    # sphere's G is still positive definite at th < 0, so only the domain
+    # check stops it, and x = 0 lies within DOMAIN_TOL of the chart: the
+    # first node outside is 17/32.  The unbounded chart of diag(1, y) loses
+    # positive definiteness at y = 0 itself, so there it is the node s = 1/2
     if case == "outside the domain":
         m, axis = sphere, 0
         seg = hl.line_segment([0.3, 1.0], [-0.3, 1.0])
@@ -559,12 +585,26 @@ def test_transport_leaving_the_chart_stops_at_the_first_node_outside(case, spher
         seg = hl.line_segment([1.0, 0.3], [1.0, -0.3])
     with pytest.raises(cv.DomainExitError) as err:
         hl.gauge_transport(m, [seg])
-    N = hl.TRANSPORT_STEPS
-    nodes = np.concatenate([hl._step_nodes(N), hl._step_nodes(2 * N)])
+    nodes = simpson_lattice(hl.TRANSPORT_STEPS)
     limit = -cv.DOMAIN_TOL if case == "outside the domain" else 0.0
     outside = nodes[seg.point(nodes)[:, axis] <= limit]
     assert err.value.s_exit == outside.min()
+    assert err.value.s_exit == (17 / 32 if case == "outside the domain" else 0.5)
     assert np.array_equal(err.value.point, seg.point(outside.min()))
+
+
+def test_a_corner_within_the_domain_tolerance_still_transports():
+    # segment ends are transport nodes: corners at x = 0 and just below it,
+    # within DOMAIN_TOL, lie inside the chart x in [0, 2], where the metric
+    # is still regular, so the loop transports as it does on the unbounded
+    # chart of the same metric, which the reference integrates
+    g = "g = [[1 + x^2 + y^2, 0.1*x*y], [0.1*x*y, 1 + x + y^2]];"
+    m = mt.parse_metric("dim 2; coords x y; domain x in [0, 2];" + g)
+    loop = hl.polyline_loop([[0.5, 0.5], [-0.5 * cv.DOMAIN_TOL, 0.9], [0.0, 0.2], [0.5, 0.5]])
+    h = hl.holonomy_element(m, loop)
+    reference = reference_holonomy(mt.parse_metric("dim 2; coords x y;" + g), loop)
+    assert np.abs(h - reference).max() <= 1e-10
+    assert not np.allclose(h, np.eye(2), atol=1e-3)
 
 
 def test_transport_step_cap_is_a_domain_error(eh, monkeypatch):
@@ -578,10 +618,12 @@ def test_transport_step_cap_is_a_domain_error(eh, monkeypatch):
 
 
 def test_one_stacked_derivative_call_per_loop_and_round(monkeypatch):
-    """Every node of every segment of a loop is evaluated in one stacked
-    derivative_fn(1) call, and each doubling round adds one more."""
+    """Every node of the first round's lattice, on every segment of a loop,
+    is evaluated in one stacked derivative_fn(1) call; each doubling round
+    adds one more call holding only the new midpoints of its open
+    segments, so no node of a segment is evaluated twice."""
     m = mt.eguchi_hanson()
-    calls = []
+    calls, nodes = [], []
     dfn = m.derivative_fn(1)
 
     def counted(order):
@@ -592,16 +634,68 @@ def test_one_stacked_derivative_call_per_loop_and_round(monkeypatch):
             return dfn(X)
         return evaluate
 
-    rounds = []
-    magnus_steps = hl._magnus_steps
-    monkeypatch.setattr(hl, "_magnus_steps",
-                        lambda *args: rounds.append(args[2]) or magnus_steps(*args))
+    connection_at = hl._connection_at
+
+    def recorded(conn, segments, s):
+        nodes.append((list(segments), np.array(s)))
+        return connection_at(conn, segments, s)
+
+    monkeypatch.setattr(hl, "_connection_at", recorded)
     monkeypatch.setattr(m, "derivative_fn", counted)
     # near the bolt the r-sides need more than the first round
-    hl.holonomy_element(m, hl.plaquette_loop([1.6, 0.85, 0.5, 0.5], 0, 1, 0.25))
+    loop = hl.plaquette_loop([1.6, 0.85, 0.5, 0.5], 0, 1, 0.25)
+    hl.holonomy_element(m, loop)
     N = hl.TRANSPORT_STEPS
-    assert len(rounds) >= 2
-    assert len(calls) == len(rounds)
-    assert calls[0] == (4 * 2 * (N + 2 * N), 4)
-    assert all(len(shape) == 2 for shape in calls)
+    assert len(calls) >= 2
+    assert len(calls) == len(nodes)
+    assert calls[0] == (4 * (4 * N + 1), 4)
+    assert nodes[0][0] == loop.segments
+    assert nodes[0][1].tolist() == simpson_lattice(N).tolist()
+    seen = {(id(seg), s) for seg in loop.segments for s in nodes[0][1].tolist()}
+    for r, ((segments, s), shape) in enumerate(zip(nodes[1:], calls[1:]), 1):
+        N *= 2
+        # the 2N new midpoints of each open segment, and nothing else
+        assert shape == (2 * N * len(segments), 4)
+        assert s.tolist() == (np.arange(1, 4 * N, 2) / (4 * N)).tolist()
+        assert all(any(seg is old for old in nodes[r - 1][0]) for seg in segments)
+        new = {(id(seg), t) for seg in segments for t in s.tolist()}
+        assert not new & seen
+        seen |= new
 
+
+#: doubling rounds of each segment (one digit per side, in loop order) of
+#: the six EH plaquettes (delta 0.25, lexicographic planes) at basepoints
+#: drawn like the holonomy-closure benchmark's, as the transport on two
+#: Gauss-Legendre nodes per Magnus step, evaluated afresh in every round,
+#: took them
+GAUSS_ROUNDS = {
+    (2.51, 1.2, 1.14, 1.3): "2111 2121 2121 1111 1111 1111",
+    (2.75, 1.74, 0.88, 2.27): "1111 1111 1111 1111 1111 1111",
+    (1.75, 1.38, 1.7, 0.6): "3222 3131 3131 2121 2121 1111",
+    (1.79, 1.49, 1.49, 1.56): "2222 2121 2121 2121 2121 1111",
+    (2.35, 2.21, 1.85, 0.73): "2121 2121 2121 1111 1111 1111",
+    (2.95, 0.94, 1.28, 1.98): "1111 1111 1111 1111 1111 1111",
+    (2.14, 1.11, 0.55, 1.16): "2122 2121 2121 2121 2121 1111",
+    (2.54, 2.11, 2.3, 1.62): "2121 2121 2121 1111 1111 1111",
+    (2.05, 1.91, 2.08, 2.48): "2122 2121 2121 2121 2121 1111",
+}
+
+
+def test_nested_nodes_need_at_most_one_more_round_than_gauss_nodes(eh, monkeypatch):
+    rounds = {}
+    connection_at = hl._connection_at
+
+    def recorded(conn, segments, s):
+        for seg in segments:
+            rounds[id(seg)] = rounds.get(id(seg), 0) + 1
+        return connection_at(conn, segments, s)
+
+    monkeypatch.setattr(hl, "_connection_at", recorded)
+    extra = []
+    for p, gauss in GAUSS_ROUNDS.items():
+        for loop, sides in zip(hl.plaquette_loops(p, 0.25, 4), gauss.split()):
+            rounds.clear()
+            hl.holonomy_element(eh, loop)
+            extra += [rounds[id(seg)] - int(r) for seg, r in zip(loop.segments, sides)]
+    assert len(extra) == 9 * 24
+    assert max(extra) <= 1

@@ -613,12 +613,14 @@ def test_every_stacked_caller_raises_the_error_of_its_failed_row():
         chart = bd.LiftedMetricChart(g, gp, bd.FramePoint.anchor([1.0, 2.0], 2))
         assert (_point_error(chart.metric_matrix, Y)
                 == _point_error(chart.metric_matrix, Y[1]))
-    # frame transport: a domain error at the first bad node
+    # frame transport: a domain error at the first bad node of the first
+    # round's lattice j/(4N); the chord meets x = 0 at the node s = 1/2,
+    # where sqrt(x) has no derivative
     with pytest.raises(cv.DomainExitError) as err:
         hl.gauge_transport(m, [seg])
-    s = np.concatenate([hl._step_nodes(hl.TRANSPORT_STEPS),
-                        hl._step_nodes(2 * hl.TRANSPORT_STEPS)])
-    s_bad = s[seg.point(s)[:, 0] < 0].min()
+    s = np.arange(4 * hl.TRANSPORT_STEPS + 1) / (4 * hl.TRANSPORT_STEPS)
+    s_bad = s[seg.point(s)[:, 0] <= 0].min()
+    assert s_bad == 0.5
     assert err.value.s_exit == s_bad
     assert np.array_equal(err.value.point, seg.point(s_bad))
     # geodesics: the row fails alone
