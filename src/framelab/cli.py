@@ -27,7 +27,7 @@ from . import metric as mt
 from . import oneill as on
 from . import ortho
 from .curvature import DomainExitError, curvature_gradient, riemann
-from .expr import ParseError
+from .expr import ExprEvalError, ParseError
 from .metric import MetricError, NotSPDError
 
 EXIT_CONFIG = 2
@@ -159,14 +159,14 @@ def cmd_parse_check(args):
     _require_count("--grid", args.grid)
     try:
         m.validate_spd_on_grid(per_axis=args.grid)
-    except NotSPDError as err:
+        text = mt.print_metric(m)
+        round_trip = mt.parse_metric(text)
+        rng = np.random.default_rng(args.seed)
+        ok = not any(np.abs(m.evaluate(p) - round_trip.evaluate(p)).max() > 1e-14
+                     for p in m.sample_interior(rng, 20))
+    except (NotSPDError, ExprEvalError) as err:
         # here the definition itself is at fault, not a point asked about
         raise MetricError(str(err)) from None
-    text = mt.print_metric(m)
-    round_trip = mt.parse_metric(text)
-    rng = np.random.default_rng(args.seed)
-    ok = not any(np.abs(m.evaluate(p) - round_trip.evaluate(p)).max() > 1e-14
-                 for p in m.sample_interior(rng, 20))
     _write_artifact(args, "parse-check", {"ok": ok, "dim": m.dim,
                                           "coords": list(m.coords),
                                           "canonical": text})
@@ -524,8 +524,8 @@ def main(argv=None):
     except InvariantViolation as err:
         print(f"invariant violation: {err}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (DomainExitError, NotSPDError) as err:
-        # NotSPDError is a MetricError, so it is caught first
+    except (DomainExitError, NotSPDError, ExprEvalError) as err:
+        # NotSPDError and ExprEvalError are ValueErrors, so they are caught first
         print(f"domain error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
     except (ParseError, MetricError, ValueError) as err:

@@ -21,7 +21,6 @@ Christoffel tensor: they integrate the spray contracted from G^-1 and dG.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -175,26 +174,21 @@ def assemble_drup(gamma, dgamma, d2gamma):
 # symbolic-derivative entry points
 
 def _checked_derivs(m: MetricSpec, p, order):
-    """[G, dG, ..., d^order G] of a MetricSpec at the float point p (n,),
-    after the domain check, with G SPD-checked; or at each row of a stack
-    p (B, n), from `_jet_rows`, checked in row order up to the first row
-    that is outside the domain or failed: the rows before it are
-    SPD-checked, then that row raises DomainExitError or its error."""
-    if p.ndim == 1:
-        if not m.in_domain(p):
-            raise DomainExitError(None, p)
-        derivs = m.derivative_fn(order)(p)
-        require_spd(derivs[0][None], [p])
-        return derivs
-    derivs, errors = _jet_rows(m, p, order)
-    outside = ~m.in_domain(p)
+    """[G, dG, ..., d^order G] of a MetricSpec at each row of a stack p
+    (B, n), or at a point p (n,) as a one-row stack, from `_jet_rows`,
+    checked in row order up to the first row that is outside the domain
+    or failed: the rows before it are SPD-checked, then that row raises
+    DomainExitError or its error."""
+    P = np.atleast_2d(p)
+    derivs, errors = _jet_rows(m, P, order)
+    outside = ~m.in_domain(P)
     bad = outside.copy()
     bad[list(errors)] = True
-    k = int(np.argmax(bad)) if bad.any() else len(p)
-    require_spd(derivs[0][:k], p[:k])
-    if k < len(p):
-        raise DomainExitError(None, p[k]) if outside[k] else errors[k]
-    return derivs
+    k = int(np.argmax(bad)) if bad.any() else len(P)
+    require_spd(derivs[0][:k], P[:k])
+    if k < len(P):
+        raise DomainExitError(None, P[k]) if outside[k] else errors[k]
+    return derivs if p.ndim == 2 else [d[0] for d in derivs]
 
 
 def _curvature_tensor(p, G, dG, d2G):
@@ -665,7 +659,8 @@ def geodesic_between(m: MetricSpec, p, q, tol=1e-10, max_iter=12,
     stacked integration per Newton pass over the rows still open, and
     return (V, lengths, reasons): reasons[k] is None or the message the
     single pair would raise, and failed rows have NaN in V and lengths.
-    Row k is bitwise the single-pair result.
+    The lengths of the converged rows are one stacked `m.evaluate`.  Row k
+    is bitwise the single-pair result.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -703,12 +698,13 @@ def geodesic_between(m: MetricSpec, p, q, tol=1e-10, max_iter=12,
         todo = np.array(still, dtype=int)
     for k in todo:
         reasons[k] = f"shooting failed to converge for {P[k]} -> {Q[k]}"
+    done = np.array([r is None for r in reasons])
     lengths = np.full(B, np.nan)
-    for k in range(B):
-        if reasons[k] is None:
-            lengths[k] = math.sqrt(max(float(V[k] @ m.evaluate(P[k]) @ V[k]), 0.0))
-        else:
-            V[k] = np.nan
+    if done.any():
+        v = V[done]
+        lengths[done] = np.sqrt(np.maximum(
+            ((v[:, None] @ m.evaluate(P[done])) @ v[:, :, None])[:, 0, 0], 0.0))
+    V[~done] = np.nan
     single = p.ndim == 1 and q.ndim == 1
     if single and reasons[0] is not None:
         raise RuntimeError(reasons[0]) from causes[0]

@@ -712,21 +712,7 @@ def _pythagorean(a, b):
 
 
 # ---------------------------------------------------------------------------
-# compilation: one straight-line program per expression list, two bindings
-
-_MATH_ENV = {
-    "sqrt": math.sqrt,
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "log": math.log,
-    "abs": abs,
-    "sign": lambda x: math.copysign(1.0, x) if x else 0.0,
-    # u^v: libm's pow, as float ** float, but raising ValueError where **
-    # on a negative base and a fractional exponent returns a complex number
-    "_pow": math.pow,
-}
+# compilation: one straight-line program per expression list, on numpy
 
 _NUMPY_ENV = {
     "sqrt": np.sqrt,
@@ -737,8 +723,8 @@ _NUMPY_ENV = {
     "log": np.log,
     "abs": np.abs,
     "sign": np.sign,
-    # libm's pow elementwise, so powers agree bitwise with the math binding
-    # (np.power's vectorized loops differ from it in the last bit)
+    # libm's pow elementwise (np.power's vectorized loops differ from it
+    # in the last bit)
     "_pow": np.float_power,
 }
 
@@ -800,6 +786,11 @@ def _plain(point):
     return [float(x) for x in point]
 
 
+def undefined_at(point):
+    """The ExprEvalError of a point at which a value is NaN or inf."""
+    return ExprEvalError(f"expression undefined at {_plain(point)}")
+
+
 def compile_exprs(exprs, coords, params=None):
     """Compile a flat list of K Exprs into one evaluator.
 
@@ -809,21 +800,18 @@ def compile_exprs(exprs, coords, params=None):
     The trees are compiled as given, so callers pass simplified ones
     (`simplify`; metric components and their derivatives are).  They
     become one straight-line program in which every distinct
-    subexpression is computed once (`evaluate.source`).  The argument
-    picks its binding:
+    subexpression is computed once (`evaluate.source`), run on numpy:
 
-    * a point (n,) (a sequence, or a 1-D array) runs it on `math` and
-      returns a tuple of K floats, raising ExprEvalError where an operation
-      is undefined ("expression undefined at ...") or a value is not
-      finite ("expression not finite at ...");
-    * a stack (B, n) (a 2-D array) runs it on numpy, on the columns of the
-      contiguous transpose, and returns a (B, K) array.  It never raises
-      for a row: a row where an operation is undefined holds NaN or inf,
-      left for the caller (the point binding names the error).  Powers
-      use libm's pow in both bindings; numpy's exp, log and tan, and on
-      some platforms its sin and cos, may differ from math's by an ulp.
-      A row's values do not depend on the stack's size or the row's
-      position in it.
+    * a stack (B, n) (a 2-D array) runs on the columns of its contiguous
+      transpose and returns a (B, K) array.  It never raises for a row: a
+      row where an operation is undefined holds NaN or inf, left for the
+      caller.  A row's values do not depend on the stack's size or the
+      row's position in it;
+    * a point (n,) (a sequence, or a 1-D array) runs as a one-row stack
+      and returns a tuple of K floats, or raises ExprEvalError
+      ("expression undefined at ...") if one of them is NaN or inf.
+
+    Powers use libm's pow.
     """
     exprs = list(exprs)
     params = dict(params or {})
@@ -838,31 +826,22 @@ def compile_exprs(exprs, coords, params=None):
         names[pname] = key
         consts[key] = float(pval)
     src, outputs = _program(exprs, names)
-    code = compile(src, "<compiled expressions>", "exec")
+    scope = dict(_NUMPY_ENV, **consts)
+    exec(compile(src, "<compiled expressions>", "exec"), scope)
+    fn = scope["_compiled"]
     # the program returns each distinct output once; gather all K from them
-    K = len(exprs)
     slot = {}
     for o in outputs:
         slot.setdefault(o, len(slot))
     gather = np.array([slot[o] for o in outputs], dtype=np.intp)
-    pick = operator.itemgetter(*gather.tolist()) if K > 1 else lambda out: tuple(out[:K])
 
-    def bind(env):
-        scope = dict(env, **consts)
-        exec(code, scope)
-        return scope["_compiled"]
-
-    fn = bind(_MATH_ENV)
-    np_fn = None        # the numpy binding, made on the first stack
-
-    def evaluate_stack(X):
-        nonlocal np_fn
-        if np_fn is None:
-            np_fn = bind(_NUMPY_ENV)
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        X = x if x.ndim == 2 else x[None]
         out = np.empty((len(slot), len(X)))
         with np.errstate(all="ignore"):
             try:
-                vals = np_fn(np.ascontiguousarray(X.T, dtype=float))
+                vals = fn(np.ascontiguousarray(X.T))
             except (ValueError, ZeroDivisionError, OverflowError):
                 # only an operation on constants raises here, for every row
                 vals = (math.nan,) * len(slot)
@@ -870,18 +849,12 @@ def compile_exprs(exprs, coords, params=None):
             row[...] = v
         # C-contiguous (B, K), so that a row's later products do not
         # depend on the stack's layout
-        return np.ascontiguousarray(out.T).take(gather, axis=1)
-
-    def evaluate(point):
-        if isinstance(point, np.ndarray) and point.ndim == 2:
-            return evaluate_stack(point)
-        try:
-            out = fn(point)
-        except (ValueError, ZeroDivisionError, OverflowError) as err:
-            raise ExprEvalError(f"expression undefined at {_plain(point)}: {err}") from None
-        if not all(map(math.isfinite, out)):
-            raise ExprEvalError(f"expression not finite at {_plain(point)}")
-        return pick(out)
+        out = np.ascontiguousarray(out.T).take(gather, axis=1)
+        if x.ndim == 2:
+            return out
+        if not np.isfinite(out).all():
+            raise undefined_at(x)
+        return tuple(out[0].tolist())
 
     evaluate.source = src
     return evaluate

@@ -78,34 +78,31 @@ def _jet_rows(m, X, order):
     {row: exception} for the rows whose evaluation failed; their rows of
     derivs hold zeros.
 
-    A row with a non-finite value is evaluated again as a point: it fails
-    with the ExprEvalError or LinAlgError raised there, or with "expression
-    not finite" if the point values are not finite either, and otherwise
-    takes the point values.  A source that fails a whole stack for one bad
-    row (a NumericMetric whose function raises) has every row evaluated so.
-    Each caller decides what a failed row means."""
+    A row with a NaN or inf fails with ExprEvalError("expression undefined
+    at" the row).  Only a source that raises for a whole stack (a
+    NumericMetric whose function raises for one bad row) is evaluated row
+    by row, as one-row stacks: a row fails with the ExprEvalError or
+    LinAlgError raised there, or as above.  Each caller decides what a
+    failed row means."""
     jet = m.derivative_fn(order)
+    errors = {}
     try:
         derivs = jet(X)
-        redo = (() if all(np.isfinite(d).all() for d in derivs)
-                else np.flatnonzero(~_finite_rows(derivs)))
     except (ex.ExprEvalError, np.linalg.LinAlgError):
         derivs = [np.zeros((len(X),) + (m.dim,) * (k + 2)) for k in range(order + 1)]
-        redo = range(len(X))
-    errors = {}
-    for k in redo:
-        # plain floats: the point binding runs faster on them than on
-        # numpy scalars, with the same values
-        x = X[k].tolist()
-        try:
-            vals = jet(x)
-            if not all(np.isfinite(v).all() for v in vals):
-                raise ex.ExprEvalError(f"expression not finite at {_plain(x)}")
-        except (ex.ExprEvalError, np.linalg.LinAlgError) as exc:
-            errors[k] = exc
-            vals = [0.0] * len(derivs)
-        for d, v in zip(derivs, vals):
-            d[k] = v
+        for k in range(len(X)):
+            try:
+                row = jet(X[k:k + 1])
+            except (ex.ExprEvalError, np.linalg.LinAlgError) as exc:
+                errors[k] = exc
+                continue
+            for d, r in zip(derivs, row):
+                d[k] = r[0]
+    if not all(np.isfinite(d).all() for d in derivs):
+        for k in np.flatnonzero(~_finite_rows(derivs)).tolist():
+            errors[k] = ex.undefined_at(X[k])
+            for d in derivs:
+                d[k] = 0.0
     return derivs, errors
 
 
@@ -167,18 +164,15 @@ class MetricSpec:
                         f"but g[{j}][{i}] = {b}")
 
     def _numerically_equal(self, a, b, samples=50, tol=1e-12):
+        """Whether a and b agree to tol, relative to their size and at
+        least 1, at every one of samples interior points where both are
+        finite; one stacked evaluation."""
         rng = np.random.default_rng(20240517)
         pts = self.sample_interior(rng, samples)
-        fa = ex.compile_exprs([a, b], self.coords, self.params)
-        for p in pts:
-            try:
-                va, vb = fa(p)
-            except ex.ExprEvalError:
-                continue
-            scale = max(1.0, abs(va), abs(vb))
-            if abs(va - vb) > tol * scale:
-                return False
-        return True
+        va, vb = ex.compile_exprs([a, b], self.coords, self.params)(pts).T
+        scale = np.maximum(1.0, np.maximum(np.abs(va), np.abs(vb)))
+        differ = np.abs(va - vb) > tol * scale
+        return not differ[np.isfinite(va) & np.isfinite(vb)].any()
 
     def _check_bindings(self, written):
         """Every symbol of the components as written (before simplifying)
@@ -199,22 +193,21 @@ class MetricSpec:
     def evaluate(self, point):
         """Metric matrix at a chart point (n,), as an (n, n) float array, or
         at each row of a stack (B, n), as (B, n, n).  A point raises
-        ExprEvalError where a component is undefined or not finite; a stack
-        row there holds NaN or inf instead (see `expr.compile_exprs`)."""
+        ExprEvalError where a component is NaN or inf; a stack row there
+        holds NaN or inf instead (see `expr.compile_exprs`)."""
         return self._jet(0)(np.asarray(point, dtype=float))[0]
 
     def _level(self, order, memo):
         """{sorted multi-index: the n(n+1)/2 upper-triangle partials} of
         the given order, each the partial one order below differentiated by
-        the index's last coordinate.  Levels are kept; threads that race to
-        fill one build equal levels, and all get the first one stored."""
+        the index's last coordinate.  Levels are kept."""
         level = self._levels.get(order)
         if level is None:
             prev = self._level(order - 1, memo)
             level = {idx: tuple(ex._diff(e, self.coords[idx[-1]], memo)
                                 for e in prev[idx[:-1]])
                      for idx in combinations_with_replacement(range(self.dim), order)}
-            level = self._levels.setdefault(order, level)
+            self._levels[order] = level
         return level
 
     def _derivative_exprs(self, order):
@@ -253,7 +246,8 @@ class MetricSpec:
             vals = np.array(vals, dtype=float)
             return [vals[a:b].reshape(s) for a, b, s in zip(starts, ends, shapes)]
 
-        return self._jets.setdefault(order, fn)
+        self._jets[order] = fn
+        return fn
 
     def derivative_fn(self, order):
         """Compiled evaluator of the jet of the components to `order`: G
@@ -264,8 +258,8 @@ class MetricSpec:
         d^order G], the k-th partials of shape (n,)*k + (n, n) with the
         leading axes the differentiation directions, or a stack (B, n) to
         the list of their stacks (B,) + shape, failed rows non-finite as in
-        `evaluate`.  A point raises the ExprEvalError of the program's
-        first undefined operation, which may lie in any order.
+        `evaluate`.  A point raises ExprEvalError where a value of any
+        order is NaN or inf.
         """
         return self._jet(order)
 
@@ -321,8 +315,15 @@ class MetricSpec:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def validate_spd_on_grid(self, per_axis=10):
-        for p in self.grid_interior(per_axis=per_axis):
-            self.check_spd(p)
+        """Raise the error of the first point of `grid_interior`, in grid
+        order, where the metric is undefined (ExprEvalError) or not usably
+        SPD (NotSPDError); one stacked evaluation."""
+        X = self.grid_interior(per_axis=per_axis)
+        (G,), errors = _jet_rows(self, X, 0)
+        k = min(errors, default=len(X))
+        require_spd(G[:k], X[:k])
+        if errors:
+            raise errors[k]
 
 
 

@@ -54,8 +54,7 @@ class ONeillContext:
     first: the jets are one stacked `riemann` of g and one stacked
     `curvature_gradient` of g', and the einsums and products below
     broadcast the point ones over the stack, so each row is bitwise the
-    context at that point alone wherever the stacked (numpy) and point
-    (math) bindings of the metrics' programs agree (see
+    context at that point alone, whose jets are a one-row stack (see
     `expr.compile_exprs`)."""
     g: MetricSpec
     gp: MetricSpec

@@ -41,9 +41,9 @@ _REFERENCE_CALLS = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "tan": 
 
 def reference_eval(e, env):
     """An Expr on Python floats, walking the tree node by node with `math`
-    and float ** for powers: what the point binding of `compile_exprs`
-    must return bit for bit on the tree e it is given.  env maps names to
-    floats."""
+    and float ** for powers: what `compile_exprs` must return bit for bit
+    at a point on the tree e it is given, where numpy's functions return
+    libm's bits (sin, cos, sqrt and powers).  env maps names to floats."""
     t = type(e)
     if t is ex.Num:
         return float(e.value)

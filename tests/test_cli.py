@@ -135,6 +135,27 @@ def test_holonomy_loop_into_an_undefined_region_is_a_domain_error(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["curvature", "lift"])
+def test_an_undefined_at_point_is_a_domain_error(tmp_path, capsys, command):
+    # sqrt(x) is undefined at x = -1, inside the unbounded chart
+    path = tmp_path / "sqrt.gmet"
+    path.write_text("dim 2; coords x y; g = [[2 + sqrt(x), 0], [0, 1 + log(y)^2]];",
+                    encoding="utf-8")
+    code, out = run(tmp_path, command, "--metric", str(path), "--at=-1,2")
+    assert code == 3
+    assert "domain error: expression undefined at [-1.0, 2.0]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parse_check_of_a_metric_undefined_on_its_grid_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "sqrt.gmet"
+    path.write_text("dim 2; coords x y; g = [[2 + sqrt(x), 0], [0, 1]];", encoding="utf-8")
+    code, out = run(tmp_path, "parse-check", "--metric", str(path))
+    assert code == 2
+    assert "config error: expression undefined at [-1.8, -1.8]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_curvature_metric2_of_another_dimension_is_a_config_error(tmp_path, capsys):
     code, _ = run(tmp_path, "curvature", "--metric", "builtin:round-sphere",
                   "--metric2", "builtin:flat-euclidean:dim=3", "--at", "1.0,0.5")

@@ -159,13 +159,13 @@ def test_evaluation_outside_real_domain_raises():
 
 
 def test_evaluation_error_prints_plain_floats():
-    # numpy scalars divide to inf (the "not finite" message); math.log
-    # raises on them (the "undefined" message)
+    # one message for an inf (1/0) and a NaN (log(-1)), whatever the
+    # point arrives as
     reciprocal = ex.compile_exprs([ex.parse_expr("1/x")], ["x"])
-    with pytest.raises(ex.ExprEvalError) as err, np.errstate(divide="ignore"):
-        reciprocal(np.array([0.0]))
-    assert "not finite at [0.0]" in str(err.value)
-    assert "np.float64" not in str(err.value)
+    for point in ([0.0], np.array([0.0])):
+        with pytest.raises(ex.ExprEvalError) as err:
+            reciprocal(point)
+        assert str(err.value) == "expression undefined at [0.0]"
     log = ex.compile_exprs([ex.parse_expr("log(x)")], ["x"])
     with pytest.raises(ex.ExprEvalError) as err:
         log(np.array([-1.0]))
@@ -192,7 +192,7 @@ def test_fractional_power_of_a_negative_base_is_undefined():
     assert np.isnan(fn(np.array([[-2.0], [4.0]]))[0, 0])
 
 
-# the compiled program: one CSE source, a math binding and a numpy binding
+# the compiled program: one CSE source on numpy; a point is a one-row stack
 
 #: metric -> the box its points are drawn from (the smoothed cone's takes in
 #: the cap r < 0.2, where its components are polynomials in abs)
@@ -203,7 +203,7 @@ COMPILED_METRICS = {
     "gmet-n3": (mt.parse_metric(GMET_N3[0]), [(0.0, 1.5)] * 3),
 }
 
-#: a list whose exp, log, tan and powers differ between math and numpy
+#: a list with exp, log, tan and powers, which libm and numpy may round apart
 TRANSCENDENTAL = (["exp(x)*tan(y/3) + log(1 + x^2)", "x^3 - y^5/7 + x^1.5", "exp(-x*y)^2"],
                   [(0.1, 2.0), (-2.0, 2.0)])
 
@@ -267,8 +267,7 @@ def test_stacked_values_agree_with_point_values(program, seed):
     X = _points(box, np.random.default_rng(seed).random((16, len(box))))
     S = fn(X)
     for x, row in zip(X, S):
-        point = np.array(fn(x.tolist()))
-        assert np.abs(row - point).max() <= 1e-12 * (1 + np.abs(point).max())
+        assert np.array_equal(row, fn(x.tolist()))
 
 
 def test_powers_sines_and_cosines_stack_bit_for_bit():

@@ -1,8 +1,6 @@
 import importlib.util
 import itertools
 import math
-import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +191,35 @@ def test_eguchi_hanson_spd_on_grid(eh):
     eh.validate_spd_on_grid(per_axis=10)
 
 
+#: the chart of the metrics below, each undefined where one coordinate is
+#: positive and not positive definite where the other is
+GRID_FAILURES = "dim 2; coords x y; domain x in [-1, 1]; domain y in [-1, 1];"
+
+
+@pytest.mark.parametrize("components, error", [
+    # the grid runs over y fastest: its first point with y > 0 (the 4th)
+    # comes before its first with x > 0 (the 19th)
+    ("g = [[1 + sqrt(-x), 0], [0, -y]];", mt.NotSPDError),
+    ("g = [[-x, 0], [0, 1 + sqrt(-y)]];", ex.ExprEvalError),
+    ("g = [[1 + sqrt(-y), 0], [0, -x]];", ex.ExprEvalError),
+    ("g = [[-y, 0], [0, 1 + sqrt(-x)]];", mt.NotSPDError),
+])
+def test_grid_validation_raises_the_first_bad_grid_point(components, error):
+    """A metric that fails at grid points with different errors raises the
+    error of the first of them in grid order, as checking one point after
+    the other does."""
+    m = mt.parse_metric(GRID_FAILURES + components)
+    with pytest.raises((mt.NotSPDError, ex.ExprEvalError)) as err:
+        m.validate_spd_on_grid(per_axis=6)
+    assert type(err.value) is error
+    X = m.grid_interior(per_axis=6)
+    assert f"at {_plain(X[3])}" in str(err.value)
+    with pytest.raises(error) as first:
+        for p in X:
+            m.check_spd(p)
+    assert str(first.value) == str(err.value)
+
+
 def test_smoothed_cone_flat_for_a_equal_one():
     m = mt.smoothed_cone(1.0, 0.1)
     g = m.evaluate([1.0, 0.3])
@@ -367,9 +394,9 @@ class _CountedLevels(dict):
         super().__init__(levels)
         self.stored = []
 
-    def setdefault(self, order, level):
+    def __setitem__(self, order, level):
         self.stored.append(order)
-        return super().setdefault(order, level)
+        super().__setitem__(order, level)
 
 
 def test_each_order_is_differentiated_once(monkeypatch):
@@ -402,33 +429,6 @@ def test_each_order_is_differentiated_once(monkeypatch):
     assert m._levels.stored == [1, 2, 3]
     assert {k: (len(v), {len(p) for p in v.values()}) for k, v in m._levels.items()} == {
         0: (1, {10}), 1: (4, {10}), 2: (10, {10}), 3: (20, {10})}
-
-
-def test_threads_that_race_to_build_a_level_get_one_level():
-    m = mt.parse_metric(GMET_MIXED)
-    barrier = threading.Barrier(4, timeout=60)
-    results = [None] * 4
-
-    def build(k):
-        barrier.wait()
-        results[k] = m._derivative_exprs(3)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=build, args=(k,)) for k in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert all(len(r) == 3 ** 5 for r in results)
-    # every thread returns the level stored first, and no level is replaced
-    assert all(a is b for r in results[1:] for a, b in zip(results[0], r))
-    stored = {id(e) for entries in m._levels[3].values() for e in entries}
-    assert {id(e) for e in results[0]} == stored
 
 
 # each tree simplified once: the components when the metric is built, and
@@ -543,8 +543,8 @@ SQRT_BASE = "dim 2; coords r t; g = [[1, 0], [0, 1 + sqrt(r)]];"
 def test_an_undefined_partial_of_a_finite_metric_raises_at_a_point():
     """G is defined at r = 0 and dG is not: a point jet raises ExprEvalError,
     a stacked one leaves that row non-finite, and `_jet_rows`, under the
-    stacked curvature jets and every other stacked caller, evaluates that
-    row again as a point, which raises the point's error."""
+    stacked curvature jets and every other stacked caller, names that row
+    as the point's error does."""
     m = mt.parse_metric(SQRT_BASE)
     p = [0.0, 0.3]
     assert np.array_equal(m.evaluate(p), np.eye(2))
@@ -578,10 +578,10 @@ def _point_error(fn, *args):
     return str(err.value)
 
 
-def test_jet_rows_evaluates_a_failed_row_again_as_a_point():
-    """A stacked row that comes back non-finite is evaluated as a point:
-    it fails with the point's error and holds zeros, while the other rows
-    keep their stacked values."""
+def test_jet_rows_names_a_failed_row_from_its_own_values():
+    """A stacked row that comes back non-finite fails with "expression
+    undefined at" the row, the error its point raises, and holds zeros,
+    while the other rows keep their stacked values."""
     m = mt.parse_metric(SQRT_LOG)
     X = np.array([[1.0, 2.0], [-1.0, 2.0], [1.0, -0.5], [0.5, 0.5]])
     derivs, errors = mt._jet_rows(m, X, 2)

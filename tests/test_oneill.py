@@ -675,6 +675,12 @@ def test_ricci_direct_groups_fit_the_row_budget(rng, monkeypatch):
 # ---------------------------------------------------------------------------
 # stacked contexts
 
+#: a pair of charts whose components take exp, log and tan
+GMET_EXP_LOG_TAN = tuple(
+    "dim 2; coords x y; domain x in [0.1, 1.5]; domain y in [0.1, 1.5]; " + g for g in (
+        "g = [[1 + exp(-x*y)/2, tan(x/3)/10], [tan(x/3)/10, 2 + log(1 + y^2)]];",
+        "g = [[2 + tan(y/4), exp(-x)/5], [exp(-x)/5, 1 + log(2 + x*y)]];"))
+
 STACKED_CASES = {
     "n2-cone": (lambda: (mt.smoothed_cone(0.7, 0.15), mt.smoothed_cone(0.7, 0.3)),
                 [[0.35, 1.2], [0.9, 2.5], [1.3, 4.0], [0.2, 0.1]]),
@@ -682,6 +688,8 @@ STACKED_CASES = {
                 [[0.4, 0.7, 1.1], [1.0, 0.3, 0.6], [0.6, 0.7, 0.8]]),
     "n4-eguchi-hanson": (lambda: (mt.eguchi_hanson(1.0), mt.eguchi_hanson(1.2)),
                          [[1.8, 1.2, 0.7, 1.0], [2.4, 1.5, 2.0, 0.3], [1.3, 0.9, 4.0, 5.0]]),
+    "n2-exp-log-tan": (lambda: tuple(mt.parse_metric(text) for text in GMET_EXP_LOG_TAN),
+                       [[0.4, 0.7], [1.0, 0.3], [0.6, 1.2], [1.4, 1.45]]),
 }
 
 
@@ -696,8 +704,8 @@ def test_stacked_context_rows_are_the_point_contexts(case, rng):
     """n = 2, 3 and 4 with g != g': each row of a stacked context (G, Gamma,
     rlow, nabla R' under Gamma, r4_frame, the frames) and of its formula
     and terms is the one-point context's, within 4 ulps of the array's
-    largest entry; a failure names every array's largest gap (0, bitwise,
-    with numpy 2.4 on x86-64)."""
+    largest entry, also on charts with exp, log and tan; a failure names
+    every array's largest gap (0, bitwise, with numpy 2.4 on x86-64)."""
     factory, pts = STACKED_CASES[case]
     g, gp = factory()
     ctx = ctx_at(g, gp, pts)
