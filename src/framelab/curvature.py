@@ -715,21 +715,24 @@ def geodesic_between(m: MetricSpec, p, q, tol=1e-10, max_iter=12,
 GL8_NODES, GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def curve_length(m: MetricSpec, curve, velocity, samples=256):
-    """Length of a parametric curve on [0, 1] under m, with exact velocity:
-    composite Gauss-Legendre quadrature of |c'|_g, 8 nodes per panel.
-    `curve` and `velocity` map an array of t (k,) to (k, n), or for several
-    curves at once to (c, k, n), which gives c lengths.  The metric is evaluated at
-    all nodes as one stack (`_jet_rows`); the first node where it fails
-    raises its error.  Each node's |c'|^2 is its own v @ G @ v
-    (one stacked matmul), and each curve's terms are added one by one in
-    panel and node order."""
+def curve_length(m: MetricSpec, a, b, samples=256):
+    """Length under m of the straight chart chord from a to b: composite
+    Gauss-Legendre quadrature of |b - a|_g along a + t (b - a), t in [0, 1],
+    8 nodes per panel.  a and b are points (n,), which give a float, or
+    stacks (..., n) of chords, which give their lengths (...).  The metric
+    is evaluated at the nodes of every chord as one stack (`_jet_rows`);
+    the first node where it fails, in chord and node order, raises its
+    error.  Each node's |b - a|^2 is its own d @ G @ d (one stacked
+    matmul), and each chord's terms are added one by one in panel and node
+    order, so a chord of a stack has the length it has alone."""
     edges = np.linspace(0.0, 1.0, samples // 8 + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     t = (mid[:, None] + half[:, None] * GL8_NODES).ravel()
-    C = np.asarray(curve(t), dtype=float)
-    V = np.asarray(velocity(t), dtype=float)
+    a = np.asarray(a, dtype=float)
+    d = np.asarray(b, dtype=float) - a
+    C = a[..., None, :] + t[:, None] * d[..., None, :]
+    V = np.repeat(d[..., None, :], len(t), axis=-2)
     (G,), errors = _jet_rows(m, C.reshape(-1, m.dim), 0)
     if errors:
         raise errors[min(errors)]

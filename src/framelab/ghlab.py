@@ -104,18 +104,10 @@ class SampleResult:
     fill_radius: float
 
 
-def _chord_lengths(m, a, b, samples):
-    """`curve_length` of each straight chord a[k] -> b[k] (c, n), all in
-    one quadrature."""
-    d = b - a
-    return curve_length(m, lambda t: a[:, None] + t[:, None] * d[:, None],
-                        lambda t: np.repeat(d[:, None], len(t), axis=1), samples=samples)
-
-
 def _edge_weights(m, points, edges, shifts):
     a = points[edges[:, 0]]
     b = points[edges[:, 1]] + (shifts if shifts is not None else 0.0)
-    return _chord_lengths(m, a, b, 16) if len(edges) else np.zeros(0)
+    return curve_length(m, a, b, 16) if len(edges) else np.zeros(0)
 
 
 def _period_shifts(m):
@@ -238,11 +230,6 @@ def sample_space(m: MetricSpec, region, count, rng=None, layout: GraphLayout = N
     return SampleResult(space, layout, layout.fill_radius)
 
 
-def _chord_admissible(m, a, b, samples=12):
-    t = np.linspace(0.0, 1.0, samples)[:, None]
-    return bool(m.in_domain(a + t * (b - a), tol=1e-12, wrap=True).all())
-
-
 def _is_flat_on(m, pts, rng, probes=5):
     from .curvature import christoffel
     idx = rng.choice(len(pts), size=min(probes, len(pts)), replace=False)
@@ -266,7 +253,6 @@ def _refine_pair_distances(m, pts, d_graph, rng):
     _, all_shifts = _period_shifts(m)
     chord = np.full((n, n), np.inf)
     rep = {}
-    chords = []             # pairs with an admissible chord
     for i in range(n):
         for j in range(i + 1, n):
             best_q, best_gap = None, np.inf
@@ -276,12 +262,16 @@ def _refine_pair_distances(m, pts, d_graph, rng):
                 if gap < best_gap:
                     best_gap, best_q = gap, q
             rep[(i, j)] = best_q
-            if _chord_admissible(m, pts[i], best_q):
-                chords.append((i, j))
-    if chords:
-        ci, cj = np.array(chords).T
-        chord[ci, cj] = chord[cj, ci] = _chord_lengths(
-            m, pts[ci], np.array([rep[ij] for ij in chords]), 32)
+    if rep:
+        # a chord is admissible when its 12 points a + t (b - a) lie in the
+        # chart, all tested in one call
+        ci, cj = np.array(list(rep)).T
+        a, b = pts[ci], np.array(list(rep.values()))
+        t = np.linspace(0.0, 1.0, 12)[:, None]
+        ok = m.in_domain((a[:, None] + t * (b - a)[:, None]).reshape(-1, m.dim),
+                         tol=1e-12, wrap=True).reshape(len(a), -1).all(axis=1)
+        if ok.any():
+            chord[ci[ok], cj[ok]] = chord[cj[ok], ci[ok]] = curve_length(m, a[ok], b[ok], 32)
     improved = np.minimum(d, chord)
     if not _is_flat_on(m, pts, rng):
         # a chord agreeing with the graph value is already a geodesic
@@ -438,11 +428,11 @@ def sample_frame_bundle(g: MetricSpec, gp: MetricSpec, base_points,
                         fiber_count=6, loops_at=None):
     """Product-style sample of the frame bundle of a surface (n = 2):
     base points x an SO(2) fiber grid.  Distances are assembled as upper
-    bounds: a base path (straight coordinate segments measured under g)
+    bounds: a base path (the straight chart chord, measured under g)
     transported with the g'-connection, a holonomy loop at the target, and
     simultaneous vertical rotation give sqrt((L_base + L_loop)^2 + d_b^2).
 
-    Each distance is at least L_base, the straight-segment length, by
+    Each distance is at least L_base, the chord length, by
     construction; that length is itself an upper bound on d_base(p, q), so
     nothing here is checked against d_base.
     """
@@ -462,10 +452,8 @@ def sample_frame_bundle(g: MetricSpec, gp: MetricSpec, base_points,
                 continue
             if j < i:
                 continue
-            seg = hl.line_segment(base_points[i], base_points[j])
-            L = curve_length(g, seg.point, velocity=seg.velocity)
-            base_d[i, j] = base_d[j, i] = L
-            transports[(i, j)] = hl.gauge_transport(gp, [seg])
+            base_d[i, j] = base_d[j, i] = curve_length(g, base_points[i], base_points[j])
+            transports[(i, j)] = hl.gauge_transport(gp, base_points[[i]], base_points[[j]])
             transports[(j, i)] = transports[(i, j)].T
 
     # holonomy samples per base point, as element stacks and loop lengths

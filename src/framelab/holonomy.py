@@ -1,13 +1,17 @@
-"""Parallel transport along curves, holonomy sampling with loop-length
-accounting, minimal-loop-length estimates, infinitesimal-holonomy
-estimation across metric families, and the restricted fiber distance
-min_a sqrt(L(a)^2 + d_b(a e, e')^2).
+"""Parallel transport along chart chords, holonomy sampling with
+loop-length accounting, minimal-loop-length estimates, infinitesimal-
+holonomy estimation across metric families, and the restricted fiber
+distance min_a sqrt(L(a)^2 + d_b(a e, e')^2).
 
-Holonomy elements are expressed in the anchor-section gauge: the
-g'-orthonormal frame obtained by Gram-Schmidt of the coordinate basis at
-the loop's basepoint.  Loops may close up to a declared coordinate shift
-(one full period of an angular coordinate); the transport code verifies
-that the metric components are invariant under that shift.
+Every path is a polygon of straight chart chords, given by its corners:
+transport and `curve_length` take chord stacks A -> B, and a loop
+(`LoopSpec`) is the polygon of its corners.  Holonomy elements are
+expressed in the anchor-section gauge: the g'-orthonormal frame obtained
+by Gram-Schmidt of the coordinate basis at the loop's basepoint, its
+first corner.  Loops may close up to a declared coordinate shift (one full
+period of an angular coordinate); the transport code verifies that the
+shifted basepoint lies in the chart and that the metric components are
+invariant under that shift.
 """
 
 from __future__ import annotations
@@ -26,83 +30,36 @@ ORTHONORMALITY_DRIFT = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# curves
-
-class Segment:
-    """One smooth piece of a curve: point(t) and velocity(t) on [0, 1],
-    (n,) at a number t and (k, n) at an array of k values."""
-
-    def __init__(self, point, velocity):
-        self._point = point
-        self._velocity = velocity
-
-    def point(self, t):
-        return np.asarray(self._point(t), dtype=float)
-
-    def velocity(self, t):
-        return np.asarray(self._velocity(t), dtype=float)
-
-
-def line_segment(a, b):
-    a = np.asarray(a, dtype=float)
-    d = np.asarray(b, dtype=float) - a
-    return Segment(lambda t: a + np.asarray(t)[..., None] * d,
-                   lambda t: d.copy() if np.ndim(t) == 0 else np.repeat(d[None], len(t), axis=0))
-
-
-def angular_segment(base, axis, angle0, angle1):
-    """Sweep one coordinate (e.g. the phi of a cone) holding the rest fixed."""
-    base = np.asarray(base, dtype=float)
-
-    def point(t):
-        p = np.empty(np.shape(t) + base.shape)
-        p[...] = base
-        p[..., axis] = angle0 + np.multiply(t, angle1 - angle0)
-        return p
-
-    def velocity(t):
-        v = np.zeros(np.shape(t) + base.shape)
-        v[..., axis] = angle1 - angle0
-        return v
-
-    return Segment(point, velocity)
-
+# loops
 
 @dataclass
 class LoopSpec:
-    basepoint: np.ndarray
-    segments: list
+    """A closed polygon of chart chords: chord j runs straight from
+    corners[j] to corners[j + 1], corners (k + 1, n), and the last corner
+    is corners[0] + closure_shift, to CLOSURE_TOL."""
+    corners: np.ndarray
     closure_shift: np.ndarray = None
     descriptor: str = ""
 
     def __post_init__(self):
-        self.basepoint = np.asarray(self.basepoint, dtype=float)
+        self.corners = np.asarray(self.corners, dtype=float)
         if self.closure_shift is None:
-            self.closure_shift = np.zeros(len(self.basepoint))
+            self.closure_shift = np.zeros(self.corners.shape[1])
         else:
             self.closure_shift = np.asarray(self.closure_shift, dtype=float)
-        start = self.segments[0].point(0.0)
-        end = self.segments[-1].point(1.0)
-        gap = np.abs(end - start - self.closure_shift).max()
+        gap = np.abs(self.corners[-1] - self.corners[0] - self.closure_shift).max()
         if gap > CLOSURE_TOL:
             raise ValueError(f"loop is not closed: endpoint gap {gap:.3e}")
-        if np.abs(start - self.basepoint).max() > CLOSURE_TOL:
-            raise ValueError("loop does not start at its basepoint")
 
     def compute_length(self, g: MetricSpec):
-        """The loop's length under g, the sum of its segments' lengths in
-        order, from one `curve_length` call on the stack of its segments."""
-        segs = self.segments
-        lengths = curve_length(g, lambda t: np.stack([seg.point(t) for seg in segs]),
-                               lambda t: np.stack([seg.velocity(t) for seg in segs]))
-        return sum(lengths.tolist())
+        """The loop's length under g, the sum of its chords' lengths in
+        order, from one `curve_length` call on the stack of its chords."""
+        return sum(curve_length(g, self.corners[:-1], self.corners[1:]).tolist())
 
 
 def polyline_loop(points, descriptor="polyline"):
     """Piecewise-straight loop, closed in the chart (no closure shift)."""
-    pts = [np.asarray(p, dtype=float) for p in points]
-    segs = [line_segment(a, b) for a, b in zip(pts[:-1], pts[1:])]
-    return LoopSpec(pts[0], segs, None, descriptor)
+    return LoopSpec(points, None, descriptor)
 
 
 def plaquette_loop(p, i, j, delta):
@@ -111,20 +68,17 @@ def plaquette_loop(p, i, j, delta):
     ej = np.zeros(len(p))
     ei[i] = delta
     ej[j] = delta
-    pts = [p, p + ei, p + ei + ej, p + ej, p]
-    return LoopSpec(p, [line_segment(a, b) for a, b in zip(pts[:-1], pts[1:])],
-                    None, f"plaquette({i},{j},{delta})")
+    return LoopSpec([p, p + ei, p + ei + ej, p + ej, p], None, f"plaquette({i},{j},{delta})")
 
 
 def coordinate_circle_loop(basepoint, axis, period, orientation=1):
-    """Loop sweeping a periodic coordinate by one period, in the sense of `orientation`."""
+    """Loop sweeping a periodic coordinate by one period, in the sense of
+    `orientation`: the one chord from the basepoint to its copy with that
+    coordinate moved by orientation * period."""
     base = np.asarray(basepoint, dtype=float)
-    a0 = base[axis]
-    a1 = a0 + orientation * period
-    seg = angular_segment(base, axis, a0, a1)
-    shift = np.zeros(len(base))
-    shift[axis] = a1 - a0
-    return LoopSpec(base, [seg], shift, f"circle(axis={axis}, turns={orientation})")
+    end = base.copy()
+    end[axis] = base[axis] + orientation * period
+    return LoopSpec([base, end], end - base, f"circle(axis={axis}, turns={orientation})")
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +138,9 @@ def section_connection_form(G, dG, V):
 def _verify_shift_invariance(m: MetricSpec, p, shift, tol=1e-9):
     if not np.any(shift):
         return
+    if not m.in_domain(p + shift, tol=DOMAIN_TOL, wrap=True):
+        raise ValueError(f"loop closure shift leaves the chart at {(p + shift).tolist()}: "
+                         "the shifted coordinate has no period in this chart")
     g0 = m.evaluate(p)
     g1 = m.evaluate(p + shift)
     scale = max(1.0, float(np.abs(g0).max()))
@@ -191,23 +148,24 @@ def _verify_shift_invariance(m: MetricSpec, p, shift, tol=1e-9):
         raise ValueError("loop closure shift is not a metric-invariant translation")
 
 
-#: step doubling stops once a segment's max |h_N - h_2N| is at most this
+#: step doubling stops once a chord's max |h_N - h_2N| is at most this
 TRANSPORT_TOL = 1e-11
-#: Magnus steps per segment of the first round's coarse product (a power of 2)
+#: Magnus steps per chord of the first round's coarse product (a power of 2)
 TRANSPORT_STEPS = 8
-#: step doubling beyond this many steps per segment raises DomainExitError
+#: step doubling beyond this many steps per chord raises DomainExitError
 TRANSPORT_MAX_STEPS = 4096
 
 
-def _connection_at(conn: MetricSpec, segments, s):
-    """omega(s) = sum_i c'^i(s) C_i(c(s)) at the parameters s (k,) of every
-    segment, (len(segments), k, n, n), from one stacked evaluation of G and
-    dG (`_jet_rows`) and `section_connection_form`.  A node outside the
+def _connection_at(conn: MetricSpec, A, D, s):
+    """omega(s) = sum_i D^i C_i(A + s D) at the parameters s (k,) of every
+    chord A[j] -> A[j] + D[j] of the stacks A and D (c, n), as
+    (c, k, n, n), from one stacked evaluation of G and dG (`_jet_rows`) at
+    the nodes A + s D and `section_connection_form`.  A node outside the
     chart (periodic coordinates wrapped), whose jet fails, or whose G has
     no Cholesky factor raises DomainExitError at the first such node in
-    curve order."""
-    X = np.concatenate([seg.point(s) for seg in segments])
-    V = np.concatenate([seg.velocity(s) for seg in segments])
+    chord order."""
+    X = (A[:, None] + s[:, None] * D[:, None]).reshape(-1, conn.dim)
+    V = np.repeat(D, len(s), axis=0)
     bad = ~conn.in_domain(X, tol=DOMAIN_TOL, wrap=True)
     (G, dG), errors = _jet_rows(conn, X, 1)
     bad[list(errors)] = True
@@ -222,7 +180,7 @@ def _connection_at(conn: MetricSpec, segments, s):
         k = len(s)
         first = min(np.flatnonzero(bad), key=lambda r: (r // k, s[r % k]))
         raise DomainExitError(float(s[first % k]), X[first])
-    return om.reshape((len(segments), len(s)) + om.shape[1:])
+    return om.reshape((len(A), len(s)) + om.shape[1:])
 
 
 def _cholesky_fails(G):
@@ -256,31 +214,35 @@ def _ordered_product(steps):
     return steps[..., 0, :, :]
 
 
-def gauge_transport(conn: MetricSpec, segments):
-    """Frame transport along the segments in the section gauge: h in SO(n)
-    with E(1) = S(c(1)) h for the transported frame E(0) = S(c(0)), S the
+def gauge_transport(conn: MetricSpec, A, B):
+    """Frame transport along the chords A[j] -> B[j] of the stacks A and B
+    (c, n), in order, in the section gauge: h in SO(n) with
+    E(1) = S(B[-1]) h for the transported frame E(0) = S(A[0]), S the
     Cholesky section of conn.
 
-    In this gauge E' = -Gamma[c'] E reads h' = -omega(t) h, omega the skew
-    sum_i c'^i C_i of `section_connection_coeffs`.  Each segment runs N and
-    2N fourth-order Magnus steps on Simpson nodes (Iserles & Norsett 1999;
-    Blanes, Casas, Oteo & Ros 2009, sec. 5), which nest: omega is kept on
-    the lattice j/(4N), j = 0..4N, whose every other node serves the N
-    steps and all of which serve the 2N steps.  The first round evaluates
-    the lattice of every segment in one stacked call; the segments whose
-    max |h_N - h_2N| exceeds TRANSPORT_TOL go on to 4N steps, which add
-    only the midpoints of the lattice's 4N intervals, and so on, one
-    stacked evaluation of new midpoints per round, each round keeping its
-    finer product and its lattice.  A step is the exponential of a skew
-    matrix, so h is orthogonal to rounding.  Raises DomainExitError where
-    a node leaves the chart (see `_connection_at`; segment ends are nodes,
-    and a corner within DOMAIN_TOL of the chart's edge is inside), or when
-    a segment would need more than TRANSPORT_MAX_STEPS steps, at the step
-    whose halves disagree most."""
+    Along a chord with D = B[j] - A[j], E' = -Gamma[D] E reads
+    h' = -omega(t) h in this gauge, omega the skew sum_i D^i C_i of
+    `section_connection_coeffs`.  Each chord runs N and 2N fourth-order
+    Magnus steps on Simpson nodes (Iserles & Norsett 1999; Blanes, Casas,
+    Oteo & Ros 2009, sec. 5), which nest: omega is kept on the lattice
+    j/(4N), j = 0..4N, whose every other node serves the N steps and all
+    of which serve the 2N steps.  The first round evaluates the lattice of
+    every chord in one stacked call; the chords whose max |h_N - h_2N|
+    exceeds TRANSPORT_TOL go on to 4N steps, which add only the midpoints
+    of the lattice's 4N intervals, and so on, one stacked evaluation of
+    new midpoints per round, each round keeping its finer product and its
+    lattice.  A step is the exponential of a skew matrix, so h is
+    orthogonal to rounding.  Raises DomainExitError where a node leaves
+    the chart (see `_connection_at`; chord ends are nodes, and a corner
+    within DOMAIN_TOL of the chart's edge is inside), or when a chord
+    would need more than TRANSPORT_MAX_STEPS steps, at the step whose
+    halves disagree most."""
+    A = np.asarray(A, dtype=float)
+    D = np.asarray(B, dtype=float) - A
     N = TRANSPORT_STEPS
-    h = np.empty((len(segments), conn.dim, conn.dim))
-    todo = np.arange(len(segments))
-    om = _connection_at(conn, segments, np.arange(4 * N + 1) / (4 * N))
+    h = np.empty((len(A), conn.dim, conn.dim))
+    todo = np.arange(len(A))
+    om = _connection_at(conn, A, D, np.arange(4 * N + 1) / (4 * N))
     coarse = _simpson_steps(om[:, ::2])
     while True:
         fine = _simpson_steps(om)
@@ -294,9 +256,9 @@ def gauge_transport(conn: MetricSpec, segments):
             # the coarse step that its two fine halves reproduce worst
             local = np.abs(coarse[0] - fine[0, 1::2] @ fine[0, 0::2]).max(axis=(-2, -1))
             s = (float(np.argmax(local)) + 0.5) / N
-            raise DomainExitError(s, segments[todo[0]].point(s))
+            raise DomainExitError(s, A[todo[0]] + s * D[todo[0]])
         N *= 2
-        mid = _connection_at(conn, [segments[j] for j in todo], np.arange(1, 4 * N, 2) / (4 * N))
+        mid = _connection_at(conn, A[todo], D[todo], np.arange(1, 4 * N, 2) / (4 * N))
         nested = np.empty((len(todo), 4 * N + 1) + om.shape[2:])
         nested[:, 0::2], nested[:, 1::2] = om, mid
         om, coarse = nested, fine
@@ -306,16 +268,17 @@ def gauge_transport(conn: MetricSpec, segments):
     return total
 
 
-def transport_matrix(conn: MetricSpec, segments, frame0):
-    """Frame transport E' = -Gamma[c'(t)] E along the segments.
+def transport_matrix(conn: MetricSpec, A, B, frame0):
+    """Frame transport E' = -Gamma[c'(t)] E along the chords A[j] -> B[j]
+    of the stacks A and B (c, n), in order.
 
     frame0: (n, k) matrix whose columns are coordinate components of the
     transported vectors.  Returns the final (n, k) matrix,
-    S(c(1)) h S(c(0))^-1 frame0 with h the `gauge_transport`.
+    S(B[-1]) h S(A[0])^-1 frame0 with h the `gauge_transport`.
     """
-    S0 = section_frame(conn, segments[0].point(0.0))
-    S1 = section_frame(conn, segments[-1].point(1.0))
-    h = gauge_transport(conn, segments)
+    S0 = section_frame(conn, A[0])
+    S1 = section_frame(conn, B[-1])
+    h = gauge_transport(conn, A, B)
     return S1 @ h @ np.linalg.solve(S0, np.asarray(frame0, dtype=float))
 
 
@@ -324,9 +287,9 @@ def holonomy_element(conn: MetricSpec, loop: LoopSpec):
     section at the basepoint and at its closure-shifted copy agree) and
     polar-projected onto O(n), which removes rounding only (drift beyond
     ORTHONORMALITY_DRIFT raises)."""
-    conn.check_spd(loop.basepoint)
-    _verify_shift_invariance(conn, loop.basepoint, loop.closure_shift)
-    h = gauge_transport(conn, loop.segments)
+    conn.check_spd(loop.corners[0])
+    _verify_shift_invariance(conn, loop.corners[0], loop.closure_shift)
+    h = gauge_transport(conn, loop.corners[:-1], loop.corners[1:])
     drift = float(np.abs(h.T @ h - np.eye(conn.dim)).max())
     if drift > ORTHONORMALITY_DRIFT:
         raise RuntimeError(f"transport orthonormality drift {drift:.3e}")

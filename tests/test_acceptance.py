@@ -307,8 +307,7 @@ def test_acceptance_10_property_suites():
     # transport isometry at 1e-8
     sphere = mt.round_sphere()
     S = hl.section_frame(sphere, np.array([1.0, 0.2]))
-    seg = hl.line_segment([1.0, 0.2], [1.7, 1.6])
-    P = hl.transport_matrix(sphere, [seg], S)
+    P = hl.transport_matrix(sphere, [[1.0, 0.2]], [[1.7, 1.6]], S)
     G_end = sphere.evaluate([1.7, 1.6])
     checks["transport-isometry"] = float(
         np.abs(P.T @ G_end @ P - np.eye(2)).max()) <= 1e-8

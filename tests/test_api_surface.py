@@ -4,7 +4,10 @@ only tests reach is code that no command, experiment or benchmark needs.
 
 Names: every public module-level function or class of `src/framelab`, and
 every public method of a public class, is referred to somewhere in `src/`
-or `bench/` outside its own definition.  A function or class counts as
+or `bench/` outside its own definition.  So is every private one (a
+leading underscore, not a dunder): each private module-level function or
+class, and each private method of any class, with no exemptions, since a
+private name that only tests reach is dead code.  A function or class counts as
 referred to by name (`f`, `from .m import f`, `mod.f`), a method by
 attribute (`obj.f`).  Names are matched by identifier alone, so a shared
 identifier counts as a reference: a method `m` that nothing calls passes
@@ -84,6 +87,10 @@ def _is_public(name):
     return not name.startswith("_")
 
 
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
 @lru_cache(maxsize=None)
 def _tree(path):
     return ast.parse(path.read_text(encoding="utf-8"))
@@ -92,26 +99,30 @@ def _tree(path):
 # ---------------------------------------------------------------------------
 # names
 
-def _public_names(modules):
+def _names(modules, private=False):
     """(module, qualified name, identifier, node) of every public
     module-level function or class of the {module: tree} map, and of every
-    public method of a public class."""
+    public method of a public class; with `private`, of every private
+    module-level function or class and every private method of any class."""
+    wanted = _is_private if private else _is_public
     out = []
     for mod, tree in modules.items():
         for node in tree.body:
-            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _is_public(node.name)):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            out.append((mod, node.name, node.name, node))
-            if isinstance(node, ast.ClassDef):
+            if wanted(node.name):
+                out.append((mod, node.name, node.name, node))
+            if isinstance(node, ast.ClassDef) and (private or _is_public(node.name)):
                 out += [(mod, f"{node.name}.{fn.name}", fn.name, fn) for fn in node.body
-                        if isinstance(fn, ast.FunctionDef) and _is_public(fn.name)]
+                        if isinstance(fn, ast.FunctionDef) and wanted(fn.name)]
     return out
 
 
-def _unreferenced(modules, trees):
-    """(module, qualified name) of each public name of `modules` that no
-    node of `trees` outside its own definition refers to: by name, import or
-    attribute for a function or class, by attribute for a method."""
+def _unreferenced(modules, trees, private=False):
+    """(module, qualified name) of each public name of `modules`, or with
+    `private` each private one, that no node of `trees` outside its own
+    definition refers to: by name, import or attribute for a function or
+    class, by attribute for a method."""
     by_name, by_attr = {}, {}
     for tree in trees:
         for node in ast.walk(tree):
@@ -122,7 +133,7 @@ def _unreferenced(modules, trees):
             elif isinstance(node, ast.Attribute):
                 by_attr.setdefault(node.attr, []).append(node)
     out = []
-    for mod, qualname, name, node in _public_names(modules):
+    for mod, qualname, name, node in _names(modules, private):
         refs = by_attr.get(name, [])
         if "." not in qualname:
             refs = refs + by_name.get(name, [])
@@ -132,15 +143,22 @@ def _unreferenced(modules, trees):
     return out
 
 
-def _unreferenced_library():
+def _unreferenced_library(private=False):
     return _unreferenced({path.stem: _tree(path) for path in SOURCES},
-                         [_tree(path) for path in CALLERS])
+                         [_tree(path) for path in CALLERS], private)
 
 
 def test_every_public_name_has_a_caller():
     missing = [key for key in _unreferenced_library() if key not in NAME_EXEMPT]
     assert not missing, ("public names that nothing in src/ or bench/ refers to "
                          "(delete each, or give it a caller):\n"
+                         + "\n".join(f"  {m}.{q}" for m, q in missing))
+
+
+def test_every_private_name_has_a_caller():
+    missing = _unreferenced_library(private=True)
+    assert not missing, ("private names that nothing in src/ or bench/ refers to "
+                         "outside their own definition (delete each):\n"
                          + "\n".join(f"  {m}.{q}" for m, q in missing))
 
 
@@ -170,9 +188,16 @@ def test_the_name_scan_sees_names_attributes_and_own_definitions():
                      "class C:\n    def m(self):\n        return m\n"
                      "    def k(self):\n        return self.k\n\n"
                      "def g():\n    return C().k\n\n"
-                     "def _private():\n    pass\n")
+                     "def _private():\n    return _private, _Hidden\n\n"
+                     "class _Hidden:\n    def _own(self):\n        return self._own\n"
+                     "    def _used(self):\n        return _Hidden\n"
+                     "    def __repr__(self):\n        return self._used()\n")
     # f calls only itself, m is a bare name, and nothing outside g refers to g
     assert _unreferenced({"toy": code}, [code]) == [("toy", "f"), ("toy", "C.m"), ("toy", "g")]
+    # private names: only their own definitions refer to _private and to
+    # _own, and no dunder is scanned
+    assert _unreferenced({"toy": code}, [code], private=True) == [("toy", "_private"),
+                                                                  ("toy", "_Hidden._own")]
 
 
 # ---------------------------------------------------------------------------

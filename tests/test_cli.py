@@ -253,6 +253,36 @@ def test_fiber_dist_command(tmp_path):
     assert (out / "fiber-dist.dat").exists()
 
 
+def test_a_closure_shift_off_a_chart_without_periods_is_a_config_error(tmp_path, capsys):
+    # the circle sweeps y back by 2 pi, to y = 0.9 - 2 pi, where log(2 + x*y)
+    # is undefined; a chart without periods cannot close that loop
+    path = tmp_path / "m.gmet"
+    path.write_text("dim 2; coords x y; domain x in [0.1, 1.5] y in [0.1, 1.5];\n"
+                    "g = [[2 + tan(y/4), exp(-x)/5], [exp(-x)/5, 1 + log(2 + x*y)]];\n",
+                    encoding="utf-8")
+    code, _ = run(tmp_path, "fiber-dist", "--metric", str(path), "--at", "0.7,0.9",
+                  "--loops", "4", "--samples", "16")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"leaves the chart at {[0.7, 0.9 - 2 * math.pi]}" in err
+    assert "no period in this chart" in err
+
+
+@pytest.mark.parametrize("phi", ["6.283185307179586", "6.283185307179585"])
+def test_a_closure_shift_onto_the_chart_edge_still_runs(tmp_path, phi):
+    # phi = 2 pi swept back by 2 pi lands on phi = 0, in the chart, and one
+    # ulp below 2 pi it lands within DOMAIN_TOL of it, as a transport
+    # corner may
+    path = tmp_path / "cone.gmet"
+    path.write_text("dim 2; coords r phi; params a=0.7;\n"
+                    "domain r in [0.1, 3] phi in [0, 6.283185307179586];\n"
+                    "g = [[1, 0], [0, a^2*r^2]];\n", encoding="utf-8")
+    code, out = run(tmp_path, "fiber-dist", "--metric", str(path),
+                    "--at", f"1.0,{phi}", "--loops", "4", "--samples", "8")
+    assert code == 0
+    assert load(out, "fiber-dist")["result"]["reflection"] == "inf"
+
+
 def test_experiment_canonical_recovery(tmp_path):
     code, out = run(tmp_path, "experiment", "canonical-recovery", "--samples", "10")
     assert code == 0

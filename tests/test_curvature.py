@@ -863,13 +863,26 @@ def test_a_stacked_right_hand_side_evaluates_each_order_once(variational, monkey
 def test_curve_length_evaluates_the_metric_once_per_curve(eh, monkeypatch):
     from framelab import holonomy as hl
     calls = _counting_derivative_fn(monkeypatch)
-    seg = hl.line_segment([2.0, 1.0, 0.5, 0.5], [2.5, 1.2, 0.8, 0.4])
-    cv.curve_length(eh, seg.point, seg.velocity)
+    cv.curve_length(eh, [2.0, 1.0, 0.5, 0.5], [2.5, 1.2, 0.8, 0.4])
     assert calls == {0: [256]}
     calls.clear()
     loop = hl.plaquette_loop(np.array([2.0, 1.0, 0.5, 0.5]), 0, 1, 0.1)
     loop.compute_length(eh)
     assert calls == {0: [1024]}
+
+
+def test_a_stack_of_chords_has_each_chord_length_alone(eh):
+    rng = np.random.default_rng(5)
+    lo, hi = np.array([1.6, 0.8, 0.5, 0.5]), np.array([3.0, math.pi - 0.8, 2.5, 2.5])
+    A = lo + (hi - lo) * rng.random((2, 3, 4))
+    B = lo + (hi - lo) * rng.random((2, 3, 4))
+    for samples in (16, 256):
+        L = cv.curve_length(eh, A, B, samples)
+        assert L.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            one = cv.curve_length(eh, A[idx], B[idx], samples)
+            assert isinstance(one, float)
+            assert L[idx] == one
 
 
 def test_a_numeric_metric_row_that_leaves_the_chart_fails_alone():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -140,12 +141,41 @@ def _dipping_layout():
     return layout, r_min, length
 
 
+def test_every_candidate_chord_is_tested_against_the_chart_in_one_call(monkeypatch):
+    """Pair refinement tests the 12 points a + t (b - a) of every pair's
+    chord in one stacked `in_domain` call, and measures the chords of just
+    the pairs whose points all lie in the chart."""
+    # phi is 2 pi periodic, but the chart leaves out phi in (5.9, 2 pi)
+    cone = dataclasses.replace(mt.exact_cone(0.7), domain=[(0.5, 3.0), (0.0, 5.9)])
+    pts = np.array([[0.6, 0.4], [1.4, 5.8], [1.0, 1.0], [0.8, 3.0]])
+    calls, measured = [], []
+    in_domain, curve_length = cone.in_domain, gh.curve_length
+
+    def recorded(X, tol=0.0, wrap=False):
+        calls.append((np.shape(X), tol, wrap))
+        return in_domain(X, tol=tol, wrap=wrap)
+
+    def measuring(m, a, b, samples):
+        measured.append(a)
+        return curve_length(m, a, b, samples)
+
+    monkeypatch.setattr(cone, "in_domain", recorded)
+    monkeypatch.setattr(gh, "curve_length", measuring)
+    monkeypatch.setattr(gh, "_is_flat_on", lambda m, pts, rng: True)
+    gh._refine_pair_distances(cone, pts, np.full((4, 4), 10.0), rng=None)
+    assert calls == [((12 * 6, 2), 1e-12, True)]
+    # the nearest representatives of (0, 1) and (1, 2) lie across phi = 0,
+    # so their chords cross the gap (5.9, 2 pi)
+    assert len(measured) == 1
+    assert measured[0].tolist() == pts[[0, 0, 1, 2]].tolist()
+
+
 def test_a_shot_that_leaves_the_chart_keeps_the_graph_or_chord_value():
     layout, r_min, length = _dipping_layout()
     region = [(0.3, 1.6), (0.0, 2 * math.pi)]
     cone = mt.exact_cone(0.7, r_min=r_min)
     graph = gh.sample_space(cone, region, 2, layout=layout).space.d[0, 1]
-    chord = gh._chord_lengths(cone, layout.points[:1], layout.points[1:2], 32)[0]
+    chord = cv.curve_length(cone, layout.points[0], layout.points[1], 32)
     assert length < chord < graph * (1 - 5e-3)
     refined = gh.sample_space(cone, region, 2, layout=layout, refine_pairs=True).space.d
     assert refined[0, 1] == chord
@@ -370,9 +400,9 @@ def test_sample_frame_bundle_flat_product(rng):
 def _circle_loop_turns(p, turns):
     """`coordinate_circle_loop(p, 1, 2 pi, orientation=-1)` swept `turns` times."""
     p = np.asarray(p, dtype=float)
-    a1 = p[1] - turns * 2 * math.pi
-    return hl.LoopSpec(p, [hl.angular_segment(p, 1, p[1], a1)], [0.0, a1 - p[1]],
-                       f"circle(axis=1, turns={-turns})")
+    end = p.copy()
+    end[1] = p[1] - turns * 2 * math.pi
+    return hl.LoopSpec([p, end], end - p, f"circle(axis=1, turns={-turns})")
 
 
 def test_sample_frame_bundle_cone_fiber_diameter_monotone():
@@ -460,8 +490,7 @@ def test_chord_lengths_equal_panel_quadrature(a, b):
     w = gh._edge_weights(CHORD_CONE, np.array([a, b]), np.array([[0, 1]]), None)
     assert w[0] == _chord_reference(CHORD_CONE, a, b, 2)
     # pair refinement: 4 panels
-    seg = hl.line_segment(a, b)
-    got = cv.curve_length(CHORD_CONE, seg.point, velocity=seg.velocity, samples=32)
+    got = cv.curve_length(CHORD_CONE, a, b, samples=32)
     assert got == _chord_reference(CHORD_CONE, a, b, 4)
 
 

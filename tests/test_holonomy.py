@@ -62,8 +62,7 @@ def test_cone_transport_through_cap():
 
 def test_transport_isometry_drift(sphere, rng):
     S = hl.section_frame(sphere, np.array([1.0, 0.2]))
-    seg = hl.line_segment([1.0, 0.2], [1.6, 1.4])
-    P = hl.transport_matrix(sphere, [seg], S)
+    P = hl.transport_matrix(sphere, [[1.0, 0.2]], [[1.6, 1.4]], S)
     G_end = sphere.evaluate([1.6, 1.4])
     assert np.abs(P.T @ G_end @ P - np.eye(2)).max() <= 1e-8
 
@@ -77,7 +76,7 @@ def test_loop_reversal_and_concatenation(sphere):
     rev = hl.polyline_loop([[1.0, 0.5], [1.0, 0.9], [1.4, 0.9], [1.4, 0.5], [1.0, 0.5]])
     hrev = hl.holonomy_element(sphere, rev)
     assert np.abs(hrev - h1.T).max() <= 1e-8
-    cat = hl.LoopSpec(l1.basepoint, l1.segments + l2.segments, None, "cat")
+    cat = hl.LoopSpec(np.concatenate([l1.corners, l2.corners[1:]]), None, "cat")
     hcat = hl.holonomy_element(sphere, cat)
     assert np.abs(hcat - h2 @ h1).max() <= 1e-7
 
@@ -90,10 +89,55 @@ def test_loop_closure_validation():
     assert loop.closure_shift[1] == pytest.approx(2 * math.pi)
 
 
+def test_a_loop_whose_last_corner_misses_its_closure_raises():
+    shift = np.array([0.0, 2 * math.pi])
+    corners = np.array([[1.0, 0.3], [1.2, 0.3], [1.0, 0.3 + 2 * math.pi]])
+    for miss, closed in ((0.5, True), (3.0, False), (-3.0, False)):
+        moved = corners.copy()
+        moved[-1, 0] += miss * hl.CLOSURE_TOL
+        if closed:
+            assert np.array_equal(hl.LoopSpec(moved, shift, "near").corners, moved)
+        else:
+            with pytest.raises(ValueError, match="loop is not closed"):
+                hl.LoopSpec(moved, shift, "open")
+    # without a shift the last corner must come back to the first
+    with pytest.raises(ValueError, match="loop is not closed"):
+        hl.LoopSpec(corners, None, "open")
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_circle_transport_nodes_are_the_angular_sweep(monkeypatch, orientation):
+    """The circle's one chord puts every transport node where sweeping the
+    angle alone puts it, bit for bit: a0 + s (a1 - a0) on the axis and the
+    basepoint's own coordinates elsewhere, with velocity a1 - a0 on the
+    axis and 0 elsewhere."""
+    cone = mt.smoothed_cone(0.6, 0.1)
+    base = np.array([0.1, 0.3])
+    a0, a1 = base[1], base[1] + orientation * 2 * math.pi
+    loop = hl.coordinate_circle_loop(base, 1, 2 * math.pi, orientation=orientation)
+    seen = []
+    connection_at, jet_rows = hl._connection_at, hl._jet_rows
+
+    def recorded(conn, A, D, s):
+        seen.append([D, s])
+        return connection_at(conn, A, D, s)
+
+    monkeypatch.setattr(hl, "_connection_at", recorded)
+    monkeypatch.setattr(hl, "_jet_rows", lambda m, X, order: seen[-1].append(X.copy())
+                        or jet_rows(m, X, order))
+    hl.holonomy_element(cone, loop)
+    assert seen
+    for D, s, X in seen:
+        sweep = np.empty((len(s), 2))
+        sweep[...] = base
+        sweep[:, 1] = a0 + s * (a1 - a0)
+        assert X.tobytes() == sweep.tobytes()
+        assert D.tobytes() == np.array([[0.0, a1 - a0]]).tobytes()
+
+
 def test_shift_invariance_guard(sphere):
     # a shift along theta is not a metric invariance of the sphere chart
-    seg = hl.angular_segment([1.0, 0.0], 0, 1.0, 1.7)
-    loop = hl.LoopSpec([1.0, 0.0], [seg], np.array([0.7, 0.0]), "bad")
+    loop = hl.LoopSpec([[1.0, 0.0], [1.7, 0.0]], np.array([0.7, 0.0]), "bad")
     with pytest.raises(ValueError):
         hl.holonomy_element(sphere, loop)
 
@@ -503,16 +547,16 @@ def test_holonomy_samples_rejects_empty_words():
 
 def reference_holonomy(m, loop):
     """S^-1 E(1) for E(0) = S at the basepoint, E' = -Gamma[c'] E integrated
-    by scipy's DOP853 at rtol 1e-13, one segment at a time."""
+    by scipy's DOP853 at rtol 1e-13, one chord at a time."""
     from scipy.integrate import solve_ivp
 
     n = m.dim
-    S = hl.section_frame(m, loop.basepoint)
+    S = hl.section_frame(m, loop.corners[0])
     E = S.copy()
-    for seg in loop.segments:
-        def rhs(t, y, seg=seg):
-            gamma = cv.christoffel(m, m.wrap_point(seg.point(t))).gamma
-            return (-np.einsum("kil,i->kl", gamma, seg.velocity(t)) @ y.reshape(n, n)).ravel()
+    for a, b in zip(loop.corners[:-1], loop.corners[1:]):
+        def rhs(t, y, a=a, d=b - a):
+            gamma = cv.christoffel(m, m.wrap_point(a + t * d)).gamma
+            return (-np.einsum("kil,i->kl", gamma, d) @ y.reshape(n, n)).ravel()
 
         sol = solve_ivp(rhs, (0.0, 1.0), E.ravel(), method="DOP853", rtol=1e-13, atol=1e-14)
         E = sol.y[:, -1].reshape(n, n)
@@ -566,7 +610,7 @@ def test_cone_circle_outside_the_cap_is_exact():
 
 
 def simpson_lattice(N):
-    """The first transport round's nodes on a segment, j/(4N) for j = 0..4N."""
+    """The first transport round's nodes on a chord, j/(4N) for j = 0..4N."""
     return np.arange(4 * N + 1) / (4 * N)
 
 
@@ -579,22 +623,22 @@ def test_transport_leaving_the_chart_stops_at_the_first_node_outside(case, spher
     # positive definiteness at y = 0 itself, so there it is the node s = 1/2
     if case == "outside the domain":
         m, axis = sphere, 0
-        seg = hl.line_segment([0.3, 1.0], [-0.3, 1.0])
+        a, b = np.array([0.3, 1.0]), np.array([-0.3, 1.0])
     else:
         m, axis = mt.parse_metric("dim 2; coords x y; g = [[1, 0], [0, y]];"), 1
-        seg = hl.line_segment([1.0, 0.3], [1.0, -0.3])
+        a, b = np.array([1.0, 0.3]), np.array([1.0, -0.3])
     with pytest.raises(cv.DomainExitError) as err:
-        hl.gauge_transport(m, [seg])
+        hl.gauge_transport(m, a[None], b[None])
     nodes = simpson_lattice(hl.TRANSPORT_STEPS)
     limit = -cv.DOMAIN_TOL if case == "outside the domain" else 0.0
-    outside = nodes[seg.point(nodes)[:, axis] <= limit]
+    outside = nodes[(a + nodes[:, None] * (b - a))[:, axis] <= limit]
     assert err.value.s_exit == outside.min()
     assert err.value.s_exit == (17 / 32 if case == "outside the domain" else 0.5)
-    assert np.array_equal(err.value.point, seg.point(outside.min()))
+    assert np.array_equal(err.value.point, a + outside.min() * (b - a))
 
 
 def test_a_corner_within_the_domain_tolerance_still_transports():
-    # segment ends are transport nodes: corners at x = 0 and just below it,
+    # chord ends are transport nodes: corners at x = 0 and just below it,
     # within DOMAIN_TOL, lie inside the chart x in [0, 2], where the metric
     # is still regular, so the loop transports as it does on the unbounded
     # chart of the same metric, which the reference integrates
@@ -617,11 +661,16 @@ def test_transport_step_cap_is_a_domain_error(eh, monkeypatch):
     assert 0.0 < err.value.s_exit < 1.0
 
 
+def chord_rows(A, D):
+    """Each chord A[j] -> A[j] + D[j] of a stack as one hashable row."""
+    return [tuple(row) for row in np.concatenate([A, D], axis=1).tolist()]
+
+
 def test_one_stacked_derivative_call_per_loop_and_round(monkeypatch):
-    """Every node of the first round's lattice, on every segment of a loop,
+    """Every node of the first round's lattice, on every chord of a loop,
     is evaluated in one stacked derivative_fn(1) call; each doubling round
-    adds one more call holding only the new midpoints of its open
-    segments, so no node of a segment is evaluated twice."""
+    adds one more call holding only the new midpoints of its open chords,
+    so no node of a chord is evaluated twice."""
     m = mt.eguchi_hanson()
     calls, nodes = [], []
     dfn = m.derivative_fn(1)
@@ -636,9 +685,9 @@ def test_one_stacked_derivative_call_per_loop_and_round(monkeypatch):
 
     connection_at = hl._connection_at
 
-    def recorded(conn, segments, s):
-        nodes.append((list(segments), np.array(s)))
-        return connection_at(conn, segments, s)
+    def recorded(conn, A, D, s):
+        nodes.append((chord_rows(A, D), np.array(s)))
+        return connection_at(conn, A, D, s)
 
     monkeypatch.setattr(hl, "_connection_at", recorded)
     monkeypatch.setattr(m, "derivative_fn", counted)
@@ -649,21 +698,21 @@ def test_one_stacked_derivative_call_per_loop_and_round(monkeypatch):
     assert len(calls) >= 2
     assert len(calls) == len(nodes)
     assert calls[0] == (4 * (4 * N + 1), 4)
-    assert nodes[0][0] == loop.segments
+    assert nodes[0][0] == chord_rows(loop.corners[:-1], np.diff(loop.corners, axis=0))
     assert nodes[0][1].tolist() == simpson_lattice(N).tolist()
-    seen = {(id(seg), s) for seg in loop.segments for s in nodes[0][1].tolist()}
-    for r, ((segments, s), shape) in enumerate(zip(nodes[1:], calls[1:]), 1):
+    seen = {(c, s) for c in nodes[0][0] for s in nodes[0][1].tolist()}
+    for r, ((chords, s), shape) in enumerate(zip(nodes[1:], calls[1:]), 1):
         N *= 2
-        # the 2N new midpoints of each open segment, and nothing else
-        assert shape == (2 * N * len(segments), 4)
+        # the 2N new midpoints of each open chord, and nothing else
+        assert shape == (2 * N * len(chords), 4)
         assert s.tolist() == (np.arange(1, 4 * N, 2) / (4 * N)).tolist()
-        assert all(any(seg is old for old in nodes[r - 1][0]) for seg in segments)
-        new = {(id(seg), t) for seg in segments for t in s.tolist()}
+        assert set(chords) <= set(nodes[r - 1][0])
+        new = {(c, t) for c in chords for t in s.tolist()}
         assert not new & seen
         seen |= new
 
 
-#: doubling rounds of each segment (one digit per side, in loop order) of
+#: doubling rounds of each chord (one digit per side, in loop order) of
 #: the six EH plaquettes (delta 0.25, lexicographic planes) at basepoints
 #: drawn like the holonomy-closure benchmark's, as the transport on two
 #: Gauss-Legendre nodes per Magnus step, evaluated afresh in every round,
@@ -685,10 +734,10 @@ def test_nested_nodes_need_at_most_one_more_round_than_gauss_nodes(eh, monkeypat
     rounds = {}
     connection_at = hl._connection_at
 
-    def recorded(conn, segments, s):
-        for seg in segments:
-            rounds[id(seg)] = rounds.get(id(seg), 0) + 1
-        return connection_at(conn, segments, s)
+    def recorded(conn, A, D, s):
+        for c in chord_rows(A, D):
+            rounds[c] = rounds.get(c, 0) + 1
+        return connection_at(conn, A, D, s)
 
     monkeypatch.setattr(hl, "_connection_at", recorded)
     extra = []
@@ -696,6 +745,7 @@ def test_nested_nodes_need_at_most_one_more_round_than_gauss_nodes(eh, monkeypat
         for loop, sides in zip(hl.plaquette_loops(p, 0.25, 4), gauss.split()):
             rounds.clear()
             hl.holonomy_element(eh, loop)
-            extra += [rounds[id(seg)] - int(r) for seg, r in zip(loop.segments, sides)]
+            chords = chord_rows(loop.corners[:-1], np.diff(loop.corners, axis=0))
+            extra += [rounds[c] - int(r) for c, r in zip(chords, sides)]
     assert len(extra) == 9 * 24
     assert max(extra) <= 1

@@ -275,11 +275,8 @@ def test_rescaled_torus_distances_double():
     scaled = mt.rescaled(base, 2.0)
     a = np.array([0.2, 0.3])
     b = np.array([1.1, 2.0])
-    # curve_length calls the curve and its velocity on an array of t
-    curve = lambda t: a + np.multiply.outer(t, b - a)
-    velocity = lambda t: np.broadcast_to(b - a, (len(t), 2))
-    L1 = curve_length(base, curve, velocity=velocity)
-    L2 = curve_length(scaled, curve, velocity=velocity)
+    L1 = curve_length(base, a, b)
+    L2 = curve_length(scaled, a, b)
     assert L2 == pytest.approx(2 * L1, rel=1e-14)
 
 
@@ -594,7 +591,7 @@ def test_jet_rows_names_a_failed_row_from_its_own_values():
         assert np.array_equal(d[[0, 3]], want[[0, 3]])
 
 
-def test_every_stacked_caller_raises_the_error_of_its_failed_row():
+def test_every_stacked_caller_raises_the_error_of_its_failed_row(monkeypatch):
     """One undefined row of a stack gives what one point gives there,
     through every caller of `_jet_rows`."""
     m = mt.parse_metric(SQRT_LOG)
@@ -603,9 +600,11 @@ def test_every_stacked_caller_raises_the_error_of_its_failed_row():
     # the curvature jets
     assert _point_error(cv.riemann, m, X) == _point_error(cv.riemann, m, X[1])
     # a chord crossing x < 0: its first node there
-    seg, nodes = hl.line_segment([1.0, 2.0], [-1.0, 1.5]), []
-    message = _point_error(cv.curve_length, m, lambda t: nodes.append(seg.point(t)) or nodes[0],
-                           seg.velocity)
+    a, b, nodes = np.array([1.0, 2.0]), np.array([-1.0, 1.5]), []
+    jet_rows = cv._jet_rows
+    with monkeypatch.context() as patch:
+        patch.setattr(cv, "_jet_rows", lambda m, X, order: nodes.append(X) or jet_rows(m, X, order))
+        message = _point_error(cv.curve_length, m, a, b)
     assert message == _point_error(m.evaluate, nodes[0][np.argmax(nodes[0][:, 0] < 0)])
     # the lifted metric, through g and through g'
     Y = np.c_[X, np.zeros(3)]
@@ -617,12 +616,12 @@ def test_every_stacked_caller_raises_the_error_of_its_failed_row():
     # round's lattice j/(4N); the chord meets x = 0 at the node s = 1/2,
     # where sqrt(x) has no derivative
     with pytest.raises(cv.DomainExitError) as err:
-        hl.gauge_transport(m, [seg])
+        hl.gauge_transport(m, a[None], b[None])
     s = np.arange(4 * hl.TRANSPORT_STEPS + 1) / (4 * hl.TRANSPORT_STEPS)
-    s_bad = s[seg.point(s)[:, 0] <= 0].min()
+    s_bad = s[(a + s[:, None] * (b - a))[:, 0] <= 0].min()
     assert s_bad == 0.5
     assert err.value.s_exit == s_bad
-    assert np.array_equal(err.value.point, seg.point(s_bad))
+    assert np.array_equal(err.value.point, a + s_bad * (b - a))
     # geodesics: the row fails alone
     W = np.array([[0.1, 0.1], [0.1, 0.1], [0.1, 0.1]])
     stack = cv.geodesic_ivp(m, X, W, 0.5)
